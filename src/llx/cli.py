@@ -33,7 +33,7 @@ from . import __version__
 from .config import RunConfig, config_hash, default_config_text, load_config
 from .errors import ConfigError, SolverAbort
 from .expansion import (assemble_ansatz, build_expansion_pieces,
-                        convergence_study)
+                        convergence_study, knot_times)
 from .full_model import (FullModelConfig, make_epsilon_grid, residual_report,
                          simulate_full)
 from .geometry import build_domain
@@ -59,14 +59,10 @@ def _meta(cfg: RunConfig, command: str, **extra) -> dict:
     return out
 
 
-def _knot_times(T: float, dt_knot: float) -> np.ndarray:
-    return np.arange(int(round(T / dt_knot)) + 1) * dt_knot
-
-
 def cmd_limit(cfg: RunConfig, args, out_dir: str) -> int:
     domain = build_domain(cells_per_side=cfg.study.param_cells)
     x = domain.merged_nodes()
-    times = _knot_times(cfg.study.T, cfg.study.dt_knot)
+    times = knot_times(cfg.study.T, cfg.study.dt_knot)
     u0 = np.stack([cfg.data(x, "minus"), cfg.data(x, "plus")])
     traj = simulate_limit(u0, cfg.study.T, cfg.study.dt_full,
                           t_eval=list(times))
@@ -142,7 +138,7 @@ def cmd_ansatz(cfg: RunConfig, args, out_dir: str) -> int:
                              cfg.epsilon, pieces.levelsets)
     grid = make_epsilon_grid(cfg.epsilon,
                              cells_per_eps=cfg.study.cells_per_eps)
-    times = _knot_times(pieces.T_used, cfg.study.dt_knot)
+    times = knot_times(pieces.T_used, cfg.study.dt_knot)
     vals = ansatz.sample_times(times, grid.x)
     report = residual_report(times, vals, grid, cfg.epsilon)
     rows = [[xi] + list(vals[-1, i]) for i, xi in enumerate(grid.x)]

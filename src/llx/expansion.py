@@ -10,11 +10,15 @@ where U_int equals the one-sided limit state u0 plus the transmission
 increment W + S inside the interface neighborhood (and u0 alone
 outside or beyond |y| = Y), U_wall is the wall profile on its cutoff
 support, and rho the slow Neumann corrector. Sampling on a solver grid
-interpolates the slow direction with cubic splines (each side from its
-own half, so the blend region never contaminates the base state) and
-evaluates the fast direction with a natural spline at each column's own
-stretched coordinate; the exponential lift S is evaluated in closed
-form. Layer splines carry one exactly-zero anchor column beyond their
+takes the knots in blocks of KNOT_BLOCK. The base state is a not-a-knot
+cubic spline in the slow direction, each side from its own half (so the
+blend region never contaminates it). For the layer terms the two linear
+interpolations are applied in swapped order: the natural spline in the
+fast direction is fitted once per block on the stored parameter columns
+and evaluated at every node's stretched coordinate, and the result is
+contracted with the node's cardinal cubic-spline weights in x. The
+exponential lift S and the corrector rho are evaluated in closed form.
+The x-weights include one exactly-zero anchor column beyond the layer
 support, so the increments roll off smoothly and vanish identically
 farther out.
 
@@ -26,6 +30,7 @@ conormal (E-class) norms of the corrected difference (u - a) / eps.
 
 Contains:
 - ExpansionAnsatz / assemble_ansatz: the sampler
+- knot_times: the knot times of a horizon
 - l2_space_time / l2_space_time_error / jump_error_l2: space-time norms
 - EClassNorms / eclass_norms: conormal norm records
 - StudyConfig / ConvergenceReport / convergence_study: the experiment
@@ -50,11 +55,17 @@ from .geometry import LevelSets, build_domain, conormal_weight
 from .internal_layer import (ExtendedLimit, ProfilePair, extend_limit,
                              make_profile_grid, make_time_grid,
                              picard_profiles, profile_d1)
-from .interp import natural_spline_coeffs, spline_eval_each, x_resample
+from .interp import (contract_columns, natural_spline_coeffs, spline_eval,
+                     x_resample)
 from .limit_model import renormalize, simulate_limit
 
 
 # === the assembled ansatz ===
+
+# knots sampled together: bounds the block temporaries (knots x nodes x
+# parameter columns x 3) whatever the number of knots
+KNOT_BLOCK = 8
+
 
 @dataclass(frozen=True)
 class ExpansionAnsatz:
@@ -90,30 +101,28 @@ class ExpansionAnsatz:
             f"time {t!r} is not a stored knot (spacing "
             f"{np.max(np.diff(times)):g}, end {times[-1]:g})")
 
-    def _base(self, k: int, x: np.ndarray) -> np.ndarray:
+    def _base(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
         # each side samples its own half only, where the extended state
         # equals the bare limit solution (no blend contamination)
         xp = self.ext.x_param
-        out = np.empty((x.size, 3))
+        out = np.empty((ks.size, x.size, 3))
         left = x < 0.0
-        lp = xp <= 0.0
-        rp = xp >= 0.0
-        if left.any():
-            out[left] = x_resample(xp[lp], self.ext.u_minus[k][lp],
-                                   x[left], bc="not-a-knot")
-        if (~left).any():
-            out[~left] = x_resample(xp[rp], self.ext.u_plus[k][rp],
-                                    x[~left], bc="not-a-knot")
+        for sel, cols, u in ((left, xp <= 0.0, self.ext.u_minus),
+                             (~left, xp >= 0.0, self.ext.u_plus)):
+            if sel.any():
+                out[:, sel] = x_resample(xp[cols], u[ks][:, cols], x[sel],
+                                         axis=1, bc="not-a-knot")
         return out
 
-    def _interface_increment(self, k: int, x: np.ndarray) -> np.ndarray:
+    def _interface_increment(self, ks: np.ndarray,
+                             x: np.ndarray) -> np.ndarray:
         pair = self.profiles
         xp = pair.x_param
         y = pair.y
         j0 = pair.j0
         ys = x / self.epsilon
         active = self.levelsets.in_v_sigma(x) & (np.abs(ys) <= pair.Y)
-        out = np.zeros((x.size, 3))
+        out = np.zeros((ks.size, x.size, 3))
         if not active.any():
             return out
         idx = np.nonzero(pair.support_mask)[0]
@@ -121,42 +130,31 @@ class ExpansionAnsatz:
         if i0 == 0 or i1 == xp.size - 1:
             raise ValueError("interface support touches the domain ends")
         # one exactly-zero anchor column on each side of the support
-        # (the jump field vanishes identically outside the neighborhood)
+        # (the jump field vanishes identically outside the neighborhood);
+        # it carries no weight, so only the support columns are summed
         xs_ext = xp[i0 - 1:i1 + 2]
-        W_ext = np.zeros((xs_ext.size,) + pair.W.shape[2:])
-        W_ext[1:-1] = pair.W[k]
-        d_ext = np.zeros((xs_ext.size, 3))
-        d_ext[1:-1] = pair.delta[k]
-        xa = x[active]
-        W_x = x_resample(xs_ext, W_ext, xa, axis=0)
-        d_x = x_resample(xs_ext, d_ext, xa, axis=0)
+        weights = _cardinal_weights(xs_ext, x[active])[:, 1:-1]
         ya = ys[active]
-        vals = np.zeros((xa.size, 3))
+        W = pair.W[ks]
+        d_x = contract_columns(weights, pair.delta[ks][:, None])
+        vals = np.empty((ks.size, ya.size, 3))
         gm = ya < 0.0
-        if gm.any():
-            knots = y[:j0 + 1]
-            v = np.moveaxis(W_x[gm, :j0 + 1], 1, 0).reshape(knots.size, -1)
-            m = natural_spline_coeffs(knots, v)
-            got = spline_eval_each(knots, v, m, np.repeat(ya[gm], 3))
-            vals[gm] = got.reshape(-1, 3) \
-                + 0.5 * d_x[gm] * np.exp(ya[gm])[:, None]
         gp = ~gm
+        if gm.any():
+            got = _layer_values(y[:j0 + 1], W[:, :, :j0 + 1], ya[gm],
+                                weights[gm])
+            vals[:, gm] = got + 0.5 * d_x[:, gm] * np.exp(ya[gm])[:, None]
         if gp.any():
-            knots = y[j0:]
-            v = np.moveaxis(W_x[gp, j0:], 1, 0).reshape(knots.size, -1)
-            m = natural_spline_coeffs(knots, v)
-            got = spline_eval_each(knots, v, m, np.repeat(ya[gp], 3))
-            vals[gp] = got.reshape(-1, 3) \
-                - 0.5 * d_x[gp] * np.exp(-ya[gp])[:, None]
-        out[active] = vals
+            got = _layer_values(y[j0:], W[:, :, j0:], ya[gp], weights[gp])
+            vals[:, gp] = got - 0.5 * d_x[:, gp] * np.exp(-ya[gp])[:, None]
+        out[:, active] = vals
         return out
 
-    def _wall_increment(self, k: int, x: np.ndarray,
+    def _wall_increment(self, ks: np.ndarray, x: np.ndarray,
                         theta_x: np.ndarray) -> np.ndarray:
         prof = self.boundary
-        z = prof.z
         zs = (1.0 - np.abs(x)) / self.epsilon
-        out = np.zeros((x.size, 3))
+        out = np.zeros((ks.size, x.size, 3))
         xp = prof.x_param
         xs = prof.x_support
         for side in ("minus", "plus"):
@@ -168,23 +166,38 @@ class ExpansionAnsatz:
                 cols = xs < 0.0
             if not (sel.any() and cols.sum() >= 2):
                 continue
-            block = prof.U[k][cols]
+            # one exactly-zero anchor column on the inner side, which
+            # carries no weight
             if side == "plus":
                 j = int(np.searchsorted(xp, xs[cols][0])) - 1
                 xs_ext = np.concatenate([[xp[j]], xs[cols]])
-                U_ext = np.concatenate([np.zeros((1,) + block.shape[1:]),
-                                        block])
+                weights = _cardinal_weights(xs_ext, x[sel])[:, 1:]
             else:
                 j = int(np.searchsorted(xp, xs[cols][-1])) + 1
                 xs_ext = np.concatenate([xs[cols], [xp[j]]])
-                U_ext = np.concatenate([block,
-                                        np.zeros((1,) + block.shape[1:])])
-            U_x = x_resample(xs_ext, U_ext, x[sel], axis=0)
-            v = np.moveaxis(U_x, 1, 0).reshape(z.size, -1)
-            m = natural_spline_coeffs(z, v)
-            got = spline_eval_each(z, v, m, np.repeat(zs[sel], 3))
-            out[sel] = got.reshape(-1, 3)
+                weights = _cardinal_weights(xs_ext, x[sel])[:, :-1]
+            out[:, sel] = _layer_values(prof.z, prof.U[ks][:, cols],
+                                        zs[sel], weights)
         return out
+
+    def _parts(self, ks: np.ndarray, x: np.ndarray) -> dict:
+        """The four summands at the knot indices ks: each (nk, nx, 3)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or np.any(np.abs(x) > 1.0 + 1e-12):
+            raise ValueError("sample nodes must lie in [-1, 1]")
+        theta_x = self.levelsets.theta(x)
+        rho = np.zeros((ks.size, x.size, 3))
+        phi_theta = (1.0 - np.abs(x)) * theta_x
+        right = x > 0.0
+        left = x < 0.0
+        rho[:, right] = phi_theta[right, None] * self.g_plus[ks][:, None]
+        rho[:, left] = phi_theta[left, None] * self.g_minus[ks][:, None]
+        return {
+            "base": self._base(ks, x),
+            "interface": self._interface_increment(ks, x),
+            "wall": self._wall_increment(ks, x, theta_x),
+            "rho": rho,
+        }
 
     def sample_parts(self, t: float, x: np.ndarray) -> dict:
         """The four summands at the knot t on nodes x, before scaling.
@@ -192,33 +205,53 @@ class ExpansionAnsatz:
         Returns {"base", "interface", "wall", "rho"}; the sampled field
         is base + interface + epsilon * (wall + rho).
         """
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or np.any(np.abs(x) > 1.0 + 1e-12):
-            raise ValueError("sample nodes must lie in [-1, 1]")
-        k = self.knot_index(t)
-        theta_x = self.levelsets.theta(x)
-        rho = np.zeros((x.size, 3))
-        phi_theta = (1.0 - np.abs(x)) * theta_x
-        right = x > 0.0
-        left = x < 0.0
-        rho[right] = phi_theta[right, None] * self.g_plus[k]
-        rho[left] = phi_theta[left, None] * self.g_minus[k]
-        return {
-            "base": self._base(k, x),
-            "interface": self._interface_increment(k, x),
-            "wall": self._wall_increment(k, x, theta_x),
-            "rho": rho,
-        }
+        parts = self._parts(np.array([self.knot_index(t)]), x)
+        return {name: part[0] for name, part in parts.items()}
 
     def sample(self, t: float, x: np.ndarray) -> np.ndarray:
         """The approximate solution at knot t on nodes x: (nx, 3)."""
-        p = self.sample_parts(t, x)
-        return (p["base"] + p["interface"]
-                + self.epsilon * (p["wall"] + p["rho"]))
+        return self.sample_times(np.array([t]), x)[0]
 
     def sample_times(self, times: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Stacked samples at several knots: (nt, nx, 3)."""
-        return np.stack([self.sample(t, x) for t in np.asarray(times)])
+        """Stacked samples at several knots: (nt, nx, 3).
+
+        The knots are sampled in blocks of KNOT_BLOCK. Nothing sums
+        across the knots of a block, so a knot gives the same bits
+        whichever block it falls in.
+        """
+        ks = np.array([self.knot_index(t) for t in np.asarray(times)],
+                      dtype=int)
+        x = np.asarray(x, dtype=float)
+        out = np.empty((ks.size, x.size, 3))
+        for start in range(0, ks.size, KNOT_BLOCK):
+            p = self._parts(ks[start:start + KNOT_BLOCK], x)
+            out[start:start + KNOT_BLOCK] = (
+                p["base"] + p["interface"]
+                + self.epsilon * (p["wall"] + p["rho"]))
+        return out
+
+
+def _cardinal_weights(xs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Natural-spline x-weights: column i is the resample of the unit
+    data at xs[i] onto x, so any resample is weights @ data."""
+    return x_resample(xs, np.eye(xs.size), x)
+
+
+def _layer_values(s_knots: np.ndarray, U: np.ndarray, s: np.ndarray,
+                  weights: np.ndarray) -> np.ndarray:
+    """Layer profile at each node's stretched coordinate, resampled in x.
+
+    U (nk, nc, ns, 3) holds the stored parameter columns of a knot block
+    on the stretched mesh s_knots; node q sits at s[q] with x-weights
+    weights[q] (nq, nc). The natural spline in s is fitted on the stored
+    columns and evaluated at every node, then contracted with the
+    weights: the order is swapped against resampling first, which is
+    exact because both steps are linear. Returns (nk, nq, 3).
+    """
+    v = np.moveaxis(U, 2, 0)
+    m = natural_spline_coeffs(s_knots, v)
+    vals = np.moveaxis(spline_eval(s_knots, v, m, s), 0, 1)
+    return contract_columns(weights, vals)
 
 
 def assemble_ansatz(ext: ExtendedLimit, profiles: ProfilePair,
@@ -292,6 +325,11 @@ def fit_slope(epsilons: np.ndarray, errors: np.ndarray) -> float:
     err = np.asarray(errors, dtype=float)
     if eps.size < 2 or eps.size != err.size:
         raise ValueError(f"need >= 2 paired values, got {eps.size}")
+    bad = ~(np.isfinite(eps) & np.isfinite(err))
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"slope fit needs finite values: entry {i} has "
+                         f"eps={eps[i]:g}, error={err[i]:g}")
     if np.any(err <= 0.0) or np.any(eps <= 0.0):
         raise ValueError("slope fit needs positive errors and eps")
     return float(np.polyfit(np.log(eps), np.log(err), 1)[0])
@@ -418,6 +456,11 @@ class StudyConfig:
                               f"got {self.eclass_m}")
 
 
+def knot_times(T: float, dt_knot: float) -> np.ndarray:
+    """The knots 0, dt_knot, ..., T at which profiles and outputs live."""
+    return np.arange(int(round(T / dt_knot)) + 1) * dt_knot
+
+
 @dataclass(frozen=True)
 class ExpansionPieces:
     """The eps-independent half of the experiment."""
@@ -492,8 +535,7 @@ def _epsilon_row(task) -> dict:
     grid = make_epsilon_grid(eps, cells_per_eps=cfg.cells_per_eps)
     ansatz = assemble_ansatz(pieces.ext, pieces.profiles, pieces.boundary,
                              eps, pieces.levelsets)
-    n_knots = int(round(pieces.T_used / cfg.dt_knot))
-    times_eval = np.arange(n_knots + 1) * cfg.dt_knot
+    times_eval = knot_times(pieces.T_used, cfg.dt_knot)
     a_vals = ansatz.sample_times(times_eval, grid.x)
 
     u_init = renormalize(a_vals[0])

@@ -2,17 +2,19 @@
 
 The layer profiles live on their own stretched meshes (y for the
 transmission layer, z for the wall layer) and on the coarse parameter
-mesh in x. Evaluating the composite field on a solver grid needs two
-steps: resample along x onto the solver nodes, then evaluate each
-column at its own stretched coordinate (y = x/eps or z = (1 - |x|)/eps,
-a different point for every column). The second step is a natural cubic
-spline with one shared knot set and many right-hand sides, so the
-coefficient solve is a single banded system and the evaluation a
-vectorized gather.
+mesh in x. A solver node x needs the profile at its own stretched
+coordinate (y = x/eps or z = (1 - |x|)/eps), resampled along x. Both
+steps are linear in the data, so they commute: the natural spline in the
+stretched direction is fitted once on the stored parameter columns (one
+shared knot set, many right-hand sides, a single banded solve), every
+column is evaluated at every node's stretched coordinate, and the
+results are contracted with the cardinal x-weights of the node (the
+cubic x-resample of an identity matrix).
 
 Contains:
 - natural_spline_coeffs: second derivatives of the natural cubic spline
-- spline_eval_each: evaluate column i at its own query point q[i]
+- spline_eval: evaluate every batch column at every query point
+- contract_columns: weighted sum over parameter columns, in fixed order
 - x_resample: cubic resampling along one axis onto new nodes
 """
 
@@ -54,18 +56,21 @@ def natural_spline_coeffs(x: np.ndarray, v: np.ndarray) -> np.ndarray:
     return m.reshape(v.shape)
 
 
-def spline_eval_each(x: np.ndarray, v: np.ndarray, m: np.ndarray,
-                     q: np.ndarray) -> np.ndarray:
-    """Evaluate batch column i of the spline at its own point q[i].
+def spline_eval(x: np.ndarray, v: np.ndarray, m: np.ndarray,
+                q: np.ndarray) -> np.ndarray:
+    """Evaluate every batch column of the spline at every query point.
 
-    v, m (nk, nb) as from natural_spline_coeffs with flattened batch,
-    q (nb,) query points inside [x[0], x[-1]]. Returns (nb,).
+    v, m (nk, ...) as from natural_spline_coeffs, q (nq,) query points
+    inside [x[0], x[-1]]. Returns (nq, ...): entry i is the whole batch
+    evaluated at q[i]. Each entry is an elementwise combination of four
+    knot rows, so it does not depend on the other columns or queries.
     """
     x = np.asarray(x, dtype=float)
     q = np.asarray(q, dtype=float)
-    if v.ndim != 2 or v.shape != m.shape or q.shape != (v.shape[1],):
+    if v.shape != m.shape or v.shape[0] != x.size or q.ndim != 1:
         raise ValueError(
-            f"shape mismatch: v {v.shape}, m {m.shape}, q {q.shape}")
+            f"shape mismatch: x {x.shape}, v {v.shape}, m {m.shape}, "
+            f"q {q.shape}")
     lo, hi = x[0], x[-1]
     span = hi - lo
     if np.any(q < lo - 1e-12 * span) or np.any(q > hi + 1e-12 * span):
@@ -74,15 +79,33 @@ def spline_eval_each(x: np.ndarray, v: np.ndarray, m: np.ndarray,
             f"[{q.min():g}, {q.max():g}]")
     qc = np.clip(q, lo, hi)
     j = np.clip(np.searchsorted(x, qc, side="right") - 1, 0, x.size - 2)
-    cols = np.arange(v.shape[1])
     h = x[j + 1] - x[j]
     tl = x[j + 1] - qc
     tr = qc - x[j]
-    vj, vj1 = v[j, cols], v[j + 1, cols]
-    mj, mj1 = m[j, cols], m[j + 1, cols]
-    return (vj * tl / h + vj1 * tr / h
-            + mj * (tl ** 3 / h - h * tl) / 6.0
-            + mj1 * (tr ** 3 / h - h * tr) / 6.0)
+    shape = (q.size,) + (1,) * (v.ndim - 1)
+    wl = (tl / h).reshape(shape)
+    wr = (tr / h).reshape(shape)
+    cl = ((tl ** 3 / h - h * tl) / 6.0).reshape(shape)
+    cr = ((tr ** 3 / h - h * tr) / 6.0).reshape(shape)
+    return v[j] * wl + v[j + 1] * wr + m[j] * cl + m[j + 1] * cr
+
+
+def contract_columns(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum of weights[:, i] * values[..., i, :] over the columns i.
+
+    weights (nq, nc) are per-node column weights; values (..., nq, nc, c)
+    hold the column data seen from each node (a length-1 node axis
+    broadcasts). Returns (..., nq, c). The sum runs over i in order with
+    elementwise updates, so no entry depends on the batch around it.
+    """
+    if weights.ndim != 2 or values.shape[-2] != weights.shape[1]:
+        raise ValueError(
+            f"shape mismatch: weights {weights.shape}, values "
+            f"{values.shape}")
+    acc = weights[:, :1] * values[..., 0, :]
+    for i in range(1, weights.shape[1]):
+        acc += weights[:, i:i + 1] * values[..., i, :]
+    return acc
 
 
 def x_resample(x_src: np.ndarray, values: np.ndarray, x_tgt: np.ndarray,

@@ -14,6 +14,7 @@ from llx.expansion import (EClassNorms, StudyConfig, assemble_ansatz,
                            l2_space_time, l2_space_time_error)
 from llx.fields import constant_per_side, named_field
 from llx.internal_layer import profile_d1
+from llx.interp import natural_spline_coeffs, x_resample
 from llx.limit_model import simulate_limit
 
 
@@ -187,6 +188,119 @@ def test_sampling_is_deterministic(jump_small):
     assert np.array_equal(a, rows)
 
 
+# --- per-knot reference sampler ---
+#
+# The sampler as it was written knot by knot: resample every stretched
+# node along x onto the solver nodes first, then evaluate each node's
+# own column of the natural spline at its stretched coordinate. The
+# blocked sampler swaps the two linear steps, so it must agree to
+# rounding.
+
+def _eval_each(knots, v, m, q):
+    """Natural spline column i of (v, m) at its own point q[i]."""
+    j = np.clip(np.searchsorted(knots, q, side="right") - 1, 0,
+                knots.size - 2)
+    cols = np.arange(v.shape[1])
+    h = knots[j + 1] - knots[j]
+    tl = knots[j + 1] - q
+    tr = q - knots[j]
+    return (v[j, cols] * tl / h + v[j + 1, cols] * tr / h
+            + m[j, cols] * (tl ** 3 / h - h * tl) / 6.0
+            + m[j + 1, cols] * (tr ** 3 / h - h * tr) / 6.0)
+
+
+def _resample_then_eval(knots, U_x, s):
+    """U_x (nq, ns, 3) resampled profiles; node q evaluated at s[q]."""
+    v = np.moveaxis(U_x, 1, 0).reshape(knots.size, -1)
+    m = natural_spline_coeffs(knots, v)
+    return _eval_each(knots, v, m, np.repeat(s, 3)).reshape(-1, 3)
+
+
+def _reference_sample(ansatz, t, x):
+    k = ansatz.knot_index(t)
+    eps = ansatz.epsilon
+    ext, pair, prof = ansatz.ext, ansatz.profiles, ansatz.boundary
+    xp = ext.x_param
+    base = np.empty((x.size, 3))
+    left = x < 0.0
+    base[left] = x_resample(xp[xp <= 0.0], ext.u_minus[k][xp <= 0.0],
+                            x[left], bc="not-a-knot")
+    base[~left] = x_resample(xp[xp >= 0.0], ext.u_plus[k][xp >= 0.0],
+                             x[~left], bc="not-a-knot")
+
+    interface = np.zeros((x.size, 3))
+    ys = x / eps
+    active = ansatz.levelsets.in_v_sigma(x) & (np.abs(ys) <= pair.Y)
+    idx = np.nonzero(pair.support_mask)[0]
+    xs_ext = xp[idx[0] - 1:idx[-1] + 2]
+    W_ext = np.zeros((xs_ext.size,) + pair.W.shape[2:])
+    W_ext[1:-1] = pair.W[k]
+    d_ext = np.zeros((xs_ext.size, 3))
+    d_ext[1:-1] = pair.delta[k]
+    W_x = x_resample(xs_ext, W_ext, x[active])
+    d_x = x_resample(xs_ext, d_ext, x[active])
+    ya = ys[active]
+    j0 = pair.j0
+    vals = np.zeros((ya.size, 3))
+    gm = ya < 0.0
+    vals[gm] = (_resample_then_eval(pair.y[:j0 + 1], W_x[gm, :j0 + 1],
+                                    ya[gm])
+                + 0.5 * d_x[gm] * np.exp(ya[gm])[:, None])
+    gp = ~gm
+    vals[gp] = (_resample_then_eval(pair.y[j0:], W_x[gp, j0:], ya[gp])
+                - 0.5 * d_x[gp] * np.exp(-ya[gp])[:, None])
+    interface[active] = vals
+
+    wall = np.zeros((x.size, 3))
+    theta_x = ansatz.levelsets.theta(x)
+    zs = (1.0 - np.abs(x)) / eps
+    xs = prof.x_support
+    zero = np.zeros((1,) + prof.U.shape[2:])
+    for sign in (-1.0, 1.0):
+        sel = (sign * x > 0.0) & (theta_x > 0.0) & (zs <= prof.Z)
+        cols = sign * xs > 0.0
+        if sign > 0.0:
+            j = int(np.searchsorted(xp, xs[cols][0])) - 1
+            xs_ext = np.concatenate([[xp[j]], xs[cols]])
+            U_ext = np.concatenate([zero, prof.U[k][cols]])
+        else:
+            j = int(np.searchsorted(xp, xs[cols][-1])) + 1
+            xs_ext = np.concatenate([xs[cols], [xp[j]]])
+            U_ext = np.concatenate([prof.U[k][cols], zero])
+        U_x = x_resample(xs_ext, U_ext, x[sel])
+        wall[sel] = _resample_then_eval(prof.z, U_x, zs[sel])
+
+    rho = np.zeros((x.size, 3))
+    phi_theta = (1.0 - np.abs(x)) * theta_x
+    right = x > 0.0
+    rho[right] = phi_theta[right, None] * ansatz.g_plus[k]
+    rho[left] = phi_theta[left, None] * ansatz.g_minus[k]
+    return base + interface + eps * (wall + rho)
+
+
+@pytest.mark.parametrize("fixture", ["jump_small", "swirl_small"])
+def test_blocked_sampling_matches_the_per_knot_reference(fixture, request):
+    # the jump data exercises the interface path, the swirl data the
+    # wall path; 9 knots make one full block of 8 and a partial one
+    _, pieces, _ = request.getfixturevalue(fixture)
+    eps = 0.03125
+    ansatz = assemble_ansatz(pieces.ext, pieces.profiles, pieces.boundary,
+                             eps, pieces.levelsets)
+    times = ansatz.times
+    assert times.size % 8 != 0
+    x = np.linspace(-1.0, 1.0, 257)
+    # the active window reaches its edge |y| = Y at interior nodes
+    edge = ansatz.levelsets.in_v_sigma(x) & (np.abs(x / eps)
+                                             == pieces.profiles.Y)
+    assert np.count_nonzero(edge) == 2
+    got = ansatz.sample_times(times, x)
+    want = np.stack([_reference_sample(ansatz, float(t), x) for t in times])
+    layer = "interface" if fixture == "jump_small" else "wall"
+    assert max(np.max(np.abs(ansatz.sample_parts(float(t), x)[layer]))
+               for t in times) > 1e-3
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
 # --- space-time norms ---
 
 def test_l2_constant_closed_form():
@@ -267,6 +381,10 @@ def test_fit_slope_exact_power_and_validation():
         fit_slope(eps, err[:-1])
     with pytest.raises(ValueError, match="positive"):
         fit_slope(eps, err - err[0])
+    with pytest.raises(ValueError, match="entry 2"):
+        fit_slope(eps, np.where(eps == 0.025, np.nan, err))
+    with pytest.raises(ValueError, match="entry 0"):
+        fit_slope(np.where(eps == 0.1, np.inf, eps), err)
 
 
 # --- conormal norms ---
