@@ -3,7 +3,13 @@
 Unknowns are ordered node-major, component-minor: the 3-vector at node i
 occupies rows 3i..3i+2. A block-tridiagonal system with 3x3 blocks then
 has scalar bandwidth 5 on each side, which scipy's solve_banded handles
-directly.
+directly. The band storage is written by strided slices, one per block
+entry, with no index maps.
+
+Several columns whose end rows have no off-block coupling (Dirichlet
+identity rows, say) may be stacked along the node axis into one system:
+the zero couplings between neighbouring columns decouple them, and the
+stacked solve gives each column the same bits as its own solve.
 
 Contains:
 - cross_matrix: the matrix [a]x with [a]x v = a x v, batched
@@ -11,12 +17,16 @@ Contains:
 - blocks_to_banded / block_tridiag_solve: assembly and solve
 - tridiag_solve_components: scalar tridiagonal solve applied to each
   component of a vector unknown (the decoupled case)
+
+Both solvers raise SolverAbort on a non-finite result.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from scipy.linalg import solve_banded
+
+from .errors import SolverAbort
 
 
 def cross_matrix(a: np.ndarray) -> np.ndarray:
@@ -63,32 +73,33 @@ def blocks_to_banded(A: np.ndarray, B: np.ndarray,
             f"block arrays must share shape (n, 3, 3); got {A.shape}, "
             f"{B.shape}, {C.shape}")
     ab = np.zeros((11, 3 * n))
-    r = np.arange(3)
-    rr, cc = np.meshgrid(r, r, indexing="ij")
-    nodes = np.arange(n)
-    # diagonal blocks: global row 3i+r, col 3i+c, band row 5 + r - c
-    cols = (3 * nodes[:, None, None] + cc).reshape(-1)
-    band_d = np.broadcast_to((5 + rr - cc), (n, 3, 3)).reshape(-1)
-    ab[band_d, cols] = B.reshape(-1)
-    # subdiagonal blocks: row 3i+r, col 3(i-1)+c, band row 5 + 3 + r - c
-    cols_a = (3 * (nodes[1:, None, None] - 1) + cc).reshape(-1)
-    band_a = np.broadcast_to((8 + rr - cc), (n - 1, 3, 3)).reshape(-1)
-    ab[band_a, cols_a] = A[1:].reshape(-1)
-    # superdiagonal blocks: row 3i+r, col 3(i+1)+c, band row 5 - 3 + r - c
-    cols_c = (3 * (nodes[:-1, None, None] + 1) + cc).reshape(-1)
-    band_c = np.broadcast_to((2 + rr - cc), (n - 1, 3, 3)).reshape(-1)
-    ab[band_c, cols_c] = C[:-1].reshape(-1)
+    # view (band row, node, column component): global column 3i+c
+    nodes = ab.reshape(11, n, 3)
+    for r in range(3):
+        for c in range(3):
+            # B[i] at row 3i+r, col 3i+c; A[i] at col 3(i-1)+c; C[i] at
+            # col 3(i+1)+c; band row is 5 + global row - global col
+            nodes[5 + r - c, :, c] = B[:, r, c]
+            nodes[8 + r - c, :-1, c] = A[1:, r, c]
+            nodes[2 + r - c, 1:, c] = C[:-1, r, c]
     return ab
 
 
 def block_tridiag_solve(A: np.ndarray, B: np.ndarray, C: np.ndarray,
                         rhs: np.ndarray) -> np.ndarray:
-    """Solve the block-tridiagonal system for a (n, 3) right-hand side."""
+    """Solve the block-tridiagonal system for a (n, 3) right-hand side.
+
+    Raises SolverAbort when the solution is not finite (a NaN or inf
+    reached the matrix or the right-hand side), so a diverged state
+    ends the run instead of spreading; tridiag_solve_components does
+    the same.
+    """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
     ab = blocks_to_banded(A, B, C)
-    sol = solve_banded((5, 5), ab, rhs.reshape(3 * n))
-    return sol.reshape(n, 3)
+    sol = solve_banded((5, 5), ab, rhs.reshape(3 * n), overwrite_ab=True,
+                       check_finite=False)
+    return _finite(sol, "block-tridiagonal solve").reshape(n, 3)
 
 
 def tridiag_solve_components(lower: np.ndarray, diag: np.ndarray,
@@ -106,4 +117,13 @@ def tridiag_solve_components(lower: np.ndarray, diag: np.ndarray,
     ab[0, 1:] = upper[:-1]
     ab[1, :] = diag
     ab[2, :-1] = lower[1:]
-    return solve_banded((1, 1), ab, rhs)
+    sol = solve_banded((1, 1), ab, rhs, check_finite=False)
+    return _finite(sol, "tridiagonal solve")
+
+
+def _finite(sol: np.ndarray, what: str) -> np.ndarray:
+    """sol itself, or SolverAbort if a NaN or inf reached the solve."""
+    if not np.isfinite(sol).all():
+        raise SolverAbort(
+            f"{what} of {sol.size} unknowns returned non-finite values")
+    return sol

@@ -20,7 +20,10 @@ unknown at y = 0, and W(0) = 0. The x dependence is purely parametric,
 so columns solve independently; zero-jump columns are exactly zero and
 skipped. The quasilinear solve is a Picard iteration: coefficients and
 forcing frozen at the previous space-time iterate, each sweep a
-Crank-Nicolson march with a one-sided-Taylor junction row.
+Crank-Nicolson march with a one-sided-Taylor junction row. The active
+columns march together, stacked into one banded solve per time step;
+the frozen coefficient and forcing are built for a few time levels at
+a time, and a column leaves the sweep once it has converged.
 
 Contains:
 - ProfileGrid / make_profile_grid: graded two-sided y-mesh
@@ -28,9 +31,10 @@ Contains:
 - ExtendedLimit / extend_limit: one-sided limit states extended by
   branch continuation and cutoff blending, with exact time derivatives
 - F_pm: the exact increment F(u0+U, V, H0-(U.n)n) - F(u0, 0, H0)
-- march_transmission: one linear sweep (also used by the MMS tests)
+- march_transmission: one linear sweep of one column (also used by the
+  MMS tests); the stacked sweep behind it marches the Picard columns
 - picard_profiles / ProfilePair: the fixed-point loop and its result
-- profile_d1, transmission_defect, weighted_profile_norm
+- profile_d1, weighted_profile_norm
 """
 
 from __future__ import annotations
@@ -64,9 +68,6 @@ class ProfileGrid:
     @property
     def n(self) -> int:
         return self.y.size
-
-    def side_slice(self, side: str) -> slice:
-        return slice(self.j0, None) if side == "plus" else slice(0, self.j0 + 1)
 
 
 def graded_widths(length: float, cells: int, growth: float,
@@ -256,7 +257,107 @@ def profile_d1(y: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, 0, -2)
 
 
-# === one linear sweep ===
+# === the stacked Crank-Nicolson march ===
+
+# time levels whose coefficient and forcing are built at once: bounds the
+# transient to a few levels of every marched column
+TIME_BLOCK = 8
+
+
+def _l2_y_per_time(y: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """L2(y) norms of a (..., ny, 3) stack, one value per leading index."""
+    return np.sqrt(np.trapezoid(np.sum(D * D, axis=-1), y, axis=-1))
+
+
+def _sweep(pgrid: ProfileGrid, times: np.ndarray, W: np.ndarray,
+           cols: np.ndarray, levels) -> np.ndarray:
+    """One Crank-Nicolson march of the columns W[:, cols], in place.
+
+    Solves dW/dt = (I + [coeff]x) W_yy + f on every listed column of W
+    (nt, ncol, ny, 3), starting from W[0]. levels(k0, W_old) returns
+    (coeff, f_minus, f_plus) at the time levels k0, k0+1, ... of the
+    stacked values W_old (m, ncols, ny, 3), before the march overwrites
+    them; it is called on blocks of TIME_BLOCK levels and the block's
+    last level is carried into the next block. The minus forcing feeds
+    rows y < 0, the plus forcing rows y > 0, and the junction row at
+    y = 0 uses both one-sided values (the forcing may jump there).
+    Dirichlet zero at both ends; the junction row combines one-sided
+    Taylor expansions with the equation on each side, giving a C1
+    transmission coupling with a single shared unknown. The Dirichlet
+    rows decouple the columns, so each step is one banded solve of the
+    columns stacked along the node axis.
+
+    Returns the L2(y) change of each column at each time, (nt, ncols).
+    """
+    y, j0 = pgrid.y, pgrid.j0
+    ny = y.size
+    nt = times.size
+    ncols = cols.size
+    d2 = d2_coefficients(y)
+    a, b, c = d2
+    hm = y[j0] - y[j0 - 1]
+    hp = y[j0 + 1] - y[j0]
+    eye = np.eye(3)
+    eye_rows = np.broadcast_to(eye, (ncols, ny, 3, 3))
+    plus_rows = (np.arange(ny) >= j0)[:, None]
+
+    change = np.zeros((nt, ncols))
+    w_k = W[0, cols]
+    coeff, f_minus, f_plus = levels(0, w_k[None])
+    for k0 in range(0, nt - 1, TIME_BLOCK):
+        k1 = min(k0 + TIME_BLOCK, nt - 1)
+        old = W[k0 + 1:k1 + 1, cols]
+        coeff, f_minus, f_plus = (
+            np.concatenate([edge[-1:], block])
+            for edge, block in zip((coeff, f_minus, f_plus),
+                                   levels(k0 + 1, old)))
+        new = np.empty_like(old)
+        for j in range(k1 - k0):
+            dt = times[k0 + j + 1] - times[k0 + j]
+            vmid = 0.5 * (coeff[j] + coeff[j + 1])
+            M = eye_rows + cross_matrix(vmid)
+            f_mid = np.where(plus_rows,
+                             0.5 * (f_plus[j] + f_plus[j + 1]),
+                             0.5 * (f_minus[j] + f_minus[j + 1]))
+
+            half = 0.5 * dt
+            A = -half * a[:, None, None] * M
+            B = eye_rows - half * b[:, None, None] * M
+            C = -half * c[:, None, None] * M
+            d2W = np.moveaxis(
+                apply_tridiagonal_stencil(d2, np.moveaxis(w_k, -2, 0)),
+                0, -2)
+            rhs = w_k + half * np.einsum("...ij,...j->...i", M, d2W) \
+                + dt * f_mid
+
+            # Dirichlet ends
+            for row in (0, ny - 1):
+                A[:, row] = 0.0
+                C[:, row] = 0.0
+                B[:, row] = eye
+                rhs[:, row] = 0.0
+            # junction row: one-sided Taylor plus the equation on each
+            # side; time derivative backward, forcing at the new level.
+            # The products stay matmul: einsum rounds them differently.
+            mj_inv = inv_id_plus_cross(coeff[j + 1][:, j0])
+            A[:, j0] = -(1.0 / hm) * eye
+            C[:, j0] = -(1.0 / hp) * eye
+            B[:, j0] = (1.0 / hm + 1.0 / hp) * eye \
+                + ((hm + hp) / (2.0 * dt)) * mj_inv
+            rhs[:, j0] = (
+                ((hm + hp) / (2.0 * dt)) * (mj_inv @ w_k[:, j0, :, None])
+                + 0.5 * hm * (mj_inv @ f_minus[j + 1][:, j0, :, None])
+                + 0.5 * hp * (mj_inv @ f_plus[j + 1][:, j0, :, None]))[..., 0]
+
+            w_k = block_tridiag_solve(
+                A.reshape(-1, 3, 3), B.reshape(-1, 3, 3),
+                C.reshape(-1, 3, 3), rhs.reshape(-1, 3)
+            ).reshape(ncols, ny, 3)
+            new[j] = w_k
+        change[k0 + 1:k1 + 1] = _l2_y_per_time(y, new - old)
+        W[k0 + 1:k1 + 1, cols] = new
+    return change
+
 
 def march_transmission(pgrid: ProfileGrid, times: np.ndarray,
                        coeff: np.ndarray, f_minus: np.ndarray,
@@ -264,106 +365,61 @@ def march_transmission(pgrid: ProfileGrid, times: np.ndarray,
                        w_init: Optional[np.ndarray] = None) -> np.ndarray:
     """Crank-Nicolson march of dW/dt = (I + [coeff]x) W_yy + f.
 
-    coeff, f_minus, f_plus have shape (nt, ny, 3); the minus forcing
-    feeds rows y < 0, the plus forcing rows y > 0, and the junction row
-    at y = 0 uses both one-sided values (the forcing may jump there).
-    Dirichlet zero at both ends; the junction row combines one-sided
-    Taylor expansions with the equation on each side, giving a C1
-    transmission coupling with a single shared unknown.
+    One column of the stacked march: coeff, f_minus, f_plus have shape
+    (nt, ny, 3), with the sides and the junction row as in _sweep.
     """
-    y, j0 = pgrid.y, pgrid.j0
-    ny = y.size
+    ny = pgrid.y.size
     nt = times.size
     if coeff.shape != (nt, ny, 3):
         raise ValueError(f"coeff shape {coeff.shape} != {(nt, ny, 3)}")
     if f_minus.shape != coeff.shape or f_plus.shape != coeff.shape:
         raise ValueError("forcing arrays must match the coefficient shape")
-    d2 = d2_coefficients(y)
-    a, b, c = d2
-    hm = y[j0] - y[j0 - 1]
-    hp = y[j0 + 1] - y[j0]
-    eye = np.eye(3)
-    eye_rows = np.broadcast_to(eye, (ny, 3, 3))
-    plus_rows = (np.arange(ny) >= j0)[:, None]
+    W = np.zeros((nt, 1, ny, 3))
+    if w_init is not None:
+        W[0, 0] = w_init
 
-    W = np.empty((nt, ny, 3))
-    W[0] = 0.0 if w_init is None else w_init
+    def levels(k0, w_old):
+        k1 = k0 + w_old.shape[0]
+        return (coeff[k0:k1, None], f_minus[k0:k1, None],
+                f_plus[k0:k1, None])
 
-    for k in range(nt - 1):
-        dt = times[k + 1] - times[k]
-        vmid = 0.5 * (coeff[k] + coeff[k + 1])
-        M = eye_rows + cross_matrix(vmid)
-        f_mid = np.where(plus_rows,
-                         0.5 * (f_plus[k] + f_plus[k + 1]),
-                         0.5 * (f_minus[k] + f_minus[k + 1]))
-
-        half = 0.5 * dt
-        A = -half * a[:, None, None] * M
-        B = eye_rows - half * b[:, None, None] * M
-        C = -half * c[:, None, None] * M
-        d2W = apply_tridiagonal_stencil(d2, W[k])
-        rhs = W[k] + half * np.einsum("nij,nj->ni", M, d2W) + dt * f_mid
-
-        # Dirichlet ends
-        for row in (0, ny - 1):
-            A[row] = 0.0
-            C[row] = 0.0
-            B[row] = eye
-            rhs[row] = 0.0
-        # junction row: one-sided Taylor plus the equation on each side;
-        # time derivative backward, forcing at the new level
-        mj_inv = inv_id_plus_cross(coeff[k + 1][j0])
-        A[j0] = -(1.0 / hm) * eye
-        C[j0] = -(1.0 / hp) * eye
-        B[j0] = (1.0 / hm + 1.0 / hp) * eye \
-            + ((hm + hp) / (2.0 * dt)) * mj_inv
-        rhs[j0] = ((hm + hp) / (2.0 * dt)) * (mj_inv @ W[k][j0]) \
-            + 0.5 * hm * (mj_inv @ f_minus[k + 1][j0]) \
-            + 0.5 * hp * (mj_inv @ f_plus[k + 1][j0])
-
-        W[k + 1] = block_tridiag_solve(A, B, C, rhs)
-    return W
+    _sweep(pgrid, times, W, np.array([0]), levels)
+    return W[:, 0]
 
 
-# === fixed point per column ===
+# === fixed point over the columns ===
 
-def _column_lifts(pgrid: ProfileGrid, delta, delta_dt, u0p, u0m):
-    """Per-side lift fields on the full mesh (off-side entries zeroed)."""
-    y = pgrid.y
-    e_plus = np.where(y >= 0.0, np.exp(-np.abs(y)), 0.0)[None, :, None]
-    e_minus = np.where(y <= 0.0, np.exp(-np.abs(y)), 0.0)[None, :, None]
-    d = delta[:, None, :]
-    dd = delta_dt[:, None, :]
-    return {
-        "S_p": -0.5 * d * e_plus,
-        "S_m": 0.5 * d * e_minus,
-        "dyS_p": 0.5 * d * e_plus,
-        "dyS_m": 0.5 * d * e_minus,
-        "dtS_p": -0.5 * dd * e_plus,
-        "dtS_m": 0.5 * dd * e_minus,
-        "V_p": u0p[:, None, :] - 0.5 * d * e_plus,
-        "V_m": u0m[:, None, :] + 0.5 * d * e_minus,
-    }
+def _profile_levels(y: np.ndarray, W: np.ndarray, delta, delta_dt, u0p,
+                    u0m):
+    """Coefficient and per-side forcing frozen at the iterate W.
 
+    W is (m, ncols, ny, 3) at m time levels; delta, delta_dt and the
+    one-sided states u0p, u0m are (m, ncols, 3) at the same levels.
+    Each side's lift S lives on its own half-line (y = 0 included) and
+    is zero across. Returns (coeff, f_minus, f_plus) with coeff the
+    side's V = u0 + S plus W.
+    """
+    e = np.exp(-np.abs(y))
+    e_plus = np.where(y >= 0.0, e, 0.0)[:, None]
+    e_minus = np.where(y <= 0.0, e, 0.0)[:, None]
+    d = delta[..., None, :]
+    dd = delta_dt[..., None, :]
+    dyW = profile_d1(y, W)
 
-def _column_forcing(W, dyW, lifts, u0p, u0m):
-    """Per-side forcing arrays for the current iterate."""
-    H0p = stray_field_slab(u0p)[:, None, :]
-    H0m = stray_field_slab(u0m)[:, None, :]
-    u0p_b = u0p[:, None, :]
-    u0m_b = u0m[:, None, :]
-    f_p = (F_pm(W + lifts["S_p"], dyW + lifts["dyS_p"], u0p_b, H0p)
-           - lifts["dtS_p"] + lifts["S_p"]
-           + np.cross(lifts["V_p"] + W, lifts["S_p"]))
-    f_m = (F_pm(W + lifts["S_m"], dyW + lifts["dyS_m"], u0m_b, H0m)
-           - lifts["dtS_m"] + lifts["S_m"]
-           + np.cross(lifts["V_m"] + W, lifts["S_m"]))
-    return f_m, f_p
+    def side(u0, S, dyS, dtS):
+        u0_b = u0[..., None, :]
+        H0 = stray_field_slab(u0)[..., None, :]
+        V = u0_b + S
+        f = (F_pm(W + S, dyW + dyS, u0_b, H0) - dtS + S
+             + np.cross(V + W, S))
+        return V, f
 
-
-def _l2_y_per_time(y: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """L2(y) norms of a (nt, ny, 3) stack, one value per time."""
-    return np.sqrt(np.trapezoid(np.sum(D * D, axis=-1), y, axis=-1))
+    V_m, f_m = side(u0m, 0.5 * d * e_minus, 0.5 * d * e_minus,
+                    0.5 * dd * e_minus)
+    V_p, f_p = side(u0p, -0.5 * d * e_plus, 0.5 * d * e_plus,
+                    -0.5 * dd * e_plus)
+    coeff = np.where((y >= 0.0)[:, None], V_p, V_m) + W
+    return coeff, f_m, f_p
 
 
 def _converged_up_to(times: np.ndarray, per_time: np.ndarray,
@@ -376,39 +432,81 @@ def _converged_up_to(times: np.ndarray, per_time: np.ndarray,
     return float(times[bad[0] - 1])
 
 
+def _stalled(times: np.ndarray, per_time: np.ndarray, diffs: list,
+             tol: float, max_iter: int,
+             x_label: float) -> Optional[NonContraction]:
+    """The abort for a column whose last sweep missed tol, if it is due."""
+    ratios = [diffs[q + 1] / diffs[q] for q in range(len(diffs) - 1)]
+    if len(diffs) >= 4 and (diffs[-1] >= diffs[-2] >= diffs[-3]
+                            >= diffs[-4]):
+        t_conv = _converged_up_to(times, per_time, tol)
+        return NonContraction(
+            f"profile iteration stopped contracting at x={x_label:.6g} "
+            f"(last diffs {[f'{d:.3e}' for d in diffs[-3:]]}); "
+            f"converged up to t={t_conv:.6g}",
+            t_converged=t_conv, ratios=ratios)
+    if len(diffs) >= max_iter:
+        return NonContraction(
+            f"profile iteration at x={x_label:.6g} did not reach "
+            f"tol={tol:.1e} in {max_iter} sweeps (last diff "
+            f"{diffs[-1]:.3e})",
+            t_converged=0.0, ratios=ratios)
+    return None
+
+
+def _picard(pgrid: ProfileGrid, times: np.ndarray, W: np.ndarray,
+            cols: np.ndarray, delta, delta_dt, u0p, u0m, tol: float,
+            max_iter: int, x_labels) -> list:
+    """Iterate the listed columns of W (nt, ncol, ny, 3) to the fixed point.
+
+    delta, delta_dt, u0p, u0m are (nt, ncol, 3), x_labels one per
+    column. W starts from zero and ends holding the solved columns. The
+    active columns sweep together; a column leaves once its largest
+    per-time change drops below tol, so it takes as many sweeps as it
+    would alone. Returns each listed column's per-sweep changes. A
+    column that stalls or runs out of sweeps raises NonContraction, the
+    one of the lowest such column, after every lower column resolved.
+    """
+    y = pgrid.y
+    diffs = {col: [] for col in np.asarray(cols).tolist()}
+    failed = None
+    active = np.array(list(diffs), dtype=int)
+    while active.size:
+        frozen = [arr[:, active] for arr in (delta, delta_dt, u0p, u0m)]
+
+        def levels(k0, w_old):
+            k1 = k0 + w_old.shape[0]
+            return _profile_levels(y, w_old,
+                                   *(arr[k0:k1] for arr in frozen))
+
+        change = _sweep(pgrid, times, W, active, levels)
+        still = []
+        for i, col in enumerate(active.tolist()):
+            trace = diffs[col]
+            trace.append(float(change[:, i].max()))
+            if trace[-1] < tol:
+                continue
+            failure = _stalled(times, change[:, i], trace, tol, max_iter,
+                               x_labels[col])
+            if failure is not None:
+                # one column at a time, the columns above it never run
+                failed = failure
+                break
+            still.append(col)
+        active = np.array(still, dtype=int)
+    if failed is not None:
+        raise failed
+    return list(diffs.values())
+
+
 def _picard_column(pgrid: ProfileGrid, times: np.ndarray, delta, delta_dt,
                    u0p, u0m, tol: float, max_iter: int, x_label: float):
     """Iterate one column to the fixed point; returns (W, diffs)."""
-    lifts = _column_lifts(pgrid, delta, delta_dt, u0p, u0m)
-    sel_plus = (pgrid.y >= 0.0)[None, :, None]
-    V_of_side = np.where(sel_plus, lifts["V_p"], lifts["V_m"])
-    W = np.zeros((times.size, pgrid.n, 3))
-    diffs: list = []
-    for _ in range(max_iter):
-        dyW = profile_d1(pgrid.y, W)
-        f_m, f_p = _column_forcing(W, dyW, lifts, u0p, u0m)
-        coeff = V_of_side + W
-        W_new = march_transmission(pgrid, times, coeff, f_m, f_p)
-        per_time = _l2_y_per_time(pgrid.y, W_new - W)
-        diffs.append(float(per_time.max()))
-        if diffs[-1] < tol:
-            return W_new, diffs
-        if len(diffs) >= 4 and (diffs[-1] >= diffs[-2] >= diffs[-3]
-                                >= diffs[-4]):
-            t_conv = _converged_up_to(times, per_time, tol)
-            raise NonContraction(
-                f"profile iteration stopped contracting at x={x_label:.6g} "
-                f"(last diffs {[f'{d:.3e}' for d in diffs[-3:]]}); "
-                f"converged up to t={t_conv:.6g}",
-                t_converged=t_conv,
-                ratios=[diffs[q + 1] / diffs[q]
-                        for q in range(len(diffs) - 1)])
-        W = W_new
-    raise NonContraction(
-        f"profile iteration at x={x_label:.6g} did not reach tol={tol:.1e} "
-        f"in {max_iter} sweeps (last diff {diffs[-1]:.3e})",
-        t_converged=0.0,
-        ratios=[diffs[q + 1] / diffs[q] for q in range(len(diffs) - 1)])
+    W = np.zeros((times.size, 1, pgrid.n, 3))
+    (diffs,) = _picard(pgrid, times, W, np.array([0]), delta[:, None],
+                       delta_dt[:, None], u0p[:, None], u0m[:, None], tol,
+                       max_iter, [x_label])
+    return W[:, 0], diffs
 
 
 @dataclass(frozen=True)
@@ -540,19 +638,15 @@ def picard_profiles(ext: ExtendedLimit, levelsets: LevelSets,
     idx = np.nonzero(mask)[0]
 
     W = np.zeros((ext.times.size, idx.size, pgrid.n, 3))
+    marched = np.nonzero(nonzero[idx])[0]
+    traces = _picard(pgrid, ext.times, W, marched, delta_full[:, idx],
+                     delta_dt_full[:, idx], ext.u_plus[:, idx],
+                     ext.u_minus[:, idx], tol, max_iter, x[idx])
     iterations = np.zeros(idx.size, dtype=int)
-    traces: list = []
-    for col, i in enumerate(idx):
-        if not nonzero[i]:
-            traces.append(())
-            continue
-        Wc, trace = _picard_column(
-            pgrid, ext.times, delta_full[:, i], delta_dt_full[:, i],
-            ext.u_plus[:, i], ext.u_minus[:, i], tol, max_iter,
-            x_label=float(x[i]))
-        W[:, col] = Wc
+    residual_trace = [()] * idx.size
+    for col, trace in zip(marched, traces):
         iterations[col] = len(trace)
-        traces.append(tuple(trace))
+        residual_trace[col] = tuple(trace)
 
     return ProfilePair(
         times=ext.times, y=pgrid.y, j0=pgrid.j0, x_param=x,
@@ -560,15 +654,7 @@ def picard_profiles(ext: ExtendedLimit, levelsets: LevelSets,
         delta=delta_full[:, mask], delta_dt=delta_dt_full[:, mask],
         u0_plus=ext.u_plus[:, mask], u0_minus=ext.u_minus[:, mask],
         full_delta=delta_full, iterations=iterations,
-        residual_trace=tuple(traces), tol=tol)
-
-
-def transmission_defect(pgrid: ProfileGrid, W: np.ndarray) -> float:
-    """One-sided derivative mismatch of a single (ny, 3) profile at y=0."""
-    j0 = pgrid.j0
-    dp = one_sided_d1(pgrid.y[j0:], W[j0:], "left")
-    dm = one_sided_d1(pgrid.y[:j0 + 1], W[:j0 + 1], "right")
-    return float(np.max(np.abs(dp - dm)))
+        residual_trace=tuple(residual_trace), tol=tol)
 
 
 # === weighted space-time norms ===

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llx.banded import (
     block_tridiag_solve,
@@ -12,6 +14,7 @@ from llx.banded import (
     inv_id_plus_cross,
     tridiag_solve_components,
 )
+from llx.errors import SolverAbort
 
 
 def _dense_from_blocks(A, B, C):
@@ -92,6 +95,46 @@ def test_block_solve_residual():
     dense = _dense_from_blocks(A, B, C)
     res = dense @ x.reshape(-1) - rhs.reshape(-1)
     assert np.max(np.abs(res)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(ncols=st.integers(1, 5), ny=st.integers(3, 14),
+       seed=st.integers(0, 2**32 - 1))
+def test_stacked_columns_solve_as_one_system(ncols, ny, seed):
+    # strictly diagonally dominant columns, each closed by identity rows
+    # at both ends, so stacking them couples nothing
+    rng = np.random.default_rng(seed)
+    shape = (ncols, ny, 3, 3)
+    A = rng.uniform(-0.5, 0.5, size=shape)
+    C = rng.uniform(-0.5, 0.5, size=shape)
+    B = rng.uniform(-0.5, 0.5, size=shape) \
+        + (5.0 + rng.uniform(size=(ncols, ny, 1, 1))) * np.eye(3)
+    for row in (0, ny - 1):
+        A[:, row] = 0.0
+        C[:, row] = 0.0
+        B[:, row] = np.eye(3)
+    rhs = rng.normal(size=(ncols, ny, 3))
+    stacked = block_tridiag_solve(A.reshape(-1, 3, 3), B.reshape(-1, 3, 3),
+                                  C.reshape(-1, 3, 3), rhs.reshape(-1, 3))
+    per_column = np.concatenate([block_tridiag_solve(A[k], B[k], C[k],
+                                                     rhs[k])
+                                 for k in range(ncols)])
+    assert np.array_equal(stacked, per_column)
+    dense = _dense_from_blocks(A.reshape(-1, 3, 3), B.reshape(-1, 3, 3),
+                               C.reshape(-1, 3, 3))
+    x_dense = np.linalg.solve(dense, rhs.reshape(-1)).reshape(-1, 3)
+    assert np.max(np.abs(stacked - x_dense)) \
+        <= 1e-10 * np.max(np.abs(x_dense))
+
+
+def test_non_finite_solution_aborts():
+    n = 6
+    A = np.zeros((n, 3, 3))
+    B = np.broadcast_to(2.0 * np.eye(3), (n, 3, 3)).copy()
+    rhs = np.ones((n, 3))
+    rhs[2, 1] = np.nan
+    with pytest.raises(SolverAbort, match="18 unknowns"):
+        block_tridiag_solve(A, B, A, rhs)
 
 
 def test_shape_mismatch_rejected():

@@ -304,6 +304,19 @@ def test_drift_guard_aborts():
         simulate_full(u0, g, cfg)
 
 
+@pytest.mark.parametrize("cross_term", ["lagged-implicit", "explicit"])
+def test_nan_initial_data_aborts(cross_term):
+    # a NaN state must end the run as a solver failure, not slip past the
+    # drift guard (NaN compares false) or surface as a generic ValueError
+    g = make_uniform_grid(16)
+    u0 = np.tile([0.6, 0.8, 0.0], (g.n, 1))
+    u0[5, 2] = np.nan
+    cfg = FullModelConfig(epsilon=0.1, dt=0.01, T=0.05,
+                          cross_term=cross_term)
+    with pytest.raises(SolverAbort, match="non-finite"):
+        simulate_full(u0, g, cfg)
+
+
 def test_t_eval_and_validation():
     g = make_uniform_grid(16)
     u0 = np.tile([0.6, 0.8, 0.0], (g.n, 1))

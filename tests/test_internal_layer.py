@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from llx.errors import NonContraction, ValidationError
+from llx.banded import block_tridiag_solve, cross_matrix, inv_id_plus_cross
+from llx.errors import NonContraction, SolverAbort, ValidationError
 from llx.fields import constant_per_side
-from llx.full_model import F_rhs
+from llx.full_model import (F_rhs, apply_tridiagonal_stencil,
+                            d2_coefficients, one_sided_d1)
 from llx.geometry import LevelSets, build_domain
 from llx.internal_layer import (E1, ExtendedLimit, F_pm, ProfileGrid,
                                 extend_limit, make_profile_grid,
                                 make_time_grid, march_transmission,
                                 picard_profiles, profile_d1,
-                                transmission_defect, weighted_profile_norm,
+                                weighted_profile_norm, _picard,
                                 _picard_column)
 from llx.limit_model import rhs_limit, simulate_limit
+from llx.strayfield import stray_field_slab
 
 
 # --- meshes ---
@@ -403,6 +406,169 @@ def test_picard_max_iter_exhaustion_reports():
                        tol=1e-14, max_iter=2, x_label=0.0)
 
 
+# --- the stacked Picard loop against the one-column-at-a-time loop ---
+
+def _reference_march(pgrid, times, coeff, f_minus, f_plus):
+    """The one-column Crank-Nicolson march the stacked sweep replaced."""
+    y, j0 = pgrid.y, pgrid.j0
+    ny = y.size
+    d2 = d2_coefficients(y)
+    a, b, c = d2
+    hm = y[j0] - y[j0 - 1]
+    hp = y[j0 + 1] - y[j0]
+    eye = np.eye(3)
+    eye_rows = np.broadcast_to(eye, (ny, 3, 3))
+    plus_rows = (np.arange(ny) >= j0)[:, None]
+    W = np.zeros((times.size, ny, 3))
+    for k in range(times.size - 1):
+        dt = times[k + 1] - times[k]
+        M = eye_rows + cross_matrix(0.5 * (coeff[k] + coeff[k + 1]))
+        f_mid = np.where(plus_rows, 0.5 * (f_plus[k] + f_plus[k + 1]),
+                         0.5 * (f_minus[k] + f_minus[k + 1]))
+        half = 0.5 * dt
+        A = -half * a[:, None, None] * M
+        B = eye_rows - half * b[:, None, None] * M
+        C = -half * c[:, None, None] * M
+        d2W = apply_tridiagonal_stencil(d2, W[k])
+        rhs = W[k] + half * np.einsum("nij,nj->ni", M, d2W) + dt * f_mid
+        for row in (0, ny - 1):
+            A[row] = 0.0
+            C[row] = 0.0
+            B[row] = eye
+            rhs[row] = 0.0
+        mj_inv = inv_id_plus_cross(coeff[k + 1][j0])
+        A[j0] = -(1.0 / hm) * eye
+        C[j0] = -(1.0 / hp) * eye
+        B[j0] = (1.0 / hm + 1.0 / hp) * eye \
+            + ((hm + hp) / (2.0 * dt)) * mj_inv
+        rhs[j0] = ((hm + hp) / (2.0 * dt)) * (mj_inv @ W[k][j0]) \
+            + 0.5 * hm * (mj_inv @ f_minus[k + 1][j0]) \
+            + 0.5 * hp * (mj_inv @ f_plus[k + 1][j0])
+        W[k + 1] = block_tridiag_solve(A, B, C, rhs)
+    return W
+
+
+def _reference_picard_column(pgrid, times, delta, delta_dt, u0p, u0m, tol,
+                             max_iter, x_label):
+    """One column iterated alone, with lifts and forcing over all times."""
+    y = pgrid.y
+    e_plus = np.where(y >= 0.0, np.exp(-np.abs(y)), 0.0)[None, :, None]
+    e_minus = np.where(y <= 0.0, np.exp(-np.abs(y)), 0.0)[None, :, None]
+    d = delta[:, None, :]
+    dd = delta_dt[:, None, :]
+    S_p, S_m = -0.5 * d * e_plus, 0.5 * d * e_minus
+    V_p = u0p[:, None, :] - 0.5 * d * e_plus
+    V_m = u0m[:, None, :] + 0.5 * d * e_minus
+    V_of_side = np.where((y >= 0.0)[None, :, None], V_p, V_m)
+    W = np.zeros((times.size, y.size, 3))
+    diffs = []
+    for _ in range(max_iter):
+        dyW = profile_d1(y, W)
+        f_p = (F_pm(W + S_p, dyW + 0.5 * d * e_plus, u0p[:, None, :],
+                    stray_field_slab(u0p)[:, None, :])
+               - (-0.5 * dd * e_plus) + S_p + np.cross(V_p + W, S_p))
+        f_m = (F_pm(W + S_m, dyW + 0.5 * d * e_minus, u0m[:, None, :],
+                    stray_field_slab(u0m)[:, None, :])
+               - 0.5 * dd * e_minus + S_m + np.cross(V_m + W, S_m))
+        W_new = _reference_march(pgrid, times, V_of_side + W, f_m, f_p)
+        D = W_new - W
+        per_time = np.sqrt(np.trapezoid(np.sum(D * D, axis=-1), y, axis=-1))
+        diffs.append(float(per_time.max()))
+        if diffs[-1] < tol:
+            return W_new, diffs
+        ratios = [diffs[q + 1] / diffs[q] for q in range(len(diffs) - 1)]
+        if len(diffs) >= 4 and (diffs[-1] >= diffs[-2] >= diffs[-3]
+                                >= diffs[-4]):
+            bad = np.nonzero(per_time >= tol)[0]
+            t_conv = (float(times[-1]) if bad.size == 0 else 0.0
+                      if bad[0] == 0 else float(times[bad[0] - 1]))
+            raise NonContraction(
+                f"profile iteration stopped contracting at "
+                f"x={x_label:.6g} (last diffs "
+                f"{[f'{d:.3e}' for d in diffs[-3:]]}); converged up to "
+                f"t={t_conv:.6g}", t_converged=t_conv, ratios=ratios)
+        W = W_new
+    raise NonContraction(
+        f"profile iteration at x={x_label:.6g} did not reach "
+        f"tol={tol:.1e} in {max_iter} sweeps (last diff {diffs[-1]:.3e})",
+        t_converged=0.0, ratios=ratios)
+
+
+def test_stacked_picard_matches_the_per_column_reference():
+    domain = build_domain(cells_per_side=16)
+    levelsets = LevelSets()
+    data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
+    times = make_time_grid(0.1, dt=5e-3)
+    ext = extend_limit(data, domain, levelsets, times)
+    pgrid = make_profile_grid(Y=6.0, cells=48)
+    pair = picard_profiles(ext, levelsets, pgrid, tol=1e-8)
+
+    idx = np.nonzero(levelsets.in_v_sigma(ext.x_param))[0]
+    W = np.zeros_like(pair.W)
+    traces = []
+    for col, i in enumerate(idx):
+        W[:, col], trace = _reference_picard_column(
+            pgrid, times, ext.delta[:, i], ext.delta_dt[:, i],
+            ext.u_plus[:, i], ext.u_minus[:, i], 1e-8, 40,
+            float(ext.x_param[i]))
+        traces.append(tuple(trace))
+    # the mask path runs: at least three columns, leaving at two sweeps
+    assert idx.size >= 3
+    assert len(set(len(t) for t in traces)) >= 2
+    assert np.array_equal(pair.W, W)
+    assert pair.iterations.tolist() == [len(t) for t in traces]
+    assert pair.residual_trace == tuple(traces)
+
+
+@pytest.mark.parametrize("scales, tol, max_iter", [
+    # a contracting column below and above one that blows up
+    ((-1.2, 40.0, 3.0), 1e-8, 40),
+    # the lower column runs out of sweeps after the upper one stalled
+    ((-1.2, 40.0), 1e-14, 6),
+], ids=["stall_between_contracting", "lower_exhausts_later"])
+def test_stacked_picard_raises_the_lowest_failing_column(scales, tol,
+                                                         max_iter):
+    pgrid = make_profile_grid(Y=6.0, cells=48)
+    times = make_time_grid(0.05, dt=5e-3)
+    nt = times.size
+    cols = len(scales)
+    delta = np.stack([np.tile([s, 0.0, 0.0], (nt, 1)) for s in scales],
+                     axis=1)
+    dzero = np.zeros_like(delta)
+    u0p = np.broadcast_to([-0.6, 0.8, 0.0], delta.shape)
+    u0m = np.broadcast_to([0.6, 0.8, 0.0], delta.shape)
+    labels = [0.1 * col for col in range(cols)]
+    expected = None
+    for col in range(cols):
+        try:
+            _reference_picard_column(pgrid, times, delta[:, col],
+                                     dzero[:, col], u0p[:, col],
+                                     u0m[:, col], tol, max_iter,
+                                     labels[col])
+        except NonContraction as exc:
+            expected = exc
+            break
+    assert expected is not None
+    W = np.zeros((nt, cols, pgrid.n, 3))
+    with pytest.raises(NonContraction) as info:
+        _picard(pgrid, times, W, np.arange(cols), delta, dzero, u0p, u0m,
+                tol, max_iter, labels)
+    assert str(info.value) == str(expected)
+    assert info.value.t_converged == expected.t_converged
+    assert info.value.ratios == expected.ratios
+
+
+def test_march_with_nan_coefficient_aborts():
+    pg = make_profile_grid(Y=6.0, cells=32)
+    times = make_time_grid(0.05, dt=0.01)
+    shape = (times.size, pg.n, 3)
+    coeff = np.zeros(shape)
+    coeff[3, 5, 1] = np.nan
+    f = np.ones(shape)
+    with pytest.raises(SolverAbort, match="non-finite"):
+        march_transmission(pg, times, coeff, f, f)
+
+
 def test_validate_flags_fat_tail(jump_profiles):
     _, pair = jump_profiles
     with pytest.raises(ValidationError, match="tail"):
@@ -496,6 +662,9 @@ def test_gain_from_forcing_decays_with_lambda():
 
 def test_transmission_defect_helper_zero_for_smooth():
     pg = make_profile_grid(Y=6.0, cells=48)
+    j0 = pg.j0
     W = np.stack([np.exp(-pg.y**2), np.sin(pg.y) * 0.1,
                   np.zeros_like(pg.y)], axis=-1)
-    assert transmission_defect(pg, W) < 1e-4
+    dp = one_sided_d1(pg.y[j0:], W[j0:], "left")
+    dm = one_sided_d1(pg.y[:j0 + 1], W[:j0 + 1], "right")
+    assert np.max(np.abs(dp - dm)) < 1e-4
