@@ -12,14 +12,12 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .errors import (ConfigError, NonContraction, SolverAbort, StepRejected,
-                     ValidationError)
+from .errors import ConfigError, NonContraction, SolverAbort, ValidationError
 
 __all__ = [
     "__version__",
     "ConfigError",
     "NonContraction",
     "SolverAbort",
-    "StepRejected",
     "ValidationError",
 ]

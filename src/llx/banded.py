@@ -14,11 +14,9 @@ stacked solve gives each column the same bits as its own solve.
 Contains:
 - cross_matrix: the matrix [a]x with [a]x v = a x v, batched
 - inv_id_plus_cross: closed-form inverse of I + [a]x, batched
-- blocks_to_banded / block_tridiag_solve: assembly and solve
-- tridiag_solve_components: scalar tridiagonal solve applied to each
-  component of a vector unknown (the decoupled case)
-
-Both solvers raise SolverAbort on a non-finite result.
+- blocks_to_banded / block_tridiag_solve: assembly and the one solver
+  of all three marches (interface, wall, full model); it raises
+  SolverAbort on a non-finite result
 """
 
 from __future__ import annotations
@@ -91,39 +89,14 @@ def block_tridiag_solve(A: np.ndarray, B: np.ndarray, C: np.ndarray,
 
     Raises SolverAbort when the solution is not finite (a NaN or inf
     reached the matrix or the right-hand side), so a diverged state
-    ends the run instead of spreading; tridiag_solve_components does
-    the same.
+    ends the run instead of spreading.
     """
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
     ab = blocks_to_banded(A, B, C)
     sol = solve_banded((5, 5), ab, rhs.reshape(3 * n), overwrite_ab=True,
                        check_finite=False)
-    return _finite(sol, "block-tridiagonal solve").reshape(n, 3)
-
-
-def tridiag_solve_components(lower: np.ndarray, diag: np.ndarray,
-                             upper: np.ndarray,
-                             rhs: np.ndarray) -> np.ndarray:
-    """Solve a scalar tridiagonal system for each component of (n, 3) rhs.
-
-    lower[i] multiplies node i-1 in row i (lower[0] ignored), upper[i]
-    multiplies node i+1 (upper[-1] ignored). All three components share
-    the same matrix, so one factorization serves all right-hand sides.
-    """
-    rhs = np.asarray(rhs, dtype=float)
-    n = rhs.shape[0]
-    ab = np.zeros((3, n))
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    sol = solve_banded((1, 1), ab, rhs, check_finite=False)
-    return _finite(sol, "tridiagonal solve")
-
-
-def _finite(sol: np.ndarray, what: str) -> np.ndarray:
-    """sol itself, or SolverAbort if a NaN or inf reached the solve."""
     if not np.isfinite(sol).all():
-        raise SolverAbort(
-            f"{what} of {sol.size} unknowns returned non-finite values")
-    return sol
+        raise SolverAbort(f"block-tridiagonal solve of {sol.size} unknowns "
+                          f"returned non-finite values")
+    return sol.reshape(n, 3)

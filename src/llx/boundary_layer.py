@@ -31,7 +31,7 @@ Contains:
 - march_wall: Crank-Nicolson march of one column
 - BoundaryProfile / solve_boundary_profile: all wall columns
 - wall_slopes: outward trace derivatives at the walls
-- build_rho: the Neumann corrector field
+- neumann_corrector: the corrector rho from the wall trace slopes
 """
 
 from __future__ import annotations
@@ -283,20 +283,20 @@ def wall_slopes(profile: BoundaryProfile) -> tuple:
     return g_minus, g_plus
 
 
-def build_rho(profile: BoundaryProfile,
-              levelsets: LevelSets) -> np.ndarray:
-    """Neumann corrector rho(t, x) = phi(x) theta(x) g_side(t).
+def neumann_corrector(x: np.ndarray, theta: np.ndarray,
+                      g_minus: np.ndarray, g_plus: np.ndarray) -> np.ndarray:
+    """Neumann corrector rho(t, x) = phi(x) theta(x) g_side(t): (nt, nx, 3).
 
-    g_side is the outward normal derivative in x of the wall trace
-    U(t, . , 0) at the nearer wall, by a one-sided second-order stencil,
-    so d_n rho = -g_side at each wall and the O(eps) flux of the
-    assembled expansion cancels there. Supported where theta is.
+    theta is the wall cutoff on the nodes x, g_minus and g_plus (nt, 3)
+    the outward normal x-derivatives of the wall trace U(t, . , 0) at
+    each wall (wall_slopes), so d_n rho = -g_side at each wall and the
+    O(eps) flux of the assembled expansion cancels there. Supported
+    where theta is.
     """
-    x = profile.x_param
-    nt = profile.times.size
-    rho = np.zeros((nt, x.size, 3))
-    g_minus, g_plus = wall_slopes(profile)
-    phi_theta = ((1.0 - np.abs(x)) * profile.theta)[None, :, None]
-    rho[:, x > 0.0] = phi_theta[:, x > 0.0] * g_plus[:, None, :]
-    rho[:, x < 0.0] = phi_theta[:, x < 0.0] * g_minus[:, None, :]
+    rho = np.zeros((g_plus.shape[0], x.size, 3))
+    phi_theta = (1.0 - np.abs(x)) * theta
+    right = x > 0.0
+    left = x < 0.0
+    rho[:, right] = phi_theta[right, None] * g_plus[:, None]
+    rho[:, left] = phi_theta[left, None] * g_minus[:, None]
     return rho

@@ -11,6 +11,10 @@ Values are canonicalized before hashing, so two files spelling the
 same number differently ("0.1" vs "1e-1") produce the same hash, and
 the hash identifies the effective configuration including overrides.
 
+Bad values are refused here, once, with a message naming the key:
+every number must be finite, run.epsilon positive, and the study knobs
+pass StudyConfig's range checks.
+
 Contains:
 - RunConfig / load_config: parse, merge defaults and overrides, build
 - apply_overrides: section.key=value patches from the command line
@@ -22,6 +26,7 @@ from __future__ import annotations
 
 import configparser
 import hashlib
+import math
 import os
 from dataclasses import dataclass, fields as dc_fields
 from typing import Optional
@@ -77,10 +82,13 @@ class RunConfig:
 
 def _parse_float(section: str, key: str, raw: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(
             f"{section}.{key} must be a number, got {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{section}.{key} must be finite, got {raw!r}")
+    return value
 
 
 def _parse_int(section: str, key: str, raw: str) -> int:
@@ -201,6 +209,9 @@ def _build(merged: dict) -> RunConfig:
                           else _parse_float("study", f.name, raw))
     study = StudyConfig(**kwargs)
     epsilons = _parse_floats("study", "epsilons", study_raw["epsilons"])
+    epsilon = _parse_float("run", "epsilon", run["epsilon"])
+    if epsilon <= 0.0:
+        raise ConfigError(f"run.epsilon must be positive, got {epsilon!r}")
 
     items = tuple(
         (section, key, _canonical(section, key, merged[section][key]))
@@ -211,7 +222,7 @@ def _build(merged: dict) -> RunConfig:
         data=data,
         epsilons=epsilons,
         study=study,
-        epsilon=_parse_float("run", "epsilon", run["epsilon"]),
+        epsilon=epsilon,
         seed=_parse_int("run", "seed", run["seed"]),
         out=run["out"].strip(),
         items=items,

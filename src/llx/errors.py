@@ -7,7 +7,6 @@ Contains:
 - SolverAbort: a time marcher gave up (CLI exit 3)
 - NonContraction: the profile iteration stopped contracting; carries the
   largest time up to which the iteration did converge
-- StepRejected: internal signal used by the step-size controller
 """
 
 from __future__ import annotations
@@ -39,7 +38,3 @@ class NonContraction(SolverAbort):
         super().__init__(message)
         self.t_converged = t_converged
         self.ratios = list(ratios) if ratios is not None else []
-
-
-class StepRejected(RuntimeError):
-    """A single step was rejected by the norm-drift guard."""

@@ -31,7 +31,7 @@ conormal (E-class) norms of the corrected difference (u - a) / eps.
 Contains:
 - ExpansionAnsatz / assemble_ansatz: the sampler
 - knot_times: the knot times of a horizon
-- l2_space_time / l2_space_time_error / jump_error_l2: space-time norms
+- l2_space_time / jump_error_l2: space-time norms
 - EClassNorms / eclass_norms: conormal norm records
 - StudyConfig / ConvergenceReport / convergence_study: the experiment
 - fit_slope: log-log least-squares rate
@@ -40,13 +40,14 @@ Contains:
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .boundary_layer import (BoundaryProfile, make_wall_grid,
-                             solve_boundary_profile, wall_slopes)
+                             neumann_corrector, solve_boundary_profile,
+                             wall_slopes)
 from .errors import ConfigError, NonContraction
 from .fields import MagnetizationField
 from .full_model import (FullModelConfig, make_epsilon_grid, residual_report,
@@ -186,17 +187,12 @@ class ExpansionAnsatz:
         if x.ndim != 1 or np.any(np.abs(x) > 1.0 + 1e-12):
             raise ValueError("sample nodes must lie in [-1, 1]")
         theta_x = self.levelsets.theta(x)
-        rho = np.zeros((ks.size, x.size, 3))
-        phi_theta = (1.0 - np.abs(x)) * theta_x
-        right = x > 0.0
-        left = x < 0.0
-        rho[:, right] = phi_theta[right, None] * self.g_plus[ks][:, None]
-        rho[:, left] = phi_theta[left, None] * self.g_minus[ks][:, None]
         return {
             "base": self._base(ks, x),
             "interface": self._interface_increment(ks, x),
             "wall": self._wall_increment(ks, x, theta_x),
-            "rho": rho,
+            "rho": neumann_corrector(x, theta_x, self.g_minus[ks],
+                                     self.g_plus[ks]),
         }
 
     def sample_parts(self, t: float, x: np.ndarray) -> dict:
@@ -288,16 +284,6 @@ def l2_space_time(times: np.ndarray, x: np.ndarray,
     sq = np.sum(values * values, axis=-1)
     inner = np.trapezoid(sq, x, axis=1)
     return float(np.sqrt(np.trapezoid(inner, times)))
-
-
-def l2_space_time_error(times: np.ndarray, x: np.ndarray, a: np.ndarray,
-                        b: np.ndarray) -> float:
-    """L2 space-time distance of two fields on a common sampling."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return l2_space_time(times, x, a - b)
 
 
 def jump_error_l2(times: np.ndarray, x: np.ndarray, u: np.ndarray,
@@ -419,6 +405,13 @@ def eclass_norms(times: np.ndarray, x: np.ndarray, w: np.ndarray,
 
 # === the convergence experiment ===
 
+_POSITIVE_FIELDS = ("T", "dt_full", "dt_knot", "box_y", "box_z",
+                    "picard_tol", "drift_tol")
+# the smallest value each mesh or loop builder accepts
+_FIELD_MINIMA = {"cells_per_eps": 4, "param_cells": 8, "profile_cells": 8,
+                 "wall_cells": 8, "picard_max_iter": 1}
+
+
 @dataclass(frozen=True)
 class StudyConfig:
     """Knobs of the eps-convergence experiment."""
@@ -438,10 +431,16 @@ class StudyConfig:
     eclass_m: int = 1
 
     def __post_init__(self):
-        if self.T <= 0.0 or self.dt_full <= 0.0 or self.dt_knot <= 0.0:
-            raise ConfigError(
-                f"T, dt_full, dt_knot must be positive, got "
-                f"{self.T}, {self.dt_full}, {self.dt_knot}")
+        for name in _POSITIVE_FIELDS:
+            value = getattr(self, name)
+            if not 0.0 < value < np.inf:
+                raise ConfigError(
+                    f"{name} must be positive and finite, got {value!r}")
+        for name, least in _FIELD_MINIMA.items():
+            value = getattr(self, name)
+            if value < least:
+                raise ConfigError(
+                    f"{name} must be at least {least}, got {value!r}")
         if self.dt_full > self.dt_knot + 1e-15:
             raise ConfigError(
                 f"dt_full={self.dt_full} must not exceed "
@@ -582,6 +581,8 @@ def convergence_study(epsilons, data: MagnetizationField,
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.size < 3:
         raise ConfigError(f"need at least 3 eps values, got {eps.size}")
+    if not np.all(np.isfinite(eps)):
+        raise ConfigError(f"eps values must be finite, got {eps.tolist()}")
     if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
         raise ConfigError(
             f"eps values must be positive and strictly decreasing, "

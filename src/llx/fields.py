@@ -99,12 +99,6 @@ class MagnetizationField:
             return np.tile(self.value_minus, (x.size, 1))
         raise ValueError(f"branch must be 'minus' or 'plus', got {which!r}")
 
-    def jump(self) -> np.ndarray:
-        """Initial interface jump value_plus - value_minus (0 if named)."""
-        if self.name is not None:
-            return np.zeros(3)
-        return self.value_plus - self.value_minus
-
 
 def constant_per_side(minus, plus) -> MagnetizationField:
     """Per-side constants, normalized on ingest (warn above 1e-8 drift)."""

@@ -6,12 +6,13 @@ homogeneous Neumann walls, is
     du/dt = eps^2 uxx + eps^2 u x uxx + F(u, eps ux, H(u)),
     F(u, V, H) = |V|^2 u + u x H - u x (u x H),      H(u) = (-u1, 0, 0).
 
-Time stepping is a theta-weighted predictor/corrector: the stiff
-quasilinear part eps^2 (I + [v]x) uxx is taken implicitly with the
-matrix frozen at the old state (predictor) and then at the midpoint
-state (corrector); F stays explicit, evaluated at the same states. With
-theta = 1/2 both time and space errors are second order, and at eps = 0
-the scheme degenerates to the explicit midpoint rule of the limit flow.
+Time stepping is a theta-weighted predictor/corrector with theta fixed
+at 1/2: half of the stiff quasilinear part eps^2 (I + [v]x) uxx is
+taken at the old level, half implicitly at the new one, with the matrix
+frozen at the old state (predictor) and then at the midpoint state
+(corrector); F stays explicit, evaluated at the same states. Both time
+and space errors are second order, and at eps = 0 the scheme
+degenerates to the explicit midpoint rule of the limit flow.
 
 Contains:
 - Grid1D / make_epsilon_grid: single-valued meshes, layer-refined
@@ -29,12 +30,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .banded import block_tridiag_solve, cross_matrix, tridiag_solve_components
+from .banded import block_tridiag_solve, cross_matrix
 from .errors import SolverAbort
-from .limit_model import renormalize as project_sphere
+from .limit_model import output_times, renormalize as project_sphere
 from .strayfield import stray_field_slab
-
-CROSS_TERM_MODES = ("lagged-implicit", "explicit")
 
 
 # === meshes ===
@@ -55,9 +54,6 @@ class Grid1D:
     @property
     def n(self) -> int:
         return self.x.size
-
-    def widths(self) -> np.ndarray:
-        return np.diff(self.x)
 
 
 def _half_widths(h_fine: float, band: float, growth: float,
@@ -190,19 +186,11 @@ def F_rhs(u: np.ndarray, V: np.ndarray, H: np.ndarray) -> np.ndarray:
 
 @dataclass
 class FullModelConfig:
-    """Parameters of a full-model run.
-
-    cross_term selects how eps^2 u x uxx is handled: "lagged-implicit"
-    keeps it inside the implicit solve with the cross matrix frozen,
-    "explicit" moves it to the forcing and solves three decoupled
-    scalar systems instead.
-    """
+    """Parameters of a full-model run."""
 
     epsilon: float
     dt: float
     T: float
-    theta_scheme: float = 0.5
-    cross_term: str = "lagged-implicit"
     renormalize: bool = True
     drift_tol: float = 1e-3
     max_halvings: int = 10
@@ -213,13 +201,6 @@ class FullModelConfig:
         if self.dt <= 0.0 or self.T <= 0.0:
             raise ValueError(
                 f"dt and T must be positive, got dt={self.dt}, T={self.T}")
-        if not 0.0 <= self.theta_scheme <= 1.0:
-            raise ValueError(
-                f"theta_scheme must lie in [0, 1], got {self.theta_scheme}")
-        if self.cross_term not in CROSS_TERM_MODES:
-            raise ValueError(
-                f"cross_term must be one of {CROSS_TERM_MODES}, "
-                f"got {self.cross_term!r}")
 
 
 class _Workspace:
@@ -236,15 +217,11 @@ def _forcing(u: np.ndarray, epsilon: float, ws: _Workspace) -> np.ndarray:
     return F_rhs(u, V, stray_field_slab(u))
 
 
-def _implicit_solve(v: np.ndarray, dt: float, ws: _Workspace,
-                    cfg: FullModelConfig, rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - theta dt eps^2 M D2) w = rhs with M = I + [v]x frozen."""
-    coef = cfg.theta_scheme * dt * cfg.epsilon**2
+def _implicit_solve(v: np.ndarray, coef: float, ws: _Workspace,
+                    rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - coef M D2) w = rhs with M = I + [v]x frozen."""
     a, b, c = ws.d2
     n = ws.grid.n
-    if cfg.cross_term == "explicit":
-        return tridiag_solve_components(-coef * a, 1.0 - coef * b,
-                                        -coef * c, rhs)
     M = np.broadcast_to(np.eye(3), (n, 3, 3)) + cross_matrix(v)
     A = -coef * a[:, None, None] * M
     B = np.broadcast_to(np.eye(3), (n, 3, 3)) - coef * b[:, None, None] * M
@@ -252,15 +229,10 @@ def _implicit_solve(v: np.ndarray, dt: float, ws: _Workspace,
     return block_tridiag_solve(A, B, C, rhs)
 
 
-def _explicit_diffusion(u: np.ndarray, v: np.ndarray, dt: float,
-                        ws: _Workspace, cfg: FullModelConfig) -> np.ndarray:
-    """(1 - theta) dt eps^2 M D2 u with the frozen matrix at v."""
-    coef = (1.0 - cfg.theta_scheme) * dt * cfg.epsilon**2
-    if coef == 0.0:
-        return np.zeros_like(u)
+def _explicit_diffusion(u: np.ndarray, v: np.ndarray, coef: float,
+                        ws: _Workspace) -> np.ndarray:
+    """coef M D2 u with the frozen matrix at v."""
     d2u = apply_tridiagonal_stencil(ws.d2, u)
-    if cfg.cross_term == "explicit":
-        return coef * d2u
     return coef * (d2u + np.cross(v, d2u))
 
 
@@ -272,22 +244,20 @@ def step_full(u: np.ndarray, t: float, dt: float, ws: _Workspace,
     drift is the largest deviation of |u_new| from 1 before any
     projection, the quantity the step-size guard watches.
     """
-    eps2 = cfg.epsilon**2
+    # theta = 1/2: half the diffusion at the old level, half implicit
+    coef = 0.5 * dt * cfg.epsilon**2
 
     def explicit_rhs(state, v_frozen, t_src):
         g = _forcing(state, cfg.epsilon, ws)
-        if cfg.cross_term == "explicit" and eps2 > 0.0:
-            d2s = apply_tridiagonal_stencil(ws.d2, state)
-            g = g + eps2 * np.cross(v_frozen, d2s)
         if source is not None:
             g = g + source(t_src, ws.grid.x)
-        return u + _explicit_diffusion(u, v_frozen, dt, ws, cfg) + dt * g
+        return u + _explicit_diffusion(u, v_frozen, coef, ws) + dt * g
 
     # predictor: everything frozen at the old state
-    u_star = _implicit_solve(u, dt, ws, cfg, explicit_rhs(u, u, t))
+    u_star = _implicit_solve(u, coef, ws, explicit_rhs(u, u, t))
     # corrector: re-solve with matrix and forcing at the midpoint
     u_mid = 0.5 * (u + u_star)
-    u_new = _implicit_solve(u_mid, dt, ws, cfg,
+    u_new = _implicit_solve(u_mid, coef, ws,
                             explicit_rhs(u_mid, u_mid, t + 0.5 * dt))
     drift = float(np.max(np.abs(np.linalg.norm(u_new, axis=-1) - 1.0)))
     return u_new, drift
@@ -326,15 +296,7 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
         raise ValueError(
             f"initial data shape {u0.shape} does not match grid ({grid.n}, 3)")
     ws = _Workspace(grid)
-
-    marks = {0.0, float(cfg.T)}
-    if t_eval is not None:
-        for t in t_eval:
-            t = float(t)
-            if not 0.0 <= t <= cfg.T + 1e-12 * max(1.0, cfg.T):
-                raise ValueError(f"output time {t} outside [0, {cfg.T}]")
-            marks.add(min(t, float(cfg.T)))
-    times = np.array(sorted(marks))
+    times = output_times(cfg.T, t_eval)
 
     values = np.empty((times.size, grid.n, 3))
     values[0] = u0

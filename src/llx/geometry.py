@@ -2,21 +2,19 @@
 
 Contains:
 - quintic_smoothstep: the C2 polynomial ramp used by every cutoff here
-- SlabDomain / build_domain: the two-sided slab (-1,1) with the interface
-  at x = 0 stored as a duplicated node
-- LevelSets: signed distance to the interface, distance to the boundary,
-  the boundary cutoff theta, and the interface blending weight chi
-- conormal_fields: weight of the vector field x(1-x^2) d/dx tangent to
-  both the interface and the boundary, plus the time field marker
+- SlabDomain / build_domain: the uniform two-sided slab (-1,1) with the
+  interface at x = 0 stored as a duplicated node
+- LevelSets: distance to the boundary, the boundary cutoff theta, and
+  the interface blending weight chi
+- conormal_weight: weight of the vector field x(1-x^2) d/dx tangent to
+  both the interface and the boundary
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-MIN_CELL_WIDTH = 1e-12
 
 
 def quintic_smoothstep(t):
@@ -27,22 +25,6 @@ def quintic_smoothstep(t):
     """
     t = np.clip(t, 0.0, 1.0)
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
-
-
-def _geometric_widths(length: float, cells: int, ratio: float) -> np.ndarray:
-    """Cell widths on [0, length], shrinking by `ratio` toward index 0.
-
-    ratio = 1 gives the uniform partition; the closed form for the first
-    (smallest) width is length * (1-r)/(1-r^cells) * r^(cells-1).
-    """
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError(f"grading ratio must lie in (0, 1], got {ratio}")
-    if ratio == 1.0:
-        return np.full(cells, length / cells)
-    # widths w_j = w0 * ratio^(cells-1-j), j = 0 smallest (toward x=0)
-    powers = ratio ** np.arange(cells - 1, -1, -1, dtype=float)
-    w0 = length * (1.0 - ratio) / (1.0 - ratio**cells)
-    return w0 * powers
 
 
 @dataclass(frozen=True)
@@ -57,89 +39,38 @@ class SlabDomain:
     x_minus: np.ndarray
     x_plus: np.ndarray
     cells_per_side: int
-    grading: str = "uniform"
-    ratio: float = 1.0
-    toward: str = "sigma"
-
-    @property
-    def x_min(self) -> float:
-        return -1.0
-
-    @property
-    def x_max(self) -> float:
-        return 1.0
-
-    @property
-    def interface(self) -> float:
-        return 0.0
 
     def merged_nodes(self) -> np.ndarray:
         """Single-valued node set: minus-side nodes then plus side, one 0."""
         return np.concatenate([self.x_minus[:-1], self.x_plus])
 
-    def widths(self, side: str) -> np.ndarray:
-        x = self.x_minus if side == "minus" else self.x_plus
-        return np.diff(x)
 
+def build_domain(cells_per_side: int) -> SlabDomain:
+    """Build the uniform slab mesh, one array of nodes per side.
 
-def build_domain(cells_per_side: int, grading: str = "uniform",
-                 ratio: float = 1.0, toward: str = "sigma") -> SlabDomain:
-    """Build the slab mesh, one array of nodes per side.
-
-    Args:
-        cells_per_side: cells on each of (-1,0) and (0,1); at least 8.
-        grading: "uniform" or "geometric".
-        ratio: geometric ratio in (0,1]; widths shrink by this factor
-            toward the refined end(s).
-        toward: "sigma", "gamma", or "both"; which end(s) the geometric
-            widths shrink toward. Ignored for uniform grading.
-
-    Returns:
-        SlabDomain with strictly increasing nodes including -1, 0, 1.
+    cells_per_side cells (at least 8) cover each of (-1, 0) and (0, 1);
+    the nodes increase strictly and include -1, 0 and 1.
     """
     if cells_per_side < 8:
         raise ValueError(
             f"cells_per_side must be at least 8, got {cells_per_side}")
-    if grading not in ("uniform", "geometric"):
-        raise ValueError(f"unknown grading {grading!r}")
-    if toward not in ("sigma", "gamma", "both"):
-        raise ValueError(f"unknown refinement target {toward!r}")
-
-    if grading == "uniform":
-        widths_plus = np.full(cells_per_side, 1.0 / cells_per_side)
-    elif toward == "sigma":
-        widths_plus = _geometric_widths(1.0, cells_per_side, ratio)
-    elif toward == "gamma":
-        widths_plus = _geometric_widths(1.0, cells_per_side, ratio)[::-1]
-    else:
-        half = cells_per_side // 2
-        rest = cells_per_side - half
-        w_sigma = _geometric_widths(0.5, half, ratio)
-        w_gamma = _geometric_widths(0.5, rest, ratio)[::-1]
-        widths_plus = np.concatenate([w_sigma, w_gamma])
-
-    if widths_plus.min() < MIN_CELL_WIDTH:
-        raise ValueError(
-            f"grading produces cell width {widths_plus.min():.3e} below "
-            f"{MIN_CELL_WIDTH:.0e}; use fewer cells or a milder ratio")
-
+    widths_plus = np.full(cells_per_side, 1.0 / cells_per_side)
     x_plus = np.concatenate([[0.0], np.cumsum(widths_plus)])
     x_plus[-1] = 1.0
     x_minus = -x_plus[::-1].copy()
     return SlabDomain(x_minus=x_minus, x_plus=x_plus,
-                      cells_per_side=cells_per_side, grading=grading,
-                      ratio=ratio, toward=toward)
+                      cells_per_side=cells_per_side)
 
 
 @dataclass(frozen=True)
 class LevelSets:
     """Level-set functions and cutoffs for the slab.
 
-    psi(x) = x is the signed distance to the interface; phi(x) = 1 - |x|
-    is the distance to the boundary. theta is 1 on the inner boundary band
-    (phi <= theta_inner), 0 outside the boundary neighborhood
-    (phi >= v_gamma_width), C2 in between. chi_sigma is the interface
-    blending weight: 1 at x = 0, 0 outside |x| < v_sigma_halfwidth.
+    phi(x) = 1 - |x| is the distance to the boundary. theta is 1 on the
+    inner boundary band (phi <= theta_inner), 0 outside the boundary
+    neighborhood (phi >= v_gamma_width), C2 in between. chi_sigma is
+    the interface blending weight: 1 at x = 0, 0 outside
+    |x| < v_sigma_halfwidth.
     """
 
     v_sigma_halfwidth: float = 0.35
@@ -155,9 +86,6 @@ class LevelSets:
             raise ValueError(
                 "interface and boundary neighborhoods overlap: "
                 f"{self.v_sigma_halfwidth} + {self.v_gamma_width} >= 1")
-
-    def psi(self, x):
-        return np.asarray(x, dtype=float)
 
     def phi(self, x):
         return 1.0 - np.abs(x)
@@ -175,9 +103,6 @@ class LevelSets:
     def in_v_sigma(self, x):
         return np.abs(x) < self.v_sigma_halfwidth
 
-    def in_v_gamma(self, x):
-        return self.phi(x) < self.v_gamma_width
-
 
 def conormal_weight(x):
     """Weight of the generating conormal field Z = x(1-x^2) d/dx.
@@ -187,23 +112,3 @@ def conormal_weight(x):
     """
     x = np.asarray(x, dtype=float)
     return x * (1.0 - x * x)
-
-
-@dataclass(frozen=True)
-class ConormalFields:
-    """The conormal family: Z0 = d/dt plus Z1 = w(x) d/dx with w below."""
-
-    weight_minus: np.ndarray
-    weight_plus: np.ndarray
-    has_time_field: bool = True
-
-    def weight(self, x):
-        return conormal_weight(x)
-
-
-def conormal_fields(domain: SlabDomain) -> ConormalFields:
-    """Evaluate the conormal weight on the domain nodes."""
-    return ConormalFields(
-        weight_minus=conormal_weight(domain.x_minus),
-        weight_plus=conormal_weight(domain.x_plus),
-    )

@@ -34,7 +34,7 @@ Contains:
 - march_transmission: one linear sweep of one column (also used by the
   MMS tests); the stacked sweep behind it marches the Picard columns
 - picard_profiles / ProfilePair: the fixed-point loop and its result
-- profile_d1, weighted_profile_norm
+- profile_d1: second-order first derivative along a node axis
 """
 
 from __future__ import annotations
@@ -655,59 +655,3 @@ def picard_profiles(ext: ExtendedLimit, levelsets: LevelSets,
         u0_plus=ext.u_plus[:, mask], u0_minus=ext.u_minus[:, mask],
         full_delta=delta_full, iterations=iterations,
         residual_trace=tuple(residual_trace), tol=tol)
-
-
-# === weighted space-time norms ===
-
-def weighted_profile_norm(times: np.ndarray, x: np.ndarray, y: np.ndarray,
-                          W: np.ndarray, m: int = 1, lam: float = 1.0,
-                          y_power: int = 0) -> float:
-    """Exponentially weighted Sobolev norm of a profile field.
-
-    norm^2 = sum over multi-indices |alpha| <= m of the (t, x, y)
-    integral of e^{-2 lam t} |d^alpha (y^p W)|^2, derivatives by
-    second-order differences, the y weight applied before differencing.
-    W has shape (nt, nx, ny, 3); axes with fewer than three nodes are
-    not differentiated and contribute only undifferentiated terms.
-    """
-    times = np.asarray(times, dtype=float)
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    W = np.asarray(W, dtype=float)
-    if W.shape != (times.size, x.size, y.size, 3):
-        raise ValueError(
-            f"field shape {W.shape} != {(times.size, x.size, y.size, 3)}")
-    if m < 0 or m > 2:
-        raise ValueError(f"m must be 0, 1 or 2, got {m}")
-    base = W * (y[None, None, :, None] ** y_power) if y_power else W
-
-    axes = {0: times, 1: x, 2: y}
-
-    def derivs(field, order):
-        if order == 0:
-            return [field]
-        combos = ([(0,), (1,), (2,)] if order == 1 else
-                  [(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2)])
-        out = []
-        for combo in combos:
-            if any(axes[ax].size < 3 for ax in combo):
-                continue
-            g = field
-            for ax in combo:
-                g = np.gradient(g, axes[ax], axis=ax)
-            out.append(g)
-        return out
-
-    wt = np.exp(-2.0 * lam * times)
-
-    def integrate(field):
-        sq = np.sum(field * field, axis=-1)
-        sq = np.trapezoid(sq, y, axis=2) if y.size > 1 else sq[..., 0]
-        sq = np.trapezoid(sq, x, axis=1) if x.size > 1 else sq[..., 0]
-        return float(np.trapezoid(wt * sq, times))
-
-    total = 0.0
-    for order in range(m + 1):
-        for g in derivs(base, order):
-            total += integrate(g)
-    return float(np.sqrt(total))

@@ -10,6 +10,7 @@ Contains:
 - precession_rhs: u x H - u x (u x H) for a given field H
 - rhs_limit: the same with the slab stray field substituted
 - step_rk4 / step_midpoint: single steps, optional renormalization
+- output_times: the output times {0, T} joined with requested ones
 - simulate_limit: trajectory on [0, T] hitting requested output times
 """
 
@@ -74,12 +75,21 @@ class LimitTrajectory:
     times: np.ndarray
     values: np.ndarray
 
-    def rhs(self) -> np.ndarray:
-        """Time derivative at the stored times, exact from the ODE."""
-        return rhs_limit(self.values)
 
-    def at(self, k: int) -> np.ndarray:
-        return self.values[k]
+def output_times(T: float, t_eval: Optional[Sequence[float]]) -> np.ndarray:
+    """Sorted output times: {0, T} joined with t_eval.
+
+    Requested times must lie in [0, T]; one overshooting T by rounding
+    (1e-12 relative) is taken as T.
+    """
+    marks = {0.0, float(T)}
+    if t_eval is not None:
+        for t in t_eval:
+            t = float(t)
+            if not 0.0 <= t <= T + 1e-12 * max(1.0, T):
+                raise ValueError(f"output time {t} outside [0, {T}]")
+            marks.add(min(t, float(T)))
+    return np.array(sorted(marks))
 
 
 def simulate_limit(u0: np.ndarray, T: float, dt: float,
@@ -97,15 +107,7 @@ def simulate_limit(u0: np.ndarray, T: float, dt: float,
     if dt <= 0.0:
         raise ValueError(f"step size must be positive, got {dt}")
     u0 = np.asarray(u0, dtype=float)
-
-    marks = {0.0, float(T)}
-    if t_eval is not None:
-        for t in t_eval:
-            t = float(t)
-            if not 0.0 <= t <= T + 1e-12 * max(1.0, T):
-                raise ValueError(f"output time {t} outside [0, {T}]")
-            marks.add(min(t, float(T)))
-    times = np.array(sorted(marks))
+    times = output_times(T, t_eval)
 
     values = np.empty((times.size,) + u0.shape)
     values[0] = u0

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from llx.cli import main as cli_main
+from llx.cli import _bandlimited, main as cli_main
 from llx.expansion import StudyConfig
 from llx.fields import named_field
 from llx.full_model import (
@@ -95,21 +95,6 @@ def test_criterion_04_limit_flow_closed_form():
     _check(4, err <= 1e-6,
            f"u1(1)^2 = {got:.9f} vs closed form {expect:.9f}, "
            f"|diff| {err:.2e} <= 1e-6")
-
-
-def _bandlimited(rng, grid: TorusGrid, kmax: int = 2) -> np.ndarray:
-    # spectral identities are exact only below the Nyquist mode
-    raw = rng.normal(size=grid.shape + (3,))
-    hat = np.fft.fftn(raw, axes=(0, 1, 2))
-    mask = np.ones(grid.shape, dtype=bool)
-    for axis, n in enumerate(grid.shape):
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        shape = [1, 1, 1]
-        shape[axis] = n
-        mask &= np.abs(k).reshape(shape) <= kmax
-    hat *= mask[..., None]
-    out = np.real(np.fft.ifftn(hat, axes=(0, 1, 2)))
-    return out - out.mean(axis=(0, 1, 2))
 
 
 def test_criterion_05_stray_field_identities():

@@ -12,7 +12,6 @@ from llx.banded import (
     blocks_to_banded,
     cross_matrix,
     inv_id_plus_cross,
-    tridiag_solve_components,
 )
 from llx.errors import SolverAbort
 
@@ -141,19 +140,6 @@ def test_shape_mismatch_rejected():
     with pytest.raises(ValueError, match="share shape"):
         blocks_to_banded(np.zeros((4, 3, 3)), np.zeros((5, 3, 3)),
                          np.zeros((5, 3, 3)))
-
-
-def test_tridiag_components():
-    rng = np.random.default_rng(36)
-    n = 40
-    lower = rng.normal(size=n) * 0.3
-    upper = rng.normal(size=n) * 0.3
-    diag = 2.0 + rng.uniform(size=n)
-    rhs = rng.normal(size=(n, 3))
-    x = tridiag_solve_components(lower, diag, upper, rhs)
-    M = np.diag(diag) + np.diag(lower[1:], -1) + np.diag(upper[:-1], 1)
-    for c in range(3):
-        assert np.allclose(M @ x[:, c], rhs[:, c], atol=1e-12)
 
 
 def test_solvers_deterministic():

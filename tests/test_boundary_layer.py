@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from llx.boundary_layer import (BoundaryProfile, build_rho,
-                                linearized_reaction,
+from llx.boundary_layer import (BoundaryProfile, linearized_reaction,
                                 linearized_reaction_matrix, make_wall_grid,
-                                march_wall, solve_boundary_profile)
+                                march_wall, neumann_corrector,
+                                solve_boundary_profile, wall_slopes)
 from llx.errors import ValidationError
 from llx.fields import constant_per_side, named_field
 from llx.geometry import LevelSets, build_domain
@@ -159,7 +159,7 @@ def test_wall_profile_zero_for_constant_data():
     prof = solve_boundary_profile(ext, levelsets, z)
     assert np.max(np.abs(prof.U)) == 0.0
     assert np.max(np.abs(prof.g_data)) == 0.0
-    assert np.max(np.abs(build_rho(prof, levelsets))) == 0.0
+    assert np.max(np.abs(_rho(prof))) == 0.0
 
 
 def test_wall_profile_deterministic(swirl_wall):
@@ -178,6 +178,10 @@ def test_wall_validate_flags_defects(swirl_wall):
 
 # --- corrector ---
 
+def _rho(prof):
+    return neumann_corrector(prof.x_param, prof.theta, *wall_slopes(prof))
+
+
 def test_rho_cancels_unit_trace_slope():
     # fabricated wall trace x e2: the required normal derivative is 1 at
     # the right wall and the corrector slope there must be exactly -1
@@ -195,7 +199,7 @@ def test_rho_cancels_unit_trace_slope():
                            x_support=xs, U=U,
                            g_data=np.zeros((times.size, xs.size, 3)),
                            theta=theta)
-    rho = build_rho(prof, levelsets)
+    rho = _rho(prof)
     # phi * theta is exactly 1 - x on the three nodes nearest the wall,
     # so the one-sided stencil evaluates the slope without error
     from llx.full_model import one_sided_d1
@@ -210,8 +214,8 @@ def test_rho_cancels_unit_trace_slope():
 
 
 def test_rho_supported_in_wall_neighborhood(swirl_wall):
-    levelsets, _, _, prof = swirl_wall
-    rho = build_rho(prof, levelsets)
+    _, _, _, prof = swirl_wall
+    rho = _rho(prof)
     inland = np.abs(prof.x_param) <= 0.75
     assert np.max(np.abs(rho[:, inland])) == 0.0
     assert np.max(np.abs(rho)) > 0.0
@@ -219,8 +223,8 @@ def test_rho_supported_in_wall_neighborhood(swirl_wall):
 
 def test_rho_flux_cancellation(swirl_wall):
     # (B1): the corrector's wall slope cancels the trace's wall slope
-    levelsets, _, _, prof = swirl_wall
-    rho = build_rho(prof, levelsets)
+    _, _, _, prof = swirl_wall
+    rho = _rho(prof)
     from llx.full_model import one_sided_d1
     x = prof.x_param
     xs = prof.x_support

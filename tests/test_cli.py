@@ -77,6 +77,13 @@ def test_non_decreasing_epsilons_is_exit_2(tmp_path, capsys):
     assert "decreasing" in err
 
 
+def test_non_positive_epsilon_is_exit_2(tiny_cfg, tmp_path, capsys):
+    rc = main(["full", "--config", tiny_cfg, "--out", str(tmp_path / "o"),
+               "--tol-override", "run.epsilon=0"])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: run.epsilon")
+
+
 def test_solver_abort_is_exit_3(tiny_cfg, tmp_path, capsys):
     # an unreachable drift tolerance exhausts the halving budget
     rc = main(["full", "--config", tiny_cfg, "--out", str(tmp_path / "o"),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,28 @@ def test_study_validation_propagates():
         load_config(None, ["study.dt_knot=3e-3"])
 
 
+@pytest.mark.parametrize("override, key", [
+    ("study.epsilons=0.1 0.05 nan", "study.epsilons"),
+    ("study.picard_tol=-1", "picard_tol"),
+    ("study.cells_per_eps=0", "cells_per_eps"),
+    ("study.profile_cells=3", "profile_cells"),
+    ("study.wall_cells=0", "wall_cells"),
+    ("study.param_cells=3", "param_cells"),
+    ("study.picard_max_iter=0", "picard_max_iter"),
+    ("study.box_y=-3", "box_y"),
+    ("study.drift_tol=0", "drift_tol"),
+    ("study.dt_full=nan", "study.dt_full"),
+    ("study.T=nan", "study.T"),
+    ("run.epsilon=inf", "run.epsilon"),
+    ("run.epsilon=0", "run.epsilon"),
+    ("scenario.value_minus=nan 0 0", "scenario.value_minus"),
+    ("scenario.value_plus=inf 0 0", "scenario.value_plus"),
+])
+def test_bad_value_is_refused_naming_the_key(override, key):
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_config(None, [override])
+
+
 def test_override_bare_key():
     cfg = load_config(None, ["picard_tol=1e-06"])
     assert cfg.study.picard_tol == 1e-6
@@ -160,4 +184,7 @@ def test_named_scenario(tmp_path):
     cfg = load_config(path)
     assert cfg.scenario == "smooth"
     assert cfg.data.name == "swirl"
-    assert np.all(cfg.data.jump() == 0.0)
+    # a named field is continuous: both data branches coincide
+    x = np.linspace(-1.0, 1.0, 9)
+    assert np.array_equal(cfg.data.branch(x, "minus"),
+                          cfg.data.branch(x, "plus"))

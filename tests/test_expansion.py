@@ -11,7 +11,7 @@ from llx.errors import ConfigError
 from llx.expansion import (EClassNorms, StudyConfig, assemble_ansatz,
                            build_expansion_pieces, convergence_study,
                            eclass_norms, fit_slope, jump_error_l2,
-                           l2_space_time, l2_space_time_error)
+                           l2_space_time)
 from llx.fields import constant_per_side, named_field
 from llx.internal_layer import profile_d1
 from llx.interp import natural_spline_coeffs, x_resample
@@ -310,11 +310,10 @@ def test_l2_constant_closed_form():
     vals = np.tile(a, (times.size, x.size, 1))
     expect = np.sqrt(float(a @ a) * 2.0)
     assert abs(l2_space_time(times, x, vals) - expect) < 1e-13
-    # a unit difference over the unit square integrates to sqrt(2)
+    # a unit field over [0, 1] x [-1, 1] integrates to sqrt(2)
     ones = np.zeros((times.size, x.size, 3))
     ones[..., 0] = 1.0
-    assert abs(l2_space_time_error(times, x, ones, np.zeros_like(ones))
-               - np.sqrt(2.0)) < 1e-13
+    assert abs(l2_space_time(times, x, ones) - np.sqrt(2.0)) < 1e-13
 
 
 def test_l2_layer_profile_closed_form():
@@ -338,8 +337,6 @@ def test_l2_validation():
     good = np.zeros((5, 9, 3))
     with pytest.raises(ValueError, match="does not match"):
         l2_space_time(times, x, good[:, :-1])
-    with pytest.raises(ValueError, match="shape mismatch"):
-        l2_space_time_error(times, x, good, good[:-1])
 
 
 def test_jump_error_split_closed_form():
@@ -465,6 +462,8 @@ def test_convergence_study_validation(jump_data):
         convergence_study([0.1, 0.05, 0.05], jump_data)
     with pytest.raises(ConfigError, match="strictly decreasing"):
         convergence_study([0.1, -0.05, 0.025], jump_data)
+    with pytest.raises(ConfigError, match="finite"):
+        convergence_study([0.1, 0.05, np.nan], jump_data)
     with pytest.raises(ConfigError, match="unresolved layer"):
         convergence_study([0.1, 0.05, 0.025], jump_data,
                           StudyConfig(cells_per_eps=4))

@@ -85,7 +85,8 @@ def test_epsilon_grid_structure():
     # small enough that the layer bands leave a coarse bulk between them
     eps = 0.01
     g = make_epsilon_grid(eps, cells_per_eps=16)
-    x, h = g.x, g.widths()
+    x = g.x
+    h = np.diff(x)
     assert x[0] == -1.0 and x[-1] == 1.0 and 0.0 in x
     assert np.all(h > 0)
     # symmetric about the interface
@@ -103,7 +104,7 @@ def test_epsilon_grid_structure():
 
 def test_epsilon_grid_large_eps_goes_uniformly_fine():
     g = make_epsilon_grid(0.3, cells_per_eps=8)
-    h = g.widths()
+    h = np.diff(g.x)
     # layer bands cover everything: no cell coarser than the band target
     assert h.max() <= 0.3 / 8 * 1.01
 
@@ -192,28 +193,25 @@ def test_zero_exchange_degenerates_to_midpoint_rule():
     rng = np.random.default_rng(45)
     g = make_uniform_grid(16)
     u0 = renormalize(rng.normal(size=(g.n, 3)))
-    for mode in ("lagged-implicit", "explicit"):
-        cfg = FullModelConfig(epsilon=0.0, dt=0.02, T=0.2,
-                              cross_term=mode, renormalize=False)
-        traj = simulate_full(u0, g, cfg)
-        u_ref = u0.copy()
-        for _ in range(10):
-            u_ref = step_midpoint(u_ref, 0.02, project=False)
-        assert np.max(np.abs(traj.values[-1] - u_ref)) < 1e-10
+    cfg = FullModelConfig(epsilon=0.0, dt=0.02, T=0.2, renormalize=False)
+    traj = simulate_full(u0, g, cfg)
+    u_ref = u0.copy()
+    for _ in range(10):
+        u_ref = step_midpoint(u_ref, 0.02, project=False)
+    assert np.max(np.abs(traj.values[-1] - u_ref)) < 1e-10
 
 
-def _mms_error(mms, eps, dt, cells, cross_term, T=0.4):
+def _mms_error(mms, eps, dt, cells, T=0.4):
     u_eval, source_for = mms
     g = make_uniform_grid(cells)
-    cfg = FullModelConfig(epsilon=eps, dt=dt, T=T, cross_term=cross_term,
-                          renormalize=False)
+    cfg = FullModelConfig(epsilon=eps, dt=dt, T=T, renormalize=False)
     traj = simulate_full(u_eval(0.0, g.x), g, cfg,
                          source=source_for(eps))
     return float(np.max(np.abs(traj.values[-1] - u_eval(T, g.x))))
 
 
 def test_mms_second_order_in_space(mms):
-    errs = [_mms_error(mms, 0.3, 1e-3, cells, "lagged-implicit", T=0.1)
+    errs = [_mms_error(mms, 0.3, 1e-3, cells, T=0.1)
             for cells in (32, 64, 128)]
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert rates.min() > 1.8, f"spatial rates {rates} from errors {errs}"
@@ -224,31 +222,9 @@ def test_mms_second_order_co_refined(mms):
     # flatten the observed slope below 2
     errs = []
     for dt, cells in ((0.02, 100), (0.01, 200), (0.005, 400)):
-        errs.append(_mms_error(mms, 0.3, dt, cells, "lagged-implicit"))
+        errs.append(_mms_error(mms, 0.3, dt, cells))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert rates.min() > 1.8, f"co-refined rates {rates} from errors {errs}"
-
-
-def test_mms_explicit_cross_term_mode(mms):
-    # the explicit cross term is only conditionally stable
-    # (dt <~ h^2 / (2 eps^2)), so refine dt quadratically with h; the
-    # spatial error then dominates and the observed slope is in h
-    errs = []
-    for dt, cells in ((8e-3, 32), (2e-3, 64), (5e-4, 128)):
-        errs.append(_mms_error(mms, 0.3, dt, cells, "explicit", T=0.1))
-    rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert rates.min() > 1.8, f"explicit-mode rates {rates} from errors {errs}"
-
-
-def test_cross_term_modes_agree():
-    rng = np.random.default_rng(46)
-    g = make_uniform_grid(32)
-    u0 = renormalize(rng.normal(size=(g.n, 3)))
-    outs = []
-    for mode in ("lagged-implicit", "explicit"):
-        cfg = FullModelConfig(epsilon=0.1, dt=2e-3, T=0.1, cross_term=mode)
-        outs.append(simulate_full(u0, g, cfg).values[-1])
-    assert np.max(np.abs(outs[0] - outs[1])) < 1e-4
 
 
 def test_renormalized_smooth_run_stays_on_sphere():
@@ -304,15 +280,13 @@ def test_drift_guard_aborts():
         simulate_full(u0, g, cfg)
 
 
-@pytest.mark.parametrize("cross_term", ["lagged-implicit", "explicit"])
-def test_nan_initial_data_aborts(cross_term):
+def test_nan_initial_data_aborts():
     # a NaN state must end the run as a solver failure, not slip past the
     # drift guard (NaN compares false) or surface as a generic ValueError
     g = make_uniform_grid(16)
     u0 = np.tile([0.6, 0.8, 0.0], (g.n, 1))
     u0[5, 2] = np.nan
-    cfg = FullModelConfig(epsilon=0.1, dt=0.01, T=0.05,
-                          cross_term=cross_term)
+    cfg = FullModelConfig(epsilon=0.1, dt=0.01, T=0.05)
     with pytest.raises(SolverAbort, match="non-finite"):
         simulate_full(u0, g, cfg)
 
@@ -331,10 +305,6 @@ def test_t_eval_and_validation():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="cross_term"):
-        FullModelConfig(epsilon=0.1, dt=0.01, T=1.0, cross_term="magic")
-    with pytest.raises(ValueError, match="theta"):
-        FullModelConfig(epsilon=0.1, dt=0.01, T=1.0, theta_scheme=1.5)
     with pytest.raises(ValueError, match="positive"):
         FullModelConfig(epsilon=0.1, dt=-0.01, T=1.0)
 

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from llx.geometry import (
-    ConormalFields,
     LevelSets,
     SlabDomain,
     build_domain,
-    conormal_fields,
     conormal_weight,
     quintic_smoothstep,
 )
@@ -28,45 +26,14 @@ def test_uniform_domain_nodes():
 
 
 def test_domain_symmetry():
-    dom = build_domain(16, grading="geometric", ratio=0.8)
+    dom = build_domain(16)
     # minus side is the mirror of the plus side
-    assert np.allclose(dom.x_minus, -dom.x_plus[::-1])
-
-
-def test_geometric_widths_closed_form():
-    r = 0.5
-    n = 8
-    dom = build_domain(n, grading="geometric", ratio=r, toward="sigma")
-    w = dom.widths("plus")
-    w0 = (1.0 - r) / (1.0 - r**n)
-    # smallest cell sits at the interface end
-    assert w[0] == pytest.approx(w0 * r ** (n - 1), rel=1e-13)
-    assert w[-1] == pytest.approx(w0, rel=1e-13)
-    assert w.sum() == pytest.approx(1.0, abs=1e-14)
-    # consecutive ratios all equal r, growing away from the interface
-    assert np.allclose(w[:-1] / w[1:], r)
-
-
-def test_geometric_toward_gamma_reverses():
-    dom_s = build_domain(8, grading="geometric", ratio=0.5, toward="sigma")
-    dom_g = build_domain(8, grading="geometric", ratio=0.5, toward="gamma")
-    assert np.allclose(dom_g.widths("plus"), dom_s.widths("plus")[::-1])
+    assert np.array_equal(dom.x_minus, -dom.x_plus[::-1])
 
 
 def test_too_few_cells_rejected():
     with pytest.raises(ValueError, match="at least 8"):
         build_domain(4)
-
-
-def test_bad_ratio_rejected():
-    with pytest.raises(ValueError, match="ratio"):
-        build_domain(8, grading="geometric", ratio=1.5)
-
-
-def test_degenerate_width_rejected():
-    # ratio^cells underflows the width floor
-    with pytest.raises(ValueError, match="below"):
-        build_domain(64, grading="geometric", ratio=0.5)
 
 
 def test_merged_nodes_single_valued():
@@ -101,7 +68,6 @@ def test_smoothstep_c2_at_ends():
 def test_levelsets_psi_phi():
     ls = LevelSets()
     x = np.array([-1.0, -0.5, 0.0, 0.25, 1.0])
-    assert np.allclose(ls.psi(x), x)
     assert np.allclose(ls.phi(x), [0.0, 0.5, 1.0, 0.75, 0.0])
 
 
@@ -131,7 +97,7 @@ def test_chi_sigma_plateau_and_support():
 def test_neighborhoods_disjoint():
     ls = LevelSets()
     xs = np.linspace(-1, 1, 2001)
-    both = ls.in_v_sigma(xs) & ls.in_v_gamma(xs)
+    both = ls.in_v_sigma(xs) & (ls.phi(xs) < ls.v_gamma_width)
     assert not both.any()
     # theta vanishes identically on the interface neighborhood
     assert np.all(ls.theta(xs[ls.in_v_sigma(xs)]) == 0.0)
@@ -159,18 +125,6 @@ def test_conormal_weight_tangency_bound():
     w = np.abs(conormal_weight(xs))
     bound = 2.0 * np.minimum(np.abs(xs), 1.0 - np.abs(xs))
     assert np.all(w <= bound + 1e-15)
-
-
-def test_conormal_fields_on_domain():
-    dom = build_domain(8)
-    cf = conormal_fields(dom)
-    assert isinstance(cf, ConormalFields)
-    assert cf.has_time_field
-    assert cf.weight_minus.shape == dom.x_minus.shape
-    assert np.allclose(cf.weight_plus, conormal_weight(dom.x_plus))
-    # vanishes at interface and walls on the nodes
-    assert cf.weight_plus[0] == 0.0
-    assert cf.weight_plus[-1] == 0.0
 
 
 def test_domain_is_frozen():

@@ -13,8 +13,7 @@ from llx.geometry import LevelSets, build_domain
 from llx.internal_layer import (E1, ExtendedLimit, F_pm, ProfileGrid,
                                 extend_limit, make_profile_grid,
                                 make_time_grid, march_transmission,
-                                picard_profiles, profile_d1,
-                                weighted_profile_norm, _picard,
+                                picard_profiles, profile_d1, _picard,
                                 _picard_column)
 from llx.limit_model import rhs_limit, simulate_limit
 from llx.strayfield import stray_field_slab
@@ -575,68 +574,7 @@ def test_validate_flags_fat_tail(jump_profiles):
         pair.validate(tail_tol=1e-9)
 
 
-# --- weighted norms ---
-
-def test_weighted_norm_closed_form():
-    T, Y, lam = 1.0, 8.0, 2.0
-    times = np.linspace(0.0, T, 201)
-    x = np.linspace(-1.0, 1.0, 81)
-    pg = make_profile_grid(Y=Y, cells=96)
-    y = pg.y
-    a = np.array([0.1, 0.2, 0.3])
-    W = (np.exp(-times)[:, None, None, None]
-         * np.cos(x)[None, :, None, None]
-         * np.exp(-np.abs(y))[None, None, :, None] * a)
-
-    it = (1.0 - np.exp(-2.0 * (lam + 1.0) * T)) / (2.0 * (lam + 1.0))
-    ix = 1.0 + np.sin(2.0) / 2.0
-    ixd = 1.0 - np.sin(2.0) / 2.0
-    iy = 1.0 - np.exp(-2.0 * Y)
-    a2 = float(a @ a)
-    # |alpha| = 0 and the three first derivatives; d/dt and d/dy square
-    # to the same profile, d/dx swaps cos^2 for sin^2
-    expect = np.sqrt(a2 * it * iy * (3.0 * ix + ixd))
-    got = weighted_profile_norm(times, x, y, W, m=1, lam=lam)
-    assert abs(got - expect) / expect < 0.02
-
-
-def test_weighted_norm_y_weight_closed_form():
-    T, Y = 1.0, 12.0
-    times = np.linspace(0.0, T, 101)
-    x = np.array([0.0])
-    pg = make_profile_grid(Y=Y, cells=96)
-    y = pg.y
-    a = np.array([1.0, 0.0, 0.0])
-    W = np.broadcast_to(
-        np.exp(-np.abs(y))[None, None, :, None] * a,
-        (times.size, 1, y.size, 3)).copy()
-    # m = 0, weight y: integral of y^2 e^{-2|y|} = 1/2 (up to tails)
-    expect = np.sqrt(0.5 * (1.0 - np.exp(-2.0 * 1.0 * T)) / 2.0)
-    got = weighted_profile_norm(times, x, y, W, m=0, lam=1.0, y_power=1)
-    assert abs(got - expect) / expect < 0.02
-
-
-def test_weighted_norm_monotone_in_lambda():
-    times = np.linspace(0.0, 1.0, 41)
-    x = np.linspace(-0.5, 0.5, 11)
-    y = np.linspace(-4.0, 4.0, 33)
-    rng = np.random.default_rng(3)
-    W = rng.normal(size=(41, 11, 33, 3))
-    vals = [weighted_profile_norm(times, x, y, W, m=1, lam=lam)
-            for lam in (1.0, 4.0, 16.0, 64.0)]
-    assert all(vals[k + 1] < vals[k] for k in range(3))
-
-
-def test_weighted_norm_validation():
-    times = np.linspace(0.0, 1.0, 5)
-    x = np.array([0.0])
-    y = np.linspace(-1.0, 1.0, 9)
-    W = np.zeros((5, 1, 9, 3))
-    with pytest.raises(ValueError, match="shape"):
-        weighted_profile_norm(times, x, y[:-1], W)
-    with pytest.raises(ValueError, match="m must be"):
-        weighted_profile_norm(times, x, y, W, m=3)
-
+# --- time-weighted gain, junction derivatives ---
 
 def test_gain_from_forcing_decays_with_lambda():
     # the time-weighted response/forcing ratio must shrink as the weight
@@ -651,12 +589,14 @@ def test_gain_from_forcing_decays_with_lambda():
          * np.array([0.2, -0.4, 0.5]))
     coeff = np.zeros((times.size, y.size, 3))
     W = march_transmission(pg, times, coeff, f, f)
-    x = np.array([0.0])
-    gains = []
-    for lam in (1.0, 4.0, 16.0, 64.0):
-        nw = weighted_profile_norm(times, x, y, W[:, None], m=0, lam=lam)
-        nf = weighted_profile_norm(times, x, y, f[:, None], m=0, lam=lam)
-        gains.append(nw / nf)
+
+    def weighted_l2(field, lam):
+        # L2 over (t, y) with the time weight e^{-2 lam t}
+        sq = np.trapezoid(np.sum(field * field, axis=-1), y, axis=1)
+        return np.sqrt(np.trapezoid(np.exp(-2.0 * lam * times) * sq, times))
+
+    gains = [weighted_l2(W, lam) / weighted_l2(f, lam)
+             for lam in (1.0, 4.0, 16.0, 64.0)]
     assert all(gains[k + 1] < gains[k] for k in range(3))
 
 

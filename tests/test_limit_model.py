@@ -18,7 +18,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from llx.limit_model import (
-    LimitTrajectory,
     precession_rhs,
     renormalize,
     rhs_limit,
@@ -176,13 +175,6 @@ def test_bad_steps_rejected():
         simulate_limit(u0, T=-1.0, dt=0.1)
     with pytest.raises(ValueError, match="positive"):
         simulate_limit(u0, T=1.0, dt=0.0)
-
-
-def test_trajectory_rhs_matches_ode():
-    u0 = renormalize(np.array([0.3, -0.5, 0.81]))
-    traj = simulate_limit(u0, T=0.5, dt=0.01, t_eval=[0.25])
-    assert isinstance(traj, LimitTrajectory)
-    assert np.array_equal(traj.rhs(), rhs_limit(traj.values))
 
 
 def test_determinism():
