@@ -6,7 +6,7 @@ Contains:
   e.g. an unresolved transmission layer (CLI exit 2)
 - SolverAbort: a time marcher gave up (CLI exit 3)
 - NonContraction: the profile iteration stopped contracting; carries the
-  largest time up to which the iteration did converge
+  largest time up to which it did converge, and the profiles up to it
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ class NonContraction(SolverAbort):
         t_converged: largest time up to which iterates did converge,
             0.0 if the very first sweep already failed.
         ratios: the trailing sequence of contraction ratios observed.
+        profiles: the ProfilePair, valid up to t_converged (from
+            picard_profiles).
     """
 
     def __init__(self, message: str, t_converged: float = 0.0,
@@ -38,3 +40,4 @@ class NonContraction(SolverAbort):
         super().__init__(message)
         self.t_converged = t_converged
         self.ratios = list(ratios) if ratios is not None else []
+        self.profiles = None

@@ -40,7 +40,7 @@ Contains:
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -500,31 +500,39 @@ def build_expansion_pieces(data: MagnetizationField,
                            ) -> ExpansionPieces:
     """Run the eps-independent pipeline: limit, extension, both layers.
 
-    If the profile iteration stops contracting at some interior time,
-    the experiment is retried on the converged part [0, t] (at least 4
-    knot cells), and the report carries the shortened horizon.
+    If a profile window opening at an interior time t stops contracting,
+    the run is cut to [0, t] (at least 4 knot cells), which is the run
+    on that horizon: its knots, limit values and windows are a prefix.
+    The report carries the shortened horizon. The wall layer validates.
     """
     levelsets = levelsets or LevelSets()
     domain = build_domain(cells_per_side=cfg.param_cells)
     T_used = float(cfg.T)
     pgrid = make_profile_grid(Y=cfg.box_y, cells=cfg.profile_cells)
-    for attempt in (0, 1):
-        knots = make_time_grid(T_used, dt=cfg.dt_knot)
-        ext = extend_limit(data, domain, levelsets, knots)
-        try:
-            pair = picard_profiles(ext, levelsets, pgrid,
-                                   tol=cfg.picard_tol,
-                                   max_iter=cfg.picard_max_iter)
-            break
-        except NonContraction as exc:
-            t_ok = np.floor(exc.t_converged / cfg.dt_knot) * cfg.dt_knot
-            if attempt == 1 or t_ok < 4.0 * cfg.dt_knot:
-                raise
-            T_used = float(t_ok)
+    ext = extend_limit(data, domain, levelsets,
+                       make_time_grid(T_used, dt=cfg.dt_knot))
+    try:
+        pair = picard_profiles(ext, levelsets, pgrid, tol=cfg.picard_tol,
+                               max_iter=cfg.picard_max_iter)
+    except NonContraction as exc:
+        T_used = float(np.floor(exc.t_converged / cfg.dt_knot) * cfg.dt_knot)
+        if T_used < 4.0 * cfg.dt_knot:
+            raise
+        n = int(np.searchsorted(ext.times, T_used, side="right"))
+        ext = _head(ext, n, "u_plus", "u_minus", "du_plus", "du_minus")
+        pair = _head(exc.profiles, n, "W", "delta", "delta_dt", "u0_plus",
+                     "u0_minus", "full_delta")
     z = make_wall_grid(Z=cfg.box_z, cells=cfg.wall_cells)
     boundary = solve_boundary_profile(ext, levelsets, z)
+    boundary.validate()
     return ExpansionPieces(ext=ext, profiles=pair, boundary=boundary,
                            levelsets=levelsets, T_used=T_used)
+
+
+def _head(obj, n: int, *names: str):
+    """obj cut to its first n time levels: times and the named arrays."""
+    return replace(obj, **{name: getattr(obj, name)[:n]
+                           for name in ("times",) + names})
 
 
 def _epsilon_row(task) -> dict:

@@ -32,7 +32,7 @@ import numpy as np
 
 from .banded import block_tridiag_solve, cross_matrix
 from .errors import SolverAbort
-from .limit_model import output_times, renormalize as project_sphere
+from .limit_model import output_times, renormalize as project_sphere, substeps
 from .strayfield import stray_field_slab
 
 
@@ -308,8 +308,7 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
     for k in range(times.size - 1):
         t0, t1 = times[k], times[k + 1]
         span = t1 - t0
-        nsub = max(1, int(np.ceil(span / cfg.dt - 1e-12)))
-        tau_nominal = span / nsub
+        tau_nominal = span / substeps(span, cfg.dt)
         # adaptive sub-stepping within the interval: a rejected step is
         # halved in place (rough data needs tiny opening steps while the
         # layer is still under-resolved); accepted steps double back

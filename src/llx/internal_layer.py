@@ -20,10 +20,11 @@ unknown at y = 0, and W(0) = 0. The x dependence is purely parametric,
 so columns solve independently; zero-jump columns are exactly zero and
 skipped. The quasilinear solve is a Picard iteration: coefficients and
 forcing frozen at the previous space-time iterate, each sweep a
-Crank-Nicolson march with a one-sided-Taylor junction row. The active
-columns march together, stacked into one banded solve per time step;
-the frozen coefficient and forcing are built for a few time levels at
-a time, and a column leaves the sweep once it has converged.
+Crank-Nicolson march with a one-sided-Taylor junction row. Information
+flows forward in time, so the iteration converges one window of a few
+time levels before the next; the first window that stops contracting
+bounds the horizon. The active columns march together, stacked into
+one banded solve per time step, and leave a window once converged.
 
 Contains:
 - ProfileGrid / make_profile_grid: graded two-sided y-mesh
@@ -31,9 +32,9 @@ Contains:
 - ExtendedLimit / extend_limit: one-sided limit states extended by
   branch continuation and cutoff blending, with exact time derivatives
 - F_pm: the exact increment F(u0+U, V, H0-(U.n)n) - F(u0, 0, H0)
-- march_transmission: one linear sweep of one column (also used by the
-  MMS tests); the stacked sweep behind it marches the Picard columns
-- picard_profiles / ProfilePair: the fixed-point loop and its result
+- march_transmission: one linear march of one column (also used by the
+  MMS tests); the stacked march behind it sweeps the Picard windows
+- picard_profiles / ProfilePair: the windowed fixed-point loop, result
 - profile_d1: second-order first derivative along a node axis
 """
 
@@ -259,8 +260,8 @@ def profile_d1(y: np.ndarray, W: np.ndarray) -> np.ndarray:
 
 # === the stacked Crank-Nicolson march ===
 
-# time levels whose coefficient and forcing are built at once: bounds the
-# transient to a few levels of every marched column
+# time levels of one Picard window: each window converges before the
+# next starts, so a sweep marches only these levels
 TIME_BLOCK = 8
 
 
@@ -269,94 +270,74 @@ def _l2_y_per_time(y: np.ndarray, D: np.ndarray) -> np.ndarray:
     return np.sqrt(np.trapezoid(np.sum(D * D, axis=-1), y, axis=-1))
 
 
-def _sweep(pgrid: ProfileGrid, times: np.ndarray, W: np.ndarray,
-           cols: np.ndarray, levels) -> np.ndarray:
-    """One Crank-Nicolson march of the columns W[:, cols], in place.
+def _sweep(pgrid: ProfileGrid, times: np.ndarray, w_k: np.ndarray,
+           coeff: np.ndarray, f_minus: np.ndarray,
+           f_plus: np.ndarray) -> np.ndarray:
+    """Crank-Nicolson march of stacked columns; returns them at times[1:].
 
-    Solves dW/dt = (I + [coeff]x) W_yy + f on every listed column of W
-    (nt, ncol, ny, 3), starting from W[0]. levels(k0, W_old) returns
-    (coeff, f_minus, f_plus) at the time levels k0, k0+1, ... of the
-    stacked values W_old (m, ncols, ny, 3), before the march overwrites
-    them; it is called on blocks of TIME_BLOCK levels and the block's
-    last level is carried into the next block. The minus forcing feeds
-    rows y < 0, the plus forcing rows y > 0, and the junction row at
-    y = 0 uses both one-sided values (the forcing may jump there).
-    Dirichlet zero at both ends; the junction row combines one-sided
-    Taylor expansions with the equation on each side, giving a C1
-    transmission coupling with a single shared unknown. The Dirichlet
-    rows decouple the columns, so each step is one banded solve of the
-    columns stacked along the node axis.
-
-    Returns the L2(y) change of each column at each time, (nt, ncols).
+    Solves dW/dt = (I + [coeff]x) W_yy + f on every column from w_k
+    (ncols, ny, 3) at times[0]; coeff, f_minus, f_plus are (nt, ncols,
+    ny, 3). The minus forcing feeds rows y < 0, the plus forcing rows
+    y > 0, and the junction row at y = 0 uses both one-sided values (the
+    forcing may jump there). Dirichlet zero at both ends; the junction
+    row combines one-sided Taylor expansions with the equation on each
+    side, giving a C1 transmission coupling with a single shared
+    unknown. The Dirichlet rows decouple the columns, so each step is
+    one banded solve of the columns stacked along the node axis.
     """
     y, j0 = pgrid.y, pgrid.j0
     ny = y.size
-    nt = times.size
-    ncols = cols.size
     d2 = d2_coefficients(y)
     a, b, c = d2
     hm = y[j0] - y[j0 - 1]
     hp = y[j0 + 1] - y[j0]
     eye = np.eye(3)
-    eye_rows = np.broadcast_to(eye, (ncols, ny, 3, 3))
+    eye_rows = np.broadcast_to(eye, w_k.shape + (3,))
     plus_rows = (np.arange(ny) >= j0)[:, None]
 
-    change = np.zeros((nt, ncols))
-    w_k = W[0, cols]
-    coeff, f_minus, f_plus = levels(0, w_k[None])
-    for k0 in range(0, nt - 1, TIME_BLOCK):
-        k1 = min(k0 + TIME_BLOCK, nt - 1)
-        old = W[k0 + 1:k1 + 1, cols]
-        coeff, f_minus, f_plus = (
-            np.concatenate([edge[-1:], block])
-            for edge, block in zip((coeff, f_minus, f_plus),
-                                   levels(k0 + 1, old)))
-        new = np.empty_like(old)
-        for j in range(k1 - k0):
-            dt = times[k0 + j + 1] - times[k0 + j]
-            vmid = 0.5 * (coeff[j] + coeff[j + 1])
-            M = eye_rows + cross_matrix(vmid)
-            f_mid = np.where(plus_rows,
-                             0.5 * (f_plus[j] + f_plus[j + 1]),
-                             0.5 * (f_minus[j] + f_minus[j + 1]))
+    new = np.empty((times.size - 1,) + w_k.shape)
+    for j in range(times.size - 1):
+        dt = times[j + 1] - times[j]
+        vmid = 0.5 * (coeff[j] + coeff[j + 1])
+        M = eye_rows + cross_matrix(vmid)
+        f_mid = np.where(plus_rows,
+                         0.5 * (f_plus[j] + f_plus[j + 1]),
+                         0.5 * (f_minus[j] + f_minus[j + 1]))
 
-            half = 0.5 * dt
-            A = -half * a[:, None, None] * M
-            B = eye_rows - half * b[:, None, None] * M
-            C = -half * c[:, None, None] * M
-            d2W = np.moveaxis(
-                apply_tridiagonal_stencil(d2, np.moveaxis(w_k, -2, 0)),
-                0, -2)
-            rhs = w_k + half * np.einsum("...ij,...j->...i", M, d2W) \
-                + dt * f_mid
+        half = 0.5 * dt
+        A = -half * a[:, None, None] * M
+        B = eye_rows - half * b[:, None, None] * M
+        C = -half * c[:, None, None] * M
+        d2W = np.moveaxis(
+            apply_tridiagonal_stencil(d2, np.moveaxis(w_k, -2, 0)), 0, -2)
+        rhs = w_k + half * np.einsum("...ij,...j->...i", M, d2W) \
+            + dt * f_mid
 
-            # Dirichlet ends
-            for row in (0, ny - 1):
-                A[:, row] = 0.0
-                C[:, row] = 0.0
-                B[:, row] = eye
-                rhs[:, row] = 0.0
-            # junction row: one-sided Taylor plus the equation on each
-            # side; time derivative backward, forcing at the new level.
-            # The products stay matmul: einsum rounds them differently.
-            mj_inv = inv_id_plus_cross(coeff[j + 1][:, j0])
-            A[:, j0] = -(1.0 / hm) * eye
-            C[:, j0] = -(1.0 / hp) * eye
-            B[:, j0] = (1.0 / hm + 1.0 / hp) * eye \
-                + ((hm + hp) / (2.0 * dt)) * mj_inv
-            rhs[:, j0] = (
-                ((hm + hp) / (2.0 * dt)) * (mj_inv @ w_k[:, j0, :, None])
-                + 0.5 * hm * (mj_inv @ f_minus[j + 1][:, j0, :, None])
-                + 0.5 * hp * (mj_inv @ f_plus[j + 1][:, j0, :, None]))[..., 0]
+        # Dirichlet ends
+        for row in (0, ny - 1):
+            A[:, row] = 0.0
+            C[:, row] = 0.0
+            B[:, row] = eye
+            rhs[:, row] = 0.0
+        # junction row: one-sided Taylor plus the equation on each
+        # side; time derivative backward, forcing at the new level.
+        # The products stay matmul: einsum rounds them differently.
+        mj_inv = inv_id_plus_cross(coeff[j + 1][:, j0])
+        A[:, j0] = -(1.0 / hm) * eye
+        C[:, j0] = -(1.0 / hp) * eye
+        B[:, j0] = (1.0 / hm + 1.0 / hp) * eye \
+            + ((hm + hp) / (2.0 * dt)) * mj_inv
+        rhs[:, j0] = (
+            ((hm + hp) / (2.0 * dt)) * (mj_inv @ w_k[:, j0, :, None])
+            + 0.5 * hm * (mj_inv @ f_minus[j + 1][:, j0, :, None])
+            + 0.5 * hp * (mj_inv @ f_plus[j + 1][:, j0, :, None]))[..., 0]
 
-            w_k = block_tridiag_solve(
-                A.reshape(-1, 3, 3), B.reshape(-1, 3, 3),
-                C.reshape(-1, 3, 3), rhs.reshape(-1, 3)
-            ).reshape(ncols, ny, 3)
-            new[j] = w_k
-        change[k0 + 1:k1 + 1] = _l2_y_per_time(y, new - old)
-        W[k0 + 1:k1 + 1, cols] = new
-    return change
+        w_k = block_tridiag_solve(
+            A.reshape(-1, 3, 3), B.reshape(-1, 3, 3),
+            C.reshape(-1, 3, 3), rhs.reshape(-1, 3)
+        ).reshape(w_k.shape)
+        new[j] = w_k
+    return new
 
 
 def march_transmission(pgrid: ProfileGrid, times: np.ndarray,
@@ -374,17 +355,12 @@ def march_transmission(pgrid: ProfileGrid, times: np.ndarray,
         raise ValueError(f"coeff shape {coeff.shape} != {(nt, ny, 3)}")
     if f_minus.shape != coeff.shape or f_plus.shape != coeff.shape:
         raise ValueError("forcing arrays must match the coefficient shape")
-    W = np.zeros((nt, 1, ny, 3))
+    W = np.zeros((nt, ny, 3))
     if w_init is not None:
-        W[0, 0] = w_init
-
-    def levels(k0, w_old):
-        k1 = k0 + w_old.shape[0]
-        return (coeff[k0:k1, None], f_minus[k0:k1, None],
-                f_plus[k0:k1, None])
-
-    _sweep(pgrid, times, W, np.array([0]), levels)
-    return W[:, 0]
+        W[0] = w_init
+    W[1:] = _sweep(pgrid, times, W[:1], coeff[:, None], f_minus[:, None],
+                   f_plus[:, None])[:, 0]
+    return W
 
 
 # === fixed point over the columns ===
@@ -422,29 +398,17 @@ def _profile_levels(y: np.ndarray, W: np.ndarray, delta, delta_dt, u0p,
     return coeff, f_m, f_p
 
 
-def _converged_up_to(times: np.ndarray, per_time: np.ndarray,
-                     tol: float) -> float:
-    bad = np.nonzero(per_time >= tol)[0]
-    if bad.size == 0:
-        return float(times[-1])
-    if bad[0] == 0:
-        return 0.0
-    return float(times[bad[0] - 1])
-
-
-def _stalled(times: np.ndarray, per_time: np.ndarray, diffs: list,
-             tol: float, max_iter: int,
-             x_label: float) -> Optional[NonContraction]:
+def _stalled(diffs: list, tol: float, max_iter: int, x_label: float,
+             t_window: float) -> Optional[NonContraction]:
     """The abort for a column whose last sweep missed tol, if it is due."""
     ratios = [diffs[q + 1] / diffs[q] for q in range(len(diffs) - 1)]
     if len(diffs) >= 4 and (diffs[-1] >= diffs[-2] >= diffs[-3]
                             >= diffs[-4]):
-        t_conv = _converged_up_to(times, per_time, tol)
         return NonContraction(
             f"profile iteration stopped contracting at x={x_label:.6g} "
             f"(last diffs {[f'{d:.3e}' for d in diffs[-3:]]}); "
-            f"converged up to t={t_conv:.6g}",
-            t_converged=t_conv, ratios=ratios)
+            f"converged up to t={t_window:.6g}",
+            t_converged=t_window, ratios=ratios)
     if len(diffs) >= max_iter:
         return NonContraction(
             f"profile iteration at x={x_label:.6g} did not reach "
@@ -456,57 +420,67 @@ def _stalled(times: np.ndarray, per_time: np.ndarray, diffs: list,
 
 def _picard(pgrid: ProfileGrid, times: np.ndarray, W: np.ndarray,
             cols: np.ndarray, delta, delta_dt, u0p, u0m, tol: float,
-            max_iter: int, x_labels) -> list:
+            max_iter: int, x_labels) -> tuple:
     """Iterate the listed columns of W (nt, ncol, ny, 3) to the fixed point.
 
     delta, delta_dt, u0p, u0m are (nt, ncol, 3), x_labels one per
-    column. W starts from zero and ends holding the solved columns. The
-    active columns sweep together; a column leaves once its largest
-    per-time change drops below tol, so it takes as many sweeps as it
-    would alone. Returns each listed column's per-sweep changes. A
-    column that stalls or runs out of sweeps raises NonContraction, the
-    one of the lowest such column, after every lower column resolved.
+    column, W[0] the start. One window of TIME_BLOCK levels converges at
+    a time: its sweeps march from its converged first level, from a
+    guess extrapolating the last two converged levels linearly. A column
+    leaves the window's sweeps once its largest per-time change drops
+    below tol, so it takes as many sweeps as it would alone. Returns
+    (traces, failure): each column's per-window sweep changes over the
+    windows all columns completed, and None or the NonContraction of
+    the lowest column failing in the first window where one failed.
     """
     y = pgrid.y
-    diffs = {col: [] for col in np.asarray(cols).tolist()}
-    failed = None
-    active = np.array(list(diffs), dtype=int)
-    while active.size:
-        frozen = [arr[:, active] for arr in (delta, delta_dt, u0p, u0m)]
-
-        def levels(k0, w_old):
-            k1 = k0 + w_old.shape[0]
-            return _profile_levels(y, w_old,
-                                   *(arr[k0:k1] for arr in frozen))
-
-        change = _sweep(pgrid, times, W, active, levels)
-        still = []
-        for i, col in enumerate(active.tolist()):
-            trace = diffs[col]
-            trace.append(float(change[:, i].max()))
-            if trace[-1] < tol:
-                continue
-            failure = _stalled(times, change[:, i], trace, tol, max_iter,
-                               x_labels[col])
-            if failure is not None:
-                # one column at a time, the columns above it never run
-                failed = failure
-                break
-            still.append(col)
-        active = np.array(still, dtype=int)
-    if failed is not None:
-        raise failed
-    return list(diffs.values())
-
-
-def _picard_column(pgrid: ProfileGrid, times: np.ndarray, delta, delta_dt,
-                   u0p, u0m, tol: float, max_iter: int, x_label: float):
-    """Iterate one column to the fixed point; returns (W, diffs)."""
-    W = np.zeros((times.size, 1, pgrid.n, 3))
-    (diffs,) = _picard(pgrid, times, W, np.array([0]), delta[:, None],
-                       delta_dt[:, None], u0p[:, None], u0m[:, None], tol,
-                       max_iter, [x_label])
-    return W[:, 0], diffs
+    cols = np.asarray(cols, dtype=int)
+    traces = {col: [] for col in cols.tolist()}
+    for k0 in range(0, times.size - 1 if cols.size else 0, TIME_BLOCK):
+        k1 = min(k0 + TIME_BLOCK, times.size - 1)
+        win = slice(k0 + 1, k1 + 1)
+        if k0 == 0:
+            W[win, cols] = W[0, cols]
+        else:
+            slope = (times[win] - times[k0]) / (times[k0] - times[k0 - 1])
+            W[win, cols] = W[k0, cols] + slope[:, None, None, None] * (
+                W[k0, cols] - W[k0 - 1, cols])
+        first = _profile_levels(y, W[k0:k0 + 1, cols],
+                                *(arr[k0:k0 + 1, cols]
+                                  for arr in (delta, delta_dt, u0p, u0m)))
+        sweeps = {col: [] for col in traces}
+        failed = None
+        active = np.arange(cols.size)
+        while active.size:
+            act = cols[active]
+            old = W[win, act]
+            rest = _profile_levels(y, old, *(arr[win, act] for arr in
+                                             (delta, delta_dt, u0p, u0m)))
+            new = _sweep(pgrid, times[k0:k1 + 1], W[k0, act],
+                         *(np.concatenate([f0[:, active], f])
+                           for f0, f in zip(first, rest)))
+            change = _l2_y_per_time(y, new - old).max(axis=0)
+            W[win, act] = new
+            still = []
+            for pos, col, diff in zip(active.tolist(), act.tolist(),
+                                      change.tolist()):
+                trace = sweeps[col]
+                trace.append(diff)
+                if diff < tol:
+                    continue
+                failure = _stalled(trace, tol, max_iter, x_labels[col],
+                                   float(times[k0]))
+                if failure is not None:
+                    # one column at a time, the columns above it never run
+                    failed = failure
+                    break
+                still.append(pos)
+            active = np.array(still, dtype=int)
+        if failed is not None:
+            return list(traces.values()), failed
+        for col, trace in sweeps.items():
+            traces[col].append(trace)
+    return list(traces.values()), None
 
 
 @dataclass(frozen=True)
@@ -516,7 +490,9 @@ class ProfilePair:
     W is stored only on the x_support columns (the interface
     neighborhood); outside them the profile is identically zero. The
     full layer terms are U_pm = W + S_pm with S the exponential lift
-    carried by delta = u0_plus - u0_minus.
+    carried by delta = u0_plus - u0_minus. residual_trace[col] holds one
+    tuple of sweep changes per Picard window, iterations[col] the most
+    sweeps any window of that column took.
     """
 
     times: np.ndarray
@@ -580,11 +556,9 @@ class ProfilePair:
         return 0.0, float(np.max(np.abs(dp - dm)))
 
     def contraction_ratios(self) -> list:
-        out: list = []
-        for trace in self.residual_trace:
-            out.extend(trace[q + 1] / trace[q]
-                       for q in range(len(trace) - 1))
-        return out
+        """Ratios of successive sweep changes inside each window."""
+        return [trace[q + 1] / trace[q] for windows in self.residual_trace
+                for trace in windows for q in range(len(trace) - 1)]
 
     def support_defect(self) -> float:
         """Largest |delta| outside the interface neighborhood."""
@@ -627,7 +601,8 @@ def picard_profiles(ext: ExtendedLimit, levelsets: LevelSets,
 
     Columns whose jump and jump rate vanish identically are exactly
     zero and skipped without marching; that covers everything outside
-    the interface neighborhood, and symmetric data everywhere.
+    the interface neighborhood, and symmetric data everywhere. A
+    NonContraction carries the profiles, converged up to t_converged.
     """
     delta_full = ext.delta
     delta_dt_full = ext.delta_dt
@@ -639,19 +614,24 @@ def picard_profiles(ext: ExtendedLimit, levelsets: LevelSets,
 
     W = np.zeros((ext.times.size, idx.size, pgrid.n, 3))
     marched = np.nonzero(nonzero[idx])[0]
-    traces = _picard(pgrid, ext.times, W, marched, delta_full[:, idx],
-                     delta_dt_full[:, idx], ext.u_plus[:, idx],
-                     ext.u_minus[:, idx], tol, max_iter, x[idx])
+    traces, failure = _picard(pgrid, ext.times, W, marched,
+                              delta_full[:, idx], delta_dt_full[:, idx],
+                              ext.u_plus[:, idx], ext.u_minus[:, idx], tol,
+                              max_iter, x[idx])
     iterations = np.zeros(idx.size, dtype=int)
     residual_trace = [()] * idx.size
-    for col, trace in zip(marched, traces):
-        iterations[col] = len(trace)
-        residual_trace[col] = tuple(trace)
+    for col, windows in zip(marched, traces):
+        iterations[col] = max(map(len, windows), default=0)
+        residual_trace[col] = tuple(map(tuple, windows))
 
-    return ProfilePair(
+    pair = ProfilePair(
         times=ext.times, y=pgrid.y, j0=pgrid.j0, x_param=x,
         support_mask=mask, x_support=x[mask], W=W,
         delta=delta_full[:, mask], delta_dt=delta_dt_full[:, mask],
         u0_plus=ext.u_plus[:, mask], u0_minus=ext.u_minus[:, mask],
         full_delta=delta_full, iterations=iterations,
         residual_trace=tuple(residual_trace), tol=tol)
+    if failure is not None:
+        failure.profiles = pair
+        raise failure
+    return pair

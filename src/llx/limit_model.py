@@ -11,6 +11,7 @@ Contains:
 - rhs_limit: the same with the slab stray field substituted
 - step_rk4 / step_midpoint: single steps, optional renormalization
 - output_times: the output times {0, T} joined with requested ones
+- substeps: the uniform substep count of one output interval
 - simulate_limit: trajectory on [0, T] hitting requested output times
 """
 
@@ -92,6 +93,11 @@ def output_times(T: float, t_eval: Optional[Sequence[float]]) -> np.ndarray:
     return np.array(sorted(marks))
 
 
+def substeps(span: float, dt: float) -> int:
+    """Number of uniform substeps of size at most dt covering span."""
+    return max(1, int(np.ceil(span / dt - 1e-12)))
+
+
 def simulate_limit(u0: np.ndarray, T: float, dt: float,
                    t_eval: Optional[Sequence[float]] = None,
                    project: bool = True) -> LimitTrajectory:
@@ -114,7 +120,7 @@ def simulate_limit(u0: np.ndarray, T: float, dt: float,
     u = u0
     for k in range(times.size - 1):
         span = times[k + 1] - times[k]
-        nsub = max(1, int(np.ceil(span / dt - 1e-12)))
+        nsub = substeps(span, dt)
         h = span / nsub
         for _ in range(nsub):
             u = step_rk4(u, h, project=project)

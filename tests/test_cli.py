@@ -84,6 +84,20 @@ def test_non_positive_epsilon_is_exit_2(tiny_cfg, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: run.epsilon")
 
 
+@pytest.mark.parametrize("override, reason", [
+    ("study.wall_cells=8", "wall flux defect"),
+    ("study.box_z=1", "wall profile tail"),
+])
+def test_unresolved_wall_layer_is_exit_2(tiny_cfg, tmp_path, capsys,
+                                         override, reason):
+    rc = main(["profiles", "--config", tiny_cfg,
+               "--out", str(tmp_path / "o"),
+               "--tol-override", "scenario.data=named",
+               "--tol-override", override])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: {reason}")
+
+
 def test_solver_abort_is_exit_3(tiny_cfg, tmp_path, capsys):
     # an unreachable drift tolerance exhausts the halving budget
     rc = main(["full", "--config", tiny_cfg, "--out", str(tmp_path / "o"),

@@ -7,13 +7,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from llx.errors import ConfigError
+from llx import expansion
+from llx.errors import ConfigError, NonContraction
 from llx.expansion import (EClassNorms, StudyConfig, assemble_ansatz,
                            build_expansion_pieces, convergence_study,
                            eclass_norms, fit_slope, jump_error_l2,
                            l2_space_time)
 from llx.fields import constant_per_side, named_field
-from llx.internal_layer import profile_d1
+from llx.geometry import build_domain
+from llx.internal_layer import (TIME_BLOCK, extend_limit, make_profile_grid,
+                                make_time_grid, picard_profiles, profile_d1)
 from llx.interp import natural_spline_coeffs, x_resample
 from llx.limit_model import simulate_limit
 
@@ -467,6 +470,52 @@ def test_convergence_study_validation(jump_data):
     with pytest.raises(ConfigError, match="unresolved layer"):
         convergence_study([0.1, 0.05, 0.025], jump_data,
                           StudyConfig(cells_per_eps=4))
+
+
+# --- the horizon cut by a stalled Picard window ---
+
+def _stalling_profiles(step):
+    """picard_profiles with the jump grown 30x from knot `step` on: the
+    window holding that knot stops contracting."""
+    def run(ext, levelsets, pgrid, **kw):
+        grow = np.where(np.arange(ext.times.size) < step, 1.0, 30.0)
+        stalling = replace(ext, u_minus=ext.u_plus
+                           - grow[:, None, None] * ext.delta)
+        return picard_profiles(stalling, levelsets, pgrid, **kw)
+    return run
+
+
+def test_stalled_window_cuts_the_horizon(small_cfg, monkeypatch):
+    cfg = replace(small_cfg, T=0.05)
+    data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
+    stalling = _stalling_profiles(2 * TIME_BLOCK + 3)
+    monkeypatch.setattr(expansion, "picard_profiles", stalling)
+    pieces = build_expansion_pieces(data, cfg)
+    knots = make_time_grid(cfg.T, dt=cfg.dt_knot)
+    assert pieces.T_used == knots[2 * TIME_BLOCK] < cfg.T
+    # the cut pieces are those of a build on the shorter horizon
+    short = make_time_grid(pieces.T_used, dt=cfg.dt_knot)
+    ext = extend_limit(data, build_domain(cells_per_side=cfg.param_cells),
+                       pieces.levelsets, short)
+    for name in ("times", "x_param", "u_plus", "u_minus", "du_plus",
+                 "du_minus"):
+        assert np.array_equal(getattr(pieces.ext, name),
+                              getattr(ext, name)), name
+    pair = stalling(ext, pieces.levelsets,
+                    make_profile_grid(Y=cfg.box_y, cells=cfg.profile_cells),
+                    tol=cfg.picard_tol, max_iter=cfg.picard_max_iter)
+    assert np.array_equal(pieces.profiles.times, short)
+    assert np.array_equal(pieces.profiles.W, pair.W)
+    assert pieces.profiles.residual_trace == pair.residual_trace
+    assert np.array_equal(pieces.boundary.times, short)
+
+
+def test_stall_before_four_knot_cells_aborts(small_cfg, monkeypatch):
+    data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
+    monkeypatch.setattr(expansion, "picard_profiles",
+                        _stalling_profiles(TIME_BLOCK + 3))
+    with pytest.raises(NonContraction, match="converged up to t=0.005"):
+        build_expansion_pieces(data, small_cfg)
 
 
 # --- the measured studies (session fixtures) ---

@@ -10,11 +10,10 @@ from llx.fields import constant_per_side
 from llx.full_model import (F_rhs, apply_tridiagonal_stencil,
                             d2_coefficients, one_sided_d1)
 from llx.geometry import LevelSets, build_domain
-from llx.internal_layer import (E1, ExtendedLimit, F_pm, ProfileGrid,
-                                extend_limit, make_profile_grid,
+from llx.internal_layer import (E1, TIME_BLOCK, ExtendedLimit, F_pm,
+                                ProfileGrid, extend_limit, make_profile_grid,
                                 make_time_grid, march_transmission,
-                                picard_profiles, profile_d1, _picard,
-                                _picard_column)
+                                picard_profiles, profile_d1, _picard)
 from llx.limit_model import rhs_limit, simulate_limit
 from llx.strayfield import stray_field_slab
 
@@ -286,6 +285,20 @@ def test_march_validates_shapes():
 
 # --- fixed point on the jump fixture ---
 
+def _picard_column(pgrid, times, delta, delta_dt, u0p, u0m, tol, max_iter,
+                   x_label):
+    """Iterate one column to the fixed point; returns (W, per-window
+    sweep changes) or raises the column's NonContraction."""
+    W = np.zeros((times.size, 1, pgrid.n, 3))
+    (traces,), failure = _picard(pgrid, times, W, np.array([0]),
+                                 delta[:, None], delta_dt[:, None],
+                                 u0p[:, None], u0m[:, None], tol, max_iter,
+                                 [x_label])
+    if failure is not None:
+        raise failure
+    return W[:, 0], traces
+
+
 @pytest.fixture(scope="module")
 def jump_profiles(jump_setup):
     _, levelsets, _, _, ext = jump_setup
@@ -405,9 +418,9 @@ def test_picard_max_iter_exhaustion_reports():
                        tol=1e-14, max_iter=2, x_label=0.0)
 
 
-# --- the stacked Picard loop against the one-column-at-a-time loop ---
+# --- the stacked windowed Picard loop against a one-column loop ---
 
-def _reference_march(pgrid, times, coeff, f_minus, f_plus):
+def _reference_march(pgrid, times, coeff, f_minus, f_plus, w0):
     """The one-column Crank-Nicolson march the stacked sweep replaced."""
     y, j0 = pgrid.y, pgrid.j0
     ny = y.size
@@ -419,6 +432,7 @@ def _reference_march(pgrid, times, coeff, f_minus, f_plus):
     eye_rows = np.broadcast_to(eye, (ny, 3, 3))
     plus_rows = (np.arange(ny) >= j0)[:, None]
     W = np.zeros((times.size, ny, 3))
+    W[0] = w0
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
         M = eye_rows + cross_matrix(0.5 * (coeff[k] + coeff[k + 1]))
@@ -449,7 +463,14 @@ def _reference_march(pgrid, times, coeff, f_minus, f_plus):
 
 def _reference_picard_column(pgrid, times, delta, delta_dt, u0p, u0m, tol,
                              max_iter, x_label):
-    """One column iterated alone, with lifts and forcing over all times."""
+    """One column iterated alone, window by window.
+
+    Each window of TIME_BLOCK levels is swept from its first level, the
+    coefficient and forcing rebuilt on all of its levels every sweep,
+    until its largest per-time change drops below tol. Returns
+    (W, windows, failure): the per-window sweep changes, the failing
+    window's last, and the NonContraction or None.
+    """
     y = pgrid.y
     e_plus = np.where(y >= 0.0, np.exp(-np.abs(y)), 0.0)[None, :, None]
     e_minus = np.where(y <= 0.0, np.exp(-np.abs(y)), 0.0)[None, :, None]
@@ -459,38 +480,56 @@ def _reference_picard_column(pgrid, times, delta, delta_dt, u0p, u0m, tol,
     V_p = u0p[:, None, :] - 0.5 * d * e_plus
     V_m = u0m[:, None, :] + 0.5 * d * e_minus
     V_of_side = np.where((y >= 0.0)[None, :, None], V_p, V_m)
+    H_p = stray_field_slab(u0p)[:, None, :]
+    H_m = stray_field_slab(u0m)[:, None, :]
     W = np.zeros((times.size, y.size, 3))
-    diffs = []
-    for _ in range(max_iter):
-        dyW = profile_d1(y, W)
-        f_p = (F_pm(W + S_p, dyW + 0.5 * d * e_plus, u0p[:, None, :],
-                    stray_field_slab(u0p)[:, None, :])
-               - (-0.5 * dd * e_plus) + S_p + np.cross(V_p + W, S_p))
-        f_m = (F_pm(W + S_m, dyW + 0.5 * d * e_minus, u0m[:, None, :],
-                    stray_field_slab(u0m)[:, None, :])
-               - 0.5 * dd * e_minus + S_m + np.cross(V_m + W, S_m))
-        W_new = _reference_march(pgrid, times, V_of_side + W, f_m, f_p)
-        D = W_new - W
-        per_time = np.sqrt(np.trapezoid(np.sum(D * D, axis=-1), y, axis=-1))
-        diffs.append(float(per_time.max()))
-        if diffs[-1] < tol:
-            return W_new, diffs
-        ratios = [diffs[q + 1] / diffs[q] for q in range(len(diffs) - 1)]
-        if len(diffs) >= 4 and (diffs[-1] >= diffs[-2] >= diffs[-3]
-                                >= diffs[-4]):
-            bad = np.nonzero(per_time >= tol)[0]
-            t_conv = (float(times[-1]) if bad.size == 0 else 0.0
-                      if bad[0] == 0 else float(times[bad[0] - 1]))
-            raise NonContraction(
-                f"profile iteration stopped contracting at "
-                f"x={x_label:.6g} (last diffs "
-                f"{[f'{d:.3e}' for d in diffs[-3:]]}); converged up to "
-                f"t={t_conv:.6g}", t_converged=t_conv, ratios=ratios)
-        W = W_new
-    raise NonContraction(
-        f"profile iteration at x={x_label:.6g} did not reach "
-        f"tol={tol:.1e} in {max_iter} sweeps (last diff {diffs[-1]:.3e})",
-        t_converged=0.0, ratios=ratios)
+    windows = []
+    for k0 in range(0, times.size - 1, TIME_BLOCK):
+        k1 = min(k0 + TIME_BLOCK, times.size - 1)
+        lv = slice(k0, k1 + 1)
+        if k0 > 0:
+            slope = (times[k0 + 1:k1 + 1] - times[k0]) \
+                / (times[k0] - times[k0 - 1])
+            W[k0 + 1:k1 + 1] = W[k0] + slope[:, None, None] * (
+                W[k0] - W[k0 - 1])
+        diffs = []
+        windows.append(diffs)
+        while True:
+            Wl = W[lv]
+            dyW = profile_d1(y, Wl)
+            f_p = (F_pm(Wl + S_p[lv], dyW + 0.5 * d[lv] * e_plus,
+                        u0p[lv, None, :], H_p[lv])
+                   - (-0.5 * dd[lv] * e_plus) + S_p[lv]
+                   + np.cross(V_p[lv] + Wl, S_p[lv]))
+            f_m = (F_pm(Wl + S_m[lv], dyW + 0.5 * d[lv] * e_minus,
+                        u0m[lv, None, :], H_m[lv])
+                   - 0.5 * dd[lv] * e_minus + S_m[lv]
+                   + np.cross(V_m[lv] + Wl, S_m[lv]))
+            new = _reference_march(pgrid, times[lv], V_of_side[lv] + Wl,
+                                   f_m, f_p, W[k0])[1:]
+            D = new - Wl[1:]
+            per_time = np.sqrt(np.trapezoid(np.sum(D * D, axis=-1), y,
+                                            axis=-1))
+            diffs.append(float(per_time.max()))
+            W[k0 + 1:k1 + 1] = new
+            if diffs[-1] < tol:
+                break
+            ratios = [diffs[q + 1] / diffs[q]
+                      for q in range(len(diffs) - 1)]
+            if len(diffs) >= 4 and (diffs[-1] >= diffs[-2] >= diffs[-3]
+                                    >= diffs[-4]):
+                t_conv = float(times[k0])
+                return W, windows, NonContraction(
+                    f"profile iteration stopped contracting at "
+                    f"x={x_label:.6g} (last diffs "
+                    f"{[f'{d:.3e}' for d in diffs[-3:]]}); converged up "
+                    f"to t={t_conv:.6g}", t_converged=t_conv, ratios=ratios)
+            if len(diffs) >= max_iter:
+                return W, windows, NonContraction(
+                    f"profile iteration at x={x_label:.6g} did not reach "
+                    f"tol={tol:.1e} in {max_iter} sweeps (last diff "
+                    f"{diffs[-1]:.3e})", t_converged=0.0, ratios=ratios)
+    return W, windows, None
 
 
 def test_stacked_picard_matches_the_per_column_reference():
@@ -506,17 +545,57 @@ def test_stacked_picard_matches_the_per_column_reference():
     W = np.zeros_like(pair.W)
     traces = []
     for col, i in enumerate(idx):
-        W[:, col], trace = _reference_picard_column(
+        W[:, col], windows, failure = _reference_picard_column(
             pgrid, times, ext.delta[:, i], ext.delta_dt[:, i],
             ext.u_plus[:, i], ext.u_minus[:, i], 1e-8, 40,
             float(ext.x_param[i]))
-        traces.append(tuple(trace))
-    # the mask path runs: at least three columns, leaving at two sweeps
+        assert failure is None
+        traces.append(tuple(map(tuple, windows)))
+    # several windows, a short last one, and columns leaving one window
+    # after different numbers of sweeps
+    assert (times.size - 1) % TIME_BLOCK != 0
+    assert len(traces[0]) == -(-(times.size - 1) // TIME_BLOCK) >= 3
     assert idx.size >= 3
-    assert len(set(len(t) for t in traces)) >= 2
+    assert any(len({len(t[w]) for t in traces}) >= 2
+               for w in range(len(traces[0])))
     assert np.array_equal(pair.W, W)
-    assert pair.iterations.tolist() == [len(t) for t in traces]
+    assert pair.iterations.tolist() == [max(map(len, t)) for t in traces]
     assert pair.residual_trace == tuple(traces)
+    assert pair.contraction_ratios() == [
+        w[q + 1] / w[q] for t in traces for w in t
+        for q in range(len(w) - 1)]
+
+
+def _stacked_against_reference(pgrid, times, delta, u0p, u0m, tol,
+                               max_iter):
+    """Run the stacked loop and the per-column reference on the same
+    columns; check that the stacked loop fails like the lowest column
+    failing in the earliest failing window, keeping the windows before
+    it. Returns the stacked failure."""
+    nt, cols = delta.shape[:2]
+    dzero = np.zeros_like(delta)
+    labels = [0.1 * col for col in range(cols)]
+    refs = [_reference_picard_column(pgrid, times, delta[:, col],
+                                     dzero[:, col], u0p[:, col],
+                                     u0m[:, col], tol, max_iter,
+                                     labels[col])
+            for col in range(cols)]
+    fail_window = min(len(windows) - 1 for _, windows, failure in refs
+                      if failure is not None)
+    expected = next(failure for _, windows, failure in refs
+                    if failure is not None
+                    and len(windows) - 1 == fail_window)
+    W = np.zeros((nt, cols, pgrid.n, 3))
+    traces, failure = _picard(pgrid, times, W, np.arange(cols), delta,
+                              dzero, u0p, u0m, tol, max_iter, labels)
+    assert str(failure) == str(expected)
+    assert failure.t_converged == expected.t_converged
+    assert failure.ratios == expected.ratios
+    done = fail_window * TIME_BLOCK + 1
+    for col, (W_ref, windows, _) in enumerate(refs):
+        assert traces[col] == windows[:fail_window]
+        assert np.array_equal(W[:done, col], W_ref[:done])
+    return failure
 
 
 @pytest.mark.parametrize("scales, tol, max_iter", [
@@ -529,32 +608,30 @@ def test_stacked_picard_raises_the_lowest_failing_column(scales, tol,
                                                          max_iter):
     pgrid = make_profile_grid(Y=6.0, cells=48)
     times = make_time_grid(0.05, dt=5e-3)
-    nt = times.size
-    cols = len(scales)
-    delta = np.stack([np.tile([s, 0.0, 0.0], (nt, 1)) for s in scales],
-                     axis=1)
-    dzero = np.zeros_like(delta)
+    delta = np.stack([np.tile([s, 0.0, 0.0], (times.size, 1))
+                      for s in scales], axis=1)
     u0p = np.broadcast_to([-0.6, 0.8, 0.0], delta.shape)
     u0m = np.broadcast_to([0.6, 0.8, 0.0], delta.shape)
-    labels = [0.1 * col for col in range(cols)]
-    expected = None
-    for col in range(cols):
-        try:
-            _reference_picard_column(pgrid, times, delta[:, col],
-                                     dzero[:, col], u0p[:, col],
-                                     u0m[:, col], tol, max_iter,
-                                     labels[col])
-        except NonContraction as exc:
-            expected = exc
-            break
-    assert expected is not None
-    W = np.zeros((nt, cols, pgrid.n, 3))
-    with pytest.raises(NonContraction) as info:
-        _picard(pgrid, times, W, np.arange(cols), delta, dzero, u0p, u0m,
-                tol, max_iter, labels)
-    assert str(info.value) == str(expected)
-    assert info.value.t_converged == expected.t_converged
-    assert info.value.ratios == expected.ratios
+    _stacked_against_reference(pgrid, times, delta, u0p, u0m, tol, max_iter)
+
+
+def test_picard_stall_in_a_later_window_sets_the_horizon():
+    # the jump of column 1 steps from -1.2 to 40 inside the third window:
+    # the first two windows contract, the third stalls, and the horizon
+    # is the third window's first time
+    pgrid = make_profile_grid(Y=6.0, cells=48)
+    times = make_time_grid(0.1, dt=5e-3)
+    step = 2 * TIME_BLOCK + 3
+    scale = np.where(np.arange(times.size) < step, -1.2, 40.0)
+    delta = np.zeros((times.size, 2, 3))
+    delta[:, 0, 0] = -1.2
+    delta[:, 1, 0] = scale
+    u0p = np.broadcast_to([-0.6, 0.8, 0.0], delta.shape)
+    u0m = np.broadcast_to([0.6, 0.8, 0.0], delta.shape)
+    failure = _stacked_against_reference(pgrid, times, delta, u0p, u0m,
+                                         1e-8, 40)
+    assert "stopped contracting at x=0.1" in str(failure)
+    assert failure.t_converged == times[2 * TIME_BLOCK]
 
 
 def test_march_with_nan_coefficient_aborts():
