@@ -49,12 +49,9 @@ from .internal_layer import E1, ExtendedLimit, graded_widths, profile_d1
 from .strayfield import stray_field_slab
 
 
-def make_wall_grid(Z: float = 15.0, cells: int = 96, growth: float = 1.12,
-                   h_max: Optional[float] = None) -> np.ndarray:
-    """Graded nodes on [0, Z], finest at the wall z = 0."""
-    if h_max is None:
-        h_max = max(2.0 * Z / cells, 0.25)
-    w = graded_widths(Z, cells, growth, h_max)
+def make_wall_grid(Z: float = 15.0, cells: int = 96) -> np.ndarray:
+    """Graded nodes on [0, Z] (graded_widths), finest at the wall z = 0."""
+    w = graded_widths(Z, cells)
     z = np.concatenate([[0.0], np.cumsum(w)])
     z[-1] = Z
     return z
@@ -175,11 +172,9 @@ class BoundaryProfile:
     times: np.ndarray
     z: np.ndarray
     x_param: np.ndarray
-    support_mask: np.ndarray
     x_support: np.ndarray
     U: np.ndarray
     g_data: np.ndarray
-    theta: np.ndarray
 
     @property
     def Z(self) -> float:
@@ -255,8 +250,7 @@ def solve_boundary_profile(ext: ExtendedLimit, levelsets: LevelSets,
         U[:, col] = march_wall(z, ext.times, u0_true[:, i], g)
 
     return BoundaryProfile(times=ext.times, z=z, x_param=x,
-                           support_mask=mask, x_support=x[mask],
-                           U=U, g_data=g_data, theta=theta)
+                           x_support=x[mask], U=U, g_data=g_data)
 
 
 def wall_slopes(profile: BoundaryProfile) -> tuple:

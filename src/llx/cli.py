@@ -32,7 +32,7 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, config_hash, default_config_text, load_config
 from .errors import ConfigError, SolverAbort
-from .expansion import (assemble_ansatz, build_expansion_pieces,
+from .expansion import (ExpansionAnsatz, build_expansion_pieces,
                         convergence_study, knot_times)
 from .full_model import (FullModelConfig, make_epsilon_grid, residual_report,
                          simulate_full)
@@ -134,12 +134,10 @@ def cmd_profiles(cfg: RunConfig, args, out_dir: str) -> int:
 
 def cmd_ansatz(cfg: RunConfig, args, out_dir: str) -> int:
     pieces = build_expansion_pieces(cfg.data, cfg.study)
-    ansatz = assemble_ansatz(pieces.ext, pieces.profiles, pieces.boundary,
-                             cfg.epsilon, pieces.levelsets)
     grid = make_epsilon_grid(cfg.epsilon,
                              cells_per_eps=cfg.study.cells_per_eps)
     times = knot_times(pieces.T_used, cfg.study.dt_knot)
-    vals = ansatz.sample_times(times, grid.x)
+    vals = ExpansionAnsatz(pieces, cfg.epsilon).sample_times(times, grid.x)
     report = residual_report(times, vals, grid, cfg.epsilon)
     rows = [[xi] + list(vals[-1, i]) for i, xi in enumerate(grid.x)]
     path = os.path.join(out_dir, "ansatz.csv")
@@ -262,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
             ("ansatz", "assembled field and residual -> ansatz.csv"),
             ("converge", "eps sweep -> report.csv "
                          "(columns: epsilon, err_l2, residual_l2, "
-                         "slope_running, eclass_m0, eclass_m1)"),
+                         "slope_running, eclass_m0, eclass_m<m>)"),
             ("check-stray", "stray-field identities -> stray.csv")):
         p = sub.add_parser(name, help=help_text, description=help_text)
         p.add_argument("--config", metavar="PATH",

@@ -29,9 +29,10 @@ records the distance to the limit state, the ansatz residual, and the
 conormal (E-class) norms of the corrected difference (u - a) / eps.
 
 Contains:
-- ExpansionAnsatz / assemble_ansatz: the sampler
+- ExpansionPieces / build_expansion_pieces: the eps-independent half
+- ExpansionAnsatz: the pieces sampled at one eps
 - knot_times: the knot times of a horizon
-- l2_space_time / jump_error_l2: space-time norms
+- jump_error_l2: the space-time distance to a two-valued state
 - EClassNorms / eclass_norms: conormal norm records
 - StudyConfig / ConvergenceReport / convergence_study: the experiment
 - fit_slope: log-log least-squares rate
@@ -50,8 +51,8 @@ from .boundary_layer import (BoundaryProfile, make_wall_grid,
                              wall_slopes)
 from .errors import ConfigError, NonContraction
 from .fields import MagnetizationField
-from .full_model import (FullModelConfig, make_epsilon_grid, residual_report,
-                         simulate_full)
+from .full_model import (FullModelConfig, l2_space_time, make_epsilon_grid,
+                         residual_report, simulate_full)
 from .geometry import LevelSets, build_domain, conormal_weight
 from .internal_layer import (ExtendedLimit, ProfilePair, extend_limit,
                              make_profile_grid, make_time_grid,
@@ -72,23 +73,21 @@ KNOT_BLOCK = 8
 class ExpansionAnsatz:
     """Sampler for the two-scale approximation at one eps.
 
-    ext carries the one-sided limit states on the full parameter mesh;
-    profiles and boundary share its time knots and mesh. g_minus and
-    g_plus are the wall trace slopes feeding the corrector
-    rho = phi * theta * g_side.
+    The eps-independent pieces (limit states, both layers and the wall
+    trace slopes) are shared; eps enters only through the stretched
+    coordinates x/eps and (1-|x|)/eps and the O(eps) weight.
     """
 
-    ext: ExtendedLimit
-    profiles: ProfilePair
-    boundary: BoundaryProfile
+    pieces: ExpansionPieces
     epsilon: float
-    levelsets: LevelSets
-    g_minus: np.ndarray
-    g_plus: np.ndarray
+
+    def __post_init__(self):
+        if self.epsilon <= 0.0:
+            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
 
     @property
     def times(self) -> np.ndarray:
-        return self.profiles.times
+        return self.pieces.profiles.times
 
     def knot_index(self, t: float) -> int:
         """Index of t among the stored knots; off-knot times are errors."""
@@ -105,11 +104,12 @@ class ExpansionAnsatz:
     def _base(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
         # each side samples its own half only, where the extended state
         # equals the bare limit solution (no blend contamination)
-        xp = self.ext.x_param
+        ext = self.pieces.ext
+        xp = ext.x_param
         out = np.empty((ks.size, x.size, 3))
         left = x < 0.0
-        for sel, cols, u in ((left, xp <= 0.0, self.ext.u_minus),
-                             (~left, xp >= 0.0, self.ext.u_plus)):
+        for sel, cols, u in ((left, xp <= 0.0, ext.u_minus),
+                             (~left, xp >= 0.0, ext.u_plus)):
             if sel.any():
                 out[:, sel] = x_resample(xp[cols], u[ks][:, cols], x[sel],
                                          axis=1, bc="not-a-knot")
@@ -117,12 +117,13 @@ class ExpansionAnsatz:
 
     def _interface_increment(self, ks: np.ndarray,
                              x: np.ndarray) -> np.ndarray:
-        pair = self.profiles
+        pair = self.pieces.profiles
         xp = pair.x_param
         y = pair.y
         j0 = pair.j0
         ys = x / self.epsilon
-        active = self.levelsets.in_v_sigma(x) & (np.abs(ys) <= pair.Y)
+        active = (self.pieces.levelsets.in_v_sigma(x)
+                  & (np.abs(ys) <= pair.Y))
         out = np.zeros((ks.size, x.size, 3))
         if not active.any():
             return out
@@ -153,7 +154,7 @@ class ExpansionAnsatz:
 
     def _wall_increment(self, ks: np.ndarray, x: np.ndarray,
                         theta_x: np.ndarray) -> np.ndarray:
-        prof = self.boundary
+        prof = self.pieces.boundary
         zs = (1.0 - np.abs(x)) / self.epsilon
         out = np.zeros((ks.size, x.size, 3))
         xp = prof.x_param
@@ -186,27 +187,14 @@ class ExpansionAnsatz:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or np.any(np.abs(x) > 1.0 + 1e-12):
             raise ValueError("sample nodes must lie in [-1, 1]")
-        theta_x = self.levelsets.theta(x)
+        theta_x = self.pieces.levelsets.theta(x)
         return {
             "base": self._base(ks, x),
             "interface": self._interface_increment(ks, x),
             "wall": self._wall_increment(ks, x, theta_x),
-            "rho": neumann_corrector(x, theta_x, self.g_minus[ks],
-                                     self.g_plus[ks]),
+            "rho": neumann_corrector(x, theta_x, self.pieces.g_minus[ks],
+                                     self.pieces.g_plus[ks]),
         }
-
-    def sample_parts(self, t: float, x: np.ndarray) -> dict:
-        """The four summands at the knot t on nodes x, before scaling.
-
-        Returns {"base", "interface", "wall", "rho"}; the sampled field
-        is base + interface + epsilon * (wall + rho).
-        """
-        parts = self._parts(np.array([self.knot_index(t)]), x)
-        return {name: part[0] for name, part in parts.items()}
-
-    def sample(self, t: float, x: np.ndarray) -> np.ndarray:
-        """The approximate solution at knot t on nodes x: (nx, 3)."""
-        return self.sample_times(np.array([t]), x)[0]
 
     def sample_times(self, times: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Stacked samples at several knots: (nt, nx, 3).
@@ -250,41 +238,7 @@ def _layer_values(s_knots: np.ndarray, U: np.ndarray, s: np.ndarray,
     return contract_columns(weights, vals)
 
 
-def assemble_ansatz(ext: ExtendedLimit, profiles: ProfilePair,
-                    boundary: BoundaryProfile, epsilon: float,
-                    levelsets: Optional[LevelSets] = None) -> ExpansionAnsatz:
-    """Combine the limit states and layer profiles into one sampler."""
-    if epsilon <= 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    same_times = (np.array_equal(ext.times, profiles.times)
-                  and np.array_equal(ext.times, boundary.times))
-    same_mesh = (np.array_equal(ext.x_param, profiles.x_param)
-                 and np.array_equal(ext.x_param, boundary.x_param))
-    if not (same_times and same_mesh):
-        raise ValueError(
-            "grid mismatch: limit states, interface profiles and wall "
-            "profiles were built on different time knots or meshes")
-    g_minus, g_plus = wall_slopes(boundary)
-    return ExpansionAnsatz(ext=ext, profiles=profiles, boundary=boundary,
-                           epsilon=float(epsilon),
-                           levelsets=levelsets or LevelSets(),
-                           g_minus=g_minus, g_plus=g_plus)
-
-
 # === space-time norms ===
-
-def l2_space_time(times: np.ndarray, x: np.ndarray,
-                  values: np.ndarray) -> float:
-    """Composite-trapezoid L2([0,T] x Omega) norm of a vector field."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[:2] != (np.size(times), np.size(x)):
-        raise ValueError(
-            f"values shape {values.shape} does not match "
-            f"({np.size(times)}, {np.size(x)}, ...)")
-    sq = np.sum(values * values, axis=-1)
-    inner = np.trapezoid(sq, x, axis=1)
-    return float(np.sqrt(np.trapezoid(inner, times)))
-
 
 def jump_error_l2(times: np.ndarray, x: np.ndarray, u: np.ndarray,
                   ref_minus: np.ndarray, ref_plus: np.ndarray) -> float:
@@ -450,8 +404,9 @@ class StudyConfig:
             raise ConfigError(
                 f"T={self.T} must be an integer multiple of "
                 f"dt_knot={self.dt_knot}")
-        if self.eclass_m not in (0, 1, 2):
-            raise ConfigError(f"eclass_m must be 0, 1 or 2, "
+        if self.eclass_m not in (1, 2):
+            # the m = 0 norms are always reported in their own column
+            raise ConfigError(f"study.eclass_m must be 1 or 2, "
                               f"got {self.eclass_m}")
 
 
@@ -462,12 +417,19 @@ def knot_times(T: float, dt_knot: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ExpansionPieces:
-    """The eps-independent half of the experiment."""
+    """The eps-independent half of the experiment.
+
+    ext, profiles and boundary share one set of time knots and one
+    parameter mesh; g_minus and g_plus (nt, 3) are the wall trace slopes
+    feeding the corrector rho = phi * theta * g_side.
+    """
 
     ext: ExtendedLimit
     profiles: ProfilePair
     boundary: BoundaryProfile
     levelsets: LevelSets
+    g_minus: np.ndarray
+    g_plus: np.ndarray
     T_used: float
 
 
@@ -476,8 +438,9 @@ class ConvergenceReport:
     """Per-eps measurements plus the fitted rate.
 
     slope_running[i] is the pairwise rate between rows i-1 and i
-    (nan in row 0); eclass_m0/m1 are the summed five-part norms; the
-    records tuples keep the individual summands for each eps.
+    (nan in row 0); eclass_m0/m1 are the summed five-part norms at
+    m = 0 and at m = cfg.eclass_m (1 or 2); the records tuples keep the
+    individual summands for each eps.
     """
 
     epsilons: np.ndarray
@@ -495,8 +458,7 @@ class ConvergenceReport:
 
 
 def build_expansion_pieces(data: MagnetizationField,
-                           cfg: StudyConfig = StudyConfig(),
-                           levelsets: Optional[LevelSets] = None
+                           cfg: StudyConfig = StudyConfig()
                            ) -> ExpansionPieces:
     """Run the eps-independent pipeline: limit, extension, both layers.
 
@@ -505,7 +467,7 @@ def build_expansion_pieces(data: MagnetizationField,
     on that horizon: its knots, limit values and windows are a prefix.
     The report carries the shortened horizon. The wall layer validates.
     """
-    levelsets = levelsets or LevelSets()
+    levelsets = LevelSets()
     domain = build_domain(cells_per_side=cfg.param_cells)
     T_used = float(cfg.T)
     pgrid = make_profile_grid(Y=cfg.box_y, cells=cfg.profile_cells)
@@ -520,13 +482,14 @@ def build_expansion_pieces(data: MagnetizationField,
             raise
         n = int(np.searchsorted(ext.times, T_used, side="right"))
         ext = _head(ext, n, "u_plus", "u_minus", "du_plus", "du_minus")
-        pair = _head(exc.profiles, n, "W", "delta", "delta_dt", "u0_plus",
-                     "u0_minus", "full_delta")
+        pair = _head(exc.profiles, n, "W", "delta", "full_delta")
     z = make_wall_grid(Z=cfg.box_z, cells=cfg.wall_cells)
     boundary = solve_boundary_profile(ext, levelsets, z)
     boundary.validate()
+    g_minus, g_plus = wall_slopes(boundary)
     return ExpansionPieces(ext=ext, profiles=pair, boundary=boundary,
-                           levelsets=levelsets, T_used=T_used)
+                           levelsets=levelsets, g_minus=g_minus,
+                           g_plus=g_plus, T_used=T_used)
 
 
 def _head(obj, n: int, *names: str):
@@ -540,10 +503,8 @@ def _epsilon_row(task) -> dict:
     process pool can ship it."""
     pieces, data, eps, cfg = task
     grid = make_epsilon_grid(eps, cells_per_eps=cfg.cells_per_eps)
-    ansatz = assemble_ansatz(pieces.ext, pieces.profiles, pieces.boundary,
-                             eps, pieces.levelsets)
     times_eval = knot_times(pieces.T_used, cfg.dt_knot)
-    a_vals = ansatz.sample_times(times_eval, grid.x)
+    a_vals = ExpansionAnsatz(pieces, eps).sample_times(times_eval, grid.x)
 
     u_init = renormalize(a_vals[0])
     fcfg = FullModelConfig(epsilon=eps, dt=cfg.dt_full, T=pieces.T_used,
@@ -575,7 +536,6 @@ def _epsilon_row(task) -> dict:
 
 def convergence_study(epsilons, data: MagnetizationField,
                       cfg: StudyConfig = StudyConfig(),
-                      levelsets: Optional[LevelSets] = None,
                       jobs: int = 1,
                       pieces: Optional[ExpansionPieces] = None
                       ) -> ConvergenceReport:
@@ -600,7 +560,7 @@ def convergence_study(epsilons, data: MagnetizationField,
             f"unresolved layer: {cfg.cells_per_eps} cells per eps width "
             f"(need >= 8)")
     if pieces is None:
-        pieces = build_expansion_pieces(data, cfg, levelsets)
+        pieces = build_expansion_pieces(data, cfg)
 
     tasks = [(pieces, data, float(e), cfg) for e in eps]
     if jobs > 1:

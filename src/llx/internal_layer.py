@@ -27,13 +27,13 @@ bounds the horizon. The active columns march together, stacked into
 one banded solve per time step, and leave a window once converged.
 
 Contains:
+- graded_widths: the cell widths of the graded layer meshes
 - ProfileGrid / make_profile_grid: graded two-sided y-mesh
 - make_time_grid: binary start-up ramp inside the first uniform cell
 - ExtendedLimit / extend_limit: one-sided limit states extended by
   branch continuation and cutoff blending, with exact time derivatives
 - F_pm: the exact increment F(u0+U, V, H0-(U.n)n) - F(u0, 0, H0)
-- march_transmission: one linear march of one column (also used by the
-  MMS tests); the stacked march behind it sweeps the Picard windows
+- _sweep: one Crank-Nicolson march of stacked columns (a Picard sweep)
 - picard_profiles / ProfilePair: the windowed fixed-point loop, result
 - profile_d1: second-order first derivative along a node axis
 """
@@ -71,26 +71,22 @@ class ProfileGrid:
         return self.y.size
 
 
-def graded_widths(length: float, cells: int, growth: float,
-                  h_max: float) -> np.ndarray:
-    """Cell widths min(w0 growth^j, h_max) summing exactly to length.
+def graded_widths(length: float, cells: int) -> np.ndarray:
+    """Cell widths min(w0 1.12^j, h_max) summing exactly to length.
 
-    w0 is found by bisection; the finest cells sit at index 0 where the
-    fast-variable curvature concentrates.
+    h_max = max(2 length / cells, 0.25), so the capped cells alone cover
+    the length twice; w0 is found by bisection. The finest cells sit at
+    index 0 where the fast-variable curvature concentrates.
     """
     if length <= 0.0 or cells < 8:
         raise ValueError(
             f"need length > 0 and cells >= 8, got {length}, cells={cells}")
-    if growth <= 1.0:
-        raise ValueError(f"growth must exceed 1, got {growth}")
-    j = np.arange(cells)
+    h_max = max(2.0 * length / cells, 0.25)
+    powers = 1.12 ** np.arange(cells)
 
     def total(w0: float) -> float:
-        return float(np.minimum(w0 * growth**j, h_max).sum())
+        return float(np.minimum(w0 * powers, h_max).sum())
 
-    if total(h_max) < length:
-        raise ValueError(
-            f"cells * h_max = {cells * h_max:.3g} cannot cover {length}")
     lo, hi = 1e-14, h_max
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -98,45 +94,41 @@ def graded_widths(length: float, cells: int, growth: float,
             lo = mid
         else:
             hi = mid
-    w = np.minimum(hi * growth**j, h_max)
+    w = np.minimum(hi * powers, h_max)
     return w * (length / w.sum())
 
 
-def make_profile_grid(Y: float = 15.0, cells: int = 128,
-                      growth: float = 1.12,
-                      h_max: Optional[float] = None) -> ProfileGrid:
-    """Graded mesh: widths min(w0 g^j, h_max) on [0, Y], mirrored.
+def make_profile_grid(Y: float = 15.0, cells: int = 128) -> ProfileGrid:
+    """Graded mesh: the graded_widths cells on [0, Y], mirrored.
 
     The junction row of the transmission march carries an O(h) local
-    consistency error, so the junction cell must stay small: the default
+    consistency error, so the junction cell must stay small: the
     grading puts it near 4e-5 while the outer cells remain O(0.25).
     """
-    if h_max is None:
-        h_max = max(2.0 * Y / cells, 0.25)
-    w = graded_widths(Y, cells, growth, h_max)
+    w = graded_widths(Y, cells)
     y_half = np.concatenate([[0.0], np.cumsum(w)])
     y_half[-1] = Y
     y = np.concatenate([-y_half[::-1][:-1], y_half])
     return ProfileGrid(y=y, Y=Y, j0=cells)
 
 
-def make_time_grid(T: float, dt: float = 2.5e-3,
-                   ramp_cells: int = 6) -> np.ndarray:
+def make_time_grid(T: float, dt: float = 2.5e-3) -> np.ndarray:
     """Output times 0..T: uniform steps dt, the first cell subdivided.
 
-    The first dt-cell is split into binary pieces dt/2^r, dt/2^r,
-    dt/2^(r-1), ..., dt/2 (r = ramp_cells) that sum exactly to dt, so
-    every multiple of dt stays a grid time; the tiny opening steps
-    absorb the start-up stiffness of discontinuous data.
+    The first dt-cell is split into binary pieces dt/64, dt/64, dt/32,
+    ..., dt/2 that sum exactly to dt, so every multiple of dt stays a
+    grid time; the tiny opening steps absorb the start-up stiffness of
+    discontinuous data. A uniform knot within rounding of T gives way
+    to T, so no step is a rounding sliver.
     """
     if T <= 0.0 or dt <= 0.0:
         raise ValueError(f"need positive T and dt, got T={T}, dt={dt}")
     dt = min(dt, T)
-    ramp = dt * 2.0 ** np.arange(ramp_cells + 1) / 2.0 ** ramp_cells
+    ramp = dt * 2.0 ** np.arange(7) / 64.0
     n = int(np.floor(T / dt + 1e-9))
     uniform = dt * np.arange(n + 1)
-    times = np.unique(np.concatenate([[0.0], ramp, uniform, [T]]))
-    return times[times <= T + 1e-12 * max(T, 1.0)]
+    times = np.unique(np.concatenate([[0.0], ramp, uniform]))
+    return np.append(times[times < T - 1e-12 * max(T, 1.0)], T)
 
 
 # === extended limit states ===
@@ -172,8 +164,7 @@ class ExtendedLimit:
 
 
 def extend_limit(data: MagnetizationField, domain: SlabDomain,
-                 levelsets: LevelSets, times: np.ndarray,
-                 dt_limit: float = 1e-3) -> ExtendedLimit:
+                 levelsets: LevelSets, times: np.ndarray) -> ExtendedLimit:
     """Evolve both data branches on the parameter nodes and blend.
 
     Each side's initial branch continues smoothly across the interface
@@ -192,7 +183,7 @@ def extend_limit(data: MagnetizationField, domain: SlabDomain,
         raise ValueError("parameter mesh must contain the interface node")
 
     u_init = np.stack([data.branch(x, "minus"), data.branch(x, "plus")])
-    traj = simulate_limit(u_init, T=float(times[-1]), dt=dt_limit,
+    traj = simulate_limit(u_init, T=float(times[-1]), dt=1e-3,
                           t_eval=list(times))
     keep = np.isin(traj.times, times)
     vals = traj.values[keep]
@@ -340,29 +331,6 @@ def _sweep(pgrid: ProfileGrid, times: np.ndarray, w_k: np.ndarray,
     return new
 
 
-def march_transmission(pgrid: ProfileGrid, times: np.ndarray,
-                       coeff: np.ndarray, f_minus: np.ndarray,
-                       f_plus: np.ndarray,
-                       w_init: Optional[np.ndarray] = None) -> np.ndarray:
-    """Crank-Nicolson march of dW/dt = (I + [coeff]x) W_yy + f.
-
-    One column of the stacked march: coeff, f_minus, f_plus have shape
-    (nt, ny, 3), with the sides and the junction row as in _sweep.
-    """
-    ny = pgrid.y.size
-    nt = times.size
-    if coeff.shape != (nt, ny, 3):
-        raise ValueError(f"coeff shape {coeff.shape} != {(nt, ny, 3)}")
-    if f_minus.shape != coeff.shape or f_plus.shape != coeff.shape:
-        raise ValueError("forcing arrays must match the coefficient shape")
-    W = np.zeros((nt, ny, 3))
-    if w_init is not None:
-        W[0] = w_init
-    W[1:] = _sweep(pgrid, times, W[:1], coeff[:, None], f_minus[:, None],
-                   f_plus[:, None])[:, 0]
-    return W
-
-
 # === fixed point over the columns ===
 
 def _profile_levels(y: np.ndarray, W: np.ndarray, delta, delta_dt, u0p,
@@ -503,30 +471,22 @@ class ProfilePair:
     x_support: np.ndarray
     W: np.ndarray
     delta: np.ndarray
-    delta_dt: np.ndarray
-    u0_plus: np.ndarray
-    u0_minus: np.ndarray
     full_delta: np.ndarray
     iterations: np.ndarray
     residual_trace: tuple
-    tol: float
 
     @property
     def Y(self) -> float:
         return float(self.y[-1])
 
-    def s_lift(self, side: str) -> np.ndarray:
-        """S on the stored columns, valid on the named side (and y=0)."""
-        y = self.y
-        if side == "plus":
-            e = np.where(y >= 0.0, np.exp(-np.abs(y)), 0.0)
-            return -0.5 * self.delta[:, :, None, :] * e[None, None, :, None]
-        e = np.where(y <= 0.0, np.exp(-np.abs(y)), 0.0)
-        return 0.5 * self.delta[:, :, None, :] * e[None, None, :, None]
-
     def layer_term(self, side: str) -> np.ndarray:
-        """U_pm = W + S_pm on the stored columns (valid on that side)."""
-        return self.W + self.s_lift(side)
+        """U_pm = W + S_pm on the stored columns, valid on the named side
+        (and y = 0); the lift is zero on the other side."""
+        y = self.y
+        on_side = y >= 0.0 if side == "plus" else y <= 0.0
+        e = np.where(on_side, np.exp(-np.abs(y)), 0.0)[None, None, :, None]
+        half = -0.5 if side == "plus" else 0.5
+        return self.W + half * self.delta[:, :, None, :] * e
 
     def junction_trace(self) -> np.ndarray:
         """W at y = 0: (nt, nxs, 3)."""
@@ -627,10 +587,8 @@ def picard_profiles(ext: ExtendedLimit, levelsets: LevelSets,
     pair = ProfilePair(
         times=ext.times, y=pgrid.y, j0=pgrid.j0, x_param=x,
         support_mask=mask, x_support=x[mask], W=W,
-        delta=delta_full[:, mask], delta_dt=delta_dt_full[:, mask],
-        u0_plus=ext.u_plus[:, mask], u0_minus=ext.u_minus[:, mask],
-        full_delta=delta_full, iterations=iterations,
-        residual_trace=tuple(residual_trace), tol=tol)
+        delta=delta_full[:, mask], full_delta=delta_full,
+        iterations=iterations, residual_trace=tuple(residual_trace))
     if failure is not None:
         failure.profiles = pair
         raise failure

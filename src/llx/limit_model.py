@@ -99,14 +99,14 @@ def substeps(span: float, dt: float) -> int:
 
 
 def simulate_limit(u0: np.ndarray, T: float, dt: float,
-                   t_eval: Optional[Sequence[float]] = None,
-                   project: bool = True) -> LimitTrajectory:
+                   t_eval: Optional[Sequence[float]] = None
+                   ) -> LimitTrajectory:
     """March the limit flow to time T, recording requested output times.
 
     Output times are {0, T} joined with t_eval; each interval between
-    consecutive output times is covered by uniform substeps of size at
-    most dt, so every requested time is hit exactly rather than
-    interpolated.
+    consecutive output times is covered by uniform RK4 substeps of size
+    at most dt, each projected back onto the sphere, so every requested
+    time is hit exactly rather than interpolated.
     """
     if T <= 0.0:
         raise ValueError(f"final time must be positive, got {T}")
@@ -123,6 +123,6 @@ def simulate_limit(u0: np.ndarray, T: float, dt: float,
         nsub = substeps(span, dt)
         h = span / nsub
         for _ in range(nsub):
-            u = step_rk4(u, h, project=project)
+            u = step_rk4(u, h)
         values[k + 1] = u
     return LimitTrajectory(times=times, values=values)

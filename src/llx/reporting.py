@@ -11,7 +11,7 @@ as a dashed line with its slope printed alongside.
 
 Contains:
 - fmt / write_csv: canonical float rendering and the CSV layout
-- convergence_columns / convergence_rows / write_convergence_csv
+- convergence_rows / write_convergence_csv: the eps-study table
 - render_loglog_svg / write_text: the plot
 """
 
@@ -20,10 +20,6 @@ from __future__ import annotations
 import csv
 
 import numpy as np
-
-CONVERGENCE_COLUMNS = ("epsilon", "err_l2", "residual_l2",
-                       "slope_running", "eclass_m0", "eclass_m1")
-
 
 def fmt(value) -> str:
     """Canonical cell rendering: shortest %.12g float, plain ints."""
@@ -60,7 +56,11 @@ def convergence_rows(report) -> list:
 
 
 def write_convergence_csv(path: str, report, meta=None) -> None:
-    write_csv(path, CONVERGENCE_COLUMNS, convergence_rows(report), meta)
+    """The report as CSV; the second E-class column is named by the
+    order its records hold (study.eclass_m)."""
+    columns = ("epsilon", "err_l2", "residual_l2", "slope_running",
+               "eclass_m0", f"eclass_m{report.records_m1[0].m}")
+    write_csv(path, columns, convergence_rows(report), meta)
 
 
 def write_text(path: str, text: str) -> None:

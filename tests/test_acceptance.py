@@ -19,13 +19,13 @@ from llx.expansion import StudyConfig
 from llx.fields import named_field
 from llx.full_model import (
     FullModelConfig,
+    Grid1D,
     make_epsilon_grid,
-    make_uniform_grid,
     simulate_full,
 )
 from llx.internal_layer import (
     ProfileGrid,
-    march_transmission,
+    _sweep,
     make_profile_grid,
     picard_profiles,
 )
@@ -173,7 +173,7 @@ def _manufactured_full():
 
 
 def _full_error(u_eval, source_for, dt, cells, T=0.4):
-    g = make_uniform_grid(cells)
+    g = Grid1D(x=np.linspace(-1.0, 1.0, cells + 1))
     cfg = FullModelConfig(epsilon=0.3, dt=dt, T=T, renormalize=False)
     traj = simulate_full(u_eval(0.0, g.x), g, cfg, source=source_for(0.3))
     return float(np.max(np.abs(traj.values[-1] - u_eval(T, g.x))))
@@ -205,10 +205,12 @@ def _march_error(n_cells, dt, T=0.5):
                 - np.sin(times)[:, None, None] * g2v
                 * (v[None, None, :] + cross))
 
-    W = march_transmission(pg, times, coeff, forcing(-1), forcing(1))
+    # one column of the stacked march, from W = 0
+    W = _sweep(pg, times, np.zeros((1, y.size, 3)), coeff[:, None],
+               forcing(-1)[:, None], forcing(1)[:, None])
     exact = np.where((y >= 0.0)[:, None], g[1](y)[:, None] * v,
                      g[-1](y)[:, None] * v) * np.sin(times[-1])
-    return float(np.max(np.abs(W[-1] - exact)))
+    return float(np.max(np.abs(W[-1, 0] - exact)))
 
 
 def test_criterion_07_discretization_orders():

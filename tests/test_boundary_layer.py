@@ -26,8 +26,10 @@ def test_wall_grid_structure():
 
 
 def test_wall_grid_validation():
-    with pytest.raises(ValueError, match="cannot cover"):
-        make_wall_grid(Z=100.0, cells=8, h_max=0.5)
+    with pytest.raises(ValueError, match="cells >= 8"):
+        make_wall_grid(Z=15.0, cells=4)
+    with pytest.raises(ValueError, match="length > 0"):
+        make_wall_grid(Z=0.0)
 
 
 # --- linearized reaction ---
@@ -145,7 +147,6 @@ def test_wall_profile_neumann_defect_small(swirl_wall):
 def test_wall_profile_supported_at_walls_only(swirl_wall):
     levelsets, _, _, prof = swirl_wall
     assert np.all(np.abs(prof.x_support) > 0.75)
-    assert prof.support_mask.sum() == prof.x_support.size
     assert np.all(levelsets.theta(prof.x_support) > 0.0)
 
 
@@ -179,26 +180,21 @@ def test_wall_validate_flags_defects(swirl_wall):
 # --- corrector ---
 
 def _rho(prof):
-    return neumann_corrector(prof.x_param, prof.theta, *wall_slopes(prof))
+    theta = LevelSets().theta(prof.x_param)
+    return neumann_corrector(prof.x_param, theta, *wall_slopes(prof))
 
 
 def test_rho_cancels_unit_trace_slope():
     # fabricated wall trace x e2: the required normal derivative is 1 at
     # the right wall and the corrector slope there must be exactly -1
-    domain = build_domain(cells_per_side=16)
-    levelsets = LevelSets()
-    x = domain.merged_nodes()
-    theta = levelsets.theta(x)
-    mask = theta > 0.0
-    xs = x[mask]
+    x = build_domain(cells_per_side=16).merged_nodes()
+    xs = x[LevelSets().theta(x) > 0.0]
     times = np.array([0.0, 0.1, 0.2])
     z = make_wall_grid(Z=6.0, cells=16)
     U = np.zeros((times.size, xs.size, z.size, 3))
     U[:, :, 0, 1] = xs
-    prof = BoundaryProfile(times=times, z=z, x_param=x, support_mask=mask,
-                           x_support=xs, U=U,
-                           g_data=np.zeros((times.size, xs.size, 3)),
-                           theta=theta)
+    prof = BoundaryProfile(times=times, z=z, x_param=x, x_support=xs, U=U,
+                           g_data=np.zeros((times.size, xs.size, 3)))
     rho = _rho(prof)
     # phi * theta is exactly 1 - x on the three nodes nearest the wall,
     # so the one-sided stencil evaluates the slope without error

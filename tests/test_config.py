@@ -6,6 +6,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llx.config import (
     config_hash,
@@ -53,6 +55,46 @@ def test_hash_ignores_number_spelling(tmp_path):
     # a genuinely different value does not
     other = load_config(None, ["study.T=0.25"])
     assert config_hash(other) != config_hash(load_config())
+
+
+# [study] keys whose accepted values are a plain range, so any draw in
+# the range builds; the int ranges start at StudyConfig's minima
+_FLOAT_KEYS = ("box_y", "box_z", "picard_tol", "drift_tol")
+_INT_RANGES = {"cells_per_eps": (4, 10**9), "param_cells": (8, 10**9),
+               "profile_cells": (8, 10**9), "wall_cells": (8, 10**9),
+               "picard_max_iter": (1, 10**9), "eclass_m": (1, 2)}
+
+_float_settings = st.tuples(
+    st.sampled_from(_FLOAT_KEYS),
+    st.floats(min_value=0.0, exclude_min=True, allow_nan=False,
+              allow_infinity=False))
+_int_settings = st.sampled_from(sorted(_INT_RANGES)).flatmap(
+    lambda key: st.tuples(st.just(key), st.integers(*_INT_RANGES[key])))
+
+
+def _hashes(key, spellings):
+    return {config_hash(load_config(None, [f"study.{key}={text}"]))
+            for text in spellings}
+
+
+@settings(max_examples=60, deadline=None)
+@given(setting=_float_settings)
+def test_hash_ignores_the_spelling_of_any_float(setting):
+    key, value = setting
+    spellings = [repr(value), "%.17g" % value, "%.17e" % value,
+                 "+" + repr(value), f"  {value!r}  "]
+    assert all(float(text) == value for text in spellings)
+    assert len(_hashes(key, spellings)) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(setting=_int_settings)
+def test_hash_ignores_the_spelling_of_any_int(setting):
+    key, value = setting
+    spellings = [repr(value), "%.17g" % value, "+" + repr(value),
+                 f"  {value!r}  ", "0" + repr(value)]
+    assert all(int(text) == value for text in spellings)
+    assert len(_hashes(key, spellings)) == 1
 
 
 def test_hash_is_short_hex():
@@ -131,6 +173,7 @@ def test_study_validation_propagates():
     ("study.picard_max_iter=0", "picard_max_iter"),
     ("study.box_y=-3", "box_y"),
     ("study.drift_tol=0", "drift_tol"),
+    ("study.eclass_m=0", "study.eclass_m"),
     ("study.dt_full=nan", "study.dt_full"),
     ("study.T=nan", "study.T"),
     ("run.epsilon=inf", "run.epsilon"),

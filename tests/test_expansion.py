@@ -9,11 +9,11 @@ import pytest
 
 from llx import expansion
 from llx.errors import ConfigError, NonContraction
-from llx.expansion import (EClassNorms, StudyConfig, assemble_ansatz,
+from llx.expansion import (EClassNorms, ExpansionAnsatz, StudyConfig,
                            build_expansion_pieces, convergence_study,
-                           eclass_norms, fit_slope, jump_error_l2,
-                           l2_space_time)
+                           eclass_norms, fit_slope, jump_error_l2)
 from llx.fields import constant_per_side, named_field
+from llx.full_model import l2_space_time
 from llx.geometry import build_domain
 from llx.internal_layer import (TIME_BLOCK, extend_limit, make_profile_grid,
                                 make_time_grid, picard_profiles, profile_d1)
@@ -29,6 +29,21 @@ def _evolved(vec, times):
     return traj.values
 
 
+def _sample(ansatz, t, x):
+    """The approximate solution at knot t on nodes x: (nx, 3)."""
+    return ansatz.sample_times(np.array([t]), x)[0]
+
+
+def _sample_parts(ansatz, t, x):
+    """The four summands at the knot t on nodes x, before scaling.
+
+    Returns {"base", "interface", "wall", "rho"}; the sampled field is
+    base + interface + epsilon * (wall + rho).
+    """
+    parts = ansatz._parts(np.array([ansatz.knot_index(t)]), x)
+    return {name: part[0] for name, part in parts.items()}
+
+
 @pytest.fixture(scope="module")
 def small_cfg():
     return StudyConfig(T=0.02, dt_knot=2.5e-3, profile_cells=64,
@@ -39,8 +54,7 @@ def small_cfg():
 def jump_small(small_cfg):
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     pieces = build_expansion_pieces(data, small_cfg)
-    ansatz = assemble_ansatz(pieces.ext, pieces.profiles, pieces.boundary,
-                             0.1, pieces.levelsets)
+    ansatz = ExpansionAnsatz(pieces, 0.1)
     return data, pieces, ansatz
 
 
@@ -48,8 +62,7 @@ def jump_small(small_cfg):
 def swirl_small(small_cfg):
     data = named_field("swirl")
     pieces = build_expansion_pieces(data, small_cfg)
-    ansatz = assemble_ansatz(pieces.ext, pieces.profiles, pieces.boundary,
-                             0.1, pieces.levelsets)
+    ansatz = ExpansionAnsatz(pieces, 0.1)
     return data, pieces, ansatz
 
 
@@ -68,16 +81,14 @@ def test_knot_index_finds_knots_and_rejects_off_knot(jump_small):
 def test_sampler_rejects_nodes_outside_slab(jump_small):
     _, _, ansatz = jump_small
     with pytest.raises(ValueError, match="must lie in"):
-        ansatz.sample(0.0, np.array([0.0, 1.5]))
+        _sample(ansatz, 0.0, np.array([0.0, 1.5]))
 
 
-def test_assemble_validates_epsilon_and_grids(jump_small):
+def test_ansatz_refuses_non_positive_epsilon(jump_small):
     _, pieces, _ = jump_small
-    with pytest.raises(ValueError, match="positive"):
-        assemble_ansatz(pieces.ext, pieces.profiles, pieces.boundary, 0.0)
-    shifted = replace(pieces.ext, times=pieces.ext.times + 1.0)
-    with pytest.raises(ValueError, match="grid mismatch"):
-        assemble_ansatz(shifted, pieces.profiles, pieces.boundary, 0.1)
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError, match="positive"):
+            ExpansionAnsatz(pieces, eps)
 
 
 def test_zero_jump_constant_ansatz_is_the_evolved_constant(small_cfg):
@@ -85,17 +96,16 @@ def test_zero_jump_constant_ansatz_is_the_evolved_constant(small_cfg):
     # sampler must return the pointwise limit flow exactly
     data = constant_per_side((0.6, 0.8, 0.0), (0.6, 0.8, 0.0))
     pieces = build_expansion_pieces(data, small_cfg)
-    ansatz = assemble_ansatz(pieces.ext, pieces.profiles, pieces.boundary,
-                             0.05, pieces.levelsets)
+    ansatz = ExpansionAnsatz(pieces, 0.05)
     c = _evolved([0.6, 0.8, 0.0], ansatz.times)
     x = np.linspace(-1.0, 1.0, 41)
     for k in (0, 4, ansatz.times.size - 1):
         t = float(ansatz.times[k])
-        parts = ansatz.sample_parts(t, x)
+        parts = _sample_parts(ansatz, t, x)
         assert np.max(np.abs(parts["interface"])) == 0.0
         assert np.max(np.abs(parts["wall"])) == 0.0
         assert np.max(np.abs(parts["rho"])) == 0.0
-        np.testing.assert_allclose(ansatz.sample(t, x),
+        np.testing.assert_allclose(_sample(ansatz, t, x),
                                    np.tile(c[k], (x.size, 1)), atol=1e-13)
 
 
@@ -110,7 +120,7 @@ def test_far_field_is_the_one_sided_limit_state(jump_small):
     for k in (1, ansatz.times.size - 1):
         t = float(ansatz.times[k])
         want = (1.0 - expect) * c_minus[k] + expect * c_plus[k]
-        np.testing.assert_allclose(ansatz.sample(t, x), want, atol=1e-12)
+        np.testing.assert_allclose(_sample(ansatz, t, x), want, atol=1e-12)
 
 
 def test_interface_value_matches_profile_trace(jump_small):
@@ -121,7 +131,7 @@ def test_interface_value_matches_profile_trace(jump_small):
     c0 = int(np.argmin(np.abs(pair.x_support)))
     assert pair.x_support[c0] == 0.0
     k = ansatz.times.size - 1
-    parts = ansatz.sample_parts(float(ansatz.times[k]), np.array([0.0]))
+    parts = _sample_parts(ansatz, float(ansatz.times[k]), np.array([0.0]))
     expect = pair.W[k, c0, pair.j0] - 0.5 * pair.delta[k, c0]
     np.testing.assert_allclose(parts["interface"][0], expect, atol=1e-13)
 
@@ -132,10 +142,10 @@ def test_ansatz_is_continuous_across_the_interface(jump_small):
     _, _, ansatz = jump_small
     t = float(ansatz.times[-1])
     x = np.array([-1e-8, 1e-8])
-    parts = ansatz.sample_parts(t, x)
+    parts = _sample_parts(ansatz, t, x)
     base_gap = np.linalg.norm(parts["base"][1] - parts["base"][0])
     assert base_gap > 1.0
-    vals = ansatz.sample(t, x)
+    vals = _sample(ansatz, t, x)
     assert np.linalg.norm(vals[1] - vals[0]) < 1e-5
 
 
@@ -144,9 +154,9 @@ def test_jump_fixture_has_no_wall_layer(jump_small):
     # wall profile and the slow corrector vanish identically
     _, pieces, ansatz = jump_small
     assert np.max(np.abs(pieces.boundary.U)) == 0.0
-    assert np.max(np.abs(ansatz.g_minus)) == 0.0
-    assert np.max(np.abs(ansatz.g_plus)) == 0.0
-    parts = ansatz.sample_parts(0.0, np.linspace(-1.0, 1.0, 33))
+    assert np.max(np.abs(pieces.g_minus)) == 0.0
+    assert np.max(np.abs(pieces.g_plus)) == 0.0
+    parts = _sample_parts(ansatz, 0.0, np.linspace(-1.0, 1.0, 33))
     assert np.max(np.abs(parts["wall"])) == 0.0
     assert np.max(np.abs(parts["rho"])) == 0.0
 
@@ -158,25 +168,25 @@ def test_swirl_fixture_has_no_interface_layer(swirl_small):
     assert np.max(np.abs(pieces.profiles.W)) == 0.0
     assert np.max(np.abs(pieces.profiles.delta)) == 0.0
     assert np.all(pieces.profiles.iterations == 0)
-    parts = ansatz.sample_parts(0.0, np.linspace(-1.0, 1.0, 33))
+    parts = _sample_parts(ansatz, 0.0, np.linspace(-1.0, 1.0, 33))
     assert np.max(np.abs(parts["interface"])) == 0.0
 
 
 def test_swirl_wall_increment_lives_in_the_boundary_band(swirl_small):
-    _, _, ansatz = swirl_small
+    _, pieces, ansatz = swirl_small
     t = float(ansatz.times[-1])
     mid = np.linspace(-0.7, 0.7, 15)
-    parts = ansatz.sample_parts(t, mid)
+    parts = _sample_parts(ansatz, t, mid)
     assert np.max(np.abs(parts["wall"])) == 0.0
     near = np.array([-0.98, -0.9, 0.9, 0.98])
-    parts = ansatz.sample_parts(t, near)
+    parts = _sample_parts(ansatz, t, near)
     assert np.max(np.abs(parts["wall"])) > 1e-3
     # the corrector is the ramp times the cutoff times the trace slope
     k = ansatz.knot_index(t)
-    theta = ansatz.levelsets.theta(near)
+    theta = pieces.levelsets.theta(near)
     want = ((1.0 - np.abs(near)) * theta)[:, None] \
-        * np.where((near > 0.0)[:, None], ansatz.g_plus[k],
-                   ansatz.g_minus[k])
+        * np.where((near > 0.0)[:, None], pieces.g_plus[k],
+                   pieces.g_minus[k])
     np.testing.assert_allclose(parts["rho"], want, atol=1e-15)
 
 
@@ -187,7 +197,7 @@ def test_sampling_is_deterministic(jump_small):
     a = ansatz.sample_times(times, x)
     b = ansatz.sample_times(times, x)
     assert np.array_equal(a, b)
-    rows = np.stack([ansatz.sample(float(t), x) for t in times])
+    rows = np.stack([_sample(ansatz, float(t), x) for t in times])
     assert np.array_equal(a, rows)
 
 
@@ -222,7 +232,8 @@ def _resample_then_eval(knots, U_x, s):
 def _reference_sample(ansatz, t, x):
     k = ansatz.knot_index(t)
     eps = ansatz.epsilon
-    ext, pair, prof = ansatz.ext, ansatz.profiles, ansatz.boundary
+    pieces = ansatz.pieces
+    ext, pair, prof = pieces.ext, pieces.profiles, pieces.boundary
     xp = ext.x_param
     base = np.empty((x.size, 3))
     left = x < 0.0
@@ -233,7 +244,7 @@ def _reference_sample(ansatz, t, x):
 
     interface = np.zeros((x.size, 3))
     ys = x / eps
-    active = ansatz.levelsets.in_v_sigma(x) & (np.abs(ys) <= pair.Y)
+    active = pieces.levelsets.in_v_sigma(x) & (np.abs(ys) <= pair.Y)
     idx = np.nonzero(pair.support_mask)[0]
     xs_ext = xp[idx[0] - 1:idx[-1] + 2]
     W_ext = np.zeros((xs_ext.size,) + pair.W.shape[2:])
@@ -255,7 +266,7 @@ def _reference_sample(ansatz, t, x):
     interface[active] = vals
 
     wall = np.zeros((x.size, 3))
-    theta_x = ansatz.levelsets.theta(x)
+    theta_x = pieces.levelsets.theta(x)
     zs = (1.0 - np.abs(x)) / eps
     xs = prof.x_support
     zero = np.zeros((1,) + prof.U.shape[2:])
@@ -276,8 +287,8 @@ def _reference_sample(ansatz, t, x):
     rho = np.zeros((x.size, 3))
     phi_theta = (1.0 - np.abs(x)) * theta_x
     right = x > 0.0
-    rho[right] = phi_theta[right, None] * ansatz.g_plus[k]
-    rho[left] = phi_theta[left, None] * ansatz.g_minus[k]
+    rho[right] = phi_theta[right, None] * pieces.g_plus[k]
+    rho[left] = phi_theta[left, None] * pieces.g_minus[k]
     return base + interface + eps * (wall + rho)
 
 
@@ -287,19 +298,18 @@ def test_blocked_sampling_matches_the_per_knot_reference(fixture, request):
     # wall path; 9 knots make one full block of 8 and a partial one
     _, pieces, _ = request.getfixturevalue(fixture)
     eps = 0.03125
-    ansatz = assemble_ansatz(pieces.ext, pieces.profiles, pieces.boundary,
-                             eps, pieces.levelsets)
+    ansatz = ExpansionAnsatz(pieces, eps)
     times = ansatz.times
     assert times.size % 8 != 0
     x = np.linspace(-1.0, 1.0, 257)
     # the active window reaches its edge |y| = Y at interior nodes
-    edge = ansatz.levelsets.in_v_sigma(x) & (np.abs(x / eps)
+    edge = pieces.levelsets.in_v_sigma(x) & (np.abs(x / eps)
                                              == pieces.profiles.Y)
     assert np.count_nonzero(edge) == 2
     got = ansatz.sample_times(times, x)
     want = np.stack([_reference_sample(ansatz, float(t), x) for t in times])
     layer = "interface" if fixture == "jump_small" else "wall"
-    assert max(np.max(np.abs(ansatz.sample_parts(float(t), x)[layer]))
+    assert max(np.max(np.abs(_sample_parts(ansatz, float(t), x)[layer]))
                for t in times) > 1e-3
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 

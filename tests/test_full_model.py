@@ -23,7 +23,6 @@ from llx.full_model import (
     d2_coefficients,
     F_rhs,
     make_epsilon_grid,
-    make_uniform_grid,
     one_sided_d1,
     residual_report,
     simulate_full,
@@ -71,14 +70,9 @@ def mms():
 
 # === grids and stencils ===
 
-def test_uniform_grid():
-    g = make_uniform_grid(16)
-    assert g.n == 17
-    assert g.x[0] == -1.0 and g.x[-1] == 1.0
-    assert np.allclose(np.diff(g.x), 0.125)
-    assert 0.0 in g.x
-    with pytest.raises(ValueError, match="even"):
-        make_uniform_grid(7)
+def _uniform_grid(cells: int) -> Grid1D:
+    """Uniform mesh with an even number of cells on [-1, 1]."""
+    return Grid1D(x=np.linspace(-1.0, 1.0, cells + 1))
 
 
 def test_epsilon_grid_structure():
@@ -191,7 +185,7 @@ def test_F_rhs_against_expansion():
 
 def test_zero_exchange_degenerates_to_midpoint_rule():
     rng = np.random.default_rng(45)
-    g = make_uniform_grid(16)
+    g = _uniform_grid(16)
     u0 = renormalize(rng.normal(size=(g.n, 3)))
     cfg = FullModelConfig(epsilon=0.0, dt=0.02, T=0.2, renormalize=False)
     traj = simulate_full(u0, g, cfg)
@@ -203,7 +197,7 @@ def test_zero_exchange_degenerates_to_midpoint_rule():
 
 def _mms_error(mms, eps, dt, cells, T=0.4):
     u_eval, source_for = mms
-    g = make_uniform_grid(cells)
+    g = _uniform_grid(cells)
     cfg = FullModelConfig(epsilon=eps, dt=dt, T=T, renormalize=False)
     traj = simulate_full(u_eval(0.0, g.x), g, cfg,
                          source=source_for(eps))
@@ -244,7 +238,7 @@ def test_norm_drift_scales_with_dt():
     # smooth on-sphere data: pre-projection drift per step is small and
     # shrinks linearly with the step
     from llx.fields import named_field
-    g = make_uniform_grid(64)
+    g = _uniform_grid(64)
     u0 = named_field("swirl")(g.x)
     drifts = []
     for dt in (1e-2, 5e-3):
@@ -272,7 +266,7 @@ def test_jump_data_survives_through_step_halving():
 
 def test_drift_guard_aborts():
     rng = np.random.default_rng(48)
-    g = make_uniform_grid(16)
+    g = _uniform_grid(16)
     u0 = renormalize(rng.normal(size=(g.n, 3)))
     cfg = FullModelConfig(epsilon=0.1, dt=0.05, T=0.1, drift_tol=1e-18,
                           max_halvings=3)
@@ -283,7 +277,7 @@ def test_drift_guard_aborts():
 def test_nan_initial_data_aborts():
     # a NaN state must end the run as a solver failure, not slip past the
     # drift guard (NaN compares false) or surface as a generic ValueError
-    g = make_uniform_grid(16)
+    g = _uniform_grid(16)
     u0 = np.tile([0.6, 0.8, 0.0], (g.n, 1))
     u0[5, 2] = np.nan
     cfg = FullModelConfig(epsilon=0.1, dt=0.01, T=0.05)
@@ -292,7 +286,7 @@ def test_nan_initial_data_aborts():
 
 
 def test_t_eval_and_validation():
-    g = make_uniform_grid(16)
+    g = _uniform_grid(16)
     u0 = np.tile([0.6, 0.8, 0.0], (g.n, 1))
     cfg = FullModelConfig(epsilon=0.05, dt=0.01, T=0.2)
     traj = simulate_full(u0, g, cfg, t_eval=[0.05, 0.13])
@@ -311,7 +305,7 @@ def test_config_validation():
 
 def test_determinism():
     rng = np.random.default_rng(49)
-    g = make_uniform_grid(24)
+    g = _uniform_grid(24)
     u0 = renormalize(rng.normal(size=(g.n, 3)))
     cfg = FullModelConfig(epsilon=0.08, dt=5e-3, T=0.1)
     a = simulate_full(u0, g, cfg)
@@ -326,7 +320,7 @@ def test_residual_vanishes_on_manufactured_solution(mms):
     eps = 0.3
     reports = []
     for cells, nt in ((40, 41), (80, 81)):
-        g = make_uniform_grid(cells)
+        g = _uniform_grid(cells)
         times = np.linspace(0.0, 0.4, nt)
         vals = np.stack([u_eval(t, g.x) for t in times])
         reports.append(residual_report(times, vals, g, eps,
@@ -341,7 +335,7 @@ def test_residual_vanishes_on_manufactured_solution(mms):
 
 def test_residual_sees_missing_source(mms):
     u_eval, source_for = mms
-    g = make_uniform_grid(40)
+    g = _uniform_grid(40)
     times = np.linspace(0.0, 0.4, 41)
     vals = np.stack([u_eval(t, g.x) for t in times])
     with_src = residual_report(times, vals, g, 0.3, source=source_for(0.3))
@@ -350,7 +344,7 @@ def test_residual_sees_missing_source(mms):
 
 
 def test_residual_report_fields():
-    g = make_uniform_grid(16)
+    g = _uniform_grid(16)
     times = np.linspace(0.0, 0.1, 5)
     vals = np.tile([0.0, 1.0, 0.0], (times.size, g.n, 1))
     rep = residual_report(times, vals, g, 0.1)

@@ -11,9 +11,9 @@ from llx.full_model import (F_rhs, apply_tridiagonal_stencil,
                             d2_coefficients, one_sided_d1)
 from llx.geometry import LevelSets, build_domain
 from llx.internal_layer import (E1, TIME_BLOCK, ExtendedLimit, F_pm,
-                                ProfileGrid, extend_limit, make_profile_grid,
-                                make_time_grid, march_transmission,
-                                picard_profiles, profile_d1, _picard)
+                                ProfileGrid, extend_limit, graded_widths,
+                                make_profile_grid, make_time_grid,
+                                picard_profiles, profile_d1, _picard, _sweep)
 from llx.limit_model import rhs_limit, simulate_limit
 from llx.strayfield import stray_field_slab
 
@@ -35,23 +35,26 @@ def test_profile_grid_structure():
     assert abs(w.sum() - 15.0) < 1e-12
 
 
-def test_profile_grid_h_max_override():
-    pg = make_profile_grid(Y=6.0, cells=64, h_max=0.1875)
-    assert np.diff(pg.y).max() <= 0.1875 + 1e-12
+@pytest.mark.parametrize("length, cells", [(100.0, 8), (6.0, 64),
+                                            (15.0, 128), (0.5, 8)])
+def test_graded_widths_cover_any_box(length, cells):
+    # the cap max(2 length / cells, 0.25) lets the capped cells alone
+    # cover twice the length, so every box is covered
+    w = graded_widths(length, cells)
+    assert w.size == cells
+    assert abs(w.sum() - length) <= 1e-12 * length
+    assert np.all(np.diff(w) >= -1e-15)
+    assert w.max() <= max(2.0 * length / cells, 0.25) * (1.0 + 1e-12)
 
 
 def test_profile_grid_validation():
     with pytest.raises(ValueError, match="cells >= 8"):
         make_profile_grid(Y=15.0, cells=4)
-    with pytest.raises(ValueError, match="growth"):
-        make_profile_grid(growth=1.0)
-    with pytest.raises(ValueError, match="cannot cover"):
-        make_profile_grid(Y=100.0, cells=8, h_max=0.5)
 
 
 def test_time_grid_binary_ramp():
     dt = 2.5e-3
-    tg = make_time_grid(0.02, dt=dt, ramp_cells=6)
+    tg = make_time_grid(0.02, dt=dt)
     assert tg[0] == 0.0 and tg[-1] == 0.02
     steps = np.diff(tg)
     # opening steps: dt/64, dt/64, dt/32, ..., dt/2, then uniform dt
@@ -71,6 +74,17 @@ def test_time_grid_ragged_end_and_validation():
         make_time_grid(-1.0)
     with pytest.raises(ValueError, match="positive"):
         make_time_grid(1.0, dt=0.0)
+
+
+@pytest.mark.parametrize("T", [0.35, 0.7])
+def test_time_grid_has_no_rounding_sliver_before_T(T):
+    # dt * n misses these T by one ulp; the near-duplicate knot goes
+    dt = 2.5e-3
+    tg = make_time_grid(T, dt=dt)
+    assert tg[-1] == T
+    steps = np.diff(tg)
+    assert steps.min() == dt / 64.0
+    np.testing.assert_allclose(steps[7:], dt, rtol=1e-9)
 
 
 # --- extended limit states ---
@@ -203,6 +217,15 @@ def test_profile_d1_exact_on_quadratics():
 
 # --- marching kernel conveyance (manufactured solution) ---
 
+def _march_column(pgrid, times, coeff, f_minus, f_plus):
+    """One column of the stacked march from W = 0; coeff, f_minus and
+    f_plus are (nt, ny, 3). Returns W (nt, ny, 3)."""
+    W = np.zeros((times.size, pgrid.n, 3))
+    W[1:] = _sweep(pgrid, times, W[:1], coeff[:, None], f_minus[:, None],
+                   f_plus[:, None])[:, 0]
+    return W
+
+
 def _mms_pieces():
     """Manufactured profile with a second-derivative kink at y = 0.
 
@@ -243,7 +266,7 @@ def _mms_march(n_cells: int, dt: float, T: float = 0.5):
                 - np.sin(times)[:, None, None] * g2v
                 * (v[None, None, :] + cross))
 
-    W = march_transmission(pg, times, coeff, forcing(-1), forcing(1))
+    W = _march_column(pg, times, coeff, forcing(-1), forcing(1))
     exact = np.where((y >= 0.0)[:, None], g[1](y)[:, None] * v,
                      g[-1](y)[:, None] * v) * np.sin(times[-1])
     return float(np.max(np.abs(W[-1] - exact)))
@@ -269,18 +292,8 @@ def test_march_zero_forcing_stays_zero():
     coeff = np.zeros(shape)
     coeff[..., 1] = 0.9
     zeros = np.zeros(shape)
-    W = march_transmission(pg, times, coeff, zeros, zeros)
+    W = _march_column(pg, times, coeff, zeros, zeros)
     assert np.max(np.abs(W)) == 0.0
-
-
-def test_march_validates_shapes():
-    pg = make_profile_grid(Y=6.0, cells=32)
-    times = make_time_grid(0.05, dt=0.01)
-    good = np.zeros((times.size, pg.n, 3))
-    with pytest.raises(ValueError, match="coeff shape"):
-        march_transmission(pg, times, good[:, :-1], good, good)
-    with pytest.raises(ValueError, match="forcing"):
-        march_transmission(pg, times, good, good[:-1], good)
 
 
 # --- fixed point on the jump fixture ---
@@ -642,7 +655,7 @@ def test_march_with_nan_coefficient_aborts():
     coeff[3, 5, 1] = np.nan
     f = np.ones(shape)
     with pytest.raises(SolverAbort, match="non-finite"):
-        march_transmission(pg, times, coeff, f, f)
+        _march_column(pg, times, coeff, f, f)
 
 
 def test_validate_flags_fat_tail(jump_profiles):
@@ -665,7 +678,7 @@ def test_gain_from_forcing_decays_with_lambda():
     f = (np.exp(-times)[:, None, None] * env[:, None]
          * np.array([0.2, -0.4, 0.5]))
     coeff = np.zeros((times.size, y.size, 3))
-    W = march_transmission(pg, times, coeff, f, f)
+    W = _march_column(pg, times, coeff, f, f)
 
     def weighted_l2(field, lam):
         # L2 over (t, y) with the time weight e^{-2 lam t}

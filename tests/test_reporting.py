@@ -7,9 +7,8 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from llx.expansion import ConvergenceReport
+from llx.expansion import ConvergenceReport, EClassNorms
 from llx.reporting import (
-    CONVERGENCE_COLUMNS,
     fmt,
     render_loglog_svg,
     write_convergence_csv,
@@ -18,9 +17,14 @@ from llx.reporting import (
 )
 
 
-def _report():
+def _report(m: int = 1):
     eps = np.array([0.1, 0.05, 0.025])
-    err = np.array([0.1, 0.05 ** 0.5 * 0.1 / 0.1 ** 0.5, 0.025 ** 0.5])
+
+    def records(order, total):
+        return tuple(EClassNorms(m=order, conormal=t, normal_conormal=0.0,
+                                 sup=0.0, sup_conormal=0.0, sup_normal=0.0)
+                     for t in total)
+
     return ConvergenceReport(
         epsilons=eps,
         errors_l2=np.array([1e-1, 7e-2, 5e-2]),
@@ -29,8 +33,8 @@ def _report():
         slope_running=np.array([np.nan, 0.51, 0.49]),
         eclass_m0=np.array([1.0, 1.1, 1.2]),
         eclass_m1=np.array([2.0, 2.2, 2.4]),
-        records_m0=[],
-        records_m1=[],
+        records_m0=records(0, [1.0, 1.1, 1.2]),
+        records_m1=records(m, [2.0, 2.2, 2.4]),
         T_used=0.5,
         grid_sizes=np.array([161, 321, 641]),
         drift_max=1e-7,
@@ -77,13 +81,22 @@ def test_convergence_csv_shape(tmp_path):
     write_convergence_csv(path, _report(), meta={"slope": "0.5"})
     lines = open(path, encoding="utf-8").read().splitlines()
     assert lines[0] == "# slope=0.5"
-    assert lines[1] == ",".join(CONVERGENCE_COLUMNS)
+    assert lines[1] == ("epsilon,err_l2,residual_l2,slope_running,"
+                        "eclass_m0,eclass_m1")
     body = [l.split(",") for l in lines[2:]]
     assert len(body) == 3
     assert body[0][0] == "0.1"
     # the first running slope has no predecessor
     assert body[0][3] == "nan"
     assert body[1][3] == "0.51"
+
+
+def test_convergence_csv_names_the_second_eclass_column_by_its_order(
+        tmp_path):
+    path = str(tmp_path / "report.csv")
+    write_convergence_csv(path, _report(m=2))
+    header = open(path, encoding="utf-8").read().splitlines()[0]
+    assert header.split(",")[-2:] == ["eclass_m0", "eclass_m2"]
 
 
 def test_write_text_exact(tmp_path):
