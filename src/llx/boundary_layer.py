@@ -26,7 +26,6 @@ g_side is the outward normal derivative of U(t, . , 0) at the wall, so
 d_n rho|_wall = -g_side exactly cancels it.
 
 Contains:
-- make_wall_grid: graded one-sided z-mesh on [0, Z]
 - linearized_reaction / linearized_reaction_matrix: the operator L
 - march_wall: Crank-Nicolson march of one column
 - BoundaryProfile / solve_boundary_profile: all wall columns
@@ -43,18 +42,10 @@ import numpy as np
 
 from .banded import block_tridiag_solve, cross_matrix
 from .errors import ValidationError
-from .full_model import apply_tridiagonal_stencil, d2_coefficients, one_sided_d1
-from .geometry import LevelSets
-from .internal_layer import E1, ExtendedLimit, graded_widths, profile_d1
-from .strayfield import stray_field_slab
-
-
-def make_wall_grid(Z: float = 15.0, cells: int = 96) -> np.ndarray:
-    """Graded nodes on [0, Z] (graded_widths), finest at the wall z = 0."""
-    w = graded_widths(Z, cells)
-    z = np.concatenate([[0.0], np.cumsum(w)])
-    z[-1] = Z
-    return z
+from .geometry import (LevelSets, apply_tridiagonal_stencil, d2_coefficients,
+                       one_sided_d1, profile_d1)
+from .limit_model import ExtendedLimit
+from .strayfield import E1, stray_field_slab
 
 
 # === linearized layer reaction ===

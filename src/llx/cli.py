@@ -36,7 +36,7 @@ from .expansion import (ExpansionAnsatz, build_expansion_pieces,
                         convergence_study, knot_times)
 from .full_model import (FullModelConfig, make_epsilon_grid, residual_report,
                          simulate_full)
-from .geometry import build_domain
+from .geometry import param_nodes
 from .limit_model import simulate_limit
 from .reporting import (fmt, render_loglog_svg, write_convergence_csv,
                         write_csv, write_text)
@@ -60,8 +60,7 @@ def _meta(cfg: RunConfig, command: str, **extra) -> dict:
 
 
 def cmd_limit(cfg: RunConfig, args, out_dir: str) -> int:
-    domain = build_domain(cells_per_side=cfg.study.param_cells)
-    x = domain.merged_nodes()
+    x = param_nodes(cfg.study.param_cells)
     times = knot_times(cfg.study.T, cfg.study.dt_knot)
     u0 = np.stack([cfg.data(x, "minus"), cfg.data(x, "plus")])
     traj = simulate_limit(u0, cfg.study.T, cfg.study.dt_full,

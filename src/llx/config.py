@@ -36,9 +36,6 @@ from .expansion import StudyConfig
 from .fields import NAMED_FIELDS, MagnetizationField, constant_per_side, \
     named_field
 
-_SCENARIO_KEYS = ("name", "data", "value_minus", "value_plus", "field")
-_RUN_KEYS = ("epsilon", "seed", "out")
-
 _SCENARIO_DEFAULTS = {
     "name": "headline",
     "data": "constant",

@@ -46,20 +46,19 @@ from typing import Optional
 
 import numpy as np
 
-from .boundary_layer import (BoundaryProfile, make_wall_grid,
-                             neumann_corrector, solve_boundary_profile,
-                             wall_slopes)
+from .boundary_layer import (BoundaryProfile, neumann_corrector,
+                             solve_boundary_profile, wall_slopes)
 from .errors import ConfigError, NonContraction
 from .fields import MagnetizationField
 from .full_model import (FullModelConfig, l2_space_time, make_epsilon_grid,
                          residual_report, simulate_full)
-from .geometry import LevelSets, build_domain, conormal_weight
-from .internal_layer import (ExtendedLimit, ProfilePair, extend_limit,
-                             make_profile_grid, make_time_grid,
-                             picard_profiles, profile_d1)
+from .geometry import (LevelSets, conormal_weight, make_profile_grid,
+                       make_wall_grid, param_nodes, profile_d1)
+from .internal_layer import ProfilePair, make_time_grid, picard_profiles
 from .interp import (contract_columns, natural_spline_coeffs, spline_eval,
                      x_resample)
-from .limit_model import renormalize, simulate_limit
+from .limit_model import (ExtendedLimit, extend_limit, renormalize,
+                          simulate_limit)
 
 
 # === the assembled ansatz ===
@@ -364,6 +363,9 @@ _POSITIVE_FIELDS = ("T", "dt_full", "dt_knot", "box_y", "box_z",
 # the smallest value each mesh or loop builder accepts
 _FIELD_MINIMA = {"cells_per_eps": 4, "param_cells": 8, "profile_cells": 8,
                  "wall_cells": 8, "picard_max_iter": 1}
+# the most nominal full-model steps T / dt_full one study may ask for:
+# 200 times the default 500, so a mistyped step is refused, not marched
+MAX_FULL_STEPS = 100_000
 
 
 @dataclass(frozen=True)
@@ -399,6 +401,11 @@ class StudyConfig:
             raise ConfigError(
                 f"dt_full={self.dt_full} must not exceed "
                 f"dt_knot={self.dt_knot}")
+        if self.T / self.dt_full > MAX_FULL_STEPS:
+            raise ConfigError(
+                f"study.dt_full={self.dt_full} asks for "
+                f"{self.T / self.dt_full:.3g} steps over T={self.T}, more "
+                f"than the budget of {MAX_FULL_STEPS}")
         ratio = self.T / self.dt_knot
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError(
@@ -468,13 +475,12 @@ def build_expansion_pieces(data: MagnetizationField,
     The report carries the shortened horizon. The wall layer validates.
     """
     levelsets = LevelSets()
-    domain = build_domain(cells_per_side=cfg.param_cells)
     T_used = float(cfg.T)
-    pgrid = make_profile_grid(Y=cfg.box_y, cells=cfg.profile_cells)
-    ext = extend_limit(data, domain, levelsets,
+    y = make_profile_grid(Y=cfg.box_y, cells=cfg.profile_cells)
+    ext = extend_limit(data, param_nodes(cfg.param_cells), levelsets,
                        make_time_grid(T_used, dt=cfg.dt_knot))
     try:
-        pair = picard_profiles(ext, levelsets, pgrid, tol=cfg.picard_tol,
+        pair = picard_profiles(ext, levelsets, y, tol=cfg.picard_tol,
                                max_iter=cfg.picard_max_iter)
     except NonContraction as exc:
         T_used = float(np.floor(exc.t_converged / cfg.dt_knot) * cfg.dt_knot)

@@ -16,7 +16,6 @@ degenerates to the explicit midpoint rule of the limit flow.
 
 Contains:
 - Grid1D / make_epsilon_grid: single-valued meshes, layer-refined
-- d2_coefficients / d1_coefficients / apply_tridiagonal_stencil
 - F_rhs: the zero-order reaction term
 - FullModelConfig, step_full, simulate_full, FullTrajectory
 - l2_space_time: composite-trapezoid space-time L2 norm
@@ -33,6 +32,8 @@ import numpy as np
 
 from .banded import block_tridiag_solve, cross_matrix
 from .errors import SolverAbort
+from .geometry import (apply_tridiagonal_stencil, d1_coefficients,
+                       d2_coefficients, mirrored, nodes, one_sided_d1)
 from .limit_model import output_times, renormalize as project_sphere, substeps
 from .strayfield import stray_field_slab
 
@@ -88,81 +89,7 @@ def make_epsilon_grid(epsilon: float, cells_per_eps: int = 32) -> Grid1D:
     half = _half_widths(epsilon / cells_per_eps, 15.0 * epsilon)
     # one side = fine at interface -> coarse at 0.5 -> fine at wall
     side = np.concatenate([half, half[::-1]])
-    x_plus = np.concatenate([[0.0], np.cumsum(side)])
-    x_plus[-1] = 1.0
-    x = np.concatenate([-x_plus[::-1][:-1], x_plus])
-    x[np.argmin(np.abs(x))] = 0.0
-    return Grid1D(x=x)
-
-
-# === stencils ===
-
-def d2_coefficients(x: np.ndarray):
-    """Nonuniform 3-point second-derivative weights (a, b, c).
-
-    Row i applies a[i] u[i-1] + b[i] u[i] + c[i] u[i+1]. The wall rows
-    fold in the mirrored Neumann ghost (u[-1] = u[1] at equal spacing),
-    so a[0] = c[-1] = 0 and the zero-flux condition is built in.
-    """
-    x = np.asarray(x, dtype=float)
-    h = np.diff(x)
-    a = np.zeros_like(x)
-    b = np.zeros_like(x)
-    c = np.zeros_like(x)
-    hm, hp = h[:-1], h[1:]
-    a[1:-1] = 2.0 / (hm * (hm + hp))
-    c[1:-1] = 2.0 / (hp * (hm + hp))
-    b[1:-1] = -(a[1:-1] + c[1:-1])
-    c[0] = 2.0 / h[0] ** 2
-    b[0] = -c[0]
-    a[-1] = 2.0 / h[-1] ** 2
-    b[-1] = -a[-1]
-    return a, b, c
-
-
-def d1_coefficients(x: np.ndarray):
-    """Nonuniform centered first-derivative weights (a, b, c).
-
-    Wall rows are zero: under the mirrored ghost the centered derivative
-    at the walls vanishes identically, which is the boundary condition.
-    """
-    x = np.asarray(x, dtype=float)
-    h = np.diff(x)
-    a = np.zeros_like(x)
-    b = np.zeros_like(x)
-    c = np.zeros_like(x)
-    hm, hp = h[:-1], h[1:]
-    a[1:-1] = -hp / (hm * (hm + hp))
-    c[1:-1] = hm / (hp * (hm + hp))
-    b[1:-1] = -(a[1:-1] + c[1:-1])
-    return a, b, c
-
-
-def apply_tridiagonal_stencil(coeffs, u: np.ndarray) -> np.ndarray:
-    """Apply 3-point weights (a, b, c) along axis 0 of u, shape (n, ...)."""
-    a, b, c = coeffs
-    out = b.reshape(-1, *([1] * (u.ndim - 1))) * u
-    out[1:] += a[1:].reshape(-1, *([1] * (u.ndim - 1))) * u[:-1]
-    out[:-1] += c[:-1].reshape(-1, *([1] * (u.ndim - 1))) * u[1:]
-    return out
-
-
-def one_sided_d1(x: np.ndarray, u: np.ndarray, end: str) -> np.ndarray:
-    """Second-order one-sided first derivative at an endpoint of axis 0.
-
-    Evaluated on telescoped differences, so constant data returns an
-    exact zero rather than rounding noise.
-    """
-    x = np.asarray(x, dtype=float)
-    if end == "left":
-        h1 = x[1] - x[0]
-        h2 = x[2] - x[1]
-        return ((2 * h1 + h2) / (h1 * (h1 + h2)) * (u[1] - u[0])
-                - h1 / (h2 * (h1 + h2)) * (u[2] - u[1]))
-    h1 = x[-1] - x[-2]
-    h2 = x[-2] - x[-3]
-    return ((2 * h1 + h2) / (h1 * (h1 + h2)) * (u[-1] - u[-2])
-            - h1 / (h2 * (h1 + h2)) * (u[-2] - u[-3]))
+    return Grid1D(x=mirrored(nodes(side, 1.0)))
 
 
 # === right-hand side ===

@@ -1,9 +1,19 @@
-"""Slab geometry: domain meshes, level sets, cutoffs, conormal weights.
+"""Slab geometry: meshes, finite-difference stencils, level sets, cutoffs.
+
+Every mesh of the slab problem is assembled the same way: cumulative
+cell widths from 0, the last node pinned to the exact end, and the
+two-sided meshes mirrored through 0 with the interface node once.
 
 Contains:
 - quintic_smoothstep: the C2 polynomial ramp used by every cutoff here
-- SlabDomain / build_domain: the uniform two-sided slab (-1,1) with the
-  interface at x = 0 stored as a duplicated node
+- nodes / mirrored: the one-sided and the mirrored node assembly
+- param_nodes: the uniform parameter mesh of (-1, 1), interface 0 once
+- graded_widths / make_profile_grid / make_wall_grid: the graded layer
+  meshes in the stretched variables y on [-Y, Y] and z on [0, Z]
+- d2_coefficients / d1_coefficients / apply_tridiagonal_stencil:
+  nonuniform 3-point stencils with the Neumann walls built in
+- one_sided_d1 / profile_d1: second-order first derivatives at an end
+  and along a whole node axis
 - LevelSets: distance to the boundary, the boundary cutoff theta, and
   the interface blending weight chi
 - conormal_weight: weight of the vector field x(1-x^2) d/dx tangent to
@@ -27,40 +37,161 @@ def quintic_smoothstep(t):
     return t * t * t * (t * (6.0 * t - 15.0) + 10.0)
 
 
-@dataclass(frozen=True)
-class SlabDomain:
-    """Two-sided slab (-1, 1) with interface x = 0 duplicated.
+# === meshes ===
 
-    x_minus runs from -1 to 0 inclusive, x_plus from 0 to 1 inclusive;
-    the shared endpoint 0 appears in both arrays (two-sided storage, the
-    limit solution may jump there).
+def nodes(widths: np.ndarray, end: float) -> np.ndarray:
+    """Nodes 0, cumsum(widths), the last one pinned to end exactly."""
+    x = np.concatenate([[0.0], np.cumsum(widths)])
+    x[-1] = end
+    return x
+
+
+def mirrored(half: np.ndarray) -> np.ndarray:
+    """Nodes half (starting at 0) mirrored through 0, the 0 once."""
+    return np.concatenate([-half[::-1][:-1], half])
+
+
+def param_nodes(cells: int) -> np.ndarray:
+    """Uniform parameter mesh of (-1, 1): cells (at least 8) per side.
+
+    The nodes increase strictly and include -1, 0 and 1 once each.
     """
-
-    x_minus: np.ndarray
-    x_plus: np.ndarray
-    cells_per_side: int
-
-    def merged_nodes(self) -> np.ndarray:
-        """Single-valued node set: minus-side nodes then plus side, one 0."""
-        return np.concatenate([self.x_minus[:-1], self.x_plus])
+    if cells < 8:
+        raise ValueError(f"cells must be at least 8, got {cells}")
+    return mirrored(nodes(np.full(cells, 1.0 / cells), 1.0))
 
 
-def build_domain(cells_per_side: int) -> SlabDomain:
-    """Build the uniform slab mesh, one array of nodes per side.
+def graded_widths(length: float, cells: int) -> np.ndarray:
+    """Cell widths min(w0 1.12^j, h_max) summing exactly to length.
 
-    cells_per_side cells (at least 8) cover each of (-1, 0) and (0, 1);
-    the nodes increase strictly and include -1, 0 and 1.
+    h_max = max(2 length / cells, 0.25), so the capped cells alone cover
+    the length twice; w0 is found by bisection. The finest cells sit at
+    index 0 where the fast-variable curvature concentrates.
     """
-    if cells_per_side < 8:
+    if length <= 0.0 or cells < 8:
         raise ValueError(
-            f"cells_per_side must be at least 8, got {cells_per_side}")
-    widths_plus = np.full(cells_per_side, 1.0 / cells_per_side)
-    x_plus = np.concatenate([[0.0], np.cumsum(widths_plus)])
-    x_plus[-1] = 1.0
-    x_minus = -x_plus[::-1].copy()
-    return SlabDomain(x_minus=x_minus, x_plus=x_plus,
-                      cells_per_side=cells_per_side)
+            f"need length > 0 and cells >= 8, got {length}, cells={cells}")
+    h_max = max(2.0 * length / cells, 0.25)
+    powers = 1.12 ** np.arange(cells)
 
+    def total(w0: float) -> float:
+        return float(np.minimum(w0 * powers, h_max).sum())
+
+    lo, hi = 1e-14, h_max
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if total(mid) < length:
+            lo = mid
+        else:
+            hi = mid
+    w = np.minimum(hi * powers, h_max)
+    return w * (length / w.sum())
+
+
+def make_profile_grid(Y: float = 15.0, cells: int = 128) -> np.ndarray:
+    """Graded y-mesh on [-Y, Y]: the graded_widths cells on [0, Y],
+    mirrored, so y = 0 sits at index cells = y.size // 2.
+
+    The junction row of the transmission march carries an O(h) local
+    consistency error, so the junction cell must stay small: the
+    grading puts it near 4e-5 while the outer cells remain O(0.25).
+    """
+    return mirrored(nodes(graded_widths(Y, cells), Y))
+
+
+def make_wall_grid(Z: float = 15.0, cells: int = 96) -> np.ndarray:
+    """Graded z-mesh on [0, Z] (graded_widths), finest at the wall z = 0."""
+    return nodes(graded_widths(Z, cells), Z)
+
+
+# === stencils ===
+
+def d2_coefficients(x: np.ndarray):
+    """Nonuniform 3-point second-derivative weights (a, b, c).
+
+    Row i applies a[i] u[i-1] + b[i] u[i] + c[i] u[i+1]. The wall rows
+    fold in the mirrored Neumann ghost (u[-1] = u[1] at equal spacing),
+    so a[0] = c[-1] = 0 and the zero-flux condition is built in.
+    """
+    x = np.asarray(x, dtype=float)
+    h = np.diff(x)
+    a = np.zeros_like(x)
+    b = np.zeros_like(x)
+    c = np.zeros_like(x)
+    hm, hp = h[:-1], h[1:]
+    a[1:-1] = 2.0 / (hm * (hm + hp))
+    c[1:-1] = 2.0 / (hp * (hm + hp))
+    b[1:-1] = -(a[1:-1] + c[1:-1])
+    c[0] = 2.0 / h[0] ** 2
+    b[0] = -c[0]
+    a[-1] = 2.0 / h[-1] ** 2
+    b[-1] = -a[-1]
+    return a, b, c
+
+
+def d1_coefficients(x: np.ndarray):
+    """Nonuniform centered first-derivative weights (a, b, c).
+
+    Wall rows are zero: under the mirrored ghost the centered derivative
+    at the walls vanishes identically, which is the boundary condition.
+    """
+    x = np.asarray(x, dtype=float)
+    h = np.diff(x)
+    a = np.zeros_like(x)
+    b = np.zeros_like(x)
+    c = np.zeros_like(x)
+    hm, hp = h[:-1], h[1:]
+    a[1:-1] = -hp / (hm * (hm + hp))
+    c[1:-1] = hm / (hp * (hm + hp))
+    b[1:-1] = -(a[1:-1] + c[1:-1])
+    return a, b, c
+
+
+def apply_tridiagonal_stencil(coeffs, u: np.ndarray) -> np.ndarray:
+    """Apply 3-point weights (a, b, c) along axis 0 of u, shape (n, ...)."""
+    a, b, c = coeffs
+    out = b.reshape(-1, *([1] * (u.ndim - 1))) * u
+    out[1:] += a[1:].reshape(-1, *([1] * (u.ndim - 1))) * u[:-1]
+    out[:-1] += c[:-1].reshape(-1, *([1] * (u.ndim - 1))) * u[1:]
+    return out
+
+
+def one_sided_d1(x: np.ndarray, u: np.ndarray, end: str) -> np.ndarray:
+    """Second-order one-sided first derivative at an endpoint of axis 0.
+
+    Evaluated on telescoped differences, so constant data returns an
+    exact zero rather than rounding noise.
+    """
+    x = np.asarray(x, dtype=float)
+    if end == "left":
+        h1 = x[1] - x[0]
+        h2 = x[2] - x[1]
+        return ((2 * h1 + h2) / (h1 * (h1 + h2)) * (u[1] - u[0])
+                - h1 / (h2 * (h1 + h2)) * (u[2] - u[1]))
+    h1 = x[-1] - x[-2]
+    h2 = x[-2] - x[-3]
+    return ((2 * h1 + h2) / (h1 * (h1 + h2)) * (u[-1] - u[-2])
+            - h1 / (h2 * (h1 + h2)) * (u[-2] - u[-3]))
+
+
+def profile_d1(y: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """d/dy along axis -2 of W (..., ny, 3): centered interior,
+    second-order one-sided at both ends. Telescoped differences, so
+    constant data returns an exact zero."""
+    Wm = np.moveaxis(W, -2, 0)
+    out = np.empty_like(Wm)
+    h = np.diff(y)
+    shape = (-1,) + (1,) * (Wm.ndim - 1)
+    hm = h[:-1].reshape(shape)
+    hp = h[1:].reshape(shape)
+    out[1:-1] = (hm / (hp * (hm + hp)) * (Wm[2:] - Wm[1:-1])
+                 + hp / (hm * (hm + hp)) * (Wm[1:-1] - Wm[:-2]))
+    out[0] = one_sided_d1(y, Wm, "left")
+    out[-1] = one_sided_d1(y, Wm, "right")
+    return np.moveaxis(out, 0, -2)
+
+
+# === level sets and cutoffs ===
 
 @dataclass(frozen=True)
 class LevelSets:

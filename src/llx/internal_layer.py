@@ -27,15 +27,10 @@ bounds the horizon. The active columns march together, stacked into
 one banded solve per time step, and leave a window once converged.
 
 Contains:
-- graded_widths: the cell widths of the graded layer meshes
-- ProfileGrid / make_profile_grid: graded two-sided y-mesh
 - make_time_grid: binary start-up ramp inside the first uniform cell
-- ExtendedLimit / extend_limit: one-sided limit states extended by
-  branch continuation and cutoff blending, with exact time derivatives
 - F_pm: the exact increment F(u0+U, V, H0-(U.n)n) - F(u0, 0, H0)
 - _sweep: one Crank-Nicolson march of stacked columns (a Picard sweep)
 - picard_profiles / ProfilePair: the windowed fixed-point loop, result
-- profile_d1: second-order first derivative along a node axis
 """
 
 from __future__ import annotations
@@ -47,70 +42,13 @@ import numpy as np
 
 from .banded import block_tridiag_solve, cross_matrix, inv_id_plus_cross
 from .errors import NonContraction, ValidationError
-from .fields import MagnetizationField
-from .full_model import apply_tridiagonal_stencil, d2_coefficients, one_sided_d1
-from .geometry import LevelSets, SlabDomain
-from .limit_model import rhs_limit, simulate_limit
-from .strayfield import stray_field_slab
-
-E1 = np.array([1.0, 0.0, 0.0])
+from .geometry import (LevelSets, apply_tridiagonal_stencil, d2_coefficients,
+                       one_sided_d1, profile_d1)
+from .limit_model import ExtendedLimit
+from .strayfield import E1, stray_field_slab
 
 
-# === meshes ===
-
-@dataclass(frozen=True)
-class ProfileGrid:
-    """Two-sided graded mesh on [-Y, Y] with y = 0 at index j0."""
-
-    y: np.ndarray
-    Y: float
-    j0: int
-
-    @property
-    def n(self) -> int:
-        return self.y.size
-
-
-def graded_widths(length: float, cells: int) -> np.ndarray:
-    """Cell widths min(w0 1.12^j, h_max) summing exactly to length.
-
-    h_max = max(2 length / cells, 0.25), so the capped cells alone cover
-    the length twice; w0 is found by bisection. The finest cells sit at
-    index 0 where the fast-variable curvature concentrates.
-    """
-    if length <= 0.0 or cells < 8:
-        raise ValueError(
-            f"need length > 0 and cells >= 8, got {length}, cells={cells}")
-    h_max = max(2.0 * length / cells, 0.25)
-    powers = 1.12 ** np.arange(cells)
-
-    def total(w0: float) -> float:
-        return float(np.minimum(w0 * powers, h_max).sum())
-
-    lo, hi = 1e-14, h_max
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if total(mid) < length:
-            lo = mid
-        else:
-            hi = mid
-    w = np.minimum(hi * powers, h_max)
-    return w * (length / w.sum())
-
-
-def make_profile_grid(Y: float = 15.0, cells: int = 128) -> ProfileGrid:
-    """Graded mesh: the graded_widths cells on [0, Y], mirrored.
-
-    The junction row of the transmission march carries an O(h) local
-    consistency error, so the junction cell must stay small: the
-    grading puts it near 4e-5 while the outer cells remain O(0.25).
-    """
-    w = graded_widths(Y, cells)
-    y_half = np.concatenate([[0.0], np.cumsum(w)])
-    y_half[-1] = Y
-    y = np.concatenate([-y_half[::-1][:-1], y_half])
-    return ProfileGrid(y=y, Y=Y, j0=cells)
-
+# === time grid ===
 
 def make_time_grid(T: float, dt: float = 2.5e-3) -> np.ndarray:
     """Output times 0..T: uniform steps dt, the first cell subdivided.
@@ -129,85 +67,6 @@ def make_time_grid(T: float, dt: float = 2.5e-3) -> np.ndarray:
     uniform = dt * np.arange(n + 1)
     times = np.unique(np.concatenate([[0.0], ramp, uniform]))
     return np.append(times[times < T - 1e-12 * max(T, 1.0)], T)
-
-
-# === extended limit states ===
-
-@dataclass(frozen=True)
-class ExtendedLimit:
-    """One-sided limit states extended across the interface.
-
-    u_plus[k, i] is the plus-side extension at (times[k], x_param[i]);
-    on x >= 0 it equals the limit solution, on x < 0 it blends the
-    continuation of the plus-side data branch with the local solution
-    using the interface cutoff, so the jump field u_plus - u_minus is
-    chi_sigma(x) times the branch gap: supported inside the interface
-    neighborhood, and bitwise zero everywhere for continuous data.
-    du_* are exact time derivatives (the blend is a time-independent
-    linear combination of pointwise solutions).
-    """
-
-    times: np.ndarray
-    x_param: np.ndarray
-    u_plus: np.ndarray
-    u_minus: np.ndarray
-    du_plus: np.ndarray
-    du_minus: np.ndarray
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.u_plus - self.u_minus
-
-    @property
-    def delta_dt(self) -> np.ndarray:
-        return self.du_plus - self.du_minus
-
-
-def extend_limit(data: MagnetizationField, domain: SlabDomain,
-                 levelsets: LevelSets, times: np.ndarray) -> ExtendedLimit:
-    """Evolve both data branches on the parameter nodes and blend.
-
-    Each side's initial branch continues smoothly across the interface
-    (constants broadcast, a continuous field is its own continuation),
-    and the limit flow is pointwise, so the branch evolutions are
-    global one-sided solutions. The extension keeps each branch on its
-    own side and fades it into the other side's solution with the
-    interface cutoff.
-    """
-    times = np.asarray(times, dtype=float)
-    if times[0] != 0.0:
-        raise ValueError(f"times must start at 0, got {times[0]!r}")
-    x = domain.merged_nodes()
-    i_zero = int(np.argmin(np.abs(x)))
-    if x[i_zero] != 0.0:
-        raise ValueError("parameter mesh must contain the interface node")
-
-    u_init = np.stack([data.branch(x, "minus"), data.branch(x, "plus")])
-    traj = simulate_limit(u_init, T=float(times[-1]), dt=1e-3,
-                          t_eval=list(times))
-    keep = np.isin(traj.times, times)
-    vals = traj.values[keep]
-    if vals.shape[0] != times.size:
-        raise ValueError("limit trajectory times do not match request")
-    v_minus, v_plus = vals[:, 0], vals[:, 1]
-    r_minus, r_plus = rhs_limit(v_minus), rhs_limit(v_plus)
-
-    chi = levelsets.chi_sigma(x)
-
-    def blend(own, other, keep_on):
-        out = own.copy()
-        mask = x < 0.0 if keep_on == "plus" else x > 0.0
-        cm = chi[None, mask, None]
-        # incremental form: identical branches stay bitwise jump-free
-        out[:, mask] = other[:, mask] \
-            + cm * (own[:, mask] - other[:, mask])
-        return out
-
-    return ExtendedLimit(times=times, x_param=x,
-                         u_plus=blend(v_plus, v_minus, "plus"),
-                         u_minus=blend(v_minus, v_plus, "minus"),
-                         du_plus=blend(r_plus, r_minus, "plus"),
-                         du_minus=blend(r_minus, r_plus, "minus"))
 
 
 # === profile nonlinearity ===
@@ -232,23 +91,6 @@ def F_pm(U: np.ndarray, V: np.ndarray, u0: np.ndarray, H0: np.ndarray,
     return out
 
 
-def profile_d1(y: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """d/dy along axis -2 of W (..., ny, 3): centered interior,
-    second-order one-sided at both ends. Telescoped differences, so
-    constant data returns an exact zero."""
-    Wm = np.moveaxis(W, -2, 0)
-    out = np.empty_like(Wm)
-    h = np.diff(y)
-    shape = (-1,) + (1,) * (Wm.ndim - 1)
-    hm = h[:-1].reshape(shape)
-    hp = h[1:].reshape(shape)
-    out[1:-1] = (hm / (hp * (hm + hp)) * (Wm[2:] - Wm[1:-1])
-                 + hp / (hm * (hm + hp)) * (Wm[1:-1] - Wm[:-2]))
-    out[0] = one_sided_d1(y, Wm, "left")
-    out[-1] = one_sided_d1(y, Wm, "right")
-    return np.moveaxis(out, 0, -2)
-
-
 # === the stacked Crank-Nicolson march ===
 
 # time levels of one Picard window: each window converges before the
@@ -261,13 +103,14 @@ def _l2_y_per_time(y: np.ndarray, D: np.ndarray) -> np.ndarray:
     return np.sqrt(np.trapezoid(np.sum(D * D, axis=-1), y, axis=-1))
 
 
-def _sweep(pgrid: ProfileGrid, times: np.ndarray, w_k: np.ndarray,
+def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
            coeff: np.ndarray, f_minus: np.ndarray,
            f_plus: np.ndarray) -> np.ndarray:
     """Crank-Nicolson march of stacked columns; returns them at times[1:].
 
     Solves dW/dt = (I + [coeff]x) W_yy + f on every column from w_k
-    (ncols, ny, 3) at times[0]; coeff, f_minus, f_plus are (nt, ncols,
+    (ncols, ny, 3) at times[0] on the mirrored mesh y, whose junction
+    y = 0 sits at j0 = y.size // 2; coeff, f_minus, f_plus are (nt, ncols,
     ny, 3). The minus forcing feeds rows y < 0, the plus forcing rows
     y > 0, and the junction row at y = 0 uses both one-sided values (the
     forcing may jump there). Dirichlet zero at both ends; the junction
@@ -276,8 +119,8 @@ def _sweep(pgrid: ProfileGrid, times: np.ndarray, w_k: np.ndarray,
     unknown. The Dirichlet rows decouple the columns, so each step is
     one banded solve of the columns stacked along the node axis.
     """
-    y, j0 = pgrid.y, pgrid.j0
     ny = y.size
+    j0 = ny // 2
     d2 = d2_coefficients(y)
     a, b, c = d2
     hm = y[j0] - y[j0 - 1]
@@ -386,7 +229,7 @@ def _stalled(diffs: list, tol: float, max_iter: int, x_label: float,
     return None
 
 
-def _picard(pgrid: ProfileGrid, times: np.ndarray, W: np.ndarray,
+def _picard(y: np.ndarray, times: np.ndarray, W: np.ndarray,
             cols: np.ndarray, delta, delta_dt, u0p, u0m, tol: float,
             max_iter: int, x_labels) -> tuple:
     """Iterate the listed columns of W (nt, ncol, ny, 3) to the fixed point.
@@ -401,7 +244,6 @@ def _picard(pgrid: ProfileGrid, times: np.ndarray, W: np.ndarray,
     windows all columns completed, and None or the NonContraction of
     the lowest column failing in the first window where one failed.
     """
-    y = pgrid.y
     cols = np.asarray(cols, dtype=int)
     traces = {col: [] for col in cols.tolist()}
     for k0 in range(0, times.size - 1 if cols.size else 0, TIME_BLOCK):
@@ -424,7 +266,7 @@ def _picard(pgrid: ProfileGrid, times: np.ndarray, W: np.ndarray,
             old = W[win, act]
             rest = _profile_levels(y, old, *(arr[win, act] for arr in
                                              (delta, delta_dt, u0p, u0m)))
-            new = _sweep(pgrid, times[k0:k1 + 1], W[k0, act],
+            new = _sweep(y, times[k0:k1 + 1], W[k0, act],
                          *(np.concatenate([f0[:, active], f])
                            for f0, f in zip(first, rest)))
             change = _l2_y_per_time(y, new - old).max(axis=0)
@@ -465,7 +307,6 @@ class ProfilePair:
 
     times: np.ndarray
     y: np.ndarray
-    j0: int
     x_param: np.ndarray
     support_mask: np.ndarray
     x_support: np.ndarray
@@ -478,6 +319,11 @@ class ProfilePair:
     @property
     def Y(self) -> float:
         return float(self.y[-1])
+
+    @property
+    def j0(self) -> int:
+        """Index of the junction y = 0 on the mirrored mesh."""
+        return self.y.size // 2
 
     def layer_term(self, side: str) -> np.ndarray:
         """U_pm = W + S_pm on the stored columns, valid on the named side
@@ -555,7 +401,7 @@ class ProfilePair:
 
 
 def picard_profiles(ext: ExtendedLimit, levelsets: LevelSets,
-                    pgrid: ProfileGrid, tol: float = 1e-8,
+                    y: np.ndarray, tol: float = 1e-8,
                     max_iter: int = 40) -> ProfilePair:
     """Solve the transmission profiles on every jump-supported column.
 
@@ -572,9 +418,9 @@ def picard_profiles(ext: ExtendedLimit, levelsets: LevelSets,
         | (np.max(np.abs(delta_dt_full), axis=(0, 2)) > 0.0)
     idx = np.nonzero(mask)[0]
 
-    W = np.zeros((ext.times.size, idx.size, pgrid.n, 3))
+    W = np.zeros((ext.times.size, idx.size, y.size, 3))
     marched = np.nonzero(nonzero[idx])[0]
-    traces, failure = _picard(pgrid, ext.times, W, marched,
+    traces, failure = _picard(y, ext.times, W, marched,
                               delta_full[:, idx], delta_dt_full[:, idx],
                               ext.u_plus[:, idx], ext.u_minus[:, idx], tol,
                               max_iter, x[idx])
@@ -585,7 +431,7 @@ def picard_profiles(ext: ExtendedLimit, levelsets: LevelSets,
         residual_trace[col] = tuple(map(tuple, windows))
 
     pair = ProfilePair(
-        times=ext.times, y=pgrid.y, j0=pgrid.j0, x_param=x,
+        times=ext.times, y=y, x_param=x,
         support_mask=mask, x_support=x[mask], W=W,
         delta=delta_full[:, mask], full_delta=delta_full,
         iterations=iterations, residual_trace=tuple(residual_trace))

@@ -9,10 +9,14 @@ over an arbitrary leading shape.
 Contains:
 - precession_rhs: u x H - u x (u x H) for a given field H
 - rhs_limit: the same with the slab stray field substituted
-- step_rk4 / step_midpoint: single steps, optional renormalization
+- renormalize: projection onto the unit sphere
+- step_rk4: one classic fourth-order step
 - output_times: the output times {0, T} joined with requested ones
 - substeps: the uniform substep count of one output interval
 - simulate_limit: trajectory on [0, T] hitting requested output times
+- ExtendedLimit / extend_limit: one-sided limit states extended across
+  the interface by branch continuation and cutoff blending, with exact
+  time derivatives
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .fields import MagnetizationField
+from .geometry import LevelSets
 from .strayfield import stray_field_slab
 
 
@@ -44,25 +50,13 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     return u / norms
 
 
-def step_rk4(u: np.ndarray, dt: float, project: bool = True) -> np.ndarray:
-    """One classic fourth-order step of the limit flow."""
+def step_rk4(u: np.ndarray, dt: float) -> np.ndarray:
+    """One classic fourth-order step of the limit flow, unprojected."""
     k1 = rhs_limit(u)
     k2 = rhs_limit(u + 0.5 * dt * k1)
     k3 = rhs_limit(u + 0.5 * dt * k2)
     k4 = rhs_limit(u + dt * k3)
-    out = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return renormalize(out) if project else out
-
-
-def step_midpoint(u: np.ndarray, dt: float, project: bool = False) -> np.ndarray:
-    """One explicit midpoint (second-order) step of the limit flow.
-
-    This is the scheme the full integrator degenerates to at zero
-    exchange length, so it is kept separate for that cross-check.
-    """
-    mid = u + 0.5 * dt * rhs_limit(u)
-    out = u + dt * rhs_limit(mid)
-    return renormalize(out) if project else out
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 @dataclass(frozen=True)
@@ -123,6 +117,84 @@ def simulate_limit(u0: np.ndarray, T: float, dt: float,
         nsub = substeps(span, dt)
         h = span / nsub
         for _ in range(nsub):
-            u = step_rk4(u, h)
+            u = renormalize(step_rk4(u, h))
         values[k + 1] = u
     return LimitTrajectory(times=times, values=values)
+
+
+# === the limit flow extended across the interface ===
+
+@dataclass(frozen=True)
+class ExtendedLimit:
+    """One-sided limit states extended across the interface.
+
+    u_plus[k, i] is the plus-side extension at (times[k], x_param[i]);
+    on x >= 0 it equals the limit solution, on x < 0 it blends the
+    continuation of the plus-side data branch with the local solution
+    using the interface cutoff, so the jump field u_plus - u_minus is
+    chi_sigma(x) times the branch gap: supported inside the interface
+    neighborhood, and bitwise zero everywhere for continuous data.
+    du_* are exact time derivatives (the blend is a time-independent
+    linear combination of pointwise solutions).
+    """
+
+    times: np.ndarray
+    x_param: np.ndarray
+    u_plus: np.ndarray
+    u_minus: np.ndarray
+    du_plus: np.ndarray
+    du_minus: np.ndarray
+
+    @property
+    def delta(self) -> np.ndarray:
+        return self.u_plus - self.u_minus
+
+    @property
+    def delta_dt(self) -> np.ndarray:
+        return self.du_plus - self.du_minus
+
+
+def extend_limit(data: MagnetizationField, x: np.ndarray,
+                 levelsets: LevelSets, times: np.ndarray) -> ExtendedLimit:
+    """Evolve both data branches on the parameter nodes x and blend.
+
+    Each side's initial branch continues smoothly across the interface
+    (constants broadcast, a continuous field is its own continuation),
+    and the limit flow is pointwise, so the branch evolutions are
+    global one-sided solutions. The extension keeps each branch on its
+    own side and fades it into the other side's solution with the
+    interface cutoff.
+    """
+    times = np.asarray(times, dtype=float)
+    if times[0] != 0.0:
+        raise ValueError(f"times must start at 0, got {times[0]!r}")
+    i_zero = int(np.argmin(np.abs(x)))
+    if x[i_zero] != 0.0:
+        raise ValueError("parameter mesh must contain the interface node")
+
+    u_init = np.stack([data.branch(x, "minus"), data.branch(x, "plus")])
+    traj = simulate_limit(u_init, T=float(times[-1]), dt=1e-3,
+                          t_eval=list(times))
+    keep = np.isin(traj.times, times)
+    vals = traj.values[keep]
+    if vals.shape[0] != times.size:
+        raise ValueError("limit trajectory times do not match request")
+    v_minus, v_plus = vals[:, 0], vals[:, 1]
+    r_minus, r_plus = rhs_limit(v_minus), rhs_limit(v_plus)
+
+    chi = levelsets.chi_sigma(x)
+
+    def blend(own, other, keep_on):
+        out = own.copy()
+        mask = x < 0.0 if keep_on == "plus" else x > 0.0
+        cm = chi[None, mask, None]
+        # incremental form: identical branches stay bitwise jump-free
+        out[:, mask] = other[:, mask] \
+            + cm * (own[:, mask] - other[:, mask])
+        return out
+
+    return ExtendedLimit(times=times, x_param=x,
+                         u_plus=blend(v_plus, v_minus, "plus"),
+                         u_minus=blend(v_minus, v_plus, "minus"),
+                         du_plus=blend(r_plus, r_minus, "plus"),
+                         du_minus=blend(r_minus, r_plus, "minus"))

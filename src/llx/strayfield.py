@@ -1,6 +1,7 @@
 """Stray (demagnetizing) field operators.
 
 Contains:
+- E1: the slab normal, the direction across the slab
 - stray_field_slab: the exact pointwise field for magnetizations varying
   only across the slab, H(u) = (-u1, 0, 0)
 - layer_correction: the profile-scale correction -(U.n)n carried by a
@@ -17,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+E1 = np.array([1.0, 0.0, 0.0])
 
 
 def stray_field_slab(u: np.ndarray) -> np.ndarray:

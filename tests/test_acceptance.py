@@ -11,11 +11,8 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pytest
-import sympy as sp
 
 from llx.cli import _bandlimited, main as cli_main
-from llx.expansion import StudyConfig
 from llx.fields import named_field
 from llx.full_model import (
     FullModelConfig,
@@ -23,12 +20,8 @@ from llx.full_model import (
     make_epsilon_grid,
     simulate_full,
 )
-from llx.internal_layer import (
-    ProfileGrid,
-    _sweep,
-    make_profile_grid,
-    picard_profiles,
-)
+from llx.geometry import make_profile_grid
+from llx.internal_layer import picard_profiles
 from llx.limit_model import renormalize, rhs_limit, simulate_limit
 from llx.strayfield import (
     TorusGrid,
@@ -39,6 +32,8 @@ from llx.strayfield import (
     stray_field_slab,
     stray_field_torus,
 )
+
+from manufactured import full_model_solution, transmission_march_error
 
 SUMMANDS = ("conormal", "normal_conormal", "sup", "sup_conormal",
             "sup_normal")
@@ -144,34 +139,6 @@ def test_criterion_06_transmission_profiles(jump_pieces):
            f"worst sweep ratio {worst_ratio:.3f} < 1")
 
 
-def _manufactured_full():
-    eps_s, t, x = sp.symbols("eps t x", real=True)
-    c = 2 / sp.sqrt(5)
-    phase = 2 * t + sp.cos(sp.pi * x)
-    u = sp.Matrix([c * sp.sin(phase), c * sp.cos(phase), c / 2])
-    H = sp.Matrix([-u[0], 0, 0])
-    V = eps_s * u.diff(x)
-    F = V.dot(V) * u + u.cross(H) - u.cross(u.cross(H))
-    S = u.diff(t) - eps_s**2 * u.diff(x, 2) - eps_s**2 * u.cross(u.diff(x, 2)) - F
-    u_fns = [sp.lambdify((t, x), u[i], "numpy") for i in range(3)]
-    s_fns = [sp.lambdify((eps_s, t, x), S[i], "numpy") for i in range(3)]
-
-    def u_eval(tv, xv):
-        xv = np.asarray(xv, dtype=float)
-        return np.stack(
-            [np.broadcast_to(f(tv, xv), xv.shape) for f in u_fns], axis=-1)
-
-    def source_for(eps):
-        def src(tv, xv):
-            xv = np.asarray(xv, dtype=float)
-            return np.stack(
-                [np.broadcast_to(f(eps, tv, xv), xv.shape) for f in s_fns],
-                axis=-1)
-        return src
-
-    return u_eval, source_for
-
-
 def _full_error(u_eval, source_for, dt, cells, T=0.4):
     g = Grid1D(x=np.linspace(-1.0, 1.0, cells + 1))
     cfg = FullModelConfig(epsilon=0.3, dt=dt, T=T, renormalize=False)
@@ -179,46 +146,12 @@ def _full_error(u_eval, source_for, dt, cells, T=0.4):
     return float(np.max(np.abs(traj.values[-1] - u_eval(T, g.x))))
 
 
-def _march_error(n_cells, dt, T=0.5):
-    yy = sp.symbols("yy")
-    v = np.array([0.3, -0.5, 0.8])
-    g, g2 = {}, {}
-    for s in (1, -1):
-        expr = (1 + sp.Rational(s, 10) * yy**2) * sp.exp(-(yy**2))
-        g[s] = sp.lambdify(yy, expr, "numpy")
-        g2[s] = sp.lambdify(yy, sp.diff(expr, yy, 2), "numpy")
-    Y = 6.0
-    y = np.linspace(-Y, Y, 2 * n_cells + 1)
-    pg = ProfileGrid(y=y, Y=Y, j0=n_cells)
-    times = np.linspace(0.0, T, int(round(T / dt)) + 1)
-    env = np.exp(-(y**2))
-    coeff = np.empty((times.size, y.size, 3))
-    coeff[..., 0] = np.cos(times)[:, None] * env[None, :]
-    coeff[..., 1] = np.sin(times)[:, None] * env[None, :]
-    coeff[..., 2] = 0.5 * env[None, :]
-
-    def forcing(side):
-        gv = g[side](y)[None, :, None]
-        g2v = g2[side](y)[None, :, None]
-        cross = np.cross(coeff, v[None, None, :])
-        return (np.cos(times)[:, None, None] * gv * v
-                - np.sin(times)[:, None, None] * g2v
-                * (v[None, None, :] + cross))
-
-    # one column of the stacked march, from W = 0
-    W = _sweep(pg, times, np.zeros((1, y.size, 3)), coeff[:, None],
-               forcing(-1)[:, None], forcing(1)[:, None])
-    exact = np.where((y >= 0.0)[:, None], g[1](y)[:, None] * v,
-                     g[-1](y)[:, None] * v) * np.sin(times[-1])
-    return float(np.max(np.abs(W[-1, 0] - exact)))
-
-
 def test_criterion_07_discretization_orders():
-    u_eval, source_for = _manufactured_full()
+    u_eval, source_for = full_model_solution()
     full_errs = [_full_error(u_eval, source_for, dt, cells)
                  for dt, cells in ((0.02, 100), (0.01, 200), (0.005, 400))]
     full_rates = np.log2(np.array(full_errs[:-1]) / np.array(full_errs[1:]))
-    march_errs = [_march_error(n, dt)
+    march_errs = [transmission_march_error(n, dt)
                   for n, dt in ((24, 0.05), (48, 0.025), (96, 0.0125))]
     march_rates = np.log2(np.array(march_errs[:-1])
                           / np.array(march_errs[1:]))

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from llx.boundary_layer import (BoundaryProfile, linearized_reaction,
-                                linearized_reaction_matrix, make_wall_grid,
-                                march_wall, neumann_corrector,
-                                solve_boundary_profile, wall_slopes)
+                                linearized_reaction_matrix, march_wall,
+                                neumann_corrector, solve_boundary_profile,
+                                wall_slopes)
 from llx.errors import ValidationError
 from llx.fields import constant_per_side, named_field
-from llx.geometry import LevelSets, build_domain
-from llx.internal_layer import F_pm, extend_limit, make_time_grid
+from llx.geometry import LevelSets, make_wall_grid, one_sided_d1, param_nodes
+from llx.internal_layer import F_pm, make_time_grid
+from llx.limit_model import extend_limit
 
 
 # --- mesh ---
@@ -122,10 +123,10 @@ def test_wall_march_validates_shapes():
 
 @pytest.fixture(scope="module")
 def swirl_wall():
-    domain = build_domain(cells_per_side=16)
+    x = param_nodes(16)
     levelsets = LevelSets()
     times = make_time_grid(0.05, dt=2.5e-3)
-    ext = extend_limit(named_field("swirl"), domain, levelsets, times)
+    ext = extend_limit(named_field("swirl"), x, levelsets, times)
     z = make_wall_grid(Z=15.0, cells=96)
     return levelsets, ext, z, solve_boundary_profile(ext, levelsets, z)
 
@@ -151,11 +152,11 @@ def test_wall_profile_supported_at_walls_only(swirl_wall):
 
 
 def test_wall_profile_zero_for_constant_data():
-    domain = build_domain(cells_per_side=8)
+    x = param_nodes(8)
     levelsets = LevelSets()
     times = make_time_grid(0.02, dt=5e-3)
     ext = extend_limit(constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0)),
-                       domain, levelsets, times)
+                       x, levelsets, times)
     z = make_wall_grid(Z=15.0, cells=48)
     prof = solve_boundary_profile(ext, levelsets, z)
     assert np.max(np.abs(prof.U)) == 0.0
@@ -187,7 +188,7 @@ def _rho(prof):
 def test_rho_cancels_unit_trace_slope():
     # fabricated wall trace x e2: the required normal derivative is 1 at
     # the right wall and the corrector slope there must be exactly -1
-    x = build_domain(cells_per_side=16).merged_nodes()
+    x = param_nodes(16)
     xs = x[LevelSets().theta(x) > 0.0]
     times = np.array([0.0, 0.1, 0.2])
     z = make_wall_grid(Z=6.0, cells=16)
@@ -198,7 +199,6 @@ def test_rho_cancels_unit_trace_slope():
     rho = _rho(prof)
     # phi * theta is exactly 1 - x on the three nodes nearest the wall,
     # so the one-sided stencil evaluates the slope without error
-    from llx.full_model import one_sided_d1
     right = np.moveaxis(rho[:, x > 0.0], 1, 0)
     slope = one_sided_d1(x[x > 0.0], right, "right")
     np.testing.assert_allclose(slope[:, 1], -1.0, atol=1e-12)
@@ -221,7 +221,6 @@ def test_rho_flux_cancellation(swirl_wall):
     # (B1): the corrector's wall slope cancels the trace's wall slope
     _, _, _, prof = swirl_wall
     rho = _rho(prof)
-    from llx.full_model import one_sided_d1
     x = prof.x_param
     xs = prof.x_support
     trace = prof.trace()

@@ -175,6 +175,7 @@ def test_study_validation_propagates():
     ("study.drift_tol=0", "drift_tol"),
     ("study.eclass_m=0", "study.eclass_m"),
     ("study.dt_full=nan", "study.dt_full"),
+    ("study.dt_full=1e-9", "study.dt_full"),
     ("study.T=nan", "study.T"),
     ("run.epsilon=inf", "run.epsilon"),
     ("run.epsilon=0", "run.epsilon"),

@@ -14,11 +14,10 @@ from llx.expansion import (EClassNorms, ExpansionAnsatz, StudyConfig,
                            eclass_norms, fit_slope, jump_error_l2)
 from llx.fields import constant_per_side, named_field
 from llx.full_model import l2_space_time
-from llx.geometry import build_domain
-from llx.internal_layer import (TIME_BLOCK, extend_limit, make_profile_grid,
-                                make_time_grid, picard_profiles, profile_d1)
+from llx.geometry import make_profile_grid, param_nodes, profile_d1
+from llx.internal_layer import TIME_BLOCK, make_time_grid, picard_profiles
 from llx.interp import natural_spline_coeffs, x_resample
-from llx.limit_model import simulate_limit
+from llx.limit_model import extend_limit, simulate_limit
 
 
 def _evolved(vec, times):
@@ -487,11 +486,11 @@ def test_convergence_study_validation(jump_data):
 def _stalling_profiles(step):
     """picard_profiles with the jump grown 30x from knot `step` on: the
     window holding that knot stops contracting."""
-    def run(ext, levelsets, pgrid, **kw):
+    def run(ext, levelsets, y, **kw):
         grow = np.where(np.arange(ext.times.size) < step, 1.0, 30.0)
         stalling = replace(ext, u_minus=ext.u_plus
                            - grow[:, None, None] * ext.delta)
-        return picard_profiles(stalling, levelsets, pgrid, **kw)
+        return picard_profiles(stalling, levelsets, y, **kw)
     return run
 
 
@@ -505,8 +504,8 @@ def test_stalled_window_cuts_the_horizon(small_cfg, monkeypatch):
     assert pieces.T_used == knots[2 * TIME_BLOCK] < cfg.T
     # the cut pieces are those of a build on the shorter horizon
     short = make_time_grid(pieces.T_used, dt=cfg.dt_knot)
-    ext = extend_limit(data, build_domain(cells_per_side=cfg.param_cells),
-                       pieces.levelsets, short)
+    ext = extend_limit(data, param_nodes(cfg.param_cells), pieces.levelsets,
+                       short)
     for name in ("times", "x_param", "u_plus", "u_minus", "du_plus",
                  "du_minus"):
         assert np.array_equal(getattr(pieces.ext, name),

@@ -1,16 +1,16 @@
 """Full model: grids, stencils, integrator order, degeneracy, residuals.
 
 Order verification is by manufactured solution: the exactly-unit field
-u = (2/sqrt(5)) (sin(w t + cos pi x), cos(w t + cos pi x), 1/2) has zero
+u = (2/sqrt(5)) (sin(2t + cos pi x), cos(2t + cos pi x), 1/2) has zero
 wall derivative in every component, and the source that makes it solve
-the model is generated symbolically here, never by hand.
+the model is generated symbolically (manufactured.full_model_solution),
+never by hand.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from llx.errors import SolverAbort
 from llx.full_model import (
@@ -18,54 +18,24 @@ from llx.full_model import (
     FullTrajectory,
     Grid1D,
     ResidualReport,
-    apply_tridiagonal_stencil,
-    d1_coefficients,
-    d2_coefficients,
     F_rhs,
     make_epsilon_grid,
-    one_sided_d1,
     residual_report,
     simulate_full,
 )
-from llx.limit_model import renormalize, step_midpoint
+from llx.geometry import (apply_tridiagonal_stencil, d1_coefficients,
+                          d2_coefficients, one_sided_d1)
+from llx.limit_model import renormalize
+
+from manufactured import full_model_solution, step_midpoint
 
 
 # === manufactured solution ===
 
 @pytest.fixture(scope="module")
 def mms():
-    """Exact solution, its initial slice, and the source term, all callable
-    as (t, x_array) -> (n, 3)."""
-    eps_s, t, x = sp.symbols("eps t x", real=True)
-    omega = 2
-    c = 2 / sp.sqrt(5)
-    phase = omega * t + sp.cos(sp.pi * x)
-    u = sp.Matrix([c * sp.sin(phase), c * sp.cos(phase), c / 2])
-    ux = u.diff(x)
-    uxx = u.diff(x, 2)
-    ut = u.diff(t)
-    H = sp.Matrix([-u[0], 0, 0])
-    V = eps_s * ux
-    F = V.dot(V) * u + u.cross(H) - u.cross(u.cross(H))
-    S = ut - eps_s**2 * uxx - eps_s**2 * u.cross(uxx) - F
-
-    u_fns = [sp.lambdify((t, x), u[i], "numpy") for i in range(3)]
-    s_fns = [sp.lambdify((eps_s, t, x), S[i], "numpy") for i in range(3)]
-
-    def u_eval(tv, xv):
-        xv = np.asarray(xv, dtype=float)
-        return np.stack(
-            [np.broadcast_to(f(tv, xv), xv.shape) for f in u_fns], axis=-1)
-
-    def source_for(eps):
-        def src(tv, xv):
-            xv = np.asarray(xv, dtype=float)
-            return np.stack(
-                [np.broadcast_to(f(eps, tv, xv), xv.shape) for f in s_fns],
-                axis=-1)
-        return src
-
-    return u_eval, source_for
+    """Exact solution and source, callable as (t, x_array) -> (n, 3)."""
+    return full_model_solution()
 
 
 # === grids and stencils ===
@@ -191,7 +161,7 @@ def test_zero_exchange_degenerates_to_midpoint_rule():
     traj = simulate_full(u0, g, cfg)
     u_ref = u0.copy()
     for _ in range(10):
-        u_ref = step_midpoint(u_ref, 0.02, project=False)
+        u_ref = step_midpoint(u_ref, 0.02)
     assert np.max(np.abs(traj.values[-1] - u_ref)) < 1e-10
 
 

@@ -7,41 +7,37 @@ import pytest
 
 from llx.geometry import (
     LevelSets,
-    SlabDomain,
-    build_domain,
     conormal_weight,
+    param_nodes,
     quintic_smoothstep,
 )
 
 
 def test_uniform_domain_nodes():
-    dom = build_domain(8)
-    assert dom.x_plus.shape == (9,)
-    assert dom.x_minus.shape == (9,)
-    assert np.allclose(np.diff(dom.x_plus), 0.125)
-    assert dom.x_minus[0] == -1.0
-    assert dom.x_minus[-1] == 0.0
-    assert dom.x_plus[0] == 0.0
-    assert dom.x_plus[-1] == 1.0
+    x = param_nodes(8)
+    assert x.shape == (17,)
+    assert np.allclose(np.diff(x), 0.125)
+    assert x[0] == -1.0
+    assert x[8] == 0.0 and not np.signbit(x[8])
+    assert x[-1] == 1.0
 
 
 def test_domain_symmetry():
-    dom = build_domain(16)
-    # minus side is the mirror of the plus side
-    assert np.array_equal(dom.x_minus, -dom.x_plus[::-1])
+    x = param_nodes(16)
+    # the minus side is the mirror of the plus side
+    assert np.array_equal(x[:17], -x[16:][::-1])
 
 
 def test_too_few_cells_rejected():
     with pytest.raises(ValueError, match="at least 8"):
-        build_domain(4)
+        param_nodes(4)
 
 
 def test_merged_nodes_single_valued():
-    dom = build_domain(8)
-    merged = dom.merged_nodes()
-    assert merged.shape == (17,)
-    assert np.all(np.diff(merged) > 0)
-    assert np.count_nonzero(merged == 0.0) == 1
+    x = param_nodes(8)
+    assert x.shape == (17,)
+    assert np.all(np.diff(x) > 0)
+    assert np.count_nonzero(x == 0.0) == 1
 
 
 def test_smoothstep_endpoints_and_monotone():
@@ -125,10 +121,3 @@ def test_conormal_weight_tangency_bound():
     w = np.abs(conormal_weight(xs))
     bound = 2.0 * np.minimum(np.abs(xs), 1.0 - np.abs(xs))
     assert np.all(w <= bound + 1e-15)
-
-
-def test_domain_is_frozen():
-    dom = build_domain(8)
-    with pytest.raises(Exception):
-        dom.cells_per_side = 4
-    assert isinstance(dom, SlabDomain)

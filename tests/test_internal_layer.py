@@ -2,32 +2,33 @@
 
 import numpy as np
 import pytest
-import sympy as sp
 
 from llx.banded import block_tridiag_solve, cross_matrix, inv_id_plus_cross
 from llx.errors import NonContraction, SolverAbort, ValidationError
 from llx.fields import constant_per_side
-from llx.full_model import (F_rhs, apply_tridiagonal_stencil,
-                            d2_coefficients, one_sided_d1)
-from llx.geometry import LevelSets, build_domain
-from llx.internal_layer import (E1, TIME_BLOCK, ExtendedLimit, F_pm,
-                                ProfileGrid, extend_limit, graded_widths,
-                                make_profile_grid, make_time_grid,
-                                picard_profiles, profile_d1, _picard, _sweep)
-from llx.limit_model import rhs_limit, simulate_limit
-from llx.strayfield import stray_field_slab
+from llx.full_model import F_rhs
+from llx.geometry import (LevelSets, apply_tridiagonal_stencil,
+                          d2_coefficients, graded_widths, make_profile_grid,
+                          one_sided_d1, param_nodes, profile_d1)
+from llx.internal_layer import (TIME_BLOCK, F_pm, make_time_grid,
+                                picard_profiles, _picard)
+from llx.limit_model import extend_limit, rhs_limit, simulate_limit
+from llx.strayfield import E1, stray_field_slab
+
+from manufactured import march_column, transmission_march_error
 
 
 # --- meshes ---
 
 def test_profile_grid_structure():
-    pg = make_profile_grid(Y=15.0, cells=128)
-    assert pg.n == 257
-    assert pg.j0 == 128
-    assert pg.y[pg.j0] == 0.0
-    assert pg.y[0] == -15.0 and pg.y[-1] == 15.0
-    np.testing.assert_allclose(pg.y, -pg.y[::-1], atol=0)
-    w = np.diff(pg.y[pg.j0:])
+    y = make_profile_grid(Y=15.0, cells=128)
+    assert y.size == 257
+    j0 = y.size // 2
+    assert j0 == 128
+    assert y[j0] == 0.0 and not np.signbit(y[j0])
+    assert y[0] == -15.0 and y[-1] == 15.0
+    np.testing.assert_allclose(y, -y[::-1], atol=0)
+    w = np.diff(y[j0:])
     # widths grow away from the junction and cap at h_max
     assert np.all(np.diff(w) >= -1e-15)
     assert w[0] < 1e-4
@@ -91,16 +92,16 @@ def test_time_grid_has_no_rounding_sliver_before_T(T):
 
 @pytest.fixture(scope="module")
 def jump_setup():
-    domain = build_domain(cells_per_side=16)
+    x = param_nodes(16)
     levelsets = LevelSets()
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     times = make_time_grid(0.05, dt=2.5e-3)
-    ext = extend_limit(data, domain, levelsets, times)
-    return domain, levelsets, data, times, ext
+    ext = extend_limit(data, x, levelsets, times)
+    return x, levelsets, data, times, ext
 
 
 def test_extension_constant_data_closed_form(jump_setup):
-    domain, levelsets, data, times, ext = jump_setup
+    x, levelsets, data, times, ext = jump_setup
     # per-side constants evolve by the pointwise limit flow; the jump
     # field must be chi(|x|) times their difference
     traj = simulate_limit(np.array([data(np.array([0.0]), "minus")[0],
@@ -129,7 +130,7 @@ def test_extension_vanishes_outside_interface_neighborhood(jump_setup):
 def test_extension_blend_exact_at_neighbor_nodes(jump_setup):
     # constant data: the extension one node into the far side must be
     # exactly the chi blend of the two evolved constants
-    domain, levelsets, data, times, ext = jump_setup
+    x, levelsets, data, times, ext = jump_setup
     i0 = int(np.argmin(np.abs(ext.x_param)))
     traj = simulate_limit(np.array([data(np.array([0.0]), "minus")[0],
                                     data(np.array([0.0]), "plus")[0]]),
@@ -150,20 +151,20 @@ def test_extension_blend_exact_at_neighbor_nodes(jump_setup):
 
 
 def test_extension_symmetric_data_is_jump_free():
-    domain = build_domain(cells_per_side=8)
+    x = param_nodes(8)
     levelsets = LevelSets()
     same = constant_per_side((0.6, 0.8, 0.0), (0.6, 0.8, 0.0))
     times = make_time_grid(0.02, dt=5e-3)
-    ext = extend_limit(same, domain, levelsets, times)
+    ext = extend_limit(same, x, levelsets, times)
     assert np.max(np.abs(ext.delta)) == 0.0
     assert np.max(np.abs(ext.delta_dt)) == 0.0
 
 
 def test_extension_rejects_nonzero_start():
-    domain = build_domain(cells_per_side=8)
+    x = param_nodes(8)
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     with pytest.raises(ValueError, match="start at 0"):
-        extend_limit(data, domain, LevelSets(), np.array([0.1, 0.2]))
+        extend_limit(data, x, LevelSets(), np.array([0.1, 0.2]))
 
 
 # --- layer nonlinearity ---
@@ -201,8 +202,7 @@ def test_F_pm_zero_input_is_zero():
 
 
 def test_profile_d1_exact_on_quadratics():
-    pg = make_profile_grid(Y=6.0, cells=32)
-    y = pg.y
+    y = make_profile_grid(Y=6.0, cells=32)
     W = np.stack([1.5 * y * y - 0.3 * y + 2.0,
                   -0.7 * y * y + y,
                   0.1 * y * y], axis=-1)
@@ -217,93 +217,39 @@ def test_profile_d1_exact_on_quadratics():
 
 # --- marching kernel conveyance (manufactured solution) ---
 
-def _march_column(pgrid, times, coeff, f_minus, f_plus):
-    """One column of the stacked march from W = 0; coeff, f_minus and
-    f_plus are (nt, ny, 3). Returns W (nt, ny, 3)."""
-    W = np.zeros((times.size, pgrid.n, 3))
-    W[1:] = _sweep(pgrid, times, W[:1], coeff[:, None], f_minus[:, None],
-                   f_plus[:, None])[:, 0]
-    return W
-
-
-def _mms_pieces():
-    """Manufactured profile with a second-derivative kink at y = 0.
-
-    W_m = sin(t) g_s(y) v with g_s = (1 + s y^2 / 10) e^{-y^2} on the
-    side s = sign(y): continuous with continuous slope at the junction,
-    jumping curvature, so both one-sided forcing values matter.
-    """
-    yy = sp.symbols("yy")
-    v = np.array([0.3, -0.5, 0.8])
-    g = {}
-    g2 = {}
-    for s in (1, -1):
-        expr = (1 + sp.Rational(s, 10) * yy**2) * sp.exp(-(yy**2))
-        g[s] = sp.lambdify(yy, expr, "numpy")
-        g2[s] = sp.lambdify(yy, sp.diff(expr, yy, 2), "numpy")
-    return v, g, g2
-
-
-def _mms_march(n_cells: int, dt: float, T: float = 0.5):
-    """March the manufactured problem on a uniform grid; return errors."""
-    v, g, g2 = _mms_pieces()
-    Y = 6.0
-    y = np.linspace(-Y, Y, 2 * n_cells + 1)
-    pg = ProfileGrid(y=y, Y=Y, j0=n_cells)
-    assert pg.y[pg.j0] == 0.0
-    times = np.linspace(0.0, T, int(round(T / dt)) + 1)
-    env = np.exp(-(y**2))
-    coeff = np.empty((times.size, y.size, 3))
-    coeff[..., 0] = np.cos(times)[:, None] * env[None, :]
-    coeff[..., 1] = np.sin(times)[:, None] * env[None, :]
-    coeff[..., 2] = 0.5 * env[None, :]
-
-    def forcing(side):
-        gv = g[side](y)[None, :, None]
-        g2v = g2[side](y)[None, :, None]
-        cross = np.cross(coeff, v[None, None, :])
-        return (np.cos(times)[:, None, None] * gv * v
-                - np.sin(times)[:, None, None] * g2v
-                * (v[None, None, :] + cross))
-
-    W = _march_column(pg, times, coeff, forcing(-1), forcing(1))
-    exact = np.where((y >= 0.0)[:, None], g[1](y)[:, None] * v,
-                     g[-1](y)[:, None] * v) * np.sin(times[-1])
-    return float(np.max(np.abs(W[-1] - exact)))
-
-
 def test_march_mms_corefined_second_order():
-    errs = [_mms_march(n, dt) for n, dt in
+    errs = [transmission_march_error(n, dt) for n, dt in
             [(24, 0.05), (48, 0.025), (96, 0.0125)]]
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(rates) > 1.8, f"rates {rates}, errors {errs}"
 
 
 def test_march_mms_spatial_order_at_small_dt():
-    errs = [_mms_march(n, dt=2e-4, T=0.02) for n in (24, 48, 96)]
+    errs = [transmission_march_error(n, dt=2e-4, T=0.02)
+            for n in (24, 48, 96)]
     rates = [np.log2(errs[k] / errs[k + 1]) for k in range(2)]
     assert min(rates) > 1.8, f"rates {rates}, errors {errs}"
 
 
 def test_march_zero_forcing_stays_zero():
-    pg = make_profile_grid(Y=6.0, cells=32)
+    y = make_profile_grid(Y=6.0, cells=32)
     times = make_time_grid(0.05, dt=0.01)
-    shape = (times.size, pg.n, 3)
+    shape = (times.size, y.size, 3)
     coeff = np.zeros(shape)
     coeff[..., 1] = 0.9
     zeros = np.zeros(shape)
-    W = _march_column(pg, times, coeff, zeros, zeros)
+    W = march_column(y, times, coeff, zeros, zeros)
     assert np.max(np.abs(W)) == 0.0
 
 
 # --- fixed point on the jump fixture ---
 
-def _picard_column(pgrid, times, delta, delta_dt, u0p, u0m, tol, max_iter,
+def _picard_column(y, times, delta, delta_dt, u0p, u0m, tol, max_iter,
                    x_label):
     """Iterate one column to the fixed point; returns (W, per-window
     sweep changes) or raises the column's NonContraction."""
-    W = np.zeros((times.size, 1, pgrid.n, 3))
-    (traces,), failure = _picard(pgrid, times, W, np.array([0]),
+    W = np.zeros((times.size, 1, y.size, 3))
+    (traces,), failure = _picard(y, times, W, np.array([0]),
                                  delta[:, None], delta_dt[:, None],
                                  u0p[:, None], u0m[:, None], tol, max_iter,
                                  [x_label])
@@ -315,8 +261,8 @@ def _picard_column(pgrid, times, delta, delta_dt, u0p, u0m, tol, max_iter,
 @pytest.fixture(scope="module")
 def jump_profiles(jump_setup):
     _, levelsets, _, _, ext = jump_setup
-    pgrid = make_profile_grid(Y=15.0, cells=128)
-    return pgrid, picard_profiles(ext, levelsets, pgrid, tol=1e-8)
+    y = make_profile_grid(Y=15.0, cells=128)
+    return y, picard_profiles(ext, levelsets, y, tol=1e-8)
 
 
 def test_picard_contracts_on_jump_fixture(jump_profiles):
@@ -345,13 +291,13 @@ def test_profiles_start_from_zero_and_stay_bounded(jump_profiles):
 
 
 def test_profiles_zero_jump_columns_are_exact_zero():
-    domain = build_domain(cells_per_side=8)
+    x = param_nodes(8)
     levelsets = LevelSets()
     same = constant_per_side((0.6, 0.8, 0.0), (0.6, 0.8, 0.0))
     times = make_time_grid(0.02, dt=5e-3)
-    ext = extend_limit(same, domain, levelsets, times)
-    pgrid = make_profile_grid(Y=15.0, cells=64)
-    pair = picard_profiles(ext, levelsets, pgrid)
+    ext = extend_limit(same, x, levelsets, times)
+    y = make_profile_grid(Y=15.0, cells=64)
+    pair = picard_profiles(ext, levelsets, y)
     assert np.max(np.abs(pair.W)) == 0.0
     assert np.all(pair.iterations == 0)
     pair.validate()
@@ -359,9 +305,9 @@ def test_profiles_zero_jump_columns_are_exact_zero():
 
 def test_profiles_deterministic(jump_setup):
     _, levelsets, _, _, ext = jump_setup
-    pgrid = make_profile_grid(Y=6.0, cells=48)
-    a = picard_profiles(ext, levelsets, pgrid, tol=1e-8)
-    b = picard_profiles(ext, levelsets, pgrid, tol=1e-8)
+    y = make_profile_grid(Y=6.0, cells=48)
+    a = picard_profiles(ext, levelsets, y, tol=1e-8)
+    b = picard_profiles(ext, levelsets, y, tol=1e-8)
     assert np.array_equal(a.W, b.W)
 
 
@@ -380,21 +326,21 @@ def test_profiles_box_halving_stable(jump_setup):
 def test_profile_column_independent_of_extension_width(jump_setup):
     # at x = 0 the column inputs are one-sided traces of the limit flow,
     # so the solved profile cannot depend on how far the blend reaches
-    domain, _, data, times, _ = jump_setup
-    ext_a = extend_limit(data, domain, LevelSets(), times)
+    x, _, data, times, _ = jump_setup
+    ext_a = extend_limit(data, x, LevelSets(), times)
     ext_b = extend_limit(
-        data, domain,
+        data, x,
         LevelSets(v_sigma_halfwidth=0.2, v_gamma_width=0.25,
                   theta_inner=0.125), times)
     i0 = int(np.argmin(np.abs(ext_a.x_param)))
     for name in ("u_plus", "u_minus", "du_plus", "du_minus"):
         assert np.array_equal(getattr(ext_a, name)[:, i0],
                               getattr(ext_b, name)[:, i0])
-    pgrid = make_profile_grid(Y=6.0, cells=48)
-    W_a, _ = _picard_column(pgrid, times, ext_a.delta[:, i0],
+    y = make_profile_grid(Y=6.0, cells=48)
+    W_a, _ = _picard_column(y, times, ext_a.delta[:, i0],
                             ext_a.delta_dt[:, i0], ext_a.u_plus[:, i0],
                             ext_a.u_minus[:, i0], 1e-8, 40, 0.0)
-    W_b, _ = _picard_column(pgrid, times, ext_b.delta[:, i0],
+    W_b, _ = _picard_column(y, times, ext_b.delta[:, i0],
                             ext_b.delta_dt[:, i0], ext_b.u_plus[:, i0],
                             ext_b.u_minus[:, i0], 1e-8, 40, 0.0)
     assert np.array_equal(W_a, W_b)
@@ -403,7 +349,7 @@ def test_profile_column_independent_of_extension_width(jump_setup):
 def test_picard_non_contraction_aborts():
     # a jump far off the unit sphere makes the quadratic terms dominate
     # and the frozen-coefficient sweep map expand
-    pgrid = make_profile_grid(Y=6.0, cells=48)
+    y = make_profile_grid(Y=6.0, cells=48)
     times = make_time_grid(0.05, dt=5e-3)
     nt = times.size
     delta = np.tile([40.0, 0.0, 0.0], (nt, 1))
@@ -411,7 +357,7 @@ def test_picard_non_contraction_aborts():
     u0p = np.tile([-0.6, 0.8, 0.0], (nt, 1))
     u0m = np.tile([0.6, 0.8, 0.0], (nt, 1))
     with pytest.raises(NonContraction) as info:
-        _picard_column(pgrid, times, delta, dzero, u0p, u0m,
+        _picard_column(y, times, delta, dzero, u0p, u0m,
                        tol=1e-8, max_iter=40, x_label=0.0)
     err = info.value
     assert 0.0 <= err.t_converged <= float(times[-1])
@@ -419,7 +365,7 @@ def test_picard_non_contraction_aborts():
 
 
 def test_picard_max_iter_exhaustion_reports():
-    pgrid = make_profile_grid(Y=6.0, cells=48)
+    y = make_profile_grid(Y=6.0, cells=48)
     times = make_time_grid(0.05, dt=5e-3)
     nt = times.size
     delta = np.tile([-1.2, 0.0, 0.0], (nt, 1))
@@ -427,15 +373,15 @@ def test_picard_max_iter_exhaustion_reports():
     u0p = np.tile([-0.6, 0.8, 0.0], (nt, 1))
     u0m = np.tile([0.6, 0.8, 0.0], (nt, 1))
     with pytest.raises(NonContraction, match="did not reach"):
-        _picard_column(pgrid, times, delta, dzero, u0p, u0m,
+        _picard_column(y, times, delta, dzero, u0p, u0m,
                        tol=1e-14, max_iter=2, x_label=0.0)
 
 
 # --- the stacked windowed Picard loop against a one-column loop ---
 
-def _reference_march(pgrid, times, coeff, f_minus, f_plus, w0):
+def _reference_march(y, times, coeff, f_minus, f_plus, w0):
     """The one-column Crank-Nicolson march the stacked sweep replaced."""
-    y, j0 = pgrid.y, pgrid.j0
+    j0 = y.size // 2
     ny = y.size
     d2 = d2_coefficients(y)
     a, b, c = d2
@@ -474,7 +420,7 @@ def _reference_march(pgrid, times, coeff, f_minus, f_plus, w0):
     return W
 
 
-def _reference_picard_column(pgrid, times, delta, delta_dt, u0p, u0m, tol,
+def _reference_picard_column(y, times, delta, delta_dt, u0p, u0m, tol,
                              max_iter, x_label):
     """One column iterated alone, window by window.
 
@@ -484,7 +430,6 @@ def _reference_picard_column(pgrid, times, delta, delta_dt, u0p, u0m, tol,
     (W, windows, failure): the per-window sweep changes, the failing
     window's last, and the NonContraction or None.
     """
-    y = pgrid.y
     e_plus = np.where(y >= 0.0, np.exp(-np.abs(y)), 0.0)[None, :, None]
     e_minus = np.where(y <= 0.0, np.exp(-np.abs(y)), 0.0)[None, :, None]
     d = delta[:, None, :]
@@ -518,7 +463,7 @@ def _reference_picard_column(pgrid, times, delta, delta_dt, u0p, u0m, tol,
                         u0m[lv, None, :], H_m[lv])
                    - 0.5 * dd[lv] * e_minus + S_m[lv]
                    + np.cross(V_m[lv] + Wl, S_m[lv]))
-            new = _reference_march(pgrid, times[lv], V_of_side[lv] + Wl,
+            new = _reference_march(y, times[lv], V_of_side[lv] + Wl,
                                    f_m, f_p, W[k0])[1:]
             D = new - Wl[1:]
             per_time = np.sqrt(np.trapezoid(np.sum(D * D, axis=-1), y,
@@ -546,20 +491,20 @@ def _reference_picard_column(pgrid, times, delta, delta_dt, u0p, u0m, tol,
 
 
 def test_stacked_picard_matches_the_per_column_reference():
-    domain = build_domain(cells_per_side=16)
+    x = param_nodes(16)
     levelsets = LevelSets()
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     times = make_time_grid(0.1, dt=5e-3)
-    ext = extend_limit(data, domain, levelsets, times)
-    pgrid = make_profile_grid(Y=6.0, cells=48)
-    pair = picard_profiles(ext, levelsets, pgrid, tol=1e-8)
+    ext = extend_limit(data, x, levelsets, times)
+    y = make_profile_grid(Y=6.0, cells=48)
+    pair = picard_profiles(ext, levelsets, y, tol=1e-8)
 
     idx = np.nonzero(levelsets.in_v_sigma(ext.x_param))[0]
     W = np.zeros_like(pair.W)
     traces = []
     for col, i in enumerate(idx):
         W[:, col], windows, failure = _reference_picard_column(
-            pgrid, times, ext.delta[:, i], ext.delta_dt[:, i],
+            y, times, ext.delta[:, i], ext.delta_dt[:, i],
             ext.u_plus[:, i], ext.u_minus[:, i], 1e-8, 40,
             float(ext.x_param[i]))
         assert failure is None
@@ -579,7 +524,7 @@ def test_stacked_picard_matches_the_per_column_reference():
         for q in range(len(w) - 1)]
 
 
-def _stacked_against_reference(pgrid, times, delta, u0p, u0m, tol,
+def _stacked_against_reference(y, times, delta, u0p, u0m, tol,
                                max_iter):
     """Run the stacked loop and the per-column reference on the same
     columns; check that the stacked loop fails like the lowest column
@@ -588,7 +533,7 @@ def _stacked_against_reference(pgrid, times, delta, u0p, u0m, tol,
     nt, cols = delta.shape[:2]
     dzero = np.zeros_like(delta)
     labels = [0.1 * col for col in range(cols)]
-    refs = [_reference_picard_column(pgrid, times, delta[:, col],
+    refs = [_reference_picard_column(y, times, delta[:, col],
                                      dzero[:, col], u0p[:, col],
                                      u0m[:, col], tol, max_iter,
                                      labels[col])
@@ -598,8 +543,8 @@ def _stacked_against_reference(pgrid, times, delta, u0p, u0m, tol,
     expected = next(failure for _, windows, failure in refs
                     if failure is not None
                     and len(windows) - 1 == fail_window)
-    W = np.zeros((nt, cols, pgrid.n, 3))
-    traces, failure = _picard(pgrid, times, W, np.arange(cols), delta,
+    W = np.zeros((nt, cols, y.size, 3))
+    traces, failure = _picard(y, times, W, np.arange(cols), delta,
                               dzero, u0p, u0m, tol, max_iter, labels)
     assert str(failure) == str(expected)
     assert failure.t_converged == expected.t_converged
@@ -619,20 +564,20 @@ def _stacked_against_reference(pgrid, times, delta, u0p, u0m, tol,
 ], ids=["stall_between_contracting", "lower_exhausts_later"])
 def test_stacked_picard_raises_the_lowest_failing_column(scales, tol,
                                                          max_iter):
-    pgrid = make_profile_grid(Y=6.0, cells=48)
+    y = make_profile_grid(Y=6.0, cells=48)
     times = make_time_grid(0.05, dt=5e-3)
     delta = np.stack([np.tile([s, 0.0, 0.0], (times.size, 1))
                       for s in scales], axis=1)
     u0p = np.broadcast_to([-0.6, 0.8, 0.0], delta.shape)
     u0m = np.broadcast_to([0.6, 0.8, 0.0], delta.shape)
-    _stacked_against_reference(pgrid, times, delta, u0p, u0m, tol, max_iter)
+    _stacked_against_reference(y, times, delta, u0p, u0m, tol, max_iter)
 
 
 def test_picard_stall_in_a_later_window_sets_the_horizon():
     # the jump of column 1 steps from -1.2 to 40 inside the third window:
     # the first two windows contract, the third stalls, and the horizon
     # is the third window's first time
-    pgrid = make_profile_grid(Y=6.0, cells=48)
+    y = make_profile_grid(Y=6.0, cells=48)
     times = make_time_grid(0.1, dt=5e-3)
     step = 2 * TIME_BLOCK + 3
     scale = np.where(np.arange(times.size) < step, -1.2, 40.0)
@@ -641,21 +586,21 @@ def test_picard_stall_in_a_later_window_sets_the_horizon():
     delta[:, 1, 0] = scale
     u0p = np.broadcast_to([-0.6, 0.8, 0.0], delta.shape)
     u0m = np.broadcast_to([0.6, 0.8, 0.0], delta.shape)
-    failure = _stacked_against_reference(pgrid, times, delta, u0p, u0m,
+    failure = _stacked_against_reference(y, times, delta, u0p, u0m,
                                          1e-8, 40)
     assert "stopped contracting at x=0.1" in str(failure)
     assert failure.t_converged == times[2 * TIME_BLOCK]
 
 
 def test_march_with_nan_coefficient_aborts():
-    pg = make_profile_grid(Y=6.0, cells=32)
+    y = make_profile_grid(Y=6.0, cells=32)
     times = make_time_grid(0.05, dt=0.01)
-    shape = (times.size, pg.n, 3)
+    shape = (times.size, y.size, 3)
     coeff = np.zeros(shape)
     coeff[3, 5, 1] = np.nan
     f = np.ones(shape)
     with pytest.raises(SolverAbort, match="non-finite"):
-        _march_column(pg, times, coeff, f, f)
+        march_column(y, times, coeff, f, f)
 
 
 def test_validate_flags_fat_tail(jump_profiles):
@@ -672,13 +617,12 @@ def test_gain_from_forcing_decays_with_lambda():
     Y = 6.0
     n = 48
     y = np.linspace(-Y, Y, 2 * n + 1)
-    pg = ProfileGrid(y=y, Y=Y, j0=n)
     times = np.linspace(0.0, 1.0, 101)
     env = np.exp(-(y**2))
     f = (np.exp(-times)[:, None, None] * env[:, None]
          * np.array([0.2, -0.4, 0.5]))
     coeff = np.zeros((times.size, y.size, 3))
-    W = _march_column(pg, times, coeff, f, f)
+    W = march_column(y, times, coeff, f, f)
 
     def weighted_l2(field, lam):
         # L2 over (t, y) with the time weight e^{-2 lam t}
@@ -691,10 +635,10 @@ def test_gain_from_forcing_decays_with_lambda():
 
 
 def test_transmission_defect_helper_zero_for_smooth():
-    pg = make_profile_grid(Y=6.0, cells=48)
-    j0 = pg.j0
-    W = np.stack([np.exp(-pg.y**2), np.sin(pg.y) * 0.1,
-                  np.zeros_like(pg.y)], axis=-1)
-    dp = one_sided_d1(pg.y[j0:], W[j0:], "left")
-    dm = one_sided_d1(pg.y[:j0 + 1], W[:j0 + 1], "right")
+    y = make_profile_grid(Y=6.0, cells=48)
+    j0 = y.size // 2
+    W = np.stack([np.exp(-y**2), np.sin(y) * 0.1,
+                  np.zeros_like(y)], axis=-1)
+    dp = one_sided_d1(y[j0:], W[j0:], "left")
+    dm = one_sided_d1(y[:j0 + 1], W[:j0 + 1], "right")
     assert np.max(np.abs(dp - dm)) < 1e-4

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from llx.interp import (contract_columns, natural_spline_coeffs, spline_eval,
@@ -24,6 +26,34 @@ def test_spline_matches_reference_natural_spline():
     want = CubicSpline(x, v, bc_type="natural")(q)
     assert got.shape == (7, 5, 3)
     np.testing.assert_allclose(got, want, atol=1e-12, rtol=1e-12)
+
+
+# fixed before any run: the natural-spline system is diagonally dominant
+# for any knot spacing, and cell widths within a factor 20 keep rounding
+# far below this relative bound
+SPLINE_RTOL = 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(nk=st.integers(3, 30), batch=st.integers(1, 4),
+       nq=st.integers(1, 25), seed=st.integers(0, 2**32 - 1))
+def test_spline_eval_matches_scipy_natural_on_random_knots(nk, batch, nq,
+                                                           seed):
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 1.0, nk - 1))])
+    x += rng.uniform(-5.0, 5.0)
+    v = rng.normal(size=(nk, batch, 3))
+    q = rng.uniform(x[0], x[-1], size=nq)
+    q[rng.random(nq) < 0.2] = x[rng.integers(0, nk)]
+    m = natural_spline_coeffs(x, v)
+    got = spline_eval(x, v, m, q)
+    want = CubicSpline(x, v, bc_type="natural")(q)
+    scale = max(1.0, float(np.max(np.abs(v))))
+    np.testing.assert_allclose(got, want, rtol=0.0,
+                               atol=SPLINE_RTOL * scale)
+    # any subset of the queries gives the same bits as the full batch
+    keep = rng.random(nq) < 0.5
+    assert np.array_equal(spline_eval(x, v, m, q[keep]), got[keep])
 
 
 def test_spline_reproduces_linear_data():
