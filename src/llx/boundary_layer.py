@@ -42,8 +42,8 @@ import numpy as np
 
 from .banded import block_tridiag_solve, cross_matrix
 from .errors import ValidationError
-from .geometry import (LevelSets, apply_tridiagonal_stencil, d2_coefficients,
-                       one_sided_d1, profile_d1)
+from .geometry import (apply_tridiagonal_stencil, d2_coefficients,
+                       one_sided_d1, profile_d1, theta)
 from .limit_model import ExtendedLimit
 from .strayfield import E1, stray_field_slab
 
@@ -211,9 +211,10 @@ class BoundaryProfile:
                 f"wall flux defect {defect:.3e} exceeds {neumann_tol:.1e}")
 
 
-def solve_boundary_profile(ext: ExtendedLimit, levelsets: LevelSets,
+def solve_boundary_profile(ext: ExtendedLimit,
                            z: np.ndarray) -> BoundaryProfile:
-    """Solve the wall layer on every column with positive wall cutoff.
+    """Solve the wall layer on every column where the wall cutoff
+    geometry.theta is positive.
 
     The limit solution and its slow normal derivative come from the
     extended states (each side's extension equals the limit solution on
@@ -221,8 +222,8 @@ def solve_boundary_profile(ext: ExtendedLimit, levelsets: LevelSets,
     normal at the nearer wall.
     """
     x = ext.x_param
-    theta = levelsets.theta(x)
-    mask = theta > 0.0
+    theta_x = theta(x)
+    mask = theta_x > 0.0
     idx = np.nonzero(mask)[0]
 
     side_minus = (x < 0.0)[None, :, None]
@@ -234,7 +235,7 @@ def solve_boundary_profile(ext: ExtendedLimit, levelsets: LevelSets,
     U = np.zeros((nt, idx.size, z.size, 3))
     g_data = np.zeros((nt, idx.size, 3))
     for col, i in enumerate(idx):
-        g = theta[i] * normal_sign[0, i] * dx_u0[:, i]
+        g = theta_x[i] * normal_sign[0, i] * dx_u0[:, i]
         if np.max(np.abs(g)) == 0.0:
             continue
         g_data[:, col] = g
@@ -268,18 +269,19 @@ def wall_slopes(profile: BoundaryProfile) -> tuple:
     return g_minus, g_plus
 
 
-def neumann_corrector(x: np.ndarray, theta: np.ndarray,
-                      g_minus: np.ndarray, g_plus: np.ndarray) -> np.ndarray:
+def neumann_corrector(x: np.ndarray, g_minus: np.ndarray,
+                      g_plus: np.ndarray) -> np.ndarray:
     """Neumann corrector rho(t, x) = phi(x) theta(x) g_side(t): (nt, nx, 3).
 
-    theta is the wall cutoff on the nodes x, g_minus and g_plus (nt, 3)
-    the outward normal x-derivatives of the wall trace U(t, . , 0) at
-    each wall (wall_slopes), so d_n rho = -g_side at each wall and the
-    O(eps) flux of the assembled expansion cancels there. Supported
-    where theta is.
+    phi(x) = 1 - |x| is the distance to the wall and theta the wall
+    cutoff on the nodes x; g_minus and g_plus (nt, 3) are the outward
+    normal x-derivatives of the wall trace U(t, . , 0) at each wall
+    (wall_slopes), so d_n rho = -g_side at each wall and the O(eps)
+    flux of the assembled expansion cancels there. Supported where
+    theta is.
     """
     rho = np.zeros((g_plus.shape[0], x.size, 3))
-    phi_theta = (1.0 - np.abs(x)) * theta
+    phi_theta = (1.0 - np.abs(x)) * theta(x)
     right = x > 0.0
     left = x < 0.0
     rho[:, right] = phi_theta[right, None] * g_plus[:, None]

@@ -7,9 +7,11 @@ eps list, [run] the single-eps settings, the sampling seed, and the
 output directory. Every key has a default, so an empty file (or no
 file at all) describes the headline jump experiment.
 
-Values are canonicalized before hashing, so two files spelling the
-same number differently ("0.1" vs "1e-1") produce the same hash, and
-the hash identifies the effective configuration including overrides.
+Each key is parsed once, by its entry in one parser table (a study
+knob reads as the type of its StudyConfig field). The hash renders the
+parsed values, so two files spelling the same number differently
+("0.1" vs "1e-1") produce the same hash, and the hash identifies the
+effective configuration including overrides.
 
 Bad values are refused here, once, with a message naming the key:
 every number must be finite, run.epsilon positive, and the study knobs
@@ -54,8 +56,6 @@ _SECTIONS = {
     "run": _RUN_DEFAULTS,
 }
 
-_STUDY_INTS = ("cells_per_eps", "param_cells", "profile_cells",
-               "wall_cells", "picard_max_iter", "eclass_m")
 
 
 @dataclass(frozen=True)
@@ -111,18 +111,33 @@ def _parse_vec3(section: str, key: str, raw: str) -> tuple:
     return vals
 
 
-def _canonical(section: str, key: str, raw: str) -> str:
+def _parse_text(section: str, key: str, raw: str) -> str:
+    return raw.strip()
+
+
+# the parser of every key that is not text; a study knob reads as the
+# type of its StudyConfig field
+_PARSERS = {
+    ("scenario", "value_minus"): _parse_vec3,
+    ("scenario", "value_plus"): _parse_vec3,
+    ("study", "epsilons"): _parse_floats,
+    ("run", "epsilon"): _parse_float,
+    ("run", "seed"): _parse_int,
+}
+_PARSERS.update(
+    (("study", f.name),
+     _parse_int if isinstance(getattr(StudyConfig(), f.name), int)
+     else _parse_float)
+    for f in dc_fields(StudyConfig))
+
+
+def _canonical(value) -> str:
     """Value rendering used for hashing: numbers via repr, text as-is."""
-    raw = raw.strip()
-    if section == "study" and key == "epsilons":
-        return " ".join(repr(v) for v in _parse_floats(section, key, raw))
-    if key in ("value_minus", "value_plus"):
-        return " ".join(repr(v) for v in _parse_vec3(section, key, raw))
-    if key in _STUDY_INTS or key in ("seed",):
-        return repr(_parse_int(section, key, raw))
-    if section == "study" or key == "epsilon":
-        return repr(_parse_float(section, key, raw))
-    return raw
+    if isinstance(value, tuple):
+        return " ".join(repr(v) for v in value)
+    if isinstance(value, str):
+        return value
+    return repr(value)
 
 
 def _read_file(path: str) -> dict:
@@ -178,17 +193,18 @@ def apply_overrides(merged: dict, overrides) -> dict:
 
 
 def _build(merged: dict) -> RunConfig:
-    scen = merged["scenario"]
-    study_raw = merged["study"]
-    run = merged["run"]
+    # every key parsed once, in the order the hash lists them
+    value = {(section, key): _PARSERS.get((section, key), _parse_text)(
+                 section, key, merged[section][key])
+             for section in sorted(_SECTIONS)
+             for key in sorted(_SECTIONS[section])}
 
-    kind = scen["data"].strip()
+    kind = value["scenario", "data"]
     if kind == "constant":
-        data = constant_per_side(
-            _parse_vec3("scenario", "value_minus", scen["value_minus"]),
-            _parse_vec3("scenario", "value_plus", scen["value_plus"]))
+        data = constant_per_side(value["scenario", "value_minus"],
+                                 value["scenario", "value_plus"])
     elif kind == "named":
-        name = scen["field"].strip()
+        name = value["scenario", "field"]
         if name not in NAMED_FIELDS:
             raise ConfigError(
                 f"unknown named field {name!r}; "
@@ -198,31 +214,22 @@ def _build(merged: dict) -> RunConfig:
         raise ConfigError(
             f"scenario.data must be 'constant' or 'named', got {kind!r}")
 
-    kwargs = {}
-    for f in dc_fields(StudyConfig):
-        raw = study_raw[f.name]
-        kwargs[f.name] = (_parse_int("study", f.name, raw)
-                          if f.name in _STUDY_INTS
-                          else _parse_float("study", f.name, raw))
-    study = StudyConfig(**kwargs)
-    epsilons = _parse_floats("study", "epsilons", study_raw["epsilons"])
-    epsilon = _parse_float("run", "epsilon", run["epsilon"])
+    study = StudyConfig(**{f.name: value["study", f.name]
+                           for f in dc_fields(StudyConfig)})
+    epsilon = value["run", "epsilon"]
     if epsilon <= 0.0:
         raise ConfigError(f"run.epsilon must be positive, got {epsilon!r}")
 
-    items = tuple(
-        (section, key, _canonical(section, key, merged[section][key]))
-        for section in sorted(_SECTIONS)
-        for key in sorted(_SECTIONS[section]))
     return RunConfig(
-        scenario=scen["name"].strip(),
+        scenario=value["scenario", "name"],
         data=data,
-        epsilons=epsilons,
+        epsilons=value["study", "epsilons"],
         study=study,
         epsilon=epsilon,
-        seed=_parse_int("run", "seed", run["seed"]),
-        out=run["out"].strip(),
-        items=items,
+        seed=value["run", "seed"],
+        out=value["run", "out"],
+        items=tuple((section, key, _canonical(v))
+                    for (section, key), v in value.items()),
     )
 
 

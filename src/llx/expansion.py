@@ -18,9 +18,10 @@ fast direction is fitted once per block on the stored parameter columns
 and evaluated at every node's stretched coordinate, and the result is
 contracted with the node's cardinal cubic-spline weights in x. The
 exponential lift S and the corrector rho are evaluated in closed form.
-The x-weights include one exactly-zero anchor column beyond the layer
-support, so the increments roll off smoothly and vanish identically
-farther out.
+Both layers take their x-weights from one helper: the support columns
+plus one exactly-zero anchor column past each end of the support that
+is not a domain end, so the increments roll off smoothly and vanish
+identically farther out.
 
 The convergence study builds the profiles once (they do not depend on
 eps), then for each eps: samples the ansatz on an eps-refined grid,
@@ -52,8 +53,8 @@ from .errors import ConfigError, NonContraction
 from .fields import MagnetizationField
 from .full_model import (FullModelConfig, l2_space_time, make_epsilon_grid,
                          residual_report, simulate_full)
-from .geometry import (LevelSets, conormal_weight, make_profile_grid,
-                       make_wall_grid, param_nodes, profile_d1)
+from .geometry import (conormal_weight, in_v_sigma, make_profile_grid,
+                       make_wall_grid, param_nodes, profile_d1, theta)
 from .internal_layer import ProfilePair, make_time_grid, picard_profiles
 from .interp import (contract_columns, natural_spline_coeffs, spline_eval,
                      x_resample)
@@ -121,20 +122,12 @@ class ExpansionAnsatz:
         y = pair.y
         j0 = pair.j0
         ys = x / self.epsilon
-        active = (self.pieces.levelsets.in_v_sigma(x)
-                  & (np.abs(ys) <= pair.Y))
+        active = in_v_sigma(x) & (np.abs(ys) <= pair.Y)
         out = np.zeros((ks.size, x.size, 3))
         if not active.any():
             return out
         idx = np.nonzero(pair.support_mask)[0]
-        i0, i1 = int(idx[0]), int(idx[-1])
-        if i0 == 0 or i1 == xp.size - 1:
-            raise ValueError("interface support touches the domain ends")
-        # one exactly-zero anchor column on each side of the support
-        # (the jump field vanishes identically outside the neighborhood);
-        # it carries no weight, so only the support columns are summed
-        xs_ext = xp[i0 - 1:i1 + 2]
-        weights = _cardinal_weights(xs_ext, x[active])[:, 1:-1]
+        weights = _cardinal_weights(xp, int(idx[0]), int(idx[-1]), x[active])
         ya = ys[active]
         W = pair.W[ks]
         d_x = contract_columns(weights, pair.delta[ks][:, None])
@@ -151,32 +144,22 @@ class ExpansionAnsatz:
         out[:, active] = vals
         return out
 
-    def _wall_increment(self, ks: np.ndarray, x: np.ndarray,
-                        theta_x: np.ndarray) -> np.ndarray:
+    def _wall_increment(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
         prof = self.pieces.boundary
         zs = (1.0 - np.abs(x)) / self.epsilon
+        near = (theta(x) > 0.0) & (zs <= prof.Z)
         out = np.zeros((ks.size, x.size, 3))
         xp = prof.x_param
         xs = prof.x_support
-        for side in ("minus", "plus"):
-            if side == "plus":
-                sel = (x > 0.0) & (theta_x > 0.0) & (zs <= prof.Z)
-                cols = xs > 0.0
-            else:
-                sel = (x < 0.0) & (theta_x > 0.0) & (zs <= prof.Z)
-                cols = xs < 0.0
-            if not (sel.any() and cols.sum() >= 2):
+        for sign in (-1.0, 1.0):
+            sel = near & (sign * x > 0.0)
+            cols = sign * xs > 0.0
+            n_cols = int(cols.sum())
+            if not (sel.any() and n_cols >= 2):
                 continue
-            # one exactly-zero anchor column on the inner side, which
-            # carries no weight
-            if side == "plus":
-                j = int(np.searchsorted(xp, xs[cols][0])) - 1
-                xs_ext = np.concatenate([[xp[j]], xs[cols]])
-                weights = _cardinal_weights(xs_ext, x[sel])[:, 1:]
-            else:
-                j = int(np.searchsorted(xp, xs[cols][-1])) + 1
-                xs_ext = np.concatenate([xs[cols], [xp[j]]])
-                weights = _cardinal_weights(xs_ext, x[sel])[:, :-1]
+            # each side's support columns run contiguously to its wall
+            i0 = int(np.searchsorted(xp, xs[cols][0]))
+            weights = _cardinal_weights(xp, i0, i0 + n_cols - 1, x[sel])
             out[:, sel] = _layer_values(prof.z, prof.U[ks][:, cols],
                                         zs[sel], weights)
         return out
@@ -186,12 +169,11 @@ class ExpansionAnsatz:
         x = np.asarray(x, dtype=float)
         if x.ndim != 1 or np.any(np.abs(x) > 1.0 + 1e-12):
             raise ValueError("sample nodes must lie in [-1, 1]")
-        theta_x = self.pieces.levelsets.theta(x)
         return {
             "base": self._base(ks, x),
             "interface": self._interface_increment(ks, x),
-            "wall": self._wall_increment(ks, x, theta_x),
-            "rho": neumann_corrector(x, theta_x, self.pieces.g_minus[ks],
+            "wall": self._wall_increment(ks, x),
+            "rho": neumann_corrector(x, self.pieces.g_minus[ks],
                                      self.pieces.g_plus[ks]),
         }
 
@@ -214,10 +196,20 @@ class ExpansionAnsatz:
         return out
 
 
-def _cardinal_weights(xs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Natural-spline x-weights: column i is the resample of the unit
-    data at xs[i] onto x, so any resample is weights @ data."""
-    return x_resample(xs, np.eye(xs.size), x)
+def _cardinal_weights(xp: np.ndarray, i0: int, i1: int,
+                      x: np.ndarray) -> np.ndarray:
+    """Natural-spline x-weights of a layer's support columns xp[i0..i1]
+    at x: column i is the resample of unit data at xp[i0 + i], so any
+    resample is weights @ data, (nx, i1 - i0 + 1).
+
+    The layer vanishes identically past its support, so one exactly-zero
+    anchor column is added past each end that is not a domain end; an
+    anchor carries no weight and is dropped.
+    """
+    lo = max(i0 - 1, 0)
+    hi = min(i1 + 1, xp.size - 1)
+    xs = xp[lo:hi + 1]
+    return x_resample(xs, np.eye(xs.size), x)[:, i0 - lo:i1 - lo + 1]
 
 
 def _layer_values(s_knots: np.ndarray, U: np.ndarray, s: np.ndarray,
@@ -390,17 +382,17 @@ class StudyConfig:
         for name in _POSITIVE_FIELDS:
             value = getattr(self, name)
             if not 0.0 < value < np.inf:
-                raise ConfigError(
-                    f"{name} must be positive and finite, got {value!r}")
+                raise ConfigError(f"study.{name} must be positive and "
+                                  f"finite, got {value!r}")
         for name, least in _FIELD_MINIMA.items():
             value = getattr(self, name)
             if value < least:
                 raise ConfigError(
-                    f"{name} must be at least {least}, got {value!r}")
+                    f"study.{name} must be at least {least}, got {value!r}")
         if self.dt_full > self.dt_knot + 1e-15:
             raise ConfigError(
-                f"dt_full={self.dt_full} must not exceed "
-                f"dt_knot={self.dt_knot}")
+                f"study.dt_full={self.dt_full} must not exceed "
+                f"study.dt_knot={self.dt_knot}")
         if self.T / self.dt_full > MAX_FULL_STEPS:
             raise ConfigError(
                 f"study.dt_full={self.dt_full} asks for "
@@ -409,8 +401,8 @@ class StudyConfig:
         ratio = self.T / self.dt_knot
         if abs(ratio - round(ratio)) > 1e-9:
             raise ConfigError(
-                f"T={self.T} must be an integer multiple of "
-                f"dt_knot={self.dt_knot}")
+                f"study.T={self.T} must be an integer multiple of "
+                f"study.dt_knot={self.dt_knot}")
         if self.eclass_m not in (1, 2):
             # the m = 0 norms are always reported in their own column
             raise ConfigError(f"study.eclass_m must be 1 or 2, "
@@ -434,7 +426,6 @@ class ExpansionPieces:
     ext: ExtendedLimit
     profiles: ProfilePair
     boundary: BoundaryProfile
-    levelsets: LevelSets
     g_minus: np.ndarray
     g_plus: np.ndarray
     T_used: float
@@ -474,13 +465,12 @@ def build_expansion_pieces(data: MagnetizationField,
     on that horizon: its knots, limit values and windows are a prefix.
     The report carries the shortened horizon. The wall layer validates.
     """
-    levelsets = LevelSets()
     T_used = float(cfg.T)
     y = make_profile_grid(Y=cfg.box_y, cells=cfg.profile_cells)
-    ext = extend_limit(data, param_nodes(cfg.param_cells), levelsets,
+    ext = extend_limit(data, param_nodes(cfg.param_cells),
                        make_time_grid(T_used, dt=cfg.dt_knot))
     try:
-        pair = picard_profiles(ext, levelsets, y, tol=cfg.picard_tol,
+        pair = picard_profiles(ext, y, tol=cfg.picard_tol,
                                max_iter=cfg.picard_max_iter)
     except NonContraction as exc:
         T_used = float(np.floor(exc.t_converged / cfg.dt_knot) * cfg.dt_knot)
@@ -490,12 +480,11 @@ def build_expansion_pieces(data: MagnetizationField,
         ext = _head(ext, n, "u_plus", "u_minus", "du_plus", "du_minus")
         pair = _head(exc.profiles, n, "W", "delta", "full_delta")
     z = make_wall_grid(Z=cfg.box_z, cells=cfg.wall_cells)
-    boundary = solve_boundary_profile(ext, levelsets, z)
+    boundary = solve_boundary_profile(ext, z)
     boundary.validate()
     g_minus, g_plus = wall_slopes(boundary)
     return ExpansionPieces(ext=ext, profiles=pair, boundary=boundary,
-                           levelsets=levelsets, g_minus=g_minus,
-                           g_plus=g_plus, T_used=T_used)
+                           g_minus=g_minus, g_plus=g_plus, T_used=T_used)
 
 
 def _head(obj, n: int, *names: str):
@@ -554,17 +543,19 @@ def convergence_study(epsilons, data: MagnetizationField,
     """
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.size < 3:
-        raise ConfigError(f"need at least 3 eps values, got {eps.size}")
+        raise ConfigError(
+            f"study.epsilons needs at least 3 eps values, got {eps.size}")
     if not np.all(np.isfinite(eps)):
-        raise ConfigError(f"eps values must be finite, got {eps.tolist()}")
+        raise ConfigError(
+            f"study.epsilons must be finite, got {eps.tolist()}")
     if np.any(eps <= 0.0) or np.any(np.diff(eps) >= 0.0):
         raise ConfigError(
-            f"eps values must be positive and strictly decreasing, "
+            f"study.epsilons must be positive and strictly decreasing, "
             f"got {eps.tolist()}")
     if cfg.cells_per_eps < 8:
         raise ConfigError(
-            f"unresolved layer: {cfg.cells_per_eps} cells per eps width "
-            f"(need >= 8)")
+            f"unresolved layer: study.cells_per_eps={cfg.cells_per_eps} "
+            f"cells per eps width (need >= 8)")
     if pieces is None:
         pieces = build_expansion_pieces(data, cfg)
 

@@ -76,7 +76,7 @@ def _half_widths(h_fine: float, band: float) -> np.ndarray:
     return w * (0.5 / cum)
 
 
-def make_epsilon_grid(epsilon: float, cells_per_eps: int = 32) -> Grid1D:
+def make_epsilon_grid(epsilon: float, cells_per_eps: int) -> Grid1D:
     """Layer-refined mesh: spacing eps/cells_per_eps within 15 eps of
     the interface and both walls, geometric coarsening to 1/48 in
     between. Each side of the interface is symmetric about its

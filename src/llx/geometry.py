@@ -1,4 +1,4 @@
-"""Slab geometry: meshes, finite-difference stencils, level sets, cutoffs.
+"""Slab geometry: meshes, finite-difference stencils, the two cutoffs.
 
 Every mesh of the slab problem is assembled the same way: cumulative
 cell widths from 0, the last node pinned to the exact end, and the
@@ -14,15 +14,13 @@ Contains:
   nonuniform 3-point stencils with the Neumann walls built in
 - one_sided_d1 / profile_d1: second-order first derivatives at an end
   and along a whole node axis
-- LevelSets: distance to the boundary, the boundary cutoff theta, and
-  the interface blending weight chi
+- theta / chi_sigma / in_v_sigma: the wall cutoff, the interface
+  blending weight and the interface neighborhood, all of fixed width
 - conormal_weight: weight of the vector field x(1-x^2) d/dx tangent to
   both the interface and the boundary
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -191,48 +189,30 @@ def profile_d1(y: np.ndarray, W: np.ndarray) -> np.ndarray:
     return np.moveaxis(out, 0, -2)
 
 
-# === level sets and cutoffs ===
+# === the two neighborhoods and their cutoffs ===
 
-@dataclass(frozen=True)
-class LevelSets:
-    """Level-set functions and cutoffs for the slab.
+# the interface neighborhood |x| < 0.35 and the disjoint wall
+# neighborhood 1 - |x| < 0.25, whose cutoff is 1 on 1 - |x| <= 0.125
+V_SIGMA_HALFWIDTH = 0.35
+V_GAMMA_WIDTH = 0.25
+THETA_INNER = 0.125
 
-    phi(x) = 1 - |x| is the distance to the boundary. theta is 1 on the
-    inner boundary band (phi <= theta_inner), 0 outside the boundary
-    neighborhood (phi >= v_gamma_width), C2 in between. chi_sigma is
-    the interface blending weight: 1 at x = 0, 0 outside
-    |x| < v_sigma_halfwidth.
-    """
 
-    v_sigma_halfwidth: float = 0.35
-    v_gamma_width: float = 0.25
-    theta_inner: float = 0.125
+def theta(x):
+    """Wall cutoff: 1 where 1 - |x| <= THETA_INNER, 0 where
+    1 - |x| >= V_GAMMA_WIDTH, C2 in between."""
+    t = (1.0 - np.abs(x) - THETA_INNER) / (V_GAMMA_WIDTH - THETA_INNER)
+    return 1.0 - quintic_smoothstep(t)
 
-    def __post_init__(self):
-        if not 0.0 < self.theta_inner < self.v_gamma_width:
-            raise ValueError(
-                f"need 0 < theta_inner < v_gamma_width, got "
-                f"{self.theta_inner} vs {self.v_gamma_width}")
-        if self.v_sigma_halfwidth + self.v_gamma_width >= 1.0:
-            raise ValueError(
-                "interface and boundary neighborhoods overlap: "
-                f"{self.v_sigma_halfwidth} + {self.v_gamma_width} >= 1")
 
-    def phi(self, x):
-        return 1.0 - np.abs(x)
+def chi_sigma(x):
+    """Interface blending weight: 1 at x = 0, 0 outside the neighborhood."""
+    return 1.0 - quintic_smoothstep(np.abs(x) / V_SIGMA_HALFWIDTH)
 
-    def theta(self, x):
-        """Boundary cutoff: 1 where phi <= theta_inner, 0 where phi >= v_gamma_width."""
-        d = self.phi(x)
-        t = (d - self.theta_inner) / (self.v_gamma_width - self.theta_inner)
-        return 1.0 - quintic_smoothstep(t)
 
-    def chi_sigma(self, x):
-        """Interface blending weight: 1 at x = 0, 0 for |x| >= v_sigma_halfwidth."""
-        return 1.0 - quintic_smoothstep(np.abs(x) / self.v_sigma_halfwidth)
-
-    def in_v_sigma(self, x):
-        return np.abs(x) < self.v_sigma_halfwidth
+def in_v_sigma(x):
+    """Membership of the interface neighborhood |x| < V_SIGMA_HALFWIDTH."""
+    return np.abs(x) < V_SIGMA_HALFWIDTH
 
 
 def conormal_weight(x):

@@ -42,8 +42,8 @@ import numpy as np
 
 from .banded import block_tridiag_solve, cross_matrix, inv_id_plus_cross
 from .errors import NonContraction, ValidationError
-from .geometry import (LevelSets, apply_tridiagonal_stencil, d2_coefficients,
-                       one_sided_d1, profile_d1)
+from .geometry import (apply_tridiagonal_stencil, d2_coefficients,
+                       in_v_sigma, one_sided_d1, profile_d1)
 from .limit_model import ExtendedLimit
 from .strayfield import E1, stray_field_slab
 
@@ -400,10 +400,10 @@ class ProfilePair:
                 f"{max(bad):.3f}")
 
 
-def picard_profiles(ext: ExtendedLimit, levelsets: LevelSets,
-                    y: np.ndarray, tol: float = 1e-8,
+def picard_profiles(ext: ExtendedLimit, y: np.ndarray, tol: float = 1e-8,
                     max_iter: int = 40) -> ProfilePair:
-    """Solve the transmission profiles on every jump-supported column.
+    """Solve the transmission profiles on the columns of the interface
+    neighborhood (geometry.in_v_sigma).
 
     Columns whose jump and jump rate vanish identically are exactly
     zero and skipped without marching; that covers everything outside
@@ -413,7 +413,7 @@ def picard_profiles(ext: ExtendedLimit, levelsets: LevelSets,
     delta_full = ext.delta
     delta_dt_full = ext.delta_dt
     x = ext.x_param
-    mask = levelsets.in_v_sigma(x)
+    mask = in_v_sigma(x)
     nonzero = (np.max(np.abs(delta_full), axis=(0, 2)) > 0.0) \
         | (np.max(np.abs(delta_dt_full), axis=(0, 2)) > 0.0)
     idx = np.nonzero(mask)[0]

@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .fields import MagnetizationField
-from .geometry import LevelSets
+from .geometry import chi_sigma
 from .strayfield import stray_field_slab
 
 
@@ -155,7 +155,7 @@ class ExtendedLimit:
 
 
 def extend_limit(data: MagnetizationField, x: np.ndarray,
-                 levelsets: LevelSets, times: np.ndarray) -> ExtendedLimit:
+                 times: np.ndarray) -> ExtendedLimit:
     """Evolve both data branches on the parameter nodes x and blend.
 
     Each side's initial branch continues smoothly across the interface
@@ -163,7 +163,8 @@ def extend_limit(data: MagnetizationField, x: np.ndarray,
     and the limit flow is pointwise, so the branch evolutions are
     global one-sided solutions. The extension keeps each branch on its
     own side and fades it into the other side's solution with the
-    interface cutoff.
+    interface blending weight geometry.chi_sigma, whose window
+    |x| < 0.35 is fixed.
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0:
@@ -182,7 +183,7 @@ def extend_limit(data: MagnetizationField, x: np.ndarray,
     v_minus, v_plus = vals[:, 0], vals[:, 1]
     r_minus, r_plus = rhs_limit(v_minus), rhs_limit(v_plus)
 
-    chi = levelsets.chi_sigma(x)
+    chi = chi_sigma(x)
 
     def blend(own, other, keep_on):
         out = own.copy()

@@ -125,7 +125,7 @@ def test_criterion_06_transmission_profiles(jump_pieces):
     tail = pair.tail_max()
     ratios = pair.contraction_ratios()
     worst_ratio = max(ratios) if ratios else 0.0
-    half = picard_profiles(jump_pieces.ext, jump_pieces.levelsets,
+    half = picard_profiles(jump_pieces.ext,
                            make_profile_grid(Y=7.5, cells=128), tol=1e-8)
     moved = float(np.max(np.abs(pair.junction_trace()
                                 - half.junction_trace())))

@@ -9,28 +9,9 @@ from llx.boundary_layer import (BoundaryProfile, linearized_reaction,
                                 wall_slopes)
 from llx.errors import ValidationError
 from llx.fields import constant_per_side, named_field
-from llx.geometry import LevelSets, make_wall_grid, one_sided_d1, param_nodes
+from llx.geometry import make_wall_grid, one_sided_d1, param_nodes, theta
 from llx.internal_layer import F_pm, make_time_grid
 from llx.limit_model import extend_limit
-
-
-# --- mesh ---
-
-def test_wall_grid_structure():
-    z = make_wall_grid(Z=15.0, cells=96)
-    assert z[0] == 0.0 and z[-1] == 15.0
-    w = np.diff(z)
-    assert np.all(w > 0)
-    assert np.all(np.diff(w) >= -1e-15)
-    assert w[0] < 5e-3
-    assert w[-1] <= 0.3125 + 1e-12
-
-
-def test_wall_grid_validation():
-    with pytest.raises(ValueError, match="cells >= 8"):
-        make_wall_grid(Z=15.0, cells=4)
-    with pytest.raises(ValueError, match="length > 0"):
-        make_wall_grid(Z=0.0)
 
 
 # --- linearized reaction ---
@@ -124,54 +105,52 @@ def test_wall_march_validates_shapes():
 @pytest.fixture(scope="module")
 def swirl_wall():
     x = param_nodes(16)
-    levelsets = LevelSets()
     times = make_time_grid(0.05, dt=2.5e-3)
-    ext = extend_limit(named_field("swirl"), x, levelsets, times)
+    ext = extend_limit(named_field("swirl"), x, times)
     z = make_wall_grid(Z=15.0, cells=96)
-    return levelsets, ext, z, solve_boundary_profile(ext, levelsets, z)
+    return ext, z, solve_boundary_profile(ext, z)
 
 
 def test_wall_profile_nonzero_with_decaying_tail(swirl_wall):
-    _, _, _, prof = swirl_wall
+    _, _, prof = swirl_wall
     assert np.max(np.abs(prof.U)) > 1e-3
     assert prof.tail_max() <= 1e-6
     prof.validate()
 
 
 def test_wall_profile_neumann_defect_small(swirl_wall):
-    _, _, _, prof = swirl_wall
+    _, _, prof = swirl_wall
     assert prof.neumann_defect() < 1e-3
     # the applied data is the cutoff-weighted outward slow derivative
     assert np.max(np.abs(prof.g_data)) > 1e-3
 
 
 def test_wall_profile_supported_at_walls_only(swirl_wall):
-    levelsets, _, _, prof = swirl_wall
+    _, _, prof = swirl_wall
     assert np.all(np.abs(prof.x_support) > 0.75)
-    assert np.all(levelsets.theta(prof.x_support) > 0.0)
+    assert np.all(theta(prof.x_support) > 0.0)
 
 
 def test_wall_profile_zero_for_constant_data():
     x = param_nodes(8)
-    levelsets = LevelSets()
     times = make_time_grid(0.02, dt=5e-3)
     ext = extend_limit(constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0)),
-                       x, levelsets, times)
+                       x, times)
     z = make_wall_grid(Z=15.0, cells=48)
-    prof = solve_boundary_profile(ext, levelsets, z)
+    prof = solve_boundary_profile(ext, z)
     assert np.max(np.abs(prof.U)) == 0.0
     assert np.max(np.abs(prof.g_data)) == 0.0
     assert np.max(np.abs(_rho(prof))) == 0.0
 
 
 def test_wall_profile_deterministic(swirl_wall):
-    levelsets, ext, z, prof = swirl_wall
-    again = solve_boundary_profile(ext, levelsets, z)
+    ext, z, prof = swirl_wall
+    again = solve_boundary_profile(ext, z)
     assert np.array_equal(prof.U, again.U)
 
 
 def test_wall_validate_flags_defects(swirl_wall):
-    _, _, _, prof = swirl_wall
+    _, _, prof = swirl_wall
     with pytest.raises(ValidationError, match="flux defect"):
         prof.validate(neumann_tol=1e-15)
     with pytest.raises(ValidationError, match="tail"):
@@ -181,15 +160,14 @@ def test_wall_validate_flags_defects(swirl_wall):
 # --- corrector ---
 
 def _rho(prof):
-    theta = LevelSets().theta(prof.x_param)
-    return neumann_corrector(prof.x_param, theta, *wall_slopes(prof))
+    return neumann_corrector(prof.x_param, *wall_slopes(prof))
 
 
 def test_rho_cancels_unit_trace_slope():
     # fabricated wall trace x e2: the required normal derivative is 1 at
     # the right wall and the corrector slope there must be exactly -1
     x = param_nodes(16)
-    xs = x[LevelSets().theta(x) > 0.0]
+    xs = x[theta(x) > 0.0]
     times = np.array([0.0, 0.1, 0.2])
     z = make_wall_grid(Z=6.0, cells=16)
     U = np.zeros((times.size, xs.size, z.size, 3))
@@ -210,7 +188,7 @@ def test_rho_cancels_unit_trace_slope():
 
 
 def test_rho_supported_in_wall_neighborhood(swirl_wall):
-    _, _, _, prof = swirl_wall
+    _, _, prof = swirl_wall
     rho = _rho(prof)
     inland = np.abs(prof.x_param) <= 0.75
     assert np.max(np.abs(rho[:, inland])) == 0.0
@@ -219,7 +197,7 @@ def test_rho_supported_in_wall_neighborhood(swirl_wall):
 
 def test_rho_flux_cancellation(swirl_wall):
     # (B1): the corrector's wall slope cancels the trace's wall slope
-    _, _, _, prof = swirl_wall
+    _, _, prof = swirl_wall
     rho = _rho(prof)
     x = prof.x_param
     xs = prof.x_support

@@ -77,6 +77,15 @@ def test_non_decreasing_epsilons_is_exit_2(tmp_path, capsys):
     assert "decreasing" in err
 
 
+def test_unresolved_eps_grid_is_exit_2(tiny_cfg, tmp_path, capsys):
+    # 6 cells per eps passes the config (the mesh builder takes 4) but
+    # leaves the study's layers unresolved
+    rc = main(["converge", "--config", tiny_cfg, "--out", str(tmp_path / "o"),
+               "--tol-override", "study.cells_per_eps=6"])
+    assert rc == 2
+    assert "study.cells_per_eps" in capsys.readouterr().err
+
+
 def test_non_positive_epsilon_is_exit_2(tiny_cfg, tmp_path, capsys):
     rc = main(["full", "--config", tiny_cfg, "--out", str(tmp_path / "o"),
                "--tol-override", "run.epsilon=0"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from llx.config import (
     load_config,
 )
 from llx.errors import ConfigError
+from llx.expansion import StudyConfig
 
 
 def _write(tmp_path, text):
@@ -185,6 +187,14 @@ def test_study_validation_propagates():
 def test_bad_value_is_refused_naming_the_key(override, key):
     with pytest.raises(ConfigError, match=re.escape(key)):
         load_config(None, [override])
+
+
+def test_every_study_knob_refused_at_zero_names_its_section():
+    # each StudyConfig field is refused at 0, naming study.<key>
+    for f in fields(StudyConfig):
+        key = f"study.{f.name}"
+        with pytest.raises(ConfigError, match=re.escape(key)):
+            load_config(None, [f"{key}=0"])
 
 
 def test_override_bare_key():

@@ -14,7 +14,8 @@ from llx.expansion import (EClassNorms, ExpansionAnsatz, StudyConfig,
                            eclass_norms, fit_slope, jump_error_l2)
 from llx.fields import constant_per_side, named_field
 from llx.full_model import l2_space_time
-from llx.geometry import make_profile_grid, param_nodes, profile_d1
+from llx.geometry import (in_v_sigma, make_profile_grid, param_nodes,
+                          profile_d1, theta)
 from llx.internal_layer import TIME_BLOCK, make_time_grid, picard_profiles
 from llx.interp import natural_spline_coeffs, x_resample
 from llx.limit_model import extend_limit, simulate_limit
@@ -182,8 +183,7 @@ def test_swirl_wall_increment_lives_in_the_boundary_band(swirl_small):
     assert np.max(np.abs(parts["wall"])) > 1e-3
     # the corrector is the ramp times the cutoff times the trace slope
     k = ansatz.knot_index(t)
-    theta = pieces.levelsets.theta(near)
-    want = ((1.0 - np.abs(near)) * theta)[:, None] \
+    want = ((1.0 - np.abs(near)) * theta(near))[:, None] \
         * np.where((near > 0.0)[:, None], pieces.g_plus[k],
                    pieces.g_minus[k])
     np.testing.assert_allclose(parts["rho"], want, atol=1e-15)
@@ -243,7 +243,7 @@ def _reference_sample(ansatz, t, x):
 
     interface = np.zeros((x.size, 3))
     ys = x / eps
-    active = pieces.levelsets.in_v_sigma(x) & (np.abs(ys) <= pair.Y)
+    active = in_v_sigma(x) & (np.abs(ys) <= pair.Y)
     idx = np.nonzero(pair.support_mask)[0]
     xs_ext = xp[idx[0] - 1:idx[-1] + 2]
     W_ext = np.zeros((xs_ext.size,) + pair.W.shape[2:])
@@ -265,7 +265,7 @@ def _reference_sample(ansatz, t, x):
     interface[active] = vals
 
     wall = np.zeros((x.size, 3))
-    theta_x = pieces.levelsets.theta(x)
+    theta_x = theta(x)
     zs = (1.0 - np.abs(x)) / eps
     xs = prof.x_support
     zero = np.zeros((1,) + prof.U.shape[2:])
@@ -302,8 +302,7 @@ def test_blocked_sampling_matches_the_per_knot_reference(fixture, request):
     assert times.size % 8 != 0
     x = np.linspace(-1.0, 1.0, 257)
     # the active window reaches its edge |y| = Y at interior nodes
-    edge = pieces.levelsets.in_v_sigma(x) & (np.abs(x / eps)
-                                             == pieces.profiles.Y)
+    edge = in_v_sigma(x) & (np.abs(x / eps) == pieces.profiles.Y)
     assert np.count_nonzero(edge) == 2
     got = ansatz.sample_times(times, x)
     want = np.stack([_reference_sample(ansatz, float(t), x) for t in times])
@@ -486,11 +485,11 @@ def test_convergence_study_validation(jump_data):
 def _stalling_profiles(step):
     """picard_profiles with the jump grown 30x from knot `step` on: the
     window holding that knot stops contracting."""
-    def run(ext, levelsets, y, **kw):
+    def run(ext, y, **kw):
         grow = np.where(np.arange(ext.times.size) < step, 1.0, 30.0)
         stalling = replace(ext, u_minus=ext.u_plus
                            - grow[:, None, None] * ext.delta)
-        return picard_profiles(stalling, levelsets, y, **kw)
+        return picard_profiles(stalling, y, **kw)
     return run
 
 
@@ -504,14 +503,13 @@ def test_stalled_window_cuts_the_horizon(small_cfg, monkeypatch):
     assert pieces.T_used == knots[2 * TIME_BLOCK] < cfg.T
     # the cut pieces are those of a build on the shorter horizon
     short = make_time_grid(pieces.T_used, dt=cfg.dt_knot)
-    ext = extend_limit(data, param_nodes(cfg.param_cells), pieces.levelsets,
-                       short)
+    ext = extend_limit(data, param_nodes(cfg.param_cells), short)
     for name in ("times", "x_param", "u_plus", "u_minus", "du_plus",
                  "du_minus"):
         assert np.array_equal(getattr(pieces.ext, name),
                               getattr(ext, name)), name
-    pair = stalling(ext, pieces.levelsets,
-                    make_profile_grid(Y=cfg.box_y, cells=cfg.profile_cells),
+    pair = stalling(ext, make_profile_grid(Y=cfg.box_y,
+                                           cells=cfg.profile_cells),
                     tol=cfg.picard_tol, max_iter=cfg.picard_max_iter)
     assert np.array_equal(pieces.profiles.times, short)
     assert np.array_equal(pieces.profiles.W, pair.W)

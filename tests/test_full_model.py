@@ -1,4 +1,4 @@
-"""Full model: grids, stencils, integrator order, degeneracy, residuals.
+"""Full model: grids, integrator order, degeneracy, residuals.
 
 Order verification is by manufactured solution: the exactly-unit field
 u = (2/sqrt(5)) (sin(2t + cos pi x), cos(2t + cos pi x), 1/2) has zero
@@ -23,8 +23,6 @@ from llx.full_model import (
     residual_report,
     simulate_full,
 )
-from llx.geometry import (apply_tridiagonal_stencil, d1_coefficients,
-                          d2_coefficients, one_sided_d1)
 from llx.limit_model import renormalize
 
 from manufactured import full_model_solution, step_midpoint
@@ -38,7 +36,7 @@ def mms():
     return full_model_solution()
 
 
-# === grids and stencils ===
+# === grids ===
 
 def _uniform_grid(cells: int) -> Grid1D:
     """Uniform mesh with an even number of cells on [-1, 1]."""
@@ -75,7 +73,7 @@ def test_epsilon_grid_large_eps_goes_uniformly_fine():
 
 def test_epsilon_grid_validation():
     with pytest.raises(ValueError, match="positive"):
-        make_epsilon_grid(0.0)
+        make_epsilon_grid(0.0, cells_per_eps=16)
     with pytest.raises(ValueError, match="at least 4"):
         make_epsilon_grid(0.1, cells_per_eps=2)
 
@@ -87,49 +85,6 @@ def test_grid1d_validation():
         Grid1D(x=np.linspace(0.0, 1.0, 11))
     with pytest.raises(ValueError, match="at least 5"):
         Grid1D(x=np.array([-1.0, 0.0, 1.0]))
-
-
-def _random_grid(rng, n=41):
-    w = rng.uniform(0.5, 1.5, size=n - 1)
-    x = np.concatenate([[0.0], np.cumsum(w)])
-    x = -1.0 + 2.0 * x / x[-1]
-    x[0], x[-1] = -1.0, 1.0
-    return Grid1D(x=x)
-
-
-def test_stencils_exact_on_quadratics():
-    rng = np.random.default_rng(41)
-    g = _random_grid(rng)
-    u = (3.0 * g.x**2 - 2.0 * g.x + 1.0)[:, None] * np.ones(3)
-    d2 = apply_tridiagonal_stencil(d2_coefficients(g.x), u)
-    assert np.allclose(d2[1:-1], 6.0, atol=1e-9)
-    d1 = apply_tridiagonal_stencil(d1_coefficients(g.x), u)
-    expect = (6.0 * g.x - 2.0)[:, None] * np.ones(3)
-    assert np.allclose(d1[1:-1], expect[1:-1], atol=1e-9)
-
-
-def test_wall_rows_fold_in_mirror_ghost():
-    rng = np.random.default_rng(42)
-    g = _random_grid(rng)
-    h0 = g.x[1] - g.x[0]
-    # even function about the left wall: u = (x + 1)^2
-    u = ((g.x + 1.0) ** 2)[:, None] * np.ones(3)
-    d2 = apply_tridiagonal_stencil(d2_coefficients(g.x), u)
-    assert np.allclose(d2[0], 2.0, atol=1e-9)
-    # first-derivative wall row is identically zero (the condition itself)
-    a, b, c = d1_coefficients(g.x)
-    assert a[0] == b[0] == c[0] == 0.0
-    assert a[-1] == b[-1] == c[-1] == 0.0
-
-
-def test_one_sided_d1_exact_on_quadratics():
-    rng = np.random.default_rng(43)
-    g = _random_grid(rng)
-    u = (g.x**2 + 0.5 * g.x)[:, None] * np.ones(3)
-    left = one_sided_d1(g.x, u, "left")
-    right = one_sided_d1(g.x, u, "right")
-    assert np.allclose(left, 2.0 * (-1.0) + 0.5, atol=1e-9)
-    assert np.allclose(right, 2.0 * 1.0 + 0.5, atol=1e-9)
 
 
 def test_F_rhs_worked_example():

@@ -1,17 +1,32 @@
-"""Mesh construction, level sets, cutoffs, conormal weights."""
+"""Meshes, stencils, the two neighborhoods and their cutoffs, conormal
+weights."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
+from llx.full_model import Grid1D
 from llx.geometry import (
-    LevelSets,
+    V_GAMMA_WIDTH,
+    apply_tridiagonal_stencil,
+    chi_sigma,
     conormal_weight,
+    d1_coefficients,
+    d2_coefficients,
+    graded_widths,
+    in_v_sigma,
+    make_profile_grid,
+    make_wall_grid,
+    one_sided_d1,
     param_nodes,
+    profile_d1,
     quintic_smoothstep,
+    theta,
 )
 
+
+# --- parameter mesh ---
 
 def test_uniform_domain_nodes():
     x = param_nodes(8)
@@ -40,6 +55,119 @@ def test_merged_nodes_single_valued():
     assert np.count_nonzero(x == 0.0) == 1
 
 
+# --- graded layer meshes ---
+
+def test_profile_grid_structure():
+    y = make_profile_grid(Y=15.0, cells=128)
+    assert y.size == 257
+    j0 = y.size // 2
+    assert j0 == 128
+    assert y[j0] == 0.0 and not np.signbit(y[j0])
+    assert y[0] == -15.0 and y[-1] == 15.0
+    np.testing.assert_allclose(y, -y[::-1], atol=0)
+    w = np.diff(y[j0:])
+    # widths grow away from the junction and cap at h_max
+    assert np.all(np.diff(w) >= -1e-15)
+    assert w[0] < 1e-4
+    assert w[-1] <= 0.3125 + 1e-12
+    assert abs(w.sum() - 15.0) < 1e-12
+
+
+@pytest.mark.parametrize("length, cells", [(100.0, 8), (6.0, 64),
+                                            (15.0, 128), (0.5, 8)])
+def test_graded_widths_cover_any_box(length, cells):
+    # the cap max(2 length / cells, 0.25) lets the capped cells alone
+    # cover twice the length, so every box is covered
+    w = graded_widths(length, cells)
+    assert w.size == cells
+    assert abs(w.sum() - length) <= 1e-12 * length
+    assert np.all(np.diff(w) >= -1e-15)
+    assert w.max() <= max(2.0 * length / cells, 0.25) * (1.0 + 1e-12)
+
+
+def test_profile_grid_validation():
+    with pytest.raises(ValueError, match="cells >= 8"):
+        make_profile_grid(Y=15.0, cells=4)
+
+
+def test_wall_grid_structure():
+    z = make_wall_grid(Z=15.0, cells=96)
+    assert z[0] == 0.0 and z[-1] == 15.0
+    w = np.diff(z)
+    assert np.all(w > 0)
+    assert np.all(np.diff(w) >= -1e-15)
+    assert w[0] < 5e-3
+    assert w[-1] <= 0.3125 + 1e-12
+
+
+def test_wall_grid_validation():
+    with pytest.raises(ValueError, match="cells >= 8"):
+        make_wall_grid(Z=15.0, cells=4)
+    with pytest.raises(ValueError, match="length > 0"):
+        make_wall_grid(Z=0.0)
+
+
+# --- stencils ---
+
+def test_profile_d1_exact_on_quadratics():
+    y = make_profile_grid(Y=6.0, cells=32)
+    W = np.stack([1.5 * y * y - 0.3 * y + 2.0,
+                  -0.7 * y * y + y,
+                  0.1 * y * y], axis=-1)
+    expect = np.stack([3.0 * y - 0.3, -1.4 * y + 1.0, 0.2 * y], axis=-1)
+    np.testing.assert_allclose(profile_d1(y, W), expect,
+                               rtol=1e-9, atol=1e-9)
+    # batched input differentiates along axis -2
+    Wb = np.broadcast_to(W, (4, y.size, 3))
+    np.testing.assert_allclose(profile_d1(y, Wb)[2], expect,
+                               rtol=1e-9, atol=1e-9)
+
+
+def _random_grid(rng, n=41):
+    w = rng.uniform(0.5, 1.5, size=n - 1)
+    x = np.concatenate([[0.0], np.cumsum(w)])
+    x = -1.0 + 2.0 * x / x[-1]
+    x[0], x[-1] = -1.0, 1.0
+    return Grid1D(x=x)
+
+
+def test_stencils_exact_on_quadratics():
+    rng = np.random.default_rng(41)
+    g = _random_grid(rng)
+    u = (3.0 * g.x**2 - 2.0 * g.x + 1.0)[:, None] * np.ones(3)
+    d2 = apply_tridiagonal_stencil(d2_coefficients(g.x), u)
+    assert np.allclose(d2[1:-1], 6.0, atol=1e-9)
+    d1 = apply_tridiagonal_stencil(d1_coefficients(g.x), u)
+    expect = (6.0 * g.x - 2.0)[:, None] * np.ones(3)
+    assert np.allclose(d1[1:-1], expect[1:-1], atol=1e-9)
+
+
+def test_wall_rows_fold_in_mirror_ghost():
+    rng = np.random.default_rng(42)
+    g = _random_grid(rng)
+    h0 = g.x[1] - g.x[0]
+    # even function about the left wall: u = (x + 1)^2
+    u = ((g.x + 1.0) ** 2)[:, None] * np.ones(3)
+    d2 = apply_tridiagonal_stencil(d2_coefficients(g.x), u)
+    assert np.allclose(d2[0], 2.0, atol=1e-9)
+    # first-derivative wall row is identically zero (the condition itself)
+    a, b, c = d1_coefficients(g.x)
+    assert a[0] == b[0] == c[0] == 0.0
+    assert a[-1] == b[-1] == c[-1] == 0.0
+
+
+def test_one_sided_d1_exact_on_quadratics():
+    rng = np.random.default_rng(43)
+    g = _random_grid(rng)
+    u = (g.x**2 + 0.5 * g.x)[:, None] * np.ones(3)
+    left = one_sided_d1(g.x, u, "left")
+    right = one_sided_d1(g.x, u, "right")
+    assert np.allclose(left, 2.0 * (-1.0) + 0.5, atol=1e-9)
+    assert np.allclose(right, 2.0 * 1.0 + 0.5, atol=1e-9)
+
+
+# --- cutoffs and weights ---
+
 def test_smoothstep_endpoints_and_monotone():
     assert quintic_smoothstep(-1.0) == 0.0
     assert quintic_smoothstep(0.0) == 0.0
@@ -61,47 +189,50 @@ def test_smoothstep_c2_at_ends():
         assert abs(d2) < 1e-2
 
 
-def test_levelsets_psi_phi():
-    ls = LevelSets()
-    x = np.array([-1.0, -0.5, 0.0, 0.25, 1.0])
-    assert np.allclose(ls.phi(x), [0.0, 0.5, 1.0, 0.75, 0.0])
-
-
 def test_theta_plateau_and_support():
-    ls = LevelSets()
-    # theta = 1 close to the walls (phi <= 1/8)
+    # theta = 1 close to the walls (1 - |x| <= 1/8)
     for x in (1.0, 0.9, 0.875, -1.0, -0.95):
-        assert ls.theta(x) == pytest.approx(1.0)
-    # theta = 0 once phi >= 1/4
+        assert theta(x) == pytest.approx(1.0)
+    # theta = 0 once 1 - |x| >= 1/4
     for x in (0.75, 0.5, 0.0, -0.6):
-        assert ls.theta(x) == pytest.approx(0.0)
+        assert theta(x) == pytest.approx(0.0)
     # strictly between on the ramp
-    assert 0.0 < ls.theta(0.8) < 1.0
+    assert 0.0 < theta(0.8) < 1.0
 
 
 def test_chi_sigma_plateau_and_support():
-    ls = LevelSets()
-    assert ls.chi_sigma(0.0) == pytest.approx(1.0)
+    assert chi_sigma(0.0) == pytest.approx(1.0)
     for x in (0.35, 0.5, -0.7, 1.0):
-        assert ls.chi_sigma(x) == pytest.approx(0.0)
-    assert 0.0 < ls.chi_sigma(0.2) < 1.0
+        assert chi_sigma(x) == pytest.approx(0.0)
+    assert 0.0 < chi_sigma(0.2) < 1.0
     # even in x
     xs = np.linspace(-0.4, 0.4, 41)
-    assert np.allclose(ls.chi_sigma(xs), ls.chi_sigma(-xs))
+    assert np.allclose(chi_sigma(xs), chi_sigma(-xs))
 
 
 def test_neighborhoods_disjoint():
-    ls = LevelSets()
     xs = np.linspace(-1, 1, 2001)
-    both = ls.in_v_sigma(xs) & (ls.phi(xs) < ls.v_gamma_width)
+    both = in_v_sigma(xs) & (1.0 - np.abs(xs) < V_GAMMA_WIDTH)
     assert not both.any()
     # theta vanishes identically on the interface neighborhood
-    assert np.all(ls.theta(xs[ls.in_v_sigma(xs)]) == 0.0)
+    assert np.all(theta(xs[in_v_sigma(xs)]) == 0.0)
 
 
-def test_overlapping_neighborhoods_rejected():
-    with pytest.raises(ValueError, match="overlap"):
-        LevelSets(v_sigma_halfwidth=0.8, v_gamma_width=0.3)
+def test_layer_supports_on_every_parameter_mesh():
+    # the ansatz anchors each layer's x-weights on one zero column past
+    # every support end that is not a domain end: the interface support
+    # has a column inside (-1, 1) beyond each end, and each wall side's
+    # support runs contiguously to its wall
+    for cells in range(8, 65):
+        x = param_nodes(cells)
+        idx = np.nonzero(in_v_sigma(x))[0]
+        lo, hi = idx[0] - 1, idx[-1] + 1
+        assert 0 < lo and hi < x.size - 1, cells
+        walls = np.nonzero(theta(x) > 0.0)[0]
+        for side in (walls[x[walls] < 0.0], walls[x[walls] > 0.0]):
+            assert side.size >= 2, cells
+            assert np.array_equal(side, np.arange(side[0], side[-1] + 1))
+        assert walls[0] == 0 and walls[-1] == x.size - 1, cells
 
 
 def test_conormal_weight_values():

@@ -7,8 +7,8 @@ from llx.banded import block_tridiag_solve, cross_matrix, inv_id_plus_cross
 from llx.errors import NonContraction, SolverAbort, ValidationError
 from llx.fields import constant_per_side
 from llx.full_model import F_rhs
-from llx.geometry import (LevelSets, apply_tridiagonal_stencil,
-                          d2_coefficients, graded_widths, make_profile_grid,
+from llx.geometry import (apply_tridiagonal_stencil, chi_sigma,
+                          d2_coefficients, in_v_sigma, make_profile_grid,
                           one_sided_d1, param_nodes, profile_d1)
 from llx.internal_layer import (TIME_BLOCK, F_pm, make_time_grid,
                                 picard_profiles, _picard)
@@ -18,40 +18,7 @@ from llx.strayfield import E1, stray_field_slab
 from manufactured import march_column, transmission_march_error
 
 
-# --- meshes ---
-
-def test_profile_grid_structure():
-    y = make_profile_grid(Y=15.0, cells=128)
-    assert y.size == 257
-    j0 = y.size // 2
-    assert j0 == 128
-    assert y[j0] == 0.0 and not np.signbit(y[j0])
-    assert y[0] == -15.0 and y[-1] == 15.0
-    np.testing.assert_allclose(y, -y[::-1], atol=0)
-    w = np.diff(y[j0:])
-    # widths grow away from the junction and cap at h_max
-    assert np.all(np.diff(w) >= -1e-15)
-    assert w[0] < 1e-4
-    assert w[-1] <= 0.3125 + 1e-12
-    assert abs(w.sum() - 15.0) < 1e-12
-
-
-@pytest.mark.parametrize("length, cells", [(100.0, 8), (6.0, 64),
-                                            (15.0, 128), (0.5, 8)])
-def test_graded_widths_cover_any_box(length, cells):
-    # the cap max(2 length / cells, 0.25) lets the capped cells alone
-    # cover twice the length, so every box is covered
-    w = graded_widths(length, cells)
-    assert w.size == cells
-    assert abs(w.sum() - length) <= 1e-12 * length
-    assert np.all(np.diff(w) >= -1e-15)
-    assert w.max() <= max(2.0 * length / cells, 0.25) * (1.0 + 1e-12)
-
-
-def test_profile_grid_validation():
-    with pytest.raises(ValueError, match="cells >= 8"):
-        make_profile_grid(Y=15.0, cells=4)
-
+# --- time grid ---
 
 def test_time_grid_binary_ramp():
     dt = 2.5e-3
@@ -93,15 +60,14 @@ def test_time_grid_has_no_rounding_sliver_before_T(T):
 @pytest.fixture(scope="module")
 def jump_setup():
     x = param_nodes(16)
-    levelsets = LevelSets()
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     times = make_time_grid(0.05, dt=2.5e-3)
-    ext = extend_limit(data, x, levelsets, times)
-    return x, levelsets, data, times, ext
+    ext = extend_limit(data, x, times)
+    return x, data, times, ext
 
 
 def test_extension_constant_data_closed_form(jump_setup):
-    x, levelsets, data, times, ext = jump_setup
+    x, data, times, ext = jump_setup
     # per-side constants evolve by the pointwise limit flow; the jump
     # field must be chi(|x|) times their difference
     traj = simulate_limit(np.array([data(np.array([0.0]), "minus")[0],
@@ -110,7 +76,7 @@ def test_extension_constant_data_closed_form(jump_setup):
     keep = np.isin(traj.times, times)
     c_minus = traj.values[keep][:, 0]
     c_plus = traj.values[keep][:, 1]
-    chi = levelsets.chi_sigma(ext.x_param)
+    chi = chi_sigma(ext.x_param)
     expect = chi[None, :, None] * (c_plus - c_minus)[:, None, :]
     np.testing.assert_allclose(ext.delta, expect, atol=1e-13)
     # exact time derivative of the jump from the blended flow rates
@@ -120,8 +86,8 @@ def test_extension_constant_data_closed_form(jump_setup):
 
 
 def test_extension_vanishes_outside_interface_neighborhood(jump_setup):
-    _, levelsets, _, _, ext = jump_setup
-    outside = ~levelsets.in_v_sigma(ext.x_param)
+    _, _, _, ext = jump_setup
+    outside = ~in_v_sigma(ext.x_param)
     assert outside.any()
     assert np.max(np.abs(ext.delta[:, outside])) == 0.0
     assert np.max(np.abs(ext.delta_dt[:, outside])) == 0.0
@@ -130,7 +96,7 @@ def test_extension_vanishes_outside_interface_neighborhood(jump_setup):
 def test_extension_blend_exact_at_neighbor_nodes(jump_setup):
     # constant data: the extension one node into the far side must be
     # exactly the chi blend of the two evolved constants
-    x, levelsets, data, times, ext = jump_setup
+    x, data, times, ext = jump_setup
     i0 = int(np.argmin(np.abs(ext.x_param)))
     traj = simulate_limit(np.array([data(np.array([0.0]), "minus")[0],
                                     data(np.array([0.0]), "plus")[0]]),
@@ -139,7 +105,7 @@ def test_extension_blend_exact_at_neighbor_nodes(jump_setup):
     c_minus = traj.values[keep][:, 0]
     c_plus = traj.values[keep][:, 1]
     h = float(ext.x_param[i0 + 1])
-    chi_h = float(levelsets.chi_sigma(np.array([h]))[0])
+    chi_h = float(chi_sigma(np.array([h]))[0])
     np.testing.assert_allclose(ext.u_plus[:, i0 - 1],
                                chi_h * c_plus + (1 - chi_h) * c_minus,
                                atol=1e-13)
@@ -152,10 +118,9 @@ def test_extension_blend_exact_at_neighbor_nodes(jump_setup):
 
 def test_extension_symmetric_data_is_jump_free():
     x = param_nodes(8)
-    levelsets = LevelSets()
     same = constant_per_side((0.6, 0.8, 0.0), (0.6, 0.8, 0.0))
     times = make_time_grid(0.02, dt=5e-3)
-    ext = extend_limit(same, x, levelsets, times)
+    ext = extend_limit(same, x, times)
     assert np.max(np.abs(ext.delta)) == 0.0
     assert np.max(np.abs(ext.delta_dt)) == 0.0
 
@@ -164,7 +129,7 @@ def test_extension_rejects_nonzero_start():
     x = param_nodes(8)
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     with pytest.raises(ValueError, match="start at 0"):
-        extend_limit(data, x, LevelSets(), np.array([0.1, 0.2]))
+        extend_limit(data, x, np.array([0.1, 0.2]))
 
 
 # --- layer nonlinearity ---
@@ -199,20 +164,6 @@ def test_F_pm_zero_input_is_zero():
     H0 = np.array([-0.3, 0.0, 0.0])
     z = np.zeros(3)
     assert np.max(np.abs(F_pm(z, z, u0, H0))) == 0.0
-
-
-def test_profile_d1_exact_on_quadratics():
-    y = make_profile_grid(Y=6.0, cells=32)
-    W = np.stack([1.5 * y * y - 0.3 * y + 2.0,
-                  -0.7 * y * y + y,
-                  0.1 * y * y], axis=-1)
-    expect = np.stack([3.0 * y - 0.3, -1.4 * y + 1.0, 0.2 * y], axis=-1)
-    np.testing.assert_allclose(profile_d1(y, W), expect,
-                               rtol=1e-9, atol=1e-9)
-    # batched input differentiates along axis -2
-    Wb = np.broadcast_to(W, (4, y.size, 3))
-    np.testing.assert_allclose(profile_d1(y, Wb)[2], expect,
-                               rtol=1e-9, atol=1e-9)
 
 
 # --- marching kernel conveyance (manufactured solution) ---
@@ -260,9 +211,9 @@ def _picard_column(y, times, delta, delta_dt, u0p, u0m, tol, max_iter,
 
 @pytest.fixture(scope="module")
 def jump_profiles(jump_setup):
-    _, levelsets, _, _, ext = jump_setup
+    _, _, _, ext = jump_setup
     y = make_profile_grid(Y=15.0, cells=128)
-    return y, picard_profiles(ext, levelsets, y, tol=1e-8)
+    return y, picard_profiles(ext, y, tol=1e-8)
 
 
 def test_picard_contracts_on_jump_fixture(jump_profiles):
@@ -292,58 +243,51 @@ def test_profiles_start_from_zero_and_stay_bounded(jump_profiles):
 
 def test_profiles_zero_jump_columns_are_exact_zero():
     x = param_nodes(8)
-    levelsets = LevelSets()
     same = constant_per_side((0.6, 0.8, 0.0), (0.6, 0.8, 0.0))
     times = make_time_grid(0.02, dt=5e-3)
-    ext = extend_limit(same, x, levelsets, times)
+    ext = extend_limit(same, x, times)
     y = make_profile_grid(Y=15.0, cells=64)
-    pair = picard_profiles(ext, levelsets, y)
+    pair = picard_profiles(ext, y)
     assert np.max(np.abs(pair.W)) == 0.0
     assert np.all(pair.iterations == 0)
     pair.validate()
 
 
 def test_profiles_deterministic(jump_setup):
-    _, levelsets, _, _, ext = jump_setup
+    _, _, _, ext = jump_setup
     y = make_profile_grid(Y=6.0, cells=48)
-    a = picard_profiles(ext, levelsets, y, tol=1e-8)
-    b = picard_profiles(ext, levelsets, y, tol=1e-8)
+    a = picard_profiles(ext, y, tol=1e-8)
+    b = picard_profiles(ext, y, tol=1e-8)
     assert np.array_equal(a.W, b.W)
 
 
 def test_profiles_box_halving_stable(jump_setup):
     # shrinking the profile box must not move the junction trace: the
     # profile decays exponentially, so |y| beyond ~7 carries nothing
-    _, levelsets, _, _, ext = jump_setup
-    big = picard_profiles(ext, levelsets,
-                          make_profile_grid(Y=15.0, cells=128), tol=1e-8)
-    small = picard_profiles(ext, levelsets,
-                            make_profile_grid(Y=7.5, cells=128), tol=1e-8)
+    _, _, _, ext = jump_setup
+    big = picard_profiles(ext, make_profile_grid(Y=15.0, cells=128),
+                          tol=1e-8)
+    small = picard_profiles(ext, make_profile_grid(Y=7.5, cells=128),
+                            tol=1e-8)
     gap = np.max(np.abs(big.junction_trace() - small.junction_trace()))
     assert gap <= 1e-4, f"junction trace moved {gap:.3e} under box halving"
 
 
 def test_profile_column_independent_of_extension_width(jump_setup):
-    # at x = 0 the column inputs are one-sided traces of the limit flow,
-    # so the solved profile cannot depend on how far the blend reaches
-    x, _, data, times, _ = jump_setup
-    ext_a = extend_limit(data, x, LevelSets(), times)
-    ext_b = extend_limit(
-        data, x,
-        LevelSets(v_sigma_halfwidth=0.2, v_gamma_width=0.25,
-                  theta_inner=0.125), times)
-    i0 = int(np.argmin(np.abs(ext_a.x_param)))
-    for name in ("u_plus", "u_minus", "du_plus", "du_minus"):
-        assert np.array_equal(getattr(ext_a, name)[:, i0],
-                              getattr(ext_b, name)[:, i0])
-    y = make_profile_grid(Y=6.0, cells=48)
-    W_a, _ = _picard_column(y, times, ext_a.delta[:, i0],
-                            ext_a.delta_dt[:, i0], ext_a.u_plus[:, i0],
-                            ext_a.u_minus[:, i0], 1e-8, 40, 0.0)
-    W_b, _ = _picard_column(y, times, ext_b.delta[:, i0],
-                            ext_b.delta_dt[:, i0], ext_b.u_plus[:, i0],
-                            ext_b.u_minus[:, i0], 1e-8, 40, 0.0)
-    assert np.array_equal(W_a, W_b)
+    # at x = 0 the column inputs are the bare branch trajectories of the
+    # limit flow, bit for bit, so the solved profile cannot depend on
+    # how far the blend reaches
+    x, data, times, ext = jump_setup
+    i0 = int(np.argmin(np.abs(ext.x_param)))
+    zero = x[i0:i0 + 1]
+    traj = simulate_limit(np.stack([data.branch(zero, "minus"),
+                                    data.branch(zero, "plus")]),
+                          T=float(times[-1]), dt=1e-3, t_eval=list(times))
+    bare = traj.values[np.isin(traj.times, times)][:, :, 0]
+    np.testing.assert_array_equal(ext.u_minus[:, i0], bare[:, 0])
+    np.testing.assert_array_equal(ext.u_plus[:, i0], bare[:, 1])
+    np.testing.assert_array_equal(ext.du_minus[:, i0], rhs_limit(bare[:, 0]))
+    np.testing.assert_array_equal(ext.du_plus[:, i0], rhs_limit(bare[:, 1]))
 
 
 def test_picard_non_contraction_aborts():
@@ -492,14 +436,13 @@ def _reference_picard_column(y, times, delta, delta_dt, u0p, u0m, tol,
 
 def test_stacked_picard_matches_the_per_column_reference():
     x = param_nodes(16)
-    levelsets = LevelSets()
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     times = make_time_grid(0.1, dt=5e-3)
-    ext = extend_limit(data, x, levelsets, times)
+    ext = extend_limit(data, x, times)
     y = make_profile_grid(Y=6.0, cells=48)
-    pair = picard_profiles(ext, levelsets, y, tol=1e-8)
+    pair = picard_profiles(ext, y, tol=1e-8)
 
-    idx = np.nonzero(levelsets.in_v_sigma(ext.x_param))[0]
+    idx = np.nonzero(in_v_sigma(ext.x_param))[0]
     W = np.zeros_like(pair.W)
     traces = []
     for col, i in enumerate(idx):

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from llx.expansion import ConvergenceReport, EClassNorms
 from llx.reporting import (
+    convergence_rows,
     fmt,
     render_loglog_svg,
     write_convergence_csv,
@@ -133,3 +135,21 @@ def test_svg_rejects_bad_input():
         render_loglog_svg([0.1], [1.0])
     with pytest.raises(ValueError, match=">= 2"):
         render_loglog_svg([0.1, 0.05], [1.0])
+
+
+@pytest.mark.parametrize("study", ["jump_study", "swirl_study"])
+def test_default_report_bodies_are_pinned(study, request):
+    """The rows of the default `llx converge` report.csv (jump data) and
+    of the swirl study (eps 0.1 0.05 0.025), byte for byte.
+
+    A pure refactor must leave them as they are. A change that moves the
+    numbers on purpose (the interface start on the sphere, ROADMAP item
+    1) regenerates tests/data/*_report_rows.csv from `llx converge` and
+    records the move in CHANGES.md.
+    """
+    report = request.getfixturevalue(study)
+    body = "".join(",".join(fmt(cell) for cell in row) + "\n"
+                   for row in convergence_rows(report))
+    name = study.replace("_study", "_report_rows.csv")
+    pinned = Path(__file__).parent / "data" / name
+    assert body == pinned.read_text(encoding="utf-8")
