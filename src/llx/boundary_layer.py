@@ -13,9 +13,9 @@ The profile solves the linear parabolic system
     dU/dt = (I + [u0]x) U_zz + L(t, x) U,
 
 where L is the exact linearization of the layer reaction at zero
-profile amplitude (five terms built from u0, its stray field, and the
-wall normal n = e1; every term is even in n, so both walls share one
-form). z is truncated at Z with Dirichlet zero, the start U(0) = 0 is
+profile amplitude (a closed-form 3x3 matrix of u0, its stray field and
+the slab normal e1; even in the normal, so both walls share one form).
+z is truncated at Z with Dirichlet zero, the start U(0) = 0 is
 zero-compatible through the same graded opening steps as the
 transmission layer, and the x dependence is parametric: columns where
 theta vanishes are identically zero and skipped.
@@ -26,8 +26,9 @@ g_side is the outward normal derivative of U(t, . , 0) at the wall, so
 d_n rho|_wall = -g_side exactly cancels it.
 
 Contains:
-- linearized_reaction / linearized_reaction_matrix: the operator L
-- march_wall: Crank-Nicolson march of one column
+- linearized_reaction_matrix: the operator L as a 3x3 matrix
+- march_wall: theta-step march of one column (backward Euler on the
+  graded opening steps, Crank-Nicolson after)
 - BoundaryProfile / solve_boundary_profile: all wall columns
 - wall_slopes: outward trace derivatives at the walls
 - neumann_corrector: the corrector rho from the wall trace slopes
@@ -50,31 +51,19 @@ from .strayfield import E1, stray_field_slab
 
 # === linearized layer reaction ===
 
-def linearized_reaction(U: np.ndarray, u0: np.ndarray, H0: np.ndarray,
-                        n: np.ndarray = E1) -> np.ndarray:
-    """Derivative of the layer reaction at zero profile amplitude.
+def linearized_reaction_matrix(u0: np.ndarray, H0: np.ndarray) -> np.ndarray:
+    """Derivative of the layer reaction at zero profile amplitude,
+    d/ds F_pm(s U, 0, u0, H0) at s = 0 = L U, as the (..., 3, 3) matrix
 
-    d/ds F_pm(s U, 0)|_{s=0}: the gradient part drops (quadratic), the
-    stray-field correction -(U.n)n survives linearly. Even in n, so the
-    two walls share the same expression.
+        L = [u0 x H0]x - [H0]x + [u0]x [H0]x
+            + (u0 x (u0 x e1) - u0 x e1) e1^T.
+
+    Even in the normal e1, so the two walls share it.
     """
-    Un = np.sum(U * n, axis=-1, keepdims=True)
-    return (np.cross(U, H0)
-            - Un * np.cross(u0, n)
-            - np.cross(U, np.cross(u0, H0))
-            - np.cross(u0, np.cross(U, H0))
-            + Un * np.cross(u0, np.cross(u0, n)))
-
-
-def linearized_reaction_matrix(u0: np.ndarray, H0: np.ndarray,
-                               n: np.ndarray = E1) -> np.ndarray:
-    """The same operator as a (..., 3, 3) matrix, built column by column."""
-    cols = []
-    for j in range(3):
-        e = np.zeros(3)
-        e[j] = 1.0
-        cols.append(linearized_reaction(e, u0, H0, n))
-    return np.stack(cols, axis=-1)
+    w_e1 = np.cross(u0, E1)
+    return (cross_matrix(np.cross(u0, H0)) - cross_matrix(H0)
+            + cross_matrix(u0) @ cross_matrix(H0)
+            + (np.cross(u0, w_e1) - w_e1)[..., :, None] * E1)
 
 
 # === one column ===
@@ -82,7 +71,7 @@ def linearized_reaction_matrix(u0: np.ndarray, H0: np.ndarray,
 def march_wall(z: np.ndarray, times: np.ndarray, u0: np.ndarray,
                g: np.ndarray, source: Optional[np.ndarray] = None
                ) -> np.ndarray:
-    """Crank-Nicolson march of one wall column.
+    """Theta-step march of one wall column.
 
     u0 (nt, 3) carries the slow coefficients (z-independent), g (nt, 3)
     the Neumann data dU/dz(z=0) = g(t), folded in through the mirror
@@ -90,7 +79,7 @@ def march_wall(z: np.ndarray, times: np.ndarray, u0: np.ndarray,
     source (nt, nz, 3), if given, is an extra volume forcing (used by
     the manufactured-solution tests). Steps shorter than the longest
     one at the head of the grid (the graded opening) run backward
-    Euler, the rest Crank-Nicolson.
+    Euler (theta = 1), the rest Crank-Nicolson (theta = 1/2).
     """
     nz = z.size
     nt = times.size
@@ -115,21 +104,10 @@ def march_wall(z: np.ndarray, times: np.ndarray, u0: np.ndarray,
     U = np.zeros((nt, nz, 3))
     for k in range(nt - 1):
         dt = times[k + 1] - times[k]
-        if k < first_full:
-            w_new, w_old = dt, 0.0
-            M = M_all[k + 1]
-            L = L_all[k + 1]
-            g_step = g[k + 1]
-            src = source[k + 1] if source is not None else None
-        else:
-            w_new, w_old = 0.5 * dt, 0.5 * dt
-            M = 0.5 * (M_all[k] + M_all[k + 1])
-            L = 0.5 * (L_all[k] + L_all[k + 1])
-            g_step = 0.5 * (g[k] + g[k + 1])
-            if source is not None:
-                src = 0.5 * (source[k] + source[k + 1])
-            else:
-                src = None
+        th = 1.0 if k < first_full else 0.5
+        w_new, w_old = th * dt, (1.0 - th) * dt
+        M, L, g_step = (th * f[k + 1] + (1.0 - th) * f[k]
+                        for f in (M_all, L_all, g))
 
         A = -w_new * a[:, None, None] * M
         B = eye_rows - w_new * b[:, None, None] * M - w_new * L
@@ -138,8 +116,8 @@ def march_wall(z: np.ndarray, times: np.ndarray, u0: np.ndarray,
         rhs = (U[k] + w_old * (d2U @ M.T) + w_old * (U[k] @ L.T))
         # ghost inhomogeneity: the Neumann data acts as a wall source
         rhs[0] += dt * (M @ (-2.0 * g_step / h0))
-        if src is not None:
-            rhs += dt * src
+        if source is not None:
+            rhs += dt * (th * source[k + 1] + (1.0 - th) * source[k])
         # Dirichlet at the far end
         A[-1] = 0.0
         C[-1] = 0.0

@@ -235,18 +235,20 @@ def jump_error_l2(times: np.ndarray, x: np.ndarray, u: np.ndarray,
                   ref_minus: np.ndarray, ref_plus: np.ndarray) -> float:
     """Distance of u to a two-valued reference with interface cells split.
 
-    The minus reference is integrated over [x_0, 0], the plus reference
-    over [0, x_N]; the interface node contributes half a cell to each
-    side, so the jump never incurs O(1) quadrature error.
+    ref_minus (nt, i0 + 1, 3) is the reference on the nodes x[:i0 + 1]
+    up to the interface node x[i0] = 0, ref_plus (nt, nx - i0, 3) the one
+    on x[i0:]; each is integrated over its own half, so the interface
+    node contributes half a cell to each side and the jump never incurs
+    O(1) quadrature error.
     """
     x = np.asarray(x, dtype=float)
-    i0 = int(np.argmin(np.abs(x)))
-    if x[i0] != 0.0:
-        raise ValueError("the sampling must contain the interface node 0")
-    dm = np.sum((u - ref_minus) ** 2, axis=-1)
-    dp = np.sum((u - ref_plus) ** 2, axis=-1)
-    inner = (np.trapezoid(dm[:, :i0 + 1], x[:i0 + 1], axis=1)
-             + np.trapezoid(dp[:, i0:], x[i0:], axis=1))
+    i0 = ref_minus.shape[1] - 1
+    if x[i0] != 0.0 or ref_plus.shape[1] != x.size - i0:
+        raise ValueError("the references must meet at the interface node 0")
+    dm = np.sum((u[:, :i0 + 1] - ref_minus) ** 2, axis=-1)
+    dp = np.sum((u[:, i0:] - ref_plus) ** 2, axis=-1)
+    inner = (np.trapezoid(dm, x[:i0 + 1], axis=1)
+             + np.trapezoid(dp, x[i0:], axis=1))
     return float(np.sqrt(np.trapezoid(inner, times)))
 
 
@@ -295,7 +297,7 @@ class EClassNorms:
 
 
 def eclass_norms(times: np.ndarray, x: np.ndarray, w: np.ndarray,
-                 epsilon: float, m: int = 1) -> EClassNorms:
+                 epsilon: float, m: int) -> EClassNorms:
     """Discrete conormal norms of a space-time field w (nt, nx, 3).
 
     The generators are Z0 = d_t and Z1 = omega(x) d_x with the weight
@@ -508,11 +510,15 @@ def _epsilon_row(task) -> dict:
     if not np.allclose(traj.times, times_eval):
         raise RuntimeError("solver output times drifted off the knots")
 
-    limit_init = np.stack([data(grid.x, "minus"), data(grid.x, "plus")])
+    # each node's limit trajectory once: the minus data up to the
+    # interface node, the plus data from it on (that node twice)
+    i0 = int(np.searchsorted(grid.x, 0.0))
+    limit_init = np.concatenate([data(grid.x[:i0 + 1], "minus"),
+                                 data(grid.x[i0:], "plus")])
     limit = simulate_limit(limit_init, pieces.T_used, cfg.dt_full,
                            t_eval=times_eval)
     err = jump_error_l2(times_eval, grid.x, traj.values,
-                        limit.values[:, 0], limit.values[:, 1])
+                        limit.values[:, :i0 + 1], limit.values[:, i0 + 1:])
 
     res = residual_report(times_eval, a_vals, grid, eps)
     w = (traj.values - a_vals) / eps

@@ -32,7 +32,9 @@ def _normalize_vec(v, label: str) -> np.ndarray:
 
 
 def _swirl(x: np.ndarray) -> np.ndarray:
-    """Smooth unit field winding about e2; wall-normal derivative zero."""
+    """Smooth unit field winding about e2; its x-derivative at both
+    walls, (0, 0, -0.3 pi / sqrt(0.9)) = (0, 0, -0.993), is not zero,
+    which is what gives the wall layer work on this field."""
     raw = np.stack([
         0.3 * np.cos(np.pi * x),
         0.9 * np.ones_like(x),

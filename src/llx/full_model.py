@@ -10,13 +10,13 @@ Time stepping is a theta-weighted predictor/corrector with theta fixed
 at 1/2: half of the stiff quasilinear part eps^2 (I + [v]x) uxx is
 taken at the old level, half implicitly at the new one, with the matrix
 frozen at the old state (predictor) and then at the midpoint state
-(corrector); F stays explicit, evaluated at the same states. Both time
-and space errors are second order, and at eps = 0 the scheme
-degenerates to the explicit midpoint rule of the limit flow.
+(corrector); F (limit_model.F_rhs) stays explicit, evaluated at the
+same states. Both time and space errors are second order, and at
+eps = 0 the scheme degenerates to the explicit midpoint rule of the
+limit flow.
 
 Contains:
 - Grid1D / make_epsilon_grid: single-valued meshes, layer-refined
-- F_rhs: the zero-order reaction term
 - FullModelConfig, step_full, simulate_full, FullTrajectory
 - l2_space_time: composite-trapezoid space-time L2 norm
 - residual_report / ResidualReport: a-posteriori defect of any
@@ -34,7 +34,8 @@ from .banded import block_tridiag_solve, cross_matrix
 from .errors import SolverAbort
 from .geometry import (apply_tridiagonal_stencil, d1_coefficients,
                        d2_coefficients, mirrored, nodes, one_sided_d1)
-from .limit_model import output_times, renormalize as project_sphere, substeps
+from .limit_model import (F_rhs, output_times, renormalize as project_sphere,
+                          substeps)
 from .strayfield import stray_field_slab
 
 
@@ -92,13 +93,11 @@ def make_epsilon_grid(epsilon: float, cells_per_eps: int) -> Grid1D:
     return Grid1D(x=mirrored(nodes(side, 1.0)))
 
 
-# === right-hand side ===
+# === time stepping ===
 
-def F_rhs(u: np.ndarray, V: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Reaction term |V|^2 u + u x H - u x (u x H)."""
-    uxH = np.cross(u, H)
-    return (np.sum(V * V, axis=-1, keepdims=True) * u
-            + uxH - np.cross(u, uxH))
+# consecutive halvings of one step the drift guard allows before the
+# run aborts
+MAX_HALVINGS = 10
 
 
 @dataclass
@@ -108,9 +107,8 @@ class FullModelConfig:
     epsilon: float
     dt: float
     T: float
+    drift_tol: float
     renormalize: bool = True
-    drift_tol: float = 1e-3
-    max_halvings: int = 10
 
     def __post_init__(self):
         if self.epsilon < 0.0:
@@ -205,8 +203,8 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
     Output times are {0, T} joined with t_eval, each hit exactly by
     uniform substeps of at most cfg.dt. When renormalization is on, a
     step whose pre-projection norm drift exceeds cfg.drift_tol causes
-    the whole interval to be redone at half the step, up to
-    cfg.max_halvings times, after which the run aborts.
+    the step to be redone at half the size, up to MAX_HALVINGS times in
+    a row, after which the run aborts.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.n, 3):
@@ -240,9 +238,9 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
             if cfg.renormalize and drift > cfg.drift_tol:
                 consecutive += 1
                 halvings_total += 1
-                if consecutive > cfg.max_halvings:
+                if consecutive > MAX_HALVINGS:
                     raise SolverAbort(
-                        f"step at t={t:.6g} halved {cfg.max_halvings} "
+                        f"step at t={t:.6g} halved {MAX_HALVINGS} "
                         f"times without meeting the drift tolerance "
                         f"(last drift {drift:.3e})")
                 tau = tau_step / 2.0

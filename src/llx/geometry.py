@@ -86,18 +86,19 @@ def graded_widths(length: float, cells: int) -> np.ndarray:
     return w * (length / w.sum())
 
 
-def make_profile_grid(Y: float = 15.0, cells: int = 128) -> np.ndarray:
+def make_profile_grid(Y: float, cells: int) -> np.ndarray:
     """Graded y-mesh on [-Y, Y]: the graded_widths cells on [0, Y],
     mirrored, so y = 0 sits at index cells = y.size // 2.
 
     The junction row of the transmission march carries an O(h) local
-    consistency error, so the junction cell must stay small: the
-    grading puts it near 4e-5 while the outer cells remain O(0.25).
+    consistency error, so the junction cell must stay small: at the
+    study's box 15 and 128 cells the grading puts it near 4e-5 while
+    the outer cells remain O(0.25).
     """
     return mirrored(nodes(graded_widths(Y, cells), Y))
 
 
-def make_wall_grid(Z: float = 15.0, cells: int = 96) -> np.ndarray:
+def make_wall_grid(Z: float, cells: int) -> np.ndarray:
     """Graded z-mesh on [0, Z] (graded_widths), finest at the wall z = 0."""
     return nodes(graded_widths(Z, cells), Z)
 

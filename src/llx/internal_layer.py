@@ -28,7 +28,8 @@ one banded solve per time step, and leave a window once converged.
 
 Contains:
 - make_time_grid: binary start-up ramp inside the first uniform cell
-- F_pm: the exact increment F(u0+U, V, H0-(U.n)n) - F(u0, 0, H0)
+- F_pm: the increment F(u0+U, V, H0-(U.e1)e1) - F(u0, 0, H0) of
+  limit_model.F_rhs
 - _sweep: one Crank-Nicolson march of stacked columns (a Picard sweep)
 - picard_profiles / ProfilePair: the windowed fixed-point loop, result
 """
@@ -44,13 +45,13 @@ from .banded import block_tridiag_solve, cross_matrix, inv_id_plus_cross
 from .errors import NonContraction, ValidationError
 from .geometry import (apply_tridiagonal_stencil, d2_coefficients,
                        in_v_sigma, one_sided_d1, profile_d1)
-from .limit_model import ExtendedLimit
-from .strayfield import E1, stray_field_slab
+from .limit_model import ExtendedLimit, F_rhs, precession_rhs
+from .strayfield import E1, layer_correction, stray_field_slab
 
 
 # === time grid ===
 
-def make_time_grid(T: float, dt: float = 2.5e-3) -> np.ndarray:
+def make_time_grid(T: float, dt: float) -> np.ndarray:
     """Output times 0..T: uniform steps dt, the first cell subdivided.
 
     The first dt-cell is split into binary pieces dt/64, dt/64, dt/32,
@@ -71,24 +72,17 @@ def make_time_grid(T: float, dt: float = 2.5e-3) -> np.ndarray:
 
 # === profile nonlinearity ===
 
-def F_pm(U: np.ndarray, V: np.ndarray, u0: np.ndarray, H0: np.ndarray,
-         n: np.ndarray = E1) -> np.ndarray:
-    """Exact zero-order increment of the reaction term inside the layer.
+def F_pm(U: np.ndarray, V: np.ndarray, u0: np.ndarray,
+         H0: np.ndarray) -> np.ndarray:
+    """Zero-order increment of the reaction term inside the layer:
+    F(u0 + U, V, H0 - (U.e1) e1) - F(u0, 0, H0).
 
-    Equals F(u0 + U, V, H0 - (U.n) n) - F(u0, 0, H0) identically: the
-    profile sees the limit field H0 corrected by its own fast-scale
-    stray field -(U.n) n.
+    The profile sees the limit field H0 corrected by its own fast-scale
+    stray field -(U.e1) e1, e1 the slab normal; F(u0, 0, H0) is the
+    limit flow's precession_rhs(u0, H0).
     """
-    Un = np.sum(U * n, axis=-1, keepdims=True)
-    h = H0 - Un * n
-    w = u0 + U
-    out = np.sum(V * V, axis=-1, keepdims=True) * w
-    out = out + np.cross(U, H0)
-    out = out - Un * np.cross(w, n)
-    out = out - np.cross(U, np.cross(w, h))
-    out = out - np.cross(u0, np.cross(U, h))
-    out = out + Un * np.cross(u0, np.cross(u0, n))
-    return out
+    return (F_rhs(u0 + U, V, H0 + layer_correction(U, E1))
+            - precession_rhs(u0, H0))
 
 
 # === the stacked Crank-Nicolson march ===
@@ -400,8 +394,8 @@ class ProfilePair:
                 f"{max(bad):.3f}")
 
 
-def picard_profiles(ext: ExtendedLimit, y: np.ndarray, tol: float = 1e-8,
-                    max_iter: int = 40) -> ProfilePair:
+def picard_profiles(ext: ExtendedLimit, y: np.ndarray, tol: float,
+                    max_iter: int) -> ProfilePair:
     """Solve the transmission profiles on the columns of the interface
     neighborhood (geometry.in_v_sigma).
 

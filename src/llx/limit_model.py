@@ -4,10 +4,12 @@ With the exchange term switched off the magnetization at each node obeys
     du/dt = u x H(u) - u x (u x H(u)),      H(u) = (-u1, 0, 0),
 which preserves |u| and drives u1 toward 0 through du1/dt = u1(u1^2 - 1)
 on the unit sphere. Nodes never couple, so everything here is vectorized
-over an arbitrary leading shape.
+over an arbitrary leading shape. The full model's reaction term F lives
+here too, the one home all three physics layers take it from.
 
 Contains:
 - precession_rhs: u x H - u x (u x H) for a given field H
+- F_rhs: the reaction term |V|^2 u + u x H - u x (u x H)
 - rhs_limit: the same with the slab stray field substituted
 - renormalize: projection onto the unit sphere
 - step_rk4: one classic fourth-order step
@@ -35,6 +37,13 @@ def precession_rhs(u: np.ndarray, H: np.ndarray) -> np.ndarray:
     """u x H - u x (u x H), broadcast over leading axes."""
     uxH = np.cross(u, H)
     return uxH - np.cross(u, uxH)
+
+
+def F_rhs(u: np.ndarray, V: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Reaction term |V|^2 u + u x H - u x (u x H)."""
+    uxH = np.cross(u, H)
+    return (np.sum(V * V, axis=-1, keepdims=True) * u
+            + uxH - np.cross(u, uxH))
 
 
 def rhs_limit(u: np.ndarray) -> np.ndarray:
@@ -167,19 +176,17 @@ def extend_limit(data: MagnetizationField, x: np.ndarray,
     |x| < 0.35 is fixed.
     """
     times = np.asarray(times, dtype=float)
-    if times[0] != 0.0:
-        raise ValueError(f"times must start at 0, got {times[0]!r}")
+    if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
+        raise ValueError(f"times must start at 0 and increase strictly, "
+                         f"got {times.tolist()}")
     i_zero = int(np.argmin(np.abs(x)))
     if x[i_zero] != 0.0:
         raise ValueError("parameter mesh must contain the interface node")
 
     u_init = np.stack([data.branch(x, "minus"), data.branch(x, "plus")])
-    traj = simulate_limit(u_init, T=float(times[-1]), dt=1e-3,
-                          t_eval=list(times))
-    keep = np.isin(traj.times, times)
-    vals = traj.values[keep]
-    if vals.shape[0] != times.size:
-        raise ValueError("limit trajectory times do not match request")
+    # strictly increasing from 0, so the output times are exactly times
+    vals = simulate_limit(u_init, T=float(times[-1]), dt=1e-3,
+                          t_eval=list(times)).values
     v_minus, v_plus = vals[:, 0], vals[:, 1]
     r_minus, r_plus = rhs_limit(v_minus), rhs_limit(v_plus)
 

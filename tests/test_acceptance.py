@@ -126,7 +126,8 @@ def test_criterion_06_transmission_profiles(jump_pieces):
     ratios = pair.contraction_ratios()
     worst_ratio = max(ratios) if ratios else 0.0
     half = picard_profiles(jump_pieces.ext,
-                           make_profile_grid(Y=7.5, cells=128), tol=1e-8)
+                           make_profile_grid(Y=7.5, cells=128), tol=1e-8,
+                           max_iter=40)
     moved = float(np.max(np.abs(pair.junction_trace()
                                 - half.junction_trace())))
     ok = (value_gap <= 1e-8 and deriv_gap <= 1e-6 and tail <= 1e-6
@@ -141,7 +142,8 @@ def test_criterion_06_transmission_profiles(jump_pieces):
 
 def _full_error(u_eval, source_for, dt, cells, T=0.4):
     g = Grid1D(x=np.linspace(-1.0, 1.0, cells + 1))
-    cfg = FullModelConfig(epsilon=0.3, dt=dt, T=T, renormalize=False)
+    cfg = FullModelConfig(epsilon=0.3, dt=dt, T=T, drift_tol=1e-3,
+                          renormalize=False)
     traj = simulate_full(u_eval(0.0, g.x), g, cfg, source=source_for(0.3))
     return float(np.max(np.abs(traj.values[-1] - u_eval(T, g.x))))
 
@@ -169,7 +171,7 @@ def test_criterion_08_sphere_invariance():
     tangency = float(np.max(np.abs(np.sum(rhs_limit(u) * u, axis=-1))))
 
     grid = make_epsilon_grid(0.1, cells_per_eps=8)
-    cfg = FullModelConfig(epsilon=0.1, dt=1e-4, T=5e-3)
+    cfg = FullModelConfig(epsilon=0.1, dt=1e-4, T=5e-3, drift_tol=1e-3)
     traj = simulate_full(named_field("swirl")(grid.x), grid, cfg)
     drift = traj.drift_max
 

@@ -3,15 +3,17 @@
 import numpy as np
 import pytest
 
-from llx.boundary_layer import (BoundaryProfile, linearized_reaction,
-                                linearized_reaction_matrix, march_wall,
-                                neumann_corrector, solve_boundary_profile,
-                                wall_slopes)
+from llx.banded import block_tridiag_solve, cross_matrix
+from llx.boundary_layer import (BoundaryProfile, linearized_reaction_matrix,
+                                march_wall, neumann_corrector,
+                                solve_boundary_profile, wall_slopes)
 from llx.errors import ValidationError
 from llx.fields import constant_per_side, named_field
-from llx.geometry import make_wall_grid, one_sided_d1, param_nodes, theta
+from llx.geometry import (apply_tridiagonal_stencil, d2_coefficients,
+                          make_wall_grid, one_sided_d1, param_nodes, theta)
 from llx.internal_layer import F_pm, make_time_grid
 from llx.limit_model import extend_limit
+from llx.strayfield import E1, stray_field_slab
 
 
 # --- linearized reaction ---
@@ -28,20 +30,59 @@ def test_linearized_reaction_is_layer_derivative():
     for _ in range(50):
         U, u0, H0 = rng.normal(size=(3, 3))
         exact = (4.0 * central(U, u0, H0, 0.5) - central(U, u0, H0, 1.0)) / 3.0
-        np.testing.assert_allclose(linearized_reaction(U, u0, H0), exact,
-                                   atol=1e-12, rtol=1e-12)
+        np.testing.assert_allclose(linearized_reaction_matrix(u0, H0) @ U,
+                                   exact, atol=1e-12, rtol=1e-12)
 
 
-def test_linearized_reaction_matrix_matches_vector_form():
-    rng = np.random.default_rng(23)
-    u0 = rng.normal(size=(7, 3))
-    H0 = rng.normal(size=(7, 3))
-    U = rng.normal(size=(7, 3))
-    L = linearized_reaction_matrix(u0, H0)
-    assert L.shape == (7, 3, 3)
-    np.testing.assert_allclose(np.einsum("kij,kj->ki", L, U),
-                               linearized_reaction(U, u0, H0),
-                               atol=1e-13)
+# --- references: the operator built column by column, the two-branch march
+
+def _reaction_derivative(U, u0, H0):
+    """The derivative of the layer reaction written term by term."""
+    Un = np.sum(U * E1, axis=-1, keepdims=True)
+    return (np.cross(U, H0)
+            - Un * np.cross(u0, E1)
+            - np.cross(U, np.cross(u0, H0))
+            - np.cross(u0, np.cross(U, H0))
+            + Un * np.cross(u0, np.cross(u0, E1)))
+
+
+def _two_branch_march(z, times, u0, g):
+    """march_wall with a backward Euler branch for the graded opening
+    steps, a Crank-Nicolson branch after, and L built column by column."""
+    nz = z.size
+    d2 = d2_coefficients(z)
+    a, b, c = d2
+    h0 = z[1] - z[0]
+    eye = np.eye(3)
+    eye_rows = np.broadcast_to(eye, (nz, 3, 3))
+    H0 = stray_field_slab(u0)
+    M_all = eye + cross_matrix(u0)
+    L_all = np.stack([_reaction_derivative(e, u0, H0) for e in eye], axis=-1)
+    dts = np.diff(times)
+    first_full = int(np.argmax(dts >= (1.0 - 1e-12) * dts.max()))
+    U = np.zeros((times.size, nz, 3))
+    for k in range(times.size - 1):
+        dt = times[k + 1] - times[k]
+        if k < first_full:
+            w_new, w_old = dt, 0.0
+            M, L, g_step = M_all[k + 1], L_all[k + 1], g[k + 1]
+        else:
+            w_new, w_old = 0.5 * dt, 0.5 * dt
+            M = 0.5 * (M_all[k] + M_all[k + 1])
+            L = 0.5 * (L_all[k] + L_all[k + 1])
+            g_step = 0.5 * (g[k] + g[k + 1])
+        A = -w_new * a[:, None, None] * M
+        B = eye_rows - w_new * b[:, None, None] * M - w_new * L
+        C = -w_new * c[:, None, None] * M
+        d2U = apply_tridiagonal_stencil(d2, U[k])
+        rhs = (U[k] + w_old * (d2U @ M.T) + w_old * (U[k] @ L.T))
+        rhs[0] += dt * (M @ (-2.0 * g_step / h0))
+        A[-1] = 0.0
+        C[-1] = 0.0
+        B[-1] = eye
+        rhs[-1] = 0.0
+        U[k + 1] = block_tridiag_solve(A, B, C, rhs)
+    return U
 
 
 # --- marching kernel (manufactured solution) ---
@@ -55,7 +96,7 @@ def _wall_mms(n_cells: int, dt: float, T: float = 0.5):
     u0_vec = np.array([0.6, 0.8, 0.0])
     u0 = np.tile(u0_vec, (times.size, 1))
     # source = dU/dt - (I + [u0]x) U_zz - L U with U_zz = U
-    Lv = linearized_reaction(v, u0_vec, np.array([-0.6, 0.0, 0.0]))
+    Lv = linearized_reaction_matrix(u0_vec, np.array([-0.6, 0.0, 0.0])) @ v
     ez = np.exp(-z)
     src = (np.cos(times)[:, None, None] * ez[None, :, None] * v
            - np.sin(times)[:, None, None] * ez[None, :, None]
@@ -109,6 +150,21 @@ def swirl_wall():
     ext = extend_limit(named_field("swirl"), x, times)
     z = make_wall_grid(Z=15.0, cells=96)
     return ext, z, solve_boundary_profile(ext, z)
+
+
+def test_swirl_wall_matches_the_two_branch_march(swirl_wall):
+    # the theta-step march and the closed-form operator keep the bits
+    ext, z, prof = swirl_wall
+    x = ext.x_param
+    u0 = np.where((x < 0.0)[None, :, None], ext.u_minus, ext.u_plus)
+    marched = 0
+    for col, i in enumerate(np.nonzero(theta(x) > 0.0)[0]):
+        g = prof.g_data[:, col]
+        if np.max(np.abs(g)) > 0.0:
+            np.testing.assert_array_equal(
+                prof.U[:, col], _two_branch_march(z, ext.times, u0[:, i], g))
+            marched += 1
+    assert marched >= 4
 
 
 def test_wall_profile_nonzero_with_decaying_tail(swirl_wall):

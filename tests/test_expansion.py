@@ -360,15 +360,18 @@ def test_jump_error_split_closed_form():
     a = np.array([0.6, 0.8, 0.0])
     b = np.array([-0.6, 0.8, 0.0])
     u = np.tile(np.where((x <= 0.0)[:, None], a, b), (times.size, 1, 1))
-    ref_minus = np.tile(a, (times.size, x.size, 1))
-    ref_plus = np.tile(b, (times.size, x.size, 1))
+    # each reference lives on its own half, the interface node in both
+    ref_minus = np.tile(a, (times.size, i0 + 1, 1))
+    ref_plus = np.tile(b, (times.size, x.size - i0, 1))
     h = x[i0 + 1] - x[i0]
     gap = float((a - b) @ (a - b))
     expect = np.sqrt(0.8 * gap * h / 2.0)
     got = jump_error_l2(times, x, u, ref_minus, ref_plus)
     assert abs(got - expect) < 1e-13
     # continuous references matched exactly measure zero
-    assert jump_error_l2(times, x, ref_minus, ref_minus, ref_minus) == 0.0
+    same = np.tile(a, (times.size, x.size, 1))
+    assert jump_error_l2(times, x, same, same[:, :i0 + 1], same[:, i0:]) \
+        == 0.0
 
 
 def test_jump_error_requires_interface_node():
@@ -376,7 +379,11 @@ def test_jump_error_requires_interface_node():
     x = np.linspace(-1.0, 1.0, 10)
     u = np.zeros((5, 10, 3))
     with pytest.raises(ValueError, match="interface node"):
-        jump_error_l2(times, x, u, u, u)
+        jump_error_l2(times, x, u, u[:, :5], u[:, 4:])
+    x = np.linspace(-1.0, 1.0, 11)
+    u = np.zeros((5, 11, 3))
+    with pytest.raises(ValueError, match="interface node"):
+        jump_error_l2(times, x, u, u[:, :6], u[:, 6:])
 
 
 def test_fit_slope_exact_power_and_validation():
@@ -413,7 +420,7 @@ def test_eclass_validation():
     with pytest.raises(ValueError, match="m must be"):
         eclass_norms(times, x, w, 0.1, m=3)
     with pytest.raises(ValueError, match="does not match"):
-        eclass_norms(times, x, w[:, :-1], 0.1)
+        eclass_norms(times, x, w[:, :-1], 0.1, m=1)
 
 
 def test_eclass_smooth_field_is_eps_uniform():

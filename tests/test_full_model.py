@@ -18,12 +18,11 @@ from llx.full_model import (
     FullTrajectory,
     Grid1D,
     ResidualReport,
-    F_rhs,
     make_epsilon_grid,
     residual_report,
     simulate_full,
 )
-from llx.limit_model import renormalize
+from llx.limit_model import F_rhs, renormalize
 
 from manufactured import full_model_solution, step_midpoint
 
@@ -112,7 +111,8 @@ def test_zero_exchange_degenerates_to_midpoint_rule():
     rng = np.random.default_rng(45)
     g = _uniform_grid(16)
     u0 = renormalize(rng.normal(size=(g.n, 3)))
-    cfg = FullModelConfig(epsilon=0.0, dt=0.02, T=0.2, renormalize=False)
+    cfg = FullModelConfig(epsilon=0.0, dt=0.02, T=0.2, drift_tol=1e-3,
+                          renormalize=False)
     traj = simulate_full(u0, g, cfg)
     u_ref = u0.copy()
     for _ in range(10):
@@ -123,7 +123,8 @@ def test_zero_exchange_degenerates_to_midpoint_rule():
 def _mms_error(mms, eps, dt, cells, T=0.4):
     u_eval, source_for = mms
     g = _uniform_grid(cells)
-    cfg = FullModelConfig(epsilon=eps, dt=dt, T=T, renormalize=False)
+    cfg = FullModelConfig(epsilon=eps, dt=dt, T=T, drift_tol=1e-3,
+                          renormalize=False)
     traj = simulate_full(u_eval(0.0, g.x), g, cfg,
                          source=source_for(eps))
     return float(np.max(np.abs(traj.values[-1] - u_eval(T, g.x))))
@@ -150,7 +151,7 @@ def test_renormalized_smooth_run_stays_on_sphere():
     from llx.fields import named_field
     g = make_epsilon_grid(0.1, cells_per_eps=8)
     u0 = named_field("swirl")(g.x)
-    cfg = FullModelConfig(epsilon=0.1, dt=2e-3, T=0.05)
+    cfg = FullModelConfig(epsilon=0.1, dt=2e-3, T=0.05, drift_tol=1e-3)
     traj = simulate_full(u0, g, cfg)
     norms = np.linalg.norm(traj.values[-1], axis=-1)
     assert np.max(np.abs(norms - 1.0)) < 1e-14
@@ -167,7 +168,7 @@ def test_norm_drift_scales_with_dt():
     u0 = named_field("swirl")(g.x)
     drifts = []
     for dt in (1e-2, 5e-3):
-        cfg = FullModelConfig(epsilon=0.1, dt=dt, T=0.05)
+        cfg = FullModelConfig(epsilon=0.1, dt=dt, T=0.05, drift_tol=1e-3)
         drifts.append(simulate_full(u0, g, cfg).drift_max)
     assert drifts[0] < 1e-4
     assert 1.6 < drifts[0] / drifts[1] < 2.4
@@ -179,7 +180,7 @@ def test_jump_data_survives_through_step_halving():
     g = make_epsilon_grid(0.1, cells_per_eps=32)
     u0 = np.where((g.x >= 0.0)[:, None], [0.6, 0.8, 0.0],
                   [-0.6, 0.8, 0.0])
-    cfg = FullModelConfig(epsilon=0.1, dt=1e-3, T=0.01)
+    cfg = FullModelConfig(epsilon=0.1, dt=1e-3, T=0.01, drift_tol=1e-3)
     traj = simulate_full(u0, g, cfg)
     assert traj.halvings_used > 0
     norms = np.linalg.norm(traj.values[-1], axis=-1)
@@ -193,9 +194,8 @@ def test_drift_guard_aborts():
     rng = np.random.default_rng(48)
     g = _uniform_grid(16)
     u0 = renormalize(rng.normal(size=(g.n, 3)))
-    cfg = FullModelConfig(epsilon=0.1, dt=0.05, T=0.1, drift_tol=1e-18,
-                          max_halvings=3)
-    with pytest.raises(SolverAbort, match="halved 3 times"):
+    cfg = FullModelConfig(epsilon=0.1, dt=0.05, T=0.1, drift_tol=1e-18)
+    with pytest.raises(SolverAbort, match="halved 10 times"):
         simulate_full(u0, g, cfg)
 
 
@@ -205,7 +205,7 @@ def test_nan_initial_data_aborts():
     g = _uniform_grid(16)
     u0 = np.tile([0.6, 0.8, 0.0], (g.n, 1))
     u0[5, 2] = np.nan
-    cfg = FullModelConfig(epsilon=0.1, dt=0.01, T=0.05)
+    cfg = FullModelConfig(epsilon=0.1, dt=0.01, T=0.05, drift_tol=1e-3)
     with pytest.raises(SolverAbort, match="non-finite"):
         simulate_full(u0, g, cfg)
 
@@ -213,7 +213,7 @@ def test_nan_initial_data_aborts():
 def test_t_eval_and_validation():
     g = _uniform_grid(16)
     u0 = np.tile([0.6, 0.8, 0.0], (g.n, 1))
-    cfg = FullModelConfig(epsilon=0.05, dt=0.01, T=0.2)
+    cfg = FullModelConfig(epsilon=0.05, dt=0.01, T=0.2, drift_tol=1e-3)
     traj = simulate_full(u0, g, cfg, t_eval=[0.05, 0.13])
     assert isinstance(traj, FullTrajectory)
     assert list(traj.times) == [0.0, 0.05, 0.13, 0.2]
@@ -225,14 +225,14 @@ def test_t_eval_and_validation():
 
 def test_config_validation():
     with pytest.raises(ValueError, match="positive"):
-        FullModelConfig(epsilon=0.1, dt=-0.01, T=1.0)
+        FullModelConfig(epsilon=0.1, dt=-0.01, T=1.0, drift_tol=1e-3)
 
 
 def test_determinism():
     rng = np.random.default_rng(49)
     g = _uniform_grid(24)
     u0 = renormalize(rng.normal(size=(g.n, 3)))
-    cfg = FullModelConfig(epsilon=0.08, dt=5e-3, T=0.1)
+    cfg = FullModelConfig(epsilon=0.08, dt=5e-3, T=0.1, drift_tol=1e-3)
     a = simulate_full(u0, g, cfg)
     b = simulate_full(u0.copy(), g, cfg)
     assert np.array_equal(a.values, b.values)

@@ -104,7 +104,7 @@ def test_wall_grid_validation():
     with pytest.raises(ValueError, match="cells >= 8"):
         make_wall_grid(Z=15.0, cells=4)
     with pytest.raises(ValueError, match="length > 0"):
-        make_wall_grid(Z=0.0)
+        make_wall_grid(Z=0.0, cells=96)
 
 
 # --- stencils ---
