@@ -12,6 +12,7 @@ the zero couplings between neighbouring columns decouple them, and the
 stacked solve gives each column the same bits as its own solve.
 
 Contains:
+- cross: the product a x b of 3-vector fields, broadcast
 - cross_matrix: the matrix [a]x with [a]x v = a x v, batched
 - inv_id_plus_cross: closed-form inverse of I + [a]x, batched
 - blocks_to_banded / block_tridiag_solve: assembly and the one solver
@@ -25,6 +26,22 @@ import numpy as np
 from scipy.linalg import solve_banded
 
 from .errors import SolverAbort
+
+
+def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a x b over the last axis, broadcast over the leading ones.
+
+    Bitwise equal to np.cross, without its moveaxis copies.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
+    b1, b2, b3 = b[..., 0], b[..., 1], b[..., 2]
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    np.subtract(a2 * b3, a3 * b2, out=out[..., 0])
+    np.subtract(a3 * b1, a1 * b3, out=out[..., 1])
+    np.subtract(a1 * b2, a2 * b1, out=out[..., 2])
+    return out
 
 
 def cross_matrix(a: np.ndarray) -> np.ndarray:

@@ -41,7 +41,7 @@ from typing import Optional
 
 import numpy as np
 
-from .banded import block_tridiag_solve, cross_matrix
+from .banded import block_tridiag_solve, cross, cross_matrix
 from .errors import ValidationError
 from .geometry import (apply_tridiagonal_stencil, d2_coefficients,
                        one_sided_d1, profile_d1, theta)
@@ -60,10 +60,10 @@ def linearized_reaction_matrix(u0: np.ndarray, H0: np.ndarray) -> np.ndarray:
 
     Even in the normal e1, so the two walls share it.
     """
-    w_e1 = np.cross(u0, E1)
-    return (cross_matrix(np.cross(u0, H0)) - cross_matrix(H0)
+    w_e1 = cross(u0, E1)
+    return (cross_matrix(cross(u0, H0)) - cross_matrix(H0)
             + cross_matrix(u0) @ cross_matrix(H0)
-            + (np.cross(u0, w_e1) - w_e1)[..., :, None] * E1)
+            + (cross(u0, w_e1) - w_e1)[..., :, None] * E1)
 
 
 # === one column ===

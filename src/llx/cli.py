@@ -212,7 +212,7 @@ def cmd_check_stray(cfg: RunConfig, args, out_dir: str) -> int:
     n = np.array([1.0, 0.0, 0.0])
     U = rng.normal(size=(64, 3))
     layer_defect = float(np.max(np.abs(
-        layer_correction(U, n) + U[:, :1] * n)))
+        layer_correction(U) + U[:, :1] * n)))
 
     checks = [
         ("round_trip", round_trip, 1e-12),

@@ -6,14 +6,19 @@ homogeneous Neumann walls, is
     du/dt = eps^2 uxx + eps^2 u x uxx + F(u, eps ux, H(u)),
     F(u, V, H) = |V|^2 u + u x H - u x (u x H),      H(u) = (-u1, 0, 0).
 
-Time stepping is a theta-weighted predictor/corrector with theta fixed
-at 1/2: half of the stiff quasilinear part eps^2 (I + [v]x) uxx is
-taken at the old level, half implicitly at the new one, with the matrix
-frozen at the old state (predictor) and then at the midpoint state
-(corrector); F (limit_model.F_rhs) stays explicit, evaluated at the
-same states. Both time and space errors are second order, and at
-eps = 0 the scheme degenerates to the explicit midpoint rule of the
-limit flow.
+Time stepping is linearly implicit with theta fixed at 1/2: half of the
+stiff quasilinear part eps^2 (I + [v]x) uxx is taken at the old level,
+half implicitly at the new one, with the matrix and the explicit F
+(limit_model.F_rhs) both frozen at a state v approximating u at the
+step's midpoint. After the first accepted step v is extrapolated from
+the last two accepted states, v = u + (tau / 2 tau_prev)(u - u_prev),
+as in Akrivis, Feischl, Kovacs & Lubich, Math. Comp. 90 (2021), so
+each step costs one banded solve. The first step has no earlier state:
+each of its attempts takes v as the mean of u and one extra solve
+frozen at u, so the run starts at second order too. Both time and
+space errors are second order, and at eps = 0 the scheme degenerates
+to the explicit scheme u+ = u + tau F(v) of the limit flow, its first
+step the explicit midpoint rule.
 
 Contains:
 - Grid1D / make_epsilon_grid: single-valued meshes, layer-refined
@@ -30,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .banded import block_tridiag_solve, cross_matrix
+from .banded import block_tridiag_solve, cross, cross_matrix
 from .errors import SolverAbort
 from .geometry import (apply_tridiagonal_stencil, d1_coefficients,
                        d2_coefficients, mirrored, nodes, one_sided_d1)
@@ -148,32 +153,26 @@ def _explicit_diffusion(u: np.ndarray, v: np.ndarray, coef: float,
                         ws: _Workspace) -> np.ndarray:
     """coef M D2 u with the frozen matrix at v."""
     d2u = apply_tridiagonal_stencil(ws.d2, u)
-    return coef * (d2u + np.cross(v, d2u))
+    return coef * (d2u + cross(v, d2u))
 
 
-def step_full(u: np.ndarray, t: float, dt: float, ws: _Workspace,
-              cfg: FullModelConfig,
+def step_full(u: np.ndarray, v: np.ndarray, t: float, dt: float,
+              ws: _Workspace, cfg: FullModelConfig,
               source: Optional[Callable] = None):
-    """One predictor/corrector step from time t; returns (u_new, drift).
+    """One linearly implicit step from time t; returns (u_new, drift).
 
-    drift is the largest deviation of |u_new| from 1 before any
-    projection, the quantity the step-size guard watches.
+    The matrix M = I + [v]x of the theta = 1/2 diffusion and the
+    explicit forcing are frozen at v, the caller's approximation of
+    u(t + dt/2); the source is taken at t + dt/2. drift is the largest
+    deviation of |u_new| from 1 before any projection, the quantity
+    the step-size guard watches.
     """
-    # theta = 1/2: half the diffusion at the old level, half implicit
     coef = 0.5 * dt * cfg.epsilon**2
-
-    def explicit_rhs(state, v_frozen, t_src):
-        g = _forcing(state, cfg.epsilon, ws)
-        if source is not None:
-            g = g + source(t_src, ws.grid.x)
-        return u + _explicit_diffusion(u, v_frozen, coef, ws) + dt * g
-
-    # predictor: everything frozen at the old state
-    u_star = _implicit_solve(u, coef, ws, explicit_rhs(u, u, t))
-    # corrector: re-solve with matrix and forcing at the midpoint
-    u_mid = 0.5 * (u + u_star)
-    u_new = _implicit_solve(u_mid, coef, ws,
-                            explicit_rhs(u_mid, u_mid, t + 0.5 * dt))
+    g = _forcing(v, cfg.epsilon, ws)
+    if source is not None:
+        g = g + source(t + 0.5 * dt, ws.grid.x)
+    rhs = u + _explicit_diffusion(u, v, coef, ws) + dt * g
+    u_new = _implicit_solve(v, coef, ws, rhs)
     drift = float(np.max(np.abs(np.linalg.norm(u_new, axis=-1) - 1.0)))
     return u_new, drift
 
@@ -204,7 +203,8 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
     uniform substeps of at most cfg.dt. When renormalization is on, a
     step whose pre-projection norm drift exceeds cfg.drift_tol causes
     the step to be redone at half the size, up to MAX_HALVINGS times in
-    a row, after which the run aborts.
+    a row, after which the run aborts. A redone step extrapolates its
+    midpoint from the same two accepted states, with the new size.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.n, 3):
@@ -216,6 +216,8 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
     values = np.empty((times.size, grid.n, 3))
     values[0] = u0
     u = u0
+    # the last accepted state and its step, for the midpoint extrapolation
+    u_prev, tau_prev = None, None
     drift_max = 0.0
     steps_taken = 0
     halvings_total = 0
@@ -233,7 +235,15 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
         consecutive = 0
         while t < t1 - 1e-12 * max(span, 1.0):
             tau_step = min(tau, t1 - t)
-            u_next, drift = step_full(u, t, tau_step, ws, cfg,
+            if u_prev is None:
+                # starting procedure: a solve frozen at u predicts the
+                # end of the step, and v is the mean
+                u_star, _ = step_full(u, u, t, tau_step, ws, cfg,
+                                      source=source)
+                v = 0.5 * (u + u_star)
+            else:
+                v = u + (0.5 * tau_step / tau_prev) * (u - u_prev)
+            u_next, drift = step_full(u, v, t, tau_step, ws, cfg,
                                       source=source)
             if cfg.renormalize and drift > cfg.drift_tol:
                 consecutive += 1
@@ -249,6 +259,7 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
             drift_max = max(drift_max, drift)
             if cfg.renormalize:
                 u_next = project_sphere(u_next)
+            u_prev, tau_prev = u, tau_step
             u = u_next
             t += tau_step
             steps_taken += 1
@@ -320,7 +331,7 @@ def residual_report(times: np.ndarray, values: np.ndarray, grid: Grid1D,
         g = _forcing(u, epsilon, ws)
         if source is not None:
             g = g + source(times[k], grid.x)
-        rhs = epsilon**2 * (d2u + np.cross(u, d2u)) + g
+        rhs = epsilon**2 * (d2u + cross(u, d2u)) + g
         residuals[k - 1] = (du_dt[k] - rhs)[1:-1]
     l2 = l2_space_time(times[1:-1], grid.x[1:-1], residuals)
     max_r = float(np.max(np.abs(residuals)))

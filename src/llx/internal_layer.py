@@ -41,12 +41,13 @@ from typing import Optional
 
 import numpy as np
 
-from .banded import block_tridiag_solve, cross_matrix, inv_id_plus_cross
+from .banded import (block_tridiag_solve, cross, cross_matrix,
+                     inv_id_plus_cross)
 from .errors import NonContraction, ValidationError
 from .geometry import (apply_tridiagonal_stencil, d2_coefficients,
                        in_v_sigma, one_sided_d1, profile_d1)
 from .limit_model import ExtendedLimit, F_rhs, precession_rhs
-from .strayfield import E1, layer_correction, stray_field_slab
+from .strayfield import layer_correction, stray_field_slab
 
 
 # === time grid ===
@@ -81,7 +82,7 @@ def F_pm(U: np.ndarray, V: np.ndarray, u0: np.ndarray,
     stray field -(U.e1) e1, e1 the slab normal; F(u0, 0, H0) is the
     limit flow's precession_rhs(u0, H0).
     """
-    return (F_rhs(u0 + U, V, H0 + layer_correction(U, E1))
+    return (F_rhs(u0 + U, V, H0 + layer_correction(U))
             - precession_rhs(u0, H0))
 
 
@@ -192,7 +193,7 @@ def _profile_levels(y: np.ndarray, W: np.ndarray, delta, delta_dt, u0p,
         H0 = stray_field_slab(u0)[..., None, :]
         V = u0_b + S
         f = (F_pm(W + S, dyW + dyS, u0_b, H0) - dtS + S
-             + np.cross(V + W, S))
+             + cross(V + W, S))
         return V, f
 
     V_m, f_m = side(u0m, 0.5 * d * e_minus, 0.5 * d * e_minus,

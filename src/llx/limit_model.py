@@ -28,6 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .banded import cross
 from .fields import MagnetizationField
 from .geometry import chi_sigma
 from .strayfield import stray_field_slab
@@ -35,15 +36,15 @@ from .strayfield import stray_field_slab
 
 def precession_rhs(u: np.ndarray, H: np.ndarray) -> np.ndarray:
     """u x H - u x (u x H), broadcast over leading axes."""
-    uxH = np.cross(u, H)
-    return uxH - np.cross(u, uxH)
+    uxH = cross(u, H)
+    return uxH - cross(u, uxH)
 
 
 def F_rhs(u: np.ndarray, V: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Reaction term |V|^2 u + u x H - u x (u x H)."""
-    uxH = np.cross(u, H)
+    uxH = cross(u, H)
     return (np.sum(V * V, axis=-1, keepdims=True) * u
-            + uxH - np.cross(u, uxH))
+            + uxH - cross(u, uxH))
 
 
 def rhs_limit(u: np.ndarray) -> np.ndarray:

@@ -4,8 +4,8 @@ Contains:
 - E1: the slab normal, the direction across the slab
 - stray_field_slab: the exact pointwise field for magnetizations varying
   only across the slab, H(u) = (-u1, 0, 0)
-- layer_correction: the profile-scale correction -(U.n)n carried by a
-  layer term with normal n
+- layer_correction: the profile-scale correction -(U.e1) e1 carried by
+  a layer term
 - TorusGrid / stray_field_torus: spectral evaluation on a 3-D torus,
   multiplier -(m_hat . xi_unit) xi_unit, zero mean
 - div_torus / curl_torus: spectral first-order operators
@@ -33,11 +33,11 @@ def stray_field_slab(u: np.ndarray) -> np.ndarray:
     return h
 
 
-def layer_correction(U: np.ndarray, n: np.ndarray) -> np.ndarray:
-    """Fast-scale stray-field correction of a layer term: -(U.n) n."""
+def layer_correction(U: np.ndarray) -> np.ndarray:
+    """Fast-scale stray-field correction of a layer term across the
+    slab: -(U.e1) e1."""
     U = np.asarray(U, dtype=float)
-    n = np.asarray(n, dtype=float)
-    return -(U @ n)[..., None] * n
+    return -(U @ E1)[..., None] * E1
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ gate measure the same thing:
   transmission march on one column, and its error against a profile
   whose curvature jumps at the junction
 - step_midpoint: the explicit midpoint rule of the limit flow, the
-  scheme the full integrator degenerates to at zero exchange length
+  full integrator's first step at zero exchange length
 """
 
 from __future__ import annotations

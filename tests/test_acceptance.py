@@ -109,7 +109,7 @@ def test_criterion_05_stray_field_identities():
     slab_defect = float(np.max(np.abs(stray_field_slab(u) - expect)))
     n = np.array([1.0, 0.0, 0.0])
     layer_defect = float(np.max(np.abs(
-        layer_correction(u, n) + u[:, :1] * n)))
+        layer_correction(u) + u[:, :1] * n)))
 
     ok = (round_trip <= 1e-12 and curl_max <= 1e-12
           and slab_defect <= 1e-14 and layer_defect <= 1e-14)

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from llx.banded import (
     block_tridiag_solve,
     blocks_to_banded,
+    cross,
     cross_matrix,
     inv_id_plus_cross,
 )
@@ -26,6 +27,19 @@ def _dense_from_blocks(A, B, C):
         if i < n - 1:
             M[3 * i:3 * i + 3, 3 * (i + 1):3 * (i + 1) + 3] = C[i]
     return M
+
+
+@pytest.mark.parametrize("shape_a, shape_b", [
+    ((1089, 3), (1089, 3)),
+    ((8, 600, 3), (8, 600, 3)),
+    ((3,), (50, 3)),
+    ((50, 3), (3,)),
+])
+def test_cross_is_bitwise_np_cross(shape_a, shape_b):
+    rng = np.random.default_rng(30)
+    a = rng.normal(size=shape_a)
+    b = rng.normal(size=shape_b)
+    np.testing.assert_array_equal(cross(a, b), np.cross(a, b))
 
 
 def test_cross_matrix_action():

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from llx import full_model
 from llx.errors import SolverAbort
 from llx.full_model import (
     FullModelConfig,
@@ -22,7 +23,7 @@ from llx.full_model import (
     residual_report,
     simulate_full,
 )
-from llx.limit_model import F_rhs, renormalize
+from llx.limit_model import F_rhs, renormalize, rhs_limit
 
 from manufactured import full_model_solution, step_midpoint
 
@@ -107,6 +108,16 @@ def test_F_rhs_against_expansion():
 
 # === integrator ===
 
+def _zero_exchange_reference(u0, dt, steps):
+    """The integrator at eps = 0 written out at a constant step: one
+    explicit midpoint step starts it, then
+    u+ = u + dt F(u + (u - u_prev)/2)."""
+    u_prev, u = u0, step_midpoint(u0, dt)
+    for _ in range(steps - 1):
+        u_prev, u = u, u + dt * rhs_limit(u + 0.5 * (u - u_prev))
+    return u
+
+
 def test_zero_exchange_degenerates_to_midpoint_rule():
     rng = np.random.default_rng(45)
     g = _uniform_grid(16)
@@ -114,18 +125,16 @@ def test_zero_exchange_degenerates_to_midpoint_rule():
     cfg = FullModelConfig(epsilon=0.0, dt=0.02, T=0.2, drift_tol=1e-3,
                           renormalize=False)
     traj = simulate_full(u0, g, cfg)
-    u_ref = u0.copy()
-    for _ in range(10):
-        u_ref = step_midpoint(u_ref, 0.02)
+    u_ref = _zero_exchange_reference(u0, 0.02, 10)
     assert np.max(np.abs(traj.values[-1] - u_ref)) < 1e-10
 
 
-def _mms_error(mms, eps, dt, cells, T=0.4):
+def _mms_error(mms, eps, dt, cells, T=0.4, t_eval=None):
     u_eval, source_for = mms
     g = _uniform_grid(cells)
     cfg = FullModelConfig(epsilon=eps, dt=dt, T=T, drift_tol=1e-3,
                           renormalize=False)
-    traj = simulate_full(u_eval(0.0, g.x), g, cfg,
+    traj = simulate_full(u_eval(0.0, g.x), g, cfg, t_eval=t_eval,
                          source=source_for(eps))
     return float(np.max(np.abs(traj.values[-1] - u_eval(T, g.x))))
 
@@ -145,6 +154,17 @@ def test_mms_second_order_co_refined(mms):
         errs.append(_mms_error(mms, 0.3, dt, cells))
     rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
     assert rates.min() > 1.8, f"co-refined rates {rates} from errors {errs}"
+
+
+def test_mms_second_order_with_changing_step(mms):
+    # output times that no substep divides: the step size changes at
+    # each of them, so the midpoint extrapolation runs with
+    # tau / tau_prev != 1
+    errs = []
+    for dt, cells in ((0.02, 100), (0.01, 200), (0.005, 400)):
+        errs.append(_mms_error(mms, 0.3, dt, cells, t_eval=[0.013, 0.29]))
+    rates = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+    assert rates.min() > 1.8, f"rates {rates} from errors {errs}"
 
 
 def test_renormalized_smooth_run_stays_on_sphere():
@@ -188,6 +208,55 @@ def test_jump_data_survives_through_step_halving():
     # layer develops: the interface value moves off the initial jump
     i0 = int(np.argmin(np.abs(g.x)))
     assert abs(traj.values[-1][i0, 0]) < 0.5
+
+
+class _SolveCounter:
+    """Counts the full model's banded solves, and the (t, dt) of every
+    step_full call."""
+
+    def __init__(self, monkeypatch):
+        self.solves = 0
+        self.steps = []
+        solve, step = full_model.block_tridiag_solve, full_model.step_full
+
+        def counted_solve(*args):
+            self.solves += 1
+            return solve(*args)
+
+        def recorded_step(u, v, t, dt, *args, **kwargs):
+            self.steps.append((t, dt))
+            return step(u, v, t, dt, *args, **kwargs)
+
+        monkeypatch.setattr(full_model, "block_tridiag_solve", counted_solve)
+        monkeypatch.setattr(full_model, "step_full", recorded_step)
+
+
+def test_one_solve_per_step_on_smooth_data(monkeypatch):
+    from llx.fields import named_field
+    counter = _SolveCounter(monkeypatch)
+    g = make_epsilon_grid(0.1, cells_per_eps=8)
+    cfg = FullModelConfig(epsilon=0.1, dt=2e-3, T=0.05, drift_tol=1e-3)
+    traj = simulate_full(named_field("swirl")(g.x), g, cfg,
+                         t_eval=[0.013])
+    assert traj.halvings_used == 0
+    # the starting procedure's extra solve, then one per step
+    assert counter.solves == traj.steps_taken + 1
+
+
+def test_one_solve_per_attempt_through_step_halving(monkeypatch):
+    counter = _SolveCounter(monkeypatch)
+    g = make_epsilon_grid(0.1, cells_per_eps=32)
+    u0 = np.where((g.x >= 0.0)[:, None], [0.6, 0.8, 0.0],
+                  [-0.6, 0.8, 0.0])
+    cfg = FullModelConfig(epsilon=0.1, dt=1e-3, T=0.01, drift_tol=1e-3)
+    traj = simulate_full(u0, g, cfg)
+    first_attempts = len({dt for t, dt in counter.steps if t == 0.0})
+    # halvings both in the first step and after it, where a retry
+    # extrapolates from the same accepted pair
+    assert first_attempts > 1 and traj.halvings_used > first_attempts - 1
+    # every attempt of the first step also solves for its midpoint
+    assert counter.solves == (traj.steps_taken + traj.halvings_used
+                              + first_attempts)
 
 
 def test_drift_guard_aborts():
