@@ -1,29 +1,51 @@
 """Banded linear algebra for 3-vector fields on a line of nodes.
 
-Unknowns are ordered node-major, component-minor: the 3-vector at node i
-occupies rows 3i..3i+2. A block-tridiagonal system with 3x3 blocks then
-has scalar bandwidth 5 on each side, which scipy's solve_banded handles
-directly. The band storage is written by strided slices, one per block
-entry, with no index maps.
+Every march of the slab problem solves a system of the form
 
-Several columns whose end rows have no off-block coupling (Dirichlet
-identity rows, say) may be stacked along the node axis into one system:
-the zero couplings between neighbouring columns decouple them, and the
+    w_i - s M_i (a_i w_{i-1} + b_i w_i + c_i w_{i+1}) = r_i,
+    M_i = I + [v_i]x,
+
+a 3-point stencil times a 3x3 matrix per node (the wall layer adds a
+reaction matrix to the diagonal). Each march multiplies block row i by
+M_i^-1, which inv_id_plus_cross gives in closed form, so the
+neighbour couplings become the scalars -s a_i and -s c_i times the
+identity and only the diagonal block B_i = M_i^-1 - s b_i I stays a
+full 3x3. The premultiplied system has the same solution, and it is
+safe to factor: M^-1 has symmetric part at least I/(1 + |v|^2), and
+b_i = -(a_i + c_i) on the diffusion rows, so the symmetric part of
+B_i exceeds the couplings' total weight s(a_i + c_i) by at least
+I/(1 + |v|^2) and the solution is bounded by (1 + |v|^2) times the
+right-hand side in the max norm (the wall's reaction term aside).
+Unpremultiplied, the couplings s a_i M_i and s c_i M_i, of norm
+(1 + |v|^2)^(1/2) times their weight, outweigh the diagonal once
+s |b_i| is large and v is not small.
+
+Unknowns are ordered node-major, component-minor: the 3-vector at node
+i occupies rows 3i..3i+2. Scalar couplings keep the scalar bandwidth
+at 3 on each side (5 with full 3x3 couplings), so the band is 7 rows:
+the five diagonals of the 3x3 blocks and one row of couplings on each
+side. LAPACK's dgbsv takes it under 3 workspace rows; it is written
+by strided slices, one per block entry and one per coupling row, with
+no index maps.
+
+Several columns whose end rows have no coupling (Dirichlet identity
+rows, say) may be stacked along the node axis into one system: the
+zero couplings between neighbouring columns decouple them, and the
 stacked solve gives each column the same bits as its own solve.
 
 Contains:
 - cross: the product a x b of 3-vector fields, broadcast
 - cross_matrix: the matrix [a]x with [a]x v = a x v, batched
 - inv_id_plus_cross: closed-form inverse of I + [a]x, batched
-- blocks_to_banded / block_tridiag_solve: assembly and the one solver
-  of all three marches (interface, wall, full model); it raises
-  SolverAbort on a non-finite result
+- block_tridiag_solve: the one solver of all three marches
+  (interface, wall, full model); it raises SolverAbort on a singular
+  matrix or a non-finite result
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 
 from .errors import SolverAbort
 
@@ -62,57 +84,62 @@ def inv_id_plus_cross(a: np.ndarray) -> np.ndarray:
     """Inverse of I + [a]x in closed form: (I - [a]x + a a^T)/(1 + |a|^2).
 
     I + [a]x is always invertible (eigenvalues 1, 1 +- i|a|), so no
-    conditioning guard is needed.
+    conditioning guard is needed. Written entry by entry; a has shape
+    (..., 3), the result (..., 3, 3).
     """
     a = np.asarray(a, dtype=float)
-    eye = np.broadcast_to(np.eye(3), a.shape + (3,))
-    outer = a[..., :, None] * a[..., None, :]
-    denom = 1.0 + np.sum(a * a, axis=-1)[..., None, None]
-    return (eye - cross_matrix(a) + outer) / denom
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
+    s1, s2, s3 = a1 * a1, a2 * a2, a3 * a3
+    p12, p13, p23 = a1 * a2, a1 * a3, a2 * a3
+    out = np.empty(a.shape + (3,))
+    np.add(1.0, s1, out=out[..., 0, 0])
+    np.add(a3, p12, out=out[..., 0, 1])
+    np.subtract(p13, a2, out=out[..., 0, 2])
+    np.subtract(p12, a3, out=out[..., 1, 0])
+    np.add(1.0, s2, out=out[..., 1, 1])
+    np.add(a1, p23, out=out[..., 1, 2])
+    np.add(a2, p13, out=out[..., 2, 0])
+    np.subtract(p23, a1, out=out[..., 2, 1])
+    np.add(1.0, s3, out=out[..., 2, 2])
+    out /= (1.0 + (s1 + s2 + s3))[..., None, None]
+    return out
 
 
-def blocks_to_banded(A: np.ndarray, B: np.ndarray,
-                     C: np.ndarray) -> np.ndarray:
-    """Pack block-tridiagonal 3x3 blocks into solve_banded storage.
+def block_tridiag_solve(lower: np.ndarray, B: np.ndarray,
+                        upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve the system with scalar couplings for a (n, 3) right-hand side.
 
-    A[i] couples node i to node i-1 (A[0] ignored), B[i] is the diagonal
-    block, C[i] couples node i to node i+1 (C[-1] ignored). Returns the
-    (11, 3N) array for solve_banded with (l, u) = (5, 5).
+    Row i reads lower[i] w[i-1] + B[i] w[i] + upper[i] w[i+1] = rhs[i]:
+    lower and upper are (n,) scalars (lower[0] and upper[-1] ignored),
+    B the (n, 3, 3) diagonal blocks. Raises SolverAbort when the matrix
+    is singular or the solution is not finite (a NaN or inf reached the
+    matrix or the right-hand side), so a diverged state ends the run
+    instead of spreading.
     """
-    A = np.asarray(A, dtype=float)
+    lower = np.asarray(lower, dtype=float)
     B = np.asarray(B, dtype=float)
-    C = np.asarray(C, dtype=float)
-    n = B.shape[0]
-    if A.shape != (n, 3, 3) or C.shape != (n, 3, 3) or B.shape != (n, 3, 3):
-        raise ValueError(
-            f"block arrays must share shape (n, 3, 3); got {A.shape}, "
-            f"{B.shape}, {C.shape}")
-    ab = np.zeros((11, 3 * n))
-    # view (band row, node, column component): global column 3i+c
-    nodes = ab.reshape(11, n, 3)
-    for r in range(3):
-        for c in range(3):
-            # B[i] at row 3i+r, col 3i+c; A[i] at col 3(i-1)+c; C[i] at
-            # col 3(i+1)+c; band row is 5 + global row - global col
-            nodes[5 + r - c, :, c] = B[:, r, c]
-            nodes[8 + r - c, :-1, c] = A[1:, r, c]
-            nodes[2 + r - c, 1:, c] = C[:-1, r, c]
-    return ab
-
-
-def block_tridiag_solve(A: np.ndarray, B: np.ndarray, C: np.ndarray,
-                        rhs: np.ndarray) -> np.ndarray:
-    """Solve the block-tridiagonal system for a (n, 3) right-hand side.
-
-    Raises SolverAbort when the solution is not finite (a NaN or inf
-    reached the matrix or the right-hand side), so a diverged state
-    ends the run instead of spreading.
-    """
+    upper = np.asarray(upper, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
     n = rhs.shape[0]
-    ab = blocks_to_banded(A, B, C)
-    sol = solve_banded((5, 5), ab, rhs.reshape(3 * n), overwrite_ab=True,
-                       check_finite=False)
+    if (lower.shape != (n,) or upper.shape != (n,) or B.shape != (n, 3, 3)
+            or rhs.shape != (n, 3)):
+        raise ValueError(
+            f"need lower (n,), B (n, 3, 3), upper (n,) and rhs (n, 3); "
+            f"got {lower.shape}, {B.shape}, {upper.shape}, {rhs.shape}")
+    # dgbsv's (10, 3n) Fortran band seen per column 3i+c as nodes[i, c]:
+    # entry (row, col) sits at band row 6 + row - col, rows 0-2 are
+    # LAPACK's workspace
+    nodes = np.zeros((n, 3, 10))
+    for r in range(3):
+        for c in range(3):
+            nodes[:, c, 6 + r - c] = B[:, r, c]
+    nodes[1:, :, 3] = upper[:-1, None]
+    nodes[:-1, :, 9] = lower[1:, None]
+    _, _, sol, info = dgbsv(3, 3, nodes.reshape(3 * n, 10).T,
+                            rhs.reshape(3 * n), overwrite_ab=True)
+    if info > 0:
+        raise SolverAbort(f"block-tridiagonal system of {3 * n} unknowns "
+                          f"is singular (zero pivot in row {info})")
     if not np.isfinite(sol).all():
         raise SolverAbort(f"block-tridiagonal solve of {sol.size} unknowns "
                           f"returned non-finite values")

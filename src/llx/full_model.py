@@ -10,7 +10,10 @@ Time stepping is linearly implicit with theta fixed at 1/2: half of the
 stiff quasilinear part eps^2 (I + [v]x) uxx is taken at the old level,
 half implicitly at the new one, with the matrix and the explicit F
 (limit_model.F_rhs) both frozen at a state v approximating u at the
-step's midpoint. After the first accepted step v is extrapolated from
+step's midpoint. Each row of the step's system is premultiplied by
+(I + [v]x)^-1, so the explicit half is plain eps^2 uxx / 2 and the
+implicit one couples neighbours by scalars (banded module docstring).
+After the first accepted step v is extrapolated from
 the last two accepted states, v = u + (tau / 2 tau_prev)(u - u_prev),
 as in Akrivis, Feischl, Kovacs & Lubich, Math. Comp. 90 (2021), so
 each step costs one banded solve. The first step has no earlier state:
@@ -35,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .banded import block_tridiag_solve, cross, cross_matrix
+from .banded import block_tridiag_solve, cross, inv_id_plus_cross
 from .errors import SolverAbort
 from .geometry import (apply_tridiagonal_stencil, d1_coefficients,
                        d2_coefficients, mirrored, nodes, one_sided_d1)
@@ -137,25 +140,6 @@ def _forcing(u: np.ndarray, epsilon: float, ws: _Workspace) -> np.ndarray:
     return F_rhs(u, V, stray_field_slab(u))
 
 
-def _implicit_solve(v: np.ndarray, coef: float, ws: _Workspace,
-                    rhs: np.ndarray) -> np.ndarray:
-    """Solve (I - coef M D2) w = rhs with M = I + [v]x frozen."""
-    a, b, c = ws.d2
-    n = ws.grid.n
-    M = np.broadcast_to(np.eye(3), (n, 3, 3)) + cross_matrix(v)
-    A = -coef * a[:, None, None] * M
-    B = np.broadcast_to(np.eye(3), (n, 3, 3)) - coef * b[:, None, None] * M
-    C = -coef * c[:, None, None] * M
-    return block_tridiag_solve(A, B, C, rhs)
-
-
-def _explicit_diffusion(u: np.ndarray, v: np.ndarray, coef: float,
-                        ws: _Workspace) -> np.ndarray:
-    """coef M D2 u with the frozen matrix at v."""
-    d2u = apply_tridiagonal_stencil(ws.d2, u)
-    return coef * (d2u + cross(v, d2u))
-
-
 def step_full(u: np.ndarray, v: np.ndarray, t: float, dt: float,
               ws: _Workspace, cfg: FullModelConfig,
               source: Optional[Callable] = None):
@@ -163,7 +147,11 @@ def step_full(u: np.ndarray, v: np.ndarray, t: float, dt: float,
 
     The matrix M = I + [v]x of the theta = 1/2 diffusion and the
     explicit forcing are frozen at v, the caller's approximation of
-    u(t + dt/2); the source is taken at t + dt/2. drift is the largest
+    u(t + dt/2); the source is taken at t + dt/2. The system
+    (I - s M D2) u_new = u + s M D2 u + dt g, s = dt eps^2 / 2, is
+    solved premultiplied by M^-1: diagonal blocks M^-1 - s b I and
+    scalar couplings -s a, -s c from the D2 weights (a, b, c), right
+    side M^-1 (u + dt g) + s D2 u. drift is the largest
     deviation of |u_new| from 1 before any projection, the quantity
     the step-size guard watches.
     """
@@ -171,8 +159,14 @@ def step_full(u: np.ndarray, v: np.ndarray, t: float, dt: float,
     g = _forcing(v, cfg.epsilon, ws)
     if source is not None:
         g = g + source(t + 0.5 * dt, ws.grid.x)
-    rhs = u + _explicit_diffusion(u, v, coef, ws) + dt * g
-    u_new = _implicit_solve(v, coef, ws, rhs)
+    a, b, c = ws.d2
+    # B holds M^-1 until its diagonal is shifted below
+    B = inv_id_plus_cross(v)
+    rhs = (np.einsum("nij,nj->ni", B, u + dt * g)
+           + coef * apply_tridiagonal_stencil(ws.d2, u))
+    diagonal = np.einsum("nii->ni", B)
+    diagonal -= coef * b[:, None]
+    u_new = block_tridiag_solve(-coef * a, B, -coef * c, rhs)
     drift = float(np.max(np.abs(np.linalg.norm(u_new, axis=-1) - 1.0)))
     return u_new, drift
 

@@ -20,7 +20,9 @@ unknown at y = 0, and W(0) = 0. The x dependence is purely parametric,
 so columns solve independently; zero-jump columns are exactly zero and
 skipped. The quasilinear solve is a Picard iteration: coefficients and
 forcing frozen at the previous space-time iterate, each sweep a
-Crank-Nicolson march with a one-sided-Taylor junction row. Information
+Crank-Nicolson march with a one-sided-Taylor junction row, its
+interior rows premultiplied by (I + [V_pm + W]x)^-1 so that neighbours
+couple by scalars. Information
 flows forward in time, so the iteration converges one window of a few
 time levels before the next; the first window that stops contracting
 bounds the horizon. The active columns march together, stacked into
@@ -41,8 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .banded import (block_tridiag_solve, cross, cross_matrix,
-                     inv_id_plus_cross)
+from .banded import block_tridiag_solve, cross, inv_id_plus_cross
 from .errors import NonContraction, ValidationError
 from .geometry import (apply_tridiagonal_stencil, d2_coefficients,
                        in_v_sigma, one_sided_d1, profile_d1)
@@ -111,8 +112,12 @@ def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
     forcing may jump there). Dirichlet zero at both ends; the junction
     row combines one-sided Taylor expansions with the equation on each
     side, giving a C1 transmission coupling with a single shared
-    unknown. The Dirichlet rows decouple the columns, so each step is
-    one banded solve of the columns stacked along the node axis.
+    unknown. Interior rows are premultiplied by M^-1, M = I + [coeff]x
+    at the step's midpoint: diagonal blocks M^-1 - (dt/2) b I, scalar
+    couplings -(dt/2) a and -(dt/2) c from the y weights (a, b, c). The
+    junction row couples by -1/hm and -1/hp, the Dirichlet rows not at
+    all, so the columns decouple and each step is one banded solve of
+    the columns stacked along the node axis.
     """
     ny = y.size
     j0 = ny // 2
@@ -121,39 +126,38 @@ def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
     hm = y[j0] - y[j0 - 1]
     hp = y[j0 + 1] - y[j0]
     eye = np.eye(3)
-    eye_rows = np.broadcast_to(eye, w_k.shape + (3,))
     plus_rows = (np.arange(ny) >= j0)[:, None]
+    ncols = w_k.shape[0]
 
     new = np.empty((times.size - 1,) + w_k.shape)
     for j in range(times.size - 1):
         dt = times[j + 1] - times[j]
-        vmid = 0.5 * (coeff[j] + coeff[j + 1])
-        M = eye_rows + cross_matrix(vmid)
+        half = 0.5 * dt
         f_mid = np.where(plus_rows,
                          0.5 * (f_plus[j] + f_plus[j + 1]),
                          0.5 * (f_minus[j] + f_minus[j + 1]))
-
-        half = 0.5 * dt
-        A = -half * a[:, None, None] * M
-        B = eye_rows - half * b[:, None, None] * M
-        C = -half * c[:, None, None] * M
+        B = inv_id_plus_cross(0.5 * (coeff[j] + coeff[j + 1]))
         d2W = np.moveaxis(
             apply_tridiagonal_stencil(d2, np.moveaxis(w_k, -2, 0)), 0, -2)
-        rhs = w_k + half * np.einsum("...ij,...j->...i", M, d2W) \
-            + dt * f_mid
+        rhs = np.einsum("...ij,...j->...i", B, w_k + dt * f_mid) \
+            + half * d2W
+        diagonal = np.einsum("...ii->...i", B)
+        diagonal -= half * b[:, None]
+        lower = -half * a
+        upper = -half * c
 
         # Dirichlet ends
         for row in (0, ny - 1):
-            A[:, row] = 0.0
-            C[:, row] = 0.0
+            lower[row] = 0.0
+            upper[row] = 0.0
             B[:, row] = eye
             rhs[:, row] = 0.0
         # junction row: one-sided Taylor plus the equation on each
         # side; time derivative backward, forcing at the new level.
         # The products stay matmul: einsum rounds them differently.
         mj_inv = inv_id_plus_cross(coeff[j + 1][:, j0])
-        A[:, j0] = -(1.0 / hm) * eye
-        C[:, j0] = -(1.0 / hp) * eye
+        lower[j0] = -1.0 / hm
+        upper[j0] = -1.0 / hp
         B[:, j0] = (1.0 / hm + 1.0 / hp) * eye \
             + ((hm + hp) / (2.0 * dt)) * mj_inv
         rhs[:, j0] = (
@@ -162,8 +166,8 @@ def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
             + 0.5 * hp * (mj_inv @ f_plus[j + 1][:, j0, :, None]))[..., 0]
 
         w_k = block_tridiag_solve(
-            A.reshape(-1, 3, 3), B.reshape(-1, 3, 3),
-            C.reshape(-1, 3, 3), rhs.reshape(-1, 3)
+            np.tile(lower, ncols), B.reshape(-1, 3, 3),
+            np.tile(upper, ncols), rhs.reshape(-1, 3)
         ).reshape(w_k.shape)
         new[j] = w_k
     return new

@@ -1,32 +1,47 @@
-"""Block-banded assembly and solves, pinned against dense linear algebra."""
+"""The banded kernel with scalar couplings, pinned against dense linear
+algebra, and the one solve path of all three marches."""
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from llx import boundary_layer, full_model, internal_layer
 from llx.banded import (
     block_tridiag_solve,
-    blocks_to_banded,
     cross,
     cross_matrix,
     inv_id_plus_cross,
 )
 from llx.errors import SolverAbort
+from llx.geometry import make_profile_grid, make_wall_grid
+from llx.internal_layer import make_time_grid
 
 
-def _dense_from_blocks(A, B, C):
+def _dense(lower, B, upper):
+    """The assembled matrix: B[i] on the diagonal, lower[i] I and
+    upper[i] I coupling node i to nodes i - 1 and i + 1."""
     n = B.shape[0]
     M = np.zeros((3 * n, 3 * n))
+    eye = np.eye(3)
     for i in range(n):
         M[3 * i:3 * i + 3, 3 * i:3 * i + 3] = B[i]
         if i > 0:
-            M[3 * i:3 * i + 3, 3 * (i - 1):3 * (i - 1) + 3] = A[i]
+            M[3 * i:3 * i + 3, 3 * (i - 1):3 * i] = lower[i] * eye
         if i < n - 1:
-            M[3 * i:3 * i + 3, 3 * (i + 1):3 * (i + 1) + 3] = C[i]
+            M[3 * i:3 * i + 3, 3 * (i + 1):3 * (i + 2)] = upper[i] * eye
     return M
+
+
+def _system(rng, n, coupling=0.5, shift=4.0):
+    lower = coupling * rng.normal(size=n)
+    upper = coupling * rng.normal(size=n)
+    B = rng.normal(size=(n, 3, 3)) + shift * np.eye(3)
+    return lower, B, upper, rng.normal(size=(n, 3))
 
 
 @pytest.mark.parametrize("shape_a, shape_b", [
@@ -64,49 +79,34 @@ def test_inv_id_plus_cross():
     assert np.allclose(prod, np.broadcast_to(eye, prod.shape), atol=1e-13)
     # also against numpy's generic inverse
     assert np.allclose(inv, np.linalg.inv(M), atol=1e-12)
-
-
-def test_banded_layout_matches_dense():
-    rng = np.random.default_rng(33)
-    n = 7
-    A = rng.normal(size=(n, 3, 3))
-    B = rng.normal(size=(n, 3, 3)) + 4.0 * np.eye(3)
-    C = rng.normal(size=(n, 3, 3))
-    ab = blocks_to_banded(A, B, C)
-    assert ab.shape == (11, 3 * n)
-    dense = _dense_from_blocks(A, B, C)
-    # reconstruct the dense matrix from the band storage and compare
-    rebuilt = np.zeros_like(dense)
-    for j in range(3 * n):
-        for i in range(max(0, j - 5), min(3 * n, j + 6)):
-            rebuilt[i, j] = ab[5 + i - j, j]
-    assert np.array_equal(rebuilt, dense)
+    # any leading shape, one vector alone included
+    np.testing.assert_array_equal(inv_id_plus_cross(a[7]), inv[7])
+    np.testing.assert_array_equal(
+        inv_id_plus_cross(a.reshape(5, 6, 3)), inv.reshape(5, 6, 3, 3))
 
 
 def test_block_solve_matches_dense_solve():
     rng = np.random.default_rng(34)
-    n = 25
-    A = 0.3 * rng.normal(size=(n, 3, 3))
-    C = 0.3 * rng.normal(size=(n, 3, 3))
-    B = rng.normal(size=(n, 3, 3)) + 5.0 * np.eye(3)
-    rhs = rng.normal(size=(n, 3))
-    x = block_tridiag_solve(A, B, C, rhs)
-    dense = _dense_from_blocks(A, B, C)
-    x_dense = np.linalg.solve(dense, rhs.reshape(-1)).reshape(n, 3)
-    assert np.allclose(x, x_dense, atol=1e-11)
+    for n in (1, 2, 25, 400):
+        lower, B, upper, rhs = _system(rng, n)
+        x = block_tridiag_solve(lower, B, upper, rhs)
+        x_dense = np.linalg.solve(_dense(lower, B, upper),
+                                  rhs.reshape(-1)).reshape(n, 3)
+        assert np.max(np.abs(x - x_dense)) \
+            <= 1e-12 * np.max(np.abs(x_dense)), n
 
 
 def test_block_solve_residual():
+    # the shape of the marches' systems: a premultiplied diffusion row,
+    # couplings the size of the diagonal
     rng = np.random.default_rng(35)
     n = 50
-    A = 0.2 * rng.normal(size=(n, 3, 3))
-    C = 0.2 * rng.normal(size=(n, 3, 3))
-    B = np.broadcast_to(np.eye(3), (n, 3, 3)) * 3.0 + 0.2 * rng.normal(
-        size=(n, 3, 3))
+    v = rng.normal(size=(n, 3))
+    w = rng.uniform(10.0, 100.0, size=n)
+    B = inv_id_plus_cross(v) + (2.0 * w)[:, None, None] * np.eye(3)
     rhs = rng.normal(size=(n, 3))
-    x = block_tridiag_solve(A, B, C, rhs)
-    dense = _dense_from_blocks(A, B, C)
-    res = dense @ x.reshape(-1) - rhs.reshape(-1)
+    x = block_tridiag_solve(-w, B, -w, rhs)
+    res = _dense(-w, B, -w) @ x.reshape(-1) - rhs.reshape(-1)
     assert np.max(np.abs(res)) < 1e-12
 
 
@@ -117,52 +117,105 @@ def test_stacked_columns_solve_as_one_system(ncols, ny, seed):
     # strictly diagonally dominant columns, each closed by identity rows
     # at both ends, so stacking them couples nothing
     rng = np.random.default_rng(seed)
-    shape = (ncols, ny, 3, 3)
-    A = rng.uniform(-0.5, 0.5, size=shape)
-    C = rng.uniform(-0.5, 0.5, size=shape)
-    B = rng.uniform(-0.5, 0.5, size=shape) \
+    lower = rng.uniform(-0.5, 0.5, size=(ncols, ny))
+    upper = rng.uniform(-0.5, 0.5, size=(ncols, ny))
+    B = rng.uniform(-0.5, 0.5, size=(ncols, ny, 3, 3)) \
         + (5.0 + rng.uniform(size=(ncols, ny, 1, 1))) * np.eye(3)
     for row in (0, ny - 1):
-        A[:, row] = 0.0
-        C[:, row] = 0.0
+        lower[:, row] = 0.0
+        upper[:, row] = 0.0
         B[:, row] = np.eye(3)
     rhs = rng.normal(size=(ncols, ny, 3))
-    stacked = block_tridiag_solve(A.reshape(-1, 3, 3), B.reshape(-1, 3, 3),
-                                  C.reshape(-1, 3, 3), rhs.reshape(-1, 3))
-    per_column = np.concatenate([block_tridiag_solve(A[k], B[k], C[k],
-                                                     rhs[k])
+    stacked = block_tridiag_solve(lower.reshape(-1), B.reshape(-1, 3, 3),
+                                  upper.reshape(-1), rhs.reshape(-1, 3))
+    per_column = np.concatenate([block_tridiag_solve(lower[k], B[k],
+                                                     upper[k], rhs[k])
                                  for k in range(ncols)])
     assert np.array_equal(stacked, per_column)
-    dense = _dense_from_blocks(A.reshape(-1, 3, 3), B.reshape(-1, 3, 3),
-                               C.reshape(-1, 3, 3))
+    dense = _dense(lower.reshape(-1), B.reshape(-1, 3, 3), upper.reshape(-1))
     x_dense = np.linalg.solve(dense, rhs.reshape(-1)).reshape(-1, 3)
     assert np.max(np.abs(stacked - x_dense)) \
-        <= 1e-10 * np.max(np.abs(x_dense))
+        <= 1e-12 * np.max(np.abs(x_dense))
 
 
 def test_non_finite_solution_aborts():
     n = 6
-    A = np.zeros((n, 3, 3))
+    for where in ("lower", "B", "upper", "rhs"):
+        args = {"lower": np.full(n, -0.5),
+                "B": np.broadcast_to(2.0 * np.eye(3), (n, 3, 3)).copy(),
+                "upper": np.full(n, -0.5), "rhs": np.ones((n, 3))}
+        args[where].flat[4] = np.nan
+        with pytest.raises(SolverAbort,
+                           match="18 unknowns returned non-finite"):
+            block_tridiag_solve(**args)
+
+
+def test_singular_matrix_aborts():
+    # a zero diagonal block on an uncoupled node: LAPACK finds a zero
+    # pivot, which is a solver failure (exit 3), not a bad config
+    n = 5
     B = np.broadcast_to(2.0 * np.eye(3), (n, 3, 3)).copy()
-    rhs = np.ones((n, 3))
-    rhs[2, 1] = np.nan
-    with pytest.raises(SolverAbort, match="18 unknowns"):
-        block_tridiag_solve(A, B, A, rhs)
+    B[3] = 0.0
+    with pytest.raises(SolverAbort, match="15 unknowns is singular"):
+        block_tridiag_solve(np.zeros(n), B, np.zeros(n), np.ones((n, 3)))
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(ValueError, match="share shape"):
-        blocks_to_banded(np.zeros((4, 3, 3)), np.zeros((5, 3, 3)),
-                         np.zeros((5, 3, 3)))
+    for shapes in [((4,), (5, 3, 3), (5,), (5, 3)),
+                   ((5,), (5, 3, 3), (5, 3, 3), (5, 3)),
+                   ((5,), (5, 3), (5,), (5, 3)),
+                   ((5,), (5, 3, 3), (5,), (15,))]:
+        named = ", ".join(map(str, shapes))
+        with pytest.raises(ValueError, match=re.escape(f"got {named}")):
+            block_tridiag_solve(*map(np.zeros, shapes))
 
 
 def test_solvers_deterministic():
     rng = np.random.default_rng(37)
-    n = 12
-    A = 0.1 * rng.normal(size=(n, 3, 3))
-    C = 0.1 * rng.normal(size=(n, 3, 3))
-    B = np.broadcast_to(np.eye(3), (n, 3, 3)).copy() * 2.0
-    rhs = rng.normal(size=(n, 3))
-    x1 = block_tridiag_solve(A, B, C, rhs)
-    x2 = block_tridiag_solve(A.copy(), B.copy(), C.copy(), rhs.copy())
+    args = _system(rng, 12, coupling=0.1, shift=2.0)
+    kept = [arr.copy() for arr in args]
+    x1 = block_tridiag_solve(*args)
+    for arr, copy in zip(args, kept):
+        np.testing.assert_array_equal(arr, copy)
+    x2 = block_tridiag_solve(*kept)
     assert np.array_equal(x1, x2)
+
+
+# --- one solve path: every march hands the kernel scalar couplings ---
+
+def test_every_march_passes_scalar_couplings(monkeypatch):
+    calls = {}
+    for module in (full_model, internal_layer, boundary_layer):
+        name = module.__name__.rsplit(".", 1)[-1]
+        calls[name] = []
+
+        def recorded(lower, B, upper, rhs, solve=module.block_tridiag_solve,
+                     seen=calls[name]):
+            seen.append((np.ndim(lower), np.ndim(upper), np.shape(B)))
+            return solve(lower, B, upper, rhs)
+
+        monkeypatch.setattr(module, "block_tridiag_solve", recorded)
+
+    rng = np.random.default_rng(38)
+    grid = full_model.make_epsilon_grid(0.1, cells_per_eps=8)
+    u = full_model.project_sphere(rng.normal(size=(grid.n, 3)))
+    cfg = full_model.FullModelConfig(epsilon=0.1, dt=1e-3, T=1e-3,
+                                     drift_tol=1e-3)
+    full_model.step_full(u, u, 0.0, 1e-3, full_model._Workspace(grid), cfg)
+
+    y = make_profile_grid(Y=6.0, cells=16)
+    times = make_time_grid(0.01, dt=5e-3)[:3]
+    levels = (times.size, 2, y.size, 3)
+    internal_layer._sweep(y, times, np.zeros(levels[1:]),
+                          rng.normal(size=levels), rng.normal(size=levels),
+                          rng.normal(size=levels))
+
+    z = make_wall_grid(Z=12.0, cells=16)
+    times = make_time_grid(0.01, dt=5e-3)
+    boundary_layer.march_wall(z, times, rng.normal(size=(times.size, 3)),
+                              rng.normal(size=(times.size, 3)))
+
+    for name, seen in calls.items():
+        assert seen, f"{name} made no solve"
+        assert all(nd_lo == nd_up == 1 and B[1:] == (3, 3)
+                   for nd_lo, nd_up, B in seen), (name, seen[:3])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from llx.banded import block_tridiag_solve, cross_matrix
+from llx.banded import block_tridiag_solve, inv_id_plus_cross
 from llx.boundary_layer import (BoundaryProfile, linearized_reaction_matrix,
                                 march_wall, neumann_corrector,
                                 solve_boundary_profile, wall_slopes)
@@ -49,39 +49,38 @@ def _reaction_derivative(U, u0, H0):
 def _two_branch_march(z, times, u0, g):
     """march_wall with a backward Euler branch for the graded opening
     steps, a Crank-Nicolson branch after, and L built column by column."""
-    nz = z.size
     d2 = d2_coefficients(z)
     a, b, c = d2
     h0 = z[1] - z[0]
     eye = np.eye(3)
-    eye_rows = np.broadcast_to(eye, (nz, 3, 3))
     H0 = stray_field_slab(u0)
-    M_all = eye + cross_matrix(u0)
     L_all = np.stack([_reaction_derivative(e, u0, H0) for e in eye], axis=-1)
     dts = np.diff(times)
     first_full = int(np.argmax(dts >= (1.0 - 1e-12) * dts.max()))
-    U = np.zeros((times.size, nz, 3))
+    U = np.zeros((times.size, z.size, 3))
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
         if k < first_full:
             w_new, w_old = dt, 0.0
-            M, L, g_step = M_all[k + 1], L_all[k + 1], g[k + 1]
+            u0_step, L, g_step = u0[k + 1], L_all[k + 1], g[k + 1]
         else:
             w_new, w_old = 0.5 * dt, 0.5 * dt
-            M = 0.5 * (M_all[k] + M_all[k + 1])
+            u0_step = 0.5 * (u0[k] + u0[k + 1])
             L = 0.5 * (L_all[k] + L_all[k + 1])
             g_step = 0.5 * (g[k] + g[k + 1])
-        A = -w_new * a[:, None, None] * M
-        B = eye_rows - w_new * b[:, None, None] * M - w_new * L
-        C = -w_new * c[:, None, None] * M
+        # every row premultiplied by (I + [u0_step]x)^-1
+        m_inv = inv_id_plus_cross(u0_step)
+        lower = -w_new * a
+        upper = -w_new * c
+        B = m_inv @ (eye - w_new * L) - (w_new * b)[:, None, None] * eye
         d2U = apply_tridiagonal_stencil(d2, U[k])
-        rhs = (U[k] + w_old * (d2U @ M.T) + w_old * (U[k] @ L.T))
-        rhs[0] += dt * (M @ (-2.0 * g_step / h0))
-        A[-1] = 0.0
-        C[-1] = 0.0
+        rhs = U[k] @ (m_inv @ (eye + w_old * L)).T + w_old * d2U
+        rhs[0] += dt * (-2.0 * g_step / h0)
+        lower[-1] = 0.0
+        upper[-1] = 0.0
         B[-1] = eye
         rhs[-1] = 0.0
-        U[k + 1] = block_tridiag_solve(A, B, C, rhs)
+        U[k + 1] = block_tridiag_solve(lower, B, upper, rhs)
     return U
 
 

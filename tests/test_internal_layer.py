@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from llx.banded import block_tridiag_solve, cross_matrix, inv_id_plus_cross
+from llx.banded import block_tridiag_solve, inv_id_plus_cross
 from llx.errors import NonContraction, SolverAbort, ValidationError
 from llx.fields import constant_per_side
 from llx.geometry import (apply_tridiagonal_stencil, chi_sigma,
@@ -331,35 +331,35 @@ def _reference_march(y, times, coeff, f_minus, f_plus, w0):
     hm = y[j0] - y[j0 - 1]
     hp = y[j0 + 1] - y[j0]
     eye = np.eye(3)
-    eye_rows = np.broadcast_to(eye, (ny, 3, 3))
     plus_rows = (np.arange(ny) >= j0)[:, None]
     W = np.zeros((times.size, ny, 3))
     W[0] = w0
     for k in range(times.size - 1):
         dt = times[k + 1] - times[k]
-        M = eye_rows + cross_matrix(0.5 * (coeff[k] + coeff[k + 1]))
+        half = 0.5 * dt
         f_mid = np.where(plus_rows, 0.5 * (f_plus[k] + f_plus[k + 1]),
                          0.5 * (f_minus[k] + f_minus[k + 1]))
-        half = 0.5 * dt
-        A = -half * a[:, None, None] * M
-        B = eye_rows - half * b[:, None, None] * M
-        C = -half * c[:, None, None] * M
+        # every row premultiplied by (I + [vmid]x)^-1
+        m_inv = inv_id_plus_cross(0.5 * (coeff[k] + coeff[k + 1]))
         d2W = apply_tridiagonal_stencil(d2, W[k])
-        rhs = W[k] + half * np.einsum("nij,nj->ni", M, d2W) + dt * f_mid
+        rhs = np.einsum("nij,nj->ni", m_inv, W[k] + dt * f_mid) + half * d2W
+        B = m_inv - (half * b)[:, None, None] * eye
+        lower = -half * a
+        upper = -half * c
         for row in (0, ny - 1):
-            A[row] = 0.0
-            C[row] = 0.0
+            lower[row] = 0.0
+            upper[row] = 0.0
             B[row] = eye
             rhs[row] = 0.0
         mj_inv = inv_id_plus_cross(coeff[k + 1][j0])
-        A[j0] = -(1.0 / hm) * eye
-        C[j0] = -(1.0 / hp) * eye
+        lower[j0] = -1.0 / hm
+        upper[j0] = -1.0 / hp
         B[j0] = (1.0 / hm + 1.0 / hp) * eye \
             + ((hm + hp) / (2.0 * dt)) * mj_inv
         rhs[j0] = ((hm + hp) / (2.0 * dt)) * (mj_inv @ W[k][j0]) \
             + 0.5 * hm * (mj_inv @ f_minus[k + 1][j0]) \
             + 0.5 * hp * (mj_inv @ f_plus[k + 1][j0])
-        W[k + 1] = block_tridiag_solve(A, B, C, rhs)
+        W[k + 1] = block_tridiag_solve(lower, B, upper, rhs)
     return W
 
 
