@@ -35,6 +35,7 @@ stacked solve gives each column the same bits as its own solve.
 
 Contains:
 - cross: the product a x b of 3-vector fields, broadcast
+- norm3: the Euclidean length of each 3-vector of a field
 - cross_matrix: the matrix [a]x with [a]x v = a x v, batched
 - inv_id_plus_cross: closed-form inverse of I + [a]x, batched
 - block_tridiag_solve: the one solver of all three marches
@@ -64,6 +65,17 @@ def cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.subtract(a3 * b1, a1 * b3, out=out[..., 1])
     np.subtract(a1 * b2, a2 * b1, out=out[..., 2])
     return out
+
+
+def norm3(a: np.ndarray) -> np.ndarray:
+    """|a| over the last axis of length 3, shape a.shape[:-1].
+
+    Bitwise equal to np.linalg.norm(a, axis=-1), without its general
+    reduction.
+    """
+    a = np.asarray(a, dtype=float)
+    a1, a2, a3 = a[..., 0], a[..., 1], a[..., 2]
+    return np.sqrt(a1 * a1 + a2 * a2 + a3 * a3)
 
 
 def cross_matrix(a: np.ndarray) -> np.ndarray:

@@ -94,6 +94,7 @@ def cmd_full(cfg: RunConfig, args, out_dir: str) -> int:
               _meta(cfg, "full", epsilon=cfg.epsilon, T=cfg.study.T,
                     dt=cfg.study.dt_full, nx=grid.n,
                     drift_max=traj.drift_max,
+                    steps_taken=traj.steps_taken,
                     halvings_used=traj.halvings_used))
     print(f"wrote {path} (final slice at T={cfg.study.T:g}, "
           f"drift {traj.drift_max:.3e})")

@@ -14,6 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .banded import norm3
+
 logger = logging.getLogger(__name__)
 
 NORMALIZE_WARN_TOL = 1e-8
@@ -40,7 +42,7 @@ def _swirl(x: np.ndarray) -> np.ndarray:
         0.9 * np.ones_like(x),
         0.3 * np.sin(np.pi * x),
     ], axis=-1)
-    return raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+    return raw / norm3(raw)[..., None]
 
 
 NAMED_FIELDS: dict[str, Callable[[np.ndarray], np.ndarray]] = {

@@ -38,7 +38,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .banded import block_tridiag_solve, cross, inv_id_plus_cross
+from .banded import block_tridiag_solve, cross, inv_id_plus_cross, norm3
 from .errors import SolverAbort
 from .geometry import (apply_tridiagonal_stencil, d1_coefficients,
                        d2_coefficients, mirrored, nodes, one_sided_d1)
@@ -167,7 +167,7 @@ def step_full(u: np.ndarray, v: np.ndarray, t: float, dt: float,
     diagonal = np.einsum("nii->ni", B)
     diagonal -= coef * b[:, None]
     u_new = block_tridiag_solve(-coef * a, B, -coef * c, rhs)
-    drift = float(np.max(np.abs(np.linalg.norm(u_new, axis=-1) - 1.0)))
+    drift = float(np.max(np.abs(norm3(u_new) - 1.0)))
     return u_new, drift
 
 
@@ -193,12 +193,22 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
                   source: Optional[Callable] = None) -> FullTrajectory:
     """March the full model to cfg.T, recording requested output times.
 
-    Output times are {0, T} joined with t_eval, each hit exactly by
-    uniform substeps of at most cfg.dt. When renormalization is on, a
-    step whose pre-projection norm drift exceeds cfg.drift_tol causes
-    the step to be redone at half the size, up to MAX_HALVINGS times in
-    a row, after which the run aborts. A redone step extrapolates its
-    midpoint from the same two accepted states, with the new size.
+    Output times are {0, T} joined with t_eval, and every one is hit
+    exactly. Each output interval has a nominal step, the uniform
+    substep of at most cfg.dt that divides it. When renormalization is
+    on, a step whose pre-projection norm drift exceeds cfg.drift_tol is
+    redone at half the size, up to MAX_HALVINGS times in a row, after
+    which the run aborts; a redone step extrapolates its midpoint from
+    the same two accepted states, with the new size. After an accepted
+    step of drift d the next step is grow times this one, at most the
+    nominal, with grow = min(2, 0.9 sqrt(drift_tol / d)), or 2 when
+    d = 0, an elementary controller (Soderlind, Numer. Algorithms 31,
+    2002); a step shortened to land on an output time leaves the size
+    as it was. A size the controller cut below the nominal carries over
+    an output time, limited by the next interval's nominal; any other
+    interval starts at its own nominal, so a run that never nears the
+    tolerance, and every run without renormalization, marches the
+    uniform nominal steps.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.n, 3):
@@ -215,17 +225,18 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
     drift_max = 0.0
     steps_taken = 0
     halvings_total = 0
+    # the controller's step size and the nominal it is held below
+    tau = tau_nominal = np.inf
 
     for k in range(times.size - 1):
         t0, t1 = times[k], times[k + 1]
         span = t1 - t0
+        cut = tau < tau_nominal
         tau_nominal = span / substeps(span, cfg.dt)
-        # adaptive sub-stepping within the interval: a rejected step is
-        # halved in place (rough data needs tiny opening steps while the
-        # layer is still under-resolved); accepted steps double back
-        # toward the nominal size, so smooth runs march uniformly
+        # restarting a drift-limited march at the nominal would make it
+        # halve its way back down at every output time
+        tau = min(tau, tau_nominal) if cut else tau_nominal
         t = t0
-        tau = tau_nominal
         consecutive = 0
         while t < t1 - 1e-12 * max(span, 1.0):
             tau_step = min(tau, t1 - t)
@@ -247,6 +258,8 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
                         f"step at t={t:.6g} halved {MAX_HALVINGS} "
                         f"times without meeting the drift tolerance "
                         f"(last drift {drift:.3e})")
+                # rough data needs tiny opening steps while the layer
+                # is still under-resolved
                 tau = tau_step / 2.0
                 continue
             consecutive = 0
@@ -257,7 +270,14 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
             u = u_next
             t += tau_step
             steps_taken += 1
-            tau = min(2.0 * tau_step, tau_nominal)
+            # drift-ratio control: for drift growing like tau^p with
+            # 0 < p < 4 (jump data opens at p = 1), a drift-limited
+            # march settles at drift 0.81 drift_tol
+            if tau_step == tau:
+                grow = 2.0
+                if cfg.renormalize and drift > 0.0:
+                    grow = min(grow, 0.9 * np.sqrt(cfg.drift_tol / drift))
+                tau = min(grow * tau, tau_nominal)
         values[k + 1] = u
     return FullTrajectory(times=times, values=values, grid=grid,
                           drift_max=drift_max, steps_taken=steps_taken,

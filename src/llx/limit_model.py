@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .banded import cross
+from .banded import cross, norm3
 from .fields import MagnetizationField
 from .geometry import chi_sigma
 from .strayfield import stray_field_slab
@@ -54,7 +54,7 @@ def rhs_limit(u: np.ndarray) -> np.ndarray:
 
 def renormalize(u: np.ndarray) -> np.ndarray:
     """Project onto the unit sphere; zero vectors are rejected."""
-    norms = np.linalg.norm(u, axis=-1, keepdims=True)
+    norms = norm3(u)[..., None]
     if np.any(norms == 0.0):
         raise ValueError("cannot renormalize a zero magnetization vector")
     return u / norms

@@ -16,6 +16,7 @@ from llx.banded import (
     cross,
     cross_matrix,
     inv_id_plus_cross,
+    norm3,
 )
 from llx.errors import SolverAbort
 from llx.geometry import make_profile_grid, make_wall_grid
@@ -55,6 +56,18 @@ def test_cross_is_bitwise_np_cross(shape_a, shape_b):
     a = rng.normal(size=shape_a)
     b = rng.normal(size=shape_b)
     np.testing.assert_array_equal(cross(a, b), np.cross(a, b))
+
+
+@pytest.mark.parametrize("shape", [(3,), (0, 3), (1125, 3), (8, 600, 3)])
+def test_norm3_is_bitwise_np_linalg_norm(shape):
+    rng = np.random.default_rng(33)
+    a = rng.normal(size=shape)
+    # zero rows, and rows whose squares are subnormal or near overflow
+    rows = a.reshape(-1, 3)
+    rows[1::5] = 0.0
+    rows[2::5] *= 1e-160
+    rows[3::5] *= 1e150
+    np.testing.assert_array_equal(norm3(a), np.linalg.norm(a, axis=-1))
 
 
 def test_cross_matrix_action():

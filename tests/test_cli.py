@@ -155,6 +155,8 @@ def test_full_output(tiny_cfg, tmp_path):
     assert main(["full", "--config", tiny_cfg, "--out", str(out)]) == 0
     text = _read(out / "full.csv")
     assert "# drift_max=" in text
+    assert "# steps_taken=" in text
+    assert "# halvings_used=" in text
     header = [l for l in text.splitlines() if not l.startswith("#")][0]
     assert header == "x,u1,u2,u3"
 

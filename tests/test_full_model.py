@@ -23,7 +23,7 @@ from llx.full_model import (
     residual_report,
     simulate_full,
 )
-from llx.limit_model import F_rhs, renormalize, rhs_limit
+from llx.limit_model import F_rhs, renormalize, rhs_limit, substeps
 
 from manufactured import full_model_solution, step_midpoint
 
@@ -194,14 +194,16 @@ def test_norm_drift_scales_with_dt():
     assert 1.6 < drifts[0] / drifts[1] < 2.4
 
 
+def _jump_data(x):
+    return np.where((x >= 0.0)[:, None], [0.6, 0.8, 0.0], [-0.6, 0.8, 0.0])
+
+
 def test_jump_data_survives_through_step_halving():
     # discontinuous data: the opening steps are drift-limited, the
     # guard halves its way through and the run still completes
     g = make_epsilon_grid(0.1, cells_per_eps=32)
-    u0 = np.where((g.x >= 0.0)[:, None], [0.6, 0.8, 0.0],
-                  [-0.6, 0.8, 0.0])
     cfg = FullModelConfig(epsilon=0.1, dt=1e-3, T=0.01, drift_tol=1e-3)
-    traj = simulate_full(u0, g, cfg)
+    traj = simulate_full(_jump_data(g.x), g, cfg)
     assert traj.halvings_used > 0
     norms = np.linalg.norm(traj.values[-1], axis=-1)
     assert np.max(np.abs(norms - 1.0)) < 1e-14
@@ -231,6 +233,20 @@ class _SolveCounter:
         monkeypatch.setattr(full_model, "step_full", recorded_step)
 
 
+def _nominal_steps(times, dt):
+    """The (t, dt) of every step the march takes at its nominal steps,
+    the first step twice for the starting procedure's extra solve."""
+    steps = []
+    for t0, t1 in zip(times[:-1], times[1:]):
+        span = t1 - t0
+        tau = span / substeps(span, dt)
+        t = t0
+        while t < t1 - 1e-12 * max(span, 1.0):
+            steps.append((t, min(tau, t1 - t)))
+            t += steps[-1][1]
+    return steps[:1] + steps
+
+
 def test_one_solve_per_step_on_smooth_data(monkeypatch):
     from llx.fields import named_field
     counter = _SolveCounter(monkeypatch)
@@ -241,22 +257,64 @@ def test_one_solve_per_step_on_smooth_data(monkeypatch):
     assert traj.halvings_used == 0
     # the starting procedure's extra solve, then one per step
     assert counter.solves == traj.steps_taken + 1
+    # far inside the drift tolerance: the nominal steps, bit for bit
+    assert counter.steps == _nominal_steps(traj.times, cfg.dt)
 
 
 def test_one_solve_per_attempt_through_step_halving(monkeypatch):
     counter = _SolveCounter(monkeypatch)
     g = make_epsilon_grid(0.1, cells_per_eps=32)
-    u0 = np.where((g.x >= 0.0)[:, None], [0.6, 0.8, 0.0],
-                  [-0.6, 0.8, 0.0])
     cfg = FullModelConfig(epsilon=0.1, dt=1e-3, T=0.01, drift_tol=1e-3)
-    traj = simulate_full(u0, g, cfg)
+    step = full_model.step_full
+    forced = []
+
+    def reject_second_step_once(u, v, t, dt, *args, **kwargs):
+        u_new, drift = step(u, v, t, dt, *args, **kwargs)
+        if t > 0.0 and not forced:
+            # the first attempt after the first accepted step reports a
+            # drift over the tolerance, so the guard halves a step that
+            # extrapolates its midpoint from an accepted pair
+            forced.append((t, dt))
+            drift = 2.0 * cfg.drift_tol
+        return u_new, drift
+
+    monkeypatch.setattr(full_model, "step_full", reject_second_step_once)
+    traj = simulate_full(_jump_data(g.x), g, cfg)
     first_attempts = len({dt for t, dt in counter.steps if t == 0.0})
-    # halvings both in the first step and after it, where a retry
-    # extrapolates from the same accepted pair
+    # halvings both in the first step and after it
     assert first_attempts > 1 and traj.halvings_used > first_attempts - 1
+    t, dt = forced[0]
+    assert counter.steps[counter.steps.index((t, dt)) + 1] == (t, dt / 2)
     # every attempt of the first step also solves for its midpoint
     assert counter.solves == (traj.steps_taken + traj.halvings_used
                               + first_attempts)
+
+
+def test_step_control_clears_the_drift_limited_opening(monkeypatch):
+    # jump data marched to the knots of a study: the old rule, which
+    # doubled after each accepted step and restarted every interval at
+    # its nominal step, halved 121 times here
+    counter = _SolveCounter(monkeypatch)
+    g = make_epsilon_grid(0.1, cells_per_eps=16)
+    cfg = FullModelConfig(epsilon=0.1, dt=1e-3, T=0.05, drift_tol=1e-3)
+    knots = np.arange(21) * 2.5e-3
+    traj = simulate_full(_jump_data(g.x), g, cfg, t_eval=knots)
+    assert traj.halvings_used <= 12
+    # only the first step halves: the cut step carried over each knot
+    # meets the tolerance where a restart at the nominal would not
+    first_attempts = len({dt for t, dt in counter.steps if t == 0.0})
+    assert traj.halvings_used == first_attempts - 1
+
+
+def test_unguarded_run_marches_the_nominal_steps(monkeypatch):
+    # jump data would trip the guard; without renormalization it is off
+    counter = _SolveCounter(monkeypatch)
+    g = make_epsilon_grid(0.1, cells_per_eps=16)
+    cfg = FullModelConfig(epsilon=0.1, dt=1e-3, T=0.01, drift_tol=1e-3,
+                          renormalize=False)
+    traj = simulate_full(_jump_data(g.x), g, cfg, t_eval=[0.0025, 0.007])
+    assert traj.halvings_used == 0
+    assert counter.steps == _nominal_steps(traj.times, cfg.dt)
 
 
 def test_drift_guard_aborts():
