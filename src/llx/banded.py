@@ -28,10 +28,9 @@ side. LAPACK's dgbsv takes it under 3 workspace rows; it is written
 by strided slices, one per block entry and one per coupling row, with
 no index maps.
 
-Several columns whose end rows have no coupling (Dirichlet identity
-rows, say) may be stacked along the node axis into one system: the
-zero couplings between neighbouring columns decouple them, and the
-stacked solve gives each column the same bits as its own solve.
+The solver takes a stack of such systems, one per column, along any
+leading axes, and solves them in one LAPACK call. It never couples one
+column to the next, so every column gets the bits of its own solve.
 
 Contains:
 - cross: the product a x b of 3-vector fields, broadcast
@@ -39,8 +38,8 @@ Contains:
 - cross_matrix: the matrix [a]x with [a]x v = a x v, batched
 - inv_id_plus_cross: closed-form inverse of I + [a]x, batched
 - block_tridiag_solve: the one solver of all three marches
-  (interface, wall, full model); it raises SolverAbort on a singular
-  matrix or a non-finite result
+  (interface, wall, full model), over stacked columns; it raises
+  SolverAbort on a singular matrix or a non-finite result
 """
 
 from __future__ import annotations
@@ -119,40 +118,45 @@ def inv_id_plus_cross(a: np.ndarray) -> np.ndarray:
 
 def block_tridiag_solve(lower: np.ndarray, B: np.ndarray,
                         upper: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve the system with scalar couplings for a (n, 3) right-hand side.
+    """Solve stacked systems with scalar couplings; returns (..., n, 3).
 
-    Row i reads lower[i] w[i-1] + B[i] w[i] + upper[i] w[i+1] = rhs[i]:
-    lower and upper are (n,) scalars (lower[0] and upper[-1] ignored),
-    B the (n, 3, 3) diagonal blocks. Raises SolverAbort when the matrix
-    is singular or the solution is not finite (a NaN or inf reached the
-    matrix or the right-hand side), so a diverged state ends the run
-    instead of spreading.
+    Row i of each column reads
+    lower[i] w[i-1] + B[i] w[i] + upper[i] w[i+1] = rhs[i]: B holds the
+    (..., n, 3, 3) diagonal blocks, rhs is (..., n, 3), and the scalar
+    couplings are (n,), shared by every column, or (..., n). Each
+    column's lower[0] and upper[-1] are ignored. Raises SolverAbort
+    when the matrix is singular or the solution is not finite (a NaN
+    or inf reached the matrix or the right-hand side), so a diverged
+    state ends the run instead of spreading.
     """
     lower = np.asarray(lower, dtype=float)
     B = np.asarray(B, dtype=float)
     upper = np.asarray(upper, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    n = rhs.shape[0]
-    if (lower.shape != (n,) or upper.shape != (n,) or B.shape != (n, 3, 3)
-            or rhs.shape != (n, 3)):
+    rows = rhs.shape[:-1]
+    if (rhs.ndim < 2 or rhs.shape[-1] != 3 or B.shape != rhs.shape + (3,)
+            or lower.shape not in (rows[-1:], rows)
+            or upper.shape not in (rows[-1:], rows)):
         raise ValueError(
-            f"need lower (n,), B (n, 3, 3), upper (n,) and rhs (n, 3); "
+            f"need lower and upper (n,) or (..., n), B (..., n, 3, 3) and "
+            f"rhs (..., n, 3); "
             f"got {lower.shape}, {B.shape}, {upper.shape}, {rhs.shape}")
-    # dgbsv's (10, 3n) Fortran band seen per column 3i+c as nodes[i, c]:
-    # entry (row, col) sits at band row 6 + row - col, rows 0-2 are
-    # LAPACK's workspace
-    nodes = np.zeros((n, 3, 10))
+    # dgbsv's (10, 3N) Fortran band seen per band column 3i+c as
+    # nodes[..., i, c]: entry (row, col) sits at band row 6 + row - col,
+    # rows 0-2 are LAPACK's workspace
+    nodes = np.zeros(rows + (3, 10))
     for r in range(3):
         for c in range(3):
-            nodes[:, c, 6 + r - c] = B[:, r, c]
-    nodes[1:, :, 3] = upper[:-1, None]
-    nodes[:-1, :, 9] = lower[1:, None]
-    _, _, sol, info = dgbsv(3, 3, nodes.reshape(3 * n, 10).T,
-                            rhs.reshape(3 * n), overwrite_ab=True)
+            nodes[..., c, 6 + r - c] = B[..., r, c]
+    nodes[..., 1:, :, 3] = upper[..., :-1, None]
+    nodes[..., :-1, :, 9] = lower[..., 1:, None]
+    size = rhs.size
+    _, _, sol, info = dgbsv(3, 3, nodes.reshape(size, 10).T,
+                            rhs.reshape(size), overwrite_ab=True)
     if info > 0:
-        raise SolverAbort(f"block-tridiagonal system of {3 * n} unknowns "
+        raise SolverAbort(f"block-tridiagonal system of {size} unknowns "
                           f"is singular (zero pivot in row {info})")
     if not np.isfinite(sol).all():
-        raise SolverAbort(f"block-tridiagonal solve of {sol.size} unknowns "
+        raise SolverAbort(f"block-tridiagonal solve of {size} unknowns "
                           f"returned non-finite values")
-    return sol.reshape(n, 3)
+    return sol.reshape(rhs.shape)

@@ -27,8 +27,9 @@ d_n rho|_wall = -g_side exactly cancels it.
 
 Contains:
 - linearized_reaction_matrix: the operator L as a 3x3 matrix
-- march_wall: theta-step march of one column (backward Euler on the
-  graded opening steps, Crank-Nicolson after)
+- march_wall: theta-step march of stacked columns, one banded solve
+  per step (backward Euler on the graded opening steps,
+  Crank-Nicolson after)
 - BoundaryProfile / solve_boundary_profile: all wall columns
 - wall_slopes: outward trace derivatives at the walls
 - neumann_corrector: the corrector rho from the wall trace slopes
@@ -67,32 +68,35 @@ def linearized_reaction_matrix(u0: np.ndarray, H0: np.ndarray) -> np.ndarray:
             + (cross(u0, w_e1) - w_e1)[..., :, None] * E1)
 
 
-# === one column ===
+# === the stacked march ===
 
 def march_wall(z: np.ndarray, times: np.ndarray, u0: np.ndarray,
                g: np.ndarray, source: Optional[np.ndarray] = None
                ) -> np.ndarray:
-    """Theta-step march of one wall column.
+    """Theta-step march of stacked wall columns; U is (nt, ncols, nz, 3).
 
-    u0 (nt, 3) carries the slow coefficients (z-independent), g (nt, 3)
-    the Neumann data dU/dz(z=0) = g(t), folded in through the mirror
-    ghost u[-1] = u[1] - 2 h g. Dirichlet zero at z = Z; U(0) = 0.
-    source (nt, nz, 3), if given, is an extra volume forcing (used by
-    the manufactured-solution tests). Steps shorter than the longest
-    one at the head of the grid (the graded opening) run backward
-    Euler (theta = 1), the rest Crank-Nicolson (theta = 1/2).
+    u0 (nt, ncols, 3) carries each column's slow coefficients
+    (z-independent), g (nt, ncols, 3) its Neumann data dU/dz(z=0) =
+    g(t), folded in through the mirror ghost u[-1] = u[1] - 2 h g.
+    Dirichlet zero at z = Z; U(0) = 0. source (nt, ncols, nz, 3), if
+    given, is an extra volume forcing (used by the manufactured-solution
+    tests). Steps shorter than the longest one at the head of the grid
+    (the graded opening) run backward Euler (theta = 1), the rest
+    Crank-Nicolson (theta = 1/2).
 
     A step freezes M = I + [u0]x and L at the theta-weighted level, one
-    3x3 each for every z, and solves its rows premultiplied by M^-1:
-    diagonal blocks M^-1 (I - w L) - w b I with w = theta dt, scalar
-    couplings -w a and -w c from the z weights (a, b, c), and the
-    ghost's wall source without its M.
+    3x3 each per column for every z, and solves its rows premultiplied
+    by M^-1: diagonal blocks M^-1 (I - w L) - w b I with w = theta dt,
+    scalar couplings -w a and -w c from the z weights (a, b, c), and
+    the ghost's wall source without its M. The columns share the z
+    weights and the steps, so each step is one banded solve of all of
+    them, and each column gets the bits of its own march.
     """
     nz = z.size
     nt = times.size
-    if u0.shape != (nt, 3) or g.shape != (nt, 3):
-        raise ValueError(
-            f"u0/g must be (nt, 3) = {(nt, 3)}, got {u0.shape}, {g.shape}")
+    if u0.ndim != 3 or u0.shape[::2] != (nt, 3) or g.shape != u0.shape:
+        raise ValueError(f"u0/g must be (nt, ncols, 3) with nt = {nt}, "
+                         f"got {u0.shape}, {g.shape}")
     d2 = d2_coefficients(z)
     a, b, c = d2
     h0 = z[1] - z[0]
@@ -105,7 +109,7 @@ def march_wall(z: np.ndarray, times: np.ndarray, u0: np.ndarray,
     dts = np.diff(times)
     first_full = int(np.argmax(dts >= (1.0 - 1e-12) * dts.max()))
 
-    U = np.zeros((nt, nz, 3))
+    U = np.zeros((nt, u0.shape[1], nz, 3))
     for k in range(nt - 1):
         dt = times[k + 1] - times[k]
         th = 1.0 if k < first_full else 0.5
@@ -115,19 +119,21 @@ def march_wall(z: np.ndarray, times: np.ndarray, u0: np.ndarray,
         m_inv = inv_id_plus_cross(u0_step)
         lower = -w_new * a
         upper = -w_new * c
-        B = m_inv @ (eye - w_new * L) - (w_new * b)[:, None, None] * eye
-        d2U = apply_tridiagonal_stencil(d2, U[k])
-        rhs = U[k] @ (m_inv @ (eye + w_old * L)).T + w_old * d2U
+        B = (m_inv @ (eye - w_new * L))[:, None] \
+            - (w_new * b)[:, None, None] * eye
+        d2U = np.moveaxis(
+            apply_tridiagonal_stencil(d2, np.moveaxis(U[k], 1, 0)), 0, 1)
+        rhs = U[k] @ np.swapaxes(m_inv @ (eye + w_old * L), -1, -2) \
+            + w_old * d2U
         # ghost inhomogeneity: the Neumann data acts as a wall source
-        rhs[0] += dt * (-2.0 * g_step / h0)
+        rhs[:, 0] += dt * (-2.0 * g_step / h0)
         if source is not None:
             rhs += dt * ((th * source[k + 1] + (1.0 - th) * source[k])
-                         @ m_inv.T)
+                         @ np.swapaxes(m_inv, -1, -2))
         # Dirichlet at the far end
         lower[-1] = 0.0
-        upper[-1] = 0.0
-        B[-1] = eye
-        rhs[-1] = 0.0
+        B[:, -1] = eye
+        rhs[:, -1] = 0.0
         U[k + 1] = block_tridiag_solve(lower, B, upper, rhs)
     return U
 
@@ -202,27 +208,23 @@ def solve_boundary_profile(ext: ExtendedLimit,
     The limit solution and its slow normal derivative come from the
     extended states (each side's extension equals the limit solution on
     its own side); the Neumann data is theta(x) d_n u0 with the outward
-    normal at the nearer wall.
+    normal at the nearer wall. The columns with nonzero data march
+    together in one march_wall call; the rest stay exactly zero.
     """
     x = ext.x_param
     theta_x = theta(x)
     mask = theta_x > 0.0
     idx = np.nonzero(mask)[0]
 
-    side_minus = (x < 0.0)[None, :, None]
-    u0_true = np.where(side_minus, ext.u_minus, ext.u_plus)
+    u0_true = np.where((x < 0.0)[None, :, None], ext.u_minus, ext.u_plus)
     dx_u0 = profile_d1(x, u0_true)
-    normal_sign = np.sign(x)[None, :, None]
-
-    nt = ext.times.size
-    U = np.zeros((nt, idx.size, z.size, 3))
-    g_data = np.zeros((nt, idx.size, 3))
-    for col, i in enumerate(idx):
-        g = theta_x[i] * normal_sign[0, i] * dx_u0[:, i]
-        if np.max(np.abs(g)) == 0.0:
-            continue
-        g_data[:, col] = g
-        U[:, col] = march_wall(z, ext.times, u0_true[:, i], g)
+    g_data = (theta_x[idx] * np.sign(x[idx]))[None, :, None] * dx_u0[:, idx]
+    # columns with zero data stay identically zero
+    active = np.max(np.abs(g_data), axis=(0, 2)) > 0.0
+    U = np.zeros((ext.times.size, idx.size, z.size, 3))
+    if active.any():
+        U[:, active] = march_wall(z, ext.times, u0_true[:, idx[active]],
+                                  g_data[:, active])
 
     return BoundaryProfile(times=ext.times, z=z, x_param=x,
                            x_support=x[mask], U=U, g_data=g_data)

@@ -470,7 +470,7 @@ def build_expansion_pieces(data: MagnetizationField,
     T_used = float(cfg.T)
     y = make_profile_grid(Y=cfg.box_y, cells=cfg.profile_cells)
     ext = extend_limit(data, param_nodes(cfg.param_cells),
-                       make_time_grid(T_used, dt=cfg.dt_knot))
+                       make_time_grid(T_used, dt=cfg.dt_knot), cfg.dt_full)
     try:
         pair = picard_profiles(ext, y, tol=cfg.picard_tol,
                                max_iter=cfg.picard_max_iter)

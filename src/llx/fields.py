@@ -76,16 +76,9 @@ class MagnetizationField:
     def __call__(self, x, side: str = "plus") -> np.ndarray:
         """Evaluate on nodes x; `side` decides the value at x = 0."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if self.name is not None:
-            return NAMED_FIELDS[self.name](x)
-        out = np.empty((x.size, 3))
-        if side == "plus":
-            mask = x >= 0.0
-        else:
-            mask = x > 0.0
-        out[mask] = self.value_plus
-        out[~mask] = self.value_minus
-        return out
+        mask = x >= 0.0 if side == "plus" else x > 0.0
+        return np.where(mask[..., None], self.branch(x, "plus"),
+                        self.branch(x, "minus"))
 
     def branch(self, x, which: str) -> np.ndarray:
         """One side's data branch continued to every node.

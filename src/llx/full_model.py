@@ -116,7 +116,6 @@ class FullModelConfig:
     dt: float
     T: float
     drift_tol: float
-    renormalize: bool = True
 
     def __post_init__(self):
         if self.epsilon < 0.0:
@@ -195,20 +194,20 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
 
     Output times are {0, T} joined with t_eval, and every one is hit
     exactly. Each output interval has a nominal step, the uniform
-    substep of at most cfg.dt that divides it. When renormalization is
-    on, a step whose pre-projection norm drift exceeds cfg.drift_tol is
-    redone at half the size, up to MAX_HALVINGS times in a row, after
-    which the run aborts; a redone step extrapolates its midpoint from
-    the same two accepted states, with the new size. After an accepted
-    step of drift d the next step is grow times this one, at most the
-    nominal, with grow = min(2, 0.9 sqrt(drift_tol / d)), or 2 when
-    d = 0, an elementary controller (Soderlind, Numer. Algorithms 31,
-    2002); a step shortened to land on an output time leaves the size
-    as it was. A size the controller cut below the nominal carries over
-    an output time, limited by the next interval's nominal; any other
+    substep of at most cfg.dt that divides it. A step whose
+    pre-projection norm drift exceeds cfg.drift_tol is redone at half
+    the size, up to MAX_HALVINGS times in a row, after which the run
+    aborts; a redone step extrapolates its midpoint from the same two
+    accepted states, with the new size. An accepted step is projected
+    back onto the unit sphere. After an accepted step of drift d the
+    next step is grow times this one, at most the nominal, with
+    grow = min(2, 0.9 sqrt(drift_tol / d)), or 2 when d = 0, an
+    elementary controller (Soderlind, Numer. Algorithms 31, 2002); a
+    step shortened to land on an output time leaves the size as it
+    was. A size the controller cut below the nominal carries over an
+    output time, limited by the next interval's nominal; any other
     interval starts at its own nominal, so a run that never nears the
-    tolerance, and every run without renormalization, marches the
-    uniform nominal steps.
+    tolerance marches the uniform nominal steps.
     """
     u0 = np.asarray(u0, dtype=float)
     if u0.shape != (grid.n, 3):
@@ -250,7 +249,7 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
                 v = u + (0.5 * tau_step / tau_prev) * (u - u_prev)
             u_next, drift = step_full(u, v, t, tau_step, ws, cfg,
                                       source=source)
-            if cfg.renormalize and drift > cfg.drift_tol:
+            if drift > cfg.drift_tol:
                 consecutive += 1
                 halvings_total += 1
                 if consecutive > MAX_HALVINGS:
@@ -264,19 +263,16 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
                 continue
             consecutive = 0
             drift_max = max(drift_max, drift)
-            if cfg.renormalize:
-                u_next = project_sphere(u_next)
             u_prev, tau_prev = u, tau_step
-            u = u_next
+            u = project_sphere(u_next)
             t += tau_step
             steps_taken += 1
             # drift-ratio control: for drift growing like tau^p with
             # 0 < p < 4 (jump data opens at p = 1), a drift-limited
             # march settles at drift 0.81 drift_tol
             if tau_step == tau:
-                grow = 2.0
-                if cfg.renormalize and drift > 0.0:
-                    grow = min(grow, 0.9 * np.sqrt(cfg.drift_tol / drift))
+                grow = (min(2.0, 0.9 * np.sqrt(cfg.drift_tol / drift))
+                        if drift > 0.0 else 2.0)
                 tau = min(grow * tau, tau_nominal)
         values[k + 1] = u
     return FullTrajectory(times=times, values=values, grid=grid,

@@ -162,15 +162,13 @@ def one_sided_d1(x: np.ndarray, u: np.ndarray, end: str) -> np.ndarray:
     exact zero rather than rounding noise.
     """
     x = np.asarray(x, dtype=float)
-    if end == "left":
-        h1 = x[1] - x[0]
-        h2 = x[2] - x[1]
-        return ((2 * h1 + h2) / (h1 * (h1 + h2)) * (u[1] - u[0])
-                - h1 / (h2 * (h1 + h2)) * (u[2] - u[1]))
-    h1 = x[-1] - x[-2]
-    h2 = x[-2] - x[-3]
-    return ((2 * h1 + h2) / (h1 * (h1 + h2)) * (u[-1] - u[-2])
-            - h1 / (h2 * (h1 + h2)) * (u[-2] - u[-3]))
+    if end != "left":
+        # reversal negates both spacings and both differences exactly
+        x, u = x[::-1], u[::-1]
+    h1 = x[1] - x[0]
+    h2 = x[2] - x[1]
+    return ((2 * h1 + h2) / (h1 * (h1 + h2)) * (u[1] - u[0])
+            - h1 / (h2 * (h1 + h2)) * (u[2] - u[1]))
 
 
 def profile_d1(y: np.ndarray, W: np.ndarray) -> np.ndarray:

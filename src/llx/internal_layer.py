@@ -116,8 +116,7 @@ def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
     at the step's midpoint: diagonal blocks M^-1 - (dt/2) b I, scalar
     couplings -(dt/2) a and -(dt/2) c from the y weights (a, b, c). The
     junction row couples by -1/hm and -1/hp, the Dirichlet rows not at
-    all, so the columns decouple and each step is one banded solve of
-    the columns stacked along the node axis.
+    all, and each step is one banded solve of the stacked columns.
     """
     ny = y.size
     j0 = ny // 2
@@ -127,7 +126,6 @@ def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
     hp = y[j0 + 1] - y[j0]
     eye = np.eye(3)
     plus_rows = (np.arange(ny) >= j0)[:, None]
-    ncols = w_k.shape[0]
 
     new = np.empty((times.size - 1,) + w_k.shape)
     for j in range(times.size - 1):
@@ -165,10 +163,7 @@ def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
             + 0.5 * hm * (mj_inv @ f_minus[j + 1][:, j0, :, None])
             + 0.5 * hp * (mj_inv @ f_plus[j + 1][:, j0, :, None]))[..., 0]
 
-        w_k = block_tridiag_solve(
-            np.tile(lower, ncols), B.reshape(-1, 3, 3),
-            np.tile(upper, ncols), rhs.reshape(-1, 3)
-        ).reshape(w_k.shape)
+        w_k = block_tridiag_solve(lower, B, upper, rhs)
         new[j] = w_k
     return new
 

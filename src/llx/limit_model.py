@@ -165,8 +165,9 @@ class ExtendedLimit:
 
 
 def extend_limit(data: MagnetizationField, x: np.ndarray,
-                 times: np.ndarray) -> ExtendedLimit:
-    """Evolve both data branches on the parameter nodes x and blend.
+                 times: np.ndarray, dt: float) -> ExtendedLimit:
+    """Evolve both data branches on the parameter nodes x, at steps of
+    at most dt, and blend.
 
     Each side's initial branch continues smoothly across the interface
     (constants broadcast, a continuous field is its own continuation),
@@ -186,7 +187,7 @@ def extend_limit(data: MagnetizationField, x: np.ndarray,
 
     u_init = np.stack([data.branch(x, "minus"), data.branch(x, "plus")])
     # strictly increasing from 0, so the output times are exactly times
-    vals = simulate_limit(u_init, T=float(times[-1]), dt=1e-3,
+    vals = simulate_limit(u_init, T=float(times[-1]), dt=dt,
                           t_eval=list(times)).values
     v_minus, v_plus = vals[:, 0], vals[:, 1]
     r_minus, r_plus = rhs_limit(v_minus), rhs_limit(v_plus)

@@ -142,8 +142,7 @@ def test_criterion_06_transmission_profiles(jump_pieces):
 
 def _full_error(u_eval, source_for, dt, cells, T=0.4):
     g = Grid1D(x=np.linspace(-1.0, 1.0, cells + 1))
-    cfg = FullModelConfig(epsilon=0.3, dt=dt, T=T, drift_tol=1e-3,
-                          renormalize=False)
+    cfg = FullModelConfig(epsilon=0.3, dt=dt, T=T, drift_tol=1e-3)
     traj = simulate_full(u_eval(0.0, g.x), g, cfg, source=source_for(0.3))
     return float(np.max(np.abs(traj.values[-1] - u_eval(T, g.x))))
 

@@ -139,16 +139,36 @@ def test_stacked_columns_solve_as_one_system(ncols, ny, seed):
         upper[:, row] = 0.0
         B[:, row] = np.eye(3)
     rhs = rng.normal(size=(ncols, ny, 3))
-    stacked = block_tridiag_solve(lower.reshape(-1), B.reshape(-1, 3, 3),
-                                  upper.reshape(-1), rhs.reshape(-1, 3))
-    per_column = np.concatenate([block_tridiag_solve(lower[k], B[k],
-                                                     upper[k], rhs[k])
-                                 for k in range(ncols)])
+    stacked = block_tridiag_solve(lower, B, upper, rhs)
+    per_column = np.stack([block_tridiag_solve(lower[k], B[k], upper[k],
+                                               rhs[k])
+                           for k in range(ncols)])
     assert np.array_equal(stacked, per_column)
     dense = _dense(lower.reshape(-1), B.reshape(-1, 3, 3), upper.reshape(-1))
-    x_dense = np.linalg.solve(dense, rhs.reshape(-1)).reshape(-1, 3)
+    x_dense = np.linalg.solve(dense, rhs.reshape(-1)).reshape(stacked.shape)
     assert np.max(np.abs(stacked - x_dense)) \
         <= 1e-12 * np.max(np.abs(x_dense))
+
+
+def test_shared_couplings_never_cross_columns():
+    # (n,) couplings broadcast over the columns, every column's
+    # lower[0] and upper[-1] nonzero: the kernel ignores both, so no
+    # column couples to its neighbours in the stack
+    rng = np.random.default_rng(39)
+    ncols, n = 4, 9
+    lower, _, upper, _ = _system(rng, n)
+    assert lower[0] != 0.0 and upper[-1] != 0.0
+    B = rng.normal(size=(ncols, n, 3, 3)) + 4.0 * np.eye(3)
+    rhs = rng.normal(size=(ncols, n, 3))
+    stacked = block_tridiag_solve(lower, B, upper, rhs)
+    assert stacked.shape == (ncols, n, 3)
+    for k in range(ncols):
+        assert np.array_equal(stacked[k],
+                              block_tridiag_solve(lower, B[k], upper, rhs[k]))
+        x_dense = np.linalg.solve(_dense(lower, B[k], upper),
+                                  rhs[k].reshape(-1)).reshape(n, 3)
+        assert np.max(np.abs(stacked[k] - x_dense)) \
+            <= 1e-12 * np.max(np.abs(x_dense))
 
 
 def test_non_finite_solution_aborts():
@@ -225,10 +245,10 @@ def test_every_march_passes_scalar_couplings(monkeypatch):
 
     z = make_wall_grid(Z=12.0, cells=16)
     times = make_time_grid(0.01, dt=5e-3)
-    boundary_layer.march_wall(z, times, rng.normal(size=(times.size, 3)),
-                              rng.normal(size=(times.size, 3)))
+    boundary_layer.march_wall(z, times, rng.normal(size=(times.size, 2, 3)),
+                              rng.normal(size=(times.size, 2, 3)))
 
     for name, seen in calls.items():
         assert seen, f"{name} made no solve"
-        assert all(nd_lo == nd_up == 1 and B[1:] == (3, 3)
+        assert all(nd_lo == nd_up == 1 and B[-2:] == (3, 3)
                    for nd_lo, nd_up, B in seen), (name, seen[:3])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from llx import boundary_layer
 from llx.banded import block_tridiag_solve, inv_id_plus_cross
 from llx.boundary_layer import (BoundaryProfile, linearized_reaction_matrix,
                                 march_wall, neumann_corrector,
@@ -101,9 +102,9 @@ def _wall_mms(n_cells: int, dt: float, T: float = 0.5):
            - np.sin(times)[:, None, None] * ez[None, :, None]
            * (v + np.cross(u0_vec, v) + Lv))
     g = -np.sin(times)[:, None] * v
-    U = march_wall(z, times, u0, g, source=src)
+    U = march_wall(z, times, u0[:, None], g[:, None], source=src[:, None])
     exact = np.sin(times[-1]) * ez[:, None] * v
-    return float(np.max(np.abs(U[-1] - exact)))
+    return float(np.max(np.abs(U[-1, 0] - exact)))
 
 
 def test_wall_march_corefined_second_order():
@@ -118,8 +119,8 @@ def test_wall_march_linearity():
     times = make_time_grid(0.05, dt=5e-3)
     u0 = np.tile([0.6, 0.8, 0.0], (times.size, 1))
     g = np.sin(times)[:, None] * np.array([0.2, -0.1, 0.4])
-    U1 = march_wall(z, times, u0, g)
-    U2 = march_wall(z, times, u0, 2.0 * g)
+    U1 = march_wall(z, times, u0[:, None], g[:, None])
+    U2 = march_wall(z, times, u0[:, None], 2.0 * g[:, None])
     np.testing.assert_allclose(U2, 2.0 * U1, atol=1e-12)
     assert np.max(np.abs(U1)) > 1e-3
 
@@ -128,7 +129,7 @@ def test_wall_march_zero_data_is_zero():
     z = make_wall_grid(Z=12.0, cells=64)
     times = make_time_grid(0.05, dt=5e-3)
     u0 = np.tile([0.6, 0.8, 0.0], (times.size, 1))
-    U = march_wall(z, times, u0, np.zeros((times.size, 3)))
+    U = march_wall(z, times, u0[:, None], np.zeros((times.size, 1, 3)))
     assert np.max(np.abs(U)) == 0.0
 
 
@@ -136,8 +137,8 @@ def test_wall_march_validates_shapes():
     z = make_wall_grid(Z=12.0, cells=64)
     times = make_time_grid(0.05, dt=5e-3)
     u0 = np.tile([0.6, 0.8, 0.0], (times.size, 1))
-    with pytest.raises(ValueError, match="nt, 3"):
-        march_wall(z, times, u0[:-1], np.zeros((times.size, 3)))
+    with pytest.raises(ValueError, match="nt, ncols, 3"):
+        march_wall(z, times, u0[:-1, None], np.zeros((times.size, 1, 3)))
 
 
 # --- full wall solve ---
@@ -146,7 +147,7 @@ def test_wall_march_validates_shapes():
 def swirl_wall():
     x = param_nodes(16)
     times = make_time_grid(0.05, dt=2.5e-3)
-    ext = extend_limit(named_field("swirl"), x, times)
+    ext = extend_limit(named_field("swirl"), x, times, 1e-3)
     z = make_wall_grid(Z=15.0, cells=96)
     return ext, z, solve_boundary_profile(ext, z)
 
@@ -164,6 +165,22 @@ def test_swirl_wall_matches_the_two_branch_march(swirl_wall):
                 prof.U[:, col], _two_branch_march(z, ext.times, u0[:, i], g))
             marched += 1
     assert marched >= 4
+
+
+def test_wall_columns_march_in_one_solve_per_step(swirl_wall, monkeypatch):
+    ext, z, _ = swirl_wall
+    calls = []
+
+    def counted(*args, solve=boundary_layer.block_tridiag_solve):
+        calls.append(np.shape(args[-1]))
+        return solve(*args)
+
+    monkeypatch.setattr(boundary_layer, "block_tridiag_solve", counted)
+    prof = solve_boundary_profile(ext, z)
+    assert len(calls) == ext.times.size - 1
+    # every column with data rides in the one stacked solve
+    active = np.max(np.abs(prof.g_data), axis=(0, 2)) > 0.0
+    assert calls[0] == (np.count_nonzero(active), z.size, 3)
 
 
 def test_wall_profile_nonzero_with_decaying_tail(swirl_wall):
@@ -190,7 +207,7 @@ def test_wall_profile_zero_for_constant_data():
     x = param_nodes(8)
     times = make_time_grid(0.02, dt=5e-3)
     ext = extend_limit(constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0)),
-                       x, times)
+                       x, times, 1e-3)
     z = make_wall_grid(Z=15.0, cells=48)
     prof = solve_boundary_profile(ext, z)
     assert np.max(np.abs(prof.U)) == 0.0

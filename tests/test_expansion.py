@@ -510,7 +510,8 @@ def test_stalled_window_cuts_the_horizon(small_cfg, monkeypatch):
     assert pieces.T_used == knots[2 * TIME_BLOCK] < cfg.T
     # the cut pieces are those of a build on the shorter horizon
     short = make_time_grid(pieces.T_used, dt=cfg.dt_knot)
-    ext = extend_limit(data, param_nodes(cfg.param_cells), short)
+    ext = extend_limit(data, param_nodes(cfg.param_cells), short,
+                       cfg.dt_full)
     for name in ("times", "x_param", "u_plus", "u_minus", "du_plus",
                  "du_minus"):
         assert np.array_equal(getattr(pieces.ext, name),

@@ -111,10 +111,11 @@ def test_F_rhs_against_expansion():
 def _zero_exchange_reference(u0, dt, steps):
     """The integrator at eps = 0 written out at a constant step: one
     explicit midpoint step starts it, then
-    u+ = u + dt F(u + (u - u_prev)/2)."""
-    u_prev, u = u0, step_midpoint(u0, dt)
+    u+ = u + dt F(u + (u - u_prev)/2), each step projected onto the
+    sphere."""
+    u_prev, u = u0, renormalize(step_midpoint(u0, dt))
     for _ in range(steps - 1):
-        u_prev, u = u, u + dt * rhs_limit(u + 0.5 * (u - u_prev))
+        u_prev, u = u, renormalize(u + dt * rhs_limit(u + 0.5 * (u - u_prev)))
     return u
 
 
@@ -122,8 +123,7 @@ def test_zero_exchange_degenerates_to_midpoint_rule():
     rng = np.random.default_rng(45)
     g = _uniform_grid(16)
     u0 = renormalize(rng.normal(size=(g.n, 3)))
-    cfg = FullModelConfig(epsilon=0.0, dt=0.02, T=0.2, drift_tol=1e-3,
-                          renormalize=False)
+    cfg = FullModelConfig(epsilon=0.0, dt=0.02, T=0.2, drift_tol=1e-3)
     traj = simulate_full(u0, g, cfg)
     u_ref = _zero_exchange_reference(u0, 0.02, 10)
     assert np.max(np.abs(traj.values[-1] - u_ref)) < 1e-10
@@ -132,8 +132,7 @@ def test_zero_exchange_degenerates_to_midpoint_rule():
 def _mms_error(mms, eps, dt, cells, T=0.4, t_eval=None):
     u_eval, source_for = mms
     g = _uniform_grid(cells)
-    cfg = FullModelConfig(epsilon=eps, dt=dt, T=T, drift_tol=1e-3,
-                          renormalize=False)
+    cfg = FullModelConfig(epsilon=eps, dt=dt, T=T, drift_tol=1e-3)
     traj = simulate_full(u_eval(0.0, g.x), g, cfg, t_eval=t_eval,
                          source=source_for(eps))
     return float(np.max(np.abs(traj.values[-1] - u_eval(T, g.x))))
@@ -304,17 +303,6 @@ def test_step_control_clears_the_drift_limited_opening(monkeypatch):
     # meets the tolerance where a restart at the nominal would not
     first_attempts = len({dt for t, dt in counter.steps if t == 0.0})
     assert traj.halvings_used == first_attempts - 1
-
-
-def test_unguarded_run_marches_the_nominal_steps(monkeypatch):
-    # jump data would trip the guard; without renormalization it is off
-    counter = _SolveCounter(monkeypatch)
-    g = make_epsilon_grid(0.1, cells_per_eps=16)
-    cfg = FullModelConfig(epsilon=0.1, dt=1e-3, T=0.01, drift_tol=1e-3,
-                          renormalize=False)
-    traj = simulate_full(_jump_data(g.x), g, cfg, t_eval=[0.0025, 0.007])
-    assert traj.halvings_used == 0
-    assert counter.steps == _nominal_steps(traj.times, cfg.dt)
 
 
 def test_drift_guard_aborts():

@@ -61,7 +61,7 @@ def jump_setup():
     x = param_nodes(16)
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     times = make_time_grid(0.05, dt=2.5e-3)
-    ext = extend_limit(data, x, times)
+    ext = extend_limit(data, x, times, 1e-3)
     return x, data, times, ext
 
 
@@ -119,7 +119,7 @@ def test_extension_symmetric_data_is_jump_free():
     x = param_nodes(8)
     same = constant_per_side((0.6, 0.8, 0.0), (0.6, 0.8, 0.0))
     times = make_time_grid(0.02, dt=5e-3)
-    ext = extend_limit(same, x, times)
+    ext = extend_limit(same, x, times, 1e-3)
     assert np.max(np.abs(ext.delta)) == 0.0
     assert np.max(np.abs(ext.delta_dt)) == 0.0
 
@@ -128,7 +128,7 @@ def test_extension_rejects_nonzero_start():
     x = param_nodes(8)
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     with pytest.raises(ValueError, match="start at 0"):
-        extend_limit(data, x, np.array([0.1, 0.2]))
+        extend_limit(data, x, np.array([0.1, 0.2]), 1e-3)
 
 
 @pytest.mark.parametrize("times", [[0.0, 0.02, 0.01, 0.03],
@@ -139,7 +139,7 @@ def test_extension_rejects_times_not_increasing(times):
     x = param_nodes(8)
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     with pytest.raises(ValueError, match="increase strictly"):
-        extend_limit(data, x, np.array(times))
+        extend_limit(data, x, np.array(times), 1e-3)
 
 
 # --- layer nonlinearity ---
@@ -244,7 +244,7 @@ def test_profiles_zero_jump_columns_are_exact_zero():
     x = param_nodes(8)
     same = constant_per_side((0.6, 0.8, 0.0), (0.6, 0.8, 0.0))
     times = make_time_grid(0.02, dt=5e-3)
-    ext = extend_limit(same, x, times)
+    ext = extend_limit(same, x, times, 1e-3)
     y = make_profile_grid(Y=15.0, cells=64)
     pair = picard_profiles(ext, y, tol=1e-8, max_iter=40)
     assert np.max(np.abs(pair.W)) == 0.0
@@ -437,7 +437,7 @@ def test_stacked_picard_matches_the_per_column_reference():
     x = param_nodes(16)
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     times = make_time_grid(0.1, dt=5e-3)
-    ext = extend_limit(data, x, times)
+    ext = extend_limit(data, x, times, 1e-3)
     y = make_profile_grid(Y=6.0, cells=48)
     pair = picard_profiles(ext, y, tol=1e-8, max_iter=40)
 
