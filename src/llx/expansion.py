@@ -12,22 +12,21 @@ outside or beyond |y| = Y), U_wall is the wall profile on its cutoff
 support, and rho the slow Neumann corrector. Sampling on a solver grid
 takes the knots in blocks of KNOT_BLOCK. The base state is a not-a-knot
 cubic spline in the slow direction, each side from its own half (so the
-blend region never contaminates it). For the layer terms the two linear
-interpolations are applied in swapped order: the natural spline in the
-fast direction is fitted once per block on the stored parameter columns
-and evaluated at every node's stretched coordinate, and the result is
-contracted with the node's cardinal cubic-spline weights in x. The
-exponential lift S and the corrector rho are evaluated in closed form.
-Both layers take their x-weights from one helper: the support columns
-plus one exactly-zero anchor column past each end of the support that
-is not a domain end, so the increments roll off smoothly and vanish
-identically farther out.
+blend region never contaminates it). Both layers share one path: once
+per pass, each layer side reaching the nodes (either interface half,
+either wall) gets its nodes' stretched coordinates and cardinal
+x-weights, and a layer holding only zeros gets no side. Per block the
+natural spline in the fast direction is fitted on each side's stored
+columns, evaluated at every node's stretched coordinate and contracted
+with the node's x-weights (the two linear steps in swapped order). S
+and rho are closed form. The x-weights add an exactly-zero anchor column
+past each support end that is not a domain end.
 
 The convergence study builds the profiles once (they do not depend on
 eps), then for each eps: samples the ansatz on an eps-refined grid,
 starts the full model from the renormalized ansatz at t = 0, and
 records the distance to the limit state, the ansatz residual, and the
-conormal (E-class) norms of the corrected difference (u - a) / eps.
+conormal (E-class) norms of (u - a) / eps at orders 0 and m in one pass.
 
 Contains:
 - ExpansionPieces / build_expansion_pieces: the eps-independent half
@@ -115,67 +114,66 @@ class ExpansionAnsatz:
                                          axis=1, bc="not-a-knot")
         return out
 
-    def _interface_increment(self, ks: np.ndarray,
-                             x: np.ndarray) -> np.ndarray:
-        pair = self.pieces.profiles
-        xp = pair.x_param
-        y = pair.y
-        j0 = pair.j0
-        ys = x / self.epsilon
-        active = in_v_sigma(x) & (np.abs(ys) <= pair.Y)
-        out = np.zeros((ks.size, x.size, 3))
-        if not active.any():
-            return out
-        idx = np.nonzero(pair.support_mask)[0]
-        weights = _cardinal_weights(xp, int(idx[0]), int(idx[-1]), x[active])
-        ya = ys[active]
-        W = pair.W[ks]
-        d_x = contract_columns(weights, pair.delta[ks][:, None])
-        vals = np.empty((ks.size, ya.size, 3))
-        gm = ya < 0.0
-        gp = ~gm
-        if gm.any():
-            got = _layer_values(y[:j0 + 1], W[:, :, :j0 + 1], ya[gm],
-                                weights[gm])
-            vals[:, gm] = got + 0.5 * d_x[:, gm] * np.exp(ya[gm])[:, None]
-        if gp.any():
-            got = _layer_values(y[j0:], W[:, :, j0:], ya[gp], weights[gp])
-            vals[:, gp] = got - 0.5 * d_x[:, gp] * np.exp(-ya[gp])[:, None]
-        out[:, active] = vals
-        return out
+    def _layer_sides(self, x: np.ndarray) -> list:
+        """Each layer side that reaches the nodes x, built once per pass.
 
-    def _wall_increment(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
-        prof = self.pieces.boundary
+        (layer, nodes, knots, cols, s, weights, delta, sign) holds the
+        node indices, stretched knots, a view (nt, nc, ns, 3) of the
+        stored columns, and the nodes' stretched coordinates and
+        x-weights. The interface halves y < 0 and y >= 0 share one
+        support and carry the lift +-delta/2 e^(+-y) as delta and sign;
+        a wall side has neither. A layer whose stored data is all zero
+        lists no side.
+        """
+        pair, prof = self.pieces.profiles, self.pieces.boundary
+        sides = []
+        ys = x / self.epsilon
+        nodes = np.flatnonzero(in_v_sigma(x) & (np.abs(ys) <= pair.Y))
+        if nodes.size and (pair.W.any() or pair.delta.any()):
+            lo, hi = np.flatnonzero(pair.support_mask)[[0, -1]]
+            weights = _cardinal_weights(pair.x_param, lo, hi, x[nodes])
+            below = ys[nodes] < 0.0
+            for sel, half, sign in ((below, slice(None, pair.j0 + 1), 1.0),
+                                    (~below, slice(pair.j0, None), -1.0)):
+                if sel.any():
+                    sides.append(("interface", nodes[sel], pair.y[half],
+                                  pair.W[:, :, half], ys[nodes[sel]],
+                                  weights[sel], pair.delta, sign))
         zs = (1.0 - np.abs(x)) / self.epsilon
         near = (theta(x) > 0.0) & (zs <= prof.Z)
-        out = np.zeros((ks.size, x.size, 3))
-        xp = prof.x_param
-        xs = prof.x_support
         for sign in (-1.0, 1.0):
-            sel = near & (sign * x > 0.0)
-            cols = sign * xs > 0.0
-            n_cols = int(cols.sum())
-            if not (sel.any() and n_cols >= 2):
-                continue
-            # each side's support columns run contiguously to its wall
-            i0 = int(np.searchsorted(xp, xs[cols][0]))
-            weights = _cardinal_weights(xp, i0, i0 + n_cols - 1, x[sel])
-            out[:, sel] = _layer_values(prof.z, prof.U[ks][:, cols],
-                                        zs[sel], weights)
-        return out
+            nodes = np.flatnonzero(near & (sign * x > 0.0))
+            cols = np.flatnonzero(sign * prof.x_support > 0.0)
+            if nodes.size and cols.size >= 2 and prof.U.any():
+                # each side's support columns run contiguously to its wall
+                i0 = int(np.searchsorted(prof.x_param,
+                                         prof.x_support[cols[0]]))
+                weights = _cardinal_weights(prof.x_param, i0,
+                                            i0 + cols.size - 1, x[nodes])
+                sides.append(("wall", nodes, prof.z,
+                              prof.U[:, cols[0]:cols[-1] + 1], zs[nodes],
+                              weights, None, 0.0))
+        return sides
 
-    def _parts(self, ks: np.ndarray, x: np.ndarray) -> dict:
-        """The four summands at the knot indices ks: each (nk, nx, 3)."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim != 1 or np.any(np.abs(x) > 1.0 + 1e-12):
-            raise ValueError("sample nodes must lie in [-1, 1]")
-        return {
-            "base": self._base(ks, x),
-            "interface": self._interface_increment(ks, x),
-            "wall": self._wall_increment(ks, x),
-            "rho": neumann_corrector(x, self.pieces.g_minus[ks],
-                                     self.pieces.g_plus[ks]),
-        }
+    def _parts(self, ks: np.ndarray, x: np.ndarray, sides: list) -> dict:
+        """The four summands at the knot indices ks: each (nk, nx, 3).
+
+        Per knot block each of the pass's sides (from _layer_sides) only
+        fits its natural spline and contracts it with its x-weights; an
+        interface half adds its lift in closed form.
+        """
+        parts = {"base": self._base(ks, x),
+                 "interface": np.zeros((ks.size, x.size, 3)),
+                 "wall": np.zeros((ks.size, x.size, 3)),
+                 "rho": neumann_corrector(x, self.pieces.g_minus[ks],
+                                          self.pieces.g_plus[ks])}
+        for layer, nodes, knots, cols, s, weights, delta, sign in sides:
+            vals = _layer_values(knots, cols[ks], s, weights)
+            if delta is not None:
+                d_x = contract_columns(weights, delta[ks][:, None])
+                vals += 0.5 * sign * d_x * np.exp(sign * s)[:, None]
+            parts[layer][:, nodes] = vals
+        return parts
 
     def sample_times(self, times: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Stacked samples at several knots: (nt, nx, 3).
@@ -187,9 +185,12 @@ class ExpansionAnsatz:
         ks = np.array([self.knot_index(t) for t in np.asarray(times)],
                       dtype=int)
         x = np.asarray(x, dtype=float)
+        if x.ndim != 1 or np.any(np.abs(x) > 1.0 + 1e-12):
+            raise ValueError("sample nodes must lie in [-1, 1]")
+        sides = self._layer_sides(x)
         out = np.empty((ks.size, x.size, 3))
         for start in range(0, ks.size, KNOT_BLOCK):
-            p = self._parts(ks[start:start + KNOT_BLOCK], x)
+            p = self._parts(ks[start:start + KNOT_BLOCK], x, sides)
             out[start:start + KNOT_BLOCK] = (
                 p["base"] + p["interface"]
                 + self.epsilon * (p["wall"] + p["rho"]))
@@ -297,13 +298,15 @@ class EClassNorms:
 
 
 def eclass_norms(times: np.ndarray, x: np.ndarray, w: np.ndarray,
-                 epsilon: float, m: int) -> EClassNorms:
-    """Discrete conormal norms of a space-time field w (nt, nx, 3).
+                 epsilon: float, m: int) -> tuple:
+    """Discrete conormal norms of a space-time field w (nt, nx, 3): the
+    pair of records (order 0, order m).
 
     The generators are Z0 = d_t and Z1 = omega(x) d_x with the weight
     omega(x) = x(1 - x^2) tangent to interface and walls; the normal
     derivative enters through eps d_x. All differences are second
-    order on the sampling grid.
+    order on the sampling grid. One derivative table per field serves
+    both orders, and w's table is dropped before eps d_x w is formed.
     """
     w = np.asarray(w, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -315,39 +318,36 @@ def eclass_norms(times: np.ndarray, x: np.ndarray, w: np.ndarray,
             f"w shape {w.shape} does not match ({times.size}, {x.size}, 3)")
     omega = conormal_weight(x)[None, :, None]
 
-    def dz0(v):
-        return np.gradient(v, times, axis=0)
-
-    def dz1(v):
-        return omega * profile_d1(x, v)
-
-    def dn(v):
-        return profile_d1(x, v)
-
-    def sobolev(v):
+    def table(v, order):
+        # Z0^a Z1^b v keyed (a, b), lower totals first
         derivs = {(0, 0): v}
-        for total in range(1, m + 1):
+        for total in range(1, order + 1):
             for b in range(total + 1):
                 a = total - b
-                if b > 0:
-                    derivs[(a, b)] = dz1(derivs[(a, b - 1)])
-                else:
-                    derivs[(a, 0)] = dz0(derivs[(a - 1, 0)])
-        return float(np.sqrt(sum(
-            l2_space_time(times, x, term) ** 2 for term in derivs.values())))
+                derivs[(a, b)] = (
+                    omega * profile_d1(x, derivs[(a, b - 1)]) if b
+                    else np.gradient(derivs[(a - 1, 0)], times, axis=0))
+        return derivs
+
+    def sobolev(derivs):
+        squares = [l2_space_time(times, x, term) ** 2
+                   for (a, b), term in derivs.items() if a + b <= m]
+        return (float(np.sqrt(sum(squares[:1]))),
+                float(np.sqrt(sum(squares))))
 
     def sup(v):
         return float(np.sqrt(np.max(np.sum(v * v, axis=-1))))
 
-    wn = epsilon * dn(w)
-    return EClassNorms(
-        m=m,
-        conormal=sobolev(w),
-        normal_conormal=sobolev(wn),
-        sup=epsilon * sup(w),
-        sup_conormal=epsilon * max(sup(dz0(w)), sup(dz1(w))),
-        sup_normal=epsilon * sup(wn),
-    )
+    derivs = table(w, max(m, 1))
+    conormal = sobolev(derivs)
+    sups = (epsilon * sup(w),
+            epsilon * max(sup(derivs[(1, 0)]), sup(derivs[(0, 1)])))
+    del derivs
+    wn = epsilon * profile_d1(x, w)
+    normal_conormal = sobolev(table(wn, m))
+    sups += (epsilon * sup(wn),)
+    return tuple(EClassNorms(order, c, n, *sups) for order, c, n
+                 in zip((0, m), conormal, normal_conormal))
 
 
 # === the convergence experiment ===
@@ -522,8 +522,7 @@ def _epsilon_row(task) -> dict:
 
     res = residual_report(times_eval, a_vals, grid, eps)
     w = (traj.values - a_vals) / eps
-    ec0 = eclass_norms(times_eval, grid.x, w, eps, m=0)
-    ecm = eclass_norms(times_eval, grid.x, w, eps, m=cfg.eclass_m)
+    ec0, ecm = eclass_norms(times_eval, grid.x, w, eps, m=cfg.eclass_m)
     return {
         "epsilon": eps,
         "err_l2": err,

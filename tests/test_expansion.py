@@ -40,7 +40,9 @@ def _sample_parts(ansatz, t, x):
     Returns {"base", "interface", "wall", "rho"}; the sampled field is
     base + interface + epsilon * (wall + rho).
     """
-    parts = ansatz._parts(np.array([ansatz.knot_index(t)]), x)
+    x = np.asarray(x, dtype=float)
+    parts = ansatz._parts(np.array([ansatz.knot_index(t)]), x,
+                          ansatz._layer_sides(x))
     return {name: part[0] for name, part in parts.items()}
 
 
@@ -312,6 +314,60 @@ def test_blocked_sampling_matches_the_per_knot_reference(fixture, request):
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
 
 
+def _counting(monkeypatch, name):
+    """Patch expansion.<name> with a wrapper that counts its calls."""
+    calls = []
+    original = getattr(expansion, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+    monkeypatch.setattr(expansion, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("fixture, per_pass", [("jump_small", 1),
+                                               ("swirl_small", 2)])
+def test_layer_x_weights_are_built_once_per_pass(fixture, per_pass,
+                                                  request, monkeypatch):
+    # the x-weights depend on the nodes alone: one knot and nine knots
+    # (two blocks) build them equally often, once per support that holds
+    # data (the interface halves share one)
+    _, pieces, _ = request.getfixturevalue(fixture)
+    ansatz = ExpansionAnsatz(pieces, 0.03125)
+    x = np.linspace(-1.0, 1.0, 257)
+    calls = _counting(monkeypatch, "_cardinal_weights")
+    ansatz.sample_times(ansatz.times[:1], x)
+    assert len(calls) == per_pass
+    ansatz.sample_times(ansatz.times[:9], x)
+    assert len(calls) == 2 * per_pass
+
+
+@pytest.fixture(scope="module")
+def flat_small(small_cfg):
+    data = constant_per_side((0.6, 0.8, 0.0), (0.6, 0.8, 0.0))
+    pieces = build_expansion_pieces(data, small_cfg)
+    return data, pieces, ExpansionAnsatz(pieces, 0.1)
+
+
+@pytest.mark.parametrize("fixture, per_block", [("jump_small", 2),
+                                                ("swirl_small", 2),
+                                                ("flat_small", 0)])
+def test_layers_that_hold_nothing_are_not_fitted(fixture, per_block,
+                                                 request, monkeypatch):
+    # jump data fits the two interface halves, swirl data the two walls,
+    # identical constants nothing; spline fits are counted per knot
+    # block, since both layer meshes may be the same array
+    _, pieces, _ = request.getfixturevalue(fixture)
+    ansatz = ExpansionAnsatz(pieces, 0.03125)
+    x = np.linspace(-1.0, 1.0, 257)
+    calls = _counting(monkeypatch, "natural_spline_coeffs")
+    ansatz.sample_times(ansatz.times[:1], x)
+    assert len(calls) == per_block
+    ansatz.sample_times(ansatz.times[:9], x)
+    assert len(calls) == per_block * (1 + 2)
+
+
 # --- space-time norms ---
 
 def test_l2_constant_closed_form():
@@ -407,7 +463,7 @@ def test_fit_slope_exact_power_and_validation():
 def test_eclass_zero_field_is_all_zeros():
     times = np.linspace(0.0, 1.0, 9)
     x = np.linspace(-1.0, 1.0, 33)
-    rec = eclass_norms(times, x, np.zeros((9, 33, 3)), 0.1, m=2)
+    _, rec = eclass_norms(times, x, np.zeros((9, 33, 3)), 0.1, m=2)
     assert isinstance(rec, EClassNorms)
     assert rec.total == 0.0
     assert np.all(rec.summands() == 0.0)
@@ -423,13 +479,31 @@ def test_eclass_validation():
         eclass_norms(times, x, w[:, :-1], 0.1, m=1)
 
 
+@pytest.mark.parametrize("m", [1, 2])
+def test_eclass_pair_comes_from_one_table(m):
+    rng = np.random.default_rng(5)
+    times = np.linspace(0.0, 0.5, 17)
+    x = np.linspace(-1.0, 1.0, 65)
+    w = rng.standard_normal((times.size, x.size, 3))
+    eps = 0.05
+    rec0, recm = eclass_norms(times, x, w, eps, m=m)
+    assert (rec0.m, recm.m) == (0, m)
+    for name in ("sup", "sup_conormal", "sup_normal"):
+        assert getattr(rec0, name) == getattr(recm, name)
+    assert rec0.conormal == l2_space_time(times, x, w)
+    assert rec0.normal_conormal == l2_space_time(
+        times, x, eps * profile_d1(x, w))
+    assert recm.conormal >= rec0.conormal
+
+
 def test_eclass_smooth_field_is_eps_uniform():
     times = np.linspace(0.0, 1.0, 33)
     x = np.linspace(-1.0, 1.0, 129)
     v = np.array([0.5, -1.0, 0.25])
     w = (np.cos(np.pi * times)[:, None, None]
          * np.sin(np.pi * x)[None, :, None] * v)
-    recs = [eclass_norms(times, x, w, e, m=1) for e in (0.1, 0.05, 0.025)]
+    recs = [eclass_norms(times, x, w, e, m=1)[1]
+            for e in (0.1, 0.05, 0.025)]
     # the integral summands carry no eps at all; the sup summands are
     # linear in eps, so everything is bounded by the largest-eps record
     assert recs[0].conormal == recs[1].conormal == recs[2].conormal
@@ -450,8 +524,8 @@ def test_eclass_conormal_weight_tames_the_layer():
     for eps in (0.1, 0.05, 0.025):
         w = (np.cos(times)[:, None, None]
              * np.exp(-np.abs(x) / eps)[None, :, None] * v)
-        m0 = eclass_norms(times, x, w, eps, m=0).conormal
-        m1 = eclass_norms(times, x, w, eps, m=1).conormal
+        rec0, rec1 = eclass_norms(times, x, w, eps, m=1)
+        m0, m1 = rec0.conormal, rec1.conormal
         tame.append(m1 / m0)
         plain.append(l2_space_time(times, x, profile_d1(x, w)) / m0)
     tame = np.array(tame)
