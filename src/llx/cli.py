@@ -63,8 +63,7 @@ def cmd_limit(cfg: RunConfig, args, out_dir: str) -> int:
     x = param_nodes(cfg.study.param_cells)
     times = knot_times(cfg.study.T, cfg.study.dt_knot)
     u0 = np.stack([cfg.data(x, "minus"), cfg.data(x, "plus")])
-    traj = simulate_limit(u0, cfg.study.T, cfg.study.dt_full,
-                          t_eval=list(times))
+    traj = simulate_limit(u0, cfg.study.T, t_eval=list(times))
     rows = [
         [t, xi] + list(traj.values[k, 0, i]) + list(traj.values[k, 1, i])
         for k, t in enumerate(traj.times)
@@ -75,7 +74,7 @@ def cmd_limit(cfg: RunConfig, args, out_dir: str) -> int:
               ("t", "x", "u1_minus", "u2_minus", "u3_minus",
                "u1_plus", "u2_plus", "u3_plus"),
               rows,
-              _meta(cfg, "limit", T=cfg.study.T, dt=cfg.study.dt_full,
+              _meta(cfg, "limit", T=cfg.study.T,
                     param_cells=cfg.study.param_cells))
     print(f"wrote {path} ({len(rows)} rows)")
     return 0

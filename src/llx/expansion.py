@@ -470,7 +470,7 @@ def build_expansion_pieces(data: MagnetizationField,
     T_used = float(cfg.T)
     y = make_profile_grid(Y=cfg.box_y, cells=cfg.profile_cells)
     ext = extend_limit(data, param_nodes(cfg.param_cells),
-                       make_time_grid(T_used, dt=cfg.dt_knot), cfg.dt_full)
+                       make_time_grid(T_used, dt=cfg.dt_knot))
     try:
         pair = picard_profiles(ext, y, tol=cfg.picard_tol,
                                max_iter=cfg.picard_max_iter)
@@ -515,8 +515,7 @@ def _epsilon_row(task) -> dict:
     i0 = int(np.searchsorted(grid.x, 0.0))
     limit_init = np.concatenate([data(grid.x[:i0 + 1], "minus"),
                                  data(grid.x[i0:], "plus")])
-    limit = simulate_limit(limit_init, pieces.T_used, cfg.dt_full,
-                           t_eval=times_eval)
+    limit = simulate_limit(limit_init, pieces.T_used, t_eval=times_eval)
     err = jump_error_l2(times_eval, grid.x, traj.values,
                         limit.values[:, :i0 + 1], limit.values[:, i0 + 1:])
 

@@ -3,19 +3,19 @@
 With the exchange term switched off the magnetization at each node obeys
     du/dt = u x H(u) - u x (u x H(u)),      H(u) = (-u1, 0, 0),
 which preserves |u| and drives u1 toward 0 through du1/dt = u1(u1^2 - 1)
-on the unit sphere. Nodes never couple, so everything here is vectorized
-over an arbitrary leading shape. The full model's reaction term F lives
-here too, the one home all three physics layers take it from.
+on the unit sphere. Nodes never couple, and the flow is solved in closed
+form, so nothing here takes a time step; everything is vectorized over
+an arbitrary leading shape. The full model's reaction term F lives here
+too, the one home all three physics layers take it from.
 
 Contains:
 - precession_rhs: u x H - u x (u x H) for a given field H
 - F_rhs: the reaction term |V|^2 u + u x H - u x (u x H)
 - rhs_limit: the same with the slab stray field substituted
 - renormalize: projection onto the unit sphere
-- step_rk4: one classic fourth-order step
 - output_times: the output times {0, T} joined with requested ones
 - substeps: the uniform substep count of one output interval
-- simulate_limit: trajectory on [0, T] hitting requested output times
+- simulate_limit: the exact solution at T and requested output times
 - ExtendedLimit / extend_limit: one-sided limit states extended across
   the interface by branch continuation and cutoff blending, with exact
   time derivatives
@@ -60,15 +60,6 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     return u / norms
 
 
-def step_rk4(u: np.ndarray, dt: float) -> np.ndarray:
-    """One classic fourth-order step of the limit flow, unprojected."""
-    k1 = rhs_limit(u)
-    k2 = rhs_limit(u + 0.5 * dt * k1)
-    k3 = rhs_limit(u + 0.5 * dt * k2)
-    k4 = rhs_limit(u + dt * k3)
-    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 @dataclass(frozen=True)
 class LimitTrajectory:
     """Limit-flow values on a set of output times.
@@ -102,33 +93,38 @@ def substeps(span: float, dt: float) -> int:
     return max(1, int(np.ceil(span / dt - 1e-12)))
 
 
-def simulate_limit(u0: np.ndarray, T: float, dt: float,
+def simulate_limit(u0: np.ndarray, T: float,
                    t_eval: Optional[Sequence[float]] = None
                    ) -> LimitTrajectory:
-    """March the limit flow to time T, recording requested output times.
+    """The limit flow's exact solution at the output times.
 
-    Output times are {0, T} joined with t_eval; each interval between
-    consecutive output times is covered by uniform RK4 substeps of size
-    at most dt, each projected back onto the sphere, so every requested
-    time is hit exactly rather than interpolated.
+    Output times are {0, T} joined with t_eval. values[0] is u0 as given;
+    every later time is the solution from u = renormalize(u0). With
+    a = |u1|, rho^2 = u2^2 + u3^2, ae = a e^{-t} and D = sqrt(rho^2 + ae^2),
+    u1(t) = sign(u1) ae / D, and (u2, u3) is scaled by 1/D and turned by
+    phi = sign(u1) log((1 + a) / (ae + D)), the integral of u1 (for unit u
+    it equals asinh(u1 / rho) - asinh(u1 e^{-t} / rho)). No division by
+    rho, so the fixed points +-e1 need no guard.
     """
     if T <= 0.0:
         raise ValueError(f"final time must be positive, got {T}")
-    if dt <= 0.0:
-        raise ValueError(f"step size must be positive, got {dt}")
     u0 = np.asarray(u0, dtype=float)
     times = output_times(T, t_eval)
 
+    u = renormalize(u0)
+    sign = np.sign(u[..., 0])
+    a = np.abs(u[..., 0])
+    rho2 = u[..., 1] * u[..., 1] + u[..., 2] * u[..., 2]
     values = np.empty((times.size,) + u0.shape)
     values[0] = u0
-    u = u0
-    for k in range(times.size - 1):
-        span = times[k + 1] - times[k]
-        nsub = substeps(span, dt)
-        h = span / nsub
-        for _ in range(nsub):
-            u = renormalize(step_rk4(u, h))
-        values[k + 1] = u
+    for k in range(1, times.size):
+        ae = a * np.exp(-times[k])
+        D = np.sqrt(rho2 + ae * ae)
+        phi = sign * np.log((1.0 + a) / (ae + D))
+        c, s = np.cos(phi) / D, np.sin(phi) / D
+        values[k, ..., 0] = sign * ae / D
+        values[k, ..., 1] = c * u[..., 1] - s * u[..., 2]
+        values[k, ..., 2] = s * u[..., 1] + c * u[..., 2]
     return LimitTrajectory(times=times, values=values)
 
 
@@ -165,9 +161,9 @@ class ExtendedLimit:
 
 
 def extend_limit(data: MagnetizationField, x: np.ndarray,
-                 times: np.ndarray, dt: float) -> ExtendedLimit:
-    """Evolve both data branches on the parameter nodes x, at steps of
-    at most dt, and blend.
+                 times: np.ndarray) -> ExtendedLimit:
+    """Solve the limit flow exactly from both data branches on the
+    parameter nodes x, and blend.
 
     Each side's initial branch continues smoothly across the interface
     (constants broadcast, a continuous field is its own continuation),
@@ -187,7 +183,7 @@ def extend_limit(data: MagnetizationField, x: np.ndarray,
 
     u_init = np.stack([data.branch(x, "minus"), data.branch(x, "plus")])
     # strictly increasing from 0, so the output times are exactly times
-    vals = simulate_limit(u_init, T=float(times[-1]), dt=dt,
+    vals = simulate_limit(u_init, T=float(times[-1]),
                           t_eval=list(times)).values
     v_minus, v_plus = vals[:, 0], vals[:, 1]
     r_minus, r_plus = rhs_limit(v_minus), rhs_limit(v_plus)

@@ -11,6 +11,9 @@ gate measure the same thing:
   whose curvature jumps at the junction
 - step_midpoint: the explicit midpoint rule of the limit flow, the
   full integrator's first step at zero exchange length
+- step_rk4 / march_rk4: the classic fourth-order rule of the limit flow
+  and a projected uniform-substep march with it, the independent oracle
+  of the limit flow's closed form
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 import sympy as sp
 
 from llx.internal_layer import _sweep
-from llx.limit_model import rhs_limit
+from llx.limit_model import output_times, renormalize, rhs_limit, substeps
 
 
 def full_model_solution():
@@ -109,3 +112,32 @@ def step_midpoint(u: np.ndarray, dt: float) -> np.ndarray:
     unprojected."""
     mid = u + 0.5 * dt * rhs_limit(u)
     return u + dt * rhs_limit(mid)
+
+
+def step_rk4(u: np.ndarray, dt: float) -> np.ndarray:
+    """One classic fourth-order step of the limit flow, unprojected."""
+    k1 = rhs_limit(u)
+    k2 = rhs_limit(u + 0.5 * dt * k1)
+    k3 = rhs_limit(u + 0.5 * dt * k2)
+    k4 = rhs_limit(u + dt * k3)
+    return u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def march_rk4(u0: np.ndarray, T: float, dt: float, t_eval=None):
+    """(times, values) of the limit flow marched by RK4 to T.
+
+    Each interval between output times ({0, T} joined with t_eval) is
+    covered by uniform substeps of size at most dt, each projected back
+    onto the sphere; values[0] is u0 as given.
+    """
+    u0 = np.asarray(u0, dtype=float)
+    times = output_times(T, t_eval)
+    values = np.empty((times.size,) + u0.shape)
+    values[0] = u = u0
+    for k in range(times.size - 1):
+        span = times[k + 1] - times[k]
+        nsub = substeps(span, dt)
+        for _ in range(nsub):
+            u = renormalize(step_rk4(u, span / nsub))
+        values[k + 1] = u
+    return times, values

@@ -82,7 +82,7 @@ def test_criterion_04_limit_flow_closed_form():
     # on the unit sphere the first component obeys a logistic law in
     # v = u1^2: v(t) = v0 e^{-2t} / (1 - v0 + v0 e^{-2t})
     u0 = np.array([0.6, 0.8, 0.0])
-    traj = simulate_limit(u0, T=1.0, dt=1e-3)
+    traj = simulate_limit(u0, T=1.0)
     v0 = u0[0] ** 2
     expect = v0 * np.exp(-2.0) / (1.0 - v0 + v0 * np.exp(-2.0))
     got = float(traj.values[-1, 0] ** 2)

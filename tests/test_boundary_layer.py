@@ -147,7 +147,7 @@ def test_wall_march_validates_shapes():
 def swirl_wall():
     x = param_nodes(16)
     times = make_time_grid(0.05, dt=2.5e-3)
-    ext = extend_limit(named_field("swirl"), x, times, 1e-3)
+    ext = extend_limit(named_field("swirl"), x, times)
     z = make_wall_grid(Z=15.0, cells=96)
     return ext, z, solve_boundary_profile(ext, z)
 
@@ -207,7 +207,7 @@ def test_wall_profile_zero_for_constant_data():
     x = param_nodes(8)
     times = make_time_grid(0.02, dt=5e-3)
     ext = extend_limit(constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0)),
-                       x, times, 1e-3)
+                       x, times)
     z = make_wall_grid(Z=15.0, cells=48)
     prof = solve_boundary_profile(ext, z)
     assert np.max(np.abs(prof.U)) == 0.0

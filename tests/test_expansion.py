@@ -24,7 +24,7 @@ from llx.limit_model import extend_limit, simulate_limit
 def _evolved(vec, times):
     """The limit flow of one constant vector at the given knots."""
     traj = simulate_limit(np.asarray(vec, dtype=float),
-                          T=float(times[-1]), dt=1e-3, t_eval=list(times))
+                          T=float(times[-1]), t_eval=list(times))
     assert traj.times.size == np.size(times)
     return traj.values
 
@@ -584,8 +584,7 @@ def test_stalled_window_cuts_the_horizon(small_cfg, monkeypatch):
     assert pieces.T_used == knots[2 * TIME_BLOCK] < cfg.T
     # the cut pieces are those of a build on the shorter horizon
     short = make_time_grid(pieces.T_used, dt=cfg.dt_knot)
-    ext = extend_limit(data, param_nodes(cfg.param_cells), short,
-                       cfg.dt_full)
+    ext = extend_limit(data, param_nodes(cfg.param_cells), short)
     for name in ("times", "x_param", "u_plus", "u_minus", "du_plus",
                  "du_minus"):
         assert np.array_equal(getattr(pieces.ext, name),

@@ -61,7 +61,7 @@ def jump_setup():
     x = param_nodes(16)
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     times = make_time_grid(0.05, dt=2.5e-3)
-    ext = extend_limit(data, x, times, 1e-3)
+    ext = extend_limit(data, x, times)
     return x, data, times, ext
 
 
@@ -71,7 +71,7 @@ def test_extension_constant_data_closed_form(jump_setup):
     # field must be chi(|x|) times their difference
     traj = simulate_limit(np.array([data(np.array([0.0]), "minus")[0],
                                     data(np.array([0.0]), "plus")[0]]),
-                          T=float(times[-1]), dt=1e-3, t_eval=list(times))
+                          T=float(times[-1]), t_eval=list(times))
     keep = np.isin(traj.times, times)
     c_minus = traj.values[keep][:, 0]
     c_plus = traj.values[keep][:, 1]
@@ -99,7 +99,7 @@ def test_extension_blend_exact_at_neighbor_nodes(jump_setup):
     i0 = int(np.argmin(np.abs(ext.x_param)))
     traj = simulate_limit(np.array([data(np.array([0.0]), "minus")[0],
                                     data(np.array([0.0]), "plus")[0]]),
-                          T=float(times[-1]), dt=1e-3, t_eval=list(times))
+                          T=float(times[-1]), t_eval=list(times))
     keep = np.isin(traj.times, times)
     c_minus = traj.values[keep][:, 0]
     c_plus = traj.values[keep][:, 1]
@@ -119,7 +119,7 @@ def test_extension_symmetric_data_is_jump_free():
     x = param_nodes(8)
     same = constant_per_side((0.6, 0.8, 0.0), (0.6, 0.8, 0.0))
     times = make_time_grid(0.02, dt=5e-3)
-    ext = extend_limit(same, x, times, 1e-3)
+    ext = extend_limit(same, x, times)
     assert np.max(np.abs(ext.delta)) == 0.0
     assert np.max(np.abs(ext.delta_dt)) == 0.0
 
@@ -128,7 +128,7 @@ def test_extension_rejects_nonzero_start():
     x = param_nodes(8)
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     with pytest.raises(ValueError, match="start at 0"):
-        extend_limit(data, x, np.array([0.1, 0.2]), 1e-3)
+        extend_limit(data, x, np.array([0.1, 0.2]))
 
 
 @pytest.mark.parametrize("times", [[0.0, 0.02, 0.01, 0.03],
@@ -139,7 +139,7 @@ def test_extension_rejects_times_not_increasing(times):
     x = param_nodes(8)
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     with pytest.raises(ValueError, match="increase strictly"):
-        extend_limit(data, x, np.array(times), 1e-3)
+        extend_limit(data, x, np.array(times))
 
 
 # --- layer nonlinearity ---
@@ -244,7 +244,7 @@ def test_profiles_zero_jump_columns_are_exact_zero():
     x = param_nodes(8)
     same = constant_per_side((0.6, 0.8, 0.0), (0.6, 0.8, 0.0))
     times = make_time_grid(0.02, dt=5e-3)
-    ext = extend_limit(same, x, times, 1e-3)
+    ext = extend_limit(same, x, times)
     y = make_profile_grid(Y=15.0, cells=64)
     pair = picard_profiles(ext, y, tol=1e-8, max_iter=40)
     assert np.max(np.abs(pair.W)) == 0.0
@@ -281,7 +281,7 @@ def test_profile_column_independent_of_extension_width(jump_setup):
     zero = x[i0:i0 + 1]
     traj = simulate_limit(np.stack([data.branch(zero, "minus"),
                                     data.branch(zero, "plus")]),
-                          T=float(times[-1]), dt=1e-3, t_eval=list(times))
+                          T=float(times[-1]), t_eval=list(times))
     bare = traj.values[np.isin(traj.times, times)][:, :, 0]
     np.testing.assert_array_equal(ext.u_minus[:, i0], bare[:, 0])
     np.testing.assert_array_equal(ext.u_plus[:, i0], bare[:, 1])
@@ -437,7 +437,7 @@ def test_stacked_picard_matches_the_per_column_reference():
     x = param_nodes(16)
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     times = make_time_grid(0.1, dt=5e-3)
-    ext = extend_limit(data, x, times, 1e-3)
+    ext = extend_limit(data, x, times)
     y = make_profile_grid(Y=6.0, cells=48)
     pair = picard_profiles(ext, y, tol=1e-8, max_iter=40)
 

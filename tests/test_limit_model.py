@@ -8,7 +8,8 @@ du1/dt = u1(u1^2 - 1), so with v0 = u1(0)^2
 the transverse part keeps |(u2, u3)| = sqrt(1 - u1^2) and rotates about
 e1 with phase rate u1(t), integrating to asinh of w(t) =
 sqrt(v0/(1-v0)) e^{-t}. Verified below against scipy's adaptive
-integrator before being used to pin the fixed-step marcher.
+integrator before being used to pin the RK4 oracle march and
+simulate_limit, which solves the flow in closed form in its own way.
 """
 
 from __future__ import annotations
@@ -22,10 +23,9 @@ from llx.limit_model import (
     renormalize,
     rhs_limit,
     simulate_limit,
-    step_rk4,
 )
 
-from manufactured import step_midpoint
+from manufactured import march_rk4, step_midpoint, step_rk4
 
 
 def closed_form(u0, t):
@@ -100,11 +100,64 @@ def test_closed_form_with_phase():
 def test_rk4_hits_closed_form():
     # fixed-step marcher against the oracle at the documented tolerance
     u0 = np.array([0.6, 0.8, 0.0])
-    traj = simulate_limit(u0, T=1.0, dt=1e-3)
-    assert np.max(np.abs(traj.values[-1] - closed_form(u0, 1.0))) < 1e-6
+    _, values = march_rk4(u0, T=1.0, dt=1e-3)
+    assert np.max(np.abs(values[-1] - closed_form(u0, 1.0))) < 1e-6
     # the headline number: u1 decays from 0.6 to about 0.266
-    assert traj.values[-1][0] == pytest.approx(closed_form(u0, 1.0)[0],
-                                               abs=1e-9)
+    assert values[-1][0] == pytest.approx(closed_form(u0, 1.0)[0],
+                                          abs=1e-9)
+
+
+def _hard_unit_vectors(n: int, seed: int) -> np.ndarray:
+    """n random unit vectors, the poles, near-pole and u1 = 0 vectors."""
+    rng = np.random.default_rng(seed)
+    near = 1.0 - 1e-12
+    side = np.sqrt(1.0 - near * near)
+    special = np.array([
+        [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+        [near, side, 0.0], [-near, 0.0, side],
+        [near, -0.6 * side, 0.8 * side],
+        [0.0, 1.0, 0.0], [0.0, -0.6, 0.8], [0.0, 0.0, -1.0]])
+    return np.concatenate([renormalize(rng.normal(size=(n, 3))),
+                           renormalize(special)])
+
+
+def test_closed_form_matches_rk4_march():
+    # the exact solution against the independent RK4 oracle, fine steps
+    u0 = _hard_unit_vectors(1000, 25)
+    pts = [0.1, 0.25, 0.5, 0.75]
+    exact = simulate_limit(u0, T=1.0, t_eval=pts)
+    times, marched = march_rk4(u0, T=1.0, dt=1e-3, t_eval=pts)
+    assert np.array_equal(exact.times, times)
+    assert np.max(np.abs(exact.values - marched)) <= 1e-13
+
+
+def test_closed_form_matches_oracle_formula():
+    # the same solution written the test's way (asinh, phase angle);
+    # the oracle's 1 - u1^2 cancels near the poles, so they are left to
+    # the RK4 comparison above
+    u0 = _hard_unit_vectors(200, 26)
+    u0 = u0[np.abs(u0[:, 0]) < 0.999]
+    traj = simulate_limit(u0, T=1.0, t_eval=[0.2, 0.5])
+    for k, t in enumerate(traj.times[1:], 1):
+        want = np.stack([closed_form(u, t) for u in u0])
+        assert np.max(np.abs(traj.values[k] - want)) <= 1e-13
+
+
+def test_non_unit_input_projected_after_t0():
+    # values[0] is u0 as given; every later time lies on the sphere
+    u0 = np.array([[1.2, 1.6, 0.0], [0.0, 0.0, -3.0], [-0.5, 0.1, 0.2]])
+    traj = simulate_limit(u0, T=0.5, t_eval=[0.25])
+    assert np.array_equal(traj.values[0], u0)
+    assert np.allclose(np.linalg.norm(traj.values[1:], axis=-1), 1.0,
+                       atol=1e-15)
+    unit = simulate_limit(renormalize(u0), T=0.5, t_eval=[0.25])
+    assert np.allclose(traj.values[1:], unit.values[1:], rtol=0.0,
+                       atol=1e-15)
+
+
+def test_zero_vector_rejected():
+    with pytest.raises(ValueError, match="zero"):
+        simulate_limit(np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 0.0]]), T=1.0)
 
 
 def test_rk4_preserves_norm():
@@ -142,46 +195,44 @@ def test_vectorized_over_nodes():
     # nodes are independent: a batch run equals per-node runs
     rng = np.random.default_rng(24)
     u0 = renormalize(rng.normal(size=(6, 3)))
-    batch = simulate_limit(u0, T=0.3, dt=0.01)
+    batch = simulate_limit(u0, T=0.3)
     for j in range(6):
-        single = simulate_limit(u0[j], T=0.3, dt=0.01)
+        single = simulate_limit(u0[j], T=0.3)
         assert np.array_equal(batch.values[-1][j], single.values[-1])
 
 
 def test_t_eval_hit_exactly():
     u0 = np.array([0.6, 0.8, 0.0])
     pts = [0.1, 0.25, 0.333, 0.9]
-    traj = simulate_limit(u0, T=1.0, dt=7e-3, t_eval=pts)
+    traj = simulate_limit(u0, T=1.0, t_eval=pts)
     assert traj.times[0] == 0.0
     assert traj.times[-1] == 1.0
     for t in pts:
         assert t in traj.times
     # values at requested times agree with a plain run to that time
     k = list(traj.times).index(0.333)
-    direct = simulate_limit(u0, T=0.333, dt=7e-3)
-    # substep sizes differ between the two runs, so compare to oracle
+    direct = simulate_limit(u0, T=0.333)
+    # each time is solved on its own, so the two runs agree bitwise
+    assert np.array_equal(traj.values[k], direct.values[-1])
     assert np.allclose(traj.values[k], closed_form(u0, 0.333), atol=1e-9)
     assert np.allclose(direct.values[-1], closed_form(u0, 0.333), atol=1e-9)
 
 
 def test_t_eval_outside_range_rejected():
     with pytest.raises(ValueError, match="outside"):
-        simulate_limit(np.array([0.6, 0.8, 0.0]), T=1.0, dt=0.1,
-                       t_eval=[1.5])
+        simulate_limit(np.array([0.6, 0.8, 0.0]), T=1.0, t_eval=[1.5])
 
 
 def test_bad_steps_rejected():
     u0 = np.array([0.0, 1.0, 0.0])
     with pytest.raises(ValueError, match="positive"):
-        simulate_limit(u0, T=-1.0, dt=0.1)
-    with pytest.raises(ValueError, match="positive"):
-        simulate_limit(u0, T=1.0, dt=0.0)
+        simulate_limit(u0, T=-1.0)
 
 
 def test_determinism():
     u0 = np.array([0.6, 0.8, 0.0])
-    a = simulate_limit(u0, T=0.7, dt=3e-3)
-    b = simulate_limit(u0, T=0.7, dt=3e-3)
+    a = simulate_limit(u0, T=0.7)
+    b = simulate_limit(u0, T=0.7)
     assert np.array_equal(a.values, b.values)
 
 
