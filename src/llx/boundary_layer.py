@@ -70,6 +70,13 @@ def linearized_reaction_matrix(u0: np.ndarray, H0: np.ndarray) -> np.ndarray:
 
 # === the stacked march ===
 
+def _ramp_end(times: np.ndarray) -> int:
+    """Level where the graded opening steps end: the first step of the
+    longest length starts there (0 on a grid without a ramp)."""
+    dts = np.diff(times)
+    return int(np.argmax(dts >= (1.0 - 1e-12) * dts.max()))
+
+
 def march_wall(z: np.ndarray, times: np.ndarray, u0: np.ndarray,
                g: np.ndarray, source: Optional[np.ndarray] = None
                ) -> np.ndarray:
@@ -106,8 +113,7 @@ def march_wall(z: np.ndarray, times: np.ndarray, u0: np.ndarray,
     # graded opening steps run backward Euler: the start U = 0 cannot
     # carry the wall flux, and on the fine wall cells Crank-Nicolson
     # leaves that incompatibility ringing instead of damping it
-    dts = np.diff(times)
-    first_full = int(np.argmax(dts >= (1.0 - 1e-12) * dts.max()))
+    first_full = _ramp_end(times)
 
     U = np.zeros((nt, u0.shape[1], nz, 3))
     for k in range(nt - 1):
@@ -173,15 +179,13 @@ class BoundaryProfile:
     def neumann_defect(self) -> float:
         """Mismatch between dU/dz at z = 0 and the applied data.
 
-        Levels inside the opening cell are excluded: the zero start
-        carries no flux, and the graded opening steps absorb the
-        switch-on before the first full step ends.
+        The start level and the graded opening levels after it are
+        excluded: the zero start carries no flux, and the opening steps
+        absorb the switch-on.
         """
         if self.U.size == 0:
             return 0.0
-        dts = np.diff(self.times)
-        start = int(np.searchsorted(self.times,
-                                    (1.0 - 1e-12) * dts.max()))
+        start = max(_ramp_end(self.times), 1)
         stack = np.moveaxis(self.U, 2, 0)
         slope = one_sided_d1(self.z, stack, "left")
         return float(np.max(np.abs(slope - self.g_data)[start:]))

@@ -33,10 +33,10 @@ from . import __version__
 from .config import RunConfig, config_hash, default_config_text, load_config
 from .errors import ConfigError, SolverAbort
 from .expansion import (ExpansionAnsatz, build_expansion_pieces,
-                        convergence_study, knot_times)
+                        convergence_study)
 from .full_model import (FullModelConfig, make_epsilon_grid, residual_report,
                          simulate_full)
-from .geometry import param_nodes
+from .geometry import knot_times, param_nodes
 from .limit_model import simulate_limit
 from .reporting import (fmt, render_loglog_svg, write_convergence_csv,
                         write_csv, write_text)
@@ -63,10 +63,10 @@ def cmd_limit(cfg: RunConfig, args, out_dir: str) -> int:
     x = param_nodes(cfg.study.param_cells)
     times = knot_times(cfg.study.T, cfg.study.dt_knot)
     u0 = np.stack([cfg.data(x, "minus"), cfg.data(x, "plus")])
-    traj = simulate_limit(u0, cfg.study.T, t_eval=list(times))
+    values = simulate_limit(u0, times)
     rows = [
-        [t, xi] + list(traj.values[k, 0, i]) + list(traj.values[k, 1, i])
-        for k, t in enumerate(traj.times)
+        [t, xi] + list(values[k, 0, i]) + list(values[k, 1, i])
+        for k, t in enumerate(times)
         for i, xi in enumerate(x)
     ]
     path = os.path.join(out_dir, "limit.csv")

@@ -29,9 +29,9 @@ records the distance to the limit state, the ansatz residual, and the
 conormal (E-class) norms of (u - a) / eps at orders 0 and m in one pass.
 
 Contains:
-- ExpansionPieces / build_expansion_pieces: the eps-independent half
+- ExpansionPieces / build_expansion_pieces: the eps-independent half,
+  on geometry.time_grid; its horizon T_used is the grid's last level
 - ExpansionAnsatz: the pieces sampled at one eps
-- knot_times: the knot times of a horizon
 - jump_error_l2: the space-time distance to a two-valued state
 - EClassNorms / eclass_norms: conormal norm records
 - StudyConfig / ConvergenceReport / convergence_study: the experiment
@@ -52,9 +52,10 @@ from .errors import ConfigError, NonContraction
 from .fields import MagnetizationField
 from .full_model import (FullModelConfig, l2_space_time, make_epsilon_grid,
                          residual_report, simulate_full)
-from .geometry import (conormal_weight, in_v_sigma, make_profile_grid,
-                       make_wall_grid, param_nodes, profile_d1, theta)
-from .internal_layer import ProfilePair, make_time_grid, picard_profiles
+from .geometry import (conormal_weight, in_v_sigma, knot_times,
+                       make_profile_grid, make_wall_grid, param_nodes,
+                       profile_d1, theta, time_grid)
+from .internal_layer import ProfilePair, picard_profiles
 from .interp import (contract_columns, natural_spline_coeffs, spline_eval,
                      x_resample)
 from .limit_model import (ExtendedLimit, extend_limit, renormalize,
@@ -91,11 +92,9 @@ class ExpansionAnsatz:
     def knot_index(self, t: float) -> int:
         """Index of t among the stored knots; off-knot times are errors."""
         times = self.times
-        scale = max(1.0, float(times[-1]))
         k = int(np.searchsorted(times, t))
-        for cand in (k - 1, k, k + 1):
-            if 0 <= cand < times.size and abs(times[cand] - t) <= 1e-9 * scale:
-                return cand
+        if k < times.size and times[k] == t:
+            return k
         raise ValueError(
             f"time {t!r} is not a stored knot (spacing "
             f"{np.max(np.diff(times)):g}, end {times[-1]:g})")
@@ -411,11 +410,6 @@ class StudyConfig:
                               f"got {self.eclass_m}")
 
 
-def knot_times(T: float, dt_knot: float) -> np.ndarray:
-    """The knots 0, dt_knot, ..., T at which profiles and outputs live."""
-    return np.arange(int(round(T / dt_knot)) + 1) * dt_knot
-
-
 @dataclass(frozen=True)
 class ExpansionPieces:
     """The eps-independent half of the experiment.
@@ -430,7 +424,11 @@ class ExpansionPieces:
     boundary: BoundaryProfile
     g_minus: np.ndarray
     g_plus: np.ndarray
-    T_used: float
+
+    @property
+    def T_used(self) -> float:
+        """The horizon the pieces reach: the last level of their grid."""
+        return float(self.ext.times[-1])
 
 
 @dataclass(frozen=True)
@@ -467,18 +465,17 @@ def build_expansion_pieces(data: MagnetizationField,
     on that horizon: its knots, limit values and windows are a prefix.
     The report carries the shortened horizon. The wall layer validates.
     """
-    T_used = float(cfg.T)
     y = make_profile_grid(Y=cfg.box_y, cells=cfg.profile_cells)
     ext = extend_limit(data, param_nodes(cfg.param_cells),
-                       make_time_grid(T_used, dt=cfg.dt_knot))
+                       time_grid(cfg.T, dt=cfg.dt_knot))
     try:
         pair = picard_profiles(ext, y, tol=cfg.picard_tol,
                                max_iter=cfg.picard_max_iter)
     except NonContraction as exc:
-        T_used = float(np.floor(exc.t_converged / cfg.dt_knot) * cfg.dt_knot)
-        if T_used < 4.0 * cfg.dt_knot:
+        # a window opens on a knot, a level of the grid the cut keeps
+        if exc.t_converged < 4.0 * cfg.dt_knot:
             raise
-        n = int(np.searchsorted(ext.times, T_used, side="right"))
+        n = int(np.searchsorted(ext.times, exc.t_converged, side="right"))
         ext = _head(ext, n, "u_plus", "u_minus", "du_plus", "du_minus")
         pair = _head(exc.profiles, n, "W", "delta", "full_delta")
     z = make_wall_grid(Z=cfg.box_z, cells=cfg.wall_cells)
@@ -486,7 +483,7 @@ def build_expansion_pieces(data: MagnetizationField,
     boundary.validate()
     g_minus, g_plus = wall_slopes(boundary)
     return ExpansionPieces(ext=ext, profiles=pair, boundary=boundary,
-                           g_minus=g_minus, g_plus=g_plus, T_used=T_used)
+                           g_minus=g_minus, g_plus=g_plus)
 
 
 def _head(obj, n: int, *names: str):
@@ -507,7 +504,7 @@ def _epsilon_row(task) -> dict:
     fcfg = FullModelConfig(epsilon=eps, dt=cfg.dt_full, T=pieces.T_used,
                            drift_tol=cfg.drift_tol)
     traj = simulate_full(u_init, grid, fcfg, t_eval=times_eval)
-    if not np.allclose(traj.times, times_eval):
+    if not np.array_equal(traj.times, times_eval):
         raise RuntimeError("solver output times drifted off the knots")
 
     # each node's limit trajectory once: the minus data up to the
@@ -515,9 +512,9 @@ def _epsilon_row(task) -> dict:
     i0 = int(np.searchsorted(grid.x, 0.0))
     limit_init = np.concatenate([data(grid.x[:i0 + 1], "minus"),
                                  data(grid.x[i0:], "plus")])
-    limit = simulate_limit(limit_init, pieces.T_used, t_eval=times_eval)
+    limit = simulate_limit(limit_init, times_eval)
     err = jump_error_l2(times_eval, grid.x, traj.values,
-                        limit.values[:, :i0 + 1], limit.values[:, i0 + 1:])
+                        limit[:, :i0 + 1], limit[:, i0 + 1:])
 
     res = residual_report(times_eval, a_vals, grid, eps)
     w = (traj.values - a_vals) / eps

@@ -25,6 +25,8 @@ step the explicit midpoint rule.
 
 Contains:
 - Grid1D / make_epsilon_grid: single-valued meshes, layer-refined
+- output_times / substeps: a run's output times, {0, T} joined with
+  requested ones, and the nominal substep count of one output interval
 - FullModelConfig, step_full, simulate_full, FullTrajectory
 - l2_space_time: composite-trapezoid space-time L2 norm
 - residual_report / ResidualReport: a-posteriori defect of any
@@ -42,8 +44,7 @@ from .banded import block_tridiag_solve, cross, inv_id_plus_cross, norm3
 from .errors import SolverAbort
 from .geometry import (apply_tridiagonal_stencil, d1_coefficients,
                        d2_coefficients, mirrored, nodes, one_sided_d1)
-from .limit_model import (F_rhs, output_times, renormalize as project_sphere,
-                          substeps)
+from .limit_model import F_rhs, renormalize as project_sphere
 from .strayfield import stray_field_slab
 
 
@@ -102,6 +103,27 @@ def make_epsilon_grid(epsilon: float, cells_per_eps: int) -> Grid1D:
 
 
 # === time stepping ===
+
+def output_times(T: float, t_eval: Optional[Sequence[float]]) -> np.ndarray:
+    """Sorted output times: {0, T} joined with t_eval.
+
+    Requested times must lie in [0, T]; one overshooting T by rounding
+    (1e-12 relative) is taken as T.
+    """
+    marks = {0.0, float(T)}
+    if t_eval is not None:
+        for t in t_eval:
+            t = float(t)
+            if not 0.0 <= t <= T + 1e-12 * max(1.0, T):
+                raise ValueError(f"output time {t} outside [0, {T}]")
+            marks.add(min(t, float(T)))
+    return np.array(sorted(marks))
+
+
+def substeps(span: float, dt: float) -> int:
+    """Number of uniform substeps of size at most dt covering span."""
+    return max(1, int(np.ceil(span / dt - 1e-12)))
+
 
 # consecutive halvings of one step the drift guard allows before the
 # run aborts

@@ -2,7 +2,8 @@
 
 Every mesh of the slab problem is assembled the same way: cumulative
 cell widths from 0, the last node pinned to the exact end, and the
-two-sided meshes mirrored through 0 with the interface node once.
+two-sided meshes mirrored through 0 with the interface node once. The
+time grids are built here too, their last level pinned to the horizon.
 
 Contains:
 - quintic_smoothstep: the C2 polynomial ramp used by every cutoff here
@@ -101,6 +102,32 @@ def make_profile_grid(Y: float, cells: int) -> np.ndarray:
 def make_wall_grid(Z: float, cells: int) -> np.ndarray:
     """Graded z-mesh on [0, Z] (graded_widths), finest at the wall z = 0."""
     return nodes(graded_widths(Z, cells), Z)
+
+
+def knot_times(T: float, dt: float) -> np.ndarray:
+    """Uniform knots 0, dt, 2 dt, ... up to T, the last one pinned to T.
+
+    A multiple of dt within rounding of T gives way to T, so no step is
+    a rounding sliver; a T that is no multiple of dt ends on a short
+    step.
+    """
+    if T <= 0.0 or dt <= 0.0:
+        raise ValueError(f"need positive T and dt, got T={T}, dt={dt}")
+    knots = dt * np.arange(int(np.floor(T / dt + 1e-9)) + 1)
+    return np.append(knots[knots < T - 1e-12 * max(T, 1.0)], T)
+
+
+def time_grid(T: float, dt: float) -> np.ndarray:
+    """knot_times(T, dt) with the first knot cell subdivided.
+
+    The first cell is split into binary pieces c/64, c/64, c/32, ...,
+    c/2 that sum exactly to c = min(dt, T), so the knots are levels of
+    the grid, bit for bit; the tiny opening steps absorb the start-up
+    stiffness of discontinuous data.
+    """
+    knots = knot_times(T, dt)
+    ramp = min(dt, T) * 2.0 ** np.arange(6) / 64.0
+    return np.concatenate([[0.0], ramp, knots[1:]])
 
 
 # === stencils ===

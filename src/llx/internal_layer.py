@@ -25,11 +25,12 @@ interior rows premultiplied by (I + [V_pm + W]x)^-1 so that neighbours
 couple by scalars. Information
 flows forward in time, so the iteration converges one window of a few
 time levels before the next; the first window that stops contracting
-bounds the horizon. The active columns march together, stacked into
-one banded solve per time step, and leave a window once converged.
+bounds the horizon. The levels are geometry.time_grid's, whose binary
+opening steps absorb the start-up stiffness of discontinuous data. The
+active columns march together, stacked into one banded solve per time
+step, and leave a window once converged.
 
 Contains:
-- make_time_grid: binary start-up ramp inside the first uniform cell
 - F_pm: the increment F(u0+U, V, H0-(U.e1)e1) - F(u0, 0, H0) of
   limit_model.F_rhs
 - _sweep: one Crank-Nicolson march of stacked columns (a Picard sweep)
@@ -49,27 +50,6 @@ from .geometry import (apply_tridiagonal_stencil, d2_coefficients,
                        in_v_sigma, one_sided_d1, profile_d1)
 from .limit_model import ExtendedLimit, F_rhs, precession_rhs
 from .strayfield import layer_correction, stray_field_slab
-
-
-# === time grid ===
-
-def make_time_grid(T: float, dt: float) -> np.ndarray:
-    """Output times 0..T: uniform steps dt, the first cell subdivided.
-
-    The first dt-cell is split into binary pieces dt/64, dt/64, dt/32,
-    ..., dt/2 that sum exactly to dt, so every multiple of dt stays a
-    grid time; the tiny opening steps absorb the start-up stiffness of
-    discontinuous data. A uniform knot within rounding of T gives way
-    to T, so no step is a rounding sliver.
-    """
-    if T <= 0.0 or dt <= 0.0:
-        raise ValueError(f"need positive T and dt, got T={T}, dt={dt}")
-    dt = min(dt, T)
-    ramp = dt * 2.0 ** np.arange(7) / 64.0
-    n = int(np.floor(T / dt + 1e-9))
-    uniform = dt * np.arange(n + 1)
-    times = np.unique(np.concatenate([[0.0], ramp, uniform]))
-    return np.append(times[times < T - 1e-12 * max(T, 1.0)], T)
 
 
 # === profile nonlinearity ===

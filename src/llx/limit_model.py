@@ -13,9 +13,7 @@ Contains:
 - F_rhs: the reaction term |V|^2 u + u x H - u x (u x H)
 - rhs_limit: the same with the slab stray field substituted
 - renormalize: projection onto the unit sphere
-- output_times: the output times {0, T} joined with requested ones
-- substeps: the uniform substep count of one output interval
-- simulate_limit: the exact solution at T and requested output times
+- simulate_limit: the exact solution on a given time grid
 - ExtendedLimit / extend_limit: one-sided limit states extended across
   the interface by branch continuation and cutoff blending, with exact
   time derivatives
@@ -24,7 +22,6 @@ Contains:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -60,56 +57,23 @@ def renormalize(u: np.ndarray) -> np.ndarray:
     return u / norms
 
 
-@dataclass(frozen=True)
-class LimitTrajectory:
-    """Limit-flow values on a set of output times.
+def simulate_limit(u0: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """The limit flow's exact solution at times: (nt,) + u0.shape.
 
-    values[k] is the magnetization array at times[k]; the trailing axis
-    is the 3-vector, the leading axes are whatever the initial data had.
+    times must start at 0 and increase strictly. values[0] is u0 as
+    given; every later time is the solution from u = renormalize(u0).
+    With a = |u1|, rho^2 = u2^2 + u3^2, ae = a e^{-t} and
+    D = sqrt(rho^2 + ae^2), u1(t) = sign(u1) ae / D, and (u2, u3) is
+    scaled by 1/D and turned by phi = sign(u1) log((1 + a) / (ae + D)),
+    the integral of u1 (for unit u it equals asinh(u1 / rho) -
+    asinh(u1 e^{-t} / rho)). No division by rho, so the fixed points
+    +-e1 need no guard.
     """
-
-    times: np.ndarray
-    values: np.ndarray
-
-
-def output_times(T: float, t_eval: Optional[Sequence[float]]) -> np.ndarray:
-    """Sorted output times: {0, T} joined with t_eval.
-
-    Requested times must lie in [0, T]; one overshooting T by rounding
-    (1e-12 relative) is taken as T.
-    """
-    marks = {0.0, float(T)}
-    if t_eval is not None:
-        for t in t_eval:
-            t = float(t)
-            if not 0.0 <= t <= T + 1e-12 * max(1.0, T):
-                raise ValueError(f"output time {t} outside [0, {T}]")
-            marks.add(min(t, float(T)))
-    return np.array(sorted(marks))
-
-
-def substeps(span: float, dt: float) -> int:
-    """Number of uniform substeps of size at most dt covering span."""
-    return max(1, int(np.ceil(span / dt - 1e-12)))
-
-
-def simulate_limit(u0: np.ndarray, T: float,
-                   t_eval: Optional[Sequence[float]] = None
-                   ) -> LimitTrajectory:
-    """The limit flow's exact solution at the output times.
-
-    Output times are {0, T} joined with t_eval. values[0] is u0 as given;
-    every later time is the solution from u = renormalize(u0). With
-    a = |u1|, rho^2 = u2^2 + u3^2, ae = a e^{-t} and D = sqrt(rho^2 + ae^2),
-    u1(t) = sign(u1) ae / D, and (u2, u3) is scaled by 1/D and turned by
-    phi = sign(u1) log((1 + a) / (ae + D)), the integral of u1 (for unit u
-    it equals asinh(u1 / rho) - asinh(u1 e^{-t} / rho)). No division by
-    rho, so the fixed points +-e1 need no guard.
-    """
-    if T <= 0.0:
-        raise ValueError(f"final time must be positive, got {T}")
+    times = np.asarray(times, dtype=float)
+    if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
+        raise ValueError(f"times must start at 0 and increase strictly, "
+                         f"got {times.tolist()}")
     u0 = np.asarray(u0, dtype=float)
-    times = output_times(T, t_eval)
 
     u = renormalize(u0)
     sign = np.sign(u[..., 0])
@@ -125,7 +89,7 @@ def simulate_limit(u0: np.ndarray, T: float,
         values[k, ..., 0] = sign * ae / D
         values[k, ..., 1] = c * u[..., 1] - s * u[..., 2]
         values[k, ..., 2] = s * u[..., 1] + c * u[..., 2]
-    return LimitTrajectory(times=times, values=values)
+    return values
 
 
 # === the limit flow extended across the interface ===
@@ -174,17 +138,12 @@ def extend_limit(data: MagnetizationField, x: np.ndarray,
     |x| < 0.35 is fixed.
     """
     times = np.asarray(times, dtype=float)
-    if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
-        raise ValueError(f"times must start at 0 and increase strictly, "
-                         f"got {times.tolist()}")
     i_zero = int(np.argmin(np.abs(x)))
     if x[i_zero] != 0.0:
         raise ValueError("parameter mesh must contain the interface node")
 
     u_init = np.stack([data.branch(x, "minus"), data.branch(x, "plus")])
-    # strictly increasing from 0, so the output times are exactly times
-    vals = simulate_limit(u_init, T=float(times[-1]),
-                          t_eval=list(times)).values
+    vals = simulate_limit(u_init, times)
     v_minus, v_plus = vals[:, 0], vals[:, 1]
     r_minus, r_plus = rhs_limit(v_minus), rhs_limit(v_plus)
 

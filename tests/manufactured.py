@@ -21,8 +21,9 @@ from __future__ import annotations
 import numpy as np
 import sympy as sp
 
+from llx.full_model import output_times, substeps
 from llx.internal_layer import _sweep
-from llx.limit_model import output_times, renormalize, rhs_limit, substeps
+from llx.limit_model import renormalize, rhs_limit
 
 
 def full_model_solution():

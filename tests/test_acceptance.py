@@ -82,10 +82,10 @@ def test_criterion_04_limit_flow_closed_form():
     # on the unit sphere the first component obeys a logistic law in
     # v = u1^2: v(t) = v0 e^{-2t} / (1 - v0 + v0 e^{-2t})
     u0 = np.array([0.6, 0.8, 0.0])
-    traj = simulate_limit(u0, T=1.0)
+    values = simulate_limit(u0, [0.0, 1.0])
     v0 = u0[0] ** 2
     expect = v0 * np.exp(-2.0) / (1.0 - v0 + v0 * np.exp(-2.0))
-    got = float(traj.values[-1, 0] ** 2)
+    got = float(values[-1, 0] ** 2)
     err = abs(got - expect)
     _check(4, err <= 1e-6,
            f"u1(1)^2 = {got:.9f} vs closed form {expect:.9f}, "

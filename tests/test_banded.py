@@ -19,8 +19,7 @@ from llx.banded import (
     norm3,
 )
 from llx.errors import SolverAbort
-from llx.geometry import make_profile_grid, make_wall_grid
-from llx.internal_layer import make_time_grid
+from llx.geometry import make_profile_grid, make_wall_grid, time_grid
 
 
 def _dense(lower, B, upper):
@@ -237,14 +236,14 @@ def test_every_march_passes_scalar_couplings(monkeypatch):
     full_model.step_full(u, u, 0.0, 1e-3, full_model._Workspace(grid), cfg)
 
     y = make_profile_grid(Y=6.0, cells=16)
-    times = make_time_grid(0.01, dt=5e-3)[:3]
+    times = time_grid(0.01, dt=5e-3)[:3]
     levels = (times.size, 2, y.size, 3)
     internal_layer._sweep(y, times, np.zeros(levels[1:]),
                           rng.normal(size=levels), rng.normal(size=levels),
                           rng.normal(size=levels))
 
     z = make_wall_grid(Z=12.0, cells=16)
-    times = make_time_grid(0.01, dt=5e-3)
+    times = time_grid(0.01, dt=5e-3)
     boundary_layer.march_wall(z, times, rng.normal(size=(times.size, 2, 3)),
                               rng.normal(size=(times.size, 2, 3)))
 

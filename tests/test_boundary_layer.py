@@ -11,8 +11,9 @@ from llx.boundary_layer import (BoundaryProfile, linearized_reaction_matrix,
 from llx.errors import ValidationError
 from llx.fields import constant_per_side, named_field
 from llx.geometry import (apply_tridiagonal_stencil, d2_coefficients,
-                          make_wall_grid, one_sided_d1, param_nodes, theta)
-from llx.internal_layer import F_pm, make_time_grid
+                          make_wall_grid, one_sided_d1, param_nodes, theta,
+                          time_grid)
+from llx.internal_layer import F_pm
 from llx.limit_model import extend_limit
 from llx.strayfield import E1, stray_field_slab
 
@@ -116,7 +117,7 @@ def test_wall_march_corefined_second_order():
 
 def test_wall_march_linearity():
     z = make_wall_grid(Z=12.0, cells=64)
-    times = make_time_grid(0.05, dt=5e-3)
+    times = time_grid(0.05, dt=5e-3)
     u0 = np.tile([0.6, 0.8, 0.0], (times.size, 1))
     g = np.sin(times)[:, None] * np.array([0.2, -0.1, 0.4])
     U1 = march_wall(z, times, u0[:, None], g[:, None])
@@ -127,7 +128,7 @@ def test_wall_march_linearity():
 
 def test_wall_march_zero_data_is_zero():
     z = make_wall_grid(Z=12.0, cells=64)
-    times = make_time_grid(0.05, dt=5e-3)
+    times = time_grid(0.05, dt=5e-3)
     u0 = np.tile([0.6, 0.8, 0.0], (times.size, 1))
     U = march_wall(z, times, u0[:, None], np.zeros((times.size, 1, 3)))
     assert np.max(np.abs(U)) == 0.0
@@ -135,7 +136,7 @@ def test_wall_march_zero_data_is_zero():
 
 def test_wall_march_validates_shapes():
     z = make_wall_grid(Z=12.0, cells=64)
-    times = make_time_grid(0.05, dt=5e-3)
+    times = time_grid(0.05, dt=5e-3)
     u0 = np.tile([0.6, 0.8, 0.0], (times.size, 1))
     with pytest.raises(ValueError, match="nt, ncols, 3"):
         march_wall(z, times, u0[:-1, None], np.zeros((times.size, 1, 3)))
@@ -146,7 +147,7 @@ def test_wall_march_validates_shapes():
 @pytest.fixture(scope="module")
 def swirl_wall():
     x = param_nodes(16)
-    times = make_time_grid(0.05, dt=2.5e-3)
+    times = time_grid(0.05, dt=2.5e-3)
     ext = extend_limit(named_field("swirl"), x, times)
     z = make_wall_grid(Z=15.0, cells=96)
     return ext, z, solve_boundary_profile(ext, z)
@@ -205,7 +206,7 @@ def test_wall_profile_supported_at_walls_only(swirl_wall):
 
 def test_wall_profile_zero_for_constant_data():
     x = param_nodes(8)
-    times = make_time_grid(0.02, dt=5e-3)
+    times = time_grid(0.02, dt=5e-3)
     ext = extend_limit(constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0)),
                        x, times)
     z = make_wall_grid(Z=15.0, cells=48)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import xml.etree.ElementTree as ET
 
@@ -148,6 +149,35 @@ def test_limit_output(tiny_cfg, tmp_path):
     header = [l for l in lines if not l.startswith("#")][0]
     assert header == "t,x,u1_minus,u2_minus,u3_minus,u1_plus,u2_plus,u3_plus"
     assert len(lines) > 10
+
+
+# 11 * 0.03 falls one ulp short of 0.33, and the knots must still end on T
+ULP_SHORT = ["--tol-override", "study.T=0.33",
+             "--tol-override", "study.dt_knot=0.03"]
+
+
+def test_limit_knots_end_on_T(tiny_cfg, tmp_path):
+    out = tmp_path / "o"
+    assert main(["limit", "--config", tiny_cfg, "--out", str(out)]
+                + ULP_SHORT) == 0
+    body = [l.split(",") for l in _read(out / "limit.csv").splitlines()
+            if not l.startswith("#")][1:]
+    # 12 knots of 33 parameter nodes each
+    assert len(body) == 12 * 33
+    times = sorted({float(row[0]) for row in body})
+    assert len(times) == 12 and times[-1] == 0.33
+
+
+def test_converge_knots_end_on_T(tiny_cfg, tmp_path):
+    out = tmp_path / "o"
+    assert main(["converge", "--config", tiny_cfg, "--out", str(out)]
+                + ULP_SHORT) == 0
+    body = [l.split(",") for l in _read(out / "report.csv").splitlines()
+            if not l.startswith("#")][1:]
+    assert len(body) == 3
+    # slope_running is nan in the first row by definition
+    assert all(math.isfinite(float(v)) for row in body
+               for i, v in enumerate(row) if i != 3)
 
 
 def test_full_output(tiny_cfg, tmp_path):

@@ -15,18 +15,15 @@ from llx.expansion import (EClassNorms, ExpansionAnsatz, StudyConfig,
 from llx.fields import constant_per_side, named_field
 from llx.full_model import l2_space_time
 from llx.geometry import (in_v_sigma, make_profile_grid, param_nodes,
-                          profile_d1, theta)
-from llx.internal_layer import TIME_BLOCK, make_time_grid, picard_profiles
+                          profile_d1, theta, time_grid)
+from llx.internal_layer import TIME_BLOCK, picard_profiles
 from llx.interp import natural_spline_coeffs, x_resample
 from llx.limit_model import extend_limit, simulate_limit
 
 
 def _evolved(vec, times):
     """The limit flow of one constant vector at the given knots."""
-    traj = simulate_limit(np.asarray(vec, dtype=float),
-                          T=float(times[-1]), t_eval=list(times))
-    assert traj.times.size == np.size(times)
-    return traj.values
+    return simulate_limit(np.asarray(vec, dtype=float), times)
 
 
 def _sample(ansatz, t, x):
@@ -580,10 +577,10 @@ def test_stalled_window_cuts_the_horizon(small_cfg, monkeypatch):
     stalling = _stalling_profiles(2 * TIME_BLOCK + 3)
     monkeypatch.setattr(expansion, "picard_profiles", stalling)
     pieces = build_expansion_pieces(data, cfg)
-    knots = make_time_grid(cfg.T, dt=cfg.dt_knot)
+    knots = time_grid(cfg.T, dt=cfg.dt_knot)
     assert pieces.T_used == knots[2 * TIME_BLOCK] < cfg.T
     # the cut pieces are those of a build on the shorter horizon
-    short = make_time_grid(pieces.T_used, dt=cfg.dt_knot)
+    short = time_grid(pieces.T_used, dt=cfg.dt_knot)
     ext = extend_limit(data, param_nodes(cfg.param_cells), short)
     for name in ("times", "x_param", "u_plus", "u_minus", "du_plus",
                  "du_minus"):
@@ -596,6 +593,14 @@ def test_stalled_window_cuts_the_horizon(small_cfg, monkeypatch):
     assert np.array_equal(pieces.profiles.W, pair.W)
     assert pieces.profiles.residual_trace == pair.residual_trace
     assert np.array_equal(pieces.boundary.times, short)
+    # a window opening at level 64 = 58 dt keeps its knot, which
+    # floor(t / dt) dt would round down to 57 dt
+    monkeypatch.setattr(expansion, "picard_profiles",
+                        _stalling_profiles(8 * TIME_BLOCK + 3))
+    cfg = replace(small_cfg, T=0.2)
+    pieces = build_expansion_pieces(data, cfg)
+    assert pieces.T_used == time_grid(cfg.T, dt=cfg.dt_knot)[8 * TIME_BLOCK]
+    assert pieces.T_used == 0.145
 
 
 def test_stall_before_four_knot_cells_aborts(small_cfg, monkeypatch):

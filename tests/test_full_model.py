@@ -22,8 +22,9 @@ from llx.full_model import (
     make_epsilon_grid,
     residual_report,
     simulate_full,
+    substeps,
 )
-from llx.limit_model import F_rhs, renormalize, rhs_limit, substeps
+from llx.limit_model import F_rhs, renormalize, rhs_limit
 
 from manufactured import full_model_solution, step_midpoint
 

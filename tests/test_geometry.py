@@ -16,6 +16,7 @@ from llx.geometry import (
     d2_coefficients,
     graded_widths,
     in_v_sigma,
+    knot_times,
     make_profile_grid,
     make_wall_grid,
     one_sided_d1,
@@ -23,6 +24,7 @@ from llx.geometry import (
     profile_d1,
     quintic_smoothstep,
     theta,
+    time_grid,
 )
 
 
@@ -105,6 +107,26 @@ def test_wall_grid_validation():
         make_wall_grid(Z=15.0, cells=4)
     with pytest.raises(ValueError, match="length > 0"):
         make_wall_grid(Z=0.0, cells=96)
+
+
+# --- time grids ---
+
+@pytest.mark.parametrize("T, dt", [(0.33, 0.03), (0.9, 0.03), (0.9, 0.3)])
+def test_knot_times_end_on_T(T, dt):
+    # dt * n falls one ulp short of these T; the last knot is T itself
+    knots = knot_times(T, dt)
+    assert knots[-1] == T
+    assert knots.size == round(T / dt) + 1
+    np.testing.assert_allclose(np.diff(knots), dt, rtol=1e-9)
+
+
+@pytest.mark.parametrize("T, dt", [(0.5, 2.5e-3), (0.33, 0.03),
+                                   (0.9, 0.3), (0.0212, 5e-3), (0.01, 0.02)])
+def test_time_grid_levels_are_the_knots(T, dt):
+    grid = time_grid(T, dt)
+    assert np.all(np.diff(grid) > 0.0)
+    # without the opening ramp's 6 levels the grid is the knots, bitwise
+    assert np.array_equal(np.delete(grid, np.s_[1:7]), knot_times(T, dt))
 
 
 # --- stencils ---

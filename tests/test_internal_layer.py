@@ -8,9 +8,8 @@ from llx.errors import NonContraction, SolverAbort, ValidationError
 from llx.fields import constant_per_side
 from llx.geometry import (apply_tridiagonal_stencil, chi_sigma,
                           d2_coefficients, in_v_sigma, make_profile_grid,
-                          one_sided_d1, param_nodes, profile_d1)
-from llx.internal_layer import (TIME_BLOCK, F_pm, make_time_grid,
-                                picard_profiles, _picard)
+                          one_sided_d1, param_nodes, profile_d1, time_grid)
+from llx.internal_layer import TIME_BLOCK, F_pm, picard_profiles, _picard
 from llx.limit_model import F_rhs, extend_limit, rhs_limit, simulate_limit
 from llx.strayfield import E1, stray_field_slab
 
@@ -21,7 +20,7 @@ from manufactured import march_column, transmission_march_error
 
 def test_time_grid_binary_ramp():
     dt = 2.5e-3
-    tg = make_time_grid(0.02, dt=dt)
+    tg = time_grid(0.02, dt=dt)
     assert tg[0] == 0.0 and tg[-1] == 0.02
     steps = np.diff(tg)
     # opening steps: dt/64, dt/64, dt/32, ..., dt/2, then uniform dt
@@ -34,20 +33,20 @@ def test_time_grid_binary_ramp():
 
 
 def test_time_grid_ragged_end_and_validation():
-    tg = make_time_grid(0.0212, dt=5e-3)
+    tg = time_grid(0.0212, dt=5e-3)
     assert tg[-1] == 0.0212
     assert np.all(np.diff(tg) > 0)
     with pytest.raises(ValueError, match="positive"):
-        make_time_grid(-1.0, dt=2.5e-3)
+        time_grid(-1.0, dt=2.5e-3)
     with pytest.raises(ValueError, match="positive"):
-        make_time_grid(1.0, dt=0.0)
+        time_grid(1.0, dt=0.0)
 
 
 @pytest.mark.parametrize("T", [0.35, 0.7])
 def test_time_grid_has_no_rounding_sliver_before_T(T):
     # dt * n misses these T by one ulp; the near-duplicate knot goes
     dt = 2.5e-3
-    tg = make_time_grid(T, dt=dt)
+    tg = time_grid(T, dt=dt)
     assert tg[-1] == T
     steps = np.diff(tg)
     assert steps.min() == dt / 64.0
@@ -60,7 +59,7 @@ def test_time_grid_has_no_rounding_sliver_before_T(T):
 def jump_setup():
     x = param_nodes(16)
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
-    times = make_time_grid(0.05, dt=2.5e-3)
+    times = time_grid(0.05, dt=2.5e-3)
     ext = extend_limit(data, x, times)
     return x, data, times, ext
 
@@ -69,12 +68,11 @@ def test_extension_constant_data_closed_form(jump_setup):
     x, data, times, ext = jump_setup
     # per-side constants evolve by the pointwise limit flow; the jump
     # field must be chi(|x|) times their difference
-    traj = simulate_limit(np.array([data(np.array([0.0]), "minus")[0],
-                                    data(np.array([0.0]), "plus")[0]]),
-                          T=float(times[-1]), t_eval=list(times))
-    keep = np.isin(traj.times, times)
-    c_minus = traj.values[keep][:, 0]
-    c_plus = traj.values[keep][:, 1]
+    values = simulate_limit(np.array([data(np.array([0.0]), "minus")[0],
+                                      data(np.array([0.0]), "plus")[0]]),
+                            times)
+    c_minus = values[:, 0]
+    c_plus = values[:, 1]
     chi = chi_sigma(ext.x_param)
     expect = chi[None, :, None] * (c_plus - c_minus)[:, None, :]
     np.testing.assert_allclose(ext.delta, expect, atol=1e-13)
@@ -97,12 +95,11 @@ def test_extension_blend_exact_at_neighbor_nodes(jump_setup):
     # exactly the chi blend of the two evolved constants
     x, data, times, ext = jump_setup
     i0 = int(np.argmin(np.abs(ext.x_param)))
-    traj = simulate_limit(np.array([data(np.array([0.0]), "minus")[0],
-                                    data(np.array([0.0]), "plus")[0]]),
-                          T=float(times[-1]), t_eval=list(times))
-    keep = np.isin(traj.times, times)
-    c_minus = traj.values[keep][:, 0]
-    c_plus = traj.values[keep][:, 1]
+    values = simulate_limit(np.array([data(np.array([0.0]), "minus")[0],
+                                      data(np.array([0.0]), "plus")[0]]),
+                            times)
+    c_minus = values[:, 0]
+    c_plus = values[:, 1]
     h = float(ext.x_param[i0 + 1])
     chi_h = float(chi_sigma(np.array([h]))[0])
     np.testing.assert_allclose(ext.u_plus[:, i0 - 1],
@@ -118,7 +115,7 @@ def test_extension_blend_exact_at_neighbor_nodes(jump_setup):
 def test_extension_symmetric_data_is_jump_free():
     x = param_nodes(8)
     same = constant_per_side((0.6, 0.8, 0.0), (0.6, 0.8, 0.0))
-    times = make_time_grid(0.02, dt=5e-3)
+    times = time_grid(0.02, dt=5e-3)
     ext = extend_limit(same, x, times)
     assert np.max(np.abs(ext.delta)) == 0.0
     assert np.max(np.abs(ext.delta_dt)) == 0.0
@@ -183,7 +180,7 @@ def test_march_mms_spatial_order_at_small_dt():
 
 def test_march_zero_forcing_stays_zero():
     y = make_profile_grid(Y=6.0, cells=32)
-    times = make_time_grid(0.05, dt=0.01)
+    times = time_grid(0.05, dt=0.01)
     shape = (times.size, y.size, 3)
     coeff = np.zeros(shape)
     coeff[..., 1] = 0.9
@@ -243,7 +240,7 @@ def test_profiles_start_from_zero_and_stay_bounded(jump_profiles):
 def test_profiles_zero_jump_columns_are_exact_zero():
     x = param_nodes(8)
     same = constant_per_side((0.6, 0.8, 0.0), (0.6, 0.8, 0.0))
-    times = make_time_grid(0.02, dt=5e-3)
+    times = time_grid(0.02, dt=5e-3)
     ext = extend_limit(same, x, times)
     y = make_profile_grid(Y=15.0, cells=64)
     pair = picard_profiles(ext, y, tol=1e-8, max_iter=40)
@@ -279,10 +276,9 @@ def test_profile_column_independent_of_extension_width(jump_setup):
     x, data, times, ext = jump_setup
     i0 = int(np.argmin(np.abs(ext.x_param)))
     zero = x[i0:i0 + 1]
-    traj = simulate_limit(np.stack([data.branch(zero, "minus"),
+    bare = simulate_limit(np.stack([data.branch(zero, "minus"),
                                     data.branch(zero, "plus")]),
-                          T=float(times[-1]), t_eval=list(times))
-    bare = traj.values[np.isin(traj.times, times)][:, :, 0]
+                          times)[:, :, 0]
     np.testing.assert_array_equal(ext.u_minus[:, i0], bare[:, 0])
     np.testing.assert_array_equal(ext.u_plus[:, i0], bare[:, 1])
     np.testing.assert_array_equal(ext.du_minus[:, i0], rhs_limit(bare[:, 0]))
@@ -293,7 +289,7 @@ def test_picard_non_contraction_aborts():
     # a jump far off the unit sphere makes the quadratic terms dominate
     # and the frozen-coefficient sweep map expand
     y = make_profile_grid(Y=6.0, cells=48)
-    times = make_time_grid(0.05, dt=5e-3)
+    times = time_grid(0.05, dt=5e-3)
     nt = times.size
     delta = np.tile([40.0, 0.0, 0.0], (nt, 1))
     dzero = np.zeros((nt, 3))
@@ -309,7 +305,7 @@ def test_picard_non_contraction_aborts():
 
 def test_picard_max_iter_exhaustion_reports():
     y = make_profile_grid(Y=6.0, cells=48)
-    times = make_time_grid(0.05, dt=5e-3)
+    times = time_grid(0.05, dt=5e-3)
     nt = times.size
     delta = np.tile([-1.2, 0.0, 0.0], (nt, 1))
     dzero = np.zeros((nt, 3))
@@ -436,7 +432,7 @@ def _reference_picard_column(y, times, delta, delta_dt, u0p, u0m, tol,
 def test_stacked_picard_matches_the_per_column_reference():
     x = param_nodes(16)
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
-    times = make_time_grid(0.1, dt=5e-3)
+    times = time_grid(0.1, dt=5e-3)
     ext = extend_limit(data, x, times)
     y = make_profile_grid(Y=6.0, cells=48)
     pair = picard_profiles(ext, y, tol=1e-8, max_iter=40)
@@ -507,7 +503,7 @@ def _stacked_against_reference(y, times, delta, u0p, u0m, tol,
 def test_stacked_picard_raises_the_lowest_failing_column(scales, tol,
                                                          max_iter):
     y = make_profile_grid(Y=6.0, cells=48)
-    times = make_time_grid(0.05, dt=5e-3)
+    times = time_grid(0.05, dt=5e-3)
     delta = np.stack([np.tile([s, 0.0, 0.0], (times.size, 1))
                       for s in scales], axis=1)
     u0p = np.broadcast_to([-0.6, 0.8, 0.0], delta.shape)
@@ -520,7 +516,7 @@ def test_picard_stall_in_a_later_window_sets_the_horizon():
     # the first two windows contract, the third stalls, and the horizon
     # is the third window's first time
     y = make_profile_grid(Y=6.0, cells=48)
-    times = make_time_grid(0.1, dt=5e-3)
+    times = time_grid(0.1, dt=5e-3)
     step = 2 * TIME_BLOCK + 3
     scale = np.where(np.arange(times.size) < step, -1.2, 40.0)
     delta = np.zeros((times.size, 2, 3))
@@ -536,7 +532,7 @@ def test_picard_stall_in_a_later_window_sets_the_horizon():
 
 def test_march_with_nan_coefficient_aborts():
     y = make_profile_grid(Y=6.0, cells=32)
-    times = make_time_grid(0.05, dt=0.01)
+    times = time_grid(0.05, dt=0.01)
     shape = (times.size, y.size, 3)
     coeff = np.zeros(shape)
     coeff[3, 5, 1] = np.nan

@@ -2,8 +2,9 @@
 
 The expansion is built from separate pieces, and the code keeps them
 apart: the interface layer, the wall layer and the full model import
-none of one another, and the shared foundations (meshes and stencils,
-the limit flow, the stray field, the banded kernel) import none of them.
+none of one another, and the shared foundations (meshes, time grids and
+stencils, the limit flow, the stray field, the banded kernel, spline
+interpolation and the initial data) import none of them.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import llx
 
 PACKAGE = Path(llx.__file__).parent
 LAYERS = ("internal_layer", "boundary_layer", "full_model")
-FOUNDATIONS = ("geometry", "limit_model", "strayfield", "banded")
+FOUNDATIONS = ("geometry", "limit_model", "strayfield", "banded", "interp",
+               "fields")
 
 
 def imported_modules(path: Path) -> set:

@@ -1,13 +1,14 @@
 """Limit flow: rhs identities, closed-form trajectory, integrator accuracy.
 
 The closed form used as the oracle: on the unit sphere u1 obeys
-du1/dt = u1(u1^2 - 1), so with v0 = u1(0)^2
+du1/dt = u1(u1^2 - 1), so with v0 = u1(0)^2 and rho0^2 = u2(0)^2 + u3(0)^2
 
-    u1(t)^2 = v0 e^{-2t} / (1 - v0 + v0 e^{-2t}),
+    u1(t)^2 = v0 e^{-2t} / (rho0^2 + v0 e^{-2t}),
 
-the transverse part keeps |(u2, u3)| = sqrt(1 - u1^2) and rotates about
-e1 with phase rate u1(t), integrating to asinh of w(t) =
-sqrt(v0/(1-v0)) e^{-t}. Verified below against scipy's adaptive
+the transverse part has length rho0 / sqrt(rho0^2 + v0 e^{-2t}) and
+rotates about e1 with phase rate u1(t), integrating to asinh of w(t) =
+sqrt(v0) e^{-t} / rho0. Written with rho0^2 rather than 1 - v0 it does
+not cancel near the poles. Verified below against scipy's adaptive
 integrator before being used to pin the RK4 oracle march and
 simulate_limit, which solves the flow in closed form in its own way.
 """
@@ -29,15 +30,16 @@ from manufactured import march_rk4, step_midpoint, step_rk4
 
 
 def closed_form(u0, t):
-    """Exact on-sphere solution for initial data (u1, r cos p, r sin p)."""
+    """Exact solution for unit initial data (u1, r cos p, r sin p), r > 0."""
     u1_0 = u0[0]
     v0 = u1_0**2
-    if v0 >= 1.0:
-        raise ValueError("closed form needs |u1(0)| < 1")
-    e = np.exp(-2.0 * t)
-    u1 = np.sign(u1_0) * np.sqrt(v0 * e / (1.0 - v0 + v0 * e))
-    r = np.sqrt(1.0 - u1**2)
-    w0 = np.sqrt(v0 / (1.0 - v0))
+    rho0_sq = u0[1]**2 + u0[2]**2
+    if rho0_sq == 0.0:
+        raise ValueError("closed form needs u(0) off the poles")
+    ve = v0 * np.exp(-2.0 * t)
+    u1 = np.sign(u1_0) * np.sqrt(ve / (rho0_sq + ve))
+    r = np.sqrt(rho0_sq / (rho0_sq + ve))
+    w0 = np.sqrt(v0 / rho0_sq)
     phase0 = np.arctan2(u0[2], u0[1])
     phase = phase0 + np.sign(u1_0) * (np.arcsinh(w0)
                                       - np.arcsinh(w0 * np.exp(-t)))
@@ -125,39 +127,39 @@ def test_closed_form_matches_rk4_march():
     # the exact solution against the independent RK4 oracle, fine steps
     u0 = _hard_unit_vectors(1000, 25)
     pts = [0.1, 0.25, 0.5, 0.75]
-    exact = simulate_limit(u0, T=1.0, t_eval=pts)
     times, marched = march_rk4(u0, T=1.0, dt=1e-3, t_eval=pts)
-    assert np.array_equal(exact.times, times)
-    assert np.max(np.abs(exact.values - marched)) <= 1e-13
+    exact = simulate_limit(u0, times)
+    assert np.max(np.abs(exact - marched)) <= 1e-13
 
 
 def test_closed_form_matches_oracle_formula():
     # the same solution written the test's way (asinh, phase angle);
-    # the oracle's 1 - u1^2 cancels near the poles, so they are left to
-    # the RK4 comparison above
+    # the oracle's phase is undefined at the exact poles only
     u0 = _hard_unit_vectors(200, 26)
-    u0 = u0[np.abs(u0[:, 0]) < 0.999]
-    traj = simulate_limit(u0, T=1.0, t_eval=[0.2, 0.5])
-    for k, t in enumerate(traj.times[1:], 1):
+    u0 = u0[u0[:, 1]**2 + u0[:, 2]**2 > 0.0]
+    times = [0.0, 0.2, 0.5, 1.0]
+    values = simulate_limit(u0, times)
+    for k, t in enumerate(times[1:], 1):
         want = np.stack([closed_form(u, t) for u in u0])
-        assert np.max(np.abs(traj.values[k] - want)) <= 1e-13
+        assert np.max(np.abs(values[k] - want)) <= 1e-13
 
 
 def test_non_unit_input_projected_after_t0():
     # values[0] is u0 as given; every later time lies on the sphere
     u0 = np.array([[1.2, 1.6, 0.0], [0.0, 0.0, -3.0], [-0.5, 0.1, 0.2]])
-    traj = simulate_limit(u0, T=0.5, t_eval=[0.25])
-    assert np.array_equal(traj.values[0], u0)
-    assert np.allclose(np.linalg.norm(traj.values[1:], axis=-1), 1.0,
+    times = [0.0, 0.25, 0.5]
+    values = simulate_limit(u0, times)
+    assert np.array_equal(values[0], u0)
+    assert np.allclose(np.linalg.norm(values[1:], axis=-1), 1.0,
                        atol=1e-15)
-    unit = simulate_limit(renormalize(u0), T=0.5, t_eval=[0.25])
-    assert np.allclose(traj.values[1:], unit.values[1:], rtol=0.0,
-                       atol=1e-15)
+    unit = simulate_limit(renormalize(u0), times)
+    assert np.allclose(values[1:], unit[1:], rtol=0.0, atol=1e-15)
 
 
 def test_zero_vector_rejected():
     with pytest.raises(ValueError, match="zero"):
-        simulate_limit(np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 0.0]]), T=1.0)
+        simulate_limit(np.array([[0.6, 0.8, 0.0], [0.0, 0.0, 0.0]]),
+                       [0.0, 1.0])
 
 
 def test_rk4_preserves_norm():
@@ -195,45 +197,33 @@ def test_vectorized_over_nodes():
     # nodes are independent: a batch run equals per-node runs
     rng = np.random.default_rng(24)
     u0 = renormalize(rng.normal(size=(6, 3)))
-    batch = simulate_limit(u0, T=0.3)
+    batch = simulate_limit(u0, [0.0, 0.3])
     for j in range(6):
-        single = simulate_limit(u0[j], T=0.3)
-        assert np.array_equal(batch.values[-1][j], single.values[-1])
+        single = simulate_limit(u0[j], [0.0, 0.3])
+        assert np.array_equal(batch[-1][j], single[-1])
 
 
-def test_t_eval_hit_exactly():
+def test_each_time_solved_on_its_own():
+    # a time gives the same bits on any grid holding it
     u0 = np.array([0.6, 0.8, 0.0])
-    pts = [0.1, 0.25, 0.333, 0.9]
-    traj = simulate_limit(u0, T=1.0, t_eval=pts)
-    assert traj.times[0] == 0.0
-    assert traj.times[-1] == 1.0
-    for t in pts:
-        assert t in traj.times
-    # values at requested times agree with a plain run to that time
-    k = list(traj.times).index(0.333)
-    direct = simulate_limit(u0, T=0.333)
-    # each time is solved on its own, so the two runs agree bitwise
-    assert np.array_equal(traj.values[k], direct.values[-1])
-    assert np.allclose(traj.values[k], closed_form(u0, 0.333), atol=1e-9)
-    assert np.allclose(direct.values[-1], closed_form(u0, 0.333), atol=1e-9)
-
-
-def test_t_eval_outside_range_rejected():
-    with pytest.raises(ValueError, match="outside"):
-        simulate_limit(np.array([0.6, 0.8, 0.0]), T=1.0, t_eval=[1.5])
+    values = simulate_limit(u0, [0.0, 0.1, 0.25, 0.333, 0.9, 1.0])
+    direct = simulate_limit(u0, [0.0, 0.333])
+    assert np.array_equal(values[3], direct[-1])
+    assert np.allclose(direct[-1], closed_form(u0, 0.333), atol=1e-9)
 
 
 def test_bad_steps_rejected():
     u0 = np.array([0.0, 1.0, 0.0])
-    with pytest.raises(ValueError, match="positive"):
-        simulate_limit(u0, T=-1.0)
+    for times in ([0.1, 0.2], [0.0, 0.2, 0.1], [0.0, 0.1, 0.1]):
+        with pytest.raises(ValueError, match="start at 0"):
+            simulate_limit(u0, times)
 
 
 def test_determinism():
     u0 = np.array([0.6, 0.8, 0.0])
-    a = simulate_limit(u0, T=0.7)
-    b = simulate_limit(u0, T=0.7)
-    assert np.array_equal(a.values, b.values)
+    a = simulate_limit(u0, [0.0, 0.35, 0.7])
+    b = simulate_limit(u0, [0.0, 0.35, 0.7])
+    assert np.array_equal(a, b)
 
 
 def test_equilibria():
