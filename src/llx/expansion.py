@@ -55,7 +55,7 @@ from .full_model import (FullModelConfig, l2_space_time, make_epsilon_grid,
 from .geometry import (conormal_weight, in_v_sigma, knot_times,
                        make_profile_grid, make_wall_grid, param_nodes,
                        profile_d1, theta, time_grid)
-from .internal_layer import ProfilePair, picard_profiles
+from .internal_layer import ProfilePair, halves, lift, picard_profiles
 from .interp import (contract_columns, natural_spline_coeffs, spline_eval,
                      x_resample)
 from .limit_model import (ExtendedLimit, extend_limit, renormalize,
@@ -119,10 +119,10 @@ class ExpansionAnsatz:
         (layer, nodes, knots, cols, s, weights, delta, sign) holds the
         node indices, stretched knots, a view (nt, nc, ns, 3) of the
         stored columns, and the nodes' stretched coordinates and
-        x-weights. The interface halves y < 0 and y >= 0 share one
-        support and carry the lift +-delta/2 e^(+-y) as delta and sign;
-        a wall side has neither. A layer whose stored data is all zero
-        lists no side.
+        x-weights. The interface halves y < 0 and y >= 0 (the rows of
+        internal_layer.halves) share one support and carry their lift as
+        delta and sign; a wall side has neither. A layer whose stored
+        data is all zero lists no side.
         """
         pair, prof = self.pieces.profiles, self.pieces.boundary
         sides = []
@@ -132,8 +132,8 @@ class ExpansionAnsatz:
             lo, hi = np.flatnonzero(pair.support_mask)[[0, -1]]
             weights = _cardinal_weights(pair.x_param, lo, hi, x[nodes])
             below = ys[nodes] < 0.0
-            for sel, half, sign in ((below, slice(None, pair.j0 + 1), 1.0),
-                                    (~below, slice(pair.j0, None), -1.0)):
+            for sel, (half, sign) in zip((below, ~below),
+                                         halves(pair.y.size)):
                 if sel.any():
                     sides.append(("interface", nodes[sel], pair.y[half],
                                   pair.W[:, :, half], ys[nodes[sel]],
@@ -169,8 +169,8 @@ class ExpansionAnsatz:
         for layer, nodes, knots, cols, s, weights, delta, sign in sides:
             vals = _layer_values(knots, cols[ks], s, weights)
             if delta is not None:
-                d_x = contract_columns(weights, delta[ks][:, None])
-                vals += 0.5 * sign * d_x * np.exp(sign * s)[:, None]
+                vals += lift(contract_columns(weights, delta[ks][:, None]),
+                             s[:, None], sign)
             parts[layer][:, nodes] = vals
         return parts
 
@@ -461,8 +461,8 @@ def build_expansion_pieces(data: MagnetizationField,
     """Run the eps-independent pipeline: limit, extension, both layers.
 
     If a profile window opening at an interior time t stops contracting,
-    the run is cut to [0, t] (at least 4 knot cells), which is the run
-    on that horizon: its knots, limit values and windows are a prefix.
+    the pieces are rebuilt on the horizon t (at least 4 knot cells),
+    whose knots, limit values and windows are a prefix of this run's.
     The report carries the shortened horizon. The wall layer validates.
     """
     y = make_profile_grid(Y=cfg.box_y, cells=cfg.profile_cells)
@@ -472,24 +472,16 @@ def build_expansion_pieces(data: MagnetizationField,
         pair = picard_profiles(ext, y, tol=cfg.picard_tol,
                                max_iter=cfg.picard_max_iter)
     except NonContraction as exc:
-        # a window opens on a knot, a level of the grid the cut keeps
+        # a window opens on a knot, the last level of the shorter grid
         if exc.t_converged < 4.0 * cfg.dt_knot:
             raise
-        n = int(np.searchsorted(ext.times, exc.t_converged, side="right"))
-        ext = _head(ext, n, "u_plus", "u_minus", "du_plus", "du_minus")
-        pair = _head(exc.profiles, n, "W", "delta", "full_delta")
+        return build_expansion_pieces(data, replace(cfg, T=exc.t_converged))
     z = make_wall_grid(Z=cfg.box_z, cells=cfg.wall_cells)
     boundary = solve_boundary_profile(ext, z)
     boundary.validate()
     g_minus, g_plus = wall_slopes(boundary)
     return ExpansionPieces(ext=ext, profiles=pair, boundary=boundary,
                            g_minus=g_minus, g_plus=g_plus)
-
-
-def _head(obj, n: int, *names: str):
-    """obj cut to its first n time levels: times and the named arrays."""
-    return replace(obj, **{name: getattr(obj, name)[:n]
-                           for name in ("times",) + names})
 
 
 def _epsilon_row(task) -> dict:
@@ -537,10 +529,10 @@ def convergence_study(epsilons, data: MagnetizationField,
                       ) -> ConvergenceReport:
     """Measure |u_eps - u0| and diagnostics over a decreasing eps list.
 
-    The profiles are built once and shared; per-eps runs are
-    independent and run in a process pool when jobs > 1. Refuses eps
-    lists that are not strictly decreasing and grids that leave the
-    layer under-resolved (fewer than 8 cells per eps width).
+    The profiles are built once and shared; the per-eps runs are
+    independent, min(jobs, eps count) processes run them. Refuses jobs
+    below 1, eps lists that are not strictly decreasing and grids that
+    leave the layer under-resolved (fewer than 8 cells per eps width).
     """
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.size < 3:
@@ -553,6 +545,8 @@ def convergence_study(epsilons, data: MagnetizationField,
         raise ConfigError(
             f"study.epsilons must be positive and strictly decreasing, "
             f"got {eps.tolist()}")
+    if jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {jobs}")
     if cfg.cells_per_eps < 8:
         raise ConfigError(
             f"unresolved layer: study.cells_per_eps={cfg.cells_per_eps} "
@@ -562,7 +556,8 @@ def convergence_study(epsilons, data: MagnetizationField,
 
     tasks = [(pieces, data, float(e), cfg) for e in eps]
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # the pool forks all its workers at the first task: one per eps
+        with ProcessPoolExecutor(max_workers=min(jobs, eps.size)) as pool:
             rows = list(pool.map(_epsilon_row, tasks))
     else:
         rows = [_epsilon_row(t) for t in tasks]

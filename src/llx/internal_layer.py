@@ -31,6 +31,8 @@ active columns march together, stacked into one banded solve per time
 step, and leave a window once converged.
 
 Contains:
+- halves / lift: each side's half-line of the mirrored y-mesh (the
+  junction included) and its lift S_pm
 - F_pm: the increment F(u0+U, V, H0-(U.e1)e1) - F(u0, 0, H0) of
   limit_model.F_rhs
 - _sweep: one Crank-Nicolson march of stacked columns (a Picard sweep)
@@ -50,6 +52,22 @@ from .geometry import (apply_tridiagonal_stencil, d2_coefficients,
                        in_v_sigma, one_sided_d1, profile_d1)
 from .limit_model import ExtendedLimit, F_rhs, precession_rhs
 from .strayfield import layer_correction, stray_field_slab
+
+
+# === the two sides ===
+
+def halves(ny: int) -> tuple:
+    """(rows, sign) of the minus side y <= 0, then of the plus side
+    y >= 0, of a mirrored mesh of ny nodes: both hold the junction y = 0
+    at j0 = ny // 2, and sign is the side's sign in lift."""
+    j0 = ny // 2
+    return (slice(None, j0 + 1), 1.0), (slice(j0, None), -1.0)
+
+
+def lift(delta, y, sign: float):
+    """The exponential lift S = sign 1/2 delta e^{-|y|} of one side,
+    broadcast over delta and the side's stretched coordinates y."""
+    return sign * 0.5 * delta * np.exp(-np.abs(y))
 
 
 # === profile nonlinearity ===
@@ -86,11 +104,12 @@ def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
 
     Solves dW/dt = (I + [coeff]x) W_yy + f on every column from w_k
     (ncols, ny, 3) at times[0] on the mirrored mesh y, whose junction
-    y = 0 sits at j0 = y.size // 2; coeff, f_minus, f_plus are (nt, ncols,
-    ny, 3). The minus forcing feeds rows y < 0, the plus forcing rows
-    y > 0, and the junction row at y = 0 uses both one-sided values (the
-    forcing may jump there). Dirichlet zero at both ends; the junction
-    row combines one-sided Taylor expansions with the equation on each
+    y = 0 sits at j0 = y.size // 2; coeff is (nt, ncols, ny, 3), and
+    each side's forcing is on its half-line: f_minus (nt, ncols, j0 + 1,
+    3) on y <= 0, f_plus (nt, ncols, ny - j0, 3) on y >= 0. The forcing
+    may jump at y = 0, so the junction row uses both, f_minus's last row
+    and f_plus's first. Dirichlet zero at both ends; the junction row
+    combines one-sided Taylor expansions with the equation on each
     side, giving a C1 transmission coupling with a single shared
     unknown. Interior rows are premultiplied by M^-1, M = I + [coeff]x
     at the step's midpoint: diagonal blocks M^-1 - (dt/2) b I, scalar
@@ -105,15 +124,13 @@ def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
     hm = y[j0] - y[j0 - 1]
     hp = y[j0 + 1] - y[j0]
     eye = np.eye(3)
-    plus_rows = (np.arange(ny) >= j0)[:, None]
+    f = np.concatenate([f_minus[..., :-1, :], f_plus], axis=-2)
 
     new = np.empty((times.size - 1,) + w_k.shape)
     for j in range(times.size - 1):
         dt = times[j + 1] - times[j]
         half = 0.5 * dt
-        f_mid = np.where(plus_rows,
-                         0.5 * (f_plus[j] + f_plus[j + 1]),
-                         0.5 * (f_minus[j] + f_minus[j + 1]))
+        f_mid = 0.5 * (f[j] + f[j + 1])
         B = inv_id_plus_cross(0.5 * (coeff[j] + coeff[j + 1]))
         d2W = np.moveaxis(
             apply_tridiagonal_stencil(d2, np.moveaxis(w_k, -2, 0)), 0, -2)
@@ -140,8 +157,8 @@ def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
             + ((hm + hp) / (2.0 * dt)) * mj_inv
         rhs[:, j0] = (
             ((hm + hp) / (2.0 * dt)) * (mj_inv @ w_k[:, j0, :, None])
-            + 0.5 * hm * (mj_inv @ f_minus[j + 1][:, j0, :, None])
-            + 0.5 * hp * (mj_inv @ f_plus[j + 1][:, j0, :, None]))[..., 0]
+            + 0.5 * hm * (mj_inv @ f_minus[j + 1][:, -1, :, None])
+            + 0.5 * hp * (mj_inv @ f_plus[j + 1][:, 0, :, None]))[..., 0]
 
         w_k = block_tridiag_solve(lower, B, upper, rhs)
         new[j] = w_k
@@ -156,30 +173,25 @@ def _profile_levels(y: np.ndarray, W: np.ndarray, delta, delta_dt, u0p,
 
     W is (m, ncols, ny, 3) at m time levels; delta, delta_dt and the
     one-sided states u0p, u0m are (m, ncols, 3) at the same levels.
-    Each side's lift S lives on its own half-line (y = 0 included) and
-    is zero across. Returns (coeff, f_minus, f_plus) with coeff the
-    side's V = u0 + S plus W.
+    Each side's lift S (dS/dy = sign S there), its forcing and its
+    V = u0 + S are built on the side's own half-line (halves). Returns
+    (coeff, f_minus, f_plus): the forcings as _sweep takes them, and
+    coeff V_minus below the junction and V_plus from it on, plus W.
     """
-    e = np.exp(-np.abs(y))
-    e_plus = np.where(y >= 0.0, e, 0.0)[:, None]
-    e_minus = np.where(y <= 0.0, e, 0.0)[:, None]
-    d = delta[..., None, :]
-    dd = delta_dt[..., None, :]
     dyW = profile_d1(y, W)
-
-    def side(u0, S, dyS, dtS):
+    sides = []
+    for (rows, sign), u0 in zip(halves(y.size), (u0m, u0p)):
         u0_b = u0[..., None, :]
         H0 = stray_field_slab(u0)[..., None, :]
+        W_s = W[..., rows, :]
+        S = lift(delta[..., None, :], y[rows, None], sign)
         V = u0_b + S
-        f = (F_pm(W + S, dyW + dyS, u0_b, H0) - dtS + S
-             + cross(V + W, S))
-        return V, f
-
-    V_m, f_m = side(u0m, 0.5 * d * e_minus, 0.5 * d * e_minus,
-                    0.5 * dd * e_minus)
-    V_p, f_p = side(u0p, -0.5 * d * e_plus, 0.5 * d * e_plus,
-                    -0.5 * dd * e_plus)
-    coeff = np.where((y >= 0.0)[:, None], V_p, V_m) + W
+        f = (F_pm(W_s + S, dyW[..., rows, :] + sign * S, u0_b, H0)
+             - lift(delta_dt[..., None, :], y[rows, None], sign) + S
+             + cross(V + W_s, S))
+        sides.append((V, f))
+    (V_m, f_m), (V_p, f_p) = sides
+    coeff = np.concatenate([V_m[..., :-1, :], V_p], axis=-2) + W
     return coeff, f_m, f_p
 
 
@@ -300,13 +312,11 @@ class ProfilePair:
         return self.y.size // 2
 
     def layer_term(self, side: str) -> np.ndarray:
-        """U_pm = W + S_pm on the stored columns, valid on the named side
-        (and y = 0); the lift is zero on the other side."""
-        y = self.y
-        on_side = y >= 0.0 if side == "plus" else y <= 0.0
-        e = np.where(on_side, np.exp(-np.abs(y)), 0.0)[None, None, :, None]
-        half = -0.5 if side == "plus" else 0.5
-        return self.W + half * self.delta[:, :, None, :] * e
+        """U_pm = W + S_pm on the stored columns and the named side's
+        half-line (halves): (nt, nxs, ny // 2 + 1, 3)."""
+        rows, sign = halves(self.y.size)[side == "plus"]
+        return self.W[:, :, rows] + lift(self.delta[:, :, None, :],
+                                         self.y[rows, None], sign)
 
     def junction_trace(self) -> np.ndarray:
         """W at y = 0: (nt, nxs, 3)."""
@@ -316,9 +326,8 @@ class ProfilePair:
         """Largest |U| at the truncated ends y = -+Y."""
         if self.W.size == 0:
             return 0.0
-        up = self.layer_term("plus")[:, :, -1, :]
-        um = self.layer_term("minus")[:, :, 0, :]
-        return float(max(np.max(np.abs(up)), np.max(np.abs(um))))
+        return max(float(np.max(np.abs(self.layer_term(side)[:, :, end])))
+                   for side, end in (("minus", 0), ("plus", -1)))
 
     def transmission_defect(self) -> tuple:
         """(value gap, one-sided derivative mismatch) of W at y = 0.
@@ -329,10 +338,10 @@ class ProfilePair:
         """
         if self.W.size == 0:
             return 0.0, 0.0
-        j0 = self.j0
         stack = np.moveaxis(self.W, 2, 0)
-        dp = one_sided_d1(self.y[j0:], stack[j0:], "left")
-        dm = one_sided_d1(self.y[:j0 + 1], stack[:j0 + 1], "right")
+        dm, dp = (one_sided_d1(self.y[rows], stack[rows], end)
+                  for (rows, _), end in zip(halves(self.y.size),
+                                            ("right", "left")))
         return 0.0, float(np.max(np.abs(dp - dm)))
 
     def contraction_ratios(self) -> list:
@@ -381,8 +390,8 @@ def picard_profiles(ext: ExtendedLimit, y: np.ndarray, tol: float,
 
     Columns whose jump and jump rate vanish identically are exactly
     zero and skipped without marching; that covers everything outside
-    the interface neighborhood, and symmetric data everywhere. A
-    NonContraction carries the profiles, converged up to t_converged.
+    the interface neighborhood, and symmetric data everywhere. A window
+    that stops contracting raises its NonContraction, and no profiles.
     """
     delta_full = ext.delta
     delta_dt_full = ext.delta_dt
@@ -398,18 +407,16 @@ def picard_profiles(ext: ExtendedLimit, y: np.ndarray, tol: float,
                               delta_full[:, idx], delta_dt_full[:, idx],
                               ext.u_plus[:, idx], ext.u_minus[:, idx], tol,
                               max_iter, x[idx])
+    if failure is not None:
+        raise failure
     iterations = np.zeros(idx.size, dtype=int)
     residual_trace = [()] * idx.size
     for col, windows in zip(marched, traces):
         iterations[col] = max(map(len, windows), default=0)
         residual_trace[col] = tuple(map(tuple, windows))
 
-    pair = ProfilePair(
+    return ProfilePair(
         times=ext.times, y=y, x_param=x,
         support_mask=mask, x_support=x[mask], W=W,
         delta=delta_full[:, mask], full_delta=delta_full,
         iterations=iterations, residual_trace=tuple(residual_trace))
-    if failure is not None:
-        failure.profiles = pair
-        raise failure
-    return pair

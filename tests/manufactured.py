@@ -22,7 +22,7 @@ import numpy as np
 import sympy as sp
 
 from llx.full_model import output_times, substeps
-from llx.internal_layer import _sweep
+from llx.internal_layer import _sweep, halves
 from llx.limit_model import renormalize, rhs_limit
 
 
@@ -64,10 +64,12 @@ def full_model_solution():
 
 def march_column(y, times, coeff, f_minus, f_plus):
     """One column of the stacked march from W = 0; coeff, f_minus and
-    f_plus are (nt, ny, 3). Returns W (nt, ny, 3)."""
+    f_plus are (nt, ny, 3) on the whole mesh, and each side's forcing is
+    handed on its own half-line. Returns W (nt, ny, 3)."""
     W = np.zeros((times.size, y.size, 3))
-    W[1:] = _sweep(y, times, W[:1], coeff[:, None], f_minus[:, None],
-                   f_plus[:, None])[:, 0]
+    (minus, _), (plus, _) = halves(y.size)
+    W[1:] = _sweep(y, times, W[:1], coeff[:, None],
+                   f_minus[:, None, minus], f_plus[:, None, plus])[:, 0]
     return W
 
 

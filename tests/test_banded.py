@@ -238,9 +238,11 @@ def test_every_march_passes_scalar_couplings(monkeypatch):
     y = make_profile_grid(Y=6.0, cells=16)
     times = time_grid(0.01, dt=5e-3)[:3]
     levels = (times.size, 2, y.size, 3)
+    (minus, _), (plus, _) = internal_layer.halves(y.size)
     internal_layer._sweep(y, times, np.zeros(levels[1:]),
-                          rng.normal(size=levels), rng.normal(size=levels),
-                          rng.normal(size=levels))
+                          rng.normal(size=levels),
+                          rng.normal(size=levels)[:, :, minus],
+                          rng.normal(size=levels)[:, :, plus])
 
     z = make_wall_grid(Z=12.0, cells=16)
     times = time_grid(0.01, dt=5e-3)

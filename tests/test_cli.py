@@ -66,6 +66,14 @@ def test_invalid_config_is_exit_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: unknown key")
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_is_exit_2(tmp_path, capsys, jobs):
+    rc = main(["converge", "--jobs", jobs, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: --jobs must be at least 1, got {jobs}\n")
+
+
 def test_non_decreasing_epsilons_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY.replace("0.1 0.07 0.05", "0.1 0.1 0.05"),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -556,6 +557,45 @@ def test_convergence_study_validation(jump_data):
     with pytest.raises(ConfigError, match="unresolved layer"):
         convergence_study([0.1, 0.05, 0.025], jump_data,
                           StudyConfig(cells_per_eps=4))
+
+
+def _stub_row(task):
+    _, _, eps, _ = task
+    norms = EClassNorms(0, 1.0, 1.0, 1.0, 1.0, 1.0)
+    return {"epsilon": eps, "err_l2": eps ** 0.5, "residual_l2": eps,
+            "ec0": norms, "ecm": norms, "nx": 8, "drift_max": 0.0}
+
+
+def test_jobs_caps_the_pool_at_the_eps_count(jump_data, monkeypatch):
+    sizes = []
+
+    class Pool:
+        """Records its size and runs the tasks here; starts no process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(expansion, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(expansion, "_epsilon_row", _stub_row)
+    eps = [0.1, 0.05, 0.025, 0.0125]
+    pieces = SimpleNamespace(T_used=0.5)
+    for jobs in (64, 3, 1):
+        report = convergence_study(eps, jump_data, jobs=jobs, pieces=pieces)
+        np.testing.assert_allclose(report.slope, 0.5)
+    assert sizes == [4, 3]
+    for jobs in (0, -3):
+        with pytest.raises(ConfigError, match=f"--jobs .* got {jobs}"):
+            convergence_study(eps, jump_data, jobs=jobs)
+    assert sizes == [4, 3]
 
 
 # --- the horizon cut by a stalled Picard window ---

@@ -231,6 +231,16 @@ def test_profiles_transmission_and_tails(jump_profiles):
     pair.validate()
 
 
+def test_layer_terms_live_on_their_half_lines(jump_profiles):
+    y, pair = jump_profiles
+    minus, plus = (pair.layer_term(side) for side in ("minus", "plus"))
+    half_line = pair.W.shape[:2] + (y.size // 2 + 1, 3)
+    assert minus.shape == plus.shape == half_line
+    # both hold y = 0, where the lifts differ by the jump
+    gap = minus[..., -1, :] - plus[..., 0, :] - pair.delta
+    assert np.max(np.abs(gap)) <= 1e-15
+
+
 def test_profiles_start_from_zero_and_stay_bounded(jump_profiles):
     _, pair = jump_profiles
     assert np.max(np.abs(pair.W[0])) == 0.0
