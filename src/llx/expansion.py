@@ -24,9 +24,9 @@ past each support end that is not a domain end.
 
 The convergence study builds the profiles once (they do not depend on
 eps), then for each eps: samples the ansatz on an eps-refined grid,
-starts the full model from the renormalized ansatz at t = 0, and
-records the distance to the limit state, the ansatz residual, and the
-conormal (E-class) norms of (u - a) / eps at orders 0 and m in one pass.
+marches the full model from the renormalized ansatz over the pieces'
+time grid, and records the distance to the limit state, the ansatz
+residual, and the conormal norms of (u - a) / eps at orders 0 and m.
 
 Contains:
 - ExpansionPieces / build_expansion_pieces: the eps-independent half,
@@ -48,7 +48,7 @@ import numpy as np
 
 from .boundary_layer import (BoundaryProfile, neumann_corrector,
                              solve_boundary_profile, wall_slopes)
-from .errors import ConfigError, NonContraction
+from .errors import ConfigError, NonContraction, SolverAbort
 from .fields import MagnetizationField
 from .full_model import (FullModelConfig, l2_space_time, make_epsilon_grid,
                          residual_report, simulate_full)
@@ -357,16 +357,18 @@ _POSITIVE_FIELDS = ("T", "dt_full", "dt_knot", "box_y", "box_z",
 _FIELD_MINIMA = {"cells_per_eps": 4, "param_cells": 8, "profile_cells": 8,
                  "wall_cells": 8, "picard_max_iter": 1}
 # the most nominal full-model steps T / dt_full one study may ask for:
-# 200 times the default 500, so a mistyped step is refused, not marched
+# 500 times the default 200, so a mistyped step is refused, not marched
 MAX_FULL_STEPS = 100_000
 
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Knobs of the eps-convergence experiment."""
+    """Knobs of the eps-convergence experiment. dt_full is the full
+    model's largest step: the march takes every level of the pieces'
+    grid, one step each at the default dt_full = dt_knot."""
 
     T: float = 0.5
-    dt_full: float = 1e-3
+    dt_full: float = 2.5e-3
     dt_knot: float = 2.5e-3
     cells_per_eps: int = 16
     param_cells: int = 16
@@ -393,7 +395,8 @@ class StudyConfig:
         if self.dt_full > self.dt_knot + 1e-15:
             raise ConfigError(
                 f"study.dt_full={self.dt_full} must not exceed "
-                f"study.dt_knot={self.dt_knot}")
+                f"study.dt_knot={self.dt_knot}: lower study.dt_full "
+                f"with study.dt_knot")
         if self.T / self.dt_full > MAX_FULL_STEPS:
             raise ConfigError(
                 f"study.dt_full={self.dt_full} asks for "
@@ -486,7 +489,9 @@ def build_expansion_pieces(data: MagnetizationField,
 
 def _epsilon_row(task) -> dict:
     """One eps of the study: sample, march, measure. Top level so the
-    process pool can ship it."""
+    process pool can ship it. The full model marches every level of the
+    pieces' grid (the opening ramp, then steps of at most dt_full); only
+    its knot rows are kept, and a missed knot is a solver abort."""
     pieces, data, eps, cfg = task
     grid = make_epsilon_grid(eps, cells_per_eps=cfg.cells_per_eps)
     times_eval = knot_times(pieces.T_used, cfg.dt_knot)
@@ -495,9 +500,12 @@ def _epsilon_row(task) -> dict:
     u_init = renormalize(a_vals[0])
     fcfg = FullModelConfig(epsilon=eps, dt=cfg.dt_full, T=pieces.T_used,
                            drift_tol=cfg.drift_tol)
-    traj = simulate_full(u_init, grid, fcfg, t_eval=times_eval)
-    if not np.array_equal(traj.times, times_eval):
-        raise RuntimeError("solver output times drifted off the knots")
+    traj = simulate_full(u_init, grid, fcfg, t_eval=pieces.ext.times)
+    knots = np.isin(traj.times, times_eval)
+    if not np.array_equal(traj.times[knots], times_eval):
+        raise SolverAbort("solver output times drifted off the knots")
+    u, drift_max = traj.values[knots], traj.drift_max
+    del traj
 
     # each node's limit trajectory once: the minus data up to the
     # interface node, the plus data from it on (that node twice)
@@ -505,11 +513,11 @@ def _epsilon_row(task) -> dict:
     limit_init = np.concatenate([data(grid.x[:i0 + 1], "minus"),
                                  data(grid.x[i0:], "plus")])
     limit = simulate_limit(limit_init, times_eval)
-    err = jump_error_l2(times_eval, grid.x, traj.values,
+    err = jump_error_l2(times_eval, grid.x, u,
                         limit[:, :i0 + 1], limit[:, i0 + 1:])
 
     res = residual_report(times_eval, a_vals, grid, eps)
-    w = (traj.values - a_vals) / eps
+    w = (u - a_vals) / eps
     ec0, ecm = eclass_norms(times_eval, grid.x, w, eps, m=cfg.eclass_m)
     return {
         "epsilon": eps,
@@ -518,7 +526,7 @@ def _epsilon_row(task) -> dict:
         "ec0": ec0,
         "ecm": ecm,
         "nx": grid.n,
-        "drift_max": traj.drift_max,
+        "drift_max": drift_max,
     }
 
 

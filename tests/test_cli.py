@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
+from llx import expansion
 from llx.cli import main
 
 # small enough to keep every command under a few seconds
@@ -122,6 +124,34 @@ def test_solver_abort_is_exit_3(tiny_cfg, tmp_path, capsys):
                "--tol-override", "study.drift_tol=1e-18"])
     assert rc == 3
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_off_knot_trajectory_is_exit_3(tiny_cfg, tmp_path, capsys,
+                                       monkeypatch):
+    march = expansion.simulate_full
+
+    def shifted(*args, **kwargs):
+        traj = march(*args, **kwargs)
+        return replace(traj, times=traj.times + 1e-9)
+
+    monkeypatch.setattr(expansion, "simulate_full", shifted)
+    rc = main(["converge", "--config", tiny_cfg,
+               "--out", str(tmp_path / "o")])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "error: solver output times drifted off the knots\n")
+
+
+def test_finer_knots_alone_is_exit_2(tmp_path, capsys):
+    # the default dt_full equals the default dt_knot, so a finer dt_knot
+    # must bring dt_full down with it
+    rc = main(["converge", "--out", str(tmp_path / "o"),
+               "--tol-override", "study.dt_knot=1.25e-3"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: study.dt_full=")
+    assert "study.dt_knot=" in err
+    assert "lower study.dt_full" in err
 
 
 def test_out_dir_precedence(tiny_cfg, tmp_path, monkeypatch):

@@ -14,9 +14,9 @@ from llx.expansion import (EClassNorms, ExpansionAnsatz, StudyConfig,
                            build_expansion_pieces, convergence_study,
                            eclass_norms, fit_slope, jump_error_l2)
 from llx.fields import constant_per_side, named_field
-from llx.full_model import l2_space_time
-from llx.geometry import (in_v_sigma, make_profile_grid, param_nodes,
-                          profile_d1, theta, time_grid)
+from llx.full_model import l2_space_time, simulate_full
+from llx.geometry import (in_v_sigma, knot_times, make_profile_grid,
+                          param_nodes, profile_d1, theta, time_grid)
 from llx.internal_layer import TIME_BLOCK, picard_profiles
 from llx.interp import natural_spline_coeffs, x_resample
 from llx.limit_model import extend_limit, simulate_limit
@@ -598,6 +598,39 @@ def test_jobs_caps_the_pool_at_the_eps_count(jump_data, monkeypatch):
     assert sizes == [4, 3]
 
 
+# --- the full-model march over the pieces' grid ---
+
+def test_study_marches_the_pieces_grid(small_cfg, jump_small, monkeypatch):
+    """At the default dt_full each level of the pieces' grid is one step,
+    and the measured u is the trajectory's knot rows."""
+    data, pieces, _ = jump_small
+    marched, measured = [], []
+
+    def march(u0, grid, fcfg, t_eval):
+        traj = simulate_full(u0, grid, fcfg, t_eval=t_eval)
+        marched.append((t_eval, traj))
+        return traj
+
+    def error(times, x, u, ref_minus, ref_plus):
+        measured.append(u)
+        return jump_error_l2(times, x, u, ref_minus, ref_plus)
+
+    monkeypatch.setattr(expansion, "simulate_full", march)
+    monkeypatch.setattr(expansion, "jump_error_l2", error)
+    assert small_cfg.dt_full == StudyConfig().dt_full
+    convergence_study([0.1, 0.07, 0.05], data, small_cfg, pieces=pieces)
+    times = pieces.ext.times
+    knots = knot_times(pieces.T_used, small_cfg.dt_knot)
+    assert len(marched) == len(measured) == 3
+    for (t_eval, traj), u in zip(marched, measured):
+        assert np.array_equal(t_eval, times)
+        assert traj.steps_taken == times.size - 1
+        assert traj.halvings_used == 0
+        rows = np.searchsorted(traj.times, knots)
+        assert np.array_equal(traj.times[rows], knots)
+        assert np.array_equal(u, traj.values[rows])
+
+
 # --- the horizon cut by a stalled Picard window ---
 
 def _stalling_profiles(step):
@@ -693,3 +726,21 @@ def test_swirl_study_errors_decrease(swirl_study):
     rep = swirl_study
     assert np.all(np.diff(rep.errors_l2) < 0.0)
     assert np.all(rep.residuals > 0.0)
+
+
+def test_swirl_study_is_time_resolved(swirl_study, swirl_data, swirl_pieces,
+                                      study_cfg):
+    """A quarter of the default full-model step moves each column of the
+    swirl study by less than its bound; the residual reads only a."""
+    fine_cfg = replace(study_cfg, dt_full=study_cfg.dt_knot / 4)
+    fine = convergence_study(swirl_study.epsilons, swirl_data, fine_cfg,
+                             pieces=swirl_pieces)
+
+    def move(column):
+        coarse, ref = getattr(swirl_study, column), getattr(fine, column)
+        return np.max(np.abs(coarse - ref) / np.abs(ref))
+
+    assert move("errors_l2") <= 1e-4
+    assert move("eclass_m0") <= 1e-3
+    assert move("eclass_m1") <= 1e-2
+    assert np.array_equal(swirl_study.residuals, fine.residuals)
