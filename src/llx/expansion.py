@@ -27,6 +27,8 @@ eps), then for each eps: samples the ansatz on an eps-refined grid,
 marches the full model from the renormalized ansatz over the pieces'
 time grid, and records the distance to the limit state, the ansatz
 residual, and the conormal norms of (u - a) / eps at orders 0 and m.
+The diagnostics walk the knots in blocks (geometry.level_blocks), so a
+row holds a few space-time fields, not one per derivative.
 
 Contains:
 - ExpansionPieces / build_expansion_pieces: the eps-independent half,
@@ -50,11 +52,11 @@ from .boundary_layer import (BoundaryProfile, neumann_corrector,
                              solve_boundary_profile, wall_slopes)
 from .errors import ConfigError, NonContraction, SolverAbort
 from .fields import MagnetizationField
-from .full_model import (FullModelConfig, l2_space_time, make_epsilon_grid,
-                         residual_report, simulate_full)
+from .full_model import (FullModelConfig, make_epsilon_grid,
+                         residual_report, simulate_full, x_squares)
 from .geometry import (conormal_weight, in_v_sigma, knot_times,
-                       make_profile_grid, make_wall_grid, param_nodes,
-                       profile_d1, theta, time_grid)
+                       level_blocks, make_profile_grid, make_wall_grid,
+                       param_nodes, profile_d1, theta, time_d1, time_grid)
 from .internal_layer import ProfilePair, halves, lift, picard_profiles
 from .interp import (contract_columns, natural_spline_coeffs, spline_eval,
                      x_resample)
@@ -239,16 +241,21 @@ def jump_error_l2(times: np.ndarray, x: np.ndarray, u: np.ndarray,
     up to the interface node x[i0] = 0, ref_plus (nt, nx - i0, 3) the one
     on x[i0:]; each is integrated over its own half, so the interface
     node contributes half a cell to each side and the jump never incurs
-    O(1) quadrature error.
+    O(1) quadrature error. The knots are walked in blocks
+    (geometry.level_blocks), each leaving one x-integral per knot, and
+    one trapezoid in time ends the norm.
     """
     x = np.asarray(x, dtype=float)
     i0 = ref_minus.shape[1] - 1
     if x[i0] != 0.0 or ref_plus.shape[1] != x.size - i0:
         raise ValueError("the references must meet at the interface node 0")
-    dm = np.sum((u[:, :i0 + 1] - ref_minus) ** 2, axis=-1)
-    dp = np.sum((u[:, i0:] - ref_plus) ** 2, axis=-1)
-    inner = (np.trapezoid(dm, x[:i0 + 1], axis=1)
-             + np.trapezoid(dp, x[i0:], axis=1))
+    inner = np.empty(len(u))
+    for _, start, stop, _ in level_blocks(len(u), 0):
+        rows = slice(start, stop)
+        dm = np.sum((u[rows, :i0 + 1] - ref_minus[rows]) ** 2, axis=-1)
+        dp = np.sum((u[rows, i0:] - ref_plus[rows]) ** 2, axis=-1)
+        inner[rows] = (np.trapezoid(dm, x[:i0 + 1], axis=1)
+                       + np.trapezoid(dp, x[i0:], axis=1))
     return float(np.sqrt(np.trapezoid(inner, times)))
 
 
@@ -304,8 +311,13 @@ def eclass_norms(times: np.ndarray, x: np.ndarray, w: np.ndarray,
     The generators are Z0 = d_t and Z1 = omega(x) d_x with the weight
     omega(x) = x(1 - x^2) tangent to interface and walls; the normal
     derivative enters through eps d_x. All differences are second
-    order on the sampling grid. One derivative table per field serves
-    both orders, and w's table is dropped before eps d_x w is formed.
+    order on the sampling grid. The knots are walked in blocks
+    (geometry.level_blocks) reading max(m, 1) knots of w past each end,
+    one per time derivative. Per block one derivative table of w, then
+    one of eps d_x w, serves both orders: each term leaves its squared
+    L2(x) norm per knot and a running sup, and one trapezoid in time
+    ends each norm. The records are the whole-array evaluation's bit for
+    bit.
     """
     w = np.asarray(w, dtype=float)
     times = np.asarray(times, dtype=float)
@@ -315,38 +327,67 @@ def eclass_norms(times: np.ndarray, x: np.ndarray, w: np.ndarray,
     if w.shape != (times.size, x.size, 3):
         raise ValueError(
             f"w shape {w.shape} does not match ({times.size}, {x.size}, 3)")
+    if times.size < 2:
+        raise ValueError("need at least 2 knots for the time derivative")
     omega = conormal_weight(x)[None, :, None]
+    halo = max(m, 1)
 
-    def table(v, order):
-        # Z0^a Z1^b v keyed (a, b), lower totals first
-        derivs = {(0, 0): v}
-        for total in range(1, order + 1):
+    def table(v, lo, start, stop, order):
+        # Z0^a Z1^b v keyed (a, b), lower totals first, on the knots
+        # start..stop of v = field[lo:]; a time derivative is taken on
+        # as many knots past the block as later ones still read
+        derivs = {}
+        chain, first = v, lo
+        for total in range(order + 1):
             for b in range(total + 1):
                 a = total - b
-                derivs[(a, b)] = (
-                    omega * profile_d1(x, derivs[(a, b - 1)]) if b
-                    else np.gradient(derivs[(a - 1, 0)], times, axis=0))
+                if b:
+                    derivs[(a, b)] = (omega
+                                      * profile_d1(x, derivs[(a, b - 1)]))
+                    continue
+                if a:
+                    reach = order - a
+                    rows = slice(max(start - reach, 0),
+                                 min(stop + reach, times.size))
+                    chain = time_d1(times, chain, first, rows)
+                    first = rows.start
+                derivs[(a, 0)] = chain[start - first:stop - first]
         return derivs
 
-    def sobolev(derivs):
-        squares = [l2_space_time(times, x, term) ** 2
-                   for (a, b), term in derivs.items() if a + b <= m]
-        return (float(np.sqrt(sum(squares[:1]))),
-                float(np.sqrt(sum(squares))))
+    # per table: each term of order <= m squared per knot, and the
+    # squared sups of w, of its Z-derivatives and of eps d_x w
+    squares = ({}, {})
+    peaks = np.zeros(3)
 
-    def sup(v):
-        return float(np.sqrt(np.max(np.sum(v * v, axis=-1))))
+    def add(derivs, part, start, stop):
+        for key, term in derivs.items():
+            if sum(key) <= m:
+                squares[part].setdefault(key, np.empty(times.size))[
+                    start:stop] = x_squares(x, term)
 
-    derivs = table(w, max(m, 1))
-    conormal = sobolev(derivs)
-    sups = (epsilon * sup(w),
-            epsilon * max(sup(derivs[(1, 0)]), sup(derivs[(0, 1)])))
-    del derivs
-    wn = epsilon * profile_d1(x, w)
-    normal_conormal = sobolev(table(wn, m))
-    sups += (epsilon * sup(wn),)
+    def sup2(v):
+        return np.max(np.sum(v * v, axis=-1))
+
+    for lo, start, stop, hi in level_blocks(times.size, halo):
+        derivs = table(w[lo:hi], lo, start, stop, halo)
+        add(derivs, 0, start, stop)
+        block = [sup2(derivs[(0, 0)]),
+                 max(sup2(derivs[(1, 0)]), sup2(derivs[(0, 1)]))]
+        del derivs
+        wn = epsilon * profile_d1(x, w[lo:hi])
+        add(table(wn, lo, start, stop, m), 1, start, stop)
+        block.append(sup2(wn[start - lo:stop - lo]))
+        peaks = np.maximum(peaks, block)
+
+    def sobolev(rows):
+        # each square rounded through its norm, as l2_space_time ** 2
+        sq = [float(np.sqrt(np.trapezoid(r, times))) ** 2
+              for r in rows.values()]
+        return float(np.sqrt(sum(sq[:1]))), float(np.sqrt(sum(sq)))
+
+    sups = tuple(epsilon * float(np.sqrt(p)) for p in peaks)
     return tuple(EClassNorms(order, c, n, *sups) for order, c, n
-                 in zip((0, m), conormal, normal_conormal))
+                 in zip((0, m), sobolev(squares[0]), sobolev(squares[1])))
 
 
 # === the convergence experiment ===
@@ -491,7 +532,14 @@ def _epsilon_row(task) -> dict:
     """One eps of the study: sample, march, measure. Top level so the
     process pool can ship it. The full model marches every level of the
     pieces' grid (the opening ramp, then steps of at most dt_full); only
-    its knot rows are kept, and a missed knot is a solver abort."""
+    its knot rows are kept, and a missed knot is a solver abort.
+
+    The row holds at most three space-time fields at once: the ansatz
+    a, the knot rows u and the trajectory they are copied from, then a,
+    u and w = (u - a) / eps, then u, w and the limit values; each is
+    dropped once used. The diagnostics walk the knots in blocks and add
+    only block temporaries.
+    """
     pieces, data, eps, cfg = task
     grid = make_epsilon_grid(eps, cells_per_eps=cfg.cells_per_eps)
     times_eval = knot_times(pieces.T_used, cfg.dt_knot)
@@ -507,6 +555,11 @@ def _epsilon_row(task) -> dict:
     u, drift_max = traj.values[knots], traj.drift_max
     del traj
 
+    res = residual_report(times_eval, a_vals, grid, eps)
+    w = u - a_vals
+    w /= eps
+    del a_vals
+
     # each node's limit trajectory once: the minus data up to the
     # interface node, the plus data from it on (that node twice)
     i0 = int(np.searchsorted(grid.x, 0.0))
@@ -515,9 +568,8 @@ def _epsilon_row(task) -> dict:
     limit = simulate_limit(limit_init, times_eval)
     err = jump_error_l2(times_eval, grid.x, u,
                         limit[:, :i0 + 1], limit[:, i0 + 1:])
+    del u, limit
 
-    res = residual_report(times_eval, a_vals, grid, eps)
-    w = (u - a_vals) / eps
     ec0, ecm = eclass_norms(times_eval, grid.x, w, eps, m=cfg.eclass_m)
     return {
         "epsilon": eps,

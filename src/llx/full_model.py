@@ -28,7 +28,8 @@ Contains:
 - output_times / substeps: a run's output times, {0, T} joined with
   requested ones, and the nominal substep count of one output interval
 - FullModelConfig, step_full, simulate_full, FullTrajectory
-- l2_space_time: composite-trapezoid space-time L2 norm
+- x_squares / l2_space_time: composite-trapezoid L2 norms, squared per
+  slice and over space-time
 - residual_report / ResidualReport: a-posteriori defect of any
   space-time field against the equation above
 """
@@ -43,7 +44,8 @@ import numpy as np
 from .banded import block_tridiag_solve, cross, inv_id_plus_cross, norm3
 from .errors import SolverAbort
 from .geometry import (apply_tridiagonal_stencil, d1_coefficients,
-                       d2_coefficients, mirrored, nodes, one_sided_d1)
+                       d2_coefficients, level_blocks, mirrored, nodes,
+                       one_sided_d1, time_d1)
 from .limit_model import F_rhs, renormalize as project_sphere
 from .strayfield import stray_field_slab
 
@@ -304,6 +306,12 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
 
 # === a-posteriori residual ===
 
+def x_squares(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Squared L2(Omega) norm of each slice of a vector field
+    (..., nx, 3) by the composite trapezoid: one per leading index."""
+    return np.trapezoid(np.sum(values * values, axis=-1), x, axis=-1)
+
+
 def l2_space_time(times: np.ndarray, x: np.ndarray,
                   values: np.ndarray) -> float:
     """Composite-trapezoid L2([0,T] x Omega) norm of a vector field."""
@@ -312,9 +320,7 @@ def l2_space_time(times: np.ndarray, x: np.ndarray,
         raise ValueError(
             f"values shape {values.shape} does not match "
             f"({np.size(times)}, {np.size(x)}, ...)")
-    sq = np.sum(values * values, axis=-1)
-    inner = np.trapezoid(sq, x, axis=1)
-    return float(np.sqrt(np.trapezoid(inner, times)))
+    return float(np.sqrt(np.trapezoid(x_squares(x, values), times)))
 
 
 @dataclass(frozen=True)
@@ -341,7 +347,12 @@ def residual_report(times: np.ndarray, values: np.ndarray, grid: Grid1D,
 
     values has shape (nt, n, 3) with nt >= 3. The interior residual uses
     the same second-order stencils as the solver, so smooth fields score
-    O(dt^2 + h^2).
+    O(dt^2 + h^2). The levels are walked in blocks
+    (geometry.level_blocks), the time derivative np.gradient's centered
+    difference read from one level past each end (geometry.time_d1);
+    each level leaves its squared L2 norm and its largest entry, and a
+    trapezoid in time ends the L2 norm. The report is the whole-array
+    evaluation's bit for bit, with no temporary the size of values.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -352,25 +363,33 @@ def residual_report(times: np.ndarray, values: np.ndarray, grid: Grid1D,
     if times.size < 3:
         raise ValueError("need at least 3 time slices for a residual")
     ws = _Workspace(grid)
-    du_dt = np.gradient(values, times, axis=0)
-
-    # slice by slice: the whole stack at once would hold several
-    # (nt, n, 3) temporaries, 2.5x the peak memory of this loop
-    residuals = np.empty((times.size - 2, grid.n - 2, 3))
-    for k in range(1, times.size - 1):
-        u = values[k]
-        d2u = apply_tridiagonal_stencil(ws.d2, u)
-        g = _forcing(u, epsilon, ws)
-        if source is not None:
-            g = g + source(times[k], grid.x)
-        rhs = epsilon**2 * (d2u + cross(u, d2u)) + g
-        residuals[k - 1] = (du_dt[k] - rhs)[1:-1]
-    l2 = l2_space_time(times[1:-1], grid.x[1:-1], residuals)
-    max_r = float(np.max(np.abs(residuals)))
+    x_in = grid.x[1:-1]
+    # block by block, each interior level leaving its squared L2 norm
+    # and its largest entry: no (nt, n, 3) temporary
+    squares = np.empty(times.size - 2)
+    peaks = np.empty(times.size - 2)
+    norms = []
+    for lo, start, stop, hi in level_blocks(times.size, 1):
+        block = values[start:stop]
+        norms.append(np.max(np.abs(np.sum(block**2, axis=-1) - 1.0)))
+        inside = slice(max(start, 1), min(stop, times.size - 1))
+        du_dt = time_d1(times, values[lo:hi], lo, inside)
+        for k in range(inside.start, inside.stop):
+            u = values[k]
+            d2u = apply_tridiagonal_stencil(ws.d2, u)
+            g = _forcing(u, epsilon, ws)
+            if source is not None:
+                g = g + source(times[k], grid.x)
+            rhs = epsilon**2 * (d2u + cross(u, d2u)) + g
+            residual = (du_dt[k - inside.start] - rhs)[1:-1]
+            squares[k - 1] = x_squares(x_in, residual)
+            peaks[k - 1] = np.max(np.abs(residual))
+    l2 = float(np.sqrt(np.trapezoid(squares, times[1:-1])))
+    max_r = float(np.max(peaks))
 
     walls = np.moveaxis(values, 1, 0)
     nd = float(max(np.max(np.abs(one_sided_d1(grid.x, walls, end)))
                    for end in ("left", "right")))
-    norm_defect = float(np.max(np.abs(np.sum(values**2, axis=-1) - 1.0)))
+    norm_defect = float(np.max(norms))
     return ResidualReport(l2_residual=l2, max_residual=max_r,
                           neumann_defect=nd, norm_defect=norm_defect)

@@ -15,6 +15,8 @@ Contains:
   nonuniform 3-point stencils with the Neumann walls built in
 - one_sided_d1 / profile_d1: second-order first derivatives at an end
   and along a whole node axis
+- time_d1 / level_blocks: np.gradient's time derivative on a window of
+  levels, and the blocks with halo the diagnostics walk the levels in
 - theta / chi_sigma / in_v_sigma: the wall cutoff, the interface
   blending weight and the interface neighborhood, all of fixed width
 - conormal_weight: weight of the vector field x(1-x^2) d/dx tangent to
@@ -180,6 +182,52 @@ def apply_tridiagonal_stencil(coeffs, u: np.ndarray) -> np.ndarray:
     out[1:] += a[1:].reshape(-1, *([1] * (u.ndim - 1))) * u[:-1]
     out[:-1] += c[:-1].reshape(-1, *([1] * (u.ndim - 1))) * u[1:]
     return out
+
+
+def time_d1(times: np.ndarray, f: np.ndarray, first: int,
+            rows: slice) -> np.ndarray:
+    """d/dt at the levels rows of a field F on times, from the window
+    f = F[first:first + len(f)].
+
+    Bit for bit np.gradient(F, times, axis=0)[rows]: centered inside,
+    first order at both ends. The window must hold one level past each
+    end of rows that is not an end of times. numpy takes its uniform-spacing
+    formula when every spacing of its input is equal, so the formula is
+    chosen once from the whole of times, never from f's window.
+    """
+    h = np.diff(times)
+    out = np.empty((rows.stop - rows.start,) + f.shape[1:])
+    i0, i1 = max(rows.start, 1), min(rows.stop, times.size - 1)
+    fm, f0, fp = (f[i0 + s - first:i1 + s - first] for s in (-1, 0, 1))
+    inside = out[i0 - rows.start:i1 - rows.start]
+    if np.all(h == h[0]):
+        inside[...] = (fp - fm) / (2.0 * h[0])
+    else:
+        shape = (-1,) + (1,) * (f.ndim - 1)
+        dx1 = h[i0 - 1:i1 - 1].reshape(shape)
+        dx2 = h[i0:i1].reshape(shape)
+        inside[...] = (-(dx2) / (dx1 * (dx1 + dx2)) * fm
+                       + (dx2 - dx1) / (dx1 * dx2) * f0
+                       + dx1 / (dx2 * (dx1 + dx2)) * fp)
+    if rows.start == 0:
+        out[0] = (f[1] - f[0]) / h[0]
+    if rows.stop == times.size:
+        out[-1] = (f[-1] - f[-2]) / h[-1]
+    return out
+
+
+# levels per block of the streamed space-time diagnostics: bounds their
+# temporaries (levels x nodes x 3) whatever the number of levels
+LEVEL_BLOCK = 16
+
+
+def level_blocks(n: int, halo: int):
+    """The levels 0..n in blocks of LEVEL_BLOCK: (lo, start, stop, hi)
+    per block start..stop, whose window lo..hi reaches halo levels
+    past each end, clipped to 0..n."""
+    for start in range(0, n, LEVEL_BLOCK):
+        stop = min(start + LEVEL_BLOCK, n)
+        yield max(start - halo, 0), start, stop, min(stop + halo, n)
 
 
 def one_sided_d1(x: np.ndarray, u: np.ndarray, end: str) -> np.ndarray:

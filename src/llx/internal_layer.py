@@ -167,28 +167,42 @@ def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
 
 # === fixed point over the columns ===
 
-def _profile_levels(y: np.ndarray, W: np.ndarray, delta, delta_dt, u0p,
-                    u0m):
+def _profile_data(y: np.ndarray, delta, delta_dt, u0p, u0m) -> tuple:
+    """The half of the frozen coefficient and forcing that no iterate
+    enters, built once per window.
+
+    delta, delta_dt and the one-sided states u0p, u0m are (m, ncols, 3)
+    at m time levels. Returns a flat tuple of arrays with the same two
+    leading axes, so a sweep takes its levels and columns from each
+    alike: per side (halves, minus first) u0, H0, the lift S, V = u0 + S
+    and the lift of delta_dt on the side's half-line.
+    """
+    data = []
+    for (rows, sign), u0 in zip(halves(y.size), (u0m, u0p)):
+        u0_b = u0[..., None, :]
+        S = lift(delta[..., None, :], y[rows, None], sign)
+        data += [u0_b, stray_field_slab(u0)[..., None, :], S, u0_b + S,
+                 lift(delta_dt[..., None, :], y[rows, None], sign)]
+    return tuple(data)
+
+
+def _profile_levels(y: np.ndarray, W: np.ndarray, data: tuple):
     """Coefficient and per-side forcing frozen at the iterate W.
 
-    W is (m, ncols, ny, 3) at m time levels; delta, delta_dt and the
-    one-sided states u0p, u0m are (m, ncols, 3) at the same levels.
-    Each side's lift S (dS/dy = sign S there), its forcing and its
-    V = u0 + S are built on the side's own half-line (halves). Returns
+    W is (m, ncols, ny, 3) at m time levels, data the _profile_data of
+    the same levels and columns (a sweep takes the window's levels, its
+    first one included). Each side's forcing (dS/dy = sign S
+    there) is built on the side's own half-line (halves). Returns
     (coeff, f_minus, f_plus): the forcings as _sweep takes them, and
     coeff V_minus below the junction and V_plus from it on, plus W.
     """
     dyW = profile_d1(y, W)
     sides = []
-    for (rows, sign), u0 in zip(halves(y.size), (u0m, u0p)):
-        u0_b = u0[..., None, :]
-        H0 = stray_field_slab(u0)[..., None, :]
+    for (rows, sign), (u0, H0, S, V, dS) in zip(halves(y.size),
+                                                (data[:5], data[5:])):
         W_s = W[..., rows, :]
-        S = lift(delta[..., None, :], y[rows, None], sign)
-        V = u0_b + S
-        f = (F_pm(W_s + S, dyW[..., rows, :] + sign * S, u0_b, H0)
-             - lift(delta_dt[..., None, :], y[rows, None], sign) + S
-             + cross(V + W_s, S))
+        f = (F_pm(W_s + S, dyW[..., rows, :] + sign * S, u0, H0)
+             - dS + S + cross(V + W_s, S))
         sides.append((V, f))
     (V_m, f_m), (V_p, f_p) = sides
     coeff = np.concatenate([V_m[..., :-1, :], V_p], axis=-2) + W
@@ -241,20 +255,22 @@ def _picard(y: np.ndarray, times: np.ndarray, W: np.ndarray,
             slope = (times[win] - times[k0]) / (times[k0] - times[k0 - 1])
             W[win, cols] = W[k0, cols] + slope[:, None, None, None] * (
                 W[k0, cols] - W[k0 - 1, cols])
-        first = _profile_levels(y, W[k0:k0 + 1, cols],
-                                *(arr[k0:k0 + 1, cols]
-                                  for arr in (delta, delta_dt, u0p, u0m)))
+        # each sweep freezes the forcing at all the window's levels, its
+        # converged first one included; the data half is built once
+        data = _profile_data(y, *(arr[k0:k1 + 1, cols] for arr in
+                                  (delta, delta_dt, u0p, u0m)))
         sweeps = {col: [] for col in traces}
         failed = None
         active = np.arange(cols.size)
         while active.size:
             act = cols[active]
-            old = W[win, act]
-            rest = _profile_levels(y, old, *(arr[win, act] for arr in
-                                             (delta, delta_dt, u0p, u0m)))
-            new = _sweep(y, times[k0:k1 + 1], W[k0, act],
-                         *(np.concatenate([f0[:, active], f])
-                           for f0, f in zip(first, rest)))
+            levels = W[k0:k1 + 1, act]
+            old = levels[1:]
+            # a view while every column is active
+            taken = slice(None) if active.size == cols.size else active
+            new = _sweep(y, times[k0:k1 + 1], levels[0],
+                         *_profile_levels(y, levels, tuple(
+                             part[:, taken] for part in data)))
             change = _l2_y_per_time(y, new - old).max(axis=0)
             W[win, act] = new
             still = []

@@ -14,6 +14,9 @@ gate measure the same thing:
 - step_rk4 / march_rk4: the classic fourth-order rule of the limit flow
   and a projected uniform-substep march with it, the independent oracle
   of the limit flow's closed form
+- whole_jump_error_l2 / whole_residual_report / whole_eclass_norms: the
+  diagnostics evaluated on whole (nt, nx, 3) arrays, the oracles of the
+  knot-block walks in the package
 """
 
 from __future__ import annotations
@@ -21,7 +24,12 @@ from __future__ import annotations
 import numpy as np
 import sympy as sp
 
-from llx.full_model import output_times, substeps
+from llx.banded import cross
+from llx.expansion import EClassNorms
+from llx.full_model import (ResidualReport, _forcing, _Workspace,
+                            l2_space_time, output_times, substeps)
+from llx.geometry import (apply_tridiagonal_stencil, conormal_weight,
+                          one_sided_d1, profile_d1)
 from llx.internal_layer import _sweep, halves
 from llx.limit_model import renormalize, rhs_limit
 
@@ -144,3 +152,81 @@ def march_rk4(u0: np.ndarray, T: float, dt: float, t_eval=None):
             u = renormalize(step_rk4(u, span / nsub))
         values[k + 1] = u
     return times, values
+
+
+# === whole-array diagnostics ===
+
+def whole_jump_error_l2(times, x, u, ref_minus, ref_plus) -> float:
+    """expansion.jump_error_l2 on whole arrays."""
+    x = np.asarray(x, dtype=float)
+    i0 = ref_minus.shape[1] - 1
+    dm = np.sum((u[:, :i0 + 1] - ref_minus) ** 2, axis=-1)
+    dp = np.sum((u[:, i0:] - ref_plus) ** 2, axis=-1)
+    inner = (np.trapezoid(dm, x[:i0 + 1], axis=1)
+             + np.trapezoid(dp, x[i0:], axis=1))
+    return float(np.sqrt(np.trapezoid(inner, times)))
+
+
+def whole_residual_report(times, values, grid, epsilon,
+                          source=None) -> ResidualReport:
+    """full_model.residual_report with the time derivative and the
+    residual stacked over every level."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    ws = _Workspace(grid)
+    du_dt = np.gradient(values, times, axis=0)
+    residuals = np.empty((times.size - 2, grid.n - 2, 3))
+    for k in range(1, times.size - 1):
+        u = values[k]
+        d2u = apply_tridiagonal_stencil(ws.d2, u)
+        g = _forcing(u, epsilon, ws)
+        if source is not None:
+            g = g + source(times[k], grid.x)
+        rhs = epsilon**2 * (d2u + cross(u, d2u)) + g
+        residuals[k - 1] = (du_dt[k] - rhs)[1:-1]
+    l2 = l2_space_time(times[1:-1], grid.x[1:-1], residuals)
+    max_r = float(np.max(np.abs(residuals)))
+    walls = np.moveaxis(values, 1, 0)
+    nd = float(max(np.max(np.abs(one_sided_d1(grid.x, walls, end)))
+                   for end in ("left", "right")))
+    norm_defect = float(np.max(np.abs(np.sum(values**2, axis=-1) - 1.0)))
+    return ResidualReport(l2_residual=l2, max_residual=max_r,
+                          neumann_defect=nd, norm_defect=norm_defect)
+
+
+def whole_eclass_norms(times, x, w, epsilon, m) -> tuple:
+    """expansion.eclass_norms with each derivative table built on the
+    whole of w."""
+    w = np.asarray(w, dtype=float)
+    times = np.asarray(times, dtype=float)
+    x = np.asarray(x, dtype=float)
+    omega = conormal_weight(x)[None, :, None]
+
+    def table(v, order):
+        derivs = {(0, 0): v}
+        for total in range(1, order + 1):
+            for b in range(total + 1):
+                a = total - b
+                derivs[(a, b)] = (
+                    omega * profile_d1(x, derivs[(a, b - 1)]) if b
+                    else np.gradient(derivs[(a - 1, 0)], times, axis=0))
+        return derivs
+
+    def sobolev(derivs):
+        squares = [l2_space_time(times, x, term) ** 2
+                   for (a, b), term in derivs.items() if a + b <= m]
+        return (float(np.sqrt(sum(squares[:1]))),
+                float(np.sqrt(sum(squares))))
+
+    def sup(v):
+        return float(np.sqrt(np.max(np.sum(v * v, axis=-1))))
+
+    derivs = table(w, max(m, 1))
+    conormal = sobolev(derivs)
+    sups = (epsilon * sup(w),
+            epsilon * max(sup(derivs[(1, 0)]), sup(derivs[(0, 1)])))
+    wn = epsilon * profile_d1(x, w)
+    normal_conormal = sobolev(table(wn, m))
+    sups += (epsilon * sup(wn),)
+    return tuple(EClassNorms(order, c, n, *sups) for order, c, n
+                 in zip((0, m), conormal, normal_conormal))

@@ -17,6 +17,7 @@ from llx.geometry import (
     graded_widths,
     in_v_sigma,
     knot_times,
+    level_blocks,
     make_profile_grid,
     make_wall_grid,
     one_sided_d1,
@@ -24,6 +25,7 @@ from llx.geometry import (
     profile_d1,
     quintic_smoothstep,
     theta,
+    time_d1,
     time_grid,
 )
 
@@ -274,3 +276,20 @@ def test_conormal_weight_tangency_bound():
     w = np.abs(conormal_weight(xs))
     bound = 2.0 * np.minimum(np.abs(xs), 1.0 - np.abs(xs))
     assert np.all(w <= bound + 1e-15)
+
+
+@pytest.mark.parametrize("times", [knot_times(0.5, 2.5e-3),
+                                   np.linspace(0.0, 1.0, 37),
+                                   time_grid(0.2, 5e-3)],
+                         ids=["default_knots", "uniform", "ramp"])
+@pytest.mark.parametrize("halo", [1, 2])
+def test_time_d1_on_each_block_window_is_np_gradient(times, halo):
+    rng = np.random.default_rng(3)
+    F = rng.standard_normal((times.size, 7, 3))
+    whole = np.gradient(F, times, axis=0)
+    blocks = list(level_blocks(times.size, halo))
+    assert len(blocks) >= 3
+    for lo, start, stop, hi in blocks:
+        got = time_d1(times, F[lo:hi], lo, slice(start, stop))
+        assert np.array_equal(got, whole[start:stop])
+
