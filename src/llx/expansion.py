@@ -406,7 +406,11 @@ MAX_FULL_STEPS = 100_000
 class StudyConfig:
     """Knobs of the eps-convergence experiment. dt_full is the full
     model's largest step: the march takes every level of the pieces'
-    grid, one step each at the default dt_full = dt_knot."""
+    grid, one step each at the default dt_full = dt_knot. picard_tol
+    bounds, per interface column and Picard window, the L2(y) change of
+    the last sweep at every time or the geometric bound on the changes
+    still to come, so the profile W ends about picard_tol from its fixed
+    point; picard_max_iter caps the sweeps of one window."""
 
     T: float = 0.5
     dt_full: float = 2.5e-3

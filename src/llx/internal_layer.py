@@ -28,7 +28,13 @@ time levels before the next; the first window that stops contracting
 bounds the horizon. The levels are geometry.time_grid's, whose binary
 opening steps absorb the start-up stiffness of discontinuous data. The
 active columns march together, stacked into one banded solve per time
-step, and leave a window once converged.
+step. A column leaves a window once its last sweep change d is below
+tol, or once its last two changes contract, rho = d / d_prev < 1, with
+d rho / (1 - rho) below tol: the geometric bound on the changes still
+to come (windowed waveform relaxation converges superlinearly;
+Miekkala & Nevanlinna, SIAM J. Sci. Stat. Comput. 8, 1987). Each window
+after the first starts from the parabola through the last three
+converged levels.
 
 Contains:
 - halves / lift: each side's half-line of the mirrored y-mesh (the
@@ -36,6 +42,7 @@ Contains:
 - F_pm: the increment F(u0+U, V, H0-(U.e1)e1) - F(u0, 0, H0) of
   limit_model.F_rhs
 - _sweep: one Crank-Nicolson march of stacked columns (a Picard sweep)
+- _predict / _settled: a window's starting guess, a column's exit rule
 - picard_profiles / ProfilePair: the windowed fixed-point loop, result
 """
 
@@ -209,9 +216,35 @@ def _profile_levels(y: np.ndarray, W: np.ndarray, data: tuple):
     return coeff, f_m, f_p
 
 
+def _predict(t_past: np.ndarray, past: np.ndarray,
+             t: np.ndarray) -> np.ndarray:
+    """The quadratic through three levels past (3, ...) at the times
+    t_past, evaluated at the times t: (t.size, ...), the Lagrange form."""
+    t0, t1, t2 = t_past
+    weights = ((t - t1) / (t0 - t1) * ((t - t2) / (t0 - t2)),
+               (t - t0) / (t1 - t0) * ((t - t2) / (t1 - t2)),
+               (t - t0) / (t2 - t0) * ((t - t1) / (t2 - t1)))
+    shape = t.shape + (1,) * (past.ndim - 1)
+    return sum(w.reshape(shape) * level for w, level in zip(weights, past))
+
+
+def _settled(diffs: list, tol: float) -> bool:
+    """Whether a column may leave its window after the sweep changes
+    diffs: the last change d is below tol, or the last two contract,
+    rho = d / d_prev < 1, and d rho / (1 - rho), the geometric bound on
+    the changes still to come, is below tol."""
+    d = diffs[-1]
+    if d < tol:
+        return True
+    if len(diffs) < 2:
+        return False
+    rho = d / diffs[-2]
+    return rho < 1.0 and d * rho / (1.0 - rho) < tol
+
+
 def _stalled(diffs: list, tol: float, max_iter: int, x_label: float,
              t_window: float) -> Optional[NonContraction]:
-    """The abort for a column whose last sweep missed tol, if it is due."""
+    """The abort for a column that has not settled, if it is due."""
     ratios = [diffs[q + 1] / diffs[q] for q in range(len(diffs) - 1)]
     if len(diffs) >= 4 and (diffs[-1] >= diffs[-2] >= diffs[-3]
                             >= diffs[-4]):
@@ -237,9 +270,13 @@ def _picard(y: np.ndarray, times: np.ndarray, W: np.ndarray,
     delta, delta_dt, u0p, u0m are (nt, ncol, 3), x_labels one per
     column, W[0] the start. One window of TIME_BLOCK levels converges at
     a time: its sweeps march from its converged first level, from a
-    guess extrapolating the last two converged levels linearly. A column
-    leaves the window's sweeps once its largest per-time change drops
-    below tol, so it takes as many sweeps as it would alone. Returns
+    guess extrapolating the last three converged levels quadratically on
+    their own times (_predict; the first window starts from W[0]). A
+    column leaves the window's sweeps once it has settled (_settled):
+    its largest per-time change d is below tol, or the geometric bound
+    d rho / (1 - rho) on its remaining change is, rho < 1 the ratio of
+    its last two changes. So W ends about tol from the fixed point, and
+    each column takes as many sweeps as it would alone. Returns
     (traces, failure): each column's per-window sweep changes over the
     windows all columns completed, and None or the NonContraction of
     the lowest column failing in the first window where one failed.
@@ -252,9 +289,8 @@ def _picard(y: np.ndarray, times: np.ndarray, W: np.ndarray,
         if k0 == 0:
             W[win, cols] = W[0, cols]
         else:
-            slope = (times[win] - times[k0]) / (times[k0] - times[k0 - 1])
-            W[win, cols] = W[k0, cols] + slope[:, None, None, None] * (
-                W[k0, cols] - W[k0 - 1, cols])
+            W[win, cols] = _predict(times[k0 - 2:k0 + 1],
+                                    W[k0 - 2:k0 + 1, cols], times[win])
         # each sweep freezes the forcing at all the window's levels, its
         # converged first one included; the data half is built once
         data = _profile_data(y, *(arr[k0:k1 + 1, cols] for arr in
@@ -278,7 +314,7 @@ def _picard(y: np.ndarray, times: np.ndarray, W: np.ndarray,
                                       change.tolist()):
                 trace = sweeps[col]
                 trace.append(diff)
-                if diff < tol:
+                if _settled(trace, tol):
                     continue
                 failure = _stalled(trace, tol, max_iter, x_labels[col],
                                    float(times[k0]))

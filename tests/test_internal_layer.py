@@ -9,7 +9,8 @@ from llx.fields import constant_per_side
 from llx.geometry import (apply_tridiagonal_stencil, chi_sigma,
                           d2_coefficients, in_v_sigma, make_profile_grid,
                           one_sided_d1, param_nodes, profile_d1, time_grid)
-from llx.internal_layer import TIME_BLOCK, F_pm, picard_profiles, _picard
+from llx.internal_layer import (TIME_BLOCK, F_pm, picard_profiles, _picard,
+                                _predict, _settled, _stalled)
 from llx.limit_model import F_rhs, extend_limit, rhs_limit, simulate_limit
 from llx.strayfield import E1, stray_field_slab
 
@@ -326,6 +327,68 @@ def test_picard_max_iter_exhaustion_reports():
                        tol=1e-14, max_iter=2, x_label=0.0)
 
 
+# --- the window exit rule and the window predictor ---
+
+@pytest.mark.parametrize("diffs, leaves", [
+    # rho = 0.01: the bound 1e-6 * 0.01 / 0.99 = 1.01e-8 is not below tol
+    ((1e-4, 1e-6), False),
+    # rho = 5e-3: the bound is 2.5e-9
+    ((1e-4, 5e-7), True),
+    # a single change leaves only below tol itself
+    ((2e-8,), False),
+    ((9e-9,), True),
+    # rho >= 1 bounds nothing
+    ((1e-8, 1e-8), False),
+    ((1e-8, 2e-8), False),
+    ((3e-8, 1e-9), True),
+], ids=["bound_above_tol", "bound_below_tol", "one_change",
+        "one_change_below_tol", "rho_one", "rho_above_one", "below_tol"])
+def test_column_leaves_by_tol_or_by_the_geometric_bound(diffs, leaves):
+    assert _settled(list(diffs), 1e-8) is leaves
+
+
+def test_a_non_contracting_trace_still_stalls():
+    diffs = [2e-6, 2e-6, 3e-6, 3e-6]
+    assert not any(_settled(diffs[:q], 1e-8) for q in range(1, 5))
+    failure = _stalled(diffs, 1e-8, 40, 0.0, 0.25)
+    assert "stopped contracting" in str(failure)
+    assert failure.t_converged == 0.25
+    assert failure.ratios == [1.0, 1.5, 1.0]
+
+
+def test_column_meeting_the_bound_on_its_last_sweep_leaves():
+    # each window's second change is above tol, its bound below: under
+    # max_iter = 2 the column leaves every window instead of failing
+    y = make_profile_grid(Y=6.0, cells=48)
+    times = time_grid(0.05, dt=5e-3)
+    nt = times.size
+    delta = np.tile([-1.2, 0.0, 0.0], (nt, 1))
+    dzero = np.zeros((nt, 3))
+    u0p = np.tile([-0.6, 0.8, 0.0], (nt, 1))
+    u0m = np.tile([0.6, 0.8, 0.0], (nt, 1))
+    _, windows = _picard_column(y, times, delta, dzero, u0p, u0m,
+                                tol=1e-5, max_iter=2, x_label=0.0)
+    assert len(windows) == 2
+    assert all(len(w) == 2 and w[1] >= 1e-5 for w in windows)
+
+
+def test_predictor_is_exact_for_quadratics():
+    times = time_grid(0.1, dt=5e-3)
+    rng = np.random.default_rng(3)
+    A, B, C = rng.normal(size=(3, 2, 9, 3))
+    t = times[:, None, None, None]
+    W = A + B * t + C * t * t
+    starts = list(range(TIME_BLOCK, times.size - 1, TIME_BLOCK))
+    # the second window opens on the ramp: its levels 6, 7, 8 are
+    # dt/2, dt and 2 dt, two unequal steps
+    assert starts[0] == 8 and times[6] == 0.5 * times[7]
+    for k0 in starts:
+        win = slice(k0 + 1, min(k0 + TIME_BLOCK, times.size - 1) + 1)
+        guess = _predict(times[k0 - 2:k0 + 1], W[k0 - 2:k0 + 1],
+                         times[win])
+        np.testing.assert_allclose(guess, W[win], rtol=0.0, atol=1e-13)
+
+
 # --- the stacked windowed Picard loop against a one-column loop ---
 
 def _reference_march(y, times, coeff, f_minus, f_plus, w0):
@@ -375,9 +438,11 @@ def _reference_picard_column(y, times, delta, delta_dt, u0p, u0m, tol,
 
     Each window of TIME_BLOCK levels is swept from its first level, the
     coefficient and forcing rebuilt on all of its levels every sweep,
-    until its largest per-time change drops below tol. Returns
-    (W, windows, failure): the per-window sweep changes, the failing
-    window's last, and the NonContraction or None.
+    until its largest per-time change d drops below tol or, with
+    rho = d / d_prev < 1, d rho / (1 - rho) does. A window after the
+    first starts from the parabola through the last three converged
+    levels. Returns (W, windows, failure): the per-window sweep changes,
+    the failing window's last, and the NonContraction or None.
     """
     e_plus = np.where(y >= 0.0, np.exp(-np.abs(y)), 0.0)[None, :, None]
     e_minus = np.where(y <= 0.0, np.exp(-np.abs(y)), 0.0)[None, :, None]
@@ -395,10 +460,12 @@ def _reference_picard_column(y, times, delta, delta_dt, u0p, u0m, tol,
         k1 = min(k0 + TIME_BLOCK, times.size - 1)
         lv = slice(k0, k1 + 1)
         if k0 > 0:
-            slope = (times[k0 + 1:k1 + 1] - times[k0]) \
-                / (times[k0] - times[k0 - 1])
-            W[k0 + 1:k1 + 1] = W[k0] + slope[:, None, None] * (
-                W[k0] - W[k0 - 1])
+            t = times[k0 + 1:k1 + 1, None, None]
+            ta, tb, tc = times[k0 - 2:k0 + 1]
+            W[k0 + 1:k1 + 1] = (
+                (t - tb) / (ta - tb) * ((t - tc) / (ta - tc)) * W[k0 - 2]
+                + (t - ta) / (tb - ta) * ((t - tc) / (tb - tc)) * W[k0 - 1]
+                + (t - ta) / (tc - ta) * ((t - tb) / (tc - tb)) * W[k0])
         diffs = []
         windows.append(diffs)
         while True:
@@ -421,6 +488,10 @@ def _reference_picard_column(y, times, delta, delta_dt, u0p, u0m, tol,
             W[k0 + 1:k1 + 1] = new
             if diffs[-1] < tol:
                 break
+            if len(diffs) >= 2:
+                rho = diffs[-1] / diffs[-2]
+                if rho < 1.0 and diffs[-1] * rho / (1.0 - rho) < tol:
+                    break
             ratios = [diffs[q + 1] / diffs[q]
                       for q in range(len(diffs) - 1)]
             if len(diffs) >= 4 and (diffs[-1] >= diffs[-2] >= diffs[-3]
@@ -470,6 +541,32 @@ def test_stacked_picard_matches_the_per_column_reference():
     assert pair.contraction_ratios() == [
         w[q + 1] / w[q] for t in traces for w in t
         for q in range(len(w) - 1)]
+
+
+def test_picard_tol_bounds_the_distance_to_the_fixed_point():
+    # a column leaves once the geometric bound on its remaining change is
+    # below tol; W must then sit within 1e-7 of a tol = 1e-13 solve in
+    # every time's L2(y) norm (bound fixed before the run)
+    x = param_nodes(16)
+    data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
+    times = time_grid(0.1, dt=5e-3)
+    ext = extend_limit(data, x, times)
+    y = make_profile_grid(Y=6.0, cells=48)
+    loose, tight = (picard_profiles(ext, y, tol=tol, max_iter=40)
+                    for tol in (1e-8, 1e-13))
+    D = loose.W - tight.W
+    per_time = np.sqrt(np.trapezoid(np.sum(D * D, axis=-1), y, axis=-1))
+    assert per_time.max() <= 1e-7
+
+
+def test_default_jump_build_sweep_budget(jump_pieces):
+    # bounds fixed before the run: 906 column-window sweeps and up to 4
+    # sweeps per window under the plain d < tol exit and the linear
+    # predictor
+    pair = jump_pieces.profiles
+    sweeps = sum(len(w) for windows in pair.residual_trace for w in windows)
+    assert sweeps <= 700
+    assert pair.iterations.max() <= 3
 
 
 def _stacked_against_reference(y, times, delta, u0p, u0m, tol,
