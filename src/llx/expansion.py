@@ -12,15 +12,19 @@ outside or beyond |y| = Y), U_wall is the wall profile on its cutoff
 support, and rho the slow Neumann corrector. Sampling on a solver grid
 takes the knots in blocks of KNOT_BLOCK. The base state is a not-a-knot
 cubic spline in the slow direction, each side from its own half (so the
-blend region never contaminates it). Both layers share one path: once
-per pass, each layer side reaching the nodes (either interface half,
-either wall) gets its nodes' stretched coordinates and cardinal
-x-weights, and a layer holding only zeros gets no side. Per block the
-natural spline in the fast direction is fitted on each side's stored
-columns, evaluated at every node's stretched coordinate and contracted
-with the node's x-weights (the two linear steps in swapped order). S
-and rho are closed form. The x-weights add an exactly-zero anchor column
-past each support end that is not a domain end.
+blend region never contaminates it), fitted once per build over every
+knot and carried by the pieces; a block evaluates it on its knots'
+coefficients only, with the bits of a fit on that block alone. Both
+layers share one path: once per pass, each layer side reaching the
+nodes (either interface half, either wall) gets its nodes' stretched
+coordinates and cardinal x-weights, and a layer holding only zeros gets
+no side. Per block the natural spline in the fast direction is fitted
+on each side's stored columns, evaluated at every node's stretched
+coordinate and contracted with the node's x-weights (the two linear
+steps in swapped order); those fits stay per block, since holding them
+for every knot would outweigh the stored layers. S and rho are closed
+form. The x-weights add an exactly-zero anchor column past each support
+end that is not a domain end.
 
 The convergence study builds the profiles once (they do not depend on
 eps), then for each eps: samples the ansatz on an eps-refined grid,
@@ -32,7 +36,8 @@ row holds a few space-time fields, not one per derivative.
 
 Contains:
 - ExpansionPieces / build_expansion_pieces: the eps-independent half,
-  on geometry.time_grid; its horizon T_used is the grid's last level
+  on geometry.time_grid, with the base state's x-splines; its horizon
+  T_used is the grid's last level
 - ExpansionAnsatz: the pieces sampled at one eps
 - jump_error_l2: the space-time distance to a two-valued state
 - EClassNorms / eclass_norms: conormal norm records
@@ -48,6 +53,7 @@ from typing import Optional
 
 import numpy as np
 
+from .banded import dot3
 from .boundary_layer import (BoundaryProfile, neumann_corrector,
                              solve_boundary_profile, wall_slopes)
 from .errors import ConfigError, NonContraction, SolverAbort
@@ -59,7 +65,7 @@ from .geometry import (conormal_weight, in_v_sigma, knot_times,
                        param_nodes, profile_d1, theta, time_d1, time_grid)
 from .internal_layer import ProfilePair, halves, lift, picard_profiles
 from .interp import (contract_columns, natural_spline_coeffs, spline_eval,
-                     x_resample)
+                     spline_rows, x_resample, x_spline)
 from .limit_model import (ExtendedLimit, extend_limit, renormalize,
                           simulate_limit)
 
@@ -102,17 +108,13 @@ class ExpansionAnsatz:
             f"{np.max(np.diff(times)):g}, end {times[-1]:g})")
 
     def _base(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # each side samples its own half only, where the extended state
-        # equals the bare limit solution (no blend contamination)
-        ext = self.pieces.ext
-        xp = ext.x_param
+        # each side's spline (fitted once per build) on its own half,
+        # evaluated on the knots ks only
         out = np.empty((ks.size, x.size, 3))
         left = x < 0.0
-        for sel, cols, u in ((left, xp <= 0.0, ext.u_minus),
-                             (~left, xp >= 0.0, ext.u_plus)):
+        for sel, spline in zip((left, ~left), self.pieces.base):
             if sel.any():
-                out[:, sel] = x_resample(xp[cols], u[ks][:, cols], x[sel],
-                                         axis=1, bc="not-a-knot")
+                out[:, sel] = spline_rows(spline, ks, x[sel])
         return out
 
     def _layer_sides(self, x: np.ndarray) -> list:
@@ -252,10 +254,10 @@ def jump_error_l2(times: np.ndarray, x: np.ndarray, u: np.ndarray,
     inner = np.empty(len(u))
     for _, start, stop, _ in level_blocks(len(u), 0):
         rows = slice(start, stop)
-        dm = np.sum((u[rows, :i0 + 1] - ref_minus[rows]) ** 2, axis=-1)
-        dp = np.sum((u[rows, i0:] - ref_plus[rows]) ** 2, axis=-1)
-        inner[rows] = (np.trapezoid(dm, x[:i0 + 1], axis=1)
-                       + np.trapezoid(dp, x[i0:], axis=1))
+        dm = u[rows, :i0 + 1] - ref_minus[rows]
+        dp = u[rows, i0:] - ref_plus[rows]
+        inner[rows] = (np.trapezoid(dot3(dm, dm), x[:i0 + 1], axis=1)
+                       + np.trapezoid(dot3(dp, dp), x[i0:], axis=1))
     return float(np.sqrt(np.trapezoid(inner, times)))
 
 
@@ -366,7 +368,7 @@ def eclass_norms(times: np.ndarray, x: np.ndarray, w: np.ndarray,
                     start:stop] = x_squares(x, term)
 
     def sup2(v):
-        return np.max(np.sum(v * v, axis=-1))
+        return np.max(dot3(v, v))
 
     for lo, start, stop, hi in level_blocks(times.size, halo):
         derivs = table(w[lo:hi], lo, start, stop, halo)
@@ -380,7 +382,8 @@ def eclass_norms(times: np.ndarray, x: np.ndarray, w: np.ndarray,
         peaks = np.maximum(peaks, block)
 
     def sobolev(rows):
-        # each square rounded through its norm, as l2_space_time ** 2
+        # each square rounded through its norm: the square of the
+        # space-time trapezoid norm of one term
         sq = [float(np.sqrt(np.trapezoid(r, times))) ** 2
               for r in rows.values()]
         return float(np.sqrt(sum(sq[:1]))), float(np.sqrt(sum(sq)))
@@ -464,7 +467,9 @@ class ExpansionPieces:
 
     ext, profiles and boundary share one set of time knots and one
     parameter mesh; g_minus and g_plus (nt, 3) are the wall trace slopes
-    feeding the corrector rho = phi * theta * g_side.
+    feeding the corrector rho = phi * theta * g_side. base holds the
+    (minus, plus) not-a-knot x-splines of the base state over every
+    knot (built by _base_splines).
     """
 
     ext: ExtendedLimit
@@ -472,6 +477,7 @@ class ExpansionPieces:
     boundary: BoundaryProfile
     g_minus: np.ndarray
     g_plus: np.ndarray
+    base: tuple
 
     @property
     def T_used(self) -> float:
@@ -503,10 +509,25 @@ class ConvergenceReport:
     drift_max: np.ndarray
 
 
+def _base_splines(ext: ExtendedLimit) -> tuple:
+    """The base state's not-a-knot x-splines, (minus, plus), each along
+    axis 1 of (nt, ncols, 3) and fitted over every knot at once.
+
+    Each side is fitted on its own half only, x <= 0 for u_minus and
+    x >= 0 for u_plus, where the extended state equals the bare limit
+    solution (no blend contamination).
+    """
+    xp = ext.x_param
+    return tuple(x_spline(xp[cols], u[:, cols], axis=1, bc="not-a-knot")
+                 for cols, u in ((xp <= 0.0, ext.u_minus),
+                                 (xp >= 0.0, ext.u_plus)))
+
+
 def build_expansion_pieces(data: MagnetizationField,
                            cfg: StudyConfig = StudyConfig()
                            ) -> ExpansionPieces:
-    """Run the eps-independent pipeline: limit, extension, both layers.
+    """Run the eps-independent pipeline: limit, extension, both layers,
+    and the base state's x-splines.
 
     If a profile window opening at an interior time t stops contracting,
     the pieces are rebuilt on the horizon t (at least 4 knot cells),
@@ -529,7 +550,8 @@ def build_expansion_pieces(data: MagnetizationField,
     boundary.validate()
     g_minus, g_plus = wall_slopes(boundary)
     return ExpansionPieces(ext=ext, profiles=pair, boundary=boundary,
-                           g_minus=g_minus, g_plus=g_plus)
+                           g_minus=g_minus, g_plus=g_plus,
+                           base=_base_splines(ext))
 
 
 def _epsilon_row(task) -> dict:

@@ -74,7 +74,10 @@ class MagnetizationField:
                 f"known: {sorted(NAMED_FIELDS)}")
 
     def __call__(self, x, side: str = "plus") -> np.ndarray:
-        """Evaluate on nodes x; `side` decides the value at x = 0."""
+        """Evaluate on nodes x; `side` ("minus" or "plus") decides the
+        value at x = 0."""
+        if side not in ("minus", "plus"):
+            raise ValueError(f"side must be 'minus' or 'plus', got {side!r}")
         x = np.atleast_1d(np.asarray(x, dtype=float))
         mask = x >= 0.0 if side == "plus" else x > 0.0
         return np.where(mask[..., None], self.branch(x, "plus"),

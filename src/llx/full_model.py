@@ -28,8 +28,7 @@ Contains:
 - output_times / substeps: a run's output times, {0, T} joined with
   requested ones, and the nominal substep count of one output interval
 - FullModelConfig, step_full, simulate_full, FullTrajectory
-- x_squares / l2_space_time: composite-trapezoid L2 norms, squared per
-  slice and over space-time
+- x_squares: the composite-trapezoid L2(Omega) norm squared, per slice
 - residual_report / ResidualReport: a-posteriori defect of any
   space-time field against the equation above
 """
@@ -41,7 +40,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .banded import block_tridiag_solve, cross, inv_id_plus_cross, norm3
+from .banded import (block_tridiag_solve, cross, dot3, inv_id_plus_cross,
+                     norm3)
 from .errors import SolverAbort
 from .geometry import (apply_tridiagonal_stencil, d1_coefficients,
                        d2_coefficients, level_blocks, mirrored, nodes,
@@ -309,18 +309,7 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
 def x_squares(x: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Squared L2(Omega) norm of each slice of a vector field
     (..., nx, 3) by the composite trapezoid: one per leading index."""
-    return np.trapezoid(np.sum(values * values, axis=-1), x, axis=-1)
-
-
-def l2_space_time(times: np.ndarray, x: np.ndarray,
-                  values: np.ndarray) -> float:
-    """Composite-trapezoid L2([0,T] x Omega) norm of a vector field."""
-    values = np.asarray(values, dtype=float)
-    if values.shape[:2] != (np.size(times), np.size(x)):
-        raise ValueError(
-            f"values shape {values.shape} does not match "
-            f"({np.size(times)}, {np.size(x)}, ...)")
-    return float(np.sqrt(np.trapezoid(x_squares(x, values), times)))
+    return np.trapezoid(dot3(values, values), x, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -371,7 +360,7 @@ def residual_report(times: np.ndarray, values: np.ndarray, grid: Grid1D,
     norms = []
     for lo, start, stop, hi in level_blocks(times.size, 1):
         block = values[start:stop]
-        norms.append(np.max(np.abs(np.sum(block**2, axis=-1) - 1.0)))
+        norms.append(np.max(np.abs(dot3(block, block) - 1.0)))
         inside = slice(max(start, 1), min(stop, times.size - 1))
         du_dt = time_d1(times, values[lo:hi], lo, inside)
         for k in range(inside.start, inside.stop):

@@ -53,7 +53,7 @@ from typing import Optional
 
 import numpy as np
 
-from .banded import block_tridiag_solve, cross, inv_id_plus_cross
+from .banded import block_tridiag_solve, cross, dot3, inv_id_plus_cross
 from .errors import NonContraction, ValidationError
 from .geometry import (apply_tridiagonal_stencil, d2_coefficients,
                        in_v_sigma, one_sided_d1, profile_d1)
@@ -101,7 +101,7 @@ TIME_BLOCK = 8
 
 def _l2_y_per_time(y: np.ndarray, D: np.ndarray) -> np.ndarray:
     """L2(y) norms of a (..., ny, 3) stack, one value per leading index."""
-    return np.sqrt(np.trapezoid(np.sum(D * D, axis=-1), y, axis=-1))
+    return np.sqrt(np.trapezoid(dot3(D, D), y, axis=-1))
 
 
 def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .banded import cross, norm3
+from .banded import cross, dot3, norm3
 from .fields import MagnetizationField
 from .geometry import chi_sigma
 from .strayfield import stray_field_slab
@@ -40,8 +40,7 @@ def precession_rhs(u: np.ndarray, H: np.ndarray) -> np.ndarray:
 def F_rhs(u: np.ndarray, V: np.ndarray, H: np.ndarray) -> np.ndarray:
     """Reaction term |V|^2 u + u x H - u x (u x H)."""
     uxH = cross(u, H)
-    return (np.sum(V * V, axis=-1, keepdims=True) * u
-            + uxH - cross(u, uxH))
+    return dot3(V, V)[..., None] * u + uxH - cross(u, uxH)
 
 
 def rhs_limit(u: np.ndarray) -> np.ndarray:

@@ -14,9 +14,13 @@ gate measure the same thing:
 - step_rk4 / march_rk4: the classic fourth-order rule of the limit flow
   and a projected uniform-substep march with it, the independent oracle
   of the limit flow's closed form
+- l2_space_time: the composite-trapezoid L2([0,T] x Omega) norm of a
+  vector field, from full_model.x_squares
 - whole_jump_error_l2 / whole_residual_report / whole_eclass_norms: the
   diagnostics evaluated on whole (nt, nx, 3) arrays, the oracles of the
   knot-block walks in the package
+- per_block_base: the base state of the ansatz fitted anew on each knot
+  block, the oracle of the pieces' once-per-build fit
 """
 
 from __future__ import annotations
@@ -27,10 +31,11 @@ import sympy as sp
 from llx.banded import cross
 from llx.expansion import EClassNorms
 from llx.full_model import (ResidualReport, _forcing, _Workspace,
-                            l2_space_time, output_times, substeps)
+                            output_times, substeps, x_squares)
 from llx.geometry import (apply_tridiagonal_stencil, conormal_weight,
                           one_sided_d1, profile_d1)
 from llx.internal_layer import _sweep, halves
+from llx.interp import x_resample
 from llx.limit_model import renormalize, rhs_limit
 
 
@@ -156,6 +161,16 @@ def march_rk4(u0: np.ndarray, T: float, dt: float, t_eval=None):
 
 # === whole-array diagnostics ===
 
+def l2_space_time(times, x, values) -> float:
+    """Composite-trapezoid L2([0,T] x Omega) norm of a vector field."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[:2] != (np.size(times), np.size(x)):
+        raise ValueError(
+            f"values shape {values.shape} does not match "
+            f"({np.size(times)}, {np.size(x)}, ...)")
+    return float(np.sqrt(np.trapezoid(x_squares(x, values), times)))
+
+
 def whole_jump_error_l2(times, x, u, ref_minus, ref_plus) -> float:
     """expansion.jump_error_l2 on whole arrays."""
     x = np.asarray(x, dtype=float)
@@ -230,3 +245,22 @@ def whole_eclass_norms(times, x, w, epsilon, m) -> tuple:
     sups += (epsilon * sup(wn),)
     return tuple(EClassNorms(order, c, n, *sups) for order, c, n
                  in zip((0, m), conormal, normal_conormal))
+
+
+# === the ansatz's base state ===
+
+def per_block_base(pieces, ks, x) -> np.ndarray:
+    """The base state at the knot indices ks on nodes x, (nk, nx, 3),
+    with both not-a-knot x-splines fitted on those knots alone: each
+    side on its own half, where the extended state is the bare limit
+    solution."""
+    ext = pieces.ext
+    xp = ext.x_param
+    out = np.empty((ks.size, x.size, 3))
+    left = x < 0.0
+    for sel, cols, u in ((left, xp <= 0.0, ext.u_minus),
+                         (~left, xp >= 0.0, ext.u_plus)):
+        if sel.any():
+            out[:, sel] = x_resample(xp[cols], u[ks][:, cols], x[sel],
+                                     axis=1, bc="not-a-knot")
+    return out

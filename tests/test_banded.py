@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from llx import boundary_layer, full_model, internal_layer
 from llx.banded import (
     block_tridiag_solve,
     cross,
     cross_matrix,
+    dot3,
     inv_id_plus_cross,
     norm3,
 )
@@ -67,6 +69,45 @@ def test_norm3_is_bitwise_np_linalg_norm(shape):
     rows[2::5] *= 1e-160
     rows[3::5] *= 1e150
     np.testing.assert_array_equal(norm3(a), np.linalg.norm(a, axis=-1))
+
+
+# every float, and the values where a reduction's order shows: signed
+# zeros, subnormals, overflow, infinities and NaN
+_FLOATS = st.floats(width=64) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e200, -1e200, np.inf, -np.inf,
+     np.nan])
+
+
+@settings(max_examples=300, deadline=None)
+@given(lead=st.sampled_from([(), (1,), (2, 5), (4, 3)]),
+       layout=st.sampled_from(["contiguous", "strided", "transposed"]),
+       data=st.data())
+def test_dot3_is_bitwise_np_sum(lead, layout, data):
+    # strided: every other entry of a larger array on every axis;
+    # transposed: the components are the slowest axis in memory
+    def field():
+        if layout == "contiguous":
+            return data.draw(arrays(np.float64, lead + (3,),
+                                    elements=_FLOATS))
+        if layout == "strided":
+            raw = data.draw(arrays(np.float64,
+                                   tuple(2 * n for n in lead) + (6,),
+                                   elements=_FLOATS))
+            return raw[(slice(None, None, 2),) * raw.ndim]
+        raw = data.draw(arrays(np.float64, (3,) + lead, elements=_FLOATS))
+        return np.moveaxis(raw, 0, -1)
+
+    a, b = field(), field()
+    with np.errstate(all="ignore"):
+        want = np.asarray(np.sum(a * b, axis=-1))
+        got = np.asarray(dot3(a, b))
+    assert got.shape == want.shape == lead
+    # every number bit for bit, signed zeros included; a NaN only in
+    # place, since IEEE 754 leaves its sign and payload to the hardware,
+    # which keeps one operand's (an order numpy's compiled loops differ in)
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
 
 
 def test_cross_matrix_action():

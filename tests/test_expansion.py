@@ -14,12 +14,13 @@ from llx.expansion import (EClassNorms, ExpansionAnsatz, StudyConfig,
                            build_expansion_pieces, convergence_study,
                            eclass_norms, fit_slope, jump_error_l2)
 from llx.fields import constant_per_side, named_field
-from llx.full_model import l2_space_time, simulate_full
+from llx.full_model import make_epsilon_grid, simulate_full
 from llx.geometry import (in_v_sigma, knot_times, make_profile_grid,
                           param_nodes, profile_d1, theta, time_grid)
 from llx.internal_layer import TIME_BLOCK, picard_profiles
 from llx.interp import natural_spline_coeffs, x_resample
 from llx.limit_model import extend_limit, simulate_limit
+from manufactured import l2_space_time, per_block_base
 
 
 def _evolved(vec, times):
@@ -364,6 +365,30 @@ def test_layers_that_hold_nothing_are_not_fitted(fixture, per_block,
     assert len(calls) == per_block
     ansatz.sample_times(ansatz.times[:9], x)
     assert len(calls) == per_block * (1 + 2)
+
+
+@pytest.mark.parametrize("fixture, per_pass", [("jump_small", 1),
+                                               ("swirl_small", 2)])
+def test_base_state_is_fitted_once_per_build(fixture, per_pass, request,
+                                             monkeypatch):
+    # sampling fits no base spline: the only x-resamples left are the
+    # layers' x-weights, once per pass; and the fit over every knot gives
+    # each block the bits of a fit on that block's knots alone
+    _, pieces, _ = request.getfixturevalue(fixture)
+    fits = _counting(monkeypatch, "x_spline")
+    resamples = _counting(monkeypatch, "x_resample")
+    for pas, eps in enumerate((0.05, 0.03125)):
+        ansatz = ExpansionAnsatz(pieces, eps)
+        x = make_epsilon_grid(eps, cells_per_eps=16).x
+        ansatz.sample_times(ansatz.times[:1], x)
+        ansatz.sample_times(ansatz.times[:9], x)
+        assert len(resamples) == 2 * per_pass * (pas + 1)
+        ks = np.arange(9)
+        for start in range(0, ks.size, expansion.KNOT_BLOCK):
+            block = ks[start:start + expansion.KNOT_BLOCK]
+            assert np.array_equal(ansatz._base(block, x),
+                                  per_block_base(pieces, block, x))
+    assert fits == []
 
 
 # --- space-time norms ---

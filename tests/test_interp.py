@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from llx.interp import (contract_columns, natural_spline_coeffs, spline_eval,
-                        x_resample)
+                        spline_rows, x_resample, x_spline)
 
 
 def _graded_knots():
@@ -156,3 +156,16 @@ def test_x_resample_identity_at_source_nodes():
     np.testing.assert_allclose(x_resample(x, v, x), v, atol=1e-13)
     with pytest.raises(ValueError, match="source nodes"):
         x_resample(x, v[:-1], x)
+
+
+@pytest.mark.parametrize("bc", ["natural", "not-a-knot"])
+def test_spline_rows_are_a_fit_on_those_rows_alone(bc):
+    # one fit over 60 rows, evaluated on a few of them, gives the bits
+    # of a fit on those rows only
+    x = np.sort(np.random.default_rng(19).uniform(-1.0, 0.0, 9))
+    v = np.random.default_rng(23).normal(size=(60, x.size, 3))
+    xq = np.linspace(x[0], x[-1], 41)
+    spline = x_spline(x, v, axis=1, bc=bc)
+    for rows in (np.array([0]), np.arange(8), np.array([59, 3, 17])):
+        assert np.array_equal(spline_rows(spline, rows, xq),
+                              x_resample(x, v[rows], xq, axis=1, bc=bc))

@@ -1,10 +1,16 @@
-"""Module layering, read from the sources with ast.
+"""Module layering and the component-axis reductions, read from the
+sources with ast.
 
 The expansion is built from separate pieces, and the code keeps them
 apart: the interface layer, the wall layer and the full model import
 none of one another, and the shared foundations (meshes, time grids and
 stencils, the limit flow, the stray field, the banded kernel, spline
 interpolation and the initial data) import none of them.
+
+A pipeline module reduces the length-3 component axis of a field only
+through banded.dot3 and banded.norm3: np.sum and np.linalg.norm over
+axis -1 cost several times the explicit sum. strayfield is not scanned:
+its torus spectral helpers reduce stacks of wavenumbers, not fields.
 """
 
 from __future__ import annotations
@@ -20,6 +26,8 @@ PACKAGE = Path(llx.__file__).parent
 LAYERS = ("internal_layer", "boundary_layer", "full_model")
 FOUNDATIONS = ("geometry", "limit_model", "strayfield", "banded", "interp",
                "fields")
+PIPELINE = ("geometry", "limit_model", "banded", "interp", "internal_layer",
+            "boundary_layer", "full_model", "expansion")
 
 
 def imported_modules(path: Path) -> set:
@@ -59,3 +67,52 @@ def test_physics_layers_import_none_of_one_another(layer):
 @pytest.mark.parametrize("module", FOUNDATIONS)
 def test_foundations_import_no_physics_layer(module):
     assert not imported_modules(PACKAGE / f"{module}.py") & set(LAYERS)
+
+
+def _is_minus_one(node) -> bool:
+    return (isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+            and isinstance(node.operand, ast.Constant)
+            and node.operand.value == 1)
+
+
+def last_axis_reductions(path: Path) -> list:
+    """Line numbers of sum and norm calls over axis -1: np.sum,
+    numpy.sum, np.linalg.norm and the array method .sum, with the axis
+    as a keyword or in its positional place."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("sum", "norm")):
+            continue
+        owner = ast.unparse(node.func.value)
+        if node.func.attr == "norm":
+            place = 2 if owner in ("np.linalg", "numpy.linalg") else None
+        else:
+            place = 1 if owner in ("np", "numpy") else 0
+        axis = [kw.value for kw in node.keywords if kw.arg == "axis"]
+        if place is not None and len(node.args) > place:
+            axis.append(node.args[place])
+        if any(_is_minus_one(a) for a in axis):
+            found.append(node.lineno)
+    return found
+
+
+def test_reduction_scan_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("np.sum(v * v, axis=-1)\n"
+                     "numpy.sum(v, -1, keepdims=True)\n"
+                     "np.linalg.norm(v, axis=-1)\n"
+                     "np.linalg.norm(v, None, -1)\n"
+                     "(v * v).sum(axis=-1)\n"
+                     "v.sum(-1)\n"
+                     "np.sum(v, axis=0)\n"
+                     "np.linalg.norm(v)\n"
+                     "np.max(v, axis=-1)\n", encoding="utf-8")
+    assert last_axis_reductions(probe) == [1, 2, 3, 4, 5, 6]
+
+
+@pytest.mark.parametrize("module", PIPELINE)
+def test_pipeline_reduces_components_through_dot3(module):
+    assert last_axis_reductions(PACKAGE / f"{module}.py") == []
