@@ -127,10 +127,8 @@ def march_wall(z: np.ndarray, times: np.ndarray, u0: np.ndarray,
         upper = -w_new * c
         B = (m_inv @ (eye - w_new * L))[:, None] \
             - (w_new * b)[:, None, None] * eye
-        d2U = np.moveaxis(
-            apply_tridiagonal_stencil(d2, np.moveaxis(U[k], 1, 0)), 0, 1)
         rhs = U[k] @ np.swapaxes(m_inv @ (eye + w_old * L), -1, -2) \
-            + w_old * d2U
+            + w_old * apply_tridiagonal_stencil(d2, U[k])
         # ghost inhomogeneity: the Neumann data acts as a wall source
         rhs[:, 0] += dt * (-2.0 * g_step / h0)
         if source is not None:
@@ -186,8 +184,7 @@ class BoundaryProfile:
         if self.U.size == 0:
             return 0.0
         start = max(_ramp_end(self.times), 1)
-        stack = np.moveaxis(self.U, 2, 0)
-        slope = one_sided_d1(self.z, stack, "left")
+        slope = one_sided_d1(self.z, self.U, "left")
         return float(np.max(np.abs(slope - self.g_data)[start:]))
 
     def validate(self, tail_tol: float = 1e-6,
@@ -250,11 +247,9 @@ def wall_slopes(profile: BoundaryProfile) -> tuple:
         right = xs > 0.0
         left = xs < 0.0
         if right.sum() >= 3:
-            g_plus = one_sided_d1(xs[right],
-                                  np.moveaxis(trace[:, right], 1, 0), "right")
+            g_plus = one_sided_d1(xs[right], trace[:, right], "right")
         if left.sum() >= 3:
-            g_minus = -one_sided_d1(xs[left],
-                                    np.moveaxis(trace[:, left], 1, 0), "left")
+            g_minus = -one_sided_d1(xs[left], trace[:, left], "left")
     return g_minus, g_plus
 
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
-import os
 from dataclasses import dataclass, fields as dc_fields
 from typing import Optional
 
@@ -55,7 +54,6 @@ _SECTIONS = {
     "study": _STUDY_DEFAULTS,
     "run": _RUN_DEFAULTS,
 }
-
 
 
 @dataclass(frozen=True)
@@ -166,7 +164,9 @@ def _read_file(path: str) -> dict:
 
 
 def apply_overrides(merged: dict, overrides) -> dict:
-    """Patch section.key=value (or bare key=value) onto a config dict."""
+    """Patch section.key=value (or bare key=value) onto a config dict.
+
+    The sections' key sets are disjoint, so a bare key has one home."""
     out = {s: dict(kv) for s, kv in merged.items()}
     for item in overrides or ():
         if "=" not in item:
@@ -183,10 +183,6 @@ def apply_overrides(merged: dict, overrides) -> dict:
             homes = [s for s, keys in _SECTIONS.items() if key in keys]
             if not homes:
                 raise ConfigError(f"unknown override key {key!r}")
-            if len(homes) > 1:
-                raise ConfigError(
-                    f"override key {key!r} is ambiguous across sections "
-                    f"{homes}; qualify it as section.{key}")
             section = homes[0]
         out[section][key] = value
     return out
@@ -238,8 +234,6 @@ def load_config(path: Optional[str] = None,
     """Read a config file (or the built-in defaults) and apply overrides."""
     merged = {s: dict(kv) for s, kv in _SECTIONS.items()}
     if path is not None:
-        if not os.path.isfile(path):
-            raise ConfigError(f"config not found: {path}")
         for section, kv in _read_file(path).items():
             merged[section].update(kv)
     merged = apply_overrides(merged, overrides)

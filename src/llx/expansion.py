@@ -59,10 +59,11 @@ from .boundary_layer import (BoundaryProfile, neumann_corrector,
 from .errors import ConfigError, NonContraction, SolverAbort
 from .fields import MagnetizationField
 from .full_model import (FullModelConfig, make_epsilon_grid,
-                         residual_report, simulate_full, x_squares)
+                         residual_report, simulate_full)
 from .geometry import (conormal_weight, in_v_sigma, knot_times,
                        level_blocks, make_profile_grid, make_wall_grid,
-                       param_nodes, profile_d1, theta, time_d1, time_grid)
+                       param_nodes, profile_d1, theta, time_d1, time_grid,
+                       x_squares)
 from .internal_layer import ProfilePair, halves, lift, picard_profiles
 from .interp import (contract_columns, natural_spline_coeffs, spline_eval,
                      spline_rows, x_resample, x_spline)
@@ -256,8 +257,7 @@ def jump_error_l2(times: np.ndarray, x: np.ndarray, u: np.ndarray,
         rows = slice(start, stop)
         dm = u[rows, :i0 + 1] - ref_minus[rows]
         dp = u[rows, i0:] - ref_plus[rows]
-        inner[rows] = (np.trapezoid(dot3(dm, dm), x[:i0 + 1], axis=1)
-                       + np.trapezoid(dot3(dp, dp), x[i0:], axis=1))
+        inner[rows] = x_squares(x[:i0 + 1], dm) + x_squares(x[i0:], dp)
     return float(np.sqrt(np.trapezoid(inner, times)))
 
 

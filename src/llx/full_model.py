@@ -28,7 +28,6 @@ Contains:
 - output_times / substeps: a run's output times, {0, T} joined with
   requested ones, and the nominal substep count of one output interval
 - FullModelConfig, step_full, simulate_full, FullTrajectory
-- x_squares: the composite-trapezoid L2(Omega) norm squared, per slice
 - residual_report / ResidualReport: a-posteriori defect of any
   space-time field against the equation above
 """
@@ -45,7 +44,7 @@ from .banded import (block_tridiag_solve, cross, dot3, inv_id_plus_cross,
 from .errors import SolverAbort
 from .geometry import (apply_tridiagonal_stencil, d1_coefficients,
                        d2_coefficients, level_blocks, mirrored, nodes,
-                       one_sided_d1, time_d1)
+                       one_sided_d1, time_d1, x_squares)
 from .limit_model import F_rhs, renormalize as project_sphere
 from .strayfield import stray_field_slab
 
@@ -306,12 +305,6 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
 
 # === a-posteriori residual ===
 
-def x_squares(x: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Squared L2(Omega) norm of each slice of a vector field
-    (..., nx, 3) by the composite trapezoid: one per leading index."""
-    return np.trapezoid(dot3(values, values), x, axis=-1)
-
-
 @dataclass(frozen=True)
 class ResidualReport:
     """Defect of a space-time field against the full model.
@@ -339,9 +332,10 @@ def residual_report(times: np.ndarray, values: np.ndarray, grid: Grid1D,
     O(dt^2 + h^2). The levels are walked in blocks
     (geometry.level_blocks), the time derivative np.gradient's centered
     difference read from one level past each end (geometry.time_d1);
-    each level leaves its squared L2 norm and its largest entry, and a
-    trapezoid in time ends the L2 norm. The report is the whole-array
-    evaluation's bit for bit, with no temporary the size of values.
+    each block leaves its levels' squared L2 norms and largest entries,
+    and a trapezoid in time ends the L2 norm. The report is the
+    whole-array evaluation's bit for bit, with no temporary larger than
+    one level block.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -353,8 +347,6 @@ def residual_report(times: np.ndarray, values: np.ndarray, grid: Grid1D,
         raise ValueError("need at least 3 time slices for a residual")
     ws = _Workspace(grid)
     x_in = grid.x[1:-1]
-    # block by block, each interior level leaving its squared L2 norm
-    # and its largest entry: no (nt, n, 3) temporary
     squares = np.empty(times.size - 2)
     peaks = np.empty(times.size - 2)
     norms = []
@@ -362,22 +354,21 @@ def residual_report(times: np.ndarray, values: np.ndarray, grid: Grid1D,
         block = values[start:stop]
         norms.append(np.max(np.abs(dot3(block, block) - 1.0)))
         inside = slice(max(start, 1), min(stop, times.size - 1))
-        du_dt = time_d1(times, values[lo:hi], lo, inside)
-        for k in range(inside.start, inside.stop):
-            u = values[k]
-            d2u = apply_tridiagonal_stencil(ws.d2, u)
-            g = _forcing(u, epsilon, ws)
-            if source is not None:
-                g = g + source(times[k], grid.x)
-            rhs = epsilon**2 * (d2u + cross(u, d2u)) + g
-            residual = (du_dt[k - inside.start] - rhs)[1:-1]
-            squares[k - 1] = x_squares(x_in, residual)
-            peaks[k - 1] = np.max(np.abs(residual))
+        u = values[inside]
+        d2u = apply_tridiagonal_stencil(ws.d2, u)
+        g = _forcing(u, epsilon, ws)
+        if source is not None:
+            g = g + np.reshape([source(t, grid.x) for t in times[inside]],
+                               u.shape)
+        rhs = epsilon**2 * (d2u + cross(u, d2u)) + g
+        residual = (time_d1(times, values[lo:hi], lo, inside) - rhs)[:, 1:-1]
+        rows = slice(inside.start - 1, inside.stop - 1)
+        squares[rows] = x_squares(x_in, residual)
+        peaks[rows] = np.max(np.abs(residual), axis=(1, 2))
     l2 = float(np.sqrt(np.trapezoid(squares, times[1:-1])))
     max_r = float(np.max(peaks))
 
-    walls = np.moveaxis(values, 1, 0)
-    nd = float(max(np.max(np.abs(one_sided_d1(grid.x, walls, end)))
+    nd = float(max(np.max(np.abs(one_sided_d1(grid.x, values, end)))
                    for end in ("left", "right")))
     norm_defect = float(np.max(norms))
     return ResidualReport(l2_residual=l2, max_residual=max_r,

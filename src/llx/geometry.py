@@ -4,6 +4,8 @@ Every mesh of the slab problem is assembled the same way: cumulative
 cell widths from 0, the last node pinned to the exact end, and the
 two-sided meshes mirrored through 0 with the interface node once. The
 time grids are built here too, their last level pinned to the horizon.
+A field is stored node-major, (..., n, 3), and every stencil here acts
+along its node axis -2, as the banded kernel solves along it.
 
 Contains:
 - quintic_smoothstep: the C2 polynomial ramp used by every cutoff here
@@ -14,7 +16,8 @@ Contains:
 - d2_coefficients / d1_coefficients / apply_tridiagonal_stencil:
   nonuniform 3-point stencils with the Neumann walls built in
 - one_sided_d1 / profile_d1: second-order first derivatives at an end
-  and along a whole node axis
+  and along the whole node axis
+- x_squares: the composite-trapezoid squared L2 norm along the node axis
 - time_d1 / level_blocks: np.gradient's time derivative on a window of
   levels, and the blocks with halo the diagnostics walk the levels in
 - theta / chi_sigma / in_v_sigma: the wall cutoff, the interface
@@ -26,6 +29,8 @@ Contains:
 from __future__ import annotations
 
 import numpy as np
+
+from .banded import dot3
 
 
 def quintic_smoothstep(t):
@@ -176,11 +181,11 @@ def d1_coefficients(x: np.ndarray):
 
 
 def apply_tridiagonal_stencil(coeffs, u: np.ndarray) -> np.ndarray:
-    """Apply 3-point weights (a, b, c) along axis 0 of u, shape (n, ...)."""
-    a, b, c = coeffs
-    out = b.reshape(-1, *([1] * (u.ndim - 1))) * u
-    out[1:] += a[1:].reshape(-1, *([1] * (u.ndim - 1))) * u[:-1]
-    out[:-1] += c[:-1].reshape(-1, *([1] * (u.ndim - 1))) * u[1:]
+    """Apply 3-point weights (a, b, c) along the node axis of u (..., n, 3)."""
+    a, b, c = (w[:, None] for w in coeffs)
+    out = b * u
+    out[..., 1:, :] += a[1:] * u[..., :-1, :]
+    out[..., :-1, :] += c[:-1] * u[..., 1:, :]
     return out
 
 
@@ -231,7 +236,8 @@ def level_blocks(n: int, halo: int):
 
 
 def one_sided_d1(x: np.ndarray, u: np.ndarray, end: str) -> np.ndarray:
-    """Second-order one-sided first derivative at an endpoint of axis 0.
+    """Second-order one-sided first derivative at an end of the node
+    axis of u (..., n, 3): (..., 3).
 
     Evaluated on telescoped differences, so constant data returns an
     exact zero rather than rounding noise.
@@ -239,28 +245,32 @@ def one_sided_d1(x: np.ndarray, u: np.ndarray, end: str) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if end != "left":
         # reversal negates both spacings and both differences exactly
-        x, u = x[::-1], u[::-1]
+        x, u = x[::-1], u[..., ::-1, :]
     h1 = x[1] - x[0]
     h2 = x[2] - x[1]
-    return ((2 * h1 + h2) / (h1 * (h1 + h2)) * (u[1] - u[0])
-            - h1 / (h2 * (h1 + h2)) * (u[2] - u[1]))
+    return ((2 * h1 + h2) / (h1 * (h1 + h2)) * (u[..., 1, :] - u[..., 0, :])
+            - h1 / (h2 * (h1 + h2)) * (u[..., 2, :] - u[..., 1, :]))
 
 
 def profile_d1(y: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """d/dy along axis -2 of W (..., ny, 3): centered interior,
+    """d/dy along the node axis of W (..., ny, 3): centered interior,
     second-order one-sided at both ends. Telescoped differences, so
     constant data returns an exact zero."""
-    Wm = np.moveaxis(W, -2, 0)
-    out = np.empty_like(Wm)
-    h = np.diff(y)
-    shape = (-1,) + (1,) * (Wm.ndim - 1)
-    hm = h[:-1].reshape(shape)
-    hp = h[1:].reshape(shape)
-    out[1:-1] = (hm / (hp * (hm + hp)) * (Wm[2:] - Wm[1:-1])
-                 + hp / (hm * (hm + hp)) * (Wm[1:-1] - Wm[:-2]))
-    out[0] = one_sided_d1(y, Wm, "left")
-    out[-1] = one_sided_d1(y, Wm, "right")
-    return np.moveaxis(out, 0, -2)
+    out = np.empty_like(W)
+    h = np.diff(y)[:, None]
+    hm, hp = h[:-1], h[1:]
+    out[..., 1:-1, :] = (
+        hm / (hp * (hm + hp)) * (W[..., 2:, :] - W[..., 1:-1, :])
+        + hp / (hm * (hm + hp)) * (W[..., 1:-1, :] - W[..., :-2, :]))
+    out[..., 0, :] = one_sided_d1(y, W, "left")
+    out[..., -1, :] = one_sided_d1(y, W, "right")
+    return out
+
+
+def x_squares(x: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Squared L2 norm along the node axis of a field (..., n, 3) on
+    the nodes x by the composite trapezoid: one per leading index."""
+    return np.trapezoid(dot3(values, values), x, axis=-1)
 
 
 # === the two neighborhoods and their cutoffs ===

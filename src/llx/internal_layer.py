@@ -53,10 +53,10 @@ from typing import Optional
 
 import numpy as np
 
-from .banded import block_tridiag_solve, cross, dot3, inv_id_plus_cross
+from .banded import block_tridiag_solve, cross, inv_id_plus_cross
 from .errors import NonContraction, ValidationError
 from .geometry import (apply_tridiagonal_stencil, d2_coefficients,
-                       in_v_sigma, one_sided_d1, profile_d1)
+                       in_v_sigma, one_sided_d1, profile_d1, x_squares)
 from .limit_model import ExtendedLimit, F_rhs, precession_rhs
 from .strayfield import layer_correction, stray_field_slab
 
@@ -99,11 +99,6 @@ def F_pm(U: np.ndarray, V: np.ndarray, u0: np.ndarray,
 TIME_BLOCK = 8
 
 
-def _l2_y_per_time(y: np.ndarray, D: np.ndarray) -> np.ndarray:
-    """L2(y) norms of a (..., ny, 3) stack, one value per leading index."""
-    return np.sqrt(np.trapezoid(dot3(D, D), y, axis=-1))
-
-
 def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
            coeff: np.ndarray, f_minus: np.ndarray,
            f_plus: np.ndarray) -> np.ndarray:
@@ -139,10 +134,8 @@ def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
         half = 0.5 * dt
         f_mid = 0.5 * (f[j] + f[j + 1])
         B = inv_id_plus_cross(0.5 * (coeff[j] + coeff[j + 1]))
-        d2W = np.moveaxis(
-            apply_tridiagonal_stencil(d2, np.moveaxis(w_k, -2, 0)), 0, -2)
         rhs = np.einsum("...ij,...j->...i", B, w_k + dt * f_mid) \
-            + half * d2W
+            + half * apply_tridiagonal_stencil(d2, w_k)
         diagonal = np.einsum("...ii->...i", B)
         diagonal -= half * b[:, None]
         lower = -half * a
@@ -307,7 +300,7 @@ def _picard(y: np.ndarray, times: np.ndarray, W: np.ndarray,
             new = _sweep(y, times[k0:k1 + 1], levels[0],
                          *_profile_levels(y, levels, tuple(
                              part[:, taken] for part in data)))
-            change = _l2_y_per_time(y, new - old).max(axis=0)
+            change = np.sqrt(x_squares(y, new - old)).max(axis=0)
             W[win, act] = new
             still = []
             for pos, col, diff in zip(active.tolist(), act.tolist(),
@@ -390,8 +383,7 @@ class ProfilePair:
         """
         if self.W.size == 0:
             return 0.0, 0.0
-        stack = np.moveaxis(self.W, 2, 0)
-        dm, dp = (one_sided_d1(self.y[rows], stack[rows], end)
+        dm, dp = (one_sided_d1(self.y[rows], self.W[:, :, rows], end)
                   for (rows, _), end in zip(halves(self.y.size),
                                             ("right", "left")))
         return 0.0, float(np.max(np.abs(dp - dm)))

@@ -15,7 +15,7 @@ gate measure the same thing:
   and a projected uniform-substep march with it, the independent oracle
   of the limit flow's closed form
 - l2_space_time: the composite-trapezoid L2([0,T] x Omega) norm of a
-  vector field, from full_model.x_squares
+  vector field, from geometry.x_squares
 - whole_jump_error_l2 / whole_residual_report / whole_eclass_norms: the
   diagnostics evaluated on whole (nt, nx, 3) arrays, the oracles of the
   knot-block walks in the package
@@ -31,9 +31,9 @@ import sympy as sp
 from llx.banded import cross
 from llx.expansion import EClassNorms
 from llx.full_model import (ResidualReport, _forcing, _Workspace,
-                            output_times, substeps, x_squares)
+                            output_times, substeps)
 from llx.geometry import (apply_tridiagonal_stencil, conormal_weight,
-                          one_sided_d1, profile_d1)
+                          one_sided_d1, profile_d1, x_squares)
 from llx.internal_layer import _sweep, halves
 from llx.interp import x_resample
 from llx.limit_model import renormalize, rhs_limit
@@ -201,8 +201,7 @@ def whole_residual_report(times, values, grid, epsilon,
         residuals[k - 1] = (du_dt[k] - rhs)[1:-1]
     l2 = l2_space_time(times[1:-1], grid.x[1:-1], residuals)
     max_r = float(np.max(np.abs(residuals)))
-    walls = np.moveaxis(values, 1, 0)
-    nd = float(max(np.max(np.abs(one_sided_d1(grid.x, walls, end)))
+    nd = float(max(np.max(np.abs(one_sided_d1(grid.x, values, end)))
                    for end in ("left", "right")))
     norm_defect = float(np.max(np.abs(np.sum(values**2, axis=-1) - 1.0)))
     return ResidualReport(l2_residual=l2, max_residual=max_r,

@@ -250,13 +250,11 @@ def test_rho_cancels_unit_trace_slope():
     rho = _rho(prof)
     # phi * theta is exactly 1 - x on the three nodes nearest the wall,
     # so the one-sided stencil evaluates the slope without error
-    right = np.moveaxis(rho[:, x > 0.0], 1, 0)
-    slope = one_sided_d1(x[x > 0.0], right, "right")
+    slope = one_sided_d1(x[x > 0.0], rho[:, x > 0.0], "right")
     np.testing.assert_allclose(slope[:, 1], -1.0, atol=1e-12)
     np.testing.assert_allclose(slope[:, [0, 2]], 0.0, atol=1e-12)
     # left wall: trace slope 1, outward normal -d/dx, so g_minus = -1
-    left = np.moveaxis(rho[:, x < 0.0], 1, 0)
-    slope_l = one_sided_d1(x[x < 0.0], left, "left")
+    slope_l = one_sided_d1(x[x < 0.0], rho[:, x < 0.0], "left")
     np.testing.assert_allclose(slope_l[:, 1], -1.0, atol=1e-12)
 
 
@@ -275,8 +273,6 @@ def test_rho_flux_cancellation(swirl_wall):
     x = prof.x_param
     xs = prof.x_support
     trace = prof.trace()
-    g_plus = one_sided_d1(xs[xs > 0], np.moveaxis(trace[:, xs > 0], 1, 0),
-                          "right")
-    rho_slope = one_sided_d1(x[x > 0], np.moveaxis(rho[:, x > 0], 1, 0),
-                             "right")
+    g_plus = one_sided_d1(xs[xs > 0], trace[:, xs > 0], "right")
+    rho_slope = one_sided_d1(x[x > 0], rho[:, x > 0], "right")
     np.testing.assert_allclose(rho_slope, -g_plus, atol=1e-12)

@@ -60,6 +60,13 @@ def test_missing_config_is_exit_2(tmp_path, capsys):
     assert err.startswith("error: config not found")
 
 
+def test_directory_config_is_exit_2(tmp_path, capsys):
+    rc = main(["limit", "--config", str(tmp_path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: config unreadable")
+
+
 def test_invalid_config_is_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text("[study]\nbogus = 1\n", encoding="utf-8")

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from llx.config import (
+    _SECTIONS,
     config_hash,
     default_config_text,
     load_config,
@@ -195,6 +196,12 @@ def test_every_study_knob_refused_at_zero_names_its_section():
         key = f"study.{f.name}"
         with pytest.raises(ConfigError, match=re.escape(key)):
             load_config(None, [f"{key}=0"])
+
+
+def test_sections_share_no_key():
+    # a bare override key names exactly one section
+    keys = [key for section in _SECTIONS.values() for key in section]
+    assert len(keys) == len(set(keys))
 
 
 def test_override_bare_key():

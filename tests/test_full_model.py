@@ -24,9 +24,11 @@ from llx.full_model import (
     simulate_full,
     substeps,
 )
+from llx.geometry import LEVEL_BLOCK, level_blocks
 from llx.limit_model import F_rhs, renormalize, rhs_limit
 
-from manufactured import full_model_solution, step_midpoint
+from manufactured import (full_model_solution, step_midpoint,
+                          whole_residual_report)
 
 
 # === manufactured solution ===
@@ -382,6 +384,19 @@ def test_residual_sees_missing_source(mms):
     with_src = residual_report(times, vals, g, 0.3, source=source_for(0.3))
     without = residual_report(times, vals, g, 0.3)
     assert without.l2_residual > 50 * with_src.l2_residual
+
+
+def test_residual_blocks_with_a_source_match_the_oracle(mms):
+    # the last block holds only the final level, no interior one
+    u_eval, source_for = mms
+    g = make_epsilon_grid(0.2, 8)
+    times = np.linspace(0.0, 0.4, LEVEL_BLOCK + 1)
+    assert [stop - start for _, start, stop, _ in
+            level_blocks(times.size, 1)][-1] == 1
+    vals = np.stack([u_eval(t, g.x) for t in times])
+    source = source_for(0.3)
+    assert residual_report(times, vals, g, 0.3, source=source) \
+        == whole_residual_report(times, vals, g, 0.3, source=source)
 
 
 def test_residual_report_fields():

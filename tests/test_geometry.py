@@ -27,6 +27,7 @@ from llx.geometry import (
     theta,
     time_d1,
     time_grid,
+    x_squares,
 )
 
 
@@ -188,6 +189,24 @@ def test_one_sided_d1_exact_on_quadratics():
     right = one_sided_d1(g.x, u, "right")
     assert np.allclose(left, 2.0 * (-1.0) + 0.5, atol=1e-9)
     assert np.allclose(right, 2.0 * 1.0 + 0.5, atol=1e-9)
+
+
+def test_stencils_on_a_stack_match_each_slice_bitwise():
+    # every stencil acts on the node axis -2, whatever leads it
+    rng = np.random.default_rng(44)
+    x = _random_grid(rng).x
+    u = rng.standard_normal((2, 3, x.size, 3))
+    slices = [(i, j) for i in range(2) for j in range(3)]
+    calls = [lambda v: apply_tridiagonal_stencil(d2_coefficients(x), v),
+             lambda v: apply_tridiagonal_stencil(d1_coefficients(x), v),
+             lambda v: one_sided_d1(x, v, "left"),
+             lambda v: one_sided_d1(x, v, "right"),
+             lambda v: profile_d1(x, v),
+             lambda v: x_squares(x, v)]
+    for call in calls:
+        stacked = call(u)
+        for ij in slices:
+            assert np.array_equal(stacked[ij], call(u[ij]))
 
 
 # --- cutoffs and weights ---

@@ -11,6 +11,10 @@ A pipeline module reduces the length-3 component axis of a field only
 through banded.dot3 and banded.norm3: np.sum and np.linalg.norm over
 axis -1 cost several times the explicit sum. strayfield is not scanned:
 its torus spectral helpers reduce stacks of wavenumbers, not fields.
+
+Fields, stencils and the banded kernel share one node axis, -2 of a
+(..., n, 3) field, so the stencils' module and the two layers and the
+full model that differentiate along it move no axis.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ PACKAGE = Path(llx.__file__).parent
 LAYERS = ("internal_layer", "boundary_layer", "full_model")
 FOUNDATIONS = ("geometry", "limit_model", "strayfield", "banded", "interp",
                "fields")
+NODE_AXIS = ("geometry", "internal_layer", "boundary_layer", "full_model")
 PIPELINE = ("geometry", "limit_model", "banded", "interp", "internal_layer",
             "boundary_layer", "full_model", "expansion")
 
@@ -116,3 +121,27 @@ def test_reduction_scan_sees_every_spelling(tmp_path):
 @pytest.mark.parametrize("module", PIPELINE)
 def test_pipeline_reduces_components_through_dot3(module):
     assert last_axis_reductions(PACKAGE / f"{module}.py") == []
+
+
+def moveaxis_calls(path: Path) -> list:
+    """Line numbers of np.moveaxis and numpy.moveaxis calls."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "moveaxis"
+            and ast.unparse(node.func.value) in ("np", "numpy")]
+
+
+def test_moveaxis_scan_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("np.moveaxis(v, 0, -2)\n"
+                     "numpy.moveaxis(v, -1, 1)\n"
+                     "np.swapaxes(v, 0, 1)\n"
+                     "v.moveaxis\n", encoding="utf-8")
+    assert moveaxis_calls(probe) == [1, 2]
+
+
+@pytest.mark.parametrize("module", NODE_AXIS)
+def test_node_axis_modules_move_no_axis(module):
+    assert moveaxis_calls(PACKAGE / f"{module}.py") == []
