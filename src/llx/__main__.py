@@ -1,0 +1,7 @@
+"""`python -m llx`: the console driver without an installed entry point."""
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

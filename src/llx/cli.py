@@ -104,14 +104,8 @@ def cmd_profiles(cfg: RunConfig, args, out_dir: str) -> int:
     pieces = build_expansion_pieces(cfg.data, cfg.study)
     pair = pieces.profiles
     times = pair.times
-    if pair.x_support.size:
-        c0 = int(np.argmin(np.abs(pair.x_support)))
-        trace = pair.junction_trace()[:, c0]
-        delta = pair.delta[:, c0]
-    else:
-        trace = np.zeros((times.size, 3))
-        delta = np.zeros((times.size, 3))
-    rows = [[t] + list(trace[k]) + list(delta[k])
+    trace = pair.junction_trace()
+    rows = [[t] + list(trace[k]) + list(pair.delta[k])
             for k, t in enumerate(times)]
     value_gap, deriv_gap = pair.transmission_defect()
     path = os.path.join(out_dir, "profiles.csv")
@@ -121,10 +115,8 @@ def cmd_profiles(cfg: RunConfig, args, out_dir: str) -> int:
                     tail_max=pair.tail_max(),
                     junction_value_gap=value_gap,
                     junction_deriv_gap=deriv_gap,
-                    support_defect=pair.support_defect(),
-                    picard_iterations_max=int(pair.iterations.max()
-                                              if pair.iterations.size
-                                              else 0),
+                    support_defect=pieces.ext.support_defect(),
+                    picard_iterations_max=int(pair.iterations),
                     wall_tail_max=pieces.boundary.tail_max(),
                     wall_flux_defect=pieces.boundary.neumann_defect()))
     print(f"wrote {path} (junction trace over {times.size} knots)")

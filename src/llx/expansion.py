@@ -6,25 +6,30 @@ stretched interface and wall profiles:
     a(t, x) = U_int(t, x, x/eps) + eps * (U_wall(t, x, (1-|x|)/eps)
                                           + rho(t, x)),
 
-where U_int equals the one-sided limit state u0 plus the transmission
-increment W + S inside the interface neighborhood (and u0 alone
-outside or beyond |y| = Y), U_wall is the wall profile on its cutoff
-support, and rho the slow Neumann corrector. Sampling on a solver grid
-takes the knots in blocks of KNOT_BLOCK. The base state is a not-a-knot
-cubic spline in the slow direction, each side from its own half (so the
-blend region never contaminates it), fitted once per build over every
-knot and carried by the pieces; a block evaluates it on its knots'
-coefficients only, with the bits of a fit on that block alone. Both
-layers share one path: once per pass, each layer side reaching the
-nodes (either interface half, either wall) gets its nodes' stretched
-coordinates and cardinal x-weights, and a layer holding only zeros gets
-no side. Per block the natural spline in the fast direction is fitted
-on each side's stored columns, evaluated at every node's stretched
-coordinate and contracted with the node's x-weights (the two linear
-steps in swapped order); those fits stay per block, since holding them
-for every knot would outweigh the stored layers. S and rho are closed
-form. The x-weights add an exactly-zero anchor column past each support
-end that is not a domain end.
+where U_int = u0 + chi_sigma(x) (W + S_pm)(t, x/eps): the one-sided
+limit state u0 plus the transmission increment of the interface x = 0,
+weighted by the interface cutoff (u0 alone outside the interface
+neighborhood or beyond |y| = Y). This is exact for every accepted
+input, whose jump is delta(t, x) = chi_sigma(x) delta(t, 0). U_wall is
+the wall profile on its cutoff support, and rho the slow Neumann
+corrector. Sampling on a solver grid takes the knots in blocks of
+KNOT_BLOCK. The base state is a not-a-knot cubic spline in the slow
+direction, each side from its own half (so the blend region never
+contaminates it), fitted once per build over every knot and carried by
+the pieces; a block evaluates it on its knots' coefficients only, with
+the bits of a fit on that block alone. Both layers share one path: once
+per pass, each layer side reaching the nodes (either interface half,
+either wall) gets its nodes' stretched coordinates and x-weights (the
+cutoff chi_sigma for the interface, the wall columns' cardinal
+x-weights), and a layer holding only zeros gets no side. Per block the
+natural spline in the fast direction is fitted on each side's stored
+columns and evaluated at every node's stretched coordinate; a wall
+side contracts it with the node's x-weights (the two linear steps in
+swapped order), an interface half adds its lift and scales by chi.
+Those fits stay per block, since holding them for every knot would
+outweigh the stored layers. S and rho are closed form. The wall's
+x-weights add an exactly-zero anchor column past its inland support
+end.
 
 The convergence study builds the profiles once (they do not depend on
 eps), then for each eps: samples the ansatz on an eps-refined grid,
@@ -60,7 +65,7 @@ from .errors import ConfigError, NonContraction, SolverAbort
 from .fields import MagnetizationField
 from .full_model import (FullModelConfig, make_epsilon_grid,
                          residual_report, simulate_full)
-from .geometry import (conormal_weight, in_v_sigma, knot_times,
+from .geometry import (chi_sigma, conormal_weight, in_v_sigma, knot_times,
                        level_blocks, make_profile_grid, make_wall_grid,
                        param_nodes, profile_d1, theta, time_d1, time_grid,
                        x_squares)
@@ -74,7 +79,7 @@ from .limit_model import (ExtendedLimit, extend_limit, renormalize,
 # === the assembled ansatz ===
 
 # knots sampled together: bounds the block temporaries (knots x nodes x
-# parameter columns x 3) whatever the number of knots
+# wall columns x 3) whatever the number of knots
 KNOT_BLOCK = 8
 
 
@@ -82,9 +87,10 @@ KNOT_BLOCK = 8
 class ExpansionAnsatz:
     """Sampler for the two-scale approximation at one eps.
 
-    The eps-independent pieces (limit states, both layers and the wall
-    trace slopes) are shared; eps enters only through the stretched
-    coordinates x/eps and (1-|x|)/eps and the O(eps) weight.
+    The eps-independent pieces (limit states, the interface profile at
+    x = 0, the wall layer and its trace slopes) are shared; eps enters
+    only through the stretched coordinates x/eps and (1-|x|)/eps and the
+    O(eps) weight.
     """
 
     pieces: ExpansionPieces
@@ -122,27 +128,28 @@ class ExpansionAnsatz:
         """Each layer side that reaches the nodes x, built once per pass.
 
         (layer, nodes, knots, cols, s, weights, delta, sign) holds the
-        node indices, stretched knots, a view (nt, nc, ns, 3) of the
-        stored columns, and the nodes' stretched coordinates and
-        x-weights. The interface halves y < 0 and y >= 0 (the rows of
-        internal_layer.halves) share one support and carry their lift as
-        delta and sign; a wall side has neither. A layer whose stored
-        data is all zero lists no side.
+        node indices, stretched knots, a view of the stored profile, and
+        the nodes' stretched coordinates and x-weights. An interface
+        half y < 0 or y >= 0 (the rows of internal_layer.halves) stores
+        the one column (nt, ns, 3), weights it by the cutoff chi (nq,)
+        and carries its lift as delta and sign. A wall side stores its
+        columns (nt, nc, ns, 3), weights them by their cardinal x-weights
+        (nq, nc), and has no lift. A layer whose stored data is all zero
+        lists no side.
         """
         pair, prof = self.pieces.profiles, self.pieces.boundary
         sides = []
         ys = x / self.epsilon
         nodes = np.flatnonzero(in_v_sigma(x) & (np.abs(ys) <= pair.Y))
         if nodes.size and (pair.W.any() or pair.delta.any()):
-            lo, hi = np.flatnonzero(pair.support_mask)[[0, -1]]
-            weights = _cardinal_weights(pair.x_param, lo, hi, x[nodes])
+            chi = chi_sigma(x[nodes])
             below = ys[nodes] < 0.0
             for sel, (half, sign) in zip((below, ~below),
                                          halves(pair.y.size)):
                 if sel.any():
                     sides.append(("interface", nodes[sel], pair.y[half],
-                                  pair.W[:, :, half], ys[nodes[sel]],
-                                  weights[sel], pair.delta, sign))
+                                  pair.W[:, half], ys[nodes[sel]],
+                                  chi[sel], pair.delta, sign))
         zs = (1.0 - np.abs(x)) / self.epsilon
         near = (theta(x) > 0.0) & (zs <= prof.Z)
         for sign in (-1.0, 1.0):
@@ -163,8 +170,9 @@ class ExpansionAnsatz:
         """The four summands at the knot indices ks: each (nk, nx, 3).
 
         Per knot block each of the pass's sides (from _layer_sides) only
-        fits its natural spline and contracts it with its x-weights; an
-        interface half adds its lift in closed form.
+        fits its natural spline: a wall side contracts it with its
+        x-weights, an interface half adds its lift in closed form and
+        scales by the cutoff.
         """
         parts = {"base": self._base(ks, x),
                  "interface": np.zeros((ks.size, x.size, 3)),
@@ -172,10 +180,12 @@ class ExpansionAnsatz:
                  "rho": neumann_corrector(x, self.pieces.g_minus[ks],
                                           self.pieces.g_plus[ks])}
         for layer, nodes, knots, cols, s, weights, delta, sign in sides:
-            vals = _layer_values(knots, cols[ks], s, weights)
-            if delta is not None:
-                vals += lift(contract_columns(weights, delta[ks][:, None]),
-                             s[:, None], sign)
+            vals = _layer_values(knots, cols[ks], s)
+            if delta is None:
+                vals = contract_columns(weights, vals)
+            else:
+                vals += lift(delta[ks][:, None], s[:, None], sign)
+                vals *= weights[:, None]
             parts[layer][:, nodes] = vals
         return parts
 
@@ -217,21 +227,20 @@ def _cardinal_weights(xp: np.ndarray, i0: int, i1: int,
     return x_resample(xs, np.eye(xs.size), x)[:, i0 - lo:i1 - lo + 1]
 
 
-def _layer_values(s_knots: np.ndarray, U: np.ndarray, s: np.ndarray,
-                  weights: np.ndarray) -> np.ndarray:
-    """Layer profile at each node's stretched coordinate, resampled in x.
+def _layer_values(s_knots: np.ndarray, U: np.ndarray,
+                  s: np.ndarray) -> np.ndarray:
+    """Layer profile at each node's stretched coordinate.
 
-    U (nk, nc, ns, 3) holds the stored parameter columns of a knot block
-    on the stretched mesh s_knots; node q sits at s[q] with x-weights
-    weights[q] (nq, nc). The natural spline in s is fitted on the stored
-    columns and evaluated at every node, then contracted with the
-    weights: the order is swapped against resampling first, which is
-    exact because both steps are linear. Returns (nk, nq, 3).
+    U (nk, ..., ns, 3) holds a knot block of the stored columns on the
+    stretched mesh s_knots, node q sits at s[q]. The natural spline in
+    s is fitted on every column and evaluated at every node: (nk, nq,
+    ..., 3). A wall contracts the result with its x-weights: the order
+    is swapped against resampling first, which is exact because both
+    steps are linear.
     """
-    v = np.moveaxis(U, 2, 0)
+    v = np.moveaxis(U, -2, 0)
     m = natural_spline_coeffs(s_knots, v)
-    vals = np.moveaxis(spline_eval(s_knots, v, m, s), 0, 1)
-    return contract_columns(weights, vals)
+    return np.moveaxis(spline_eval(s_knots, v, m, s), 0, 1)
 
 
 # === space-time norms ===
@@ -410,10 +419,11 @@ class StudyConfig:
     """Knobs of the eps-convergence experiment. dt_full is the full
     model's largest step: the march takes every level of the pieces'
     grid, one step each at the default dt_full = dt_knot. picard_tol
-    bounds, per interface column and Picard window, the L2(y) change of
-    the last sweep at every time or the geometric bound on the changes
-    still to come, so the profile W ends about picard_tol from its fixed
-    point; picard_max_iter caps the sweeps of one window."""
+    bounds, per Picard window of the interface profile at x = 0, the
+    L2(y) change of the last sweep at every time or the geometric bound
+    on the changes still to come, so the profile W ends about picard_tol
+    from its fixed point; picard_max_iter caps the sweeps of one
+    window."""
 
     T: float = 0.5
     dt_full: float = 2.5e-3
@@ -465,8 +475,9 @@ class StudyConfig:
 class ExpansionPieces:
     """The eps-independent half of the experiment.
 
-    ext, profiles and boundary share one set of time knots and one
-    parameter mesh; g_minus and g_plus (nt, 3) are the wall trace slopes
+    ext, profiles and boundary share one set of time knots, ext and
+    boundary one parameter mesh, and profiles holds the interface
+    column x = 0 of it; g_minus and g_plus (nt, 3) are the wall trace slopes
     feeding the corrector rho = phi * theta * g_side. base holds the
     (minus, plus) not-a-knot x-splines of the base state over every
     knot (built by _base_splines).

@@ -16,20 +16,22 @@ is continuous and C1 across y = 0. W satisfies, on each side,
     dW/dt = (I + [V_pm + W]x) W_yy + Fhat_pm(t, x, y, W, W_y),
 
 with V_pm = u0_pm + S_pm, Dirichlet zero at y = +-Y, a shared junction
-unknown at y = 0, and W(0) = 0. The x dependence is purely parametric,
-so columns solve independently; zero-jump columns are exactly zero and
-skipped. The quasilinear solve is a Picard iteration: coefficients and
-forcing frozen at the previous space-time iterate, each sweep a
+unknown at y = 0, and W(0) = 0. In one dimension the interface is the
+single point x = 0, and the profile is solved there only: every
+accepted input has delta(t, x) = chi_sigma(x) delta(t, 0) and S is
+linear in delta, so the ansatz weights this one column by the cutoff
+(expansion). A column with no jump and no jump rate is exactly zero and
+not marched. The quasilinear solve is a Picard iteration: coefficients
+and forcing frozen at the previous space-time iterate, each sweep a
 Crank-Nicolson march with a one-sided-Taylor junction row, its
 interior rows premultiplied by (I + [V_pm + W]x)^-1 so that neighbours
-couple by scalars. Information
+couple by scalars, one banded solve per time step. Information
 flows forward in time, so the iteration converges one window of a few
 time levels before the next; the first window that stops contracting
 bounds the horizon. The levels are geometry.time_grid's, whose binary
 opening steps absorb the start-up stiffness of discontinuous data. The
-active columns march together, stacked into one banded solve per time
-step. A column leaves a window once its last sweep change d is below
-tol, or once its last two changes contract, rho = d / d_prev < 1, with
+iteration leaves a window once its last sweep change d is below tol,
+or once its last two changes contract, rho = d / d_prev < 1, with
 d rho / (1 - rho) below tol: the geometric bound on the changes still
 to come (windowed waveform relaxation converges superlinearly;
 Miekkala & Nevanlinna, SIAM J. Sci. Stat. Comput. 8, 1987). Each window
@@ -41,8 +43,8 @@ Contains:
   junction included) and its lift S_pm
 - F_pm: the increment F(u0+U, V, H0-(U.e1)e1) - F(u0, 0, H0) of
   limit_model.F_rhs
-- _sweep: one Crank-Nicolson march of stacked columns (a Picard sweep)
-- _predict / _settled: a window's starting guess, a column's exit rule
+- _sweep: one Crank-Nicolson march of the column (a Picard sweep)
+- _predict / _settled: a window's starting guess, its exit rule
 - picard_profiles / ProfilePair: the windowed fixed-point loop, result
 """
 
@@ -56,7 +58,7 @@ import numpy as np
 from .banded import block_tridiag_solve, cross, inv_id_plus_cross
 from .errors import NonContraction, ValidationError
 from .geometry import (apply_tridiagonal_stencil, d2_coefficients,
-                       in_v_sigma, one_sided_d1, profile_d1, x_squares)
+                       one_sided_d1, profile_d1, x_squares)
 from .limit_model import ExtendedLimit, F_rhs, precession_rhs
 from .strayfield import layer_correction, stray_field_slab
 
@@ -92,7 +94,7 @@ def F_pm(U: np.ndarray, V: np.ndarray, u0: np.ndarray,
             - precession_rhs(u0, H0))
 
 
-# === the stacked Crank-Nicolson march ===
+# === the Crank-Nicolson march ===
 
 # time levels of one Picard window: each window converges before the
 # next starts, so a sweep marches only these levels
@@ -102,13 +104,13 @@ TIME_BLOCK = 8
 def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
            coeff: np.ndarray, f_minus: np.ndarray,
            f_plus: np.ndarray) -> np.ndarray:
-    """Crank-Nicolson march of stacked columns; returns them at times[1:].
+    """Crank-Nicolson march of the column; returns it at times[1:].
 
-    Solves dW/dt = (I + [coeff]x) W_yy + f on every column from w_k
-    (ncols, ny, 3) at times[0] on the mirrored mesh y, whose junction
-    y = 0 sits at j0 = y.size // 2; coeff is (nt, ncols, ny, 3), and
-    each side's forcing is on its half-line: f_minus (nt, ncols, j0 + 1,
-    3) on y <= 0, f_plus (nt, ncols, ny - j0, 3) on y >= 0. The forcing
+    Solves dW/dt = (I + [coeff]x) W_yy + f from w_k (ny, 3) at times[0]
+    on the mirrored mesh y, whose junction y = 0 sits at
+    j0 = y.size // 2; coeff is (nt, ny, 3), and each side's forcing is
+    on its half-line: f_minus (nt, j0 + 1, 3) on y <= 0, f_plus
+    (nt, ny - j0, 3) on y >= 0. The forcing
     may jump at y = 0, so the junction row uses both, f_minus's last row
     and f_plus's first. Dirichlet zero at both ends; the junction row
     combines one-sided Taylor expansions with the equation on each
@@ -117,7 +119,7 @@ def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
     at the step's midpoint: diagonal blocks M^-1 - (dt/2) b I, scalar
     couplings -(dt/2) a and -(dt/2) c from the y weights (a, b, c). The
     junction row couples by -1/hm and -1/hp, the Dirichlet rows not at
-    all, and each step is one banded solve of the stacked columns.
+    all, and each step is one banded solve.
     """
     ny = y.size
     j0 = ny // 2
@@ -145,36 +147,34 @@ def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
         for row in (0, ny - 1):
             lower[row] = 0.0
             upper[row] = 0.0
-            B[:, row] = eye
-            rhs[:, row] = 0.0
+            B[row] = eye
+            rhs[row] = 0.0
         # junction row: one-sided Taylor plus the equation on each
         # side; time derivative backward, forcing at the new level.
         # The products stay matmul: einsum rounds them differently.
-        mj_inv = inv_id_plus_cross(coeff[j + 1][:, j0])
+        mj_inv = inv_id_plus_cross(coeff[j + 1][j0])
         lower[j0] = -1.0 / hm
         upper[j0] = -1.0 / hp
-        B[:, j0] = (1.0 / hm + 1.0 / hp) * eye \
+        B[j0] = (1.0 / hm + 1.0 / hp) * eye \
             + ((hm + hp) / (2.0 * dt)) * mj_inv
-        rhs[:, j0] = (
-            ((hm + hp) / (2.0 * dt)) * (mj_inv @ w_k[:, j0, :, None])
-            + 0.5 * hm * (mj_inv @ f_minus[j + 1][:, -1, :, None])
-            + 0.5 * hp * (mj_inv @ f_plus[j + 1][:, 0, :, None]))[..., 0]
+        rhs[j0] = (((hm + hp) / (2.0 * dt)) * (mj_inv @ w_k[j0])
+                   + 0.5 * hm * (mj_inv @ f_minus[j + 1][-1])
+                   + 0.5 * hp * (mj_inv @ f_plus[j + 1][0]))
 
         w_k = block_tridiag_solve(lower, B, upper, rhs)
         new[j] = w_k
     return new
 
 
-# === fixed point over the columns ===
+# === the windowed fixed point ===
 
 def _profile_data(y: np.ndarray, delta, delta_dt, u0p, u0m) -> tuple:
     """The half of the frozen coefficient and forcing that no iterate
     enters, built once per window.
 
-    delta, delta_dt and the one-sided states u0p, u0m are (m, ncols, 3)
-    at m time levels. Returns a flat tuple of arrays with the same two
-    leading axes, so a sweep takes its levels and columns from each
-    alike: per side (halves, minus first) u0, H0, the lift S, V = u0 + S
+    delta, delta_dt and the one-sided states u0p, u0m are (m, 3) at m
+    time levels. Returns a flat tuple of arrays with the same leading
+    axis: per side (halves, minus first) u0, H0, the lift S, V = u0 + S
     and the lift of delta_dt on the side's half-line.
     """
     data = []
@@ -189,9 +189,9 @@ def _profile_data(y: np.ndarray, delta, delta_dt, u0p, u0m) -> tuple:
 def _profile_levels(y: np.ndarray, W: np.ndarray, data: tuple):
     """Coefficient and per-side forcing frozen at the iterate W.
 
-    W is (m, ncols, ny, 3) at m time levels, data the _profile_data of
-    the same levels and columns (a sweep takes the window's levels, its
-    first one included). Each side's forcing (dS/dy = sign S
+    W is (m, ny, 3) at m time levels, data the _profile_data of the
+    same levels (a sweep takes the window's levels, its first one
+    included). Each side's forcing (dS/dy = sign S
     there) is built on the side's own half-line (halves). Returns
     (coeff, f_minus, f_plus): the forcings as _sweep takes them, and
     coeff V_minus below the junction and V_plus from it on, plus W.
@@ -222,7 +222,7 @@ def _predict(t_past: np.ndarray, past: np.ndarray,
 
 
 def _settled(diffs: list, tol: float) -> bool:
-    """Whether a column may leave its window after the sweep changes
+    """Whether the iteration may leave its window after the sweep changes
     diffs: the last change d is below tol, or the last two contract,
     rho = d / d_prev < 1, and d rho / (1 - rho), the geometric bound on
     the changes still to come, is below tol."""
@@ -235,116 +235,84 @@ def _settled(diffs: list, tol: float) -> bool:
     return rho < 1.0 and d * rho / (1.0 - rho) < tol
 
 
-def _stalled(diffs: list, tol: float, max_iter: int, x_label: float,
+def _stalled(diffs: list, tol: float, max_iter: int,
              t_window: float) -> Optional[NonContraction]:
-    """The abort for a column that has not settled, if it is due."""
+    """The abort for a window that has not settled, if it is due."""
     ratios = [diffs[q + 1] / diffs[q] for q in range(len(diffs) - 1)]
     if len(diffs) >= 4 and (diffs[-1] >= diffs[-2] >= diffs[-3]
                             >= diffs[-4]):
         return NonContraction(
-            f"profile iteration stopped contracting at x={x_label:.6g} "
+            f"profile iteration stopped contracting "
             f"(last diffs {[f'{d:.3e}' for d in diffs[-3:]]}); "
             f"converged up to t={t_window:.6g}",
             t_converged=t_window, ratios=ratios)
     if len(diffs) >= max_iter:
         return NonContraction(
-            f"profile iteration at x={x_label:.6g} did not reach "
-            f"tol={tol:.1e} in {max_iter} sweeps (last diff "
-            f"{diffs[-1]:.3e})",
+            f"profile iteration did not reach tol={tol:.1e} in "
+            f"{max_iter} sweeps (last diff {diffs[-1]:.3e})",
             t_converged=0.0, ratios=ratios)
     return None
 
 
-def _picard(y: np.ndarray, times: np.ndarray, W: np.ndarray,
-            cols: np.ndarray, delta, delta_dt, u0p, u0m, tol: float,
-            max_iter: int, x_labels) -> tuple:
-    """Iterate the listed columns of W (nt, ncol, ny, 3) to the fixed point.
+def _picard(y: np.ndarray, times: np.ndarray, W: np.ndarray, delta,
+            delta_dt, u0p, u0m, tol: float, max_iter: int) -> list:
+    """Iterate the column W (nt, ny, 3) to the fixed point, in place.
 
-    delta, delta_dt, u0p, u0m are (nt, ncol, 3), x_labels one per
-    column, W[0] the start. One window of TIME_BLOCK levels converges at
-    a time: its sweeps march from its converged first level, from a
-    guess extrapolating the last three converged levels quadratically on
-    their own times (_predict; the first window starts from W[0]). A
-    column leaves the window's sweeps once it has settled (_settled):
-    its largest per-time change d is below tol, or the geometric bound
-    d rho / (1 - rho) on its remaining change is, rho < 1 the ratio of
-    its last two changes. So W ends about tol from the fixed point, and
-    each column takes as many sweeps as it would alone. Returns
-    (traces, failure): each column's per-window sweep changes over the
-    windows all columns completed, and None or the NonContraction of
-    the lowest column failing in the first window where one failed.
+    delta, delta_dt, u0p, u0m are (nt, 3), W[0] the start. One window of
+    TIME_BLOCK levels converges at a time: its sweeps march from its
+    converged first level, from a guess extrapolating the last three
+    converged levels quadratically on their own times (_predict; the
+    first window starts from W[0]). The window is left once it has
+    settled (_settled): the largest per-time change d is below tol, or
+    the geometric bound d rho / (1 - rho) on the remaining change is,
+    rho < 1 the ratio of the last two changes. So W ends about tol from
+    the fixed point. Returns the sweep changes of each window, or raises
+    the NonContraction of the first window that fails.
     """
-    cols = np.asarray(cols, dtype=int)
-    traces = {col: [] for col in cols.tolist()}
-    for k0 in range(0, times.size - 1 if cols.size else 0, TIME_BLOCK):
+    traces = []
+    for k0 in range(0, times.size - 1, TIME_BLOCK):
         k1 = min(k0 + TIME_BLOCK, times.size - 1)
         win = slice(k0 + 1, k1 + 1)
         if k0 == 0:
-            W[win, cols] = W[0, cols]
+            W[win] = W[0]
         else:
-            W[win, cols] = _predict(times[k0 - 2:k0 + 1],
-                                    W[k0 - 2:k0 + 1, cols], times[win])
+            W[win] = _predict(times[k0 - 2:k0 + 1], W[k0 - 2:k0 + 1],
+                              times[win])
         # each sweep freezes the forcing at all the window's levels, its
         # converged first one included; the data half is built once
-        data = _profile_data(y, *(arr[k0:k1 + 1, cols] for arr in
+        data = _profile_data(y, *(arr[k0:k1 + 1] for arr in
                                   (delta, delta_dt, u0p, u0m)))
-        sweeps = {col: [] for col in traces}
-        failed = None
-        active = np.arange(cols.size)
-        while active.size:
-            act = cols[active]
-            levels = W[k0:k1 + 1, act]
-            old = levels[1:]
-            # a view while every column is active
-            taken = slice(None) if active.size == cols.size else active
+        trace = []
+        while True:
+            levels = W[k0:k1 + 1]
             new = _sweep(y, times[k0:k1 + 1], levels[0],
-                         *_profile_levels(y, levels, tuple(
-                             part[:, taken] for part in data)))
-            change = np.sqrt(x_squares(y, new - old)).max(axis=0)
-            W[win, act] = new
-            still = []
-            for pos, col, diff in zip(active.tolist(), act.tolist(),
-                                      change.tolist()):
-                trace = sweeps[col]
-                trace.append(diff)
-                if _settled(trace, tol):
-                    continue
-                failure = _stalled(trace, tol, max_iter, x_labels[col],
-                                   float(times[k0]))
-                if failure is not None:
-                    # one column at a time, the columns above it never run
-                    failed = failure
-                    break
-                still.append(pos)
-            active = np.array(still, dtype=int)
-        if failed is not None:
-            return list(traces.values()), failed
-        for col, trace in sweeps.items():
-            traces[col].append(trace)
-    return list(traces.values()), None
+                         *_profile_levels(y, levels, data))
+            trace.append(float(np.sqrt(x_squares(y, new - levels[1:])).max()))
+            W[win] = new
+            if _settled(trace, tol):
+                break
+            failure = _stalled(trace, tol, max_iter, float(times[k0]))
+            if failure is not None:
+                raise failure
+        traces.append(tuple(trace))
+    return traces
 
 
 @dataclass(frozen=True)
 class ProfilePair:
-    """Transmission profiles W(t, x, y) on the jump support.
+    """The transmission profile W(t, y) on the interface x = 0.
 
-    W is stored only on the x_support columns (the interface
-    neighborhood); outside them the profile is identically zero. The
-    full layer terms are U_pm = W + S_pm with S the exponential lift
-    carried by delta = u0_plus - u0_minus. residual_trace[col] holds one
-    tuple of sweep changes per Picard window, iterations[col] the most
-    sweeps any window of that column took.
+    The layer terms there are U_pm = W + S_pm, with S the exponential
+    lift carried by delta = u0_plus - u0_minus at x = 0 (nt, 3); the
+    ansatz weights them by the interface cutoff chi_sigma(x).
+    residual_trace holds one tuple of sweep changes per Picard window,
+    none when the column was not marched.
     """
 
     times: np.ndarray
     y: np.ndarray
-    x_param: np.ndarray
-    support_mask: np.ndarray
-    x_support: np.ndarray
     W: np.ndarray
     delta: np.ndarray
-    full_delta: np.ndarray
-    iterations: np.ndarray
     residual_trace: tuple
 
     @property
@@ -356,22 +324,26 @@ class ProfilePair:
         """Index of the junction y = 0 on the mirrored mesh."""
         return self.y.size // 2
 
+    @property
+    def iterations(self) -> np.ndarray:
+        """The most sweeps any window took (0 unmarched), a 0-d int
+        array: the sweep count of the one column."""
+        return np.array(max(map(len, self.residual_trace), default=0))
+
     def layer_term(self, side: str) -> np.ndarray:
-        """U_pm = W + S_pm on the stored columns and the named side's
-        half-line (halves): (nt, nxs, ny // 2 + 1, 3)."""
+        """U_pm = W + S_pm on the named side's half-line (halves):
+        (nt, ny // 2 + 1, 3)."""
         rows, sign = halves(self.y.size)[side == "plus"]
-        return self.W[:, :, rows] + lift(self.delta[:, :, None, :],
-                                         self.y[rows, None], sign)
+        return self.W[:, rows] + lift(self.delta[:, None, :],
+                                      self.y[rows, None], sign)
 
     def junction_trace(self) -> np.ndarray:
-        """W at y = 0: (nt, nxs, 3)."""
-        return self.W[:, :, self.j0, :]
+        """W at y = 0: (nt, 3)."""
+        return self.W[:, self.j0, :]
 
     def tail_max(self) -> float:
         """Largest |U| at the truncated ends y = -+Y."""
-        if self.W.size == 0:
-            return 0.0
-        return max(float(np.max(np.abs(self.layer_term(side)[:, :, end])))
+        return max(float(np.max(np.abs(self.layer_term(side)[:, end])))
                    for side, end in (("minus", 0), ("plus", -1)))
 
     def transmission_defect(self) -> tuple:
@@ -381,28 +353,19 @@ class ProfilePair:
         the derivative mismatch is measured with second-order one-sided
         stencils on each side.
         """
-        if self.W.size == 0:
-            return 0.0, 0.0
-        dm, dp = (one_sided_d1(self.y[rows], self.W[:, :, rows], end)
+        dm, dp = (one_sided_d1(self.y[rows], self.W[:, rows], end)
                   for (rows, _), end in zip(halves(self.y.size),
                                             ("right", "left")))
         return 0.0, float(np.max(np.abs(dp - dm)))
 
     def contraction_ratios(self) -> list:
         """Ratios of successive sweep changes inside each window."""
-        return [trace[q + 1] / trace[q] for windows in self.residual_trace
-                for trace in windows for q in range(len(trace) - 1)]
-
-    def support_defect(self) -> float:
-        """Largest |delta| outside the interface neighborhood."""
-        outside = ~self.support_mask
-        if not outside.any():
-            return 0.0
-        return float(np.max(np.abs(self.full_delta[:, outside])))
+        return [trace[q + 1] / trace[q] for trace in self.residual_trace
+                for q in range(len(trace) - 1)]
 
     def validate(self, value_tol: float = 1e-8, deriv_tol: float = 1e-6,
-                 tail_tol: float = 1e-6, support_tol: float = 1e-12) -> None:
-        """Raise ValidationError if the layer is unresolved or leaking."""
+                 tail_tol: float = 1e-6) -> None:
+        """Raise ValidationError if the layer is unresolved."""
         val, der = self.transmission_defect()
         if val > value_tol:
             raise ValidationError(
@@ -415,11 +378,6 @@ class ProfilePair:
             raise ValidationError(
                 f"profile tail {tail:.3e} at |y|={self.Y:g} exceeds "
                 f"{tail_tol:.1e}; enlarge the profile box")
-        sup = self.support_defect()
-        if sup > support_tol:
-            raise ValidationError(
-                f"jump field leaks {sup:.3e} outside the interface "
-                f"neighborhood (tolerance {support_tol:.1e})")
         bad = [r for r in self.contraction_ratios() if r >= 1.0]
         if bad:
             raise ValidationError(
@@ -429,38 +387,20 @@ class ProfilePair:
 
 def picard_profiles(ext: ExtendedLimit, y: np.ndarray, tol: float,
                     max_iter: int) -> ProfilePair:
-    """Solve the transmission profiles on the columns of the interface
-    neighborhood (geometry.in_v_sigma).
+    """Solve the transmission profile on the interface x = 0.
 
-    Columns whose jump and jump rate vanish identically are exactly
-    zero and skipped without marching; that covers everything outside
-    the interface neighborhood, and symmetric data everywhere. A window
-    that stops contracting raises its NonContraction, and no profiles.
+    A column whose jump and jump rate vanish identically (continuous or
+    symmetric data) is exactly zero and not marched. A window that stops
+    contracting raises its NonContraction, and no profile.
     """
-    delta_full = ext.delta
-    delta_dt_full = ext.delta_dt
-    x = ext.x_param
-    mask = in_v_sigma(x)
-    nonzero = (np.max(np.abs(delta_full), axis=(0, 2)) > 0.0) \
-        | (np.max(np.abs(delta_dt_full), axis=(0, 2)) > 0.0)
-    idx = np.nonzero(mask)[0]
-
-    W = np.zeros((ext.times.size, idx.size, y.size, 3))
-    marched = np.nonzero(nonzero[idx])[0]
-    traces, failure = _picard(y, ext.times, W, marched,
-                              delta_full[:, idx], delta_dt_full[:, idx],
-                              ext.u_plus[:, idx], ext.u_minus[:, idx], tol,
-                              max_iter, x[idx])
-    if failure is not None:
-        raise failure
-    iterations = np.zeros(idx.size, dtype=int)
-    residual_trace = [()] * idx.size
-    for col, windows in zip(marched, traces):
-        iterations[col] = max(map(len, windows), default=0)
-        residual_trace[col] = tuple(map(tuple, windows))
-
-    return ProfilePair(
-        times=ext.times, y=y, x_param=x,
-        support_mask=mask, x_support=x[mask], W=W,
-        delta=delta_full[:, mask], full_delta=delta_full,
-        iterations=iterations, residual_trace=tuple(residual_trace))
+    i0 = int(np.searchsorted(ext.x_param, 0.0))
+    u0p, u0m = ext.u_plus[:, i0], ext.u_minus[:, i0]
+    delta = u0p - u0m
+    delta_dt = ext.du_plus[:, i0] - ext.du_minus[:, i0]
+    W = np.zeros((ext.times.size, y.size, 3))
+    traces = []
+    if delta.any() or delta_dt.any():
+        traces = _picard(y, ext.times, W, delta, delta_dt, u0p, u0m, tol,
+                         max_iter)
+    return ProfilePair(times=ext.times, y=y, W=W, delta=delta,
+                       residual_trace=tuple(traces))

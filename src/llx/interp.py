@@ -1,15 +1,15 @@
 """Spline sampling of layer profiles onto solver grids.
 
 The layer profiles live on their own stretched meshes (y for the
-transmission layer, z for the wall layer) and on the coarse parameter
-mesh in x. A solver node x needs the profile at its own stretched
-coordinate (y = x/eps or z = (1 - |x|)/eps), resampled along x. Both
-steps are linear in the data, so they commute: the natural spline in the
-stretched direction is fitted once on the stored parameter columns (one
-shared knot set, many right-hand sides, a single banded solve), every
-column is evaluated at every node's stretched coordinate, and the
-results are contracted with the cardinal x-weights of the node (the
-cubic x-resample of an identity matrix).
+transmission layer, z for the wall layer). A solver node x needs the
+profile at its own stretched coordinate (y = x/eps or z = (1 - |x|)/eps).
+The natural spline in the stretched direction is fitted once on the
+stored columns (one shared knot set, many right-hand sides, a single
+banded solve) and every column is evaluated at every node's stretched
+coordinate. The wall layer also lives on the coarse parameter mesh in
+x, and its values are then contracted with the cardinal x-weights of
+the node (the cubic x-resample of an identity matrix): both steps are
+linear in the data, so they commute.
 
 Contains:
 - natural_spline_coeffs: second derivatives of the natural cubic spline

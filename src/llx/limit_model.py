@@ -16,7 +16,8 @@ Contains:
 - simulate_limit: the exact solution on a given time grid
 - ExtendedLimit / extend_limit: one-sided limit states extended across
   the interface by branch continuation and cutoff blending, with exact
-  time derivatives
+  time derivatives, and the jump's leak outside the interface
+  neighborhood (support_defect)
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .banded import cross, dot3, norm3
 from .fields import MagnetizationField
-from .geometry import chi_sigma
+from .geometry import chi_sigma, in_v_sigma
 from .strayfield import stray_field_slab
 
 
@@ -121,6 +122,11 @@ class ExtendedLimit:
     @property
     def delta_dt(self) -> np.ndarray:
         return self.du_plus - self.du_minus
+
+    def support_defect(self) -> float:
+        """Largest |delta| outside the interface neighborhood."""
+        outside = ~in_v_sigma(self.x_param)
+        return float(np.max(np.abs(self.delta[:, outside]), initial=0.0))
 
 
 def extend_limit(data: MagnetizationField, x: np.ndarray,

@@ -76,13 +76,13 @@ def full_model_solution():
 
 
 def march_column(y, times, coeff, f_minus, f_plus):
-    """One column of the stacked march from W = 0; coeff, f_minus and
-    f_plus are (nt, ny, 3) on the whole mesh, and each side's forcing is
-    handed on its own half-line. Returns W (nt, ny, 3)."""
+    """The transmission march from W = 0; coeff, f_minus and f_plus are
+    (nt, ny, 3) on the whole mesh, and each side's forcing is handed on
+    its own half-line. Returns W (nt, ny, 3)."""
     W = np.zeros((times.size, y.size, 3))
     (minus, _), (plus, _) = halves(y.size)
-    W[1:] = _sweep(y, times, W[:1], coeff[:, None],
-                   f_minus[:, None, minus], f_plus[:, None, plus])[:, 0]
+    W[1:] = _sweep(y, times, W[0], coeff, f_minus[:, minus],
+                   f_plus[:, plus])
     return W
 
 

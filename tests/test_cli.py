@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import math
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +53,17 @@ def test_converge_help_documents_schema(capsys):
     out = capsys.readouterr().out
     assert "epsilon, err_l2, residual_l2" in out
     assert "--jobs" in out
+
+
+def test_module_entry_point_runs():
+    # `python -m llx` reaches the same driver as the installed script
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    done = subprocess.run([sys.executable, "-m", "llx", "--help"], env=env,
+                          capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+    assert "converge" in done.stdout
 
 
 def test_missing_config_is_exit_2(tmp_path, capsys):
@@ -244,6 +258,16 @@ def test_profiles_output(tiny_cfg, tmp_path):
     assert "# wall_flux_defect=" in text
     header = [l for l in text.splitlines() if not l.startswith("#")][0]
     assert header == "t,w1,w2,w3,delta1,delta2,delta3"
+
+
+def test_default_profiles_output_is_pinned(tmp_path):
+    """The whole default `llx profiles` output, byte for byte: the
+    junction trace and jump at x = 0 and every diagnostic in the header
+    (tail, junction gaps, support defect, most sweeps of a window)."""
+    out = tmp_path / "o"
+    assert main(["profiles", "--out", str(out)]) == 0
+    pinned = Path(__file__).parent / "data" / "jump_profiles.csv"
+    assert _read_bytes(out / "profiles.csv") == pinned.read_bytes()
 
 
 def test_ansatz_output(tiny_cfg, tmp_path):

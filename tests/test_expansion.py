@@ -15,8 +15,9 @@ from llx.expansion import (EClassNorms, ExpansionAnsatz, StudyConfig,
                            eclass_norms, fit_slope, jump_error_l2)
 from llx.fields import constant_per_side, named_field
 from llx.full_model import make_epsilon_grid, simulate_full
-from llx.geometry import (in_v_sigma, knot_times, make_profile_grid,
-                          param_nodes, profile_d1, theta, time_grid)
+from llx.geometry import (chi_sigma, in_v_sigma, knot_times,
+                          make_profile_grid, param_nodes, profile_d1, theta,
+                          time_grid)
 from llx.internal_layer import TIME_BLOCK, picard_profiles
 from llx.interp import natural_spline_coeffs, x_resample
 from llx.limit_model import extend_limit, simulate_limit
@@ -129,11 +130,9 @@ def test_interface_value_matches_profile_trace(jump_small):
     # the jump (the plus-side branch of the exponential lift)
     _, pieces, ansatz = jump_small
     pair = pieces.profiles
-    c0 = int(np.argmin(np.abs(pair.x_support)))
-    assert pair.x_support[c0] == 0.0
     k = ansatz.times.size - 1
     parts = _sample_parts(ansatz, float(ansatz.times[k]), np.array([0.0]))
-    expect = pair.W[k, c0, pair.j0] - 0.5 * pair.delta[k, c0]
+    expect = pair.W[k, pair.j0] - 0.5 * pair.delta[k]
     np.testing.assert_allclose(parts["interface"][0], expect, atol=1e-13)
 
 
@@ -203,10 +202,12 @@ def test_sampling_is_deterministic(jump_small):
 
 # --- per-knot reference sampler ---
 #
-# The sampler as it was written knot by knot: resample every stretched
-# node along x onto the solver nodes first, then evaluate each node's
-# own column of the natural spline at its stretched coordinate. The
-# blocked sampler swaps the two linear steps, so it must agree to
+# The sampler as it was written knot by knot: for the wall, resample
+# every stretched node along x onto the solver nodes first, then
+# evaluate each node's own column of the natural spline at its stretched
+# coordinate; for the interface, evaluate the x = 0 profile at each
+# node's stretched coordinate and weight it by the cutoff. The blocked
+# sampler swaps the wall's two linear steps, so it must agree to
 # rounding.
 
 def _eval_each(knots, v, m, q):
@@ -245,25 +246,20 @@ def _reference_sample(ansatz, t, x):
     interface = np.zeros((x.size, 3))
     ys = x / eps
     active = in_v_sigma(x) & (np.abs(ys) <= pair.Y)
-    idx = np.nonzero(pair.support_mask)[0]
-    xs_ext = xp[idx[0] - 1:idx[-1] + 2]
-    W_ext = np.zeros((xs_ext.size,) + pair.W.shape[2:])
-    W_ext[1:-1] = pair.W[k]
-    d_ext = np.zeros((xs_ext.size, 3))
-    d_ext[1:-1] = pair.delta[k]
-    W_x = x_resample(xs_ext, W_ext, x[active])
-    d_x = x_resample(xs_ext, d_ext, x[active])
     ya = ys[active]
     j0 = pair.j0
+    d = pair.delta[k]
     vals = np.zeros((ya.size, 3))
     gm = ya < 0.0
-    vals[gm] = (_resample_then_eval(pair.y[:j0 + 1], W_x[gm, :j0 + 1],
-                                    ya[gm])
-                + 0.5 * d_x[gm] * np.exp(ya[gm])[:, None])
+    W_m = np.broadcast_to(pair.W[k, :j0 + 1], (ya[gm].size, j0 + 1, 3))
+    vals[gm] = (_resample_then_eval(pair.y[:j0 + 1], W_m, ya[gm])
+                + 0.5 * d * np.exp(ya[gm])[:, None])
     gp = ~gm
-    vals[gp] = (_resample_then_eval(pair.y[j0:], W_x[gp, j0:], ya[gp])
-                - 0.5 * d_x[gp] * np.exp(-ya[gp])[:, None])
-    interface[active] = vals
+    W_p = np.broadcast_to(pair.W[k, j0:], (ya[gp].size, pair.y.size - j0,
+                                           3))
+    vals[gp] = (_resample_then_eval(pair.y[j0:], W_p, ya[gp])
+                - 0.5 * d * np.exp(-ya[gp])[:, None])
+    interface[active] = chi_sigma(x[active])[:, None] * vals
 
     wall = np.zeros((x.size, 3))
     theta_x = theta(x)
@@ -325,13 +321,13 @@ def _counting(monkeypatch, name):
     return calls
 
 
-@pytest.mark.parametrize("fixture, per_pass", [("jump_small", 1),
+@pytest.mark.parametrize("fixture, per_pass", [("jump_small", 0),
                                                ("swirl_small", 2)])
 def test_layer_x_weights_are_built_once_per_pass(fixture, per_pass,
                                                   request, monkeypatch):
-    # the x-weights depend on the nodes alone: one knot and nine knots
-    # (two blocks) build them equally often, once per support that holds
-    # data (the interface halves share one)
+    # the wall's x-weights depend on the nodes alone: one knot and nine
+    # knots (two blocks) build them equally often, once per wall that
+    # holds data; the interface is weighted by its cutoff and builds none
     _, pieces, _ = request.getfixturevalue(fixture)
     ansatz = ExpansionAnsatz(pieces, 0.03125)
     x = np.linspace(-1.0, 1.0, 257)
@@ -367,12 +363,12 @@ def test_layers_that_hold_nothing_are_not_fitted(fixture, per_block,
     assert len(calls) == per_block * (1 + 2)
 
 
-@pytest.mark.parametrize("fixture, per_pass", [("jump_small", 1),
+@pytest.mark.parametrize("fixture, per_pass", [("jump_small", 0),
                                                ("swirl_small", 2)])
 def test_base_state_is_fitted_once_per_build(fixture, per_pass, request,
                                              monkeypatch):
     # sampling fits no base spline: the only x-resamples left are the
-    # layers' x-weights, once per pass; and the fit over every knot gives
+    # walls' x-weights, once per pass; and the fit over every knot gives
     # each block the bits of a fit on that block's knots alone
     _, pieces, _ = request.getfixturevalue(fixture)
     fits = _counting(monkeypatch, "x_spline")

@@ -89,6 +89,7 @@ def test_extension_vanishes_outside_interface_neighborhood(jump_setup):
     assert outside.any()
     assert np.max(np.abs(ext.delta[:, outside])) == 0.0
     assert np.max(np.abs(ext.delta_dt[:, outside])) == 0.0
+    assert ext.support_defect() == 0.0
 
 
 def test_extension_blend_exact_at_neighbor_nodes(jump_setup):
@@ -192,18 +193,12 @@ def test_march_zero_forcing_stays_zero():
 
 # --- fixed point on the jump fixture ---
 
-def _picard_column(y, times, delta, delta_dt, u0p, u0m, tol, max_iter,
-                   x_label):
-    """Iterate one column to the fixed point; returns (W, per-window
-    sweep changes) or raises the column's NonContraction."""
-    W = np.zeros((times.size, 1, y.size, 3))
-    (traces,), failure = _picard(y, times, W, np.array([0]),
-                                 delta[:, None], delta_dt[:, None],
-                                 u0p[:, None], u0m[:, None], tol, max_iter,
-                                 [x_label])
-    if failure is not None:
-        raise failure
-    return W[:, 0], traces
+def _picard_column(y, times, delta, delta_dt, u0p, u0m, tol, max_iter):
+    """Iterate the column to the fixed point; returns (W, per-window
+    sweep changes) or raises its NonContraction."""
+    W = np.zeros((times.size, y.size, 3))
+    traces = _picard(y, times, W, delta, delta_dt, u0p, u0m, tol, max_iter)
+    return W, traces
 
 
 @pytest.fixture(scope="module")
@@ -215,9 +210,7 @@ def jump_profiles(jump_setup):
 
 def test_picard_contracts_on_jump_fixture(jump_profiles):
     _, pair = jump_profiles
-    marched = pair.iterations > 0
-    assert marched.any()
-    assert pair.iterations[marched].max() <= 10
+    assert 0 < pair.iterations <= 10
     ratios = pair.contraction_ratios()
     assert ratios and max(ratios) < 1.0
 
@@ -228,14 +221,13 @@ def test_profiles_transmission_and_tails(jump_profiles):
     assert value_gap == 0.0
     assert deriv_gap <= 1e-6
     assert pair.tail_max() <= 1e-6
-    assert pair.support_defect() == 0.0
     pair.validate()
 
 
 def test_layer_terms_live_on_their_half_lines(jump_profiles):
     y, pair = jump_profiles
     minus, plus = (pair.layer_term(side) for side in ("minus", "plus"))
-    half_line = pair.W.shape[:2] + (y.size // 2 + 1, 3)
+    half_line = (pair.times.size, y.size // 2 + 1, 3)
     assert minus.shape == plus.shape == half_line
     # both hold y = 0, where the lifts differ by the jump
     gap = minus[..., -1, :] - plus[..., 0, :] - pair.delta
@@ -308,7 +300,7 @@ def test_picard_non_contraction_aborts():
     u0m = np.tile([0.6, 0.8, 0.0], (nt, 1))
     with pytest.raises(NonContraction) as info:
         _picard_column(y, times, delta, dzero, u0p, u0m,
-                       tol=1e-8, max_iter=40, x_label=0.0)
+                       tol=1e-8, max_iter=40)
     err = info.value
     assert 0.0 <= err.t_converged <= float(times[-1])
     assert err.ratios
@@ -324,7 +316,7 @@ def test_picard_max_iter_exhaustion_reports():
     u0m = np.tile([0.6, 0.8, 0.0], (nt, 1))
     with pytest.raises(NonContraction, match="did not reach"):
         _picard_column(y, times, delta, dzero, u0p, u0m,
-                       tol=1e-14, max_iter=2, x_label=0.0)
+                       tol=1e-14, max_iter=2)
 
 
 # --- the window exit rule and the window predictor ---
@@ -350,7 +342,7 @@ def test_column_leaves_by_tol_or_by_the_geometric_bound(diffs, leaves):
 def test_a_non_contracting_trace_still_stalls():
     diffs = [2e-6, 2e-6, 3e-6, 3e-6]
     assert not any(_settled(diffs[:q], 1e-8) for q in range(1, 5))
-    failure = _stalled(diffs, 1e-8, 40, 0.0, 0.25)
+    failure = _stalled(diffs, 1e-8, 40, 0.25)
     assert "stopped contracting" in str(failure)
     assert failure.t_converged == 0.25
     assert failure.ratios == [1.0, 1.5, 1.0]
@@ -367,7 +359,7 @@ def test_column_meeting_the_bound_on_its_last_sweep_leaves():
     u0p = np.tile([-0.6, 0.8, 0.0], (nt, 1))
     u0m = np.tile([0.6, 0.8, 0.0], (nt, 1))
     _, windows = _picard_column(y, times, delta, dzero, u0p, u0m,
-                                tol=1e-5, max_iter=2, x_label=0.0)
+                                tol=1e-5, max_iter=2)
     assert len(windows) == 2
     assert all(len(w) == 2 and w[1] >= 1e-5 for w in windows)
 
@@ -389,10 +381,10 @@ def test_predictor_is_exact_for_quadratics():
         np.testing.assert_allclose(guess, W[win], rtol=0.0, atol=1e-13)
 
 
-# --- the stacked windowed Picard loop against a one-column loop ---
+# --- the windowed Picard loop against a plain one-column loop ---
 
 def _reference_march(y, times, coeff, f_minus, f_plus, w0):
-    """The one-column Crank-Nicolson march the stacked sweep replaced."""
+    """The one-column Crank-Nicolson march, written row by row."""
     j0 = y.size // 2
     ny = y.size
     d2 = d2_coefficients(y)
@@ -433,7 +425,7 @@ def _reference_march(y, times, coeff, f_minus, f_plus, w0):
 
 
 def _reference_picard_column(y, times, delta, delta_dt, u0p, u0m, tol,
-                             max_iter, x_label):
+                             max_iter):
     """One column iterated alone, window by window.
 
     Each window of TIME_BLOCK levels is swept from its first level, the
@@ -498,19 +490,20 @@ def _reference_picard_column(y, times, delta, delta_dt, u0p, u0m, tol,
                                     >= diffs[-4]):
                 t_conv = float(times[k0])
                 return W, windows, NonContraction(
-                    f"profile iteration stopped contracting at "
-                    f"x={x_label:.6g} (last diffs "
+                    f"profile iteration stopped contracting (last diffs "
                     f"{[f'{d:.3e}' for d in diffs[-3:]]}); converged up "
                     f"to t={t_conv:.6g}", t_converged=t_conv, ratios=ratios)
             if len(diffs) >= max_iter:
                 return W, windows, NonContraction(
-                    f"profile iteration at x={x_label:.6g} did not reach "
-                    f"tol={tol:.1e} in {max_iter} sweeps (last diff "
-                    f"{diffs[-1]:.3e})", t_converged=0.0, ratios=ratios)
+                    f"profile iteration did not reach tol={tol:.1e} in "
+                    f"{max_iter} sweeps (last diff {diffs[-1]:.3e})",
+                    t_converged=0.0, ratios=ratios)
     return W, windows, None
 
 
-def test_stacked_picard_matches_the_per_column_reference():
+def test_picard_matches_the_one_column_reference():
+    # the x = 0 column of the jump data, bit for bit: W, every window's
+    # sweep changes and the contraction ratios
     x = param_nodes(16)
     data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
     times = time_grid(0.1, dt=5e-3)
@@ -518,29 +511,22 @@ def test_stacked_picard_matches_the_per_column_reference():
     y = make_profile_grid(Y=6.0, cells=48)
     pair = picard_profiles(ext, y, tol=1e-8, max_iter=40)
 
-    idx = np.nonzero(in_v_sigma(ext.x_param))[0]
-    W = np.zeros_like(pair.W)
-    traces = []
-    for col, i in enumerate(idx):
-        W[:, col], windows, failure = _reference_picard_column(
-            y, times, ext.delta[:, i], ext.delta_dt[:, i],
-            ext.u_plus[:, i], ext.u_minus[:, i], 1e-8, 40,
-            float(ext.x_param[i]))
-        assert failure is None
-        traces.append(tuple(map(tuple, windows)))
-    # several windows, a short last one, and columns leaving one window
-    # after different numbers of sweeps
+    i0 = int(np.argmin(np.abs(ext.x_param)))
+    assert ext.x_param[i0] == 0.0
+    W, windows, failure = _reference_picard_column(
+        y, times, ext.delta[:, i0], ext.delta_dt[:, i0], ext.u_plus[:, i0],
+        ext.u_minus[:, i0], 1e-8, 40)
+    assert failure is None
+    traces = tuple(map(tuple, windows))
+    # several windows and a short last one
     assert (times.size - 1) % TIME_BLOCK != 0
-    assert len(traces[0]) == -(-(times.size - 1) // TIME_BLOCK) >= 3
-    assert idx.size >= 3
-    assert any(len({len(t[w]) for t in traces}) >= 2
-               for w in range(len(traces[0])))
+    assert len(traces) == -(-(times.size - 1) // TIME_BLOCK) >= 3
     assert np.array_equal(pair.W, W)
-    assert pair.iterations.tolist() == [max(map(len, t)) for t in traces]
-    assert pair.residual_trace == tuple(traces)
+    assert np.array_equal(pair.delta, ext.delta[:, i0])
+    assert pair.iterations == max(map(len, traces))
+    assert pair.residual_trace == traces
     assert pair.contraction_ratios() == [
-        w[q + 1] / w[q] for t in traces for w in t
-        for q in range(len(w) - 1)]
+        w[q + 1] / w[q] for w in traces for q in range(len(w) - 1)]
 
 
 def test_picard_tol_bounds_the_distance_to_the_fixed_point():
@@ -560,80 +546,69 @@ def test_picard_tol_bounds_the_distance_to_the_fixed_point():
 
 
 def test_default_jump_build_sweep_budget(jump_pieces):
-    # bounds fixed before the run: 906 column-window sweeps and up to 4
-    # sweeps per window under the plain d < tol exit and the linear
-    # predictor
+    # bounds fixed before the run: at most 3 sweeps in any window, so at
+    # most 3 per window in all (up to 4 per window under the plain
+    # d < tol exit and the linear predictor)
     pair = jump_pieces.profiles
-    sweeps = sum(len(w) for windows in pair.residual_trace for w in windows)
-    assert sweeps <= 700
-    assert pair.iterations.max() <= 3
+    sweeps = sum(map(len, pair.residual_trace))
+    assert sweeps <= 3 * len(pair.residual_trace)
+    assert pair.iterations <= 3
 
 
-def _stacked_against_reference(y, times, delta, u0p, u0m, tol,
-                               max_iter):
-    """Run the stacked loop and the per-column reference on the same
-    columns; check that the stacked loop fails like the lowest column
-    failing in the earliest failing window, keeping the windows before
-    it. Returns the stacked failure."""
-    nt, cols = delta.shape[:2]
+def _picard_against_reference(y, times, delta, u0p, u0m, tol, max_iter):
+    """Run the windowed loop and the one-column reference on the same
+    column; check that the loop fails like the reference, keeping the
+    windows before the failing one. Returns the failure."""
     dzero = np.zeros_like(delta)
-    labels = [0.1 * col for col in range(cols)]
-    refs = [_reference_picard_column(y, times, delta[:, col],
-                                     dzero[:, col], u0p[:, col],
-                                     u0m[:, col], tol, max_iter,
-                                     labels[col])
-            for col in range(cols)]
-    fail_window = min(len(windows) - 1 for _, windows, failure in refs
-                      if failure is not None)
-    expected = next(failure for _, windows, failure in refs
-                    if failure is not None
-                    and len(windows) - 1 == fail_window)
-    W = np.zeros((nt, cols, y.size, 3))
-    traces, failure = _picard(y, times, W, np.arange(cols), delta,
-                              dzero, u0p, u0m, tol, max_iter, labels)
+    W_ref, windows, expected = _reference_picard_column(
+        y, times, delta, dzero, u0p, u0m, tol, max_iter)
+    assert expected is not None
+    W = np.zeros((times.size, y.size, 3))
+    with pytest.raises(NonContraction) as info:
+        _picard(y, times, W, delta, dzero, u0p, u0m, tol, max_iter)
+    failure = info.value
     assert str(failure) == str(expected)
     assert failure.t_converged == expected.t_converged
     assert failure.ratios == expected.ratios
-    done = fail_window * TIME_BLOCK + 1
-    for col, (W_ref, windows, _) in enumerate(refs):
-        assert traces[col] == windows[:fail_window]
-        assert np.array_equal(W[:done, col], W_ref[:done])
+    done = (len(windows) - 1) * TIME_BLOCK + 1
+    assert np.array_equal(W[:done], W_ref[:done])
     return failure
 
 
-@pytest.mark.parametrize("scales, tol, max_iter", [
-    # a contracting column below and above one that blows up
-    ((-1.2, 40.0, 3.0), 1e-8, 40),
-    # the lower column runs out of sweeps after the upper one stalled
-    ((-1.2, 40.0), 1e-14, 6),
-], ids=["stall_between_contracting", "lower_exhausts_later"])
-def test_stacked_picard_raises_the_lowest_failing_column(scales, tol,
-                                                         max_iter):
+@pytest.mark.parametrize("scale, tol, max_iter", [
+    # a jump far off the unit sphere stops contracting
+    (40.0, 1e-8, 40),
+    # a contracting column runs out of sweeps
+    (-1.2, 1e-14, 6),
+], ids=["stall", "max_iter"])
+def test_picard_fails_like_the_reference(scale, tol, max_iter):
     y = make_profile_grid(Y=6.0, cells=48)
     times = time_grid(0.05, dt=5e-3)
-    delta = np.stack([np.tile([s, 0.0, 0.0], (times.size, 1))
-                      for s in scales], axis=1)
+    delta = np.tile([scale, 0.0, 0.0], (times.size, 1))
     u0p = np.broadcast_to([-0.6, 0.8, 0.0], delta.shape)
     u0m = np.broadcast_to([0.6, 0.8, 0.0], delta.shape)
-    _stacked_against_reference(y, times, delta, u0p, u0m, tol, max_iter)
+    failure = _picard_against_reference(y, times, delta, u0p, u0m, tol,
+                                        max_iter)
+    if scale > 0.0:
+        assert failure.t_converged == times[0]
+    else:
+        assert "did not reach" in str(failure)
+        assert failure.t_converged == 0.0
 
 
 def test_picard_stall_in_a_later_window_sets_the_horizon():
-    # the jump of column 1 steps from -1.2 to 40 inside the third window:
-    # the first two windows contract, the third stalls, and the horizon
-    # is the third window's first time
+    # the jump steps from -1.2 to 40 inside the third window: the first
+    # two windows contract, the third stalls, and the horizon is the
+    # third window's first time
     y = make_profile_grid(Y=6.0, cells=48)
     times = time_grid(0.1, dt=5e-3)
     step = 2 * TIME_BLOCK + 3
-    scale = np.where(np.arange(times.size) < step, -1.2, 40.0)
-    delta = np.zeros((times.size, 2, 3))
-    delta[:, 0, 0] = -1.2
-    delta[:, 1, 0] = scale
+    delta = np.zeros((times.size, 3))
+    delta[:, 0] = np.where(np.arange(times.size) < step, -1.2, 40.0)
     u0p = np.broadcast_to([-0.6, 0.8, 0.0], delta.shape)
     u0m = np.broadcast_to([0.6, 0.8, 0.0], delta.shape)
-    failure = _stacked_against_reference(y, times, delta, u0p, u0m,
-                                         1e-8, 40)
-    assert "stopped contracting at x=0.1" in str(failure)
+    failure = _picard_against_reference(y, times, delta, u0p, u0m, 1e-8, 40)
+    assert "stopped contracting" in str(failure)
     assert failure.t_converged == times[2 * TIME_BLOCK]
 
 
