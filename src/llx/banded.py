@@ -24,9 +24,12 @@ Unknowns are ordered node-major, component-minor: the 3-vector at node
 i occupies rows 3i..3i+2. Scalar couplings keep the scalar bandwidth
 at 3 on each side (5 with full 3x3 couplings), so the band is 7 rows:
 the five diagonals of the 3x3 blocks and one row of couplings on each
-side. LAPACK's dgbsv takes it under 3 workspace rows; it is written
-by strided slices, one per block entry and one per coupling row, with
-no index maps.
+side. LAPACK's dgbsv takes it under 3 workspace rows. Each node's 3x3
+block lands in the band by one assignment through a strided window,
+and each coupling row by one strided slice per component: no index
+maps, and no loop over the 3 components broadcast from (n, 1). This
+is the only module that calls LAPACK, so every march goes through
+block_tridiag_solve.
 
 The solver takes a stack of such systems, one per column, along any
 leading axes, and solves them in one LAPACK call. It never couples one
@@ -163,13 +166,17 @@ def block_tridiag_solve(lower: np.ndarray, B: np.ndarray,
             f"got {lower.shape}, {B.shape}, {upper.shape}, {rhs.shape}")
     # dgbsv's (10, 3N) Fortran band seen per band column 3i+c as
     # nodes[..., i, c]: entry (row, col) sits at band row 6 + row - col,
-    # rows 0-2 are LAPACK's workspace
+    # rows 0-2 are LAPACK's workspace. Block entry (r, c) of node i is
+    # then slot 6 + 9c + r of the node's 30, so the blocks land through
+    # one (3, 3) window of stride (9, 1) per node
     nodes = np.zeros(rows + (3, 10))
-    for r in range(3):
-        for c in range(3):
-            nodes[..., c, 6 + r - c] = B[..., r, c]
-    nodes[..., 1:, :, 3] = upper[..., :-1, None]
-    nodes[..., :-1, :, 9] = lower[..., 1:, None]
+    step = nodes.itemsize
+    slots = np.ndarray(rows + (3, 3), buffer=nodes, offset=6 * step,
+                       strides=nodes.strides[:-2] + (9 * step, step))
+    slots[...] = np.swapaxes(B, -1, -2)
+    for c in range(3):
+        nodes[..., 1:, c, 3] = upper[..., :-1]
+        nodes[..., :-1, c, 9] = lower[..., 1:]
     size = rhs.size
     _, _, sol, info = dgbsv(3, 3, nodes.reshape(size, 10).T,
                             rhs.reshape(size), overwrite_ab=True)

@@ -46,7 +46,7 @@ from .banded import (block_tridiag_solve, cross, cross_matrix,
                      inv_id_plus_cross)
 from .errors import ValidationError
 from .geometry import (apply_tridiagonal_stencil, d2_coefficients,
-                       one_sided_d1, profile_d1, theta)
+                       field_weights, one_sided_d1, profile_d1, theta)
 from .limit_model import ExtendedLimit
 from .strayfield import E1, stray_field_slab
 
@@ -104,8 +104,8 @@ def march_wall(z: np.ndarray, times: np.ndarray, u0: np.ndarray,
     if u0.ndim != 3 or u0.shape[::2] != (nt, 3) or g.shape != u0.shape:
         raise ValueError(f"u0/g must be (nt, ncols, 3) with nt = {nt}, "
                          f"got {u0.shape}, {g.shape}")
-    d2 = d2_coefficients(z)
-    a, b, c = d2
+    a, b, c = d2_coefficients(z)
+    d2 = tuple(map(field_weights, (a, b, c)))
     h0 = z[1] - z[0]
     eye = np.eye(3)
     L_all = linearized_reaction_matrix(u0, stray_field_slab(u0))

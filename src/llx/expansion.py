@@ -65,10 +65,10 @@ from .errors import ConfigError, NonContraction, SolverAbort
 from .fields import MagnetizationField
 from .full_model import (FullModelConfig, make_epsilon_grid,
                          residual_report, simulate_full)
-from .geometry import (chi_sigma, conormal_weight, in_v_sigma, knot_times,
-                       level_blocks, make_profile_grid, make_wall_grid,
-                       param_nodes, profile_d1, theta, time_d1, time_grid,
-                       x_squares)
+from .geometry import (chi_sigma, conormal_weight, field_weights,
+                       in_v_sigma, knot_times, level_blocks,
+                       make_profile_grid, make_wall_grid, param_nodes,
+                       profile_d1, theta, time_d1, time_grid, x_squares)
 from .internal_layer import ProfilePair, halves, lift, picard_profiles
 from .interp import (contract_columns, natural_spline_coeffs, spline_eval,
                      spline_rows, x_resample, x_spline)
@@ -172,13 +172,16 @@ class ExpansionAnsatz:
         Per knot block each of the pass's sides (from _layer_sides) only
         fits its natural spline: a wall side contracts it with its
         x-weights, an interface half adds its lift in closed form and
-        scales by the cutoff.
+        scales by the cutoff. The corrector rho stays zero when both
+        wall slopes are, as a zero layer gets no side.
         """
+        g_minus, g_plus = self.pieces.g_minus, self.pieces.g_plus
         parts = {"base": self._base(ks, x),
                  "interface": np.zeros((ks.size, x.size, 3)),
                  "wall": np.zeros((ks.size, x.size, 3)),
-                 "rho": neumann_corrector(x, self.pieces.g_minus[ks],
-                                          self.pieces.g_plus[ks])}
+                 "rho": (neumann_corrector(x, g_minus[ks], g_plus[ks])
+                         if g_minus.any() or g_plus.any()
+                         else np.zeros((ks.size, x.size, 3)))}
         for layer, nodes, knots, cols, s, weights, delta, sign in sides:
             vals = _layer_values(knots, cols[ks], s)
             if delta is None:
@@ -340,7 +343,7 @@ def eclass_norms(times: np.ndarray, x: np.ndarray, w: np.ndarray,
             f"w shape {w.shape} does not match ({times.size}, {x.size}, 3)")
     if times.size < 2:
         raise ValueError("need at least 2 knots for the time derivative")
-    omega = conormal_weight(x)[None, :, None]
+    omega = field_weights(conormal_weight(x))
     halo = max(m, 1)
 
     def table(v, lo, start, stop, order):

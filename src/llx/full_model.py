@@ -9,10 +9,11 @@ homogeneous Neumann walls, is
 Time stepping is linearly implicit with theta fixed at 1/2: half of the
 stiff quasilinear part eps^2 (I + [v]x) uxx is taken at the old level,
 half implicitly at the new one, with the matrix and the explicit F
-(limit_model.F_rhs) both frozen at a state v approximating u at the
-step's midpoint. Each row of the step's system is premultiplied by
-(I + [v]x)^-1, so the explicit half is plain eps^2 uxx / 2 and the
-implicit one couples neighbours by scalars (banded module docstring).
+(limit_model.F_slab, F_rhs with H(u) written out) both frozen at a
+state v approximating u at the step's midpoint. Each row of the step's
+system is premultiplied by (I + [v]x)^-1, so the explicit half is
+plain eps^2 uxx / 2 and the implicit one couples neighbours by scalars
+(banded module docstring).
 After the first accepted step v is extrapolated from
 the last two accepted states, v = u + (tau / 2 tau_prev)(u - u_prev),
 as in Akrivis, Feischl, Kovacs & Lubich, Math. Comp. 90 (2021), so
@@ -21,7 +22,10 @@ each of its attempts takes v as the mean of u and one extra solve
 frozen at u, so the run starts at second order too. Both time and
 space errors are second order, and at eps = 0 the scheme degenerates
 to the explicit scheme u+ = u + tau F(v) of the limit flow, its first
-step the explicit midpoint rule.
+step the explicit midpoint rule. Besides the banded solve a step does
+only the arithmetic its state needs: the stencil weights are laid out
+(n, 3) once per grid (geometry.field_weights), and the diagonal shift
+runs one component at a time.
 
 Contains:
 - Grid1D / make_epsilon_grid: single-valued meshes, layer-refined
@@ -43,10 +47,9 @@ from .banded import (block_tridiag_solve, cross, dot3, inv_id_plus_cross,
                      norm3)
 from .errors import SolverAbort
 from .geometry import (apply_tridiagonal_stencil, d1_coefficients,
-                       d2_coefficients, level_blocks, mirrored, nodes,
-                       one_sided_d1, time_d1, x_squares)
-from .limit_model import F_rhs, renormalize as project_sphere
-from .strayfield import stray_field_slab
+                       d2_coefficients, field_weights, level_blocks,
+                       mirrored, nodes, one_sided_d1, time_d1, x_squares)
+from .limit_model import F_slab, renormalize as project_sphere
 
 
 # === meshes ===
@@ -149,17 +152,20 @@ class FullModelConfig:
 
 
 class _Workspace:
-    """Precomputed stencils for one grid."""
+    """Precomputed stencils for one grid: the D2 weights (a, b, c),
+    each (n,), and both stencils' weights laid out (n, 3) for fields
+    (geometry.field_weights)."""
 
     def __init__(self, grid: Grid1D):
         self.grid = grid
-        self.d2 = d2_coefficients(grid.x)
-        self.d1 = d1_coefficients(grid.x)
+        self.d2_nodes = d2_coefficients(grid.x)
+        self.d2 = tuple(map(field_weights, self.d2_nodes))
+        self.d1 = tuple(map(field_weights, d1_coefficients(grid.x)))
 
 
 def _forcing(u: np.ndarray, epsilon: float, ws: _Workspace) -> np.ndarray:
     V = epsilon * apply_tridiagonal_stencil(ws.d1, u)
-    return F_rhs(u, V, stray_field_slab(u))
+    return F_slab(u, V)
 
 
 def step_full(u: np.ndarray, v: np.ndarray, t: float, dt: float,
@@ -181,13 +187,14 @@ def step_full(u: np.ndarray, v: np.ndarray, t: float, dt: float,
     g = _forcing(v, cfg.epsilon, ws)
     if source is not None:
         g = g + source(t + 0.5 * dt, ws.grid.x)
-    a, b, c = ws.d2
+    a, b, c = ws.d2_nodes
     # B holds M^-1 until its diagonal is shifted below
     B = inv_id_plus_cross(v)
     rhs = (np.einsum("nij,nj->ni", B, u + dt * g)
            + coef * apply_tridiagonal_stencil(ws.d2, u))
-    diagonal = np.einsum("nii->ni", B)
-    diagonal -= coef * b[:, None]
+    shift = coef * b
+    for i in range(3):
+        B[:, i, i] -= shift
     u_new = block_tridiag_solve(-coef * a, B, -coef * c, rhs)
     drift = float(np.max(np.abs(norm3(u_new) - 1.0)))
     return u_new, drift

@@ -5,7 +5,10 @@ cell widths from 0, the last node pinned to the exact end, and the
 two-sided meshes mirrored through 0 with the interface node once. The
 time grids are built here too, their last level pinned to the horizon.
 A field is stored node-major, (..., n, 3), and every stencil here acts
-along its node axis -2, as the banded kernel solves along it.
+along its node axis -2, as the banded kernel solves along it. A node
+weight multiplies a field laid out (n, 3) (field_weights), so the
+product is one contiguous loop over the nodes: broadcast from (n, 1),
+its inner loop runs over the 3 components only, several times slower.
 
 Contains:
 - quintic_smoothstep: the C2 polynomial ramp used by every cutoff here
@@ -15,6 +18,8 @@ Contains:
   meshes in the stretched variables y on [-Y, Y] and z on [0, Z]
 - d2_coefficients / d1_coefficients / apply_tridiagonal_stencil:
   nonuniform 3-point stencils with the Neumann walls built in
+- field_weights: a node weight laid out (n, 3) for its products with
+  a field
 - one_sided_d1 / profile_d1: second-order first derivatives at an end
   and along the whole node axis
 - x_squares: the composite-trapezoid squared L2 norm along the node axis
@@ -180,9 +185,18 @@ def d1_coefficients(x: np.ndarray):
     return a, b, c
 
 
+def field_weights(w: np.ndarray) -> np.ndarray:
+    """The node weight w (n,) laid out (n, 3), one copy per component."""
+    return np.repeat(np.asarray(w, dtype=float)[:, None], 3, axis=1)
+
+
 def apply_tridiagonal_stencil(coeffs, u: np.ndarray) -> np.ndarray:
-    """Apply 3-point weights (a, b, c) along the node axis of u (..., n, 3)."""
-    a, b, c = (w[:, None] for w in coeffs)
+    """Apply 3-point weights (a, b, c) along the node axis of u (..., n, 3).
+
+    The weights are (n,), or laid out (n, 3) by field_weights, as a
+    caller applying them often keeps them; both give the same bits.
+    """
+    a, b, c = (w if w.ndim == 2 else field_weights(w) for w in coeffs)
     out = b * u
     out[..., 1:, :] += a[1:] * u[..., :-1, :]
     out[..., :-1, :] += c[:-1] * u[..., 1:, :]
@@ -257,11 +271,12 @@ def profile_d1(y: np.ndarray, W: np.ndarray) -> np.ndarray:
     second-order one-sided at both ends. Telescoped differences, so
     constant data returns an exact zero."""
     out = np.empty_like(W)
-    h = np.diff(y)[:, None]
+    h = np.diff(y)
     hm, hp = h[:-1], h[1:]
-    out[..., 1:-1, :] = (
-        hm / (hp * (hm + hp)) * (W[..., 2:, :] - W[..., 1:-1, :])
-        + hp / (hm * (hm + hp)) * (W[..., 1:-1, :] - W[..., :-2, :]))
+    above = field_weights(hm / (hp * (hm + hp)))
+    below = field_weights(hp / (hm * (hm + hp)))
+    out[..., 1:-1, :] = (above * (W[..., 2:, :] - W[..., 1:-1, :])
+                         + below * (W[..., 1:-1, :] - W[..., :-2, :]))
     out[..., 0, :] = one_sided_d1(y, W, "left")
     out[..., -1, :] = one_sided_d1(y, W, "right")
     return out

@@ -25,7 +25,10 @@ not marched. The quasilinear solve is a Picard iteration: coefficients
 and forcing frozen at the previous space-time iterate, each sweep a
 Crank-Nicolson march with a one-sided-Taylor junction row, its
 interior rows premultiplied by (I + [V_pm + W]x)^-1 so that neighbours
-couple by scalars, one banded solve per time step. Information
+couple by scalars, one banded solve per time step. The frozen
+coefficient fixes a sweep's matrices, couplings and midpoint forcing,
+so they are built for all the window's steps at once; each step forms
+only its right-hand side and solves. Information
 flows forward in time, so the iteration converges one window of a few
 time levels before the next; the first window that stops contracting
 bounds the horizon. The levels are geometry.time_grid's, whose binary
@@ -43,7 +46,8 @@ Contains:
   junction included) and its lift S_pm
 - F_pm: the increment F(u0+U, V, H0-(U.e1)e1) - F(u0, 0, H0) of
   limit_model.F_rhs
-- _sweep: one Crank-Nicolson march of the column (a Picard sweep)
+- _sweep: one Crank-Nicolson march of the column (a Picard sweep),
+  its step matrices built for all levels at once
 - _predict / _settled: a window's starting guess, its exit rule
 - picard_profiles / ProfilePair: the windowed fixed-point loop, result
 """
@@ -58,7 +62,7 @@ import numpy as np
 from .banded import block_tridiag_solve, cross, inv_id_plus_cross
 from .errors import NonContraction, ValidationError
 from .geometry import (apply_tridiagonal_stencil, d2_coefficients,
-                       one_sided_d1, profile_d1, x_squares)
+                       field_weights, one_sided_d1, profile_d1, x_squares)
 from .limit_model import ExtendedLimit, F_rhs, precession_rhs
 from .strayfield import layer_correction, stray_field_slab
 
@@ -119,49 +123,54 @@ def _sweep(y: np.ndarray, times: np.ndarray, w_k: np.ndarray,
     at the step's midpoint: diagonal blocks M^-1 - (dt/2) b I, scalar
     couplings -(dt/2) a and -(dt/2) c from the y weights (a, b, c). The
     junction row couples by -1/hm and -1/hp, the Dirichlet rows not at
-    all, and each step is one banded solve.
+    all, and each step is one banded solve. The matrices, couplings and
+    midpoint forcing take no part of the marched state, so they are
+    built for every step at once; a step forms only its right-hand
+    side and solves.
     """
     ny = y.size
     j0 = ny // 2
-    d2 = d2_coefficients(y)
-    a, b, c = d2
+    a, b, c = d2_coefficients(y)
+    d2 = tuple(map(field_weights, (a, b, c)))
     hm = y[j0] - y[j0 - 1]
     hp = y[j0 + 1] - y[j0]
     eye = np.eye(3)
     f = np.concatenate([f_minus[..., :-1, :], f_plus], axis=-2)
 
+    dt = np.diff(times)
+    half = 0.5 * dt
+    forcing = dt[:, None, None] * (0.5 * (f[:-1] + f[1:]))
+    m_inv = inv_id_plus_cross(0.5 * (coeff[:-1] + coeff[1:]))
+    B = m_inv.copy()
+    shift = half[:, None] * b
+    for i in range(3):
+        B[..., i, i] -= shift
+    lower = -half[:, None] * a
+    upper = -half[:, None] * c
+    # Dirichlet ends
+    lower[:, [0, -1]] = 0.0
+    upper[:, [0, -1]] = 0.0
+    B[:, [0, -1]] = eye
+    # junction row: one-sided Taylor plus the equation on each side;
+    # time derivative backward, forcing at the new level
+    scale = (hm + hp) / (2.0 * dt)
+    mj_inv = inv_id_plus_cross(coeff[1:, j0])
+    lower[:, j0] = -1.0 / hm
+    upper[:, j0] = -1.0 / hp
+    B[:, j0] = (1.0 / hm + 1.0 / hp) * eye \
+        + scale[:, None, None] * mj_inv
+
     new = np.empty((times.size - 1,) + w_k.shape)
     for j in range(times.size - 1):
-        dt = times[j + 1] - times[j]
-        half = 0.5 * dt
-        f_mid = 0.5 * (f[j] + f[j + 1])
-        B = inv_id_plus_cross(0.5 * (coeff[j] + coeff[j + 1]))
-        rhs = np.einsum("...ij,...j->...i", B, w_k + dt * f_mid) \
-            + half * apply_tridiagonal_stencil(d2, w_k)
-        diagonal = np.einsum("...ii->...i", B)
-        diagonal -= half * b[:, None]
-        lower = -half * a
-        upper = -half * c
-
-        # Dirichlet ends
-        for row in (0, ny - 1):
-            lower[row] = 0.0
-            upper[row] = 0.0
-            B[row] = eye
-            rhs[row] = 0.0
-        # junction row: one-sided Taylor plus the equation on each
-        # side; time derivative backward, forcing at the new level.
-        # The products stay matmul: einsum rounds them differently.
-        mj_inv = inv_id_plus_cross(coeff[j + 1][j0])
-        lower[j0] = -1.0 / hm
-        upper[j0] = -1.0 / hp
-        B[j0] = (1.0 / hm + 1.0 / hp) * eye \
-            + ((hm + hp) / (2.0 * dt)) * mj_inv
-        rhs[j0] = (((hm + hp) / (2.0 * dt)) * (mj_inv @ w_k[j0])
-                   + 0.5 * hm * (mj_inv @ f_minus[j + 1][-1])
-                   + 0.5 * hp * (mj_inv @ f_plus[j + 1][0]))
-
-        w_k = block_tridiag_solve(lower, B, upper, rhs)
+        rhs = np.einsum("...ij,...j->...i", m_inv[j], w_k + forcing[j]) \
+            + half[j] * apply_tridiagonal_stencil(d2, w_k)
+        rhs[0] = 0.0
+        rhs[-1] = 0.0
+        # the products stay matmul: einsum rounds them differently
+        rhs[j0] = (scale[j] * (mj_inv[j] @ w_k[j0])
+                   + 0.5 * hm * (mj_inv[j] @ f_minus[j + 1][-1])
+                   + 0.5 * hp * (mj_inv[j] @ f_plus[j + 1][0]))
+        w_k = block_tridiag_solve(lower[j], B[j], upper[j], rhs)
         new[j] = w_k
     return new
 

@@ -11,7 +11,10 @@ too, the one home all three physics layers take it from.
 Contains:
 - precession_rhs: u x H - u x (u x H) for a given field H
 - F_rhs: the reaction term |V|^2 u + u x H - u x (u x H)
-- rhs_limit: the same with the slab stray field substituted
+- F_slab: F_rhs with the slab stray field H = (-u1, 0, 0), written out
+  (the full model's reaction term)
+- rhs_limit: the limit flow's right-hand side, precession_rhs with the
+  slab stray field
 - renormalize: projection onto the unit sphere
 - simulate_limit: the exact solution on a given time grid
 - ExtendedLimit / extend_limit: one-sided limit states extended across
@@ -44,6 +47,26 @@ def F_rhs(u: np.ndarray, V: np.ndarray, H: np.ndarray) -> np.ndarray:
     return dot3(V, V)[..., None] * u + uxH - cross(u, uxH)
 
 
+def F_slab(u: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """F_rhs(u, V, stray_field_slab(u)), with only the arithmetic the
+    field (-u1, 0, 0) leaves: u x H = (0, -u1 u3, u1 u2), and
+
+        F = |V|^2 u - (u2 u1u2 + u3 u1u3, u1u3 - u1 u1u2, -u1u2 - u1 u1u3),
+
+    each term rounded as F_rhs rounds it. Equal to F_rhs under ==: only
+    the sign of a zero may differ, where F_rhs adds or subtracts the
+    exact zeros of H.
+    """
+    u1, u2, u3 = u[..., 0], u[..., 1], u[..., 2]
+    p2, p3 = u1 * u2, u1 * u3
+    n = dot3(V, V)
+    out = np.empty(np.broadcast_shapes(u.shape, V.shape))
+    np.subtract(n * u1, u2 * p2 + u3 * p3, out=out[..., 0])
+    np.add(n * u2 - p3, u1 * p2, out=out[..., 1])
+    np.add(n * u3 + p2, u1 * p3, out=out[..., 2])
+    return out
+
+
 def rhs_limit(u: np.ndarray) -> np.ndarray:
     """Limit-flow right-hand side with the slab stray field."""
     return precession_rhs(u, stray_field_slab(u))
@@ -67,28 +90,40 @@ def simulate_limit(u0: np.ndarray, times: np.ndarray) -> np.ndarray:
     scaled by 1/D and turned by phi = sign(u1) log((1 + a) / (ae + D)),
     the integral of u1 (for unit u it equals asinh(u1 / rho) -
     asinh(u1 e^{-t} / rho)). No division by rho, so the fixed points
-    +-e1 need no guard.
+    +-e1 need no guard. Nodes never couple, so each distinct initial
+    vector is solved once (constant-per-side data holds two), with the
+    bits of solving every node.
     """
     times = np.asarray(times, dtype=float)
     if times[0] != 0.0 or np.any(np.diff(times) <= 0.0):
         raise ValueError(f"times must start at 0 and increase strictly, "
                          f"got {times.tolist()}")
     u0 = np.asarray(u0, dtype=float)
-
-    u = renormalize(u0)
-    sign = np.sign(u[..., 0])
-    a = np.abs(u[..., 0])
-    rho2 = u[..., 1] * u[..., 1] + u[..., 2] * u[..., 2]
+    # distinct to the bit, as bytes: a float comparison would merge -0.0
+    # with 0.0
+    rows = np.ascontiguousarray(u0.reshape(-1, 3))
+    _, first, inverse = np.unique(
+        rows.view(np.dtype((np.void, rows.itemsize * 3))).ravel(),
+        return_index=True, return_inverse=True)
+    u = renormalize(rows[first])
+    sign = np.sign(u[:, 0])
+    a = np.abs(u[:, 0])
+    rho2 = u[:, 1] * u[:, 1] + u[:, 2] * u[:, 2]
     values = np.empty((times.size,) + u0.shape)
     values[0] = u0
+    level = np.empty_like(u)
     for k in range(1, times.size):
         ae = a * np.exp(-times[k])
         D = np.sqrt(rho2 + ae * ae)
         phi = sign * np.log((1.0 + a) / (ae + D))
         c, s = np.cos(phi) / D, np.sin(phi) / D
-        values[k, ..., 0] = sign * ae / D
-        values[k, ..., 1] = c * u[..., 1] - s * u[..., 2]
-        values[k, ..., 2] = s * u[..., 1] + c * u[..., 2]
+        level[:, 0] = sign * ae / D
+        level[:, 1] = c * u[:, 1] - s * u[:, 2]
+        level[:, 2] = s * u[:, 1] + c * u[:, 2]
+        # inverse holds valid indices only; "clip" writes in place,
+        # where the default "raise" would buffer
+        np.take(level, inverse, axis=0, out=values[k].reshape(-1, 3),
+                mode="clip")
     return values
 
 

@@ -19,8 +19,16 @@ gate measure the same thing:
 - whole_jump_error_l2 / whole_residual_report / whole_eclass_norms: the
   diagnostics evaluated on whole (nt, nx, 3) arrays, the oracles of the
   knot-block walks in the package
+- whole_simulate_limit: the limit flow's closed form solved at every
+  node, the oracle of its one solve per distinct initial vector
 - per_block_base: the base state of the ansatz fitted anew on each knot
   block, the oracle of the pieces' once-per-build fit
+- broadcast_stencil / reference_step_full / reference_sweep: the
+  3-point stencil with its (n,) weights broadcast over the components,
+  and the full-model step and the transmission march built from it,
+  the generic reaction term and one level at a time: the oracles of
+  the laid-out weights, the slab reaction term and the steps' shared
+  set-up
 """
 
 from __future__ import annotations
@@ -28,15 +36,18 @@ from __future__ import annotations
 import numpy as np
 import sympy as sp
 
-from llx.banded import cross
+from llx.banded import (block_tridiag_solve, cross, inv_id_plus_cross,
+                        norm3)
 from llx.expansion import EClassNorms
 from llx.full_model import (ResidualReport, _forcing, _Workspace,
                             output_times, substeps)
 from llx.geometry import (apply_tridiagonal_stencil, conormal_weight,
-                          one_sided_d1, profile_d1, x_squares)
+                          d1_coefficients, d2_coefficients, one_sided_d1,
+                          profile_d1, x_squares)
 from llx.internal_layer import _sweep, halves
 from llx.interp import x_resample
-from llx.limit_model import renormalize, rhs_limit
+from llx.limit_model import F_rhs, renormalize, rhs_limit
+from llx.strayfield import stray_field_slab
 
 
 def full_model_solution():
@@ -246,6 +257,28 @@ def whole_eclass_norms(times, x, w, epsilon, m) -> tuple:
                  in zip((0, m), conormal, normal_conormal))
 
 
+def whole_simulate_limit(u0, times) -> np.ndarray:
+    """limit_model.simulate_limit with every node solved, repeated
+    initial vectors included."""
+    times = np.asarray(times, dtype=float)
+    u0 = np.asarray(u0, dtype=float)
+    u = renormalize(u0)
+    sign = np.sign(u[..., 0])
+    a = np.abs(u[..., 0])
+    rho2 = u[..., 1] * u[..., 1] + u[..., 2] * u[..., 2]
+    values = np.empty((times.size,) + u0.shape)
+    values[0] = u0
+    for k in range(1, times.size):
+        ae = a * np.exp(-times[k])
+        D = np.sqrt(rho2 + ae * ae)
+        phi = sign * np.log((1.0 + a) / (ae + D))
+        c, s = np.cos(phi) / D, np.sin(phi) / D
+        values[k, ..., 0] = sign * ae / D
+        values[k, ..., 1] = c * u[..., 1] - s * u[..., 2]
+        values[k, ..., 2] = s * u[..., 1] + c * u[..., 2]
+    return values
+
+
 # === the ansatz's base state ===
 
 def per_block_base(pieces, ks, x) -> np.ndarray:
@@ -263,3 +296,77 @@ def per_block_base(pieces, ks, x) -> np.ndarray:
             out[:, sel] = x_resample(xp[cols], u[ks][:, cols], x[sel],
                                      axis=1, bc="not-a-knot")
     return out
+
+
+# === the steps before their shared set-up ===
+
+def broadcast_stencil(coeffs, u: np.ndarray) -> np.ndarray:
+    """3-point weights (a, b, c), each (n,), applied along the node axis
+    of u (..., n, 3), broadcast from (n, 1) over the components."""
+    a, b, c = (w[:, None] for w in coeffs)
+    out = b * u
+    out[..., 1:, :] += a[1:] * u[..., :-1, :]
+    out[..., :-1, :] += c[:-1] * u[..., 1:, :]
+    return out
+
+
+def reference_step_full(u, v, t, dt, grid, cfg, source=None):
+    """full_model.step_full on the grid, with the broadcast stencils,
+    F_rhs and the stray field (-u1, 0, 0) built as a field."""
+    coef = 0.5 * dt * cfg.epsilon**2
+    V = cfg.epsilon * broadcast_stencil(d1_coefficients(grid.x), v)
+    g = F_rhs(v, V, stray_field_slab(v))
+    if source is not None:
+        g = g + source(t + 0.5 * dt, grid.x)
+    d2 = d2_coefficients(grid.x)
+    a, b, c = d2
+    B = inv_id_plus_cross(v)
+    rhs = (np.einsum("nij,nj->ni", B, u + dt * g)
+           + coef * broadcast_stencil(d2, u))
+    diagonal = np.einsum("nii->ni", B)
+    diagonal -= coef * b[:, None]
+    u_new = block_tridiag_solve(-coef * a, B, -coef * c, rhs)
+    drift = float(np.max(np.abs(norm3(u_new) - 1.0)))
+    return u_new, drift
+
+
+def reference_sweep(y, times, w_k, coeff, f_minus, f_plus):
+    """internal_layer._sweep with every matrix, coupling and forcing
+    built anew at each step, and the broadcast stencil."""
+    ny = y.size
+    j0 = ny // 2
+    d2 = d2_coefficients(y)
+    a, b, c = d2
+    hm = y[j0] - y[j0 - 1]
+    hp = y[j0 + 1] - y[j0]
+    eye = np.eye(3)
+    f = np.concatenate([f_minus[..., :-1, :], f_plus], axis=-2)
+
+    new = np.empty((times.size - 1,) + w_k.shape)
+    for j in range(times.size - 1):
+        dt = times[j + 1] - times[j]
+        half = 0.5 * dt
+        f_mid = 0.5 * (f[j] + f[j + 1])
+        B = inv_id_plus_cross(0.5 * (coeff[j] + coeff[j + 1]))
+        rhs = np.einsum("...ij,...j->...i", B, w_k + dt * f_mid) \
+            + half * broadcast_stencil(d2, w_k)
+        diagonal = np.einsum("...ii->...i", B)
+        diagonal -= half * b[:, None]
+        lower = -half * a
+        upper = -half * c
+        for row in (0, ny - 1):
+            lower[row] = 0.0
+            upper[row] = 0.0
+            B[row] = eye
+            rhs[row] = 0.0
+        mj_inv = inv_id_plus_cross(coeff[j + 1][j0])
+        lower[j0] = -1.0 / hm
+        upper[j0] = -1.0 / hp
+        B[j0] = (1.0 / hm + 1.0 / hp) * eye \
+            + ((hm + hp) / (2.0 * dt)) * mj_inv
+        rhs[j0] = (((hm + hp) / (2.0 * dt)) * (mj_inv @ w_k[j0])
+                   + 0.5 * hm * (mj_inv @ f_minus[j + 1][-1])
+                   + 0.5 * hp * (mj_inv @ f_plus[j + 1][0]))
+        w_k = block_tridiag_solve(lower, B, upper, rhs)
+        new[j] = w_k
+    return new

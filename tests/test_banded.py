@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from llx import boundary_layer, full_model, internal_layer
+from llx import banded, boundary_layer, full_model, internal_layer
 from llx.banded import (
     block_tridiag_solve,
     cross,
@@ -188,6 +188,40 @@ def test_stacked_columns_solve_as_one_system(ncols, ny, seed):
     x_dense = np.linalg.solve(dense, rhs.reshape(-1)).reshape(stacked.shape)
     assert np.max(np.abs(stacked - x_dense)) \
         <= 1e-12 * np.max(np.abs(x_dense))
+
+
+def _nine_way_band(lower, B, upper):
+    """dgbsv's (10, 3N) band written one block entry at a time, the
+    couplings broadcast over the components."""
+    nodes = np.zeros(B.shape[:-2] + (3, 10))
+    for r in range(3):
+        for c in range(3):
+            nodes[..., c, 6 + r - c] = B[..., r, c]
+    nodes[..., 1:, :, 3] = upper[..., :-1, None]
+    nodes[..., :-1, :, 9] = lower[..., 1:, None]
+    return nodes.reshape(-1, 10).T
+
+
+@pytest.mark.parametrize("rows, couplings", [
+    ((40,), (40,)), ((4, 9), (9,)), ((4, 9), (4, 9)),
+    ((2, 3, 7), (7,)), ((2, 3, 7), (2, 3, 7))])
+def test_band_matches_the_nine_way_assembly(rows, couplings, monkeypatch):
+    rng = np.random.default_rng(40)
+    lower = rng.normal(size=couplings)
+    upper = rng.normal(size=couplings)
+    B = rng.normal(size=rows + (3, 3)) + 4.0 * np.eye(3)
+    rhs = rng.normal(size=rows + (3,))
+    bands = []
+    solve = banded.dgbsv
+
+    def recorded(kl, ku, ab, b, **kwargs):
+        bands.append(np.array(ab))
+        return solve(kl, ku, ab, b, **kwargs)
+
+    monkeypatch.setattr(banded, "dgbsv", recorded)
+    block_tridiag_solve(lower, B, upper, rhs)
+    assert len(bands) == 1
+    assert bands[0].tobytes() == _nine_way_band(lower, B, upper).tobytes()
 
 
 def test_shared_couplings_never_cross_columns():

@@ -24,11 +24,11 @@ from llx.full_model import (
     simulate_full,
     substeps,
 )
-from llx.geometry import LEVEL_BLOCK, level_blocks
+from llx.geometry import LEVEL_BLOCK, level_blocks, time_grid
 from llx.limit_model import F_rhs, renormalize, rhs_limit
 
-from manufactured import (full_model_solution, step_midpoint,
-                          whole_residual_report)
+from manufactured import (full_model_solution, reference_step_full,
+                          step_midpoint, whole_residual_report)
 
 
 # === manufactured solution ===
@@ -212,6 +212,56 @@ def test_jump_data_survives_through_step_halving():
     # layer develops: the interface value moves off the initial jump
     i0 = int(np.argmin(np.abs(g.x)))
     assert abs(traj.values[-1][i0, 0]) < 0.5
+
+
+def _assert_steps_match_the_reference(calls, grid, cfg, source=None):
+    ws = full_model._Workspace(grid)
+    for u, v, t, dt in calls:
+        u_new, drift = full_model.step_full(u, v, t, dt, ws, cfg,
+                                            source=source)
+        want, want_drift = reference_step_full(u, v, t, dt, grid, cfg,
+                                               source=source)
+        assert np.array_equal(u_new, want) and drift == want_drift, (t, dt)
+
+
+def test_step_matches_the_reference_on_random_unit_states(mms):
+    # the laid-out stencil weights, the slab reaction term and the
+    # per-component diagonal shift change no bit of a step
+    rng = np.random.default_rng(41)
+    grid = make_epsilon_grid(0.05, cells_per_eps=16)
+    cfg = FullModelConfig(epsilon=0.05, dt=1e-3, T=1.0, drift_tol=1e-3)
+    calls = [(renormalize(rng.normal(size=(grid.n, 3))),
+              renormalize(rng.normal(size=(grid.n, 3))), 0.1, dt)
+             for dt in (1e-3, 1e-5)]
+    _assert_steps_match_the_reference(calls, grid, cfg)
+    _assert_steps_match_the_reference(calls, grid, cfg,
+                                      source=mms[1](cfg.epsilon))
+
+
+@pytest.mark.parametrize("eps, n", [(0.1, 325), (0.0125, 1089)])
+def test_step_matches_the_reference_on_jump_march_states(eps, n,
+                                                         monkeypatch):
+    # every step of a jump march over the opening ramp and two knots,
+    # the starting procedure and the drift guard's halved steps included
+    grid = make_epsilon_grid(eps, cells_per_eps=16)
+    assert grid.n == n
+    times = time_grid(5e-3, dt=2.5e-3)
+    cfg = FullModelConfig(epsilon=eps, dt=2.5e-3, T=times[-1],
+                          drift_tol=1e-3)
+    calls = []
+    step = full_model.step_full
+
+    def recorded(u, v, t, dt, *args, **kwargs):
+        calls.append((u.copy(), v.copy(), t, dt))
+        return step(u, v, t, dt, *args, **kwargs)
+
+    monkeypatch.setattr(full_model, "step_full", recorded)
+    traj = simulate_full(_jump_data(grid.x), grid, cfg, t_eval=times)
+    monkeypatch.undo()
+    assert traj.halvings_used > 0
+    starts = {float(t) for _, _, t, _ in calls}
+    assert set(times[1:7]) <= starts and times[7] in starts
+    _assert_steps_match_the_reference(calls, grid, cfg)
 
 
 class _SolveCounter:

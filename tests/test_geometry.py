@@ -14,6 +14,7 @@ from llx.geometry import (
     conormal_weight,
     d1_coefficients,
     d2_coefficients,
+    field_weights,
     graded_widths,
     in_v_sigma,
     knot_times,
@@ -29,6 +30,8 @@ from llx.geometry import (
     time_grid,
     x_squares,
 )
+
+from manufactured import broadcast_stencil
 
 
 # --- parameter mesh ---
@@ -207,6 +210,26 @@ def test_stencils_on_a_stack_match_each_slice_bitwise():
         stacked = call(u)
         for ij in slices:
             assert np.array_equal(stacked[ij], call(u[ij]))
+
+
+@pytest.mark.parametrize("lead", [(), (16,)])
+def test_laid_out_weights_give_the_broadcast_bits(lead):
+    # weights laid out (n, 3) multiply as the (n, 1) broadcast did, on
+    # one field and on a block of 16 levels
+    rng = np.random.default_rng(45)
+    x = make_profile_grid(Y=6.0, cells=48)
+    u = rng.standard_normal(lead + (x.size, 3))
+    for coeffs in (d1_coefficients(x), d2_coefficients(x)):
+        laid_out = tuple(map(field_weights, coeffs))
+        assert all(w.shape == (x.size, 3) for w in laid_out)
+        want = broadcast_stencil(coeffs, u)
+        assert np.array_equal(apply_tridiagonal_stencil(laid_out, u), want)
+        assert np.array_equal(apply_tridiagonal_stencil(coeffs, u), want)
+    h = np.diff(x)[:, None]
+    hm, hp = h[:-1], h[1:]
+    inner = (hm / (hp * (hm + hp)) * (u[..., 2:, :] - u[..., 1:-1, :])
+             + hp / (hm * (hm + hp)) * (u[..., 1:-1, :] - u[..., :-2, :]))
+    assert np.array_equal(profile_d1(x, u)[..., 1:-1, :], inner)
 
 
 # --- cutoffs and weights ---

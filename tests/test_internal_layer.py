@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
+from llx import internal_layer
 from llx.banded import block_tridiag_solve, inv_id_plus_cross
 from llx.errors import NonContraction, SolverAbort, ValidationError
 from llx.fields import constant_per_side
 from llx.geometry import (apply_tridiagonal_stencil, chi_sigma,
                           d2_coefficients, in_v_sigma, make_profile_grid,
                           one_sided_d1, param_nodes, profile_d1, time_grid)
-from llx.internal_layer import (TIME_BLOCK, F_pm, picard_profiles, _picard,
-                                _predict, _settled, _stalled)
+from llx.internal_layer import (TIME_BLOCK, F_pm, halves, picard_profiles,
+                                _picard, _predict, _settled, _stalled,
+                                _sweep)
 from llx.limit_model import F_rhs, extend_limit, rhs_limit, simulate_limit
 from llx.strayfield import E1, stray_field_slab
 
-from manufactured import march_column, transmission_march_error
+from manufactured import (march_column, reference_sweep,
+                          transmission_march_error)
 
 
 # --- time grid ---
@@ -527,6 +530,37 @@ def test_picard_matches_the_one_column_reference():
     assert pair.residual_trace == traces
     assert pair.contraction_ratios() == [
         w[q + 1] / w[q] for w in traces for q in range(len(w) - 1)]
+
+
+def test_sweep_matches_the_reference(monkeypatch):
+    # the matrices, couplings and forcing built for all steps at once
+    # change no bit: random columns, and every sweep of the jump column
+    rng = np.random.default_rng(42)
+    calls = []
+    for cells, nt in ((16, 3), (48, TIME_BLOCK + 1)):
+        y = make_profile_grid(Y=6.0, cells=cells)
+        times = time_grid(0.1, dt=5e-3)[:nt]
+        (minus, _), (plus, _) = halves(y.size)
+        levels = (nt, y.size, 3)
+        calls.append((y, times, rng.normal(size=levels[1:]),
+                      rng.normal(size=levels),
+                      rng.normal(size=levels)[:, minus],
+                      rng.normal(size=levels)[:, plus]))
+
+    def recorded(*args):
+        calls.append(tuple(np.copy(a) for a in args))
+        return _sweep(*args)
+
+    monkeypatch.setattr(internal_layer, "_sweep", recorded)
+    data = constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0))
+    times = time_grid(0.05, dt=5e-3)
+    ext = extend_limit(data, param_nodes(16), times)
+    picard_profiles(ext, make_profile_grid(Y=6.0, cells=48), tol=1e-8,
+                    max_iter=40)
+    monkeypatch.undo()
+    assert len(calls) > 4
+    for args in calls:
+        assert np.array_equal(_sweep(*args), reference_sweep(*args))
 
 
 def test_picard_tol_bounds_the_distance_to_the_fixed_point():

@@ -15,6 +15,9 @@ its torus spectral helpers reduce stacks of wavenumbers, not fields.
 Fields, stencils and the banded kernel share one node axis, -2 of a
 (..., n, 3) field, so the stencils' module and the two layers and the
 full model that differentiate along it move no axis.
+
+banded holds the one banded-solve kernel of all three marches, so it is
+the only module that takes LAPACK routines from scipy.linalg.
 """
 
 from __future__ import annotations
@@ -145,3 +148,46 @@ def test_moveaxis_scan_sees_every_spelling(tmp_path):
 @pytest.mark.parametrize("module", NODE_AXIS)
 def test_node_axis_modules_move_no_axis(module):
     assert moveaxis_calls(PACKAGE / f"{module}.py") == []
+
+
+def lapack_imports(path: Path) -> list:
+    """Line numbers of imports that take LAPACK routines from scipy:
+    scipy.linalg.lapack in any spelling, and get_lapack_funcs."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = {alias.name for alias in node.names}
+            if (node.module == "scipy.linalg.lapack"
+                    or (node.module == "scipy.linalg"
+                        and names & {"lapack", "get_lapack_funcs"})):
+                found.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            if any(alias.name == "scipy.linalg.lapack"
+                   for alias in node.names):
+                found.append(node.lineno)
+    return found
+
+
+def test_lapack_scan_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from scipy.linalg.lapack import dgbsv\n"
+                     "import scipy.linalg.lapack\n"
+                     "import scipy.linalg.lapack as lp\n"
+                     "from scipy.linalg import lapack\n"
+                     "from scipy.linalg import get_lapack_funcs\n"
+                     "from scipy.linalg import solve_banded\n"
+                     "import scipy.linalg\n"
+                     "from .banded import block_tridiag_solve\n",
+                     encoding="utf-8")
+    assert lapack_imports(probe) == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in PACKAGE.glob("*.py") if path.stem != "banded"))
+def test_only_the_banded_kernel_calls_lapack(module):
+    assert lapack_imports(PACKAGE / f"{module}.py") == []
+
+
+def test_the_banded_kernel_is_seen_calling_lapack():
+    assert lapack_imports(PACKAGE / "banded.py")

@@ -19,14 +19,25 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from llx.fields import constant_per_side, named_field
+from llx.full_model import make_epsilon_grid
+from llx.geometry import knot_times
 from llx.limit_model import (
+    F_rhs,
+    F_slab,
     precession_rhs,
     renormalize,
     rhs_limit,
     simulate_limit,
 )
+from llx.strayfield import stray_field_slab
 
-from manufactured import march_rk4, step_midpoint, step_rk4
+from manufactured import (march_rk4, step_midpoint, step_rk4,
+                          whole_simulate_limit)
 
 
 def closed_form(u0, t):
@@ -203,6 +214,36 @@ def test_vectorized_over_nodes():
         assert np.array_equal(batch[-1][j], single[-1])
 
 
+@pytest.mark.parametrize("data", [
+    constant_per_side((0.6, 0.8, 0.0), (-0.6, 0.8, 0.0)),
+    named_field("swirl")], ids=["jump", "swirl"])
+@pytest.mark.parametrize("eps", [0.1, 0.0125])
+def test_one_solve_per_distinct_vector_is_bitwise(data, eps):
+    # each eps row's limit trajectories, the interface node twice: jump
+    # holds two distinct vectors, swirl one per node
+    x = make_epsilon_grid(eps, cells_per_eps=16).x
+    i0 = int(np.searchsorted(x, 0.0))
+    u0 = np.concatenate([data(x[:i0 + 1], "minus"), data(x[i0:], "plus")])
+    times = knot_times(0.5, 2.5e-3)
+    assert simulate_limit(u0, times).tobytes() \
+        == whole_simulate_limit(u0, times).tobytes()
+
+
+def test_repeated_vectors_keep_their_signed_zeros():
+    # rows equal under == but not to the bit are solved apart: the pole
+    # e1 keeps the sign of its zero u2 in u2(t); exact repeats share a
+    # solve
+    rng = np.random.default_rng(25)
+    u0 = rng.normal(size=(4, 10, 3))
+    u0[1] = u0[0]
+    u0[2, ::2] = u0[2, 1::2]
+    u0[3, :5] = [1.0, 0.0, 0.0]
+    u0[3, 5:] = [1.0, -0.0, 0.0]
+    times = [0.0, 0.1, 0.35]
+    assert simulate_limit(u0, times).tobytes() \
+        == whole_simulate_limit(u0, times).tobytes()
+
+
 def test_each_time_solved_on_its_own():
     # a time gives the same bits on any grid holding it
     u0 = np.array([0.6, 0.8, 0.0])
@@ -231,3 +272,16 @@ def test_equilibria():
     for u in ([0.0, 1.0, 0.0], [0.0, 0.6, -0.8], [1.0, 0.0, 0.0],
               [-1.0, 0.0, 0.0]):
         assert np.max(np.abs(rhs_limit(np.array(u)))) < 1e-15
+
+
+_MODERATE = st.floats(-1e3, 1e3, allow_nan=False, width=64) \
+    | st.sampled_from([0.0, -0.0, 1.0, -1.0, 5e-324])
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=arrays(np.float64, (4, 3), elements=_MODERATE),
+       V=arrays(np.float64, (4, 3), elements=_MODERATE))
+def test_slab_reaction_equals_the_generic_one(u, V):
+    # the written-out F with H = (-u1, 0, 0) rounds every term as F_rhs
+    # does; only a zero's sign may differ, which == ignores
+    assert np.all(F_slab(u, V) == F_rhs(u, V, stray_field_slab(u)))
