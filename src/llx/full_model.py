@@ -25,7 +25,8 @@ to the explicit scheme u+ = u + tau F(v) of the limit flow, its first
 step the explicit midpoint rule. Besides the banded solve a step does
 only the arithmetic its state needs: the stencil weights are laid out
 (n, 3) once per grid (geometry.field_weights), and the diagonal shift
-runs one component at a time.
+runs one component at a time. A run's output values sit in an
+anonymous mapping of their own, outside the heap.
 
 Contains:
 - Grid1D / make_epsilon_grid: single-valued meshes, layer-refined
@@ -38,6 +39,7 @@ Contains:
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -200,6 +202,24 @@ def step_full(u: np.ndarray, v: np.ndarray, t: float, dt: float,
     return u_new, drift
 
 
+def _trajectory_buffer(shape: tuple) -> np.ndarray:
+    """An uninitialised float array in an anonymous mapping of its own.
+
+    A run's values are the largest array a march makes, and they outlive
+    it. Taken from the heap, the space they leave when dropped is reused
+    by a later array of similar size, or not, depending on where earlier
+    small arrays happened to land, so a process's peak resident size
+    would differ from one run to the next by the size of a trajectory.
+    A mapping of their own goes back to the system when they are
+    dropped, whatever the heap looks like. The mapping is private, so a
+    forked worker never shares it.
+    """
+    count = int(np.prod(shape))
+    buffer = mmap.mmap(-1, 8 * count,
+                       flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(buffer, count=count).reshape(shape)
+
+
 @dataclass(frozen=True)
 class FullTrajectory:
     """Full-model values at requested output times.
@@ -246,7 +266,7 @@ def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
     ws = _Workspace(grid)
     times = output_times(cfg.T, t_eval)
 
-    values = np.empty((times.size, grid.n, 3))
+    values = _trajectory_buffer((times.size, grid.n, 3))
     values[0] = u0
     u = u0
     # the last accepted state and its step, for the midpoint extrapolation

@@ -9,6 +9,8 @@ never by hand.
 
 from __future__ import annotations
 
+import mmap
+
 import numpy as np
 import pytest
 
@@ -404,6 +406,23 @@ def test_determinism():
     a = simulate_full(u0, g, cfg)
     b = simulate_full(u0.copy(), g, cfg)
     assert np.array_equal(a.values, b.values)
+
+
+def test_trajectory_values_sit_in_a_mapping_of_their_own():
+    # dropped, they go back to the system instead of leaving a
+    # trajectory-sized hole in the heap
+    rng = np.random.default_rng(50)
+    g = _uniform_grid(24)
+    u0 = renormalize(rng.normal(size=(g.n, 3)))
+    cfg = FullModelConfig(epsilon=0.08, dt=5e-3, T=0.02, drift_tol=1e-3)
+    traj = simulate_full(u0, g, cfg)
+    root = traj.values
+    while isinstance(root, np.ndarray):
+        root = root.base
+    assert isinstance(root.obj, mmap.mmap)
+    assert traj.values.shape == (traj.times.size, g.n, 3)
+    assert traj.values.dtype == np.float64 and traj.values.flags.writeable
+    assert np.array_equal(traj.values[0], u0)
 
 
 # === residual report ===
