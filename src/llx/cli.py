@@ -34,7 +34,7 @@ from .config import RunConfig, config_hash, default_config_text, load_config
 from .errors import ConfigError, SolverAbort
 from .expansion import (ExpansionAnsatz, build_expansion_pieces,
                         convergence_study)
-from .full_model import (FullModelConfig, make_epsilon_grid, residual_report,
+from .full_model import (FullModelConfig, ResidualWalk, make_epsilon_grid,
                          simulate_full)
 from .geometry import knot_times, param_nodes
 from .limit_model import simulate_limit
@@ -128,8 +128,13 @@ def cmd_ansatz(cfg: RunConfig, args, out_dir: str) -> int:
     grid = make_epsilon_grid(cfg.epsilon,
                              cells_per_eps=cfg.study.cells_per_eps)
     times = knot_times(pieces.T_used, cfg.study.dt_knot)
-    vals = ExpansionAnsatz(pieces, cfg.epsilon).sample_times(times, grid.x)
-    report = residual_report(times, vals, grid, cfg.epsilon)
+    walk = ResidualWalk(times, grid, cfg.epsilon)
+    windows = ExpansionAnsatz(pieces, cfg.epsilon).sample_windows(
+        times, grid.x, 1)
+    for lo, start, stop, _, vals in windows:
+        walk.add(vals, lo, start, stop)
+    report = walk.report()
+    # the last window ends at the last knot
     rows = [[xi] + list(vals[-1, i]) for i, xi in enumerate(grid.x)]
     path = os.path.join(out_dir, "ansatz.csv")
     write_csv(path, ("x", "a1", "a2", "a3"), rows,

@@ -12,12 +12,12 @@ weighted by the interface cutoff (u0 alone outside the interface
 neighborhood or beyond |y| = Y). This is exact for every accepted
 input, whose jump is delta(t, x) = chi_sigma(x) delta(t, 0). U_wall is
 the wall profile on its cutoff support, and rho the slow Neumann
-corrector. Sampling on a solver grid takes the knots in blocks of
-KNOT_BLOCK. The base state is a not-a-knot cubic spline in the slow
-direction, each side from its own half (so the blend region never
-contaminates it), fitted once per build over every knot and carried by
-the pieces; a block evaluates it on its knots' coefficients only, with
-the bits of a fit on that block alone. Both layers share one path: once
+corrector. Sampling on a solver grid takes the knots in the level
+blocks of geometry.level_blocks, each knot once. The base state is a
+not-a-knot cubic spline in the slow direction, each side from its own
+half (so the blend region never contaminates it), fitted once per build
+over every knot and carried by the pieces; a block evaluates it on its
+knots' coefficients only, with the bits of a fit on that block alone. Both layers share one path: once
 per pass, each layer side reaching the nodes (either interface half,
 either wall) gets its nodes' stretched coordinates and x-weights (the
 cutoff chi_sigma for the interface, the wall columns' cardinal
@@ -32,20 +32,25 @@ x-weights add an exactly-zero anchor column past its inland support
 end.
 
 The convergence study builds the profiles once (they do not depend on
-eps), then for each eps: samples the ansatz on an eps-refined grid,
-marches the full model from the renormalized ansatz over the pieces'
-time grid, and records the distance to the limit state, the ansatz
-residual, and the conormal norms of (u - a) / eps at orders 0 and m.
-The diagnostics walk the knots in blocks (geometry.level_blocks), so a
-row holds a few space-time fields, not one per derivative.
+eps), then for each eps: marches the full model from the renormalized
+ansatz over the pieces' time grid on an eps-refined grid, and records
+the distance to the limit state, the ansatz residual, and the conormal
+norms of (u - a) / eps at orders 0 and m. After the march a row is one
+forward walk over the knots in level blocks: each block's window of
+the ansatz, of w and of the limit state is built, added to every
+diagnostic's walk and dropped, so a row holds its trajectory plus a
+few windows of levels, not a space-time field.
 
 Contains:
 - ExpansionPieces / build_expansion_pieces: the eps-independent half,
   on geometry.time_grid, with the base state's x-splines; its horizon
   T_used is the grid's last level
-- ExpansionAnsatz: the pieces sampled at one eps
-- jump_error_l2: the space-time distance to a two-valued state
-- EClassNorms / eclass_norms: conormal norm records
+- ExpansionAnsatz: the pieces sampled at one eps, by windows of levels
+  or at whole knot lists
+- JumpErrorWalk / jump_error_l2: the space-time distance to a
+  two-valued state, by level blocks or on whole arrays
+- EClassNorms / EClassWalk / eclass_norms: conormal norm records, by
+  level blocks or on whole arrays
 - StudyConfig / ConvergenceReport / convergence_study: the experiment
 - fit_slope: log-log least-squares rate
 """
@@ -63,7 +68,9 @@ from .boundary_layer import (BoundaryProfile, neumann_corrector,
                              solve_boundary_profile, wall_slopes)
 from .errors import ConfigError, NonContraction, SolverAbort
 from .fields import MagnetizationField
-from .full_model import (FullModelConfig, make_epsilon_grid,
+# residual_report is not called here, but bench/tracing.py wraps it
+# under this module's name
+from .full_model import (FullModelConfig, ResidualWalk, make_epsilon_grid,
                          residual_report, simulate_full)
 from .geometry import (chi_sigma, conormal_weight, field_weights,
                        in_v_sigma, knot_times, level_blocks,
@@ -77,11 +84,6 @@ from .limit_model import (ExtendedLimit, extend_limit, renormalize,
 
 
 # === the assembled ansatz ===
-
-# knots sampled together: bounds the block temporaries (knots x nodes x
-# wall columns x 3) whatever the number of knots
-KNOT_BLOCK = 8
-
 
 @dataclass(frozen=True)
 class ExpansionAnsatz:
@@ -192,12 +194,16 @@ class ExpansionAnsatz:
             parts[layer][:, nodes] = vals
         return parts
 
-    def sample_times(self, times: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Stacked samples at several knots: (nt, nx, 3).
+    def sample_windows(self, times: np.ndarray, x: np.ndarray, halo: int):
+        """The samples at the knots times, one block of levels at a time.
 
-        The knots are sampled in blocks of KNOT_BLOCK. Nothing sums
-        across the knots of a block, so a knot gives the same bits
-        whichever block it falls in.
+        Yields (lo, start, stop, hi, window) per block of
+        geometry.level_blocks(times.size, halo), window (hi - lo, nx, 3)
+        holding the samples at times[lo:hi]. Each knot is sampled once:
+        the levels a window shares with the one before carry over, and
+        the layer sides are built once per call. Nothing sums across
+        the knots of a block, so a knot gives the same bits whichever
+        block it falls in.
         """
         ks = np.array([self.knot_index(t) for t in np.asarray(times)],
                       dtype=int)
@@ -205,12 +211,31 @@ class ExpansionAnsatz:
         if x.ndim != 1 or np.any(np.abs(x) > 1.0 + 1e-12):
             raise ValueError("sample nodes must lie in [-1, 1]")
         sides = self._layer_sides(x)
-        out = np.empty((ks.size, x.size, 3))
-        for start in range(0, ks.size, KNOT_BLOCK):
-            p = self._parts(ks[start:start + KNOT_BLOCK], x, sides)
-            out[start:start + KNOT_BLOCK] = (
-                p["base"] + p["interface"]
-                + self.epsilon * (p["wall"] + p["rho"]))
+        window, first = np.empty((0, x.size, 3)), 0
+        for lo, start, stop, hi in level_blocks(ks.size, halo):
+            window = np.concatenate([
+                window[lo - first:],
+                self._sum(ks[first + len(window):hi], x, sides)])
+            first = lo
+            yield lo, start, stop, hi, window
+
+    def _sum(self, ks: np.ndarray, x: np.ndarray, sides: list) -> np.ndarray:
+        """base + interface + eps (wall + rho) at the knot indices ks,
+        summed in place into the parts (_parts)."""
+        p = self._parts(ks, x, sides)
+        out, slow = p["base"], p["wall"]
+        out += p["interface"]
+        slow += p["rho"]
+        slow *= self.epsilon
+        out += slow
+        return out
+
+    def sample_times(self, times: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Stacked samples at several knots: (nt, nx, 3), sampled in
+        blocks of levels (sample_windows)."""
+        out = np.empty((np.size(times), np.size(x), 3))
+        for _, start, stop, _, window in self.sample_windows(times, x, 0):
+            out[start:stop] = window
         return out
 
 
@@ -248,6 +273,31 @@ def _layer_values(s_knots: np.ndarray, U: np.ndarray,
 
 # === space-time norms ===
 
+class JumpErrorWalk:
+    """jump_error_l2's sums, one block of levels at a time.
+
+    add takes the levels start.. of u and of both references, and
+    leaves one x-integral per level; norm ends the norm with one
+    trapezoid in time once every level was added.
+    """
+
+    def __init__(self, times: np.ndarray, x: np.ndarray, i0: int):
+        self.times = np.asarray(times, dtype=float)
+        self.x, self.i0 = x, i0
+        self.inner = np.empty(self.times.size)
+
+    def add(self, start: int, u: np.ndarray, ref_minus: np.ndarray,
+            ref_plus: np.ndarray) -> None:
+        x, i0 = self.x, self.i0
+        dm = u[:, :i0 + 1] - ref_minus
+        dp = u[:, i0:] - ref_plus
+        self.inner[start:start + len(u)] = (x_squares(x[:i0 + 1], dm)
+                                            + x_squares(x[i0:], dp))
+
+    def norm(self) -> float:
+        return float(np.sqrt(np.trapezoid(self.inner, self.times)))
+
+
 def jump_error_l2(times: np.ndarray, x: np.ndarray, u: np.ndarray,
                   ref_minus: np.ndarray, ref_plus: np.ndarray) -> float:
     """Distance of u to a two-valued reference with interface cells split.
@@ -257,20 +307,17 @@ def jump_error_l2(times: np.ndarray, x: np.ndarray, u: np.ndarray,
     on x[i0:]; each is integrated over its own half, so the interface
     node contributes half a cell to each side and the jump never incurs
     O(1) quadrature error. The knots are walked in blocks
-    (geometry.level_blocks), each leaving one x-integral per knot, and
-    one trapezoid in time ends the norm.
+    (geometry.level_blocks) through JumpErrorWalk.
     """
     x = np.asarray(x, dtype=float)
     i0 = ref_minus.shape[1] - 1
     if x[i0] != 0.0 or ref_plus.shape[1] != x.size - i0:
         raise ValueError("the references must meet at the interface node 0")
-    inner = np.empty(len(u))
+    walk = JumpErrorWalk(times, x, i0)
     for _, start, stop, _ in level_blocks(len(u), 0):
         rows = slice(start, stop)
-        dm = u[rows, :i0 + 1] - ref_minus[rows]
-        dp = u[rows, i0:] - ref_plus[rows]
-        inner[rows] = x_squares(x[:i0 + 1], dm) + x_squares(x[i0:], dp)
-    return float(np.sqrt(np.trapezoid(inner, times)))
+        walk.add(start, u[rows], ref_minus[rows], ref_plus[rows])
+    return walk.norm()
 
 
 def fit_slope(epsilons: np.ndarray, errors: np.ndarray) -> float:
@@ -317,47 +364,47 @@ class EClassNorms:
                          self.sup_conormal, self.sup_normal])
 
 
-def eclass_norms(times: np.ndarray, x: np.ndarray, w: np.ndarray,
-                 epsilon: float, m: int) -> tuple:
-    """Discrete conormal norms of a space-time field w (nt, nx, 3): the
-    pair of records (order 0, order m).
+class EClassWalk:
+    """eclass_norms' sums, one block of levels at a time.
 
-    The generators are Z0 = d_t and Z1 = omega(x) d_x with the weight
-    omega(x) = x(1 - x^2) tangent to interface and walls; the normal
-    derivative enters through eps d_x. All differences are second
-    order on the sampling grid. The knots are walked in blocks
-    (geometry.level_blocks) reading max(m, 1) knots of w past each end,
-    one per time derivative. Per block one derivative table of w, then
-    one of eps d_x w, serves both orders: each term leaves its squared
-    L2(x) norm per knot and a running sup, and one trapezoid in time
-    ends each norm. The records are the whole-array evaluation's bit for
-    bit.
+    add takes a block start..stop through its window w[lo:hi], which
+    must reach max(m, 1) levels past each end of the block that is not
+    an end of times (geometry.level_blocks with that halo), one per
+    time derivative. Per block one derivative table of w, then one of
+    eps d_x w, serves both orders: each term leaves its squared L2(x)
+    norm per level and a running sup. records ends each norm with one
+    trapezoid in time once every level was added.
     """
-    w = np.asarray(w, dtype=float)
-    times = np.asarray(times, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if m not in (0, 1, 2):
-        raise ValueError(f"m must be 0, 1 or 2, got {m}")
-    if w.shape != (times.size, x.size, 3):
-        raise ValueError(
-            f"w shape {w.shape} does not match ({times.size}, {x.size}, 3)")
-    if times.size < 2:
-        raise ValueError("need at least 2 knots for the time derivative")
-    omega = field_weights(conormal_weight(x))
-    halo = max(m, 1)
 
-    def table(v, lo, start, stop, order):
-        # Z0^a Z1^b v keyed (a, b), lower totals first, on the knots
+    def __init__(self, times: np.ndarray, x: np.ndarray, epsilon: float,
+                 m: int):
+        if m not in (0, 1, 2):
+            raise ValueError(f"m must be 0, 1 or 2, got {m}")
+        self.times = np.asarray(times, dtype=float)
+        if self.times.size < 2:
+            raise ValueError("need at least 2 knots for the time derivative")
+        self.x = np.asarray(x, dtype=float)
+        self.epsilon, self.m = epsilon, m
+        self.omega = field_weights(conormal_weight(self.x))
+        # per table: each term of order <= m squared per level, and the
+        # squared sups of w, of its Z-derivatives and of eps d_x w
+        self.squares = ({}, {})
+        self.peaks = np.zeros(3)
+
+    def _table(self, v, lo, start, stop, order):
+        # Z0^a Z1^b v keyed (a, b), lower totals first, on the levels
         # start..stop of v = field[lo:]; a time derivative is taken on
-        # as many knots past the block as later ones still read
+        # as many levels past the block as later ones still read
+        times = self.times
         derivs = {}
         chain, first = v, lo
         for total in range(order + 1):
             for b in range(total + 1):
                 a = total - b
                 if b:
-                    derivs[(a, b)] = (omega
-                                      * profile_d1(x, derivs[(a, b - 1)]))
+                    derivs[(a, b)] = (self.omega
+                                      * profile_d1(self.x,
+                                                   derivs[(a, b - 1)]))
                     continue
                 if a:
                     reach = order - a
@@ -368,41 +415,66 @@ def eclass_norms(times: np.ndarray, x: np.ndarray, w: np.ndarray,
                 derivs[(a, 0)] = chain[start - first:stop - first]
         return derivs
 
-    # per table: each term of order <= m squared per knot, and the
-    # squared sups of w, of its Z-derivatives and of eps d_x w
-    squares = ({}, {})
-    peaks = np.zeros(3)
-
-    def add(derivs, part, start, stop):
+    def _add(self, derivs, part, start, stop):
         for key, term in derivs.items():
-            if sum(key) <= m:
-                squares[part].setdefault(key, np.empty(times.size))[
-                    start:stop] = x_squares(x, term)
+            if sum(key) <= self.m:
+                self.squares[part].setdefault(
+                    key, np.empty(self.times.size))[start:stop] = \
+                    x_squares(self.x, term)
 
-    def sup2(v):
-        return np.max(dot3(v, v))
+    def add(self, window: np.ndarray, lo: int, start: int,
+            stop: int) -> None:
+        def sup2(v):
+            return np.max(dot3(v, v))
 
-    for lo, start, stop, hi in level_blocks(times.size, halo):
-        derivs = table(w[lo:hi], lo, start, stop, halo)
-        add(derivs, 0, start, stop)
+        derivs = self._table(window, lo, start, stop, max(self.m, 1))
+        self._add(derivs, 0, start, stop)
         block = [sup2(derivs[(0, 0)]),
                  max(sup2(derivs[(1, 0)]), sup2(derivs[(0, 1)]))]
         del derivs
-        wn = epsilon * profile_d1(x, w[lo:hi])
-        add(table(wn, lo, start, stop, m), 1, start, stop)
+        wn = self.epsilon * profile_d1(self.x, window)
+        self._add(self._table(wn, lo, start, stop, self.m), 1, start, stop)
         block.append(sup2(wn[start - lo:stop - lo]))
-        peaks = np.maximum(peaks, block)
+        self.peaks = np.maximum(self.peaks, block)
 
-    def sobolev(rows):
-        # each square rounded through its norm: the square of the
-        # space-time trapezoid norm of one term
-        sq = [float(np.sqrt(np.trapezoid(r, times))) ** 2
-              for r in rows.values()]
-        return float(np.sqrt(sum(sq[:1]))), float(np.sqrt(sum(sq)))
+    def records(self) -> tuple:
+        """The pair of records (order 0, order m)."""
+        times = self.times
 
-    sups = tuple(epsilon * float(np.sqrt(p)) for p in peaks)
-    return tuple(EClassNorms(order, c, n, *sups) for order, c, n
-                 in zip((0, m), sobolev(squares[0]), sobolev(squares[1])))
+        def sobolev(rows):
+            # each square rounded through its norm: the square of the
+            # space-time trapezoid norm of one term
+            sq = [float(np.sqrt(np.trapezoid(r, times))) ** 2
+                  for r in rows.values()]
+            return float(np.sqrt(sum(sq[:1]))), float(np.sqrt(sum(sq)))
+
+        sups = tuple(self.epsilon * float(np.sqrt(p)) for p in self.peaks)
+        return tuple(EClassNorms(order, c, n, *sups) for order, c, n
+                     in zip((0, self.m), sobolev(self.squares[0]),
+                            sobolev(self.squares[1])))
+
+
+def eclass_norms(times: np.ndarray, x: np.ndarray, w: np.ndarray,
+                 epsilon: float, m: int) -> tuple:
+    """Discrete conormal norms of a space-time field w (nt, nx, 3): the
+    pair of records (order 0, order m).
+
+    The generators are Z0 = d_t and Z1 = omega(x) d_x with the weight
+    omega(x) = x(1 - x^2) tangent to interface and walls; the normal
+    derivative enters through eps d_x. All differences are second
+    order on the sampling grid. The knots are walked in blocks
+    (geometry.level_blocks) reading max(m, 1) knots of w past each end,
+    through EClassWalk. The records are the whole-array evaluation's
+    bit for bit.
+    """
+    walk = EClassWalk(times, x, epsilon, m)
+    w = np.asarray(w, dtype=float)
+    if w.shape != (walk.times.size, walk.x.size, 3):
+        raise ValueError(f"w shape {w.shape} does not match "
+                         f"({walk.times.size}, {walk.x.size}, 3)")
+    for lo, start, stop, hi in level_blocks(walk.times.size, max(m, 1)):
+        walk.add(w[lo:hi], lo, start, stop)
+    return walk.records()
 
 
 # === the convergence experiment ===
@@ -569,56 +641,65 @@ def build_expansion_pieces(data: MagnetizationField,
 
 
 def _epsilon_row(task) -> dict:
-    """One eps of the study: sample, march, measure. Top level so the
-    process pool can ship it. The full model marches every level of the
-    pieces' grid (the opening ramp, then steps of at most dt_full); only
-    its knot rows are kept, and a missed knot is a solver abort.
+    """One eps of the study: march, then measure, in one forward walk
+    over the knots. Top level so the process pool can ship it.
 
-    The row holds at most three space-time fields at once: the ansatz
-    a, the knot rows u and the trajectory they are copied from, then a,
-    u and w = (u - a) / eps, then u, w and the limit values; each is
-    dropped once used. The diagnostics walk the knots in blocks and add
-    only block temporaries.
+    The walk takes the knots in the blocks of geometry.level_blocks with
+    a halo of max(eclass_m, 1) knots, sampling the ansatz a once per
+    knot (ExpansionAnsatz.sample_windows). The first window starts the
+    full model from the renormalized a at knot 0, and it marches every
+    level of the pieces' grid (the opening ramp, then steps of at most
+    dt_full); a missed knot is a solver abort. Per block the row then
+    copies the window's knot rows of u out of the trajectory, turns
+    them into w = (u - a) / eps, evaluates the limit state on the
+    block's knots, and adds the block to the residual, limit-error and
+    conormal walks. Besides the trajectory it holds a few windows of
+    levels, however many knots there are.
     """
     pieces, data, eps, cfg = task
     grid = make_epsilon_grid(eps, cells_per_eps=cfg.cells_per_eps)
-    times_eval = knot_times(pieces.T_used, cfg.dt_knot)
-    a_vals = ExpansionAnsatz(pieces, eps).sample_times(times_eval, grid.x)
-
-    u_init = renormalize(a_vals[0])
+    x = grid.x
+    times = knot_times(pieces.T_used, cfg.dt_knot)
     fcfg = FullModelConfig(epsilon=eps, dt=cfg.dt_full, T=pieces.T_used,
                            drift_tol=cfg.drift_tol)
-    traj = simulate_full(u_init, grid, fcfg, t_eval=pieces.ext.times)
-    knots = np.isin(traj.times, times_eval)
-    if not np.array_equal(traj.times[knots], times_eval):
-        raise SolverAbort("solver output times drifted off the knots")
-    u, drift_max = traj.values[knots], traj.drift_max
-    del traj
-
-    res = residual_report(times_eval, a_vals, grid, eps)
-    w = u - a_vals
-    w /= eps
-    del a_vals
-
     # each node's limit trajectory once: the minus data up to the
     # interface node, the plus data from it on (that node twice)
-    i0 = int(np.searchsorted(grid.x, 0.0))
-    limit_init = np.concatenate([data(grid.x[:i0 + 1], "minus"),
-                                 data(grid.x[i0:], "plus")])
-    limit = simulate_limit(limit_init, times_eval)
-    err = jump_error_l2(times_eval, grid.x, u,
-                        limit[:, :i0 + 1], limit[:, i0 + 1:])
-    del u, limit
+    i0 = int(np.searchsorted(x, 0.0))
+    limit_init = np.concatenate([data(x[:i0 + 1], "minus"),
+                                 data(x[i0:], "plus")])
+    residual = ResidualWalk(times, grid, eps)
+    error = JumpErrorWalk(times, x, i0)
+    eclass = EClassWalk(times, x, eps, cfg.eclass_m)
+    windows = ExpansionAnsatz(pieces, eps).sample_windows(
+        times, x, max(cfg.eclass_m, 1))
+    for lo, start, stop, hi, a in windows:
+        if start == 0:
+            traj = simulate_full(renormalize(a[0]), grid, fcfg,
+                                 t_eval=pieces.ext.times)
+            knots = np.flatnonzero(np.isin(traj.times, times))
+            if not np.array_equal(traj.times[knots], times):
+                raise SolverAbort("solver output times drifted off the knots")
+        residual.add(a, lo, start, stop)
+        # the limit flow starts at 0; its levels never couple
+        limit = simulate_limit(limit_init, np.concatenate(
+            [times[:1], times[max(start, 1):stop]]))[start - stop:]
+        # u's window, turned into w's in place once measured
+        w = traj.values[knots[lo:hi]]
+        error.add(start, w[start - lo:stop - lo], limit[:, :i0 + 1],
+                  limit[:, i0 + 1:])
+        w -= a
+        w /= eps
+        eclass.add(w, lo, start, stop)
 
-    ec0, ecm = eclass_norms(times_eval, grid.x, w, eps, m=cfg.eclass_m)
+    ec0, ecm = eclass.records()
     return {
         "epsilon": eps,
-        "err_l2": err,
-        "residual_l2": res.l2_residual,
+        "err_l2": error.norm(),
+        "residual_l2": residual.report().l2_residual,
         "ec0": ec0,
         "ecm": ecm,
         "nx": grid.n,
-        "drift_max": drift_max,
+        "drift_max": traj.drift_max,
     }
 
 

@@ -34,7 +34,8 @@ Contains:
   requested ones, and the nominal substep count of one output interval
 - FullModelConfig, step_full, simulate_full, FullTrajectory
 - residual_report / ResidualReport: a-posteriori defect of any
-  space-time field against the equation above
+  space-time field against the equation above; ResidualWalk: its
+  sums one block of levels at a time
 """
 
 from __future__ import annotations
@@ -349,6 +350,61 @@ class ResidualReport:
     norm_defect: float
 
 
+class ResidualWalk:
+    """residual_report's sums, one block of levels at a time.
+
+    add takes a block start..stop through its window values[lo:hi],
+    which must reach one level past each end of the block that is not
+    an end of times (geometry.level_blocks with halo >= 1), and leaves
+    the block's levels' squared L2 norms and largest entries, its
+    largest one-sided wall derivative and its largest deviation of
+    |u|^2 from 1. report ends the norms once every level was added: a
+    trapezoid in time for the L2 norm, a maximum for the others. The
+    time derivative is np.gradient's centered difference read from the
+    window (geometry.time_d1), so the report is the whole-array
+    evaluation's bit for bit, with no temporary larger than one window.
+    """
+
+    def __init__(self, times: np.ndarray, grid: Grid1D, epsilon: float,
+                 source: Optional[Callable] = None):
+        self.times = np.asarray(times, dtype=float)
+        if self.times.size < 3:
+            raise ValueError("need at least 3 time slices for a residual")
+        self.grid, self.epsilon, self.source = grid, epsilon, source
+        self.ws = _Workspace(grid)
+        self.squares = np.empty(self.times.size - 2)
+        self.peaks = np.empty(self.times.size - 2)
+        self.neumann = []
+        self.norms = []
+
+    def add(self, window: np.ndarray, lo: int, start: int,
+            stop: int) -> None:
+        times, x, ws = self.times, self.grid.x, self.ws
+        block = window[start - lo:stop - lo]
+        self.norms.append(np.max(np.abs(dot3(block, block) - 1.0)))
+        self.neumann.append(max(np.max(np.abs(one_sided_d1(x, block, end)))
+                              for end in ("left", "right")))
+        inside = slice(max(start, 1), min(stop, times.size - 1))
+        u = window[inside.start - lo:inside.stop - lo]
+        d2u = apply_tridiagonal_stencil(ws.d2, u)
+        g = _forcing(u, self.epsilon, ws)
+        if self.source is not None:
+            g = g + np.reshape([self.source(t, x) for t in times[inside]],
+                               u.shape)
+        rhs = self.epsilon**2 * (d2u + cross(u, d2u)) + g
+        residual = (time_d1(times, window, lo, inside) - rhs)[:, 1:-1]
+        rows = slice(inside.start - 1, inside.stop - 1)
+        self.squares[rows] = x_squares(x[1:-1], residual)
+        self.peaks[rows] = np.max(np.abs(residual), axis=(1, 2))
+
+    def report(self) -> ResidualReport:
+        l2 = float(np.sqrt(np.trapezoid(self.squares, self.times[1:-1])))
+        return ResidualReport(l2_residual=l2,
+                              max_residual=float(np.max(self.peaks)),
+                              neumann_defect=float(np.max(self.neumann)),
+                              norm_defect=float(np.max(self.norms)))
+
+
 def residual_report(times: np.ndarray, values: np.ndarray, grid: Grid1D,
                     epsilon: float,
                     source: Optional[Callable] = None) -> ResidualReport:
@@ -357,12 +413,8 @@ def residual_report(times: np.ndarray, values: np.ndarray, grid: Grid1D,
     values has shape (nt, n, 3) with nt >= 3. The interior residual uses
     the same second-order stencils as the solver, so smooth fields score
     O(dt^2 + h^2). The levels are walked in blocks
-    (geometry.level_blocks), the time derivative np.gradient's centered
-    difference read from one level past each end (geometry.time_d1);
-    each block leaves its levels' squared L2 norms and largest entries,
-    and a trapezoid in time ends the L2 norm. The report is the
-    whole-array evaluation's bit for bit, with no temporary larger than
-    one level block.
+    (geometry.level_blocks) with a halo of one level, through
+    ResidualWalk.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -370,33 +422,7 @@ def residual_report(times: np.ndarray, values: np.ndarray, grid: Grid1D,
         raise ValueError(
             f"values shape {values.shape} does not match "
             f"({times.size}, {grid.n}, 3)")
-    if times.size < 3:
-        raise ValueError("need at least 3 time slices for a residual")
-    ws = _Workspace(grid)
-    x_in = grid.x[1:-1]
-    squares = np.empty(times.size - 2)
-    peaks = np.empty(times.size - 2)
-    norms = []
+    walk = ResidualWalk(times, grid, epsilon, source)
     for lo, start, stop, hi in level_blocks(times.size, 1):
-        block = values[start:stop]
-        norms.append(np.max(np.abs(dot3(block, block) - 1.0)))
-        inside = slice(max(start, 1), min(stop, times.size - 1))
-        u = values[inside]
-        d2u = apply_tridiagonal_stencil(ws.d2, u)
-        g = _forcing(u, epsilon, ws)
-        if source is not None:
-            g = g + np.reshape([source(t, grid.x) for t in times[inside]],
-                               u.shape)
-        rhs = epsilon**2 * (d2u + cross(u, d2u)) + g
-        residual = (time_d1(times, values[lo:hi], lo, inside) - rhs)[:, 1:-1]
-        rows = slice(inside.start - 1, inside.stop - 1)
-        squares[rows] = x_squares(x_in, residual)
-        peaks[rows] = np.max(np.abs(residual), axis=(1, 2))
-    l2 = float(np.sqrt(np.trapezoid(squares, times[1:-1])))
-    max_r = float(np.max(peaks))
-
-    nd = float(max(np.max(np.abs(one_sided_d1(grid.x, values, end)))
-                   for end in ("left", "right")))
-    norm_defect = float(np.max(norms))
-    return ResidualReport(l2_residual=l2, max_residual=max_r,
-                          neumann_defect=nd, norm_defect=norm_defect)
+        walk.add(values[lo:hi], lo, start, stop)
+    return walk.report()

@@ -21,6 +21,9 @@ gate measure the same thing:
   knot-block walks in the package
 - whole_simulate_limit: the limit flow's closed form solved at every
   node, the oracle of its one solve per distinct initial vector
+- reference_epsilon_row: one eps row of the study on whole (nt, nx, 3)
+  arrays, measured by the whole-array diagnostics: the oracle of the
+  row's one walk over knot blocks
 - per_block_base: the base state of the ansatz fitted anew on each knot
   block, the oracle of the pieces' once-per-build fit
 - broadcast_stencil / reference_step_full / reference_sweep: the
@@ -38,12 +41,13 @@ import sympy as sp
 
 from llx.banded import (block_tridiag_solve, cross, inv_id_plus_cross,
                         norm3)
-from llx.expansion import EClassNorms
-from llx.full_model import (ResidualReport, _forcing, _Workspace,
-                            output_times, substeps)
+from llx.expansion import EClassNorms, ExpansionAnsatz
+from llx.full_model import (FullModelConfig, ResidualReport, _forcing,
+                            _Workspace, make_epsilon_grid, output_times,
+                            simulate_full, substeps)
 from llx.geometry import (apply_tridiagonal_stencil, conormal_weight,
-                          d1_coefficients, d2_coefficients, one_sided_d1,
-                          profile_d1, x_squares)
+                          d1_coefficients, d2_coefficients, knot_times,
+                          one_sided_d1, profile_d1, x_squares)
 from llx.internal_layer import _sweep, halves
 from llx.interp import x_resample
 from llx.limit_model import F_rhs, renormalize, rhs_limit
@@ -277,6 +281,38 @@ def whole_simulate_limit(u0, times) -> np.ndarray:
         values[k, ..., 1] = c * u[..., 1] - s * u[..., 2]
         values[k, ..., 2] = s * u[..., 1] + c * u[..., 2]
     return values
+
+
+def reference_epsilon_row(task) -> dict:
+    """expansion._epsilon_row with the ansatz a, the knot rows u of the
+    trajectory, w = (u - a) / eps and the limit state each built at
+    every knot at once, and measured by the whole-array diagnostics."""
+    pieces, data, eps, cfg = task
+    grid = make_epsilon_grid(eps, cells_per_eps=cfg.cells_per_eps)
+    times = knot_times(pieces.T_used, cfg.dt_knot)
+    a = ExpansionAnsatz(pieces, eps).sample_times(times, grid.x)
+    fcfg = FullModelConfig(epsilon=eps, dt=cfg.dt_full, T=pieces.T_used,
+                           drift_tol=cfg.drift_tol)
+    traj = simulate_full(renormalize(a[0]), grid, fcfg,
+                         t_eval=pieces.ext.times)
+    u = traj.values[np.isin(traj.times, times)]
+    w = (u - a) / eps
+    i0 = int(np.searchsorted(grid.x, 0.0))
+    limit = whole_simulate_limit(
+        np.concatenate([data(grid.x[:i0 + 1], "minus"),
+                        data(grid.x[i0:], "plus")]), times)
+    ec0, ecm = whole_eclass_norms(times, grid.x, w, eps, cfg.eclass_m)
+    return {
+        "epsilon": eps,
+        "err_l2": whole_jump_error_l2(times, grid.x, u, limit[:, :i0 + 1],
+                                      limit[:, i0 + 1:]),
+        "residual_l2": whole_residual_report(times, a, grid,
+                                             eps).l2_residual,
+        "ec0": ec0,
+        "ecm": ecm,
+        "nx": grid.n,
+        "drift_max": traj.drift_max,
+    }
 
 
 # === the ansatz's base state ===

@@ -1,6 +1,8 @@
 """The diagnostics walk the knots in blocks: each must equal its
-whole-array evaluation (manufactured.whole_*) bit for bit, and one eps
-row of the study must hold only a few space-time fields."""
+whole-array evaluation (manufactured.whole_*) bit for bit. One eps row
+of the study, one walk over knot blocks, must equal the row built on
+whole space-time fields (manufactured.reference_epsilon_row) bit for
+bit, and hold only a few windows of levels."""
 
 from __future__ import annotations
 
@@ -11,12 +13,14 @@ import numpy as np
 import pytest
 
 from llx import expansion
-from llx.expansion import eclass_norms, jump_error_l2
+from llx.expansion import (build_expansion_pieces, eclass_norms,
+                           jump_error_l2)
 from llx.full_model import make_epsilon_grid, residual_report
 from llx.geometry import LEVEL_BLOCK, knot_times, level_blocks
 
-from manufactured import (full_model_solution, whole_eclass_norms,
-                          whole_jump_error_l2, whole_residual_report)
+from manufactured import (full_model_solution, reference_epsilon_row,
+                          whole_eclass_norms, whole_jump_error_l2,
+                          whole_residual_report)
 
 
 def _assert_walks_match(times, grid, rng):
@@ -83,61 +87,77 @@ def test_residual_walk_with_a_source_matches_the_oracle():
     assert report.l2_residual > 0.0
 
 
-# --- one eps row of the session studies ---
+# --- one eps row of the study ---
 
-@pytest.fixture(scope="module", params=["jump", "swirl"])
-def row_calls(request, study_cfg):
-    """The arguments each diagnostic got in one eps = 0.1 row."""
-    data = request.getfixturevalue(f"{request.param}_data")
-    pieces = request.getfixturevalue(f"{request.param}_pieces")
-    calls = {}
-
-    def record(name):
-        original = getattr(expansion, name)
-
-        def run(*args, **kwargs):
-            calls[name] = args
-            return original(*args, **kwargs)
-        return run
-
-    with pytest.MonkeyPatch.context() as patch:
-        for name in ("residual_report", "jump_error_l2", "eclass_norms"):
-            patch.setattr(expansion, name, record(name))
-        expansion._epsilon_row((pieces, data, 0.1, study_cfg))
-    return calls
+@pytest.fixture(scope="module")
+def short_pieces(jump_data, study_cfg):
+    """Jump pieces on LEVEL_BLOCK + 1 knots: the last level block holds
+    one knot, fewer than the halo of 2 at m = 2."""
+    return build_expansion_pieces(
+        jump_data, replace(study_cfg, T=LEVEL_BLOCK * study_cfg.dt_knot))
 
 
-@pytest.mark.parametrize("m", [1, 2])
-def test_study_row_eclass_matches_the_oracle(row_calls, m):
-    times, x, w, eps = row_calls["eclass_norms"]
-    assert eclass_norms(times, x, w, eps, m) \
-        == whole_eclass_norms(times, x, w, eps, m)
-
-
-def test_study_row_residual_and_limit_error_match_the_oracles(row_calls):
-    args = row_calls["residual_report"]
-    assert residual_report(*args) == whole_residual_report(*args)
-    args = row_calls["jump_error_l2"]
-    assert jump_error_l2(*args) == whole_jump_error_l2(*args)
-
-
-@pytest.mark.parametrize("m", [1, 2])
-def test_an_eps_row_holds_few_space_time_fields(jump_data, jump_pieces,
-                                                study_cfg, m):
-    """Above its entry, one row peaks below five (nt, nx, 3) fields; the
-    whole-array diagnostics took 10 (13 at m = 2)."""
+@pytest.mark.parametrize("name, eps, m", [
+    (name, eps, m) for name in ("jump", "swirl") for eps in (0.1, 0.0125)
+    for m in (1, 2)] + [("short", 0.1, 2)])
+def test_streamed_row_matches_the_reference_row(name, eps, m, request,
+                                                study_cfg):
+    data = request.getfixturevalue(
+        f"{'jump' if name == 'short' else name}_data")
+    pieces = request.getfixturevalue(f"{name}_pieces")
     cfg = replace(study_cfg, eclass_m=m)
-    eps = 0.1
-    nt = knot_times(jump_pieces.T_used, cfg.dt_knot).size
-    field = nt * make_epsilon_grid(eps, cfg.cells_per_eps).n * 3 * 8
+    if name == "short":
+        assert knot_times(pieces.T_used, cfg.dt_knot).size % LEVEL_BLOCK \
+            == 1
+    task = (pieces, data, eps, cfg)
+    assert expansion._epsilon_row(task) == reference_epsilon_row(task)
+
+
+def _row_peak(pieces, data, eps, cfg) -> int:
+    """The traced heap peak of one eps row above its entry, in bytes."""
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     entry = tracemalloc.get_traced_memory()[0]
     try:
-        expansion._epsilon_row((jump_pieces, jump_data, eps, cfg))
-        peak = tracemalloc.get_traced_memory()[1]
+        expansion._epsilon_row((pieces, data, eps, cfg))
+        return tracemalloc.get_traced_memory()[1] - entry
     finally:
         if started:
             tracemalloc.stop()
-    assert peak - entry <= 5 * field
+
+
+def _window_bytes(eps, cfg) -> int:
+    """One level block with its halo on both sides: the unit of a row's
+    temporaries, whatever the number of knots."""
+    nx = make_epsilon_grid(eps, cfg.cells_per_eps).n
+    return (LEVEL_BLOCK + 2 * max(cfg.eclass_m, 1)) * nx * 3 * 8
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_an_eps_row_holds_few_space_time_fields(jump_data, jump_pieces,
+                                                study_cfg, m):
+    """Above its entry, one row peaks below 16 windows of levels (a level
+    block with its halo), a bound that does not scale with the knots; the
+    row built on whole (nt, nx, 3) fields peaked near 36 windows here (32
+    at m = 2). tracemalloc does not see the trajectory's own mapping
+    (full_model._trajectory_buffer), which comes on top."""
+    cfg = replace(study_cfg, eclass_m=m)
+    bound = 16 * _window_bytes(0.1, cfg)
+    assert _row_peak(jump_pieces, jump_data, 0.1, cfg) <= bound
+
+
+def test_an_eps_row_peak_does_not_grow_with_the_horizon(jump_data,
+                                                        jump_pieces,
+                                                        study_cfg):
+    """Doubling T doubles the knots but adds at most 64 float scalars per
+    added knot to the row's traced peak (its per-knot norms), where one
+    more (nt, nx) array would add 325. tracemalloc does not see the
+    trajectory's own mapping, which grows with the knots."""
+    cfg = replace(study_cfg, eclass_m=2)
+    long = build_expansion_pieces(jump_data, replace(cfg, T=2 * cfg.T))
+    nt = knot_times(jump_pieces.T_used, cfg.dt_knot).size
+    added = knot_times(long.T_used, cfg.dt_knot).size - nt
+    assert added == nt - 1
+    short = _row_peak(jump_pieces, jump_data, 0.1, cfg)
+    assert _row_peak(long, jump_data, 0.1, cfg) - short <= added * 64 * 8

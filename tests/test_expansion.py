@@ -15,7 +15,7 @@ from llx.expansion import (EClassNorms, ExpansionAnsatz, StudyConfig,
                            eclass_norms, fit_slope, jump_error_l2)
 from llx.fields import constant_per_side, named_field
 from llx.full_model import make_epsilon_grid, simulate_full
-from llx.geometry import (chi_sigma, in_v_sigma, knot_times,
+from llx.geometry import (LEVEL_BLOCK, chi_sigma, in_v_sigma, knot_times,
                           make_profile_grid, param_nodes, profile_d1, theta,
                           time_grid)
 from llx.internal_layer import TIME_BLOCK, picard_profiles
@@ -321,12 +321,18 @@ def _counting(monkeypatch, name):
     return calls
 
 
+def _two_blocks(ansatz):
+    """LEVEL_BLOCK + 1 stored knots, repeating when there are fewer:
+    one full level block and one of a single knot."""
+    return np.resize(ansatz.times, LEVEL_BLOCK + 1)
+
+
 @pytest.mark.parametrize("fixture, per_pass", [("jump_small", 0),
                                                ("swirl_small", 2)])
 def test_layer_x_weights_are_built_once_per_pass(fixture, per_pass,
                                                   request, monkeypatch):
-    # the wall's x-weights depend on the nodes alone: one knot and nine
-    # knots (two blocks) build them equally often, once per wall that
+    # the wall's x-weights depend on the nodes alone: one knot and two
+    # blocks of knots build them equally often, once per wall that
     # holds data; the interface is weighted by its cutoff and builds none
     _, pieces, _ = request.getfixturevalue(fixture)
     ansatz = ExpansionAnsatz(pieces, 0.03125)
@@ -334,7 +340,7 @@ def test_layer_x_weights_are_built_once_per_pass(fixture, per_pass,
     calls = _counting(monkeypatch, "_cardinal_weights")
     ansatz.sample_times(ansatz.times[:1], x)
     assert len(calls) == per_pass
-    ansatz.sample_times(ansatz.times[:9], x)
+    ansatz.sample_times(_two_blocks(ansatz), x)
     assert len(calls) == 2 * per_pass
 
 
@@ -359,7 +365,7 @@ def test_layers_that_hold_nothing_are_not_fitted(fixture, per_block,
     calls = _counting(monkeypatch, "natural_spline_coeffs")
     ansatz.sample_times(ansatz.times[:1], x)
     assert len(calls) == per_block
-    ansatz.sample_times(ansatz.times[:9], x)
+    ansatz.sample_times(_two_blocks(ansatz), x)
     assert len(calls) == per_block * (1 + 2)
 
 
@@ -377,11 +383,11 @@ def test_base_state_is_fitted_once_per_build(fixture, per_pass, request,
         ansatz = ExpansionAnsatz(pieces, eps)
         x = make_epsilon_grid(eps, cells_per_eps=16).x
         ansatz.sample_times(ansatz.times[:1], x)
-        ansatz.sample_times(ansatz.times[:9], x)
+        ansatz.sample_times(_two_blocks(ansatz), x)
         assert len(resamples) == 2 * per_pass * (pas + 1)
-        ks = np.arange(9)
-        for start in range(0, ks.size, expansion.KNOT_BLOCK):
-            block = ks[start:start + expansion.KNOT_BLOCK]
+        ks = np.resize(np.arange(ansatz.times.size), LEVEL_BLOCK + 1)
+        for start in range(0, ks.size, LEVEL_BLOCK):
+            block = ks[start:start + LEVEL_BLOCK]
             assert np.array_equal(ansatz._base(block, x),
                                   per_block_base(pieces, block, x))
     assert fits == []
@@ -625,25 +631,28 @@ def test_study_marches_the_pieces_grid(small_cfg, jump_small, monkeypatch):
     """At the default dt_full each level of the pieces' grid is one step,
     and the measured u is the trajectory's knot rows."""
     data, pieces, _ = jump_small
-    marched, measured = [], []
+    marched, measured = [], {}
+    add = expansion.JumpErrorWalk.add
 
     def march(u0, grid, fcfg, t_eval):
         traj = simulate_full(u0, grid, fcfg, t_eval=t_eval)
         marched.append((t_eval, traj))
         return traj
 
-    def error(times, x, u, ref_minus, ref_plus):
-        measured.append(u)
-        return jump_error_l2(times, x, u, ref_minus, ref_plus)
+    def error(walk, start, u, ref_minus, ref_plus):
+        # the row reuses u's window for w once the block is measured
+        measured.setdefault(walk, []).append(u.copy())
+        return add(walk, start, u, ref_minus, ref_plus)
 
     monkeypatch.setattr(expansion, "simulate_full", march)
-    monkeypatch.setattr(expansion, "jump_error_l2", error)
+    monkeypatch.setattr(expansion.JumpErrorWalk, "add", error)
     assert small_cfg.dt_full == StudyConfig().dt_full
     convergence_study([0.1, 0.07, 0.05], data, small_cfg, pieces=pieces)
     times = pieces.ext.times
     knots = knot_times(pieces.T_used, small_cfg.dt_knot)
     assert len(marched) == len(measured) == 3
-    for (t_eval, traj), u in zip(marched, measured):
+    for (t_eval, traj), blocks in zip(marched, measured.values()):
+        u = np.concatenate(blocks)
         assert np.array_equal(t_eval, times)
         assert traj.steps_taken == times.size - 1
         assert traj.halvings_used == 0
