@@ -18,6 +18,7 @@ from llx.expansion import (build_expansion_pieces, eclass_norms,
 from llx.full_model import make_epsilon_grid, residual_report
 from llx.geometry import LEVEL_BLOCK, knot_times, level_blocks
 
+import manufactured
 from manufactured import (full_model_solution, reference_epsilon_row,
                           whole_eclass_norms, whole_jump_error_l2,
                           whole_residual_report)
@@ -111,6 +112,53 @@ def test_streamed_row_matches_the_reference_row(name, eps, m, request,
             == 1
     task = (pieces, data, eps, cfg)
     assert expansion._epsilon_row(task) == reference_epsilon_row(task)
+
+
+@pytest.fixture(scope="module", params=["jump", "swirl"])
+def row_calls(request, study_cfg):
+    """The whole-array arguments each diagnostic got in the reference
+    eps = 0.1 row, with the task that built them."""
+    data = request.getfixturevalue(f"{request.param}_data")
+    pieces = request.getfixturevalue(f"{request.param}_pieces")
+    task = (pieces, data, 0.1, study_cfg)
+    calls = {"task": task}
+
+    def record(name):
+        original = getattr(manufactured, f"whole_{name}")
+
+        def run(*args, **kwargs):
+            calls[name] = args
+            return original(*args, **kwargs)
+        return run
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("residual_report", "jump_error_l2", "eclass_norms"):
+            patch.setattr(manufactured, f"whole_{name}", record(name))
+        reference_epsilon_row(task)
+    return calls
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_study_row_eclass_matches_the_oracle(row_calls, m):
+    times, x, w, eps = row_calls["eclass_norms"][:4]
+    expected = whole_eclass_norms(times, x, w, eps, m)
+    assert eclass_norms(times, x, w, eps, m) == expected
+    pieces, data, eps, cfg = row_calls["task"]
+    row = expansion._epsilon_row(
+        (pieces, data, eps, replace(cfg, eclass_m=m)))
+    assert (row["ec0"], row["ecm"]) == expected
+
+
+def test_study_row_residual_and_limit_error_match_the_oracles(row_calls):
+    row = expansion._epsilon_row(row_calls["task"])
+    args = row_calls["residual_report"]
+    expected = whole_residual_report(*args)
+    assert residual_report(*args) == expected
+    assert row["residual_l2"] == expected.l2_residual
+    args = row_calls["jump_error_l2"]
+    expected = whole_jump_error_l2(*args)
+    assert jump_error_l2(*args) == expected
+    assert row["err_l2"] == expected
 
 
 def _row_peak(pieces, data, eps, cfg) -> int:
