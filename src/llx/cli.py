@@ -131,7 +131,7 @@ def cmd_ansatz(cfg: RunConfig, args, out_dir: str) -> int:
     walk = ResidualWalk(times, grid, cfg.epsilon)
     windows = ExpansionAnsatz(pieces, cfg.epsilon).sample_windows(
         times, grid.x, 1)
-    for lo, start, stop, _, vals in windows:
+    for lo, start, stop, _, vals, _ in windows:
         walk.add(vals, lo, start, stop)
     report = walk.report()
     # the last window ends at the last knot

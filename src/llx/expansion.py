@@ -13,19 +13,20 @@ neighborhood or beyond |y| = Y). This is exact for every accepted
 input, whose jump is delta(t, x) = chi_sigma(x) delta(t, 0). U_wall is
 the wall profile on its cutoff support, and rho the slow Neumann
 corrector. Sampling on a solver grid takes the knots in the level
-blocks of geometry.level_blocks, each knot once. The base state is a
-not-a-knot cubic spline in the slow direction, each side from its own
-half (so the blend region never contaminates it), fitted once per build
-over every knot and carried by the pieces; a block evaluates it on its
-knots' coefficients only, with the bits of a fit on that block alone. Both layers share one path: once
-per pass, each layer side reaching the nodes (either interface half,
-either wall) gets its nodes' stretched coordinates and x-weights (the
-cutoff chi_sigma for the interface, the wall columns' cardinal
-x-weights), and a layer holding only zeros gets no side. Per block the
-natural spline in the fast direction is fitted on each side's stored
-columns and evaluated at every node's stretched coordinate; a wall
-side contracts it with the node's x-weights (the two linear steps in
-swapped order), an interface half adds its lift and scales by chi.
+blocks of geometry.level_blocks, each knot once. The base state u0 is
+the limit flow itself, solved in closed form (simulate_limit) once per
+knot on the split nodes: the minus data on x <= 0, the plus data on
+x >= 0, so the interface node is solved from both sides. Its plus copy
+is the base of a, and the pair is the reference of the limit error.
+Both layers share one path: once per pass, each layer side reaching
+the nodes (either interface half, either wall) gets its nodes'
+stretched coordinates and x-weights (the cutoff chi_sigma for the
+interface, the wall columns' cardinal x-weights), and a layer holding
+only zeros gets no side. Per block the natural spline in the fast
+direction is fitted on each side's stored columns and evaluated at
+every node's stretched coordinate; a wall side contracts it with the
+node's x-weights (the two linear steps in swapped order), an interface
+half adds its lift and scales by chi.
 Those fits stay per block, since holding them for every knot would
 outweigh the stored layers. S and rho are closed form. The wall's
 x-weights add an exactly-zero anchor column past its inland support
@@ -37,13 +38,13 @@ ansatz over the pieces' time grid on an eps-refined grid, and records
 the distance to the limit state, the ansatz residual, and the conormal
 norms of (u - a) / eps at orders 0 and m. After the march a row is one
 forward walk over the knots in level blocks: each block's window of
-the ansatz, of w and of the limit state is built, added to every
+the ansatz with its limit state, and of w, is built, added to every
 diagnostic's walk and dropped, so a row holds its trajectory plus a
 few windows of levels, not a space-time field.
 
 Contains:
 - ExpansionPieces / build_expansion_pieces: the eps-independent half,
-  on geometry.time_grid, with the base state's x-splines; its horizon
+  on geometry.time_grid, with the data it was built from; its horizon
   T_used is the grid's last level
 - ExpansionAnsatz: the pieces sampled at one eps, by windows of levels
   or at whole knot lists
@@ -78,7 +79,7 @@ from .geometry import (chi_sigma, conormal_weight, field_weights,
                        profile_d1, theta, time_d1, time_grid, x_squares)
 from .internal_layer import ProfilePair, halves, lift, picard_profiles
 from .interp import (contract_columns, natural_spline_coeffs, spline_eval,
-                     spline_rows, x_resample, x_spline)
+                     x_resample)
 from .limit_model import (ExtendedLimit, extend_limit, renormalize,
                           simulate_limit)
 
@@ -89,10 +90,11 @@ from .limit_model import (ExtendedLimit, extend_limit, renormalize,
 class ExpansionAnsatz:
     """Sampler for the two-scale approximation at one eps.
 
-    The eps-independent pieces (limit states, the interface profile at
-    x = 0, the wall layer and its trace slopes) are shared; eps enters
-    only through the stretched coordinates x/eps and (1-|x|)/eps and the
-    O(eps) weight.
+    The eps-independent pieces (the data, the interface profile at
+    x = 0, the wall layer and its trace slopes) are shared; the base
+    state is the limit flow of the data, solved at the sampled knots.
+    eps enters only through the stretched coordinates x/eps and
+    (1-|x|)/eps and the O(eps) weight.
     """
 
     pieces: ExpansionPieces
@@ -116,15 +118,21 @@ class ExpansionAnsatz:
             f"time {t!r} is not a stored knot (spacing "
             f"{np.max(np.diff(times)):g}, end {times[-1]:g})")
 
-    def _base(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
-        # each side's spline (fitted once per build) on its own half,
-        # evaluated on the knots ks only
-        out = np.empty((ks.size, x.size, 3))
-        left = x < 0.0
-        for sel, spline in zip((left, ~left), self.pieces.base):
-            if sel.any():
-                out[:, sel] = spline_rows(spline, ks, x[sel])
-        return out
+    def _limit(self, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """The limit flow at the knot indices ks on the split nodes,
+        (nk, n_minus + n_plus, 3): the minus data's flow on the n_minus
+        nodes x <= 0, then the plus data's on the n_plus nodes x >= 0.
+
+        simulate_limit wants times that start at 0 and increase, and a
+        level depends on its own time alone: knot 0 leads the distinct
+        knots, and each of ks reads its level back.
+        """
+        data = self.pieces.data
+        init = np.concatenate([data(x[x <= 0.0], "minus"),
+                               data(x[x >= 0.0], "plus")])
+        levels, back = np.unique(np.concatenate([[0], ks]),
+                                 return_inverse=True)
+        return simulate_limit(init, self.times[levels])[back[1:]]
 
     def _layer_sides(self, x: np.ndarray) -> list:
         """Each layer side that reaches the nodes x, built once per pass.
@@ -169,16 +177,25 @@ class ExpansionAnsatz:
         return sides
 
     def _parts(self, ks: np.ndarray, x: np.ndarray, sides: list) -> dict:
-        """The four summands at the knot indices ks: each (nk, nx, 3).
+        """The four summands at the knot indices ks, each (nk, nx, 3),
+        and the limit flow on the split nodes they took the base from.
 
-        Per knot block each of the pass's sides (from _layer_sides) only
-        fits its natural spline: a wall side contracts it with its
-        x-weights, an interface half adds its lift in closed form and
-        scales by the cutoff. The corrector rho stays zero when both
-        wall slopes are, as a zero layer gets no side.
+        The base is that limit flow with the interface node taken from
+        the plus side. Per knot block each of the pass's sides (from
+        _layer_sides) only fits its natural spline: a wall side
+        contracts it with its x-weights, an interface half adds its lift
+        in closed form and scales by the cutoff. The corrector rho stays
+        zero when both wall slopes are, as a zero layer gets no side.
         """
         g_minus, g_plus = self.pieces.g_minus, self.pieces.g_plus
-        parts = {"base": self._base(ks, x),
+        limit = self._limit(ks, x)
+        below = x <= 0.0
+        nm = np.count_nonzero(below)
+        base = np.empty((ks.size, x.size, 3))
+        base[:, below] = limit[:, :nm]
+        base[:, x >= 0.0] = limit[:, nm:]
+        parts = {"limit": limit,
+                 "base": base,
                  "interface": np.zeros((ks.size, x.size, 3)),
                  "wall": np.zeros((ks.size, x.size, 3)),
                  "rho": (neumann_corrector(x, g_minus[ks], g_plus[ks])
@@ -197,13 +214,15 @@ class ExpansionAnsatz:
     def sample_windows(self, times: np.ndarray, x: np.ndarray, halo: int):
         """The samples at the knots times, one block of levels at a time.
 
-        Yields (lo, start, stop, hi, window) per block of
+        Yields (lo, start, stop, hi, window, limit) per block of
         geometry.level_blocks(times.size, halo), window (hi - lo, nx, 3)
-        holding the samples at times[lo:hi]. Each knot is sampled once:
-        the levels a window shares with the one before carry over, and
-        the layer sides are built once per call. Nothing sums across
-        the knots of a block, so a knot gives the same bits whichever
-        block it falls in.
+        holding the samples at times[lo:hi] and limit the limit flow on
+        the split nodes (_parts) at the same knots. times may repeat and
+        come in any order. Each knot is sampled once: the levels both
+        windows share with the ones before carry over, and the layer
+        sides are built once per call. Nothing sums across the knots of
+        a block, so a knot gives the same bits whichever block it falls
+        in.
         """
         ks = np.array([self.knot_index(t) for t in np.asarray(times)],
                       dtype=int)
@@ -211,30 +230,32 @@ class ExpansionAnsatz:
         if x.ndim != 1 or np.any(np.abs(x) > 1.0 + 1e-12):
             raise ValueError("sample nodes must lie in [-1, 1]")
         sides = self._layer_sides(x)
-        window, first = np.empty((0, x.size, 3)), 0
+        held, first, done = None, 0, 0
         for lo, start, stop, hi in level_blocks(ks.size, halo):
-            window = np.concatenate([
-                window[lo - first:],
-                self._sum(ks[first + len(window):hi], x, sides)])
-            first = lo
-            yield lo, start, stop, hi, window
+            fresh = self._sum(ks[done:hi], x, sides)
+            if held is not None:
+                fresh = tuple(np.concatenate([old[lo - first:], new])
+                              for old, new in zip(held, fresh))
+            held, first, done = fresh, lo, hi
+            yield (lo, start, stop, hi) + held
 
-    def _sum(self, ks: np.ndarray, x: np.ndarray, sides: list) -> np.ndarray:
-        """base + interface + eps (wall + rho) at the knot indices ks,
-        summed in place into the parts (_parts)."""
+    def _sum(self, ks: np.ndarray, x: np.ndarray, sides: list) -> tuple:
+        """(base + interface + eps (wall + rho), limit) at the knot
+        indices ks, the sum taken in place in the parts (_parts)."""
         p = self._parts(ks, x, sides)
         out, slow = p["base"], p["wall"]
         out += p["interface"]
         slow += p["rho"]
         slow *= self.epsilon
         out += slow
-        return out
+        return out, p["limit"]
 
     def sample_times(self, times: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Stacked samples at several knots: (nt, nx, 3), sampled in
         blocks of levels (sample_windows)."""
         out = np.empty((np.size(times), np.size(x), 3))
-        for _, start, stop, _, window in self.sample_windows(times, x, 0):
+        for _, start, stop, _, window, _ in self.sample_windows(times, x,
+                                                                0):
             out[start:stop] = window
         return out
 
@@ -553,9 +574,9 @@ class ExpansionPieces:
     ext, profiles and boundary share one set of time knots, ext and
     boundary one parameter mesh, and profiles holds the interface
     column x = 0 of it; g_minus and g_plus (nt, 3) are the wall trace slopes
-    feeding the corrector rho = phi * theta * g_side. base holds the
-    (minus, plus) not-a-knot x-splines of the base state over every
-    knot (built by _base_splines).
+    feeding the corrector rho = phi * theta * g_side. data is the
+    initial field they were built from, whose limit flow the sampler
+    solves as the base state at any node.
     """
 
     ext: ExtendedLimit
@@ -563,7 +584,7 @@ class ExpansionPieces:
     boundary: BoundaryProfile
     g_minus: np.ndarray
     g_plus: np.ndarray
-    base: tuple
+    data: MagnetizationField
 
     @property
     def T_used(self) -> float:
@@ -595,25 +616,11 @@ class ConvergenceReport:
     drift_max: np.ndarray
 
 
-def _base_splines(ext: ExtendedLimit) -> tuple:
-    """The base state's not-a-knot x-splines, (minus, plus), each along
-    axis 1 of (nt, ncols, 3) and fitted over every knot at once.
-
-    Each side is fitted on its own half only, x <= 0 for u_minus and
-    x >= 0 for u_plus, where the extended state equals the bare limit
-    solution (no blend contamination).
-    """
-    xp = ext.x_param
-    return tuple(x_spline(xp[cols], u[:, cols], axis=1, bc="not-a-knot")
-                 for cols, u in ((xp <= 0.0, ext.u_minus),
-                                 (xp >= 0.0, ext.u_plus)))
-
-
 def build_expansion_pieces(data: MagnetizationField,
                            cfg: StudyConfig = StudyConfig()
                            ) -> ExpansionPieces:
-    """Run the eps-independent pipeline: limit, extension, both layers,
-    and the base state's x-splines.
+    """Run the eps-independent pipeline: limit, extension and both
+    layers.
 
     If a profile window opening at an interior time t stops contracting,
     the pieces are rebuilt on the horizon t (at least 4 knot cells),
@@ -636,8 +643,7 @@ def build_expansion_pieces(data: MagnetizationField,
     boundary.validate()
     g_minus, g_plus = wall_slopes(boundary)
     return ExpansionPieces(ext=ext, profiles=pair, boundary=boundary,
-                           g_minus=g_minus, g_plus=g_plus,
-                           base=_base_splines(ext))
+                           g_minus=g_minus, g_plus=g_plus, data=data)
 
 
 def _epsilon_row(task) -> dict:
@@ -645,34 +651,30 @@ def _epsilon_row(task) -> dict:
     over the knots. Top level so the process pool can ship it.
 
     The walk takes the knots in the blocks of geometry.level_blocks with
-    a halo of max(eclass_m, 1) knots, sampling the ansatz a once per
-    knot (ExpansionAnsatz.sample_windows). The first window starts the
-    full model from the renormalized a at knot 0, and it marches every
-    level of the pieces' grid (the opening ramp, then steps of at most
-    dt_full); a missed knot is a solver abort. Per block the row then
-    copies the window's knot rows of u out of the trajectory, turns
-    them into w = (u - a) / eps, evaluates the limit state on the
-    block's knots, and adds the block to the residual, limit-error and
-    conormal walks. Besides the trajectory it holds a few windows of
-    levels, however many knots there are.
+    a halo of max(eclass_m, 1) knots, sampling the ansatz a and its limit
+    state once per knot (ExpansionAnsatz.sample_windows). The first
+    window starts the full model from the renormalized a at knot 0, and
+    it marches every level of the pieces' grid (the opening ramp, then
+    steps of at most dt_full); a missed knot is a solver abort. Per
+    block the row then copies the window's knot rows of u out of the
+    trajectory, measures them against the window's limit state, turns
+    them into w = (u - a) / eps, and adds the block to the residual,
+    limit-error and conormal walks. Besides the trajectory it holds a
+    few windows of levels, however many knots there are.
     """
-    pieces, data, eps, cfg = task
+    pieces, eps, cfg = task
     grid = make_epsilon_grid(eps, cells_per_eps=cfg.cells_per_eps)
     x = grid.x
     times = knot_times(pieces.T_used, cfg.dt_knot)
     fcfg = FullModelConfig(epsilon=eps, dt=cfg.dt_full, T=pieces.T_used,
                            drift_tol=cfg.drift_tol)
-    # each node's limit trajectory once: the minus data up to the
-    # interface node, the plus data from it on (that node twice)
     i0 = int(np.searchsorted(x, 0.0))
-    limit_init = np.concatenate([data(x[:i0 + 1], "minus"),
-                                 data(x[i0:], "plus")])
     residual = ResidualWalk(times, grid, eps)
     error = JumpErrorWalk(times, x, i0)
     eclass = EClassWalk(times, x, eps, cfg.eclass_m)
     windows = ExpansionAnsatz(pieces, eps).sample_windows(
         times, x, max(cfg.eclass_m, 1))
-    for lo, start, stop, hi, a in windows:
+    for lo, start, stop, hi, a, limit in windows:
         if start == 0:
             traj = simulate_full(renormalize(a[0]), grid, fcfg,
                                  t_eval=pieces.ext.times)
@@ -680,13 +682,12 @@ def _epsilon_row(task) -> dict:
             if not np.array_equal(traj.times[knots], times):
                 raise SolverAbort("solver output times drifted off the knots")
         residual.add(a, lo, start, stop)
-        # the limit flow starts at 0; its levels never couple
-        limit = simulate_limit(limit_init, np.concatenate(
-            [times[:1], times[max(start, 1):stop]]))[start - stop:]
-        # u's window, turned into w's in place once measured
+        # u's window, turned into w's in place once measured; the limit
+        # state splits at the interface node, solved from both sides
         w = traj.values[knots[lo:hi]]
-        error.add(start, w[start - lo:stop - lo], limit[:, :i0 + 1],
-                  limit[:, i0 + 1:])
+        block = slice(start - lo, stop - lo)
+        error.add(start, w[block], limit[block, :i0 + 1],
+                  limit[block, i0 + 1:])
         w -= a
         w /= eps
         eclass.add(w, lo, start, stop)
@@ -735,7 +736,7 @@ def convergence_study(epsilons, data: MagnetizationField,
     if pieces is None:
         pieces = build_expansion_pieces(data, cfg)
 
-    tasks = [(pieces, data, float(e), cfg) for e in eps]
+    tasks = [(pieces, float(e), cfg) for e in eps]
     if jobs > 1:
         # the pool forks all its workers at the first task: one per eps
         with ProcessPoolExecutor(max_workers=min(jobs, eps.size)) as pool:

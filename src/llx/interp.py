@@ -15,16 +15,14 @@ Contains:
 - natural_spline_coeffs: second derivatives of the natural cubic spline
 - spline_eval: evaluate every batch column at every query point
 - contract_columns: weighted sum over parameter columns, in fixed order
-- x_spline / x_resample: the cubic spline along one axis, and the
-  resample onto new nodes with it
-- spline_rows: a spline along axis 1 evaluated on some rows of its
-  axis 0 only
+- x_resample: the natural cubic spline along the first axis, evaluated
+  on new nodes
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline, PPoly
+from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 
@@ -111,37 +109,18 @@ def contract_columns(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
     return acc
 
 
-def x_spline(x_src: np.ndarray, values: np.ndarray, axis: int = 0,
-             bc: str = "natural") -> CubicSpline:
-    """The cubic spline through values along one axis.
+def x_resample(x_src: np.ndarray, values: np.ndarray,
+               x_tgt: np.ndarray) -> np.ndarray:
+    """Natural cubic resampling of values along axis 0 onto x_tgt.
 
-    bc "natural" suits fields that flatten toward the ends (layer
-    profiles at their support edges); "not-a-knot" suits smooth fields
-    sampled through the whole range. The fit solves one tridiagonal
-    system for every batch entry at once, and each entry's coefficients
-    are those of a fit on that entry alone, bit for bit.
+    Natural suits fields that flatten toward the ends (layer profiles at
+    their support edges). The fit solves one tridiagonal system for
+    every batch entry at once.
     """
     x_src = np.asarray(x_src, dtype=float)
-    if x_src.size != values.shape[axis]:
+    if x_src.size != values.shape[0]:
         raise ValueError(
-            f"axis {axis} has {values.shape[axis]} entries for "
-            f"{x_src.size} source nodes")
-    return CubicSpline(x_src, values, axis=axis, bc_type=bc)
-
-
-def x_resample(x_src: np.ndarray, values: np.ndarray, x_tgt: np.ndarray,
-               axis: int = 0, bc: str = "natural") -> np.ndarray:
-    """Cubic resampling of values along one axis onto x_tgt."""
-    return x_spline(x_src, values, axis, bc)(np.asarray(x_tgt, dtype=float))
-
-
-def spline_rows(spl: CubicSpline, rows: np.ndarray,
-                x_tgt: np.ndarray) -> np.ndarray:
-    """spl(x_tgt)[rows] for a spline fitted along axis 1 of its values
-    (nrows, nx, ...), evaluating only the rows' pieces: (rows.size,
-    x_tgt.size, ...). Each entry is its piece's polynomial at its
-    point, so it equals the whole evaluation's bit for bit.
-    """
-    part = PPoly.construct_fast(spl.c[:, :, rows], spl.x, spl.extrapolate,
-                                axis=1)
-    return part(np.asarray(x_tgt, dtype=float))
+            f"axis 0 has {values.shape[0]} entries for {x_src.size} "
+            f"source nodes")
+    return CubicSpline(x_src, values, bc_type="natural")(
+        np.asarray(x_tgt, dtype=float))

@@ -24,8 +24,6 @@ gate measure the same thing:
 - reference_epsilon_row: one eps row of the study on whole (nt, nx, 3)
   arrays, measured by the whole-array diagnostics: the oracle of the
   row's one walk over knot blocks
-- per_block_base: the base state of the ansatz fitted anew on each knot
-  block, the oracle of the pieces' once-per-build fit
 - broadcast_stencil / reference_step_full / reference_sweep: the
   3-point stencil with its (n,) weights broadcast over the components,
   and the full-model step and the transmission march built from it,
@@ -49,7 +47,6 @@ from llx.geometry import (apply_tridiagonal_stencil, conormal_weight,
                           d1_coefficients, d2_coefficients, knot_times,
                           one_sided_d1, profile_d1, x_squares)
 from llx.internal_layer import _sweep, halves
-from llx.interp import x_resample
 from llx.limit_model import F_rhs, renormalize, rhs_limit
 from llx.strayfield import stray_field_slab
 
@@ -287,7 +284,7 @@ def reference_epsilon_row(task) -> dict:
     """expansion._epsilon_row with the ansatz a, the knot rows u of the
     trajectory, w = (u - a) / eps and the limit state each built at
     every knot at once, and measured by the whole-array diagnostics."""
-    pieces, data, eps, cfg = task
+    pieces, eps, cfg = task
     grid = make_epsilon_grid(eps, cells_per_eps=cfg.cells_per_eps)
     times = knot_times(pieces.T_used, cfg.dt_knot)
     a = ExpansionAnsatz(pieces, eps).sample_times(times, grid.x)
@@ -299,8 +296,8 @@ def reference_epsilon_row(task) -> dict:
     w = (u - a) / eps
     i0 = int(np.searchsorted(grid.x, 0.0))
     limit = whole_simulate_limit(
-        np.concatenate([data(grid.x[:i0 + 1], "minus"),
-                        data(grid.x[i0:], "plus")]), times)
+        np.concatenate([pieces.data(grid.x[:i0 + 1], "minus"),
+                        pieces.data(grid.x[i0:], "plus")]), times)
     ec0, ecm = whole_eclass_norms(times, grid.x, w, eps, cfg.eclass_m)
     return {
         "epsilon": eps,
@@ -313,25 +310,6 @@ def reference_epsilon_row(task) -> dict:
         "nx": grid.n,
         "drift_max": traj.drift_max,
     }
-
-
-# === the ansatz's base state ===
-
-def per_block_base(pieces, ks, x) -> np.ndarray:
-    """The base state at the knot indices ks on nodes x, (nk, nx, 3),
-    with both not-a-knot x-splines fitted on those knots alone: each
-    side on its own half, where the extended state is the bare limit
-    solution."""
-    ext = pieces.ext
-    xp = ext.x_param
-    out = np.empty((ks.size, x.size, 3))
-    left = x < 0.0
-    for sel, cols, u in ((left, xp <= 0.0, ext.u_minus),
-                         (~left, xp >= 0.0, ext.u_plus)):
-        if sel.any():
-            out[:, sel] = x_resample(xp[cols], u[ks][:, cols], x[sel],
-                                     axis=1, bc="not-a-knot")
-    return out
 
 
 # === the steps before their shared set-up ===

@@ -103,14 +103,12 @@ def short_pieces(jump_data, study_cfg):
     for m in (1, 2)] + [("short", 0.1, 2)])
 def test_streamed_row_matches_the_reference_row(name, eps, m, request,
                                                 study_cfg):
-    data = request.getfixturevalue(
-        f"{'jump' if name == 'short' else name}_data")
     pieces = request.getfixturevalue(f"{name}_pieces")
     cfg = replace(study_cfg, eclass_m=m)
     if name == "short":
         assert knot_times(pieces.T_used, cfg.dt_knot).size % LEVEL_BLOCK \
             == 1
-    task = (pieces, data, eps, cfg)
+    task = (pieces, eps, cfg)
     assert expansion._epsilon_row(task) == reference_epsilon_row(task)
 
 
@@ -118,9 +116,8 @@ def test_streamed_row_matches_the_reference_row(name, eps, m, request,
 def row_calls(request, study_cfg):
     """The whole-array arguments each diagnostic got in the reference
     eps = 0.1 row, with the task that built them."""
-    data = request.getfixturevalue(f"{request.param}_data")
     pieces = request.getfixturevalue(f"{request.param}_pieces")
-    task = (pieces, data, 0.1, study_cfg)
+    task = (pieces, 0.1, study_cfg)
     calls = {"task": task}
 
     def record(name):
@@ -143,9 +140,8 @@ def test_study_row_eclass_matches_the_oracle(row_calls, m):
     times, x, w, eps = row_calls["eclass_norms"][:4]
     expected = whole_eclass_norms(times, x, w, eps, m)
     assert eclass_norms(times, x, w, eps, m) == expected
-    pieces, data, eps, cfg = row_calls["task"]
-    row = expansion._epsilon_row(
-        (pieces, data, eps, replace(cfg, eclass_m=m)))
+    pieces, eps, cfg = row_calls["task"]
+    row = expansion._epsilon_row((pieces, eps, replace(cfg, eclass_m=m)))
     assert (row["ec0"], row["ecm"]) == expected
 
 
@@ -161,14 +157,14 @@ def test_study_row_residual_and_limit_error_match_the_oracles(row_calls):
     assert row["err_l2"] == expected
 
 
-def _row_peak(pieces, data, eps, cfg) -> int:
+def _row_peak(pieces, eps, cfg) -> int:
     """The traced heap peak of one eps row above its entry, in bytes."""
     started = not tracemalloc.is_tracing()
     tracemalloc.start()
     tracemalloc.reset_peak()
     entry = tracemalloc.get_traced_memory()[0]
     try:
-        expansion._epsilon_row((pieces, data, eps, cfg))
+        expansion._epsilon_row((pieces, eps, cfg))
         return tracemalloc.get_traced_memory()[1] - entry
     finally:
         if started:
@@ -183,8 +179,7 @@ def _window_bytes(eps, cfg) -> int:
 
 
 @pytest.mark.parametrize("m", [1, 2])
-def test_an_eps_row_holds_few_space_time_fields(jump_data, jump_pieces,
-                                                study_cfg, m):
+def test_an_eps_row_holds_few_space_time_fields(jump_pieces, study_cfg, m):
     """Above its entry, one row peaks below 16 windows of levels (a level
     block with its halo), a bound that does not scale with the knots; the
     row built on whole (nt, nx, 3) fields peaked near 36 windows here (32
@@ -192,7 +187,7 @@ def test_an_eps_row_holds_few_space_time_fields(jump_data, jump_pieces,
     (full_model._trajectory_buffer), which comes on top."""
     cfg = replace(study_cfg, eclass_m=m)
     bound = 16 * _window_bytes(0.1, cfg)
-    assert _row_peak(jump_pieces, jump_data, 0.1, cfg) <= bound
+    assert _row_peak(jump_pieces, 0.1, cfg) <= bound
 
 
 def test_an_eps_row_peak_does_not_grow_with_the_horizon(jump_data,
@@ -207,5 +202,5 @@ def test_an_eps_row_peak_does_not_grow_with_the_horizon(jump_data,
     nt = knot_times(jump_pieces.T_used, cfg.dt_knot).size
     added = knot_times(long.T_used, cfg.dt_knot).size - nt
     assert added == nt - 1
-    short = _row_peak(jump_pieces, jump_data, 0.1, cfg)
-    assert _row_peak(long, jump_data, 0.1, cfg) - short <= added * 64 * 8
+    short = _row_peak(jump_pieces, 0.1, cfg)
+    assert _row_peak(long, 0.1, cfg) - short <= added * 64 * 8

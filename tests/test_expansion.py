@@ -21,7 +21,7 @@ from llx.geometry import (LEVEL_BLOCK, chi_sigma, in_v_sigma, knot_times,
 from llx.internal_layer import TIME_BLOCK, picard_profiles
 from llx.interp import natural_spline_coeffs, x_resample
 from llx.limit_model import extend_limit, simulate_limit
-from manufactured import l2_space_time, per_block_base
+from manufactured import l2_space_time
 
 
 def _evolved(vec, times):
@@ -236,12 +236,7 @@ def _reference_sample(ansatz, t, x):
     pieces = ansatz.pieces
     ext, pair, prof = pieces.ext, pieces.profiles, pieces.boundary
     xp = ext.x_param
-    base = np.empty((x.size, 3))
-    left = x < 0.0
-    base[left] = x_resample(xp[xp <= 0.0], ext.u_minus[k][xp <= 0.0],
-                            x[left], bc="not-a-knot")
-    base[~left] = x_resample(xp[xp >= 0.0], ext.u_plus[k][xp >= 0.0],
-                             x[~left], bc="not-a-knot")
+    base = simulate_limit(pieces.data(x, "plus"), ansatz.times)[k]
 
     interface = np.zeros((x.size, 3))
     ys = x / eps
@@ -282,7 +277,7 @@ def _reference_sample(ansatz, t, x):
 
     rho = np.zeros((x.size, 3))
     phi_theta = (1.0 - np.abs(x)) * theta_x
-    right = x > 0.0
+    right, left = x > 0.0, x < 0.0
     rho[right] = phi_theta[right, None] * pieces.g_plus[k]
     rho[left] = phi_theta[left, None] * pieces.g_minus[k]
     return base + interface + eps * (wall + rho)
@@ -369,28 +364,51 @@ def test_layers_that_hold_nothing_are_not_fitted(fixture, per_block,
     assert len(calls) == per_block * (1 + 2)
 
 
-@pytest.mark.parametrize("fixture, per_pass", [("jump_small", 0),
-                                               ("swirl_small", 2)])
-def test_base_state_is_fitted_once_per_build(fixture, per_pass, request,
-                                             monkeypatch):
-    # sampling fits no base spline: the only x-resamples left are the
-    # walls' x-weights, once per pass; and the fit over every knot gives
-    # each block the bits of a fit on that block's knots alone
+@pytest.mark.parametrize("x", [
+    np.linspace(-1.0, 1.0, 257), np.linspace(-0.99, 0.97, 100),
+    np.linspace(-1.0, -0.2, 33), np.linspace(0.2, 1.0, 33)],
+    ids=["with-zero", "without-zero", "minus-side", "plus-side"])
+@pytest.mark.parametrize("fixture", ["jump_small", "swirl_small"])
+def test_base_state_is_the_exact_limit_flow(fixture, x, request):
+    # the base of a is the limit flow of the data, the interface node
+    # from the plus side, bit for bit at every knot of a list that
+    # repeats knots and runs backwards
     _, pieces, _ = request.getfixturevalue(fixture)
-    fits = _counting(monkeypatch, "x_spline")
-    resamples = _counting(monkeypatch, "x_resample")
-    for pas, eps in enumerate((0.05, 0.03125)):
-        ansatz = ExpansionAnsatz(pieces, eps)
-        x = make_epsilon_grid(eps, cells_per_eps=16).x
-        ansatz.sample_times(ansatz.times[:1], x)
-        ansatz.sample_times(_two_blocks(ansatz), x)
-        assert len(resamples) == 2 * per_pass * (pas + 1)
-        ks = np.resize(np.arange(ansatz.times.size), LEVEL_BLOCK + 1)
-        for start in range(0, ks.size, LEVEL_BLOCK):
-            block = ks[start:start + LEVEL_BLOCK]
-            assert np.array_equal(ansatz._base(block, x),
-                                  per_block_base(pieces, block, x))
-    assert fits == []
+    ansatz = ExpansionAnsatz(pieces, 0.03125)
+    ks = np.resize(np.arange(ansatz.times.size)[::-1], LEVEL_BLOCK + 5)
+    assert np.unique(ks).size < ks.size
+    want = simulate_limit(pieces.data(x, "plus"), ansatz.times)
+    base = ansatz._parts(ks, x, ansatz._layer_sides(x))["base"]
+    assert np.array_equal(base, want[ks])
+
+
+@pytest.mark.parametrize("fixture", ["jump_small", "swirl_small"])
+def test_limit_error_reference_is_the_base_of_a(fixture, small_cfg,
+                                                request, monkeypatch):
+    # one evaluation of the limit flow per knot serves a and the limit
+    # error: the row's references are the base of the ansatz window, bit
+    # for bit, but for the minus copy of the interface node
+    _, pieces, _ = request.getfixturevalue(fixture)
+    eps = 0.05
+    refs = []
+    add = expansion.JumpErrorWalk.add
+
+    def record(walk, start, u, ref_minus, ref_plus):
+        refs.append((ref_minus.copy(), ref_plus.copy()))
+        return add(walk, start, u, ref_minus, ref_plus)
+
+    monkeypatch.setattr(expansion.JumpErrorWalk, "add", record)
+    expansion._epsilon_row((pieces, eps, small_cfg))
+    ansatz = ExpansionAnsatz(pieces, eps)
+    x = make_epsilon_grid(eps, cells_per_eps=small_cfg.cells_per_eps).x
+    i0 = int(np.searchsorted(x, 0.0))
+    assert x[i0] == 0.0
+    ks = np.array([ansatz.knot_index(t) for t in
+                   knot_times(pieces.T_used, small_cfg.dt_knot)])
+    base = ansatz._parts(ks, x, ansatz._layer_sides(x))["base"]
+    ref_minus, ref_plus = (np.concatenate(r) for r in zip(*refs))
+    assert np.array_equal(ref_minus[:, :i0], base[:, :i0])
+    assert np.array_equal(ref_plus, base[:, i0:])
 
 
 # --- space-time norms ---
@@ -587,7 +605,7 @@ def test_convergence_study_validation(jump_data):
 
 
 def _stub_row(task):
-    _, _, eps, _ = task
+    _, eps, _ = task
     norms = EClassNorms(0, 1.0, 1.0, 1.0, 1.0, 1.0)
     return {"epsilon": eps, "err_l2": eps ** 0.5, "residual_l2": eps,
             "ec0": norms, "ecm": norms, "nx": 8, "drift_max": 0.0}

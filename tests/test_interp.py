@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.interpolate import CubicSpline
 
 from llx.interp import (contract_columns, natural_spline_coeffs, spline_eval,
-                        spline_rows, x_resample, x_spline)
+                        x_resample)
 
 
 def _graded_knots():
@@ -140,13 +140,12 @@ def test_contract_columns_is_the_weighted_sum_in_any_batch():
 def test_x_resample_matches_reference():
     x = np.linspace(-1.0, 1.0, 17)
     rng = np.random.default_rng(13)
-    v = rng.normal(size=(4, 17, 3))
+    v = rng.normal(size=(17, 4, 3))
     xq = np.linspace(-1.0, 1.0, 29)
-    got = x_resample(x, v, xq, axis=1)
-    want = CubicSpline(x, v, axis=1, bc_type="natural")(xq)
-    assert got.shape == (4, 29, 3)
-    np.testing.assert_allclose(np.moveaxis(got, -1, 1),
-                               np.moveaxis(want, -1, 1), atol=1e-14)
+    got = x_resample(x, v, xq)
+    want = CubicSpline(x, v, bc_type="natural")(xq)
+    assert got.shape == (29, 4, 3)
+    np.testing.assert_allclose(got, want, atol=1e-14)
 
 
 def test_x_resample_identity_at_source_nodes():
@@ -156,16 +155,3 @@ def test_x_resample_identity_at_source_nodes():
     np.testing.assert_allclose(x_resample(x, v, x), v, atol=1e-13)
     with pytest.raises(ValueError, match="source nodes"):
         x_resample(x, v[:-1], x)
-
-
-@pytest.mark.parametrize("bc", ["natural", "not-a-knot"])
-def test_spline_rows_are_a_fit_on_those_rows_alone(bc):
-    # one fit over 60 rows, evaluated on a few of them, gives the bits
-    # of a fit on those rows only
-    x = np.sort(np.random.default_rng(19).uniform(-1.0, 0.0, 9))
-    v = np.random.default_rng(23).normal(size=(60, x.size, 3))
-    xq = np.linspace(x[0], x[-1], 41)
-    spline = x_spline(x, v, axis=1, bc=bc)
-    for rows in (np.array([0]), np.arange(8), np.array([59, 3, 17])):
-        assert np.array_equal(spline_rows(spline, rows, xq),
-                              x_resample(x, v[rows], xq, axis=1, bc=bc))
