@@ -3,26 +3,27 @@
 The layer profiles live on their own stretched meshes (y for the
 transmission layer, z for the wall layer). A solver node x needs the
 profile at its own stretched coordinate (y = x/eps or z = (1 - |x|)/eps).
-The natural spline in the stretched direction is fitted once on the
-stored columns (one shared knot set, many right-hand sides, a single
-banded solve) and every column is evaluated at every node's stretched
-coordinate. The wall layer also lives on the coarse parameter mesh in
-x, and its values are then contracted with the cardinal x-weights of
-the node (the cubic x-resample of an identity matrix): both steps are
-linear in the data, so they commute.
+There is one spline, the natural cubic: natural_spline_coeffs fits it
+and spline_eval evaluates it. In the stretched direction it is fitted
+once on the stored columns (one shared knot set, many right-hand sides,
+a single banded solve) and every column is evaluated at every node's
+stretched coordinate. The wall layer also lives on the coarse parameter
+mesh in x, and its values are then contracted with the cardinal
+x-weights of the node (x_resample, the same fit and evaluation along x,
+of an identity matrix): both steps are linear in the data, so they
+commute.
 
 Contains:
 - natural_spline_coeffs: second derivatives of the natural cubic spline
 - spline_eval: evaluate every batch column at every query point
 - contract_columns: weighted sum over parameter columns, in fixed order
-- x_resample: the natural cubic spline along the first axis, evaluated
-  on new nodes
+- x_resample: spline_eval of natural_spline_coeffs along the first
+  axis, on new nodes
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg import solve_banded
 
 
@@ -115,12 +116,14 @@ def x_resample(x_src: np.ndarray, values: np.ndarray,
 
     Natural suits fields that flatten toward the ends (layer profiles at
     their support edges). The fit solves one tridiagonal system for
-    every batch entry at once.
+    every batch entry at once. The spline does not extrapolate: x_tgt
+    must lie in [x_src[0], x_src[-1]] up to 1e-12 of that span, or
+    ValueError is raised (spline_eval).
     """
     x_src = np.asarray(x_src, dtype=float)
     if x_src.size != values.shape[0]:
         raise ValueError(
             f"axis 0 has {values.shape[0]} entries for {x_src.size} "
             f"source nodes")
-    return CubicSpline(x_src, values, bc_type="natural")(
-        np.asarray(x_tgt, dtype=float))
+    return spline_eval(x_src, values, natural_spline_coeffs(x_src, values),
+                       x_tgt)

@@ -339,6 +339,35 @@ def test_layer_x_weights_are_built_once_per_pass(fixture, per_pass,
     assert len(calls) == 2 * per_pass
 
 
+def test_wall_x_weights_reproduce_linear_data(swirl_small):
+    # a natural spline is exact on linear data: the resample of an
+    # identity on a wall side's columns and zero anchor sums to one and
+    # reproduces x; the side drops the anchor's column, so its weights
+    # reproduce the linear data that vanish there
+    _, pieces, _ = swirl_small
+    prof = pieces.boundary
+    xp = prof.x_param
+    ansatz = ExpansionAnsatz(pieces, 0.03125)
+    x = np.linspace(-1.0, 1.0, 257)
+    walls = [side for side in ansatz._layer_sides(x) if side[0] == "wall"]
+    assert len(walls) == 2
+    for _, nodes, _, _, _, weights, _, _ in walls:
+        sign = np.sign(x[nodes[0]])
+        xs = prof.x_support[sign * prof.x_support > 0.0]
+        i0 = int(np.searchsorted(xp, xs[0]))
+        anchor = i0 - 1 if sign > 0.0 else i0 + xs.size
+        xa = xp[anchor]
+        lo = min(i0, anchor)
+        ext = xp[lo:max(i0 + xs.size - 1, anchor) + 1]
+        full = x_resample(ext, np.eye(ext.size), x[nodes])
+        np.testing.assert_allclose(full.sum(1), 1.0, rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(full @ ext, x[nodes], rtol=0.0,
+                                   atol=1e-13)
+        assert np.array_equal(np.delete(full, anchor - lo, axis=1), weights)
+        np.testing.assert_allclose(weights @ (xs - xa), x[nodes] - xa,
+                                   rtol=0.0, atol=1e-13)
+
+
 @pytest.fixture(scope="module")
 def flat_small(small_cfg):
     data = constant_per_side((0.6, 0.8, 0.0), (0.6, 0.8, 0.0))

@@ -155,3 +155,15 @@ def test_x_resample_identity_at_source_nodes():
     np.testing.assert_allclose(x_resample(x, v, x), v, atol=1e-13)
     with pytest.raises(ValueError, match="source nodes"):
         x_resample(x, v[:-1], x)
+
+
+def test_x_resample_does_not_extrapolate():
+    # the end nodes are inside the span; a query past either end, by
+    # more than 1e-12 of the span, is refused rather than extrapolated
+    x = np.linspace(-1.0, 1.0, 17)
+    v = np.random.default_rng(19).normal(size=(17, 2))
+    np.testing.assert_allclose(x_resample(x, v, x[[0, -1]]), v[[0, -1]],
+                               atol=1e-13)
+    for q in (-1.0 - 1e-9, 1.0 + 1e-9):
+        with pytest.raises(ValueError, match="leave"):
+            x_resample(x, v, np.array([0.0, q]))

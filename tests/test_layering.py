@@ -18,11 +18,20 @@ full model that differentiate along it move no axis.
 
 banded holds the one banded-solve kernel of all three marches, so it is
 the only module that takes LAPACK routines from scipy.linalg.
+
+The package takes scipy only through scipy.linalg (and its lapack
+module): the splines are llx's own, so importing every llx module in a
+fresh interpreter loads none of scipy.interpolate, scipy.special,
+scipy.optimize or scipy.sparse. scipy.interpolate pulls in the other
+three, and with them about 23 MB of resident memory, more than any
+array of the study.
 """
 
 from __future__ import annotations
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -191,3 +200,64 @@ def test_only_the_banded_kernel_calls_lapack(module):
 
 def test_the_banded_kernel_is_seen_calling_lapack():
     assert lapack_imports(PACKAGE / "banded.py")
+
+
+SCIPY_ALLOWED = ("scipy.linalg", "scipy.linalg.lapack")
+SCIPY_HEAVY = ("scipy.interpolate", "scipy.special", "scipy.optimize",
+               "scipy.sparse")
+
+
+def scipy_imports(path: Path) -> list:
+    """(line, module) of every scipy import, by the module it names:
+    `from scipy import x` names scipy.x."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module == "scipy":
+                found.extend((node.lineno, f"scipy.{alias.name}")
+                             for alias in node.names)
+            elif node.module.startswith("scipy."):
+                found.append((node.lineno, node.module))
+        elif isinstance(node, ast.Import):
+            found.extend((node.lineno, alias.name) for alias in node.names
+                         if alias.name.split(".")[0] == "scipy")
+    return found
+
+
+def test_scipy_scan_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from scipy.interpolate import CubicSpline\n"
+                     "import scipy\n"
+                     "import scipy.sparse as sp\n"
+                     "from scipy import linalg, special\n"
+                     "from scipy.linalg.lapack import dgbsv\n"
+                     "import numpy\n"
+                     "from .interp import x_resample\n", encoding="utf-8")
+    assert scipy_imports(probe) == [
+        (1, "scipy.interpolate"), (2, "scipy"), (3, "scipy.sparse"),
+        (4, "scipy.linalg"), (4, "scipy.special"),
+        (5, "scipy.linalg.lapack")]
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in PACKAGE.glob("*.py")))
+def test_scipy_is_taken_only_from_linalg(module):
+    assert [(line, name) for line, name in
+            scipy_imports(PACKAGE / f"{module}.py")
+            if name not in SCIPY_ALLOWED] == []
+
+
+def test_importing_llx_loads_no_heavy_scipy_module():
+    # a fresh interpreter, so no other test's imports count
+    modules = sorted(f"llx.{path.stem}" for path in PACKAGE.glob("*.py")
+                     if path.stem != "__init__")
+    code = ("import importlib, sys\n"
+            f"for name in {modules!r}:\n"
+            "    importlib.import_module(name)\n"
+            f"print(sorted(m for m in {SCIPY_HEAVY!r} if m in sys.modules))\n")
+    done = subprocess.run([sys.executable, "-c", code],
+                          cwd=PACKAGE.parent, capture_output=True, text=True,
+                          check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
