@@ -36,11 +36,12 @@ The convergence study builds the profiles once (they do not depend on
 eps), then for each eps: marches the full model from the renormalized
 ansatz over the pieces' time grid on an eps-refined grid, and records
 the distance to the limit state, the ansatz residual, and the conormal
-norms of (u - a) / eps at orders 0 and m. After the march a row is one
-forward walk over the knots in level blocks: each block's window of
-the ansatz with its limit state, and of w, is built, added to every
-diagnostic's walk and dropped, so a row holds its trajectory plus a
-few windows of levels, not a space-time field.
+norms of (u - a) / eps at orders 0 and m. A row is one forward walk
+over the knots in level blocks, and the march streams into it: each
+block's window of the ansatz with its limit state, of the marched u
+and of w, is built, added to every diagnostic's walk and dropped, so a
+row holds a few windows of levels, not a trajectory or any other
+space-time field.
 
 Contains:
 - ExpansionPieces / build_expansion_pieces: the eps-independent half,
@@ -60,6 +61,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import compress, islice
 from typing import Optional
 
 import numpy as np
@@ -69,10 +71,10 @@ from .boundary_layer import (BoundaryProfile, neumann_corrector,
                              solve_boundary_profile, wall_slopes)
 from .errors import ConfigError, NonContraction, SolverAbort
 from .fields import MagnetizationField
-# residual_report is not called here, but bench/tracing.py wraps it
-# under this module's name
-from .full_model import (FullModelConfig, ResidualWalk, make_epsilon_grid,
-                         residual_report, simulate_full)
+# residual_report and simulate_full are not called here, but
+# bench/tracing.py wraps them under this module's name
+from .full_model import (FullMarch, FullModelConfig, ResidualWalk,
+                         make_epsilon_grid, residual_report, simulate_full)
 from .geometry import (chi_sigma, conormal_weight, field_weights,
                        in_v_sigma, knot_times, level_blocks,
                        make_profile_grid, make_wall_grid, param_nodes,
@@ -647,20 +649,21 @@ def build_expansion_pieces(data: MagnetizationField,
 
 
 def _epsilon_row(task) -> dict:
-    """One eps of the study: march, then measure, in one forward walk
-    over the knots. Top level so the process pool can ship it.
+    """One eps of the study: march and measure in one forward walk over
+    the knots. Top level so the process pool can ship it.
 
     The walk takes the knots in the blocks of geometry.level_blocks with
     a halo of max(eclass_m, 1) knots, sampling the ansatz a and its limit
     state once per knot (ExpansionAnsatz.sample_windows). The first
     window starts the full model from the renormalized a at knot 0, and
     it marches every level of the pieces' grid (the opening ramp, then
-    steps of at most dt_full); a missed knot is a solver abort. Per
-    block the row then copies the window's knot rows of u out of the
-    trajectory, measures them against the window's limit state, turns
-    them into w = (u - a) / eps, and adds the block to the residual,
-    limit-error and conormal walks. Besides the trajectory it holds a
-    few windows of levels, however many knots there are.
+    steps of at most dt_full); a missed knot is a solver abort, found
+    before any step. Per block the march advances to the window's last
+    knot, the knot states the window shares with the one before carry
+    over, and the row measures a copy of them against the window's limit
+    state, turns it into w = (u - a) / eps, and adds the block to the
+    residual, limit-error and conormal walks. It holds a few windows of
+    levels, however many knots there are.
     """
     pieces, eps, cfg = task
     grid = make_epsilon_grid(eps, cells_per_eps=cfg.cells_per_eps)
@@ -676,21 +679,28 @@ def _epsilon_row(task) -> dict:
         times, x, max(cfg.eclass_m, 1))
     for lo, start, stop, hi, a, limit in windows:
         if start == 0:
-            traj = simulate_full(renormalize(a[0]), grid, fcfg,
-                                 t_eval=pieces.ext.times)
-            knots = np.flatnonzero(np.isin(traj.times, times))
-            if not np.array_equal(traj.times[knots], times):
+            march = FullMarch(renormalize(a[0]), grid, fcfg,
+                              t_eval=pieces.ext.times)
+            on_knot = np.isin(march.times, times)
+            if not np.array_equal(march.times[on_knot], times):
                 raise SolverAbort("solver output times drifted off the knots")
+            knot_states = compress(march, on_knot)
+            held, first, done = [], 0, 0
         residual.add(a, lo, start, stop)
+        held = held[lo - first:] + list(islice(knot_states, hi - done))
+        first, done = lo, hi
         # u's window, turned into w's in place once measured; the limit
         # state splits at the interface node, solved from both sides
-        w = traj.values[knots[lo:hi]]
+        w = np.array(held)
         block = slice(start - lo, stop - lo)
         error.add(start, w[block], limit[block, :i0 + 1],
                   limit[block, i0 + 1:])
         w -= a
         w /= eps
         eclass.add(w, lo, start, stop)
+    # the march is done once the last knot is out; drift_max is final
+    if next(march, None) is not None:
+        raise SolverAbort("the march ran past the last knot")
 
     ec0, ecm = eclass.records()
     return {
@@ -700,7 +710,7 @@ def _epsilon_row(task) -> dict:
         "ec0": ec0,
         "ecm": ecm,
         "nx": grid.n,
-        "drift_max": traj.drift_max,
+        "drift_max": march.drift_max,
     }
 
 

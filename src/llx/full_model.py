@@ -25,14 +25,19 @@ to the explicit scheme u+ = u + tau F(v) of the limit flow, its first
 step the explicit midpoint rule. Besides the banded solve a step does
 only the arithmetic its state needs: the stencil weights are laid out
 (n, 3) once per grid (geometry.field_weights), and the diagonal shift
-runs one component at a time. A run's output values sit in an
-anonymous mapping of their own, outside the heap.
+runs one component at a time, and the norms that measure a step's
+drift also project it back onto the sphere. FullMarch yields the
+state at each output time as it goes, so a caller that walks the
+levels holds only the ones it still reads; simulate_full collects
+every level into an anonymous mapping of its own, outside the heap.
 
 Contains:
 - Grid1D / make_epsilon_grid: single-valued meshes, layer-refined
 - output_times / substeps: a run's output times, {0, T} joined with
   requested ones, and the nominal substep count of one output interval
-- FullModelConfig, step_full, simulate_full, FullTrajectory
+- FullModelConfig, step_full
+- FullMarch: the march, one output time at a time
+- simulate_full / FullTrajectory: every output time of a march, stored
 - residual_report / ResidualReport: a-posteriori defect of any
   space-time field against the equation above; ResidualWalk: its
   sums one block of levels at a time
@@ -174,7 +179,8 @@ def _forcing(u: np.ndarray, epsilon: float, ws: _Workspace) -> np.ndarray:
 def step_full(u: np.ndarray, v: np.ndarray, t: float, dt: float,
               ws: _Workspace, cfg: FullModelConfig,
               source: Optional[Callable] = None):
-    """One linearly implicit step from time t; returns (u_new, drift).
+    """One linearly implicit step from time t; returns (u_new, drift,
+    norms).
 
     The matrix M = I + [v]x of the theta = 1/2 diffusion and the
     explicit forcing are frozen at v, the caller's approximation of
@@ -182,9 +188,9 @@ def step_full(u: np.ndarray, v: np.ndarray, t: float, dt: float,
     (I - s M D2) u_new = u + s M D2 u + dt g, s = dt eps^2 / 2, is
     solved premultiplied by M^-1: diagonal blocks M^-1 - s b I and
     scalar couplings -s a, -s c from the D2 weights (a, b, c), right
-    side M^-1 (u + dt g) + s D2 u. drift is the largest
-    deviation of |u_new| from 1 before any projection, the quantity
-    the step-size guard watches.
+    side M^-1 (u + dt g) + s D2 u. norms is |u_new| per node before
+    any projection, and drift its largest deviation from 1, the
+    quantity the step-size guard watches.
     """
     coef = 0.5 * dt * cfg.epsilon**2
     g = _forcing(v, cfg.epsilon, ws)
@@ -199,8 +205,9 @@ def step_full(u: np.ndarray, v: np.ndarray, t: float, dt: float,
     for i in range(3):
         B[:, i, i] -= shift
     u_new = block_tridiag_solve(-coef * a, B, -coef * c, rhs)
-    drift = float(np.max(np.abs(norm3(u_new) - 1.0)))
-    return u_new, drift
+    norms = norm3(u_new)
+    drift = float(np.max(np.abs(norms - 1.0)))
+    return u_new, drift, norms
 
 
 def _trajectory_buffer(shape: tuple) -> np.ndarray:
@@ -238,97 +245,126 @@ class FullTrajectory:
     halvings_used: int
 
 
-def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
-                  t_eval: Optional[Sequence[float]] = None,
-                  source: Optional[Callable] = None) -> FullTrajectory:
-    """March the full model to cfg.T, recording requested output times.
+class FullMarch:
+    """The full model marched to cfg.T, one output time at a time.
 
-    Output times are {0, T} joined with t_eval, and every one is hit
-    exactly. Each output interval has a nominal step, the uniform
-    substep of at most cfg.dt that divides it. A step whose
-    pre-projection norm drift exceeds cfg.drift_tol is redone at half
-    the size, up to MAX_HALVINGS times in a row, after which the run
-    aborts; a redone step extrapolates its midpoint from the same two
-    accepted states, with the new size. An accepted step is projected
-    back onto the unit sphere. After an accepted step of drift d the
-    next step is grow times this one, at most the nominal, with
+    Iterating it yields u at each output time, u0 first: {0, T} joined
+    with t_eval (times), every one hit exactly. Each output interval has
+    a nominal step, the uniform substep of at most cfg.dt that divides
+    it. A step whose pre-projection norm drift exceeds cfg.drift_tol is
+    redone at half the size, up to MAX_HALVINGS times in a row, after
+    which the march aborts; a redone step extrapolates its midpoint from
+    the same two accepted states, with the new size. An accepted step is
+    projected back onto the unit sphere, through the norms its drift was
+    taken from. After an accepted step of drift d the next step is grow
+    times this one, at most the nominal, with
     grow = min(2, 0.9 sqrt(drift_tol / d)), or 2 when d = 0, an
     elementary controller (Soderlind, Numer. Algorithms 31, 2002); a
     step shortened to land on an output time leaves the size as it
     was. A size the controller cut below the nominal carries over an
     output time, limited by the next interval's nominal; any other
-    interval starts at its own nominal, so a run that never nears the
-    tolerance marches the uniform nominal steps.
+    interval starts at its own nominal, so a march that never nears the
+    tolerance takes the uniform nominal steps.
+
+    drift_max (the largest pre-projection norm deviation of an accepted
+    step), steps_taken and halvings_used (step halvings forced by the
+    drift guard) count the steps marched so far. The yielded states are
+    the march's own: a caller copies one before writing to it. The
+    initial data and the output times are checked when the march is
+    built, before any step.
     """
-    u0 = np.asarray(u0, dtype=float)
-    if u0.shape != (grid.n, 3):
-        raise ValueError(
-            f"initial data shape {u0.shape} does not match grid ({grid.n}, 3)")
-    ws = _Workspace(grid)
-    times = output_times(cfg.T, t_eval)
 
-    values = _trajectory_buffer((times.size, grid.n, 3))
-    values[0] = u0
-    u = u0
-    # the last accepted state and its step, for the midpoint extrapolation
-    u_prev, tau_prev = None, None
-    drift_max = 0.0
-    steps_taken = 0
-    halvings_total = 0
-    # the controller's step size and the nominal it is held below
-    tau = tau_nominal = np.inf
+    def __init__(self, u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
+                 t_eval: Optional[Sequence[float]] = None,
+                 source: Optional[Callable] = None):
+        u0 = np.asarray(u0, dtype=float)
+        if u0.shape != (grid.n, 3):
+            raise ValueError(
+                f"initial data shape {u0.shape} does not match grid "
+                f"({grid.n}, 3)")
+        self.times = output_times(cfg.T, t_eval)
+        self.drift_max = 0.0
+        self.steps_taken = 0
+        self.halvings_used = 0
+        self._levels = self._march(u0, _Workspace(grid), cfg, source)
 
-    for k in range(times.size - 1):
-        t0, t1 = times[k], times[k + 1]
-        span = t1 - t0
-        cut = tau < tau_nominal
-        tau_nominal = span / substeps(span, cfg.dt)
-        # restarting a drift-limited march at the nominal would make it
-        # halve its way back down at every output time
-        tau = min(tau, tau_nominal) if cut else tau_nominal
-        t = t0
-        consecutive = 0
-        while t < t1 - 1e-12 * max(span, 1.0):
-            tau_step = min(tau, t1 - t)
-            if u_prev is None:
-                # starting procedure: a solve frozen at u predicts the
-                # end of the step, and v is the mean
-                u_star, _ = step_full(u, u, t, tau_step, ws, cfg,
-                                      source=source)
-                v = 0.5 * (u + u_star)
-            else:
-                v = u + (0.5 * tau_step / tau_prev) * (u - u_prev)
-            u_next, drift = step_full(u, v, t, tau_step, ws, cfg,
-                                      source=source)
-            if drift > cfg.drift_tol:
-                consecutive += 1
-                halvings_total += 1
-                if consecutive > MAX_HALVINGS:
-                    raise SolverAbort(
-                        f"step at t={t:.6g} halved {MAX_HALVINGS} "
-                        f"times without meeting the drift tolerance "
-                        f"(last drift {drift:.3e})")
-                # rough data needs tiny opening steps while the layer
-                # is still under-resolved
-                tau = tau_step / 2.0
-                continue
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> np.ndarray:
+        return next(self._levels)
+
+    def _march(self, u, ws, cfg, source):
+        times = self.times
+        yield u
+        # the last accepted state and its step, for the midpoint extrapolation
+        u_prev, tau_prev = None, None
+        # the controller's step size and the nominal it is held below
+        tau = tau_nominal = np.inf
+
+        for k in range(times.size - 1):
+            t0, t1 = times[k], times[k + 1]
+            span = t1 - t0
+            cut = tau < tau_nominal
+            tau_nominal = span / substeps(span, cfg.dt)
+            # restarting a drift-limited march at the nominal would make it
+            # halve its way back down at every output time
+            tau = min(tau, tau_nominal) if cut else tau_nominal
+            t = t0
             consecutive = 0
-            drift_max = max(drift_max, drift)
-            u_prev, tau_prev = u, tau_step
-            u = project_sphere(u_next)
-            t += tau_step
-            steps_taken += 1
-            # drift-ratio control: for drift growing like tau^p with
-            # 0 < p < 4 (jump data opens at p = 1), a drift-limited
-            # march settles at drift 0.81 drift_tol
-            if tau_step == tau:
-                grow = (min(2.0, 0.9 * np.sqrt(cfg.drift_tol / drift))
-                        if drift > 0.0 else 2.0)
-                tau = min(grow * tau, tau_nominal)
-        values[k + 1] = u
-    return FullTrajectory(times=times, values=values, grid=grid,
-                          drift_max=drift_max, steps_taken=steps_taken,
-                          halvings_used=halvings_total)
+            while t < t1 - 1e-12 * max(span, 1.0):
+                tau_step = min(tau, t1 - t)
+                if u_prev is None:
+                    # starting procedure: a solve frozen at u predicts the
+                    # end of the step, and v is the mean
+                    u_star, _, _ = step_full(u, u, t, tau_step, ws, cfg,
+                                             source=source)
+                    v = 0.5 * (u + u_star)
+                else:
+                    v = u + (0.5 * tau_step / tau_prev) * (u - u_prev)
+                u_next, drift, norms = step_full(u, v, t, tau_step, ws, cfg,
+                                                 source=source)
+                if drift > cfg.drift_tol:
+                    consecutive += 1
+                    self.halvings_used += 1
+                    if consecutive > MAX_HALVINGS:
+                        raise SolverAbort(
+                            f"step at t={t:.6g} halved {MAX_HALVINGS} "
+                            f"times without meeting the drift tolerance "
+                            f"(last drift {drift:.3e})")
+                    # rough data needs tiny opening steps while the layer
+                    # is still under-resolved
+                    tau = tau_step / 2.0
+                    continue
+                consecutive = 0
+                self.drift_max = max(self.drift_max, drift)
+                u_prev, tau_prev = u, tau_step
+                u = project_sphere(u_next, norms)
+                t += tau_step
+                self.steps_taken += 1
+                # drift-ratio control: for drift growing like tau^p with
+                # 0 < p < 4 (jump data opens at p = 1), a drift-limited
+                # march settles at drift 0.81 drift_tol
+                if tau_step == tau:
+                    grow = (min(2.0, 0.9 * np.sqrt(cfg.drift_tol / drift))
+                            if drift > 0.0 else 2.0)
+                    tau = min(grow * tau, tau_nominal)
+            yield u
+
+
+def simulate_full(u0: np.ndarray, grid: Grid1D, cfg: FullModelConfig,
+                  t_eval: Optional[Sequence[float]] = None,
+                  source: Optional[Callable] = None) -> FullTrajectory:
+    """March the full model to cfg.T (FullMarch), recording every output
+    time in a mapping of its own (_trajectory_buffer)."""
+    march = FullMarch(u0, grid, cfg, t_eval, source)
+    values = _trajectory_buffer((march.times.size, grid.n, 3))
+    for k, u in enumerate(march):
+        values[k] = u
+    return FullTrajectory(times=march.times, values=values, grid=grid,
+                          drift_max=march.drift_max,
+                          steps_taken=march.steps_taken,
+                          halvings_used=march.halvings_used)
 
 
 # === a-posteriori residual ===

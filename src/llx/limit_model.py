@@ -26,6 +26,7 @@ Contains:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -72,12 +73,15 @@ def rhs_limit(u: np.ndarray) -> np.ndarray:
     return precession_rhs(u, stray_field_slab(u))
 
 
-def renormalize(u: np.ndarray) -> np.ndarray:
-    """Project onto the unit sphere; zero vectors are rejected."""
-    norms = norm3(u)[..., None]
+def renormalize(u: np.ndarray,
+                norms: Optional[np.ndarray] = None) -> np.ndarray:
+    """Project onto the unit sphere; zero vectors are rejected. norms,
+    if given, is norm3(u), already taken by the caller."""
+    if norms is None:
+        norms = norm3(u)
     if np.any(norms == 0.0):
         raise ValueError("cannot renormalize a zero magnetization vector")
-    return u / norms
+    return u / norms[..., None]
 
 
 def simulate_limit(u0: np.ndarray, times: np.ndarray) -> np.ndarray:

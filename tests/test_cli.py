@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -147,15 +146,24 @@ def test_solver_abort_is_exit_3(tiny_cfg, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+def test_study_solver_abort_is_exit_3(tiny_cfg, tmp_path, capsys):
+    # the march aborts in the middle of an eps row's walk
+    out = tmp_path / "o"
+    rc = main(["converge", "--config", tiny_cfg, "--out", str(out),
+               "--tol-override", "study.drift_tol=1e-18"])
+    assert rc == 3
+    assert "halved 10 times" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
+
+
 def test_off_knot_trajectory_is_exit_3(tiny_cfg, tmp_path, capsys,
                                        monkeypatch):
-    march = expansion.simulate_full
+    class Shifted(expansion.FullMarch):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.times = self.times + 1e-9
 
-    def shifted(*args, **kwargs):
-        traj = march(*args, **kwargs)
-        return replace(traj, times=traj.times + 1e-9)
-
-    monkeypatch.setattr(expansion, "simulate_full", shifted)
+    monkeypatch.setattr(expansion, "FullMarch", Shifted)
     rc = main(["converge", "--config", tiny_cfg,
                "--out", str(tmp_path / "o")])
     assert rc == 3

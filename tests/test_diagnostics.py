@@ -183,8 +183,8 @@ def test_an_eps_row_holds_few_space_time_fields(jump_pieces, study_cfg, m):
     """Above its entry, one row peaks below 16 windows of levels (a level
     block with its halo), a bound that does not scale with the knots; the
     row built on whole (nt, nx, 3) fields peaked near 36 windows here (32
-    at m = 2). tracemalloc does not see the trajectory's own mapping
-    (full_model._trajectory_buffer), which comes on top."""
+    at m = 2). The row holds no trajectory, so the peak includes the
+    marched states it keeps."""
     cfg = replace(study_cfg, eclass_m=m)
     bound = 16 * _window_bytes(0.1, cfg)
     assert _row_peak(jump_pieces, 0.1, cfg) <= bound
@@ -195,8 +195,8 @@ def test_an_eps_row_peak_does_not_grow_with_the_horizon(jump_data,
                                                         study_cfg):
     """Doubling T doubles the knots but adds at most 64 float scalars per
     added knot to the row's traced peak (its per-knot norms), where one
-    more (nt, nx) array would add 325. tracemalloc does not see the
-    trajectory's own mapping, which grows with the knots."""
+    more (nt, nx) array would add 325. The march streams into the row,
+    so the peak includes every marched state the row holds."""
     cfg = replace(study_cfg, eclass_m=2)
     long = build_expansion_pieces(jump_data, replace(cfg, T=2 * cfg.T))
     nt = knot_times(jump_pieces.T_used, cfg.dt_knot).size

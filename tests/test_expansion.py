@@ -8,13 +8,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from llx import expansion
+from llx import expansion, full_model
 from llx.errors import ConfigError, NonContraction
 from llx.expansion import (EClassNorms, ExpansionAnsatz, StudyConfig,
                            build_expansion_pieces, convergence_study,
                            eclass_norms, fit_slope, jump_error_l2)
 from llx.fields import constant_per_side, named_field
-from llx.full_model import make_epsilon_grid, simulate_full
+from llx.full_model import FullMarch, make_epsilon_grid
 from llx.geometry import (LEVEL_BLOCK, chi_sigma, in_v_sigma, knot_times,
                           make_profile_grid, param_nodes, profile_d1, theta,
                           time_grid)
@@ -676,36 +676,55 @@ def test_jobs_caps_the_pool_at_the_eps_count(jump_data, monkeypatch):
 
 def test_study_marches_the_pieces_grid(small_cfg, jump_small, monkeypatch):
     """At the default dt_full each level of the pieces' grid is one step,
-    and the measured u is the trajectory's knot rows."""
+    and the measured u is the march's knot levels."""
     data, pieces, _ = jump_small
     marched, measured = [], {}
     add = expansion.JumpErrorWalk.add
 
-    def march(u0, grid, fcfg, t_eval):
-        traj = simulate_full(u0, grid, fcfg, t_eval=t_eval)
-        marched.append((t_eval, traj))
-        return traj
+    class Recorded(FullMarch):
+        def __init__(self, u0, grid, fcfg, t_eval):
+            super().__init__(u0, grid, fcfg, t_eval=t_eval)
+            self.t_eval, self.levels = t_eval, []
+            marched.append(self)
+
+        def __next__(self):
+            u = super().__next__()
+            self.levels.append(u.copy())
+            return u
 
     def error(walk, start, u, ref_minus, ref_plus):
         # the row reuses u's window for w once the block is measured
         measured.setdefault(walk, []).append(u.copy())
         return add(walk, start, u, ref_minus, ref_plus)
 
-    monkeypatch.setattr(expansion, "simulate_full", march)
+    monkeypatch.setattr(expansion, "FullMarch", Recorded)
     monkeypatch.setattr(expansion.JumpErrorWalk, "add", error)
     assert small_cfg.dt_full == StudyConfig().dt_full
     convergence_study([0.1, 0.07, 0.05], data, small_cfg, pieces=pieces)
     times = pieces.ext.times
     knots = knot_times(pieces.T_used, small_cfg.dt_knot)
     assert len(marched) == len(measured) == 3
-    for (t_eval, traj), blocks in zip(marched, measured.values()):
+    for march, blocks in zip(marched, measured.values()):
         u = np.concatenate(blocks)
-        assert np.array_equal(t_eval, times)
-        assert traj.steps_taken == times.size - 1
-        assert traj.halvings_used == 0
-        rows = np.searchsorted(traj.times, knots)
-        assert np.array_equal(traj.times[rows], knots)
-        assert np.array_equal(u, traj.values[rows])
+        assert np.array_equal(march.t_eval, times)
+        assert np.array_equal(march.times, times)
+        assert march.steps_taken == times.size - 1
+        assert march.halvings_used == 0
+        rows = np.searchsorted(march.times, knots)
+        assert np.array_equal(march.times[rows], knots)
+        assert np.array_equal(u, np.array(march.levels)[rows])
+
+
+def test_a_row_stores_no_trajectory(small_cfg, jump_small, monkeypatch):
+    # the row walks the march's levels as they come
+    _, pieces, _ = jump_small
+
+    def refuse(shape):
+        raise AssertionError(f"the row stored a trajectory {shape}")
+
+    monkeypatch.setattr(full_model, "_trajectory_buffer", refuse)
+    row = expansion._epsilon_row((pieces, 0.1, small_cfg))
+    assert np.isfinite(row["err_l2"]) and row["drift_max"] > 0.0
 
 
 # --- the horizon cut by a stalled Picard window ---

@@ -17,6 +17,7 @@ import pytest
 from llx import full_model
 from llx.errors import SolverAbort
 from llx.full_model import (
+    FullMarch,
     FullModelConfig,
     FullTrajectory,
     Grid1D,
@@ -219,11 +220,12 @@ def test_jump_data_survives_through_step_halving():
 def _assert_steps_match_the_reference(calls, grid, cfg, source=None):
     ws = full_model._Workspace(grid)
     for u, v, t, dt in calls:
-        u_new, drift = full_model.step_full(u, v, t, dt, ws, cfg,
-                                            source=source)
+        u_new, drift, norms = full_model.step_full(u, v, t, dt, ws, cfg,
+                                                   source=source)
         want, want_drift = reference_step_full(u, v, t, dt, grid, cfg,
                                                source=source)
         assert np.array_equal(u_new, want) and drift == want_drift, (t, dt)
+        assert np.array_equal(norms, np.linalg.norm(want, axis=-1))
 
 
 def test_step_matches_the_reference_on_random_unit_states(mms):
@@ -323,14 +325,14 @@ def test_one_solve_per_attempt_through_step_halving(monkeypatch):
     forced = []
 
     def reject_second_step_once(u, v, t, dt, *args, **kwargs):
-        u_new, drift = step(u, v, t, dt, *args, **kwargs)
+        u_new, drift, norms = step(u, v, t, dt, *args, **kwargs)
         if t > 0.0 and not forced:
             # the first attempt after the first accepted step reports a
             # drift over the tolerance, so the guard halves a step that
             # extrapolates its midpoint from an accepted pair
             forced.append((t, dt))
             drift = 2.0 * cfg.drift_tol
-        return u_new, drift
+        return u_new, drift, norms
 
     monkeypatch.setattr(full_model, "step_full", reject_second_step_once)
     traj = simulate_full(_jump_data(g.x), g, cfg)
@@ -391,6 +393,41 @@ def test_t_eval_and_validation():
         simulate_full(u0, g, cfg, t_eval=[0.3])
     with pytest.raises(ValueError, match="match grid"):
         simulate_full(u0[:-1], g, cfg)
+
+
+@pytest.mark.parametrize("ramp", [False, True])
+def test_simulate_full_stores_the_streamed_march(ramp):
+    # jump data halves its opening steps; the ramp's levels shape them
+    if ramp:
+        g = make_epsilon_grid(0.1, cells_per_eps=16)
+        t_eval = time_grid(0.01, dt=2.5e-3)
+        cfg = FullModelConfig(epsilon=0.1, dt=2.5e-3, T=t_eval[-1],
+                              drift_tol=1e-3)
+    else:
+        g = make_epsilon_grid(0.1, cells_per_eps=32)
+        t_eval = None
+        cfg = FullModelConfig(epsilon=0.1, dt=1e-3, T=0.01, drift_tol=1e-3)
+    u0 = _jump_data(g.x)
+    traj = simulate_full(u0, g, cfg, t_eval=t_eval)
+    march = FullMarch(u0, g, cfg, t_eval=t_eval)
+    assert np.array_equal(np.array(list(march)), traj.values)
+    assert np.array_equal(march.times, traj.times)
+    assert traj.halvings_used > 0
+    assert (march.drift_max, march.steps_taken, march.halvings_used) == (
+        traj.drift_max, traj.steps_taken, traj.halvings_used)
+    if ramp:
+        assert np.array_equal(traj.times, t_eval)
+
+
+def test_march_checks_its_input_when_built():
+    # before the first level is asked for
+    g = _uniform_grid(16)
+    u0 = np.tile([0.6, 0.8, 0.0], (g.n, 1))
+    cfg = FullModelConfig(epsilon=0.05, dt=0.01, T=0.2, drift_tol=1e-3)
+    with pytest.raises(ValueError, match="match grid"):
+        FullMarch(u0[:-1], g, cfg)
+    with pytest.raises(ValueError, match="outside"):
+        FullMarch(u0, g, cfg, t_eval=[0.3])
 
 
 def test_config_validation():

@@ -64,6 +64,19 @@ def test_rhs_worked_example():
     assert np.allclose(out, [1.0, 0.0, -1.0], atol=1e-15)
 
 
+def test_renormalize_through_given_norms():
+    # the full model projects each step through the norms its drift
+    # guard already took: the same bits, the same zero refusal
+    rng = np.random.default_rng(23)
+    u = rng.normal(size=(50, 3))
+    norms = np.linalg.norm(u, axis=-1)
+    assert np.array_equal(renormalize(u, norms), renormalize(u))
+    u[7] = 0.0
+    for taken in (None, np.linalg.norm(u, axis=-1)):
+        with pytest.raises(ValueError, match="zero magnetization"):
+            renormalize(u, taken)
+
+
 def test_rhs_limit_first_component():
     # on the sphere the normal component obeys du1/dt = u1 (u1^2 - 1)
     rng = np.random.default_rng(21)
