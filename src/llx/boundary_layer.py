@@ -210,7 +210,9 @@ def solve_boundary_profile(ext: ExtendedLimit,
     extended states (each side's extension equals the limit solution on
     its own side); the Neumann data is theta(x) d_n u0 with the outward
     normal at the nearer wall. The columns with nonzero data march
-    together in one march_wall call; the rest stay exactly zero.
+    together in one march_wall call; the rest stay exactly zero. When
+    every column has data, U is the march's own array, so the build
+    holds one copy of it.
     """
     x = ext.x_param
     theta_x = theta(x)
@@ -222,10 +224,13 @@ def solve_boundary_profile(ext: ExtendedLimit,
     g_data = (theta_x[idx] * np.sign(x[idx]))[None, :, None] * dx_u0[:, idx]
     # columns with zero data stay identically zero
     active = np.max(np.abs(g_data), axis=(0, 2)) > 0.0
-    U = np.zeros((ext.times.size, idx.size, z.size, 3))
-    if active.any():
-        U[:, active] = march_wall(z, ext.times, u0_true[:, idx[active]],
-                                  g_data[:, active])
+    if active.size and active.all():
+        U = march_wall(z, ext.times, u0_true[:, idx], g_data)
+    else:
+        U = np.zeros((ext.times.size, idx.size, z.size, 3))
+        if active.any():
+            U[:, active] = march_wall(z, ext.times, u0_true[:, idx[active]],
+                                      g_data[:, active])
 
     return BoundaryProfile(times=ext.times, z=z, x_param=x,
                            x_support=x[mask], U=U, g_data=g_data)

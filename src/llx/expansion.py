@@ -39,9 +39,11 @@ the distance to the limit state, the ansatz residual, and the conormal
 norms of (u - a) / eps at orders 0 and m. A row is one forward walk
 over the knots in level blocks, and the march streams into it: each
 block's window of the ansatz with its limit state, of the marched u
-and of w, is built, added to every diagnostic's walk and dropped, so a
-row holds a few windows of levels, not a trajectory or any other
-space-time field.
+and of w, is built, added to every diagnostic's walk and dropped as
+soon as it is read. So a row holds the window of a and its limit state
+(or of w), the 2 max(m, 1) levels that the sampler and the march carry
+to the next window, and the walks' own temporaries: a few windows of
+levels, not a trajectory or any other space-time field.
 
 Contains:
 - ExpansionPieces / build_expansion_pieces: the eps-independent half,
@@ -59,7 +61,7 @@ Contains:
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass, replace
 from itertools import compress, islice
 from typing import Optional
@@ -224,7 +226,8 @@ class ExpansionAnsatz:
         windows share with the ones before carry over, and the layer
         sides are built once per call. Nothing sums across the knots of
         a block, so a knot gives the same bits whichever block it falls
-        in.
+        in. Between windows the sampler keeps a copy of the 2 halo levels
+        the next window may share, and nothing of the one it yielded.
         """
         ks = np.array([self.knot_index(t) for t in np.asarray(times)],
                       dtype=int)
@@ -232,14 +235,19 @@ class ExpansionAnsatz:
         if x.ndim != 1 or np.any(np.abs(x) > 1.0 + 1e-12):
             raise ValueError("sample nodes must lie in [-1, 1]")
         sides = self._layer_sides(x)
-        held, first, done = None, 0, 0
+        carry, first, done = None, 0, 0
         for lo, start, stop, hi in level_blocks(ks.size, halo):
             fresh = self._sum(ks[done:hi], x, sides)
-            if held is not None:
+            if carry is not None:
                 fresh = tuple(np.concatenate([old[lo - first:], new])
-                              for old, new in zip(held, fresh))
-            held, first, done = fresh, lo, hi
-            yield (lo, start, stop, hi) + held
+                              for old, new in zip(carry, fresh))
+            # the levels first..hi, copied so the window can be freed
+            first, done = max(hi - 2 * halo, lo), hi
+            carry = tuple(f[first - lo:].copy() for f in fresh)
+            # no name holds the window while the generator is suspended
+            box = [fresh]
+            del fresh
+            yield (lo, start, stop, hi) + box.pop()
 
     def _sum(self, ks: np.ndarray, x: np.ndarray, sides: list) -> tuple:
         """(base + interface + eps (wall + rho), limit) at the knot
@@ -425,9 +433,9 @@ class EClassWalk:
             for b in range(total + 1):
                 a = total - b
                 if b:
-                    derivs[(a, b)] = (self.omega
-                                      * profile_d1(self.x,
-                                                   derivs[(a, b - 1)]))
+                    d = profile_d1(self.x, derivs[(a, b - 1)])
+                    d *= self.omega
+                    derivs[(a, b)] = d
                     continue
                 if a:
                     reach = order - a
@@ -455,7 +463,8 @@ class EClassWalk:
         block = [sup2(derivs[(0, 0)]),
                  max(sup2(derivs[(1, 0)]), sup2(derivs[(0, 1)]))]
         del derivs
-        wn = self.epsilon * profile_d1(self.x, window)
+        wn = profile_d1(self.x, window)
+        wn *= self.epsilon
         self._add(self._table(wn, lo, start, stop, self.m), 1, start, stop)
         block.append(sup2(wn[start - lo:stop - lo]))
         self.peaks = np.maximum(self.peaks, block)
@@ -662,8 +671,10 @@ def _epsilon_row(task) -> dict:
     knot, the knot states the window shares with the one before carry
     over, and the row measures a copy of them against the window's limit
     state, turns it into w = (u - a) / eps, and adds the block to the
-    residual, limit-error and conormal walks. It holds a few windows of
-    levels, however many knots there are.
+    residual, limit-error and conormal walks. Each window is released
+    once read, and of the knot states only the 2 halo levels the next
+    window shares stay: a few windows of levels, however many knots
+    there are.
     """
     pieces, eps, cfg = task
     grid = make_epsilon_grid(eps, cells_per_eps=cfg.cells_per_eps)
@@ -675,8 +686,8 @@ def _epsilon_row(task) -> dict:
     residual = ResidualWalk(times, grid, eps)
     error = JumpErrorWalk(times, x, i0)
     eclass = EClassWalk(times, x, eps, cfg.eclass_m)
-    windows = ExpansionAnsatz(pieces, eps).sample_windows(
-        times, x, max(cfg.eclass_m, 1))
+    halo = max(cfg.eclass_m, 1)
+    windows = ExpansionAnsatz(pieces, eps).sample_windows(times, x, halo)
     for lo, start, stop, hi, a, limit in windows:
         if start == 0:
             march = FullMarch(renormalize(a[0]), grid, fcfg,
@@ -688,16 +699,23 @@ def _epsilon_row(task) -> dict:
             held, first, done = [], 0, 0
         residual.add(a, lo, start, stop)
         held = held[lo - first:] + list(islice(knot_states, hi - done))
-        first, done = lo, hi
+        done = hi
         # u's window, turned into w's in place once measured; the limit
-        # state splits at the interface node, solved from both sides
+        # state splits at the interface node, solved from both sides.
+        # Each window is dropped once read, and of the knot states only
+        # the levels the next window may share stay.
         w = np.array(held)
+        first = max(hi - 2 * halo, lo)
+        held = held[first - lo:]
         block = slice(start - lo, stop - lo)
         error.add(start, w[block], limit[block, :i0 + 1],
                   limit[block, i0 + 1:])
+        del limit
         w -= a
+        del a
         w /= eps
         eclass.add(w, lo, start, stop)
+        del w
     # the march is done once the last knot is out; drift_max is final
     if next(march, None) is not None:
         raise SolverAbort("the march ran past the last knot")
@@ -748,8 +766,10 @@ def convergence_study(epsilons, data: MagnetizationField,
 
     tasks = [(pieces, float(e), cfg) for e in eps]
     if jobs > 1:
-        # the pool forks all its workers at the first task: one per eps
-        with ProcessPoolExecutor(max_workers=min(jobs, eps.size)) as pool:
+        # the pool forks all its workers at the first task: one per eps;
+        # futures loads multiprocessing only when the pool is looked up
+        with futures.ProcessPoolExecutor(
+                max_workers=min(jobs, eps.size)) as pool:
             rows = list(pool.map(_epsilon_row, tasks))
     else:
         rows = [_epsilon_row(t) for t in tasks]

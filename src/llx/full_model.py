@@ -422,13 +422,20 @@ class ResidualWalk:
                               for end in ("left", "right")))
         inside = slice(max(start, 1), min(stop, times.size - 1))
         u = window[inside.start - lo:inside.stop - lo]
-        d2u = apply_tridiagonal_stencil(ws.d2, u)
+        # eps^2 (D2 u + u x D2 u) + g, each sum in place
+        rhs = apply_tridiagonal_stencil(ws.d2, u)
+        rhs += cross(u, rhs)
+        rhs *= self.epsilon**2
         g = _forcing(u, self.epsilon, ws)
         if self.source is not None:
-            g = g + np.reshape([self.source(t, x) for t in times[inside]],
-                               u.shape)
-        rhs = self.epsilon**2 * (d2u + cross(u, d2u)) + g
-        residual = (time_d1(times, window, lo, inside) - rhs)[:, 1:-1]
+            g += np.reshape([self.source(t, x) for t in times[inside]],
+                            u.shape)
+        rhs += g
+        del g
+        residual = time_d1(times, window, lo, inside)
+        residual -= rhs
+        del rhs
+        residual = residual[:, 1:-1]
         rows = slice(inside.start - 1, inside.stop - 1)
         self.squares[rows] = x_squares(x[1:-1], residual)
         self.peaks[rows] = np.max(np.abs(residual), axis=(1, 2))

@@ -275,8 +275,12 @@ def profile_d1(y: np.ndarray, W: np.ndarray) -> np.ndarray:
     hm, hp = h[:-1], h[1:]
     above = field_weights(hm / (hp * (hm + hp)))
     below = field_weights(hp / (hm * (hm + hp)))
-    out[..., 1:-1, :] = (above * (W[..., 2:, :] - W[..., 1:-1, :])
-                         + below * (W[..., 1:-1, :] - W[..., :-2, :]))
+    # above (W[i+1] - W[i]) + below (W[i] - W[i-1]) in two temporaries
+    step = W[..., 2:, :] - W[..., 1:-1, :]
+    step *= above
+    back = W[..., 1:-1, :] - W[..., :-2, :]
+    back *= below
+    np.add(step, back, out=out[..., 1:-1, :])
     out[..., 0, :] = one_sided_d1(y, W, "left")
     out[..., -1, :] = one_sided_d1(y, W, "right")
     return out

@@ -1,5 +1,7 @@
 """Tests for the wall profile and its Neumann corrector."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -182,6 +184,27 @@ def test_wall_columns_march_in_one_solve_per_step(swirl_wall, monkeypatch):
     # every column with data rides in the one stacked solve
     active = np.max(np.abs(prof.g_data), axis=(0, 2)) > 0.0
     assert calls[0] == (np.count_nonzero(active), z.size, 3)
+
+
+def test_wall_build_holds_one_copy_of_the_profile(swirl_pieces):
+    """Every swirl wall column holds data, so the build keeps the march's
+    own array: its traced peak is U plus the march's inputs and step
+    temporaries (about a fifth of U here), below U and a half. Copying
+    the marched columns into a second, zero U took about two U."""
+    ext, z = swirl_pieces.ext, swirl_pieces.boundary.z
+    started = not tracemalloc.is_tracing()
+    tracemalloc.start()
+    tracemalloc.reset_peak()
+    entry = tracemalloc.get_traced_memory()[0]
+    try:
+        prof = solve_boundary_profile(ext, z)
+        peak = tracemalloc.get_traced_memory()[1] - entry
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert np.max(np.abs(prof.g_data), axis=(0, 2)).all()
+    assert np.array_equal(prof.U, swirl_pieces.boundary.U)
+    assert peak <= prof.U.nbytes + prof.U.nbytes // 2
 
 
 def test_wall_profile_nonzero_with_decaying_tail(swirl_wall):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -320,6 +321,27 @@ def _two_blocks(ansatz):
     """LEVEL_BLOCK + 1 stored knots, repeating when there are fewer:
     one full level block and one of a single knot."""
     return np.resize(ansatz.times, LEVEL_BLOCK + 1)
+
+
+@pytest.mark.parametrize("halo", [0, 1, 2])
+@pytest.mark.parametrize("fixture", ["jump_small", "swirl_small"])
+def test_sampler_keeps_no_window_it_yielded(fixture, halo, request):
+    # each window holds its knots' samples bit for bit, the clipped last
+    # one too, and is freed as soon as the caller drops it: between
+    # windows the sampler holds a copy of the shared levels, not a
+    # reference to the window
+    _, pieces, _ = request.getfixturevalue(fixture)
+    ansatz = ExpansionAnsatz(pieces, 0.03125)
+    x = np.linspace(-1.0, 1.0, 257)
+    times = _two_blocks(ansatz)
+    whole = ansatz.sample_times(times, x)
+    windows = ansatz.sample_windows(times, x, halo)
+    for lo, _, _, hi, window, limit in windows:
+        assert np.array_equal(window, whole[lo:hi])
+        refs = weakref.ref(window), weakref.ref(limit)
+        del window, limit
+        assert [ref() for ref in refs] == [None, None]
+    assert hi == times.size
 
 
 @pytest.mark.parametrize("fixture, per_pass", [("jump_small", 0),
@@ -658,7 +680,9 @@ def test_jobs_caps_the_pool_at_the_eps_count(jump_data, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(expansion, "ProcessPoolExecutor", Pool)
+    # the pool is looked up on concurrent.futures when a study runs
+    monkeypatch.setattr(expansion, "futures",
+                        SimpleNamespace(ProcessPoolExecutor=Pool))
     monkeypatch.setattr(expansion, "_epsilon_row", _stub_row)
     eps = [0.1, 0.05, 0.025, 0.0125]
     pieces = SimpleNamespace(T_used=0.5)

@@ -24,7 +24,8 @@ module): the splines are llx's own, so importing every llx module in a
 fresh interpreter loads none of scipy.interpolate, scipy.special,
 scipy.optimize or scipy.sparse. scipy.interpolate pulls in the other
 three, and with them about 23 MB of resident memory, more than any
-array of the study.
+array of the study. Nor does it load multiprocessing: the process pool
+of a study with several jobs is looked up only when one runs.
 """
 
 from __future__ import annotations
@@ -248,16 +249,29 @@ def test_scipy_is_taken_only_from_linalg(module):
             if name not in SCIPY_ALLOWED] == []
 
 
-def test_importing_llx_loads_no_heavy_scipy_module():
-    # a fresh interpreter, so no other test's imports count
+def loaded_by_llx(watched: tuple) -> str:
+    """The watched modules that importing every llx module loads, printed
+    by a fresh interpreter, so no other test's imports count."""
     modules = sorted(f"llx.{path.stem}" for path in PACKAGE.glob("*.py")
                      if path.stem != "__init__")
     code = ("import importlib, sys\n"
             f"for name in {modules!r}:\n"
             "    importlib.import_module(name)\n"
-            f"print(sorted(m for m in {SCIPY_HEAVY!r} if m in sys.modules))\n")
+            f"print(sorted(m for m in {watched!r} if m in sys.modules))\n")
     done = subprocess.run([sys.executable, "-c", code],
                           cwd=PACKAGE.parent, capture_output=True, text=True,
                           check=False)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_importing_llx_loads_no_heavy_scipy_module():
+    assert loaded_by_llx(SCIPY_HEAVY) == "[]"
+
+
+def test_importing_llx_loads_no_process_pool():
+    # the pool of a --jobs study is looked up when the study runs, and
+    # concurrent.futures resolves it lazily, so a serial run never pays
+    # for multiprocessing
+    assert loaded_by_llx(("multiprocessing",
+                          "concurrent.futures.process")) == "[]"
