@@ -125,8 +125,7 @@ def cmd_profiles(cfg: RunConfig, args, out_dir: str) -> int:
 
 def cmd_ansatz(cfg: RunConfig, args, out_dir: str) -> int:
     pieces = build_expansion_pieces(cfg.data, cfg.study)
-    grid = make_epsilon_grid(cfg.epsilon,
-                             cells_per_eps=cfg.study.cells_per_eps)
+    grid = pieces.grid(cfg.epsilon, cfg.study.cells_per_eps)
     times = knot_times(pieces.T_used, cfg.study.dt_knot)
     walk = ResidualWalk(times, grid, cfg.epsilon)
     windows = ExpansionAnsatz(pieces, cfg.epsilon).sample_windows(

@@ -34,7 +34,9 @@ end.
 
 The convergence study builds the profiles once (they do not depend on
 eps), then for each eps: marches the full model from the renormalized
-ansatz over the pieces' time grid on an eps-refined grid, and records
+ansatz over the pieces' time grid on an eps-refined grid, refined at
+the walls only when the pieces carry a wall layer
+(ExpansionPieces.grid), and records
 the distance to the limit state, the ansatz residual, and the conormal
 norms of (u - a) / eps at orders 0 and m. A row is one forward walk
 over the knots in level blocks, and the march streams into it: each
@@ -48,7 +50,8 @@ levels, not a trajectory or any other space-time field.
 Contains:
 - ExpansionPieces / build_expansion_pieces: the eps-independent half,
   on geometry.time_grid, with the data it was built from; its horizon
-  T_used is the grid's last level
+  T_used is the grid's last level, and it picks each eps row's solver
+  grid (grid), refining the walls only if it carries a wall layer
 - ExpansionAnsatz: the pieces sampled at one eps, by windows of levels
   or at whole knot lists
 - JumpErrorWalk / jump_error_l2: the space-time distance to a
@@ -75,7 +78,7 @@ from .errors import ConfigError, NonContraction, SolverAbort
 from .fields import MagnetizationField
 # residual_report and simulate_full are not called here, but
 # bench/tracing.py wraps them under this module's name
-from .full_model import (FullMarch, FullModelConfig, ResidualWalk,
+from .full_model import (FullMarch, FullModelConfig, Grid1D, ResidualWalk,
                          make_epsilon_grid, residual_report, simulate_full)
 from .geometry import (chi_sigma, conormal_weight, field_weights,
                        in_v_sigma, knot_times, level_blocks,
@@ -149,7 +152,7 @@ class ExpansionAnsatz:
         and carries its lift as delta and sign. A wall side stores its
         columns (nt, nc, ns, 3), weights them by their cardinal x-weights
         (nq, nc), and has no lift. A layer whose stored data is all zero
-        lists no side.
+        (for the wall: pieces without a wall layer) lists no side.
         """
         pair, prof = self.pieces.profiles, self.pieces.boundary
         sides = []
@@ -169,7 +172,7 @@ class ExpansionAnsatz:
         for sign in (-1.0, 1.0):
             nodes = np.flatnonzero(near & (sign * x > 0.0))
             cols = np.flatnonzero(sign * prof.x_support > 0.0)
-            if nodes.size and cols.size >= 2 and prof.U.any():
+            if nodes.size and cols.size >= 2 and self.pieces.wall_layer:
                 # each side's support columns run contiguously to its wall
                 i0 = int(np.searchsorted(prof.x_param,
                                          prof.x_support[cols[0]]))
@@ -403,8 +406,9 @@ class EClassWalk:
     an end of times (geometry.level_blocks with that halo), one per
     time derivative. Per block one derivative table of w, then one of
     eps d_x w, serves both orders: each term leaves its squared L2(x)
-    norm per level and a running sup. records ends each norm with one
-    trapezoid in time once every level was added.
+    norm per level and a running sup as soon as it is built, and is
+    dropped once no later derivative needs it. records ends each norm
+    with one trapezoid in time once every level was added.
     """
 
     def __init__(self, times: np.ndarray, x: np.ndarray, epsilon: float,
@@ -422,51 +426,52 @@ class EClassWalk:
         self.squares = ({}, {})
         self.peaks = np.zeros(3)
 
-    def _table(self, v, lo, start, stop, order):
-        # Z0^a Z1^b v keyed (a, b), lower totals first, on the levels
-        # start..stop of v = field[lo:]; a time derivative is taken on
-        # as many levels past the block as later ones still read
-        times = self.times
-        derivs = {}
-        chain, first = v, lo
+    def _walk(self, window, lo, start, stop, part):
+        # the table Z0^a Z1^b v keyed (a, b), lower totals first, on the
+        # levels start..stop of v = field[lo:]: of w to order max(m, 1)
+        # (part 0) or of eps d_x w to order m (part 1). Each term is
+        # squared once built, and held only while the next total still
+        # differentiates it; a time derivative is taken on as many
+        # levels past the block as later ones still read. Returns the
+        # squared sups of the terms of total 0 and 1 (0 alone in part 1)
+        times, sups, held = self.times, {}, {}
+        if part:
+            chain = profile_d1(self.x, window)
+            chain *= self.epsilon
+            order = self.m
+        else:
+            chain, order = window, max(self.m, 1)
+        first = lo
         for total in range(order + 1):
             for b in range(total + 1):
                 a = total - b
                 if b:
-                    d = profile_d1(self.x, derivs[(a, b - 1)])
-                    d *= self.omega
-                    derivs[(a, b)] = d
-                    continue
-                if a:
-                    reach = order - a
-                    rows = slice(max(start - reach, 0),
-                                 min(stop + reach, times.size))
-                    chain = time_d1(times, chain, first, rows)
-                    first = rows.start
-                derivs[(a, 0)] = chain[start - first:stop - first]
-        return derivs
-
-    def _add(self, derivs, part, start, stop):
-        for key, term in derivs.items():
-            if sum(key) <= self.m:
-                self.squares[part].setdefault(
-                    key, np.empty(self.times.size))[start:stop] = \
-                    x_squares(self.x, term)
+                    term = profile_d1(self.x, held.pop((a, b - 1)))
+                    term *= self.omega
+                else:
+                    if a:
+                        reach = order - a
+                        rows = slice(max(start - reach, 0),
+                                     min(stop + reach, times.size))
+                        chain = time_d1(times, chain, first, rows)
+                        first = rows.start
+                    term = chain[start - first:stop - first]
+                if total <= self.m:
+                    self.squares[part].setdefault(
+                        (a, b), np.empty(times.size))[start:stop] = \
+                        x_squares(self.x, term)
+                if total <= 1 - part:
+                    sups[(a, b)] = np.max(dot3(term, term))
+                if total < order:
+                    held[(a, b)] = term
+                del term
+        return sups
 
     def add(self, window: np.ndarray, lo: int, start: int,
             stop: int) -> None:
-        def sup2(v):
-            return np.max(dot3(v, v))
-
-        derivs = self._table(window, lo, start, stop, max(self.m, 1))
-        self._add(derivs, 0, start, stop)
-        block = [sup2(derivs[(0, 0)]),
-                 max(sup2(derivs[(1, 0)]), sup2(derivs[(0, 1)]))]
-        del derivs
-        wn = profile_d1(self.x, window)
-        wn *= self.epsilon
-        self._add(self._table(wn, lo, start, stop, self.m), 1, start, stop)
-        block.append(sup2(wn[start - lo:stop - lo]))
+        w = self._walk(window, lo, start, stop, 0)
+        wn = self._walk(window, lo, start, stop, 1)
+        block = [w[(0, 0)], max(w[(1, 0)], w[(0, 1)]), wn[(0, 0)]]
         self.peaks = np.maximum(self.peaks, block)
 
     def records(self) -> tuple:
@@ -602,6 +607,20 @@ class ExpansionPieces:
         """The horizon the pieces reach: the last level of their grid."""
         return float(self.ext.times[-1])
 
+    @property
+    def wall_layer(self) -> bool:
+        """Whether the pieces carry a wall layer: the limit flow has a
+        nonzero normal derivative at a wall. Without one the wall
+        profile is identically zero."""
+        return bool(self.boundary.g_data.any())
+
+    def grid(self, epsilon: float, cells_per_eps: int) -> Grid1D:
+        """The solver grid of an eps row (full_model.make_epsilon_grid):
+        refined at the interface, and at both walls only where the
+        pieces carry a wall layer."""
+        return make_epsilon_grid(epsilon, cells_per_eps,
+                                 walls=self.wall_layer)
+
 
 @dataclass(frozen=True)
 class ConvergenceReport:
@@ -659,7 +678,9 @@ def build_expansion_pieces(data: MagnetizationField,
 
 def _epsilon_row(task) -> dict:
     """One eps of the study: march and measure in one forward walk over
-    the knots. Top level so the process pool can ship it.
+    the knots, on the grid the pieces pick for eps (ExpansionPieces.grid:
+    fine at both walls only if they carry a wall layer). Top level so
+    the process pool can ship it.
 
     The walk takes the knots in the blocks of geometry.level_blocks with
     a halo of max(eclass_m, 1) knots, sampling the ansatz a and its limit
@@ -677,7 +698,7 @@ def _epsilon_row(task) -> dict:
     there are.
     """
     pieces, eps, cfg = task
-    grid = make_epsilon_grid(eps, cells_per_eps=cfg.cells_per_eps)
+    grid = pieces.grid(eps, cfg.cells_per_eps)
     x = grid.x
     times = knot_times(pieces.T_used, cfg.dt_knot)
     fcfg = FullModelConfig(epsilon=eps, dt=cfg.dt_full, T=pieces.T_used,

@@ -24,7 +24,8 @@ space errors are second order, and at eps = 0 the scheme degenerates
 to the explicit scheme u+ = u + tau F(v) of the limit flow, its first
 step the explicit midpoint rule. Besides the banded solve a step does
 only the arithmetic its state needs: the stencil weights are laid out
-(n, 3) once per grid (geometry.field_weights), and the diagonal shift
+(n, 3) once per grid (geometry.field_weights) and shared by every march
+and residual walk on it, and the diagonal shift
 runs one component at a time, and the norms that measure a step's
 drift also project it back onto the sphere. FullMarch yields the
 state at each output time as it goes, so a caller that walks the
@@ -32,7 +33,9 @@ levels holds only the ones it still reads; simulate_full collects
 every level into an anonymous mapping of its own, outside the heap.
 
 Contains:
-- Grid1D / make_epsilon_grid: single-valued meshes, layer-refined
+- Grid1D / make_epsilon_grid: single-valued meshes refined at the
+  interface and, unless told the walls carry no layer, at both walls;
+  each grid builds its stencils once (Grid1D.workspace)
 - output_times / substeps: a run's output times, {0, T} joined with
   requested ones, and the nominal substep count of one output interval
 - FullModelConfig, step_full
@@ -47,6 +50,7 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -79,6 +83,12 @@ class Grid1D:
     def n(self) -> int:
         return self.x.size
 
+    @cached_property
+    def workspace(self) -> _Workspace:
+        """The grid's stencils, built once and shared by every march and
+        residual walk on it."""
+        return _Workspace(self)
+
 
 def _half_widths(h_fine: float, band: float) -> np.ndarray:
     """Cell widths covering [0, 1/2]: fine band, cells growing by 1.15
@@ -98,19 +108,24 @@ def _half_widths(h_fine: float, band: float) -> np.ndarray:
     return w * (0.5 / cum)
 
 
-def make_epsilon_grid(epsilon: float, cells_per_eps: int) -> Grid1D:
-    """Layer-refined mesh: spacing eps/cells_per_eps within 15 eps of
-    the interface and both walls, geometric coarsening to 1/48 in
-    between. Each side of the interface is symmetric about its
-    midpoint, so the whole mesh is symmetric about x = 0.
+def make_epsilon_grid(epsilon: float, cells_per_eps: int,
+                      walls: bool = True) -> Grid1D:
+    """Mesh refined at the layers: spacing eps/cells_per_eps within
+    15 eps of the interface, geometric coarsening to 1/48 away from it.
+    With walls, both walls are refined the same way and each side of
+    the interface is symmetric about its midpoint; without, each side
+    coarsens on from 1/2 to its wall, its nodes on [0, 1/2] the same
+    bits as with walls. Either mesh is symmetric about x = 0.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if cells_per_eps < 4:
         raise ValueError(f"cells_per_eps must be at least 4, got {cells_per_eps}")
     half = _half_widths(epsilon / cells_per_eps, 15.0 * epsilon)
-    # one side = fine at interface -> coarse at 0.5 -> fine at wall
-    side = np.concatenate([half, half[::-1]])
+    # one side = fine at interface -> coarse at 0.5 -> fine at the wall,
+    # or coarse on to a wall that carries no layer
+    tail = half[::-1] if walls else _half_widths(half[-1], 0.0)
+    side = np.concatenate([half, tail])
     return Grid1D(x=mirrored(nodes(side, 1.0)))
 
 
@@ -160,12 +175,12 @@ class FullModelConfig:
 
 
 class _Workspace:
-    """Precomputed stencils for one grid: the D2 weights (a, b, c),
-    each (n,), and both stencils' weights laid out (n, 3) for fields
-    (geometry.field_weights)."""
+    """Precomputed stencils for one grid's nodes x: the D2 weights
+    (a, b, c), each (n,), and both stencils' weights laid out (n, 3)
+    for fields (geometry.field_weights)."""
 
     def __init__(self, grid: Grid1D):
-        self.grid = grid
+        self.x = grid.x
         self.d2_nodes = d2_coefficients(grid.x)
         self.d2 = tuple(map(field_weights, self.d2_nodes))
         self.d1 = tuple(map(field_weights, d1_coefficients(grid.x)))
@@ -195,7 +210,7 @@ def step_full(u: np.ndarray, v: np.ndarray, t: float, dt: float,
     coef = 0.5 * dt * cfg.epsilon**2
     g = _forcing(v, cfg.epsilon, ws)
     if source is not None:
-        g = g + source(t + 0.5 * dt, ws.grid.x)
+        g = g + source(t + 0.5 * dt, ws.x)
     a, b, c = ws.d2_nodes
     # B holds M^-1 until its diagonal is shifted below
     B = inv_id_plus_cross(v)
@@ -286,7 +301,7 @@ class FullMarch:
         self.drift_max = 0.0
         self.steps_taken = 0
         self.halvings_used = 0
-        self._levels = self._march(u0, _Workspace(grid), cfg, source)
+        self._levels = self._march(u0, grid.workspace, cfg, source)
 
     def __iter__(self):
         return self
@@ -407,7 +422,7 @@ class ResidualWalk:
         if self.times.size < 3:
             raise ValueError("need at least 3 time slices for a residual")
         self.grid, self.epsilon, self.source = grid, epsilon, source
-        self.ws = _Workspace(grid)
+        self.ws = grid.workspace
         self.squares = np.empty(self.times.size - 2)
         self.peaks = np.empty(self.times.size - 2)
         self.neumann = []

@@ -41,7 +41,7 @@ from llx.banded import (block_tridiag_solve, cross, inv_id_plus_cross,
                         norm3)
 from llx.expansion import EClassNorms, ExpansionAnsatz
 from llx.full_model import (FullModelConfig, ResidualReport, _forcing,
-                            _Workspace, make_epsilon_grid, output_times,
+                            _Workspace, output_times,
                             simulate_full, substeps)
 from llx.geometry import (apply_tridiagonal_stencil, conormal_weight,
                           d1_coefficients, d2_coefficients, knot_times,
@@ -285,7 +285,7 @@ def reference_epsilon_row(task) -> dict:
     trajectory, w = (u - a) / eps and the limit state each built at
     every knot at once, and measured by the whole-array diagnostics."""
     pieces, eps, cfg = task
-    grid = make_epsilon_grid(eps, cells_per_eps=cfg.cells_per_eps)
+    grid = pieces.grid(eps, cfg.cells_per_eps)
     times = knot_times(pieces.T_used, cfg.dt_knot)
     a = ExpansionAnsatz(pieces, eps).sample_times(times, grid.x)
     fcfg = FullModelConfig(epsilon=eps, dt=cfg.dt_full, T=pieces.T_used,

@@ -171,23 +171,26 @@ def _row_peak(pieces, eps, cfg) -> int:
             tracemalloc.stop()
 
 
-def _window_bytes(eps, cfg) -> int:
-    """One level block with its halo on both sides: the unit of a row's
-    temporaries, whatever the number of knots."""
-    nx = make_epsilon_grid(eps, cfg.cells_per_eps).n
+def _window_bytes(pieces, eps, cfg) -> int:
+    """One level block with its halo on both sides, on the row's own
+    grid: the unit of a row's temporaries, whatever the number of
+    knots."""
+    nx = pieces.grid(eps, cfg.cells_per_eps).n
     return (LEVEL_BLOCK + 2 * max(cfg.eclass_m, 1)) * nx * 3 * 8
 
 
 @pytest.mark.parametrize("m", [1, 2])
 def test_an_eps_row_holds_few_space_time_fields(jump_pieces, study_cfg, m):
     """Above its entry, one row peaks below 11 windows of levels (a level
-    block with its halo), a bound that does not scale with the knots; the
-    row built on whole (nt, nx, 3) fields peaked near 36 windows here (32
-    at m = 2), and one that kept each window until the next was built
-    near 12 (13.4 at m = 2). The row holds no trajectory, so the peak
-    includes the marched states it keeps."""
+    block with its halo, on the row's own grid), a bound that does not
+    scale with the knots; it reads about 8.9 at either m. The row built
+    on whole (nt, nx, 3) fields peaked near 36 windows here (32 at
+    m = 2), one that kept each window until the next was built near 12
+    (13.4 at m = 2), and one whose conormal walk held every derivative
+    of a block near 11 at m = 2. The row holds no trajectory, so the
+    peak includes the marched states it keeps."""
     cfg = replace(study_cfg, eclass_m=m)
-    bound = 11 * _window_bytes(0.1, cfg)
+    bound = 11 * _window_bytes(jump_pieces, 0.1, cfg)
     assert _row_peak(jump_pieces, 0.1, cfg) <= bound
 
 
@@ -196,7 +199,7 @@ def test_an_eps_row_peak_does_not_grow_with_the_horizon(jump_data,
                                                         study_cfg):
     """Doubling T doubles the knots but adds at most 64 float scalars per
     added knot to the row's traced peak (its per-knot norms), where one
-    more (nt, nx) array would add 325. The march streams into the row,
+    more (nt, nx) array would add 219. The march streams into the row,
     so the peak includes every marched state the row holds."""
     cfg = replace(study_cfg, eclass_m=2)
     long = build_expansion_pieces(jump_data, replace(cfg, T=2 * cfg.T))

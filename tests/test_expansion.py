@@ -451,7 +451,7 @@ def test_limit_error_reference_is_the_base_of_a(fixture, small_cfg,
     monkeypatch.setattr(expansion.JumpErrorWalk, "add", record)
     expansion._epsilon_row((pieces, eps, small_cfg))
     ansatz = ExpansionAnsatz(pieces, eps)
-    x = make_epsilon_grid(eps, cells_per_eps=small_cfg.cells_per_eps).x
+    x = pieces.grid(eps, small_cfg.cells_per_eps).x
     i0 = int(np.searchsorted(x, 0.0))
     assert x[i0] == 0.0
     ks = np.array([ansatz.knot_index(t) for t in
@@ -818,6 +818,44 @@ def test_headline_study_structure(jump_study, study_cfg):
     assert np.all(rep.drift_max <= study_cfg.drift_tol)
     assert np.isnan(rep.slope_running[0])
     assert np.all(np.isfinite(rep.slope_running[1:]))
+
+
+def test_a_row_refines_the_walls_only_for_a_wall_layer(jump_pieces,
+                                                      swirl_pieces,
+                                                      study_cfg):
+    # swirl data has a wall layer and keeps the walled grid bit for bit;
+    # jump data has none, and its rows coarsen on to the walls
+    cells = study_cfg.cells_per_eps
+    assert swirl_pieces.wall_layer and not jump_pieces.wall_layer
+    for eps in (0.1, 0.0125):
+        walled = make_epsilon_grid(eps, cells)
+        assert np.array_equal(swirl_pieces.grid(eps, cells).x, walled.x)
+        bare = jump_pieces.grid(eps, cells)
+        assert bare.n < walled.n
+        assert np.array_equal(
+            bare.x, make_epsilon_grid(eps, cells, walls=False).x)
+
+
+def test_headline_study_agrees_with_the_walled_grid(jump_data, study_cfg,
+                                                    jump_pieces, jump_study,
+                                                    monkeypatch):
+    """Refining the jump rows at walls that carry no layer moves each
+    column by less than its bound, fixed before the run."""
+    monkeypatch.setattr(expansion.ExpansionPieces, "grid",
+                        lambda self, eps, cells: make_epsilon_grid(eps,
+                                                                   cells))
+    walled = convergence_study(jump_study.epsilons, jump_data, study_cfg,
+                               pieces=jump_pieces)
+    assert np.all(walled.grid_sizes > jump_study.grid_sizes)
+
+    def move(column):
+        bare, ref = getattr(jump_study, column), getattr(walled, column)
+        return np.max(np.abs(bare - ref) / np.abs(ref))
+
+    assert move("errors_l2") <= 1e-9
+    assert move("residuals") <= 1e-6
+    assert move("eclass_m0") <= 1e-6
+    assert move("eclass_m1") <= 1e-6
 
 
 def test_headline_study_running_slopes_match_errors(jump_study):

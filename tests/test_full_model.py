@@ -77,6 +77,21 @@ def test_epsilon_grid_large_eps_goes_uniformly_fine():
     assert h.max() <= 0.3 / 8 * 1.01
 
 
+@pytest.mark.parametrize("eps, n", [(0.1, 219), (0.05, 387), (0.025, 567),
+                                    (0.0125, 595)])
+def test_epsilon_grid_without_walls_coarsens_on_to_them(eps, n):
+    # each side keeps the walled mesh's interface half bit for bit, then
+    # coarsens to its wall instead of refining again
+    walled = make_epsilon_grid(eps, cells_per_eps=16).x
+    x = make_epsilon_grid(eps, cells_per_eps=16, walls=False).x
+    assert x.size == n
+    assert np.array_equal(x[np.abs(x) <= 0.5],
+                          walled[np.abs(walled) <= 0.5])
+    assert np.array_equal(x, -x[::-1])
+    assert np.count_nonzero(x == 0.0) == 1
+    assert np.diff(x).max() <= 1.0 / 48.0
+
+
 def test_epsilon_grid_validation():
     with pytest.raises(ValueError, match="positive"):
         make_epsilon_grid(0.0, cells_per_eps=16)
