@@ -21,9 +21,9 @@ is the base of a, and the pair is the reference of the limit error.
 Both layers share one path: once per pass, each layer side reaching
 the nodes (either interface half, either wall) gets its nodes'
 stretched coordinates and x-weights (the cutoff chi_sigma for the
-interface, the wall columns' cardinal x-weights), and a layer holding
-only zeros gets no side. Per block the natural spline in the fast
-direction is fitted on each side's stored columns and evaluated at
+interface, the wall columns' cardinal x-weights), and a layer the
+pieces do not carry gets no side. Per block the natural spline in the
+fast direction is fitted on each side's stored columns and evaluated at
 every node's stretched coordinate; a wall side contracts it with the
 node's x-weights (the two linear steps in swapped order), an interface
 half adds its lift and scales by chi.
@@ -35,7 +35,7 @@ end.
 The convergence study builds the profiles once (they do not depend on
 eps), then for each eps: marches the full model from the renormalized
 ansatz over the pieces' time grid on an eps-refined grid, refined at
-the walls only when the pieces carry a wall layer
+the interface and at the walls only where the pieces carry that layer
 (ExpansionPieces.grid), and records
 the distance to the limit state, the ansatz residual, and the conormal
 norms of (u - a) / eps at orders 0 and m. A row is one forward walk
@@ -51,7 +51,8 @@ Contains:
 - ExpansionPieces / build_expansion_pieces: the eps-independent half,
   on geometry.time_grid, with the data it was built from; its horizon
   T_used is the grid's last level, and it picks each eps row's solver
-  grid (grid), refining the walls only if it carries a wall layer
+  grid (grid), refining the interface and the walls only where it
+  carries that layer (interface_layer, wall_layer)
 - ExpansionAnsatz: the pieces sampled at one eps, by windows of levels
   or at whole knot lists
 - JumpErrorWalk / jump_error_l2: the space-time distance to a
@@ -151,14 +152,14 @@ class ExpansionAnsatz:
         the one column (nt, ns, 3), weights it by the cutoff chi (nq,)
         and carries its lift as delta and sign. A wall side stores its
         columns (nt, nc, ns, 3), weights them by their cardinal x-weights
-        (nq, nc), and has no lift. A layer whose stored data is all zero
-        (for the wall: pieces without a wall layer) lists no side.
+        (nq, nc), and has no lift. A layer the pieces do not carry
+        (interface_layer, wall_layer) lists no side.
         """
         pair, prof = self.pieces.profiles, self.pieces.boundary
         sides = []
         ys = x / self.epsilon
         nodes = np.flatnonzero(in_v_sigma(x) & (np.abs(ys) <= pair.Y))
-        if nodes.size and (pair.W.any() or pair.delta.any()):
+        if nodes.size and self.pieces.interface_layer:
             chi = chi_sigma(x[nodes])
             below = ys[nodes] < 0.0
             for sel, (half, sign) in zip((below, ~below),
@@ -614,11 +615,19 @@ class ExpansionPieces:
         profile is identically zero."""
         return bool(self.boundary.g_data.any())
 
+    @property
+    def interface_layer(self) -> bool:
+        """Whether the pieces carry an interface layer: the data jumps
+        at x = 0. Without a jump the profile and its lift are
+        identically zero."""
+        return bool(self.profiles.W.any() or self.profiles.delta.any())
+
     def grid(self, epsilon: float, cells_per_eps: int) -> Grid1D:
         """The solver grid of an eps row (full_model.make_epsilon_grid):
-        refined at the interface, and at both walls only where the
-        pieces carry a wall layer."""
+        refined at the interface and at both walls only where the pieces
+        carry that layer."""
         return make_epsilon_grid(epsilon, cells_per_eps,
+                                 interface=self.interface_layer,
                                  walls=self.wall_layer)
 
 

@@ -34,7 +34,7 @@ every level into an anonymous mapping of its own, outside the heap.
 
 Contains:
 - Grid1D / make_epsilon_grid: single-valued meshes refined at the
-  interface and, unless told the walls carry no layer, at both walls;
+  interface and at both walls, unless told a place carries no layer;
   each grid builds its stencils once (Grid1D.workspace)
 - output_times / substeps: a run's output times, {0, T} joined with
   requested ones, and the nominal substep count of one output interval
@@ -109,24 +109,33 @@ def _half_widths(h_fine: float, band: float) -> np.ndarray:
 
 
 def make_epsilon_grid(epsilon: float, cells_per_eps: int,
-                      walls: bool = True) -> Grid1D:
+                      interface: bool = True, walls: bool = True) -> Grid1D:
     """Mesh refined at the layers: spacing eps/cells_per_eps within
-    15 eps of the interface, geometric coarsening to 1/48 away from it.
-    With walls, both walls are refined the same way and each side of
-    the interface is symmetric about its midpoint; without, each side
-    coarsens on from 1/2 to its wall, its nodes on [0, 1/2] the same
-    bits as with walls. Either mesh is symmetric about x = 0.
+    15 eps of each refined place, geometric coarsening to 1/48 away
+    from it. By default the interface and both walls are refined, and
+    each side of the interface is symmetric about its midpoint. A place
+    told it carries no layer stays coarse instead: without walls each
+    side coarsens on from 1/2 to its wall, its nodes on [0, 1/2] the
+    same bits as by default; without the interface each side is coarse
+    from x = 0 to 1/2, its nodes on [1/2, 1] the same bits as with the
+    interface. Every mesh is symmetric about x = 0, which is a node.
     """
     if epsilon <= 0.0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if cells_per_eps < 4:
         raise ValueError(f"cells_per_eps must be at least 4, got {cells_per_eps}")
     half = _half_widths(epsilon / cells_per_eps, 15.0 * epsilon)
+    coarse = _half_widths(half[-1], 0.0)
     # one side = fine at interface -> coarse at 0.5 -> fine at the wall,
     # or coarse on to a wall that carries no layer
-    tail = half[::-1] if walls else _half_widths(half[-1], 0.0)
-    side = np.concatenate([half, tail])
-    return Grid1D(x=mirrored(nodes(side, 1.0)))
+    side = nodes(np.concatenate([half, half[::-1] if walls else coarse]), 1.0)
+    if not interface:
+        # coarse from an interface that carries no layer up to the node
+        # at 0.5, which keeps its bits and so do the wall half's nodes
+        mid = half.size
+        side = np.concatenate([nodes(coarse[::-1], side[mid])[:-1],
+                               side[mid:]])
+    return Grid1D(x=mirrored(side))
 
 
 # === time stepping ===

@@ -823,17 +823,19 @@ def test_headline_study_structure(jump_study, study_cfg):
 def test_a_row_refines_the_walls_only_for_a_wall_layer(jump_pieces,
                                                       swirl_pieces,
                                                       study_cfg):
-    # swirl data has a wall layer and keeps the walled grid bit for bit;
-    # jump data has none, and its rows coarsen on to the walls
+    # a row is refined only at the layers its pieces carry: swirl data
+    # has a wall layer and no interface layer, jump data the reverse
     cells = study_cfg.cells_per_eps
-    assert swirl_pieces.wall_layer and not jump_pieces.wall_layer
+    assert swirl_pieces.wall_layer and not swirl_pieces.interface_layer
+    assert jump_pieces.interface_layer and not jump_pieces.wall_layer
     for eps in (0.1, 0.0125):
         walled = make_epsilon_grid(eps, cells)
-        assert np.array_equal(swirl_pieces.grid(eps, cells).x, walled.x)
-        bare = jump_pieces.grid(eps, cells)
-        assert bare.n < walled.n
-        assert np.array_equal(
-            bare.x, make_epsilon_grid(eps, cells, walls=False).x)
+        for pieces, bare in ((swirl_pieces, dict(interface=False)),
+                             (jump_pieces, dict(walls=False))):
+            grid = pieces.grid(eps, cells)
+            assert grid.n < walled.n
+            assert np.array_equal(
+                grid.x, make_epsilon_grid(eps, cells, **bare).x)
 
 
 def test_headline_study_agrees_with_the_walled_grid(jump_data, study_cfg,
@@ -856,6 +858,27 @@ def test_headline_study_agrees_with_the_walled_grid(jump_data, study_cfg,
     assert move("residuals") <= 1e-6
     assert move("eclass_m0") <= 1e-6
     assert move("eclass_m1") <= 1e-6
+
+
+def test_swirl_study_agrees_with_the_interface_band(swirl_data, study_cfg,
+                                                   swirl_pieces, swirl_study,
+                                                   monkeypatch):
+    """Refining the swirl rows at an interface that carries no layer
+    moves each column by less than its bound, fixed before the run."""
+    monkeypatch.setattr(expansion.ExpansionPieces, "grid",
+                        lambda self, eps, cells: make_epsilon_grid(eps,
+                                                                   cells))
+    banded = convergence_study(swirl_study.epsilons, swirl_data, study_cfg,
+                               pieces=swirl_pieces)
+    assert np.all(banded.grid_sizes > swirl_study.grid_sizes)
+
+    def move(column):
+        bare, ref = getattr(swirl_study, column), getattr(banded, column)
+        return np.nanmax(np.abs(bare - ref) / np.abs(ref))
+
+    for column in ("errors_l2", "residuals", "slope_running", "eclass_m0",
+                   "eclass_m1", "slope"):
+        assert move(column) <= 1e-4, column
 
 
 def test_headline_study_running_slopes_match_errors(jump_study):

@@ -13,6 +13,8 @@ import mmap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from llx import full_model
 from llx.errors import SolverAbort
@@ -90,6 +92,46 @@ def test_epsilon_grid_without_walls_coarsens_on_to_them(eps, n):
     assert np.array_equal(x, -x[::-1])
     assert np.count_nonzero(x == 0.0) == 1
     assert np.diff(x).max() <= 1.0 / 48.0
+
+
+@pytest.mark.parametrize("eps, n", [(0.1, 219), (0.05, 387), (0.025, 567)])
+def test_epsilon_grid_without_interface_band(eps, n):
+    # each side keeps the walled mesh's wall half bit for bit and is
+    # coarse from x = 0 on
+    walled = make_epsilon_grid(eps, cells_per_eps=16).x
+    x = make_epsilon_grid(eps, cells_per_eps=16, interface=False).x
+    assert x.size == n
+    assert np.array_equal(x[np.abs(x) >= 0.5],
+                          walled[np.abs(walled) >= 0.5])
+    assert np.array_equal(x, -x[::-1])
+    assert np.count_nonzero(x == 0.0) == 1
+    assert np.diff(x).max() <= 1.0 / 48.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(eps=st.floats(1e-3, 0.3), cells=st.integers(4, 64),
+       interface=st.booleans(), walls=st.booleans())
+def test_epsilon_grid_refines_the_places_asked(eps, cells, interface,
+                                               walls):
+    x = make_epsilon_grid(eps, cells, interface=interface, walls=walls).x
+    assert np.array_equal(x, -x[::-1])
+    assert np.count_nonzero(x == 0.0) == 1
+    h = np.diff(x)
+    h_fine, h_max = eps / cells, max(1.0 / 48.0, eps / cells)
+    # landing on 1/2 shrinks each half's cells, by less than one cell
+    shrink = 0.5 / (0.5 + h_max)
+    assert h.max() <= h_max * (1.0 + 1e-12)
+    # graded: neighbouring cells differ by at most the growth factor
+    ratio = h[1:] / h[:-1]
+    assert np.all(ratio <= 1.15 * (1.0 + 1e-9))
+    assert np.all(ratio >= 1.0 / (1.15 * (1.0 + 1e-9)))
+    reach = min(15.0 * eps, 0.5) * shrink
+    for place in [0.0] * interface + [-1.0, 1.0] * walls:
+        band = h[np.maximum(np.abs(x[:-1] - place),
+                            np.abs(x[1:] - place)) <= reach]
+        assert band.size >= 1
+        assert band.min() >= h_fine * shrink * (1.0 - 1e-9)
+        assert band.max() <= h_fine * (1.0 + 1e-9)
 
 
 def test_epsilon_grid_validation():
