@@ -28,7 +28,7 @@ side. LAPACK's dgbsv takes it under 3 workspace rows. Each node's 3x3
 block lands in the band by one assignment through a strided window,
 and each coupling row by one strided slice per component: no index
 maps, and no loop over the 3 components broadcast from (n, 1). This
-is the only module that calls LAPACK, so every march goes through
+is the one solver of the three marches: each goes through
 block_tridiag_solve.
 
 The solver takes a stack of such systems, one per column, along any

@@ -12,7 +12,7 @@ The profile solves the linear parabolic system
 
     dU/dt = (I + [u0]x) U_zz + L(t, x) U,
 
-where L is the exact linearization of the layer reaction at zero
+where L is the exact linearization of the slab reaction term at zero
 profile amplitude (a closed-form 3x3 matrix of u0, its stray field and
 the slab normal e1; even in the normal, so both walls share one form).
 z is truncated at Z with Dirichlet zero, the start U(0) = 0 is
@@ -53,15 +53,16 @@ from .strayfield import E1, stray_field_slab
 
 # === linearized layer reaction ===
 
-def linearized_reaction_matrix(u0: np.ndarray, H0: np.ndarray) -> np.ndarray:
+def linearized_reaction_matrix(u0: np.ndarray) -> np.ndarray:
     """Derivative of the layer reaction at zero profile amplitude,
-    d/ds F_pm(s U, 0, u0, H0) at s = 0 = L U, as the (..., 3, 3) matrix
+    d/ds F_slab(u0 + s U, 0) at s = 0 = L U, as the (..., 3, 3) matrix
 
         L = [u0 x H0]x - [H0]x + [u0]x [H0]x
-            + (u0 x (u0 x e1) - u0 x e1) e1^T.
+            + (u0 x (u0 x e1) - u0 x e1) e1^T,  H0 = stray_field_slab(u0).
 
     Even in the normal e1, so the two walls share it.
     """
+    H0 = stray_field_slab(u0)
     w_e1 = cross(u0, E1)
     return (cross_matrix(cross(u0, H0)) - cross_matrix(H0)
             + cross_matrix(u0) @ cross_matrix(H0)
@@ -108,7 +109,7 @@ def march_wall(z: np.ndarray, times: np.ndarray, u0: np.ndarray,
     d2 = tuple(map(field_weights, (a, b, c)))
     h0 = z[1] - z[0]
     eye = np.eye(3)
-    L_all = linearized_reaction_matrix(u0, stray_field_slab(u0))
+    L_all = linearized_reaction_matrix(u0)
 
     # graded opening steps run backward Euler: the start U = 0 cannot
     # carry the wall flux, and on the fine wall cells Crank-Nicolson

@@ -124,6 +124,7 @@ def cmd_profiles(cfg: RunConfig, args, out_dir: str) -> int:
 
 
 def cmd_ansatz(cfg: RunConfig, args, out_dir: str) -> int:
+    cfg.study.require_residual_knots()
     pieces = build_expansion_pieces(cfg.data, cfg.study)
     grid = pieces.grid(cfg.epsilon, cfg.study.cells_per_eps)
     times = knot_times(pieces.T_used, cfg.study.dt_knot)

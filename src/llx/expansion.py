@@ -583,6 +583,16 @@ class StudyConfig:
             raise ConfigError(f"study.eclass_m must be 1 or 2, "
                               f"got {self.eclass_m}")
 
+    def require_residual_knots(self) -> None:
+        """Refuse fewer than two knot cells, where the ansatz residual
+        needs three knots (the study and `llx ansatz` ask this)."""
+        cells = knot_times(self.T, self.dt_knot).size - 1
+        if cells < 2:
+            raise ConfigError(
+                f"study.T={self.T} spans {cells} knot cell of study.dt_knot="
+                f"{self.dt_knot}; the residual needs 2: raise study.T or "
+                f"lower study.dt_knot")
+
 
 @dataclass(frozen=True)
 class ExpansionPieces:
@@ -771,8 +781,9 @@ def convergence_study(epsilons, data: MagnetizationField,
 
     The profiles are built once and shared; the per-eps runs are
     independent, min(jobs, eps count) processes run them. Refuses jobs
-    below 1, eps lists that are not strictly decreasing and grids that
-    leave the layer under-resolved (fewer than 8 cells per eps width).
+    below 1, eps lists that are not strictly decreasing, grids that
+    leave the layer under-resolved (fewer than 8 cells per eps width),
+    one knot cell, and antiparallel constant data (a(0, 0) = 0).
     """
     eps = np.asarray(list(epsilons), dtype=float)
     if eps.size < 3:
@@ -791,6 +802,12 @@ def convergence_study(epsilons, data: MagnetizationField,
         raise ConfigError(
             f"unresolved layer: study.cells_per_eps={cfg.cells_per_eps} "
             f"cells per eps width (need >= 8)")
+    cfg.require_residual_knots()
+    if data.name is None and not np.any(data.value_minus + data.value_plus):
+        raise ConfigError(
+            f"scenario.value_minus={data.value_minus.tolist()} and "
+            f"scenario.value_plus={data.value_plus.tolist()} are "
+            f"antiparallel: the full model would start from 0 at x = 0")
     if pieces is None:
         pieces = build_expansion_pieces(data, cfg)
 

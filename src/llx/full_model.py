@@ -9,7 +9,7 @@ homogeneous Neumann walls, is
 Time stepping is linearly implicit with theta fixed at 1/2: half of the
 stiff quasilinear part eps^2 (I + [v]x) uxx is taken at the old level,
 half implicitly at the new one, with the matrix and the explicit F
-(limit_model.F_slab, F_rhs with H(u) written out) both frozen at a
+(limit_model.F_slab, F with H(u) written out) both frozen at a
 state v approximating u at the step's midpoint. Each row of the step's
 system is premultiplied by (I + [v]x)^-1, so the explicit half is
 plain eps^2 uxx / 2 and the implicit one couples neighbours by scalars

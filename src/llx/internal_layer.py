@@ -44,8 +44,8 @@ converged levels.
 Contains:
 - halves / lift: each side's half-line of the mirrored y-mesh (the
   junction included) and its lift S_pm
-- F_pm: the increment F(u0+U, V, H0-(U.e1)e1) - F(u0, 0, H0) of
-  limit_model.F_rhs
+- F_pm: the increment F(u0 + U, V) - F(u0, 0) of the slab reaction
+  term limit_model.F_slab
 - _sweep: one Crank-Nicolson march of the column (a Picard sweep),
   its step matrices built for all levels at once
 - _predict / _settled: a window's starting guess, its exit rule
@@ -63,8 +63,7 @@ from .banded import block_tridiag_solve, cross, inv_id_plus_cross
 from .errors import NonContraction, ValidationError
 from .geometry import (apply_tridiagonal_stencil, d2_coefficients,
                        field_weights, one_sided_d1, profile_d1, x_squares)
-from .limit_model import ExtendedLimit, F_rhs, precession_rhs
-from .strayfield import layer_correction, stray_field_slab
+from .limit_model import ExtendedLimit, F_slab, rhs_limit
 
 
 # === the two sides ===
@@ -86,16 +85,11 @@ def lift(delta, y, sign: float):
 # === profile nonlinearity ===
 
 def F_pm(U: np.ndarray, V: np.ndarray, u0: np.ndarray,
-         H0: np.ndarray) -> np.ndarray:
-    """Zero-order increment of the reaction term inside the layer:
-    F(u0 + U, V, H0 - (U.e1) e1) - F(u0, 0, H0).
-
-    The profile sees the limit field H0 corrected by its own fast-scale
-    stray field -(U.e1) e1, e1 the slab normal; F(u0, 0, H0) is the
-    limit flow's precession_rhs(u0, H0).
-    """
-    return (F_rhs(u0 + U, V, H0 + layer_correction(U))
-            - precession_rhs(u0, H0))
+         f0: np.ndarray) -> np.ndarray:
+    """Zero-order increment F(u0 + U, V) - F(u0, 0) of the slab reaction
+    term inside the layer, f0 = F(u0, 0) = rhs_limit(u0): the profile
+    sees H(u0) plus its own fast-scale stray field -(U.e1) e1."""
+    return F_slab(u0 + U, V) - f0
 
 
 # === the Crank-Nicolson march ===
@@ -183,14 +177,14 @@ def _profile_data(y: np.ndarray, delta, delta_dt, u0p, u0m) -> tuple:
 
     delta, delta_dt and the one-sided states u0p, u0m are (m, 3) at m
     time levels. Returns a flat tuple of arrays with the same leading
-    axis: per side (halves, minus first) u0, H0, the lift S, V = u0 + S
-    and the lift of delta_dt on the side's half-line.
+    axis: per side (halves, minus first) u0, f0 = rhs_limit(u0), the
+    lift S, V = u0 + S and the lift of delta_dt on the side's half-line.
     """
     data = []
     for (rows, sign), u0 in zip(halves(y.size), (u0m, u0p)):
         u0_b = u0[..., None, :]
         S = lift(delta[..., None, :], y[rows, None], sign)
-        data += [u0_b, stray_field_slab(u0)[..., None, :], S, u0_b + S,
+        data += [u0_b, rhs_limit(u0)[..., None, :], S, u0_b + S,
                  lift(delta_dt[..., None, :], y[rows, None], sign)]
     return tuple(data)
 
@@ -207,10 +201,10 @@ def _profile_levels(y: np.ndarray, W: np.ndarray, data: tuple):
     """
     dyW = profile_d1(y, W)
     sides = []
-    for (rows, sign), (u0, H0, S, V, dS) in zip(halves(y.size),
+    for (rows, sign), (u0, f0, S, V, dS) in zip(halves(y.size),
                                                 (data[:5], data[5:])):
         W_s = W[..., rows, :]
-        f = (F_pm(W_s + S, dyW[..., rows, :] + sign * S, u0, H0)
+        f = (F_pm(W_s + S, dyW[..., rows, :] + sign * S, u0, f0)
              - dS + S + cross(V + W_s, S))
         sides.append((V, f))
     (V_m, f_m), (V_p, f_p) = sides

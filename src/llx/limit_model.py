@@ -9,12 +9,9 @@ an arbitrary leading shape. The full model's reaction term F lives here
 too, the one home all three physics layers take it from.
 
 Contains:
-- precession_rhs: u x H - u x (u x H) for a given field H
-- F_rhs: the reaction term |V|^2 u + u x H - u x (u x H)
-- F_slab: F_rhs with the slab stray field H = (-u1, 0, 0), written out
-  (the full model's reaction term)
-- rhs_limit: the limit flow's right-hand side, precession_rhs with the
-  slab stray field
+- F_slab: the reaction term |V|^2 u + u x H - u x (u x H) with the slab
+  stray field H = (-u1, 0, 0) written out
+- rhs_limit: the limit flow's right-hand side, F_slab at V = 0
 - renormalize: projection onto the unit sphere
 - simulate_limit: the exact solution on a given time grid
 - ExtendedLimit / extend_limit: one-sided limit states extended across
@@ -30,33 +27,20 @@ from typing import Optional
 
 import numpy as np
 
-from .banded import cross, dot3, norm3
+from .banded import dot3, norm3
 from .fields import MagnetizationField
 from .geometry import chi_sigma, in_v_sigma
-from .strayfield import stray_field_slab
-
-
-def precession_rhs(u: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """u x H - u x (u x H), broadcast over leading axes."""
-    uxH = cross(u, H)
-    return uxH - cross(u, uxH)
-
-
-def F_rhs(u: np.ndarray, V: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Reaction term |V|^2 u + u x H - u x (u x H)."""
-    uxH = cross(u, H)
-    return dot3(V, V)[..., None] * u + uxH - cross(u, uxH)
 
 
 def F_slab(u: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """F_rhs(u, V, stray_field_slab(u)), with only the arithmetic the
-    field (-u1, 0, 0) leaves: u x H = (0, -u1 u3, u1 u2), and
+    """F(u, V, H) = |V|^2 u + u x H - u x (u x H) with the slab stray
+    field H = (-u1, 0, 0), broadcast, with only the arithmetic H leaves:
+    u x H = (0, -u1 u3, u1 u2), and
 
         F = |V|^2 u - (u2 u1u2 + u3 u1u3, u1u3 - u1 u1u2, -u1u2 - u1 u1u3),
 
-    each term rounded as F_rhs rounds it. Equal to F_rhs under ==: only
-    the sign of a zero may differ, where F_rhs adds or subtracts the
-    exact zeros of H.
+    each term rounded as two cross products with H round it, so equal
+    to that form under ==: only the sign of a zero may differ.
     """
     u1, u2, u3 = u[..., 0], u[..., 1], u[..., 2]
     p2, p3 = u1 * u2, u1 * u3
@@ -69,8 +53,8 @@ def F_slab(u: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 
 def rhs_limit(u: np.ndarray) -> np.ndarray:
-    """Limit-flow right-hand side with the slab stray field."""
-    return precession_rhs(u, stray_field_slab(u))
+    """Limit-flow right-hand side: the reaction term at V = 0."""
+    return F_slab(u, np.zeros(3))
 
 
 def renormalize(u: np.ndarray,

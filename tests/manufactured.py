@@ -24,6 +24,8 @@ gate measure the same thing:
 - reference_epsilon_row: one eps row of the study on whole (nt, nx, 3)
   arrays, measured by the whole-array diagnostics: the oracle of the
   row's one walk over knot blocks
+- reaction_term: the textbook reaction term F(u, V, H) with a free
+  field H, the oracle of the slab reaction term limit_model.F_slab
 - broadcast_stencil / reference_step_full / reference_sweep: the
   3-point stencil with its (n,) weights broadcast over the components,
   and the full-model step and the transmission march built from it,
@@ -47,7 +49,7 @@ from llx.geometry import (apply_tridiagonal_stencil, conormal_weight,
                           d1_coefficients, d2_coefficients, knot_times,
                           one_sided_d1, profile_d1, x_squares)
 from llx.internal_layer import _sweep, halves
-from llx.limit_model import F_rhs, renormalize, rhs_limit
+from llx.limit_model import renormalize, rhs_limit
 from llx.strayfield import stray_field_slab
 
 
@@ -314,6 +316,13 @@ def reference_epsilon_row(task) -> dict:
 
 # === the steps before their shared set-up ===
 
+def reaction_term(u, V, H):
+    """F(u, V, H) = |V|^2 u + u x H - u x (u x H), broadcast over the
+    leading axes, from numpy's own cross product and sum."""
+    uxH = np.cross(u, H)
+    return np.sum(V * V, axis=-1)[..., None] * u + uxH - np.cross(u, uxH)
+
+
 def broadcast_stencil(coeffs, u: np.ndarray) -> np.ndarray:
     """3-point weights (a, b, c), each (n,), applied along the node axis
     of u (..., n, 3), broadcast from (n, 1) over the components."""
@@ -326,10 +335,11 @@ def broadcast_stencil(coeffs, u: np.ndarray) -> np.ndarray:
 
 def reference_step_full(u, v, t, dt, grid, cfg, source=None):
     """full_model.step_full on the grid, with the broadcast stencils,
-    F_rhs and the stray field (-u1, 0, 0) built as a field."""
+    the textbook reaction term and the stray field (-u1, 0, 0) built as
+    a field."""
     coef = 0.5 * dt * cfg.epsilon**2
     V = cfg.epsilon * broadcast_stencil(d1_coefficients(grid.x), v)
-    g = F_rhs(v, V, stray_field_slab(v))
+    g = reaction_term(v, V, stray_field_slab(v))
     if source is not None:
         g = g + source(t + 0.5 * dt, grid.x)
     d2 = d2_coefficients(grid.x)

@@ -16,25 +16,27 @@ from llx.geometry import (apply_tridiagonal_stencil, d2_coefficients,
                           make_wall_grid, one_sided_d1, param_nodes, theta,
                           time_grid)
 from llx.internal_layer import F_pm
-from llx.limit_model import extend_limit
+from llx.limit_model import extend_limit, rhs_limit
 from llx.strayfield import E1, stray_field_slab
 
 
 # --- linearized reaction ---
 
 def test_linearized_reaction_is_layer_derivative():
-    # the exact increment is cubic in U, so a centered difference keeps a
-    # cubic remainder; one Richardson step removes it exactly
+    # the exact increment is cubic in U, the slab field moving with
+    # u0 + U, so a centered difference keeps a cubic remainder; one
+    # Richardson step removes it exactly
     rng = np.random.default_rng(19)
     z = np.zeros(3)
 
-    def central(U, u0, H0, s):
-        return (F_pm(s * U, z, u0, H0) - F_pm(-s * U, z, u0, H0)) / (2 * s)
+    def central(U, u0, s):
+        f0 = rhs_limit(u0)
+        return (F_pm(s * U, z, u0, f0) - F_pm(-s * U, z, u0, f0)) / (2 * s)
 
     for _ in range(50):
-        U, u0, H0 = rng.normal(size=(3, 3))
-        exact = (4.0 * central(U, u0, H0, 0.5) - central(U, u0, H0, 1.0)) / 3.0
-        np.testing.assert_allclose(linearized_reaction_matrix(u0, H0) @ U,
+        U, u0 = rng.normal(size=(2, 3))
+        exact = (4.0 * central(U, u0, 0.5) - central(U, u0, 1.0)) / 3.0
+        np.testing.assert_allclose(linearized_reaction_matrix(u0) @ U,
                                    exact, atol=1e-12, rtol=1e-12)
 
 
@@ -99,7 +101,7 @@ def _wall_mms(n_cells: int, dt: float, T: float = 0.5):
     u0_vec = np.array([0.6, 0.8, 0.0])
     u0 = np.tile(u0_vec, (times.size, 1))
     # source = dU/dt - (I + [u0]x) U_zz - L U with U_zz = U
-    Lv = linearized_reaction_matrix(u0_vec, np.array([-0.6, 0.0, 0.0])) @ v
+    Lv = linearized_reaction_matrix(u0_vec) @ v
     ez = np.exp(-z)
     src = (np.cos(times)[:, None, None] * ez[None, :, None] * v
            - np.sin(times)[:, None, None] * ez[None, :, None]

@@ -183,6 +183,46 @@ def test_finer_knots_alone_is_exit_2(tmp_path, capsys):
     assert "lower study.dt_full" in err
 
 
+ANTIPARALLEL = "scenario.value_plus=-0.6 -0.8 0"
+
+
+def test_antiparallel_constant_data_is_exit_2_for_the_study(tiny_cfg,
+                                                            tmp_path, capsys):
+    # (u_minus + u_plus) / 2 is the ansatz at x = 0 and t = 0: the study
+    # names both keys before it builds anything
+    rc = main(["converge", "--config", tiny_cfg,
+               "--out", str(tmp_path / "o"), "--tol-override", ANTIPARALLEL])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: scenario.value_minus=")
+    assert "scenario.value_plus=" in err and "antiparallel" in err
+
+
+@pytest.mark.parametrize("command", ["limit", "full", "profiles", "ansatz"])
+def test_antiparallel_constant_data_runs_outside_the_study(tiny_cfg,
+                                                           tmp_path, command):
+    assert main([command, "--config", tiny_cfg, "--out", str(tmp_path / "o"),
+                 "--tol-override", ANTIPARALLEL]) == 0
+
+
+@pytest.mark.parametrize("command", ["converge", "ansatz"])
+@pytest.mark.parametrize("override", ["study.T=0.0025", "study.dt_knot=0.02"])
+def test_one_knot_cell_is_exit_2_for_a_residual(tiny_cfg, tmp_path, capsys,
+                                                command, override):
+    rc = main([command, "--config", tiny_cfg, "--out", str(tmp_path / "o"),
+               "--tol-override", override])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: study.T=")
+    assert "spans 1 knot cell of study.dt_knot=" in err
+
+
+@pytest.mark.parametrize("command", ["limit", "profiles"])
+def test_one_knot_cell_runs_without_a_residual(tiny_cfg, tmp_path, command):
+    assert main([command, "--config", tiny_cfg, "--out", str(tmp_path / "o"),
+                 "--tol-override", "study.T=0.0025"]) == 0
+
+
 def test_out_dir_precedence(tiny_cfg, tmp_path, monkeypatch):
     env_dir = tmp_path / "from_env"
     flag_dir = tmp_path / "from_flag"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import weakref
-from dataclasses import replace
+from dataclasses import fields as dc_fields, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -653,6 +653,13 @@ def test_convergence_study_validation(jump_data):
     with pytest.raises(ConfigError, match="unresolved layer"):
         convergence_study([0.1, 0.05, 0.025], jump_data,
                           StudyConfig(cells_per_eps=4))
+    with pytest.raises(ConfigError, match="study.T=0.0025 spans 1 knot cell"):
+        convergence_study([0.1, 0.05, 0.025], jump_data,
+                          StudyConfig(T=0.0025))
+    antiparallel = constant_per_side((0.6, 0.8, 0.0), (-0.6, -0.8, 0.0))
+    with pytest.raises(ConfigError,
+                       match="scenario.value_minus=.* scenario.value_plus="):
+        convergence_study([0.1, 0.05, 0.025], antiparallel)
 
 
 def _stub_row(task):
@@ -901,6 +908,22 @@ def test_headline_study_eclass_records_consistent(jump_study, study_cfg):
         assert abs(rec0.summands().sum() - rec0.total) < 1e-15
         # higher order dominates: the m = 0 norm is part of the m = 1 sum
         assert recm.conormal >= rec0.conormal
+
+
+def test_swirl_study_through_the_pool_is_deterministic(swirl_data, study_cfg,
+                                                      swirl_pieces,
+                                                      swirl_study):
+    """Each worker gets the pieces pickled, the wall layer's U with them,
+    and returns its row bit for bit as the serial study computes it."""
+    pooled = convergence_study(swirl_study.epsilons, swirl_data, study_cfg,
+                               jobs=3, pieces=swirl_pieces)
+    for field in dc_fields(swirl_study):
+        serial = getattr(swirl_study, field.name)
+        ours = getattr(pooled, field.name)
+        if isinstance(serial, np.ndarray):
+            assert np.array_equal(ours, serial, equal_nan=True), field.name
+        else:
+            assert ours == serial, field.name
 
 
 def test_swirl_study_errors_decrease(swirl_study):

@@ -30,7 +30,7 @@ from llx.full_model import (
     substeps,
 )
 from llx.geometry import LEVEL_BLOCK, level_blocks, time_grid
-from llx.limit_model import F_rhs, renormalize, rhs_limit
+from llx.limit_model import F_slab, renormalize, rhs_limit
 
 from manufactured import (full_model_solution, reference_step_full,
                           step_midpoint, whole_residual_report)
@@ -150,22 +150,23 @@ def test_grid1d_validation():
         Grid1D(x=np.array([-1.0, 0.0, 1.0]))
 
 
-def test_F_rhs_worked_example():
-    u = np.array([0.0, 1.0, 0.0])
-    H = np.array([1.0, 0.0, 0.0])
+def test_F_slab_worked_example():
+    u = np.array([0.6, 0.8, 0.0])
     V = np.array([2.0, 0.0, 0.0])
-    out = F_rhs(u, V, H)
-    # |V|^2 u = (0,4,0); u x H = (0,0,-1); -u x (u x H) = (1,0,0)
-    assert np.allclose(out, [1.0, 4.0, -1.0], atol=1e-15)
+    out = F_slab(u, V)
+    # H = (-0.6,0,0); |V|^2 u = (2.4,3.2,0); u x H = (0,0,0.48);
+    # -u x (u x H) = (-0.384,0.288,0)
+    assert np.allclose(out, [2.016, 3.488, 0.48], atol=1e-15)
 
 
-def test_F_rhs_against_expansion():
+def test_F_slab_against_expansion():
     rng = np.random.default_rng(44)
-    u, V, H = rng.normal(size=(3, 100, 3))
-    out = F_rhs(u, V, H)
+    u, V = rng.normal(size=(2, 100, 3))
+    out = F_slab(u, V)
     for k in range(100):
-        expect = (V[k] @ V[k]) * u[k] + np.cross(u[k], H[k]) \
-            - np.cross(u[k], np.cross(u[k], H[k]))
+        H = np.array([-u[k, 0], 0.0, 0.0])
+        expect = (V[k] @ V[k]) * u[k] + np.cross(u[k], H) \
+            - np.cross(u[k], np.cross(u[k], H))
         assert np.allclose(out[k], expect, atol=1e-13)
 
 

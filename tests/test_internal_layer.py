@@ -13,10 +13,10 @@ from llx.geometry import (apply_tridiagonal_stencil, chi_sigma,
 from llx.internal_layer import (TIME_BLOCK, F_pm, halves, picard_profiles,
                                 _picard, _predict, _settled, _stalled,
                                 _sweep)
-from llx.limit_model import F_rhs, extend_limit, rhs_limit, simulate_limit
+from llx.limit_model import extend_limit, rhs_limit, simulate_limit
 from llx.strayfield import E1, stray_field_slab
 
-from manufactured import (march_column, reference_sweep,
+from manufactured import (march_column, reaction_term, reference_sweep,
                           transmission_march_error)
 
 
@@ -147,24 +147,24 @@ def test_extension_rejects_times_not_increasing(times):
 # --- layer nonlinearity ---
 
 def test_F_pm_matches_direct_increment():
-    # F_pm must equal F(u0+U, V, H0-(U.e1)e1) - F(u0, 0, H0) exactly
+    # F_pm must equal F(u0+U, V, H0-(U.e1)e1) - F(u0, 0, H0), H0 the slab
+    # field of u0: the layer sees the limit field corrected by its own
     rng = np.random.default_rng(7)
     for _ in range(100):
         U = rng.normal(size=3)
         V = rng.normal(size=3)
         u0 = rng.normal(size=3)
-        H0 = rng.normal(size=3)
-        direct = (F_rhs(u0 + U, V, H0 - U[0] * E1)
-                  - F_rhs(u0, np.zeros(3), H0))
-        np.testing.assert_allclose(F_pm(U, V, u0, H0), direct,
+        H0 = stray_field_slab(u0)
+        direct = (reaction_term(u0 + U, V, H0 - U[0] * E1)
+                  - reaction_term(u0, np.zeros(3), H0))
+        np.testing.assert_allclose(F_pm(U, V, u0, rhs_limit(u0)), direct,
                                    atol=1e-12, rtol=1e-12)
 
 
 def test_F_pm_zero_input_is_zero():
     u0 = np.array([0.3, -0.4, 0.5])
-    H0 = np.array([-0.3, 0.0, 0.0])
     z = np.zeros(3)
-    assert np.max(np.abs(F_pm(z, z, u0, H0))) == 0.0
+    assert np.max(np.abs(F_pm(z, z, u0, rhs_limit(u0)))) == 0.0
 
 
 # --- marching kernel conveyance (manufactured solution) ---
@@ -447,8 +447,8 @@ def _reference_picard_column(y, times, delta, delta_dt, u0p, u0m, tol,
     V_p = u0p[:, None, :] - 0.5 * d * e_plus
     V_m = u0m[:, None, :] + 0.5 * d * e_minus
     V_of_side = np.where((y >= 0.0)[None, :, None], V_p, V_m)
-    H_p = stray_field_slab(u0p)[:, None, :]
-    H_m = stray_field_slab(u0m)[:, None, :]
+    f0_p = rhs_limit(u0p)[:, None, :]
+    f0_m = rhs_limit(u0m)[:, None, :]
     W = np.zeros((times.size, y.size, 3))
     windows = []
     for k0 in range(0, times.size - 1, TIME_BLOCK):
@@ -467,11 +467,11 @@ def _reference_picard_column(y, times, delta, delta_dt, u0p, u0m, tol,
             Wl = W[lv]
             dyW = profile_d1(y, Wl)
             f_p = (F_pm(Wl + S_p[lv], dyW + 0.5 * d[lv] * e_plus,
-                        u0p[lv, None, :], H_p[lv])
+                        u0p[lv, None, :], f0_p[lv])
                    - (-0.5 * dd[lv] * e_plus) + S_p[lv]
                    + np.cross(V_p[lv] + Wl, S_p[lv]))
             f_m = (F_pm(Wl + S_m[lv], dyW + 0.5 * d[lv] * e_minus,
-                        u0m[lv, None, :], H_m[lv])
+                        u0m[lv, None, :], f0_m[lv])
                    - 0.5 * dd[lv] * e_minus + S_m[lv]
                    + np.cross(V_m[lv] + Wl, S_m[lv]))
             new = _reference_march(y, times[lv], V_of_side[lv] + Wl,

@@ -5,7 +5,10 @@ The expansion is built from separate pieces, and the code keeps them
 apart: the interface layer, the wall layer and the full model import
 none of one another, and the shared foundations (meshes, time grids and
 stencils, the limit flow, the stray field, the banded kernel, spline
-interpolation and the initial data) import none of them.
+interpolation and the initial data) import none of them. The slab
+reaction term carries its stray field written out (limit_model.F_slab),
+so neither the limit flow nor the interface layer takes a stray-field
+operator.
 
 A pipeline module reduces the length-3 component axis of a field only
 through banded.dot3 and banded.norm3: np.sum and np.linalg.norm over
@@ -85,6 +88,11 @@ def test_physics_layers_import_none_of_one_another(layer):
 @pytest.mark.parametrize("module", FOUNDATIONS)
 def test_foundations_import_no_physics_layer(module):
     assert not imported_modules(PACKAGE / f"{module}.py") & set(LAYERS)
+
+
+@pytest.mark.parametrize("module", ("internal_layer", "limit_model"))
+def test_the_slab_reaction_term_needs_no_stray_field_operator(module):
+    assert "strayfield" not in imported_modules(PACKAGE / f"{module}.py")
 
 
 def _is_minus_one(node) -> bool:

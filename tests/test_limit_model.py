@@ -26,17 +26,10 @@ from hypothesis.extra.numpy import arrays
 from llx.fields import constant_per_side, named_field
 from llx.full_model import make_epsilon_grid
 from llx.geometry import knot_times
-from llx.limit_model import (
-    F_rhs,
-    F_slab,
-    precession_rhs,
-    renormalize,
-    rhs_limit,
-    simulate_limit,
-)
+from llx.limit_model import F_slab, renormalize, rhs_limit, simulate_limit
 from llx.strayfield import stray_field_slab
 
-from manufactured import (march_rk4, step_midpoint, step_rk4,
+from manufactured import (march_rk4, reaction_term, step_midpoint, step_rk4,
                           whole_simulate_limit)
 
 
@@ -58,10 +51,10 @@ def closed_form(u0, t):
 
 
 def test_rhs_worked_example():
-    # u = (0,1,0), H = (1,0,0): u x H = (0,0,-1), u x (u x H) = (-1,0,0)
-    out = precession_rhs(np.array([0.0, 1.0, 0.0]),
-                         np.array([1.0, 0.0, 0.0]))
-    assert np.allclose(out, [1.0, 0.0, -1.0], atol=1e-15)
+    # u = (0.6, 0.8, 0), H = (-0.6, 0, 0): u x H = (0, 0, 0.48),
+    # u x (u x H) = (0.384, -0.288, 0)
+    out = rhs_limit(np.array([0.6, 0.8, 0.0]))
+    assert np.allclose(out, [-0.384, 0.288, 0.48], atol=1e-15)
 
 
 def test_renormalize_through_given_norms():
@@ -295,6 +288,7 @@ _MODERATE = st.floats(-1e3, 1e3, allow_nan=False, width=64) \
 @given(u=arrays(np.float64, (4, 3), elements=_MODERATE),
        V=arrays(np.float64, (4, 3), elements=_MODERATE))
 def test_slab_reaction_equals_the_generic_one(u, V):
-    # the written-out F with H = (-u1, 0, 0) rounds every term as F_rhs
-    # does; only a zero's sign may differ, which == ignores
-    assert np.all(F_slab(u, V) == F_rhs(u, V, stray_field_slab(u)))
+    # the written-out F with H = (-u1, 0, 0) rounds every term as the
+    # textbook F with that field does; only a zero's sign may differ,
+    # which == ignores
+    assert np.all(F_slab(u, V) == reaction_term(u, V, stray_field_slab(u)))
