@@ -15,10 +15,12 @@ The profile solves the linear parabolic system
 where L is the exact linearization of the slab reaction term at zero
 profile amplitude (a closed-form 3x3 matrix of u0, its stray field and
 the slab normal e1; even in the normal, so both walls share one form).
-z is truncated at Z with Dirichlet zero, the start U(0) = 0 is
-zero-compatible through the same graded opening steps as the
-transmission layer, and the x dependence is parametric: columns where
-theta vanishes are identically zero and skipped.
+Here u0 is the flow of each side's data branch read on that side (the
+minus branch on x < 0, the plus branch on x >= 0). z is truncated at Z
+with Dirichlet zero, the start U(0) = 0 is zero-compatible through the
+same graded opening steps as the transmission layer, and the x
+dependence is parametric: columns where theta vanishes are identically
+zero and skipped.
 
 The slow corrector rho(t, x) = phi(x) theta(x) g_side(t) repairs the
 O(eps) wall flux left by the x dependence of the profile trace:
@@ -195,11 +197,12 @@ class BoundaryProfile:
         if tail > tail_tol:
             raise ValidationError(
                 f"wall profile tail {tail:.3e} exceeds {tail_tol:.1e}; "
-                f"enlarge the wall box")
+                f"enlarge the wall box, study.box_z")
         defect = self.neumann_defect()
         if defect > neumann_tol:
             raise ValidationError(
-                f"wall flux defect {defect:.3e} exceeds {neumann_tol:.1e}")
+                f"wall flux defect {defect:.3e} exceeds {neumann_tol:.1e}; "
+                f"refine the wall grid, study.wall_cells")
 
 
 def solve_boundary_profile(ext: ExtendedLimit,
@@ -208,9 +211,9 @@ def solve_boundary_profile(ext: ExtendedLimit,
     geometry.theta is positive.
 
     The limit solution and its slow normal derivative come from the
-    extended states (each side's extension equals the limit solution on
-    its own side); the Neumann data is theta(x) d_n u0 with the outward
-    normal at the nearer wall. The columns with nonzero data march
+    branch flows, each read on its own side (each equals the limit
+    solution there); the Neumann data is theta(x) d_n u0 with the
+    outward normal at the nearer wall. The columns with nonzero data march
     together in one march_wall call; the rest stay exactly zero. When
     every column has data, U is the march's own array, so the build
     holds one copy of it.

@@ -14,8 +14,9 @@ parsed values, so two files spelling the same number differently
 effective configuration including overrides.
 
 Bad values are refused here, once, with a message naming the key:
-every number must be finite, run.epsilon positive, and the study knobs
-pass StudyConfig's range checks.
+every number must be finite, run.epsilon positive, each side's vector
+nonzero, a named field known, and the study knobs pass StudyConfig's
+range checks.
 
 Contains:
 - RunConfig / load_config: parse, merge defaults and overrides, build
@@ -106,6 +107,9 @@ def _parse_vec3(section: str, key: str, raw: str) -> tuple:
     if len(vals) != 3:
         raise ConfigError(
             f"{section}.{key} must be three numbers, got {raw!r}")
+    # constant_per_side divides by the length, the root of this sum
+    if not sum(v * v for v in vals):
+        raise ConfigError(f"{section}.{key} must be nonzero, got {raw!r}")
     return vals
 
 
@@ -113,11 +117,20 @@ def _parse_text(section: str, key: str, raw: str) -> str:
     return raw.strip()
 
 
-# the parser of every key that is not text; a study knob reads as the
+def _parse_field(section: str, key: str, raw: str) -> str:
+    name = raw.strip()
+    if name not in NAMED_FIELDS:
+        raise ConfigError(f"unknown named field {name!r} in {section}.{key}; "
+                          f"known: {sorted(NAMED_FIELDS)}")
+    return name
+
+
+# the parser of every key that is not free text; a study knob reads as the
 # type of its StudyConfig field
 _PARSERS = {
     ("scenario", "value_minus"): _parse_vec3,
     ("scenario", "value_plus"): _parse_vec3,
+    ("scenario", "field"): _parse_field,
     ("study", "epsilons"): _parse_floats,
     ("run", "epsilon"): _parse_float,
     ("run", "seed"): _parse_int,
@@ -200,12 +213,7 @@ def _build(merged: dict) -> RunConfig:
         data = constant_per_side(value["scenario", "value_minus"],
                                  value["scenario", "value_plus"])
     elif kind == "named":
-        name = value["scenario", "field"]
-        if name not in NAMED_FIELDS:
-            raise ConfigError(
-                f"unknown named field {name!r}; "
-                f"known: {sorted(NAMED_FIELDS)}")
-        data = named_field(name)
+        data = named_field(value["scenario", "field"])
     else:
         raise ConfigError(
             f"scenario.data must be 'constant' or 'named', got {kind!r}")

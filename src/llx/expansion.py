@@ -668,8 +668,8 @@ class ConvergenceReport:
 def build_expansion_pieces(data: MagnetizationField,
                            cfg: StudyConfig = StudyConfig()
                            ) -> ExpansionPieces:
-    """Run the eps-independent pipeline: limit, extension and both
-    layers.
+    """Run the eps-independent pipeline: the branch flows of the limit
+    and both layers.
 
     If a profile window opening at an interior time t stops contracting,
     the pieces are rebuilt on the horizon t (at least 4 knot cells),

@@ -1,12 +1,12 @@
 """Internal transmission profile at the mid-plane interface.
 
 The limit flow jumps across x = 0; the full model bridges the jump with
-a fast profile in the stretched variable y = x/eps. With the two
-one-sided limit states extended smoothly across the interface (each
-data branch continued and faded in with the interface cutoff), the
-jump field
-delta(t, x) = u0_plus - u0_minus is supported in the interface
-neighborhood, and the profile splits as
+a fast profile in the stretched variable y = x/eps. Each data branch
+continues smoothly across the interface and the limit flow is
+pointwise, so the two branch flows u0_plus and u0_minus are defined on
+both sides; the jump field delta(t, x) = chi_sigma(x) (u0_plus -
+u0_minus), their gap faded out by the interface cutoff, is supported in
+the interface neighborhood, and the profile splits as
 
     U_pm = W + S_pm,    S_pm(t, x, y) = -+ 1/2 delta(t, x) e^{-+y},
 
@@ -20,7 +20,8 @@ unknown at y = 0, and W(0) = 0. In one dimension the interface is the
 single point x = 0, and the profile is solved there only: every
 accepted input has delta(t, x) = chi_sigma(x) delta(t, 0) and S is
 linear in delta, so the ansatz weights this one column by the cutoff
-(expansion). A column with no jump and no jump rate is exactly zero and
+(expansion). Its jump rate is the gap of the branches' limit-flow
+rates at x = 0; a column with no jump has none, is exactly zero and is
 not marched. The quasilinear solve is a Picard iteration: coefficients
 and forcing frozen at the previous space-time iterate, each sweep a
 Crank-Nicolson march with a one-sided-Taylor junction row, its
@@ -392,18 +393,20 @@ def picard_profiles(ext: ExtendedLimit, y: np.ndarray, tol: float,
                     max_iter: int) -> ProfilePair:
     """Solve the transmission profile on the interface x = 0.
 
-    A column whose jump and jump rate vanish identically (continuous or
-    symmetric data) is exactly zero and not marched. A window that stops
-    contracting raises its NonContraction, and no profile.
+    The column's jump is the gap of the two branch flows there, and its
+    rate the gap of their limit-flow rates. A column whose jump vanishes
+    identically (continuous or symmetric data), and with it the rate, is
+    exactly zero and not marched. A window that stops contracting raises
+    its NonContraction, and no profile.
     """
     i0 = int(np.searchsorted(ext.x_param, 0.0))
     u0p, u0m = ext.u_plus[:, i0], ext.u_minus[:, i0]
     delta = u0p - u0m
-    delta_dt = ext.du_plus[:, i0] - ext.du_minus[:, i0]
     W = np.zeros((ext.times.size, y.size, 3))
     traces = []
-    if delta.any() or delta_dt.any():
-        traces = _picard(y, ext.times, W, delta, delta_dt, u0p, u0m, tol,
+    if delta.any():
+        traces = _picard(y, ext.times, W, delta,
+                         rhs_limit(u0p) - rhs_limit(u0m), u0p, u0m, tol,
                          max_iter)
     return ProfilePair(times=ext.times, y=y, W=W, delta=delta,
                        residual_trace=tuple(traces))

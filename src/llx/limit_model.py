@@ -14,10 +14,9 @@ Contains:
 - rhs_limit: the limit flow's right-hand side, F_slab at V = 0
 - renormalize: projection onto the unit sphere
 - simulate_limit: the exact solution on a given time grid
-- ExtendedLimit / extend_limit: one-sided limit states extended across
-  the interface by branch continuation and cutoff blending, with exact
-  time derivatives, and the jump's leak outside the interface
-  neighborhood (support_defect)
+- ExtendedLimit / extend_limit: the limit flow of each data branch,
+  continued across the interface, and the cutoff jump's leak outside
+  the interface neighborhood (support_defect)
 """
 
 from __future__ import annotations
@@ -115,79 +114,46 @@ def simulate_limit(u0: np.ndarray, times: np.ndarray) -> np.ndarray:
     return values
 
 
-# === the limit flow extended across the interface ===
+# === the limit flow of each data branch ===
 
 @dataclass(frozen=True)
 class ExtendedLimit:
-    """One-sided limit states extended across the interface.
+    """The limit flow of each data branch on the parameter nodes.
 
-    u_plus[k, i] is the plus-side extension at (times[k], x_param[i]);
-    on x >= 0 it equals the limit solution, on x < 0 it blends the
-    continuation of the plus-side data branch with the local solution
-    using the interface cutoff, so the jump field u_plus - u_minus is
-    chi_sigma(x) times the branch gap: supported inside the interface
-    neighborhood, and bitwise zero everywhere for continuous data.
-    du_* are exact time derivatives (the blend is a time-independent
-    linear combination of pointwise solutions).
+    u_plus[k, i] is the plus-side branch's flow at (times[k],
+    x_param[i]), u_minus the minus-side one's; each is the limit
+    solution on its own side. The jump field chi_sigma(x) (u_plus -
+    u_minus) is bitwise zero for continuous data.
     """
 
     times: np.ndarray
     x_param: np.ndarray
     u_plus: np.ndarray
     u_minus: np.ndarray
-    du_plus: np.ndarray
-    du_minus: np.ndarray
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.u_plus - self.u_minus
-
-    @property
-    def delta_dt(self) -> np.ndarray:
-        return self.du_plus - self.du_minus
 
     def support_defect(self) -> float:
-        """Largest |delta| outside the interface neighborhood."""
-        outside = ~in_v_sigma(self.x_param)
-        return float(np.max(np.abs(self.delta[:, outside]), initial=0.0))
+        """Largest |chi_sigma (u_plus - u_minus)| outside the interface
+        neighborhood."""
+        x = self.x_param
+        jump = chi_sigma(x)[:, None] * (self.u_plus - self.u_minus)
+        return float(np.max(np.abs(jump[:, ~in_v_sigma(x)]), initial=0.0))
 
 
 def extend_limit(data: MagnetizationField, x: np.ndarray,
                  times: np.ndarray) -> ExtendedLimit:
     """Solve the limit flow exactly from both data branches on the
-    parameter nodes x, and blend.
+    parameter nodes x.
 
     Each side's initial branch continues smoothly across the interface
     (constants broadcast, a continuous field is its own continuation),
-    and the limit flow is pointwise, so the branch evolutions are
-    global one-sided solutions. The extension keeps each branch on its
-    own side and fades it into the other side's solution with the
-    interface blending weight geometry.chi_sigma, whose window
-    |x| < 0.35 is fixed.
+    and the limit flow is pointwise, so the branch flows are global
+    one-sided solutions.
     """
     times = np.asarray(times, dtype=float)
     i_zero = int(np.argmin(np.abs(x)))
     if x[i_zero] != 0.0:
         raise ValueError("parameter mesh must contain the interface node")
-
-    u_init = np.stack([data.branch(x, "minus"), data.branch(x, "plus")])
-    vals = simulate_limit(u_init, times)
-    v_minus, v_plus = vals[:, 0], vals[:, 1]
-    r_minus, r_plus = rhs_limit(v_minus), rhs_limit(v_plus)
-
-    chi = chi_sigma(x)
-
-    def blend(own, other, keep_on):
-        out = own.copy()
-        mask = x < 0.0 if keep_on == "plus" else x > 0.0
-        cm = chi[None, mask, None]
-        # incremental form: identical branches stay bitwise jump-free
-        out[:, mask] = other[:, mask] \
-            + cm * (own[:, mask] - other[:, mask])
-        return out
-
-    return ExtendedLimit(times=times, x_param=x,
-                         u_plus=blend(v_plus, v_minus, "plus"),
-                         u_minus=blend(v_minus, v_plus, "minus"),
-                         du_plus=blend(r_plus, r_minus, "plus"),
-                         du_minus=blend(r_minus, r_plus, "minus"))
+    vals = simulate_limit(np.stack([data.branch(x, "minus"),
+                                    data.branch(x, "plus")]), times)
+    return ExtendedLimit(times=times, x_param=x, u_plus=vals[:, 1],
+                         u_minus=vals[:, 0])

@@ -135,7 +135,9 @@ def test_unresolved_wall_layer_is_exit_2(tiny_cfg, tmp_path, capsys,
                "--tol-override", "scenario.data=named",
                "--tol-override", override])
     assert rc == 2
-    assert capsys.readouterr().err.startswith(f"error: {reason}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {reason}")
+    assert override.partition("=")[0] in err
 
 
 def test_solver_abort_is_exit_3(tiny_cfg, tmp_path, capsys):

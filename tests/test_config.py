@@ -184,6 +184,9 @@ def test_study_validation_propagates():
     ("run.epsilon=0", "run.epsilon"),
     ("scenario.value_minus=nan 0 0", "scenario.value_minus"),
     ("scenario.value_plus=inf 0 0", "scenario.value_plus"),
+    ("scenario.value_plus=0 0 0", "scenario.value_plus"),
+    ("scenario.value_minus=0 0 0", "scenario.value_minus"),
+    ("scenario.field=nope", "scenario.field"),
 ])
 def test_bad_value_is_refused_naming_the_key(override, key):
     with pytest.raises(ConfigError, match=re.escape(key)):

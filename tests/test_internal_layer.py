@@ -57,7 +57,7 @@ def test_time_grid_has_no_rounding_sliver_before_T(T):
     np.testing.assert_allclose(steps[7:], dt, rtol=1e-9)
 
 
-# --- extended limit states ---
+# --- the limit flow of each data branch ---
 
 @pytest.fixture(scope="module")
 def jump_setup():
@@ -70,51 +70,38 @@ def jump_setup():
 
 def test_extension_constant_data_closed_form(jump_setup):
     x, data, times, ext = jump_setup
-    # per-side constants evolve by the pointwise limit flow; the jump
-    # field must be chi(|x|) times their difference
+    # per-side constants evolve by the pointwise limit flow: each branch
+    # flow is its side's evolved constant at every node, and the jump
+    # field is chi(|x|) times their difference
     values = simulate_limit(np.array([data(np.array([0.0]), "minus")[0],
                                       data(np.array([0.0]), "plus")[0]]),
                             times)
-    c_minus = values[:, 0]
-    c_plus = values[:, 1]
-    chi = chi_sigma(ext.x_param)
-    expect = chi[None, :, None] * (c_plus - c_minus)[:, None, :]
-    np.testing.assert_allclose(ext.delta, expect, atol=1e-13)
-    # exact time derivative of the jump from the blended flow rates
-    expect_dt = chi[None, :, None] * (rhs_limit(c_plus)
-                                      - rhs_limit(c_minus))[:, None, :]
-    np.testing.assert_allclose(ext.delta_dt, expect_dt, atol=1e-13)
+    c_minus = values[:, 0, None, :]
+    c_plus = values[:, 1, None, :]
+    np.testing.assert_allclose(ext.u_minus, np.broadcast_to(
+        c_minus, ext.u_minus.shape), atol=1e-13)
+    np.testing.assert_allclose(ext.u_plus, np.broadcast_to(
+        c_plus, ext.u_plus.shape), atol=1e-13)
+    chi = chi_sigma(ext.x_param)[None, :, None]
+    np.testing.assert_allclose(chi * (ext.u_plus - ext.u_minus),
+                               chi * (c_plus - c_minus), atol=1e-13)
+    # the jump's exact time derivative is the gap of the flow rates
+    np.testing.assert_allclose(
+        chi * (rhs_limit(ext.u_plus) - rhs_limit(ext.u_minus)),
+        chi * (rhs_limit(c_plus) - rhs_limit(c_minus)), atol=1e-13)
 
 
 def test_extension_vanishes_outside_interface_neighborhood(jump_setup):
     _, _, _, ext = jump_setup
     outside = ~in_v_sigma(ext.x_param)
     assert outside.any()
-    assert np.max(np.abs(ext.delta[:, outside])) == 0.0
-    assert np.max(np.abs(ext.delta_dt[:, outside])) == 0.0
+    chi = chi_sigma(ext.x_param)[None, :, None]
+    jump = chi * (ext.u_plus - ext.u_minus)
+    rate = chi * (rhs_limit(ext.u_plus) - rhs_limit(ext.u_minus))
+    assert np.max(np.abs(jump[:, ~outside])) > 0.0
+    assert np.max(np.abs(jump[:, outside])) == 0.0
+    assert np.max(np.abs(rate[:, outside])) == 0.0
     assert ext.support_defect() == 0.0
-
-
-def test_extension_blend_exact_at_neighbor_nodes(jump_setup):
-    # constant data: the extension one node into the far side must be
-    # exactly the chi blend of the two evolved constants
-    x, data, times, ext = jump_setup
-    i0 = int(np.argmin(np.abs(ext.x_param)))
-    values = simulate_limit(np.array([data(np.array([0.0]), "minus")[0],
-                                      data(np.array([0.0]), "plus")[0]]),
-                            times)
-    c_minus = values[:, 0]
-    c_plus = values[:, 1]
-    h = float(ext.x_param[i0 + 1])
-    chi_h = float(chi_sigma(np.array([h]))[0])
-    np.testing.assert_allclose(ext.u_plus[:, i0 - 1],
-                               chi_h * c_plus + (1 - chi_h) * c_minus,
-                               atol=1e-13)
-    np.testing.assert_allclose(ext.u_minus[:, i0 + 1],
-                               chi_h * c_minus + (1 - chi_h) * c_plus,
-                               atol=1e-13)
-    np.testing.assert_allclose(ext.u_plus[:, i0], c_plus, atol=1e-13)
-    np.testing.assert_allclose(ext.u_minus[:, i0], c_minus, atol=1e-13)
 
 
 def test_extension_symmetric_data_is_jump_free():
@@ -122,8 +109,8 @@ def test_extension_symmetric_data_is_jump_free():
     same = constant_per_side((0.6, 0.8, 0.0), (0.6, 0.8, 0.0))
     times = time_grid(0.02, dt=5e-3)
     ext = extend_limit(same, x, times)
-    assert np.max(np.abs(ext.delta)) == 0.0
-    assert np.max(np.abs(ext.delta_dt)) == 0.0
+    assert np.array_equal(ext.u_plus, ext.u_minus)
+    assert np.array_equal(rhs_limit(ext.u_plus), rhs_limit(ext.u_minus))
 
 
 def test_extension_rejects_nonzero_start():
@@ -276,9 +263,10 @@ def test_profiles_box_halving_stable(jump_setup):
 
 
 def test_profile_column_independent_of_extension_width(jump_setup):
-    # at x = 0 the column inputs are the bare branch trajectories of the
-    # limit flow, bit for bit, so the solved profile cannot depend on
-    # how far the blend reaches
+    # at x = 0 the column inputs are the branch flows of the limit flow
+    # solved on that node alone, bit for bit, so the solved profile
+    # cannot depend on the mesh around it; the column's jump rate is
+    # taken from these two by rhs_limit
     x, data, times, ext = jump_setup
     i0 = int(np.argmin(np.abs(ext.x_param)))
     zero = x[i0:i0 + 1]
@@ -287,8 +275,6 @@ def test_profile_column_independent_of_extension_width(jump_setup):
                           times)[:, :, 0]
     np.testing.assert_array_equal(ext.u_minus[:, i0], bare[:, 0])
     np.testing.assert_array_equal(ext.u_plus[:, i0], bare[:, 1])
-    np.testing.assert_array_equal(ext.du_minus[:, i0], rhs_limit(bare[:, 0]))
-    np.testing.assert_array_equal(ext.du_plus[:, i0], rhs_limit(bare[:, 1]))
 
 
 def test_picard_non_contraction_aborts():
@@ -516,16 +502,16 @@ def test_picard_matches_the_one_column_reference():
 
     i0 = int(np.argmin(np.abs(ext.x_param)))
     assert ext.x_param[i0] == 0.0
+    up, um = ext.u_plus[:, i0], ext.u_minus[:, i0]
     W, windows, failure = _reference_picard_column(
-        y, times, ext.delta[:, i0], ext.delta_dt[:, i0], ext.u_plus[:, i0],
-        ext.u_minus[:, i0], 1e-8, 40)
+        y, times, up - um, rhs_limit(up) - rhs_limit(um), up, um, 1e-8, 40)
     assert failure is None
     traces = tuple(map(tuple, windows))
     # several windows and a short last one
     assert (times.size - 1) % TIME_BLOCK != 0
     assert len(traces) == -(-(times.size - 1) // TIME_BLOCK) >= 3
     assert np.array_equal(pair.W, W)
-    assert np.array_equal(pair.delta, ext.delta[:, i0])
+    assert np.array_equal(pair.delta, up - um)
     assert pair.iterations == max(map(len, traces))
     assert pair.residual_trace == traces
     assert pair.contraction_ratios() == [

@@ -22,6 +22,11 @@ full model that differentiate along it move no axis.
 banded holds the one banded-solve kernel of all three marches, so it is
 the only module that takes LAPACK routines from scipy.linalg.
 
+No module imports a name it never reads. The one exemption is
+expansion's residual_report and simulate_full: the bench wraps them
+under expansion's name, which is why expansion imports them (no linter
+is installed to keep this, so the scan does).
+
 The package takes scipy only through scipy.linalg (and its lapack
 module): the splines are llx's own, so importing every llx module in a
 fresh interpreter loads none of scipy.interpolate, scipy.special,
@@ -209,6 +214,56 @@ def test_only_the_banded_kernel_calls_lapack(module):
 
 def test_the_banded_kernel_is_seen_calling_lapack():
     assert lapack_imports(PACKAGE / "banded.py")
+
+
+def unused_imports(path: Path) -> list:
+    """(line, name) of every name the source file binds by an import
+    and never reads; a name its __all__ lists counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom)
+                and node.module != "__future__"):
+            for alias in node.names:
+                bound[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif (isinstance(node, ast.Assign)
+              and any(isinstance(t, ast.Name) and t.id == "__all__"
+                      for t in node.targets)):
+            read.update(ast.literal_eval(node.value))
+    return sorted((line, name) for name, line in bound.items()
+                  if name not in read)
+
+
+def test_unused_import_scan_sees_every_spelling(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "import numpy as np\n"
+                     "import os.path\n"
+                     "import sys\n"
+                     "from .a import x, y as z\n"
+                     "from .b import w\n"
+                     "__all__ = ['w']\n"
+                     "def f(v: np.ndarray) -> None:\n"
+                     "    os.path.join(x)\n", encoding="utf-8")
+    assert unused_imports(probe) == [(4, "sys"), (5, "z")]
+
+
+# the bench wraps these under expansion's name
+BENCH_FACING = {("expansion", "residual_report"),
+                ("expansion", "simulate_full")}
+
+
+@pytest.mark.parametrize("module", sorted(
+    path.stem for path in PACKAGE.glob("*.py")))
+def test_no_module_imports_a_name_it_never_reads(module):
+    # exactly the exemptions: one the module comes to read is stale
+    assert ({(module, name) for _, name in
+             unused_imports(PACKAGE / f"{module}.py")}
+            == {entry for entry in BENCH_FACING if entry[0] == module})
 
 
 SCIPY_ALLOWED = ("scipy.linalg", "scipy.linalg.lapack")
